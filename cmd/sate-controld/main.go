@@ -10,12 +10,12 @@
 //	curl localhost:8080/v1/rules?node=12
 //	curl localhost:8080/v1/deltas?since=0
 //	curl localhost:8080/metrics
-//	curl -X POST -d '{"time_sec": 300}' localhost:8080/recompute
+//	curl -X POST -d '{"time_sec": 300}' localhost:8080/v1/recompute
 //	go tool pprof http://localhost:8080/debug/pprof/profile?seconds=10
 //
-// The versioned surface lives under /v1/ (DESIGN.md §14); the unversioned
-// paths remain as aliases. GETs serve the published snapshot's cached bytes
-// with its version as ETag, so pollers holding If-None-Match get 304s.
+// The API lives under /v1/ (DESIGN.md §14). GETs serve the published
+// snapshot's cached bytes with its version as ETag, so pollers holding
+// If-None-Match get 304s.
 package main
 
 import (
@@ -52,12 +52,11 @@ func main() {
 		minElev   = flag.Float64("min-elev", 10, "user min elevation, degrees")
 		seed      = flag.Int64("seed", 1, "random seed")
 
-		dtype     = flag.String("dtype", "float64", "inference precision for -method sate: float64 | float32")
-		warmStart = flag.Bool("warm", false, "for -method sate: warm-start each cycle from the previous one")
-		shards    = flag.Int("shards", 1, "split each solve into this many regional subproblems with boundary reconciliation (1 = monolithic)")
+		dtype  = flag.String("dtype", "float64", "inference precision for -method sate: float64 | float32")
+		shards = flag.Int("shards", 1, "split each solve into this many regional subproblems with boundary reconciliation (1 = monolithic)")
 
 		deltaHistory   = flag.Int("delta-history", 0, "rule-delta changelog retention, versions (0 = default 64); clients further behind get a full sync")
-		recomputeQueue = flag.Int("recompute-queue", 0, "max queued /recompute requests coalescing into the next solve (0 = default 64); beyond it requests get 429")
+		recomputeQueue = flag.Int("recompute-queue", 0, "max queued /v1/recompute requests coalescing into the next solve (0 = default 64); beyond it requests get 429")
 
 		cycleTimeout  = flag.Float64("cycle-timeout", 0, "per-cycle timeout, seconds (0 = 10x interval, negative disables)")
 		retryBase     = flag.Float64("retry-base", 0, "initial retry backoff after a failed cycle, seconds (0 = interval/4)")
@@ -125,7 +124,11 @@ func main() {
 	if *recomputeQueue > 0 {
 		ctlOpts = append(ctlOpts, controller.WithRecomputeQueue(*recomputeQueue))
 	}
-	var solverOpts []solve.Option
+	// Every cycle solves through one workspace (DESIGN.md §11): bitwise what
+	// a cold solve returns, without rebuilding what held still since the
+	// previous cycle. Solvers other than SaTE ignore it; the sharded solver
+	// substitutes one per sub-problem.
+	solverOpts := []solve.Option{solve.WithWarm(&core.CycleState{})}
 	switch *dtype {
 	case "float64":
 	case "float32":
@@ -134,12 +137,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown dtype %q\n", *dtype)
 		os.Exit(2)
 	}
-	if *warmStart {
-		solverOpts = append(solverOpts, solve.WithWarm(&core.CycleState{}))
-	}
-	if len(solverOpts) > 0 {
-		ctlOpts = append(ctlOpts, controller.WithSolverOptions(solverOpts...))
-	}
+	ctlOpts = append(ctlOpts, controller.WithSolverOptions(solverOpts...))
 
 	srv := controller.New(scen, solver, ctlOpts...)
 	runCfg := controller.RunConfig{

@@ -147,7 +147,7 @@ func worker(client *http.Client, base string, mix []mixEntry, total int, seed in
 		case "recompute":
 			timeSec += 0.25
 			body := fmt.Sprintf(`{"time_sec": %g}`, timeSec)
-			req, err = http.NewRequest(http.MethodPost, base+"/recompute", strings.NewReader(body))
+			req, err = http.NewRequest(http.MethodPost, base+"/v1/recompute", strings.NewReader(body))
 		}
 		if err != nil {
 			st.Requests++

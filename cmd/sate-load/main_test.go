@@ -25,12 +25,12 @@ func runWorker(t *testing.T, srv *httptest.Server, mixStr string) map[string]*en
 }
 
 // TestRecompute429IsShedLoadNotError pins the admission-control contract: a
-// 429 with Retry-After from /recompute is the controller shedding load on
+// 429 with Retry-After from /v1/recompute is the controller shedding load on
 // purpose, so it must count as Rejected — never as an error that would flip
 // the run's exit status.
 func TestRecompute429IsShedLoadNotError(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/recompute" {
+		if r.URL.Path != "/v1/recompute" {
 			t.Errorf("unexpected path %q", r.URL.Path)
 		}
 		w.Header().Set("Retry-After", "1")

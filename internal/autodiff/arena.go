@@ -1,61 +1,54 @@
 package autodiff
 
 // The tape arena makes repeated forward/backward passes allocation-free in
-// steady state (DESIGN.md §8). Every intermediate the ops create — result
-// and gradient tensors, Value nodes, index/scratch slices — is drawn from
-// per-tape recycling pools:
-//
-//   - Tensors come from a shape-keyed free-list (key rows<<32|cols). take
-//     zeroes the recycled slab, because the kernels rely on zero-initialised
-//     outputs (gemm accumulates rows in place, scatter adds into zeros).
-//   - Values come from a pointer-stable slab of fixed-size blocks, so node
-//     addresses captured by the graph stay valid while the slab grows.
-//   - []int / scalar / []*Value scratch comes from bump-pointer slabs
-//     that abandon the old buffer on growth (the GC reclaims it) and start
-//     clean the next cycle.
-//
-// Tape.Reset returns everything to the pools in O(live objects); after one
-// warm-up pass over a given graph shape, subsequent passes reuse the same
-// memory and perform zero heap allocations (see BenchmarkTapeReuseForwardBackward).
+// steady state (DESIGN.md §8). Every intermediate the ops create — tensor
+// headers and their element storage, Value nodes, index/scratch slices — is
+// bump-allocated from per-tape slabs, and Tape.Reset rewinds all of them in
+// O(1). Tensors of any shape are carved from the same element slab as the
+// scalar scratch, so a pass whose shapes drift from the previous one reuses
+// the same memory, and an arena retains what its largest pass needed, not
+// what every shape it ever saw needed.
 //
 // The arena is single-threaded by design: allocation happens only at
 // op-issue and backward time, both of which run on the caller's goroutine.
 // Parallel kernel chunks never allocate from it.
 
-// valueBlockSize is the number of Values per slab block. Blocks are never
-// freed or moved, so *Value pointers handed out stay valid across growth.
-const valueBlockSize = 256
+// slabMinChunk is the smallest chunk a slab allocates, in entries.
+const slabMinChunk = 256
 
-// slab is a bump-pointer allocator over a single backing buffer. When a
-// request does not fit it abandons the buffer for a bigger one (outstanding
-// slices keep the old one alive until the GC collects it after Reset).
+// slab is a chunked bump-pointer allocator. A request that does not fit the
+// current chunk moves on to the next retained chunk that holds it, or to a
+// new chunk at least as large as everything retained so far; chunks are
+// never freed, moved or copied, so slices and element pointers handed out
+// stay valid until reset rewinds to the first chunk. Doubling the retained
+// total bounds a slab at a small multiple of its largest pass.
 type slab[T any] struct {
-	buf []T
-	cur int
+	chunks [][]T
+	ci     int // chunk being filled
+	cur    int // entries used in that chunk
+	total  int // entries retained across all chunks
 }
 
-// take returns the next n entries of the backing buffer, growing it only
-// when the request does not fit.
+// take returns the next n entries, holding whatever the previous pass left
+// there.
 //
-//lint:ignore hotpath-no-alloc slab growth is amortized; steady state bump-allocates from the retained buffer (TestTapeReuseZeroAllocs)
+//lint:ignore hotpath-no-alloc chunk growth is amortized; steady state bump-allocates from retained chunks (TestTapeReuseZeroAllocs)
 func (s *slab[T]) take(n int) []T {
 	if n == 0 {
 		return nil
 	}
-	if s.cur+n > len(s.buf) {
-		size := 2 * len(s.buf)
-		if size < n {
-			size = n
+	for ; s.ci < len(s.chunks); s.ci, s.cur = s.ci+1, 0 {
+		if c := s.chunks[s.ci]; s.cur+n <= len(c) {
+			out := c[s.cur : s.cur+n : s.cur+n]
+			s.cur += n
+			return out
 		}
-		if size < 1024 {
-			size = 1024
-		}
-		s.buf = make([]T, size)
-		s.cur = 0
 	}
-	out := s.buf[s.cur : s.cur+n : s.cur+n]
-	s.cur += n
-	return out
+	c := make([]T, max(n, s.total, slabMinChunk))
+	s.chunks = append(s.chunks, c)
+	s.total += len(c)
+	s.cur = n
+	return c[:n:n]
 }
 
 func (s *slab[T]) takeZeroed(n int) []T {
@@ -64,113 +57,65 @@ func (s *slab[T]) takeZeroed(n int) []T {
 	return out
 }
 
-func (s *slab[T]) reset() { s.cur = 0 }
+func (s *slab[T]) reset() { s.ci, s.cur = 0, 0 }
 
 // arena is the per-tape allocation pool. Zero value is ready to use.
 type arena[T Float] struct {
-	free  map[uint64][]*TensorOf[T] // shape-keyed tensor free-lists
-	owned []*TensorOf[T]            // tensors handed out since the last reset
-
-	valBlocks [][]ValueOf[T]
-	valBlock  int // block being filled
-	valUsed   int // entries used in that block
-
+	scalars slab[T] // tensor element storage and scalar scratch
+	tensors slab[TensorOf[T]]
+	values  slab[ValueOf[T]]
 	ints    slab[int]
-	scalars slab[T]
 	vals    slab[*ValueOf[T]]
 
 	// Plain (non-atomic) observability counters: the arena is
 	// single-threaded by design, and readers sample them between passes via
 	// Tape.ArenaStats. Keeping them raw uint64s costs one increment per
 	// tensor request and preserves the 0-allocs/op steady state.
-	reused    uint64 // tensor requests served from a free-list
-	allocated uint64 // tensor requests that hit the heap
+	reused    uint64 // tensor requests served from retained chunks
+	allocated uint64 // tensor requests that grew the element slab
 	resets    uint64 // reset() calls (one per pass in steady state)
 }
 
-func shapeKey(rows, cols int) uint64 {
-	return uint64(uint32(rows))<<32 | uint64(uint32(cols))
-}
-
-// tensor returns a zeroed rows x cols tensor, recycled when a slab of that
-// shape is on the free-list.
-//
-//lint:ignore hotpath-no-alloc allocates only on free-list miss; after one warm-up pass every shape is recycled (TestTapeReuseZeroAllocs)
-func (a *arena[T]) tensor(rows, cols int) *TensorOf[T] {
-	key := shapeKey(rows, cols)
-	if fl := a.free[key]; len(fl) > 0 {
-		t := fl[len(fl)-1]
-		a.free[key] = fl[:len(fl)-1]
-		clear(t.Data)
-		a.owned = append(a.owned, t)
-		a.reused++
-		return t
-	}
-	if a.free == nil {
-		a.free = make(map[uint64][]*TensorOf[T])
-	}
-	t := NewTensorOf[T](rows, cols)
-	a.owned = append(a.owned, t)
-	a.allocated++
-	return t
-}
-
-// tensorRaw is tensor without the zeroing of recycled storage: the recycled
-// slab still holds the previous pass's values. Only for op results whose
-// forward kernel stores every element before any read; accumulating kernels
+// tensorRaw returns a rows x cols tensor whose elements still hold whatever
+// the previous pass left in that storage. Only for op results whose forward
+// kernel stores every element before any read; accumulating kernels
 // (scatter-add, segment attention) and gradient buffers must use tensor.
-//
-//lint:ignore hotpath-no-alloc allocates only on free-list miss; after one warm-up pass every shape is recycled (TestTapeReuseZeroAllocs)
 func (a *arena[T]) tensorRaw(rows, cols int) *TensorOf[T] {
-	key := shapeKey(rows, cols)
-	if fl := a.free[key]; len(fl) > 0 {
-		t := fl[len(fl)-1]
-		a.free[key] = fl[:len(fl)-1]
-		a.owned = append(a.owned, t)
+	grown := len(a.scalars.chunks)
+	t := &a.tensors.take(1)[0]
+	*t = TensorOf[T]{Rows: rows, Cols: cols, Data: a.scalars.take(rows * cols)}
+	if len(a.scalars.chunks) != grown {
+		a.allocated++
+	} else {
 		a.reused++
-		return t
 	}
-	if a.free == nil {
-		a.free = make(map[uint64][]*TensorOf[T])
-	}
-	t := NewTensorOf[T](rows, cols)
-	a.owned = append(a.owned, t)
-	a.allocated++
 	return t
 }
 
-// value returns a zeroed Value from the slab. The pointer stays valid until
-// the tape is garbage; reset only recycles the storage for reuse.
-//
-//lint:ignore hotpath-no-alloc block growth is amortized; steady state rewinds and reuses pointer-stable blocks (TestTapeReuseZeroAllocs)
+// tensor returns a zeroed rows x cols tensor: the kernels rely on
+// zero-initialised outputs (gemm accumulates rows in place, scatter adds
+// into zeros).
+func (a *arena[T]) tensor(rows, cols int) *TensorOf[T] {
+	t := a.tensorRaw(rows, cols)
+	clear(t.Data)
+	return t
+}
+
+// value returns a zeroed Value. The pointer stays valid until the tape is
+// garbage; reset only recycles the storage for reuse.
 func (a *arena[T]) value() *ValueOf[T] {
-	if a.valBlock == len(a.valBlocks) {
-		a.valBlocks = append(a.valBlocks, make([]ValueOf[T], valueBlockSize))
-	}
-	blk := a.valBlocks[a.valBlock]
-	v := &blk[a.valUsed]
-	a.valUsed++
-	if a.valUsed == valueBlockSize {
-		a.valBlock++
-		a.valUsed = 0
-	}
+	v := &a.values.take(1)[0]
 	*v = ValueOf[T]{}
 	return v
 }
 
-// reset returns every outstanding tensor to its free-list and rewinds the
-// slabs. Callers must drop all references obtained since the previous reset.
-//
-//lint:ignore hotpath-no-alloc free-list append reaches high-water capacity after one pass and stops growing (TestTapeReuseZeroAllocs)
+// reset rewinds every slab. Callers must drop all references obtained since
+// the previous reset: the next pass hands the same memory out again.
 func (a *arena[T]) reset() {
-	for _, t := range a.owned {
-		key := shapeKey(t.Rows, t.Cols)
-		a.free[key] = append(a.free[key], t)
-	}
-	a.owned = a.owned[:0]
-	a.valBlock, a.valUsed = 0, 0
-	a.ints.reset()
 	a.scalars.reset()
+	a.tensors.reset()
+	a.values.reset()
+	a.ints.reset()
 	a.vals.reset()
 	a.resets++
 }

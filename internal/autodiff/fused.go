@@ -49,7 +49,7 @@ func (tp *TapeOf[T]) linear(x, w, bias *ValueOf[T], slope T, epilogue bool) *Val
 	v.src0, v.src1, v.src2, v.s0 = x, w, bias, slope
 	if epilogue {
 		v.n = 1
-		if !tp.noGrad {
+		if tp.grad {
 			// Pre-activation stash: gemmChunk stores every element, so the
 			// recycled slab needs no zeroing.
 			v.aux = tp.arena.tensorRaw(m, n)

@@ -123,29 +123,31 @@ type ValueOf[T Float] struct {
 type Value = ValueOf[float64]
 
 // TapeOf records operations in creation order for reverse accumulation. All
-// node storage is drawn from the tape's arena; Reset recycles it.
+// node storage is drawn from the tape's arena; Reset recycles it. The zero
+// value is a forward-only (inference) tape, so a tape can be embedded by
+// value in longer-lived state; gradient tapes come from NewTape/NewTapeOf.
 type TapeOf[T Float] struct {
-	nodes  []*ValueOf[T]
-	noGrad bool
-	arena  arena[T]
+	nodes []*ValueOf[T]
+	grad  bool
+	arena arena[T]
 }
 
 // Tape is the float64 tape.
 type Tape = TapeOf[float64]
 
 // NewTape creates an empty float64 tape.
-func NewTape() *Tape { return &Tape{} }
+func NewTape() *Tape { return &Tape{grad: true} }
 
 // NewTapeOf creates an empty tape of the given dtype.
-func NewTapeOf[T Float]() *TapeOf[T] { return &TapeOf[T]{} }
+func NewTapeOf[T Float]() *TapeOf[T] { return &TapeOf[T]{grad: true} }
 
 // NewInferenceTape creates a forward-only float64 tape: no gradient buffers
 // are allocated and Backward panics. Use for pure inference — it roughly
 // halves allocation traffic, which dominates GNN forward cost on CPU.
-func NewInferenceTape() *Tape { return &Tape{noGrad: true} }
+func NewInferenceTape() *Tape { return &Tape{} }
 
 // NewInferenceTapeOf creates a forward-only tape of the given dtype.
-func NewInferenceTapeOf[T Float]() *TapeOf[T] { return &TapeOf[T]{noGrad: true} }
+func NewInferenceTapeOf[T Float]() *TapeOf[T] { return &TapeOf[T]{} }
 
 // Reset discards recorded operations and recycles every tensor, node and
 // scratch slice of the previous pass back into the tape's arena (parameters
@@ -162,16 +164,16 @@ func (tp *TapeOf[T]) Reset() {
 }
 
 // NoGrad reports whether this is a forward-only (inference) tape.
-func (tp *TapeOf[T]) NoGrad() bool { return tp.noGrad }
+func (tp *TapeOf[T]) NoGrad() bool { return !tp.grad }
 
 // ArenaStats is a snapshot of the tape arena's recycling counters — the
 // live view of the memory model of DESIGN.md §8. In steady state TensorAlloc
 // stops growing while TensorReuse advances by the per-pass tensor count;
 // training loops export the deltas as obs counters (DESIGN.md §9).
 type ArenaStats struct {
-	// TensorReuse counts tensor requests served from a shape free-list.
+	// TensorReuse counts tensor requests carved from already-retained chunks.
 	TensorReuse uint64
-	// TensorAlloc counts tensor requests that allocated fresh heap slabs.
+	// TensorAlloc counts tensor requests that grew the arena by a heap chunk.
 	TensorAlloc uint64
 	// Resets counts arena reset cycles (one per forward/backward pass).
 	Resets uint64
@@ -226,34 +228,29 @@ func (tp *TapeOf[T]) TensorFromFloat64(rows, cols int, data []float64) *TensorOf
 }
 
 // newNode allocates a node with a zeroed rows x cols result tensor from the
-// arena. On gradient tapes it also gets a zeroed gradient buffer and is
-// recorded for reverse accumulation; on inference tapes back is dropped.
-// Ops fill in their backward state fields after the call.
+// arena, for ops that accumulate into their output. See newNodeStored for
+// the rest.
 func (tp *TapeOf[T]) newNode(rows, cols int, back func(*ValueOf[T])) *ValueOf[T] {
-	v := tp.arena.value()
-	v.Val = tp.arena.tensor(rows, cols)
-	v.tape = tp
-	if !tp.noGrad {
-		v.Grad = tp.arena.tensor(rows, cols)
-		v.back = back
-		//lint:ignore hotpath-no-alloc gradient tapes only (inference tapes set noGrad); the node list reaches high-water capacity and stops growing
-		tp.nodes = append(tp.nodes, v)
-	}
+	v := tp.newNodeStored(rows, cols, back)
+	clear(v.Val.Data)
 	return v
 }
 
-// newNodeStored is newNode for ops whose forward kernel stores every output
-// element before any read: the result tensor skips the recycled-storage
-// zeroing (a large share of inference memory traffic). Gradient buffers are
-// always zeroed — backward accumulates into them.
+// newNodeStored allocates a node for an op whose forward kernel stores every
+// output element before any read: the result tensor comes from the arena
+// uncleared (clearing is a large share of inference memory traffic). On
+// gradient tapes the node also gets a zeroed gradient buffer — backward
+// accumulates into it — and is recorded for reverse accumulation; on
+// inference tapes back is dropped. Ops fill in their backward state fields
+// after the call.
 func (tp *TapeOf[T]) newNodeStored(rows, cols int, back func(*ValueOf[T])) *ValueOf[T] {
 	v := tp.arena.value()
 	v.Val = tp.arena.tensorRaw(rows, cols)
 	v.tape = tp
-	if !tp.noGrad {
+	if tp.grad {
 		v.Grad = tp.arena.tensor(rows, cols)
 		v.back = back
-		//lint:ignore hotpath-no-alloc gradient tapes only (inference tapes set noGrad); the node list reaches high-water capacity and stops growing
+		//lint:ignore hotpath-no-alloc gradient tapes only; the node list reaches high-water capacity and stops growing
 		tp.nodes = append(tp.nodes, v)
 	}
 	return v
@@ -264,7 +261,7 @@ func (tp *TapeOf[T]) Const(t *TensorOf[T]) *ValueOf[T] {
 	v := tp.arena.value()
 	v.Val = t
 	v.tape = tp
-	if !tp.noGrad {
+	if tp.grad {
 		v.Grad = tp.arena.tensor(t.Rows, t.Cols)
 	}
 	return v
@@ -277,12 +274,14 @@ func Param[T Float](t *TensorOf[T]) *ValueOf[T] {
 	return &ValueOf[T]{Val: t, Grad: NewTensorOf[T](t.Rows, t.Cols), isParam: true}
 }
 
-// Watch registers a parameter on the tape for this forward pass.
+// Watch marks a parameter's use in this forward pass. It checks the value is
+// a parameter and writes nothing: parameters are shared by every tape that
+// runs the model, concurrently for inference, and no op reads a
+// parameter's tape.
 func (tp *TapeOf[T]) Watch(p *ValueOf[T]) *ValueOf[T] {
 	if !p.isParam {
 		panic("autodiff: Watch on non-parameter")
 	}
-	p.tape = tp
 	return p
 }
 
@@ -290,7 +289,7 @@ func (tp *TapeOf[T]) Watch(p *ValueOf[T]) *ValueOf[T] {
 //
 //sate:hotpath reverse pass of every training step
 func (tp *TapeOf[T]) Backward(out *ValueOf[T]) {
-	if tp.noGrad {
+	if !tp.grad {
 		panic("autodiff: Backward on an inference tape")
 	}
 	if out.Val.Rows != 1 || out.Val.Cols != 1 {

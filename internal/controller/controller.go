@@ -244,15 +244,6 @@ func (s *Server) Changelog() *ruledist.Changelog { return s.log }
 // Registry returns the attached observability registry (nil if none).
 func (s *Server) Registry() *obs.Registry { return s.registry }
 
-// Recompute runs one full TE workflow cycle at simulated time t.
-//
-// Deprecated: Recompute is the pre-redesign spelling; it is equivalent to
-// RecomputeContext(context.Background(), tSec) and remains a supported thin
-// wrapper.
-func (s *Server) Recompute(tSec float64) error {
-	return s.RecomputeContext(context.Background(), tSec)
-}
-
 // RecomputeContext runs one full TE workflow cycle at simulated time t:
 // traffic matrix acquisition, topology determination, path
 // (re)configuration, TE computation, and rule compilation. Cancelling the
@@ -403,12 +394,10 @@ func (s *Server) markDegraded(cause error, cur *te.Problem) {
 	}
 }
 
-// Handler returns the HTTP routes: the versioned surface under /v1/
-// (/v1/status, /v1/allocation, /v1/rules, /v1/deltas, /v1/recompute) plus
-// the pre-redesign paths as aliases (legacy /rules keeps requiring ?node=;
-// /v1/rules without it returns the full table dump). With a registry
-// attached it additionally serves GET /metrics (Prometheus text format
-// 0.0.4) and the pprof profile endpoints under /debug/pprof/.
+// Handler returns the HTTP routes: /healthz and the versioned surface under
+// /v1/ (/v1/status, /v1/allocation, /v1/rules, /v1/deltas, /v1/recompute).
+// With a registry attached it additionally serves GET /metrics (Prometheus
+// text format 0.0.4) and the pprof profile endpoints under /debug/pprof/.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -421,11 +410,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/rules", s.handleRulesV1)
 	mux.HandleFunc("GET /v1/deltas", s.handleDeltas)
 	mux.HandleFunc("POST /v1/recompute", s.handleRecompute)
-	// Legacy aliases.
-	mux.HandleFunc("GET /status", s.handleStatus)
-	mux.HandleFunc("GET /allocation", s.handleAllocation)
-	mux.HandleFunc("GET /rules", s.handleRulesLegacy)
-	mux.HandleFunc("POST /recompute", s.handleRecompute)
 	if s.registry != nil {
 		mux.Handle("GET /metrics", s.registry.Handler())
 		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
@@ -566,21 +550,6 @@ func (s *Server) handleRulesV1(w http.ResponseWriter, r *http.Request) {
 	}
 	if r.URL.Query().Get("node") == "" {
 		s.serveCached(w, r, sn, sn.rulesJSON)
-		return
-	}
-	s.serveNodeRules(w, r, sn)
-}
-
-// handleRulesLegacy serves the pre-redesign GET /rules contract, where
-// ?node=<id> is mandatory.
-func (s *Server) handleRulesLegacy(w http.ResponseWriter, r *http.Request) {
-	sn := s.Current()
-	if sn == nil {
-		http.Error(w, "no allocation computed yet", http.StatusServiceUnavailable)
-		return
-	}
-	if r.URL.Query().Get("node") == "" {
-		http.Error(w, "missing ?node=<id>", http.StatusBadRequest)
 		return
 	}
 	s.serveNodeRules(w, r, sn)
@@ -765,24 +734,6 @@ type RunConfig struct {
 // serving the last good allocation, and retries with capped exponential
 // backoff until a cycle succeeds. RunContext blocks until the context is
 // cancelled (returning ctx.Err()).
-func (s *Server) RunContext(ctx context.Context, cfg RunConfig) error {
-	return s.run(ctx, cfg, nil)
-}
-
-// Run drives the periodic TE workflow until the stop channel closes.
-//
-// Deprecated: Run is the pre-redesign spelling; prefer RunContext. It
-// remains a supported thin wrapper and returns nil when stopped.
-func (s *Server) Run(startSec, intervalSec float64, stop <-chan struct{}) error {
-	return s.run(context.Background(), RunConfig{StartSec: startSec, IntervalSec: intervalSec}, stop)
-}
-
-// errStopped is the internal sentinel for the legacy stop channel closing.
-var errStopped = errors.New("controller: stopped")
-
-// run is the loop shared by RunContext and the deprecated Run: it selects on
-// both the context and the legacy stop channel (a nil channel never fires),
-// so the channel-based API needs no adapter goroutine.
 //
 // Scheduling model: cycle i belongs at wall time start+i·interval and runs
 // at simulated time StartSec+i·IntervalSec. After every wait (tick or retry
@@ -791,7 +742,7 @@ var errStopped = errors.New("controller: stopped")
 // wall-clock cadence — missed indices are counted as skipped cycles, and a
 // retry that stays within the same interval genuinely re-attempts the same
 // cycle.
-func (s *Server) run(ctx context.Context, cfg RunConfig, stop <-chan struct{}) error {
+func (s *Server) RunContext(ctx context.Context, cfg RunConfig) error {
 	interval := time.Duration(cfg.IntervalSec * float64(time.Second))
 	if interval <= 0 {
 		return fmt.Errorf("controller: RunConfig.IntervalSec must be positive, got %g", cfg.IntervalSec)
@@ -840,16 +791,14 @@ func (s *Server) run(ctx context.Context, cfg RunConfig, stop <-chan struct{}) e
 		}
 		return err
 	}
-	// wait sleeps d, returning early with the exit error when the context is
-	// cancelled or the legacy stop channel closes.
+	// wait sleeps d, returning early with ctx.Err() when the context is
+	// cancelled.
 	wait := func(d time.Duration) error {
 		timer := time.NewTimer(d)
 		defer timer.Stop()
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-stop:
-			return errStopped
 		case <-timer.C:
 			return nil
 		}
@@ -889,9 +838,6 @@ func (s *Server) run(ctx context.Context, cfg RunConfig, stop <-chan struct{}) e
 			}
 		}
 		if werr := wait(sleep); werr != nil {
-			if errors.Is(werr, errStopped) {
-				return nil
-			}
 			return werr
 		}
 		// Re-derive the cycle index from the wall clock. After a successful

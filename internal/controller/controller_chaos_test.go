@@ -74,7 +74,7 @@ func chaosServer(t *testing.T, solver sim.Allocator) (*Server, *httptest.Server,
 
 func getStatus(t *testing.T, url string) (StatusResponse, int) {
 	t.Helper()
-	resp, err := http.Get(url + "/status")
+	resp, err := http.Get(url + "/v1/status")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestConcurrentRecomputeMonotonic(t *testing.T) {
 
 	post := func(body string, wg *sync.WaitGroup) {
 		defer wg.Done()
-		resp, err := http.Post(ts.URL+"/recompute", "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/recompute", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Error(err)
 			return

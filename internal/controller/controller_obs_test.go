@@ -199,7 +199,7 @@ func TestStatusExplicitOK(t *testing.T) {
 	if err := srv.RecomputeContext(context.Background(), 100); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Get(ts.URL + "/status")
+	resp, err := http.Get(ts.URL + "/v1/status")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,7 @@ func TestHealthz(t *testing.T) {
 
 func TestStatusBeforeFirstCycle(t *testing.T) {
 	_, ts := testServer(t)
-	resp := getJSON(t, ts.URL+"/status", nil)
+	resp := getJSON(t, ts.URL+"/v1/status", nil)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("status before recompute = %d, want 503", resp.StatusCode)
 	}
@@ -68,7 +68,7 @@ func TestRecomputeAndStatus(t *testing.T) {
 		t.Fatal(err)
 	}
 	var st StatusResponse
-	resp := getJSON(t, ts.URL+"/status", &st)
+	resp := getJSON(t, ts.URL+"/v1/status", &st)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
@@ -88,7 +88,7 @@ func TestRecomputeAndStatus(t *testing.T) {
 
 func TestRecomputeViaHTTP(t *testing.T) {
 	_, ts := testServer(t)
-	resp, err := http.Post(ts.URL+"/recompute", "application/json",
+	resp, err := http.Post(ts.URL+"/v1/recompute", "application/json",
 		strings.NewReader(`{"time_sec": 120}`))
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestRecomputeViaHTTP(t *testing.T) {
 	}
 	// Bad bodies are rejected.
 	for _, body := range []string{"not json", `{"time_sec": -5}`} {
-		resp, err := http.Post(ts.URL+"/recompute", "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/recompute", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestAllocationEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	var entries []AllocationEntry
-	resp := getJSON(t, ts.URL+"/allocation", &entries)
+	resp := getJSON(t, ts.URL+"/v1/allocation", &entries)
 	if resp.StatusCode != http.StatusOK || len(entries) == 0 {
 		t.Fatalf("allocation = %d, %d entries", resp.StatusCode, len(entries))
 	}
@@ -148,7 +148,7 @@ func TestRulesEndpoint(t *testing.T) {
 	}
 	// Find a node with rules via the allocation's first flow source.
 	var entries []AllocationEntry
-	getJSON(t, ts.URL+"/allocation", &entries)
+	getJSON(t, ts.URL+"/v1/allocation", &entries)
 	src := -1
 	for _, e := range entries {
 		if e.RateMbps > 0 {
@@ -160,12 +160,12 @@ func TestRulesEndpoint(t *testing.T) {
 		t.Skip("no allocated flow")
 	}
 	var rules []RuleEntry
-	resp := getJSON(t, ts.URL+"/rules?node="+itoa(src), &rules)
+	resp := getJSON(t, ts.URL+"/v1/rules?node="+itoa(src), &rules)
 	if resp.StatusCode != http.StatusOK || len(rules) == 0 {
 		t.Fatalf("rules for node %d: %d, %d entries", src, resp.StatusCode, len(rules))
 	}
 	// Validation failures.
-	for _, q := range []string{"/rules", "/rules?node=abc", "/rules?node=-1", "/rules?node=99999"} {
+	for _, q := range []string{"/v1/rules?node=abc", "/v1/rules?node=-1", "/v1/rules?node=99999"} {
 		resp := getJSON(t, ts.URL+q, nil)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s -> %d, want 400", q, resp.StatusCode)

@@ -31,33 +31,19 @@ func mustRecompute(t *testing.T, srv *Server, tSec float64) {
 	}
 }
 
-func TestV1AliasesServeIdenticalBodies(t *testing.T) {
+// TestUnversionedPathsNotServed pins the route table: the API lives under
+// /v1/ only.
+func TestUnversionedPathsNotServed(t *testing.T) {
 	srv, ts := testServer(t)
 	mustRecompute(t, srv, 100)
-	for _, pair := range [][2]string{
-		{"/v1/status", "/status"},
-		{"/v1/allocation", "/allocation"},
-	} {
-		a, err := http.Get(ts.URL + pair[0])
+	for _, path := range []string{"/status", "/allocation", "/rules?node=0", "/deltas"} {
+		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ab, _ := io.ReadAll(a.Body)
-		a.Body.Close()
-		b, err := http.Get(ts.URL + pair[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		bb, _ := io.ReadAll(b.Body)
-		b.Body.Close()
-		if a.StatusCode != http.StatusOK || b.StatusCode != http.StatusOK {
-			t.Fatalf("%v: %d / %d", pair, a.StatusCode, b.StatusCode)
-		}
-		if !bytes.Equal(ab, bb) {
-			t.Errorf("%s and %s bodies differ", pair[0], pair[1])
-		}
-		if a.Header.Get("ETag") == "" || a.Header.Get("ETag") != b.Header.Get("ETag") {
-			t.Errorf("%v: etags %q / %q", pair, a.Header.Get("ETag"), b.Header.Get("ETag"))
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s -> %d, want 404", path, resp.StatusCode)
 		}
 	}
 }
@@ -513,7 +499,7 @@ func TestRecomputeQueueBound(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			body := fmt.Sprintf(`{"time_sec": %d}`, 100+i)
-			resp, err := http.Post(ts.URL+"/recompute", "application/json", strings.NewReader(body))
+			resp, err := http.Post(ts.URL+"/v1/recompute", "application/json", strings.NewReader(body))
 			if err != nil {
 				t.Error(err)
 				return

@@ -115,26 +115,22 @@ func BuildTEGraph(p *te.Problem) *TEGraph { return BuildTEGraphInto(nil, p) }
 // owns g exclusively; the returned graph is g (or a fresh one when nil) and
 // aliases its storage, so it must not be retained past the next rebuild.
 func BuildTEGraphInto(g *TEGraph, p *te.Problem) *TEGraph {
-	g, _ = buildTEGraphInto(g, p, false)
-	return g
-}
-
-// buildTEGraphInto is BuildTEGraphInto with the dirty-shard fast path: when
-// topoClean is set the caller asserts the problem's link set, capacities and
-// node count are bit-identical to the graph's previous rebuild, and the R1
-// side (edge list, capacity features, degree features) is kept as-is while
-// the traffic-dependent side (R2/R3, path and traffic nodes) is rebuilt. The
-// returned bool reports whether the skip was actually taken — it is false
-// when the retained shapes do not match the problem (e.g. a first build),
-// in which case a full rebuild was performed instead.
-//
-//lint:ignore hotpath-no-alloc builds by appending into retained high-water capacity; allocation-free once warm (TestSolveObsAddsZeroAllocs pins it)
-func buildTEGraphInto(g *TEGraph, p *te.Problem, topoClean bool) (*TEGraph, bool) {
 	if g == nil {
 		g = &TEGraph{}
 	}
-	topoClean = topoClean && g.NumSats == p.NumNodes &&
-		len(g.R1Feat) == 2*len(p.Links) && len(g.SatFeat) == p.NumNodes
+	buildTEGraphInto(g, p, false)
+	return g
+}
+
+// buildTEGraphInto rebuilds g for p. With keepR1 the R1 side (edge list,
+// capacity features, degree features) is left as the previous build wrote
+// it and only the traffic-dependent side (R2/R3, path and traffic nodes) is
+// rebuilt; the caller passes it only when p's TopoFingerprint — node count,
+// link endpoints, capacities: everything the R1 side is derived from —
+// equals that of the problem g was last built for.
+//
+//lint:ignore hotpath-no-alloc builds by appending into retained high-water capacity; allocation-free once warm (TestSolveObsAddsZeroAllocs pins it)
+func buildTEGraphInto(g *TEGraph, p *te.Problem, keepR1 bool) {
 	g.NumSats = p.NumNodes
 	g.NumPaths = 0
 	g.NumTraffic = 0
@@ -149,7 +145,7 @@ func buildTEGraphInto(g *TEGraph, p *te.Problem, topoClean bool) (*TEGraph, bool
 		}
 		nPaths += len(p.Flows[fi].Paths)
 	}
-	if !topoClean {
+	if !keepR1 {
 		g.R1 = gnn.EdgeList{Src: reuseInts(g.R1.Src, nR1), Dst: reuseInts(g.R1.Dst, nR1)}
 		g.R1Feat = reuseFloats(g.R1Feat, nR1)
 	}
@@ -177,9 +173,8 @@ func buildTEGraphInto(g *TEGraph, p *te.Problem, topoClean bool) (*TEGraph, bool
 
 	// R1: satellite interconnection, both directions, capacity feature.
 	// Degrees accumulate directly into SatFeat (exact small integers), then
-	// scale in place — same values as a separate degree pass. A topo-clean
-	// rebuild keeps the previous cycle's R1 side untouched.
-	if !topoClean {
+	// scale in place — same values as a separate degree pass.
+	if !keepR1 {
 		g.SatFeat = reuseFloats(g.SatFeat, p.NumNodes)[:p.NumNodes]
 		clear(g.SatFeat)
 		for li, l := range p.Links {
@@ -237,7 +232,6 @@ func buildTEGraphInto(g *TEGraph, p *te.Problem, topoClean bool) (*TEGraph, bool
 	}
 	g.R2FeatU, g.R2FeatIx = dedupFeat(g.featSeen, g.R2FeatU, g.R2FeatIx, g.R2Feat)
 	g.R3FeatU, g.R3FeatIx = dedupFeat(g.featSeen, g.R3FeatU, g.R3FeatIx, g.R3Feat)
-	return g, topoClean
 }
 
 // dedupFeat rebuilds the (unique values, per-element index) view of feat into

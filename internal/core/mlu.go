@@ -113,36 +113,24 @@ func TrainMLU(m *Model, problems []*te.Problem, epochs int, lr float64, registry
 	return perEpoch, nil
 }
 
-// SolveMLU computes an allocation under the MLU objective: full demand is
-// routed via the softmax split (no gating), then trimmed for feasibility.
-//
-// Deprecated: SolveMLU is the pre-redesign spelling; it is equivalent to
-// Solve(p, solve.WithObjective(solve.MLU), opts...). It remains a supported
-// thin wrapper.
-//
-//sate:hotpath MLU-objective inference entry point, one call per TE cycle
-func (m *Model) SolveMLU(p *te.Problem, opts ...solve.Option) (*te.Allocation, error) {
-	return m.solveMLU(p, solve.Build(opts...))
-}
-
-// solveMLU is the MLU inference path shared by Solve (objective routing)
-// and the deprecated SolveMLU wrapper. It always computes in float64: the
-// MLU head is rarely latency-critical and a solve.Float32 request falls
-// back here silently (documented in DESIGN.md §11), as do warm-start
-// requests — both are throughput-path optimisations.
-func (m *Model) solveMLU(p *te.Problem, o solve.Options) (*te.Allocation, error) {
+// solveMLU is the MLU inference path of Solve: full demand is routed via
+// the softmax split (no gating), then trimmed for feasibility. It always
+// computes in float64: the MLU head is rarely latency-critical and a
+// solve.Float32 request falls back here silently (DESIGN.md §11).
+func (m *Model) solveMLU(cs *CycleState, p *te.Problem, o solve.Options) (*te.Allocation, error) {
 	a := solve.Begin(o, "sate-mlu")
 	defer a.End()
 	sp := o.Registry.StartSpan(obs.PhaseGraphBuild)
-	g := BuildTEGraph(p)
+	g, topo := cs.graph(p)
 	sp.End()
 	alloc := te.NewAllocation(p)
 	if g.NumPaths == 0 {
 		return alloc, nil
 	}
-	tp := getTape[float64](&m.tapes)
 	sp = o.Registry.StartSpan(obs.PhaseForward)
-	scores, _ := m.Forward(tp, g)
+	tp := &cs.f64.tape
+	tp.Reset()
+	scores, _ := m.forward(tp, g, cs.f64.satEmbeddings(cs, &m.netOf, g, topo))
 	alpha := tp.SegmentSoftmax(scores, g.VarFlow, g.NumTraffic)
 	sp.End()
 	sp = o.Registry.StartSpan(obs.PhaseDecode)
@@ -151,7 +139,6 @@ func (m *Model) solveMLU(p *te.Problem, o solve.Options) (*te.Allocation, error)
 			alloc.X[fi][pi] = alpha.Val.Data[j] * p.Flows[fi].DemandMbps
 		}
 	}
-	putTape(&m.tapes, tp)
 	p.Trim(alloc)
 	sp.End()
 	return alloc, nil

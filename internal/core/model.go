@@ -81,17 +81,16 @@ type Model struct {
 
 	netOf[float64]
 
-	// tapes/tapes32 recycle inference tapes (per dtype) across Solve calls:
-	// after the first solve of a given problem size the arena is warm and a
-	// solve performs near-zero heap allocation (DESIGN.md §8). graphs does
-	// the same for cold (no warm-start state) solves' TE-graph storage.
-	tapes   sync.Pool
-	tapes32 sync.Pool
-	graphs  sync.Pool
+	// wsFree holds the workspaces lent to Solve calls that bring none of
+	// their own (see CycleState); it grows to the peak number of concurrent
+	// solves.
+	wsMu   sync.Mutex
+	wsFree []*CycleState
 
 	// weightGen counts weight mutations (training epochs, loads). The
-	// float32 weight copy and warm-start R1 caches embed the generation, so
-	// they invalidate automatically when the float64 weights move.
+	// float32 weight copy and every workspace's R1 cache embed the
+	// generation, so they invalidate automatically when the float64 weights
+	// move.
 	weightGen atomic.Uint64
 
 	f32mu  sync.Mutex
@@ -178,7 +177,7 @@ func (m *Model) NumParams() int {
 
 // InvalidateWeightCaches must be called after mutating the float64 weights
 // directly (training and Load call it implicitly): it retires the cached
-// float32 weight copy and every warm-start embedding cache derived from the
+// float32 weight copy and every workspace's R1 embeddings derived from the
 // previous weights.
 func (m *Model) InvalidateWeightCaches() { m.weightGen.Add(1) }
 
@@ -242,13 +241,20 @@ func embedOf[T autodiff.Float](tp *autodiff.TapeOf[T], feat []float64, w *autodi
 	return tp.MatMul(tp.Const(col), w)
 }
 
-// forward runs the three GNN modules and the decoder, returning the raw
-// per-variable outputs: scores (for the per-flow softmax) and gates. Both
-// are NumPaths x 1. A non-nil warm cache (inference tapes only) lets the
-// pass reuse the previous cycle's post-R1 satellite embeddings when the R1
-// inputs are bit-identical — R1 depends only on topology, which holds still
-// across most consecutive TE cycles.
-func (n *netOf[T]) forward(tp *autodiff.TapeOf[T], g *TEGraph, warm *r1Cache[T]) (scores, gates *autodiff.ValueOf[T]) {
+// r1Embed runs embedding initialisation and the R1 module (Fig. 7, module
+// 1): the post-R1 satellite embeddings, a function of topology and weights
+// only.
+func (n *netOf[T]) r1Embed(tp *autodiff.TapeOf[T], g *TEGraph) *autodiff.ValueOf[T] {
+	sat := embedOf(tp, g.SatFeat, n.wNE1)
+	ee1 := embedOf(tp, g.R1Feat, n.wEE1)
+	return n.r1.Forward(tp, sat, ee1, g.R1)
+}
+
+// forward runs the R2 and R3 modules and the decoder on top of the post-R1
+// satellite embeddings sat (r1Embed's output, or a workspace's cached copy
+// of it), returning the raw per-variable outputs: scores (for the per-flow
+// softmax) and gates. Both are NumPaths x 1.
+func (n *netOf[T]) forward(tp *autodiff.TapeOf[T], g *TEGraph, sat *autodiff.ValueOf[T]) (scores, gates *autodiff.ValueOf[T]) {
 	// Embedding initialisation (Fig. 7). On inference tapes the R2/R3 edge
 	// embeddings use the deduplicated feature view: the scalar features have
 	// a few dozen distinct values across tens of thousands of edges, so the
@@ -265,20 +271,6 @@ func (n *netOf[T]) forward(tp *autodiff.TapeOf[T], g *TEGraph, warm *r1Cache[T])
 	} else {
 		ee2 = embedOf(tp, g.R2Feat, n.wEE2)
 		ee3 = embedOf(tp, g.R3Feat, n.wEE3)
-	}
-
-	// Module 1: GNN for R1 — satellite embeddings, or the warm-start replay
-	// of the previous cycle's output when topology (and weights) held still.
-	var sat *autodiff.ValueOf[T]
-	if warm != nil && tp.NoGrad() && warm.out != nil && warm.key == warm.want {
-		sat = tp.Const(tp.TensorFrom(warm.out.Rows, warm.out.Cols, warm.out.Data))
-	} else {
-		sat = embedOf(tp, g.SatFeat, n.wNE1)
-		ee1 := embedOf(tp, g.R1Feat, n.wEE1)
-		sat = n.r1.Forward(tp, sat, ee1, g.R1)
-		if warm != nil && tp.NoGrad() {
-			warm.store(sat.Val)
-		}
 	}
 
 	// Ablation-only: process the redundant access relation the way the full
@@ -331,9 +323,9 @@ func (n *netOf[T]) forward(tp *autodiff.TapeOf[T], g *TEGraph, warm *r1Cache[T])
 	return colSlice(tp, dec, 0), colSlice(tp, dec, 1)
 }
 
-// Forward runs the float64 model (training surface; no warm-start reuse).
+// Forward runs the float64 model (training surface).
 func (m *Model) Forward(tp *autodiff.Tape, g *TEGraph) (scores, gates *autodiff.Value) {
-	return m.forward(tp, g, nil)
+	return m.forward(tp, g, m.r1Embed(tp, g))
 }
 
 // colSlice extracts one column of a two-column value as an n x 1 value.
@@ -348,8 +340,8 @@ func colSlice[T autodiff.Float](tp *autodiff.TapeOf[T], v *autodiff.ValueOf[T], 
 // x_fp = demand_f * sigmoid(gate_fp) * softmax_p(score_fp). The form makes
 // the demand constraint (2.e) hold by construction; link and access caps are
 // enforced afterwards by trimming (Sec. 3.3, correction step).
-func (n *netOf[T]) allocate(tp *autodiff.TapeOf[T], g *TEGraph, p *te.Problem, warm *r1Cache[T]) *autodiff.ValueOf[T] {
-	scores, gates := n.forward(tp, g, warm)
+func (n *netOf[T]) allocate(tp *autodiff.TapeOf[T], g *TEGraph, p *te.Problem, sat *autodiff.ValueOf[T]) *autodiff.ValueOf[T] {
+	scores, gates := n.forward(tp, g, sat)
 	if g.NumPaths == 0 {
 		return scores
 	}
@@ -368,62 +360,24 @@ func (n *netOf[T]) allocate(tp *autodiff.TapeOf[T], g *TEGraph, p *te.Problem, w
 
 // Allocate runs the float64 model end to end (training surface).
 func (m *Model) Allocate(tp *autodiff.Tape, g *TEGraph, p *te.Problem) *autodiff.Value {
-	return m.allocate(tp, g, p, nil)
-}
-
-// getTape checks a recycled inference tape out of a per-dtype pool;
-// putTape resets and returns it for the next solve.
-func getTape[T autodiff.Float](pool *sync.Pool) *autodiff.TapeOf[T] {
-	if tp, ok := pool.Get().(*autodiff.TapeOf[T]); ok {
-		return tp
-	}
-	return autodiff.NewInferenceTapeOf[T]()
-}
-
-func putTape[T autodiff.Float](pool *sync.Pool, tp *autodiff.TapeOf[T]) {
-	tp.Reset()
-	pool.Put(tp)
+	return m.allocate(tp, g, p, m.r1Embed(tp, g))
 }
 
 // solveThroughput is the dtype-generic throughput inference path: graph
-// construction (into warm storage when available), GNN inference, decoding,
-// and the feasibility correction.
+// construction into the workspace, GNN inference on its tape, decoding, and
+// the feasibility correction.
 //
 //sate:hotpath steady-state inference; warm solves add zero heap allocations (TestSolveObsAddsZeroAllocs)
-func solveThroughput[T autodiff.Float](m *Model, net *netOf[T], pool *sync.Pool, cs *CycleState, rc *r1Cache[T], p *te.Problem, o solve.Options, name string) (*te.Allocation, error) {
+func solveThroughput[T autodiff.Float](net *netOf[T], cs *CycleState, ds *dtypeState[T], p *te.Problem, o solve.Options, name string) (*te.Allocation, error) {
 	a := solve.Begin(o, name)
 	defer a.End()
 	sp := o.Registry.StartSpan(obs.PhaseGraphBuild)
-	var g *TEGraph
-	if cs != nil {
-		var clean bool
-		cs.g, clean = buildTEGraphInto(cs.g, p, cs.topoClean)
-		g = cs.g
-		// A topo-clean rebuild left the R1 inputs bit-identical, so the
-		// fingerprint from the previous cycle still describes them — skip the
-		// O(links + nodes) rehash unless the weights moved underneath it.
-		gen := m.weightGen.Load()
-		if !clean || !rc.haveWant || rc.wantGen != gen {
-			rc.want = r1Key(g, gen)
-			rc.wantGen = gen
-			rc.haveWant = true
-		}
-		if rc.out != nil && rc.key == rc.want {
-			cs.r1Hits++
-		} else {
-			cs.r1Misses++
-		}
-	} else {
-		// Cold solves recycle graph storage through the model-level pool, so
-		// repeated solves of a given problem size stop allocating slices.
-		pg, _ := m.graphs.Get().(*TEGraph)
-		g = BuildTEGraphInto(pg, p)
-		defer m.graphs.Put(g)
-	}
+	g, topo := cs.graph(p)
 	sp.End()
-	tp := getTape[T](pool)
 	sp = o.Registry.StartSpan(obs.PhaseForward)
-	x := net.allocate(tp, g, p, rc)
+	tp := &ds.tape
+	tp.Reset()
+	x := net.allocate(tp, g, p, ds.satEmbeddings(cs, net, g, topo))
 	sp.End()
 	sp = o.Registry.StartSpan(obs.PhaseDecode)
 	alloc := te.NewAllocation(p)
@@ -433,43 +387,35 @@ func solveThroughput[T autodiff.Float](m *Model, net *netOf[T], pool *sync.Pool,
 			alloc.X[fi][pi] = autodiff.ToFloat64(xd[j])
 		}
 	}
-	putTape(pool, tp)
 	p.Trim(alloc)
 	sp.End()
 	return alloc, nil
 }
 
 // Solve implements the baselines.Solver interface: graph construction,
-// GNN inference, decoding, and the feasibility correction. Options select
-// the objective (solve.MLU routes to the MLU head, equivalent to SolveMLU),
-// the element type (solve.Float32 runs inference on the cached float32
-// weight copy; MLU ignores the request and stays float64), attach an obs
-// registry (per-solve latency under solver="sate", or "sate-f32" for the
-// float32 path, plus graph-build/forward/decode phase spans), override the
-// worker budget, or attach warm-start state (solve.WithWarm(core.CycleState)
-// — reused graph storage plus cached R1 embeddings across cycles).
-// Instrumentation adds zero heap allocations to the warm solve path
+// GNN inference, decoding, and the feasibility correction, all inside one
+// workspace — the CycleState attached with solve.WithWarm, or one borrowed
+// from the model for the call, so concurrent Solve calls are safe. Options
+// select the objective (solve.MLU routes to the MLU head), the element type
+// (solve.Float32 runs inference on the cached float32 weight copy; MLU
+// ignores the request and stays float64), attach an obs registry (per-solve
+// latency under solver="sate", "sate-f32" or "sate-mlu", plus
+// graph-build/forward/decode phase spans) or override the worker budget.
+// Instrumentation adds zero heap allocations to the solve path
 // (TestSolveObsAddsZeroAllocs).
 //
 //sate:hotpath inference entry point, one call per TE cycle
 func (m *Model) Solve(p *te.Problem, opts ...solve.Option) (*te.Allocation, error) {
 	o := solve.Build(opts...)
-	if o.Objective == solve.MLU {
-		return m.solveMLU(p, o)
+	cs := m.workspace(o.Warm)
+	defer m.release(cs)
+	switch {
+	case o.Objective == solve.MLU:
+		return m.solveMLU(cs, p, o)
+	case o.Dtype == solve.Float32:
+		return solveThroughput(m.float32Net(), cs, &cs.f32, p, o, "sate-f32")
 	}
-	cs := m.claimWarm(o.Warm)
-	if o.Dtype == solve.Float32 {
-		var rc *r1Cache[float32]
-		if cs != nil {
-			rc = &cs.r1f32
-		}
-		return solveThroughput(m, m.float32Net(), &m.tapes32, cs, rc, p, o, "sate-f32")
-	}
-	var rc *r1Cache[float64]
-	if cs != nil {
-		rc = &cs.r1f64
-	}
-	return solveThroughput(m, &m.netOf, &m.tapes, cs, rc, p, o, "sate")
+	return solveThroughput(&m.netOf, cs, &cs.f64, p, o, "sate")
 }
 
 // Name implements the baselines.Solver interface.

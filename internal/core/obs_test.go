@@ -86,31 +86,31 @@ func TestTrainRecordsMetrics(t *testing.T) {
 }
 
 // TestSolveMLUObjectiveRouting checks that the unified entry dispatches on
-// the objective option and that the deprecated SolveMLU wrapper matches it.
+// the objective option: the MLU head routes full demand (no gating), so its
+// allocation differs from the throughput head's, and it records under its
+// own solver label.
 func TestSolveMLUObjectiveRouting(t *testing.T) {
 	p := buildScenario(t, 0, 60, 7)
 	m := NewModel(DefaultConfig())
-	viaOption, err := m.Solve(p, solve.WithObjective(solve.MLU))
+	reg := obs.NewRegistry()
+	mlu, err := m.Solve(p, solve.WithObjective(solve.MLU), solve.WithRegistry(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	//lint:ignore no-deprecated-call this test pins the wrapper's bitwise equivalence
-	viaWrapper, err := m.SolveMLU(p)
+	thr, err := m.Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for fi := range viaOption.X {
-		for pi := range viaOption.X[fi] {
-			// Both paths run the same code; require bitwise identity.
-			if math.Float64bits(viaOption.X[fi][pi]) != math.Float64bits(viaWrapper.X[fi][pi]) {
-				t.Fatalf("objective option and SolveMLU disagree at [%d][%d]: %v vs %v",
-					fi, pi, viaOption.X[fi][pi], viaWrapper.X[fi][pi])
+	same := true
+	for fi := range mlu.X {
+		for pi := range mlu.X[fi] {
+			if math.Float64bits(mlu.X[fi][pi]) != math.Float64bits(thr.X[fi][pi]) {
+				same = false
 			}
 		}
 	}
-	reg := obs.NewRegistry()
-	if _, err := m.Solve(p, solve.WithObjective(solve.MLU), solve.WithRegistry(reg)); err != nil {
-		t.Fatal(err)
+	if same {
+		t.Fatal("MLU objective returned the throughput head's allocation")
 	}
 	if got := solve.SolveHistogram(reg, "sate-mlu").Count(); got != 1 {
 		t.Fatalf("sate-mlu histogram count = %d, want 1", got)

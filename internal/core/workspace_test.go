@@ -1,0 +1,189 @@
+package core
+
+import (
+	"math"
+	"sync"
+	"testing"
+
+	"sate/internal/obs"
+	"sate/internal/par"
+	"sate/internal/solve"
+	"sate/internal/te"
+)
+
+// variant derives a finalized problem from p: the flows keep selects (each
+// with its demand scaled) over p's links minus dropLink (-1 keeps all).
+func variant(tb testing.TB, p *te.Problem, dropLink int, demandScale float64, keep func(fi int) bool) *te.Problem {
+	tb.Helper()
+	q := &te.Problem{NumNodes: p.NumNodes, UpCap: p.UpCap, DownCap: p.DownCap}
+	for li, l := range p.Links {
+		if li != dropLink {
+			q.Links = append(q.Links, l)
+			q.LinkCap = append(q.LinkCap, p.LinkCap[li])
+		}
+	}
+	for fi, f := range p.Flows {
+		if keep(fi) {
+			f.DemandMbps *= demandScale
+			f.Paths = append(f.Paths[:0:0], f.Paths...)
+			q.Flows = append(q.Flows, f)
+		}
+	}
+	if err := q.Finalize(); err != nil {
+		tb.Fatal(err)
+	}
+	return q
+}
+
+func requireSameAlloc(t *testing.T, what string, got, want *te.Allocation) {
+	t.Helper()
+	if len(got.X) != len(want.X) {
+		t.Fatalf("%s: %d flows, want %d", what, len(got.X), len(want.X))
+	}
+	for fi := range want.X {
+		for pi := range want.X[fi] {
+			if math.Float64bits(got.X[fi][pi]) != math.Float64bits(want.X[fi][pi]) {
+				t.Fatalf("%s: flow %d path %d = %v, want %v", what, fi, pi, got.X[fi][pi], want.X[fi][pi])
+			}
+		}
+	}
+}
+
+// TestWorkspaceAbsorbsShapeDrift solves a sequence whose flow count wanders
+// by ±10% through one workspace: once the arena has seen the largest pass it
+// stops growing, and a drifting solve allocates what a repeated one does —
+// tensor storage is not keyed by shape.
+func TestWorkspaceAbsorbsShapeDrift(t *testing.T) {
+	if obs.RaceEnabled {
+		t.Skip("race runtime perturbs alloc accounting (see obs.RaceEnabled)")
+	}
+	base := buildScenario60(t)
+	defer par.SetWorkers(1)()
+	// Variant i drops every flow whose index falls in a sliding residue
+	// class: between 0 and ~10% of the flows, a different set each time.
+	var vs []*te.Problem
+	for i := 0; i < 20; i++ {
+		mod, hit := 10+i%7, i%5
+		vs = append(vs, variant(t, base, -1, 1, func(fi int) bool { return i%4 == 0 || fi%mod != hit }))
+	}
+	m := NewModel(DefaultConfig())
+	cs := &CycleState{}
+	warm := solve.WithWarm(cs)
+	var settled uint64
+	for i, p := range vs {
+		if _, err := m.Solve(p, warm); err != nil {
+			t.Fatal(err)
+		}
+		if i == 5 {
+			settled = cs.f64.tape.ArenaStats().TensorAlloc
+		}
+	}
+	if !cs.f64.tape.NoGrad() {
+		t.Fatal("workspace tape records gradients")
+	}
+	if got := cs.f64.tape.ArenaStats().TensorAlloc; got != settled {
+		t.Fatalf("arena kept growing under shape drift: %d chunk allocations after solve 6, %d after solve 20", settled, got)
+	}
+	fixed := testing.AllocsPerRun(5, func() {
+		if _, err := m.Solve(vs[0], warm); err != nil {
+			t.Fatal(err)
+		}
+	})
+	next := 0
+	drifting := testing.AllocsPerRun(len(vs)-1, func() {
+		next++
+		if _, err := m.Solve(vs[next%len(vs)], warm); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if drifting > fixed+1 {
+		t.Fatalf("drifting shapes allocate %v per solve, a repeated shape %v", drifting, fixed)
+	}
+}
+
+// TestWorkspaceDetectsTopologyItself drives one workspace through a capacity
+// change, a link removal and a demand-only change with no hint from the
+// caller: every result is bitwise what a fresh workspace returns, and the R1
+// cache misses, misses, then hits.
+func TestWorkspaceDetectsTopologyItself(t *testing.T) {
+	base := buildScenario60(t)
+	all := func(int) bool { return true }
+	capChanged := variant(t, base, -1, 1, all)
+	capChanged.LinkCap[len(capChanged.LinkCap)/2] *= 0.5 // in place, after Finalize
+	steps := []struct {
+		name    string
+		p       *te.Problem
+		wantHit bool
+	}{
+		{"first solve", base, false},
+		{"one capacity changed", capChanged, false},
+		{"one link dropped", variant(t, capChanged, 3, 1, all), false},
+		{"demands changed", variant(t, capChanged, 3, 0.7, all), true},
+	}
+	for _, opts := range [][]solve.Option{nil, {solve.WithDtype(solve.Float32)}, {solve.WithObjective(solve.MLU)}} {
+		m := NewModel(DefaultConfig())
+		cs := &CycleState{}
+		for _, st := range steps {
+			h0, m0 := cs.R1Stats()
+			got, err := m.Solve(st.p, append([]solve.Option{solve.WithWarm(cs)}, opts...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := m.Solve(st.p, append([]solve.Option{solve.WithWarm(&CycleState{})}, opts...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameAlloc(t, st.name, got, want)
+			h1, m1 := cs.R1Stats()
+			if hit := h1 == h0+1 && m1 == m0; hit != st.wantHit || h1+m1 != h0+m0+1 {
+				t.Fatalf("%s: R1 hits %d->%d, misses %d->%d; want hit=%v", st.name, h0, h1, m0, m1, st.wantHit)
+			}
+		}
+	}
+}
+
+// TestSolveConcurrentWithoutWarm calls Solve from several goroutines with no
+// workspace of their own, on different problems and in both dtypes: each
+// borrows one from the model for the call, so the results match the serial
+// ones. Run under -race by scripts/race.sh.
+func TestSolveConcurrentWithoutWarm(t *testing.T) {
+	base := buildScenario60(t)
+	m := NewModel(DefaultConfig())
+	const callers = 8
+	ps := make([]*te.Problem, callers)
+	want := make([]*te.Allocation, callers)
+	dtype := func(i int) solve.Option { return solve.WithDtype(solve.Dtype(i % 2)) }
+	for i := range ps {
+		ps[i] = variant(t, base, i%3-1, 1+0.05*float64(i), func(fi int) bool { return fi%callers != i })
+		var err error
+		if want[i], err = NewModel(DefaultConfig()).Solve(ps[i], dtype(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([][3]*te.Allocation, callers)
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for i := range ps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range got[i] {
+				if got[i][r], errs[i] = m.Solve(ps[i], dtype(i)); errs[i] != nil {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range ps {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		for _, a := range got[i] {
+			requireSameAlloc(t, "concurrent solve", a, want[i])
+		}
+	}
+	if n := len(m.wsFree); n == 0 || n > callers {
+		t.Fatalf("model pool holds %d workspaces after %d concurrent callers", n, callers)
+	}
+}

@@ -109,7 +109,7 @@ func Fig15aMLU(opt Options) (*Report, error) {
 // demand under sudden random link failures, without retraining or rerouting.
 // The "stale alloc" column is the degraded-controller view: the allocation
 // computed on the pre-failure topology, re-scored honestly against the failed
-// link set (sim.Fallback) — what sate-controld's /status reports while a
+// link set (sim.Fallback) — what sate-controld's /v1/status reports while a
 // failed cycle keeps it serving the last good allocation.
 func Fig15bLinkFailures(opt Options) (*Report, error) {
 	r := &Report{

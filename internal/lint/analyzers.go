@@ -21,7 +21,6 @@ func Analyzers() []*Analyzer {
 		hotpathNoAlloc,
 		mapOrderDeterminism,
 		ctxPropagation,
-		noDeprecatedCall,
 		unusedSuppression,
 	}
 }

@@ -99,9 +99,6 @@ func (n *FuncNode) Sig() *types.Signature {
 type Program struct {
 	// Files holds the non-test files the call graph is built over.
 	Files []*File
-	// All additionally includes test files, for program rules that scan
-	// every use site (no-deprecated-call) without widening the call graph.
-	All []*File
 	// Nodes lists every function in deterministic order (file, then
 	// position).
 	Nodes []*FuncNode
@@ -171,7 +168,6 @@ func BuildProgram(files []*File) *Program {
 		ByKey: map[string]*FuncNode{},
 		ByLit: map[*ast.FuncLit]*FuncNode{},
 	}
-	p.All = files
 	for _, f := range files {
 		if !f.IsTest {
 			p.Files = append(p.Files, f)

@@ -165,17 +165,6 @@ func TestCtxPropagation(t *testing.T) {
 	// the suppressed DetachedProbe drop must all be absent.
 }
 
-func TestNoDeprecatedCall(t *testing.T) {
-	wantExact(t, "no-deprecated-call",
-		"internal/lib/deprecated.go:19:11", // direct call of OldAdd
-		"internal/lib/deprecated.go:20:7",  // OldAdd captured as a value
-		"internal/lib/deprecated.go:22:11", // unexported deprecated callee
-	)
-	// The declarations themselves, the wrapper body calling its own
-	// replacement, CallsReplacement's NewAdd use, and the suppressed
-	// legacy-pinning call must all be absent.
-}
-
 func TestUnusedSuppression(t *testing.T) {
 	wantExact(t, "unused-suppression",
 		"internal/lib/unused.go:6:2", // stale: shields no finding

@@ -20,17 +20,17 @@
 // message passing of the R2 module is linear in the sub-problem's node
 // count).
 //
-// The solver is also the repo's incremental per-cycle pipeline: each shard
-// keeps its sub-problem, its TE-graph storage and its warm-start state
-// (core.CycleState) across cycles, and a per-shard fingerprint of the
-// compacted link structure (remapped endpoints, kind, capacity bits, node
-// count) decides which shards are dirty. Clean shards skip link-index
-// construction (te.Problem.RebindFlows instead of Finalize) and — for a
-// SaTE inner solver — the R1 module entirely, because their R1 inputs are
-// bit-identical to the previous cycle (core.CycleState.SetTopoClean). Under
-// the paper's sparse churn (<2% of paths per second) most shards are clean
-// most cycles, which is where the latency win at mega-constellation scale
-// comes from.
+// The solver is also the repo's incremental per-cycle pipeline: every
+// sub-problem — a regional band's or a boundary component's — keeps its
+// storage and a solve workspace (core.CycleState) across cycles, and the
+// sub-problem's topology fingerprint (te.Problem.TopoFingerprint over the
+// compacted links, the capacities in effect and the node count) says whether
+// its link index still applies. Unchanged sub-problems skip link-index
+// construction (te.Problem.RebindFlows instead of Finalize) and — for a SaTE
+// inner solver, which checks the same fingerprint itself — the R1 module.
+// Under the paper's sparse churn (<2% of paths per second) most shards are
+// unchanged most cycles, which is where the latency win at
+// mega-constellation scale comes from.
 package shard
 
 import (
@@ -55,15 +55,14 @@ type Inner interface {
 	Solve(p *te.Problem, opts ...solve.Option) (*te.Allocation, error)
 }
 
-// DefaultShards is the shard count used when neither the Solver nor the call
-// specifies one.
+// DefaultShards is the shard count used when the Solver does not set one.
 const DefaultShards = 4
 
 // Stats describes the most recent sharded solve.
 type Stats struct {
 	Cycles             int  // sharded solves performed through this Solver
 	Shards             int  // effective shard count of the last solve
-	DirtyShards        int  // shards whose compacted link structure changed last cycle
+	DirtyShards        int  // shards whose sub-problem topology fingerprint moved last cycle
 	InternalFlows      int  // flows solved inside a shard last cycle
 	BoundaryFlows      int  // flows reconciled in the boundary pass last cycle
 	BoundaryComponents int  // node-disjoint components the boundary pass split into
@@ -75,19 +74,15 @@ type Stats struct {
 // driven from a single replay loop (its Solve is not reentrant); the
 // per-shard sub-solves inside one call run concurrently on the par pool.
 //
-// The zero value is not usable: Inner must be set. K selects the default
-// shard count (DefaultShards if 0); solve.WithShards overrides it per call,
-// and k = 1 delegates to Inner untouched (bitwise-identical to a monolithic
-// solve). The MLU objective is also delegated monolithically — residual
-// stitching has no MLU semantics.
+// The zero value is not usable: Inner must be set. K is the shard count
+// (DefaultShards if 0); k = 1 delegates to Inner untouched
+// (bitwise-identical to a monolithic solve). The MLU objective is also
+// delegated monolithically — residual stitching has no MLU semantics.
 type Solver struct {
-	// K is the default shard count.
+	// K is the shard count.
 	K int
-	// Inner solves the regional subproblems.
+	// Inner solves the regional subproblems and the boundary components.
 	Inner Inner
-	// Boundary solves the reconciliation pass over cut-crossing flows;
-	// defaults to Inner.
-	Boundary Inner
 
 	// Stats describes the most recent solve (read between cycles).
 	Stats Stats
@@ -98,75 +93,74 @@ type Solver struct {
 	numNodes int
 	planK    int
 	bounds   []topology.NodeID
-	shards   []*shardState
+	bands    []*sub
 
-	// Resolved options the retained per-shard option slices were built for.
+	// Inner-call options every sub-solve inherits, and what they were
+	// resolved from.
+	opts   []solve.Option
 	optObj solve.Objective
 	optReg *obs.Registry
 	optDt  solve.Dtype
 
-	// Boundary-pass state, retained across cycles. The boundary flows are
-	// split into node-disjoint components (union-find over candidate-path
-	// nodes), each solved as its own compacted subproblem; bpool memoizes
-	// per-component warm states by structure fingerprint so components
-	// untouched by churn replay their R1 embeddings.
-	bsub      te.Problem
-	bopts     []solve.Option
-	boptsG    []solve.Option // bopts + the current component's warm state
-	bback     []int          // boundary flow order -> global flow index
-	bgroup    []int32        // boundary flow order -> component id
-	bgback    []int          // component sub flow index -> global flow index
-	bncomp    int            // components in the last boundary pass
-	bpool     []*bcomp
-	bpoolIx   map[uint64]int
-	ufParent  []int32 // union-find over global nodes, lazily reset via ufSeen
-	ufSeen    []int
-	ufStamp   int
-	gid       []int32 // component id per root node, lazily reset via gidSeen
-	gidSeen   []int
-	gidStamp  int
-	bnodes    []topology.NodeID // component node -> global node
-	bnodeAren []topology.NodeID
-	bpathAren []paths.Path
-	linkSeen  []int // per-global-link stamp for per-subproblem link dedup
-	linkStamp int
-	blinks    []int // global link indices of the boundary subproblem
-	nodeSeen  []int             // per-global-node stamp for shard node compaction
-	nodeStamp int               // current nodeSeen generation
+	// Boundary pass, retained across cycles. The boundary flows are split
+	// into node-disjoint components (union-find over candidate-path nodes);
+	// each is compacted into bnd in turn and solved through the pool
+	// workspace last used for its fingerprint, so components untouched by
+	// churn replay their R1 embeddings.
+	bflows   []int   // boundary flow order -> global flow index
+	bgroup   []int32 // boundary flow order -> component id
+	cflows   []int   // the current component's global flow indices
+	bnd      sub
+	pool     []*pooled
+	ufParent []int32 // union-find over global nodes, lazily reset via ufSeen
+	ufSeen   []int
+	ufStamp  int
+	gid      []int32 // component id per root node, lazily reset via gidSeen
+	gidSeen  []int
+	gidStamp int
+
+	// Compaction scratch, stamped per sub-problem.
+	nodeSeen  []int             // per-global-node stamp
 	nodeIx    []topology.NodeID // global node -> compacted id, valid where nodeSeen matches
+	linkSeen  []int             // per-global-link stamp for link dedup
+	stamp     int
 	residCap  []float64
 	residUp   []float64
 	residDown []float64
 }
 
-// bcomp is the memoized warm state of one boundary component, keyed by the
-// fingerprint of its compacted structure and capacities. Entries unused for
-// a few cycles are evicted — churned components change fingerprint every
-// cycle and would otherwise accumulate.
-type bcomp struct {
+// sub is one compacted sub-problem — a regional band's internal flows or one
+// boundary component — with everything a cycle needs to rebuild it in place
+// and solve it warm.
+type sub struct {
+	prob  te.Problem
+	flows []int             // sub flow index -> global flow index
+	nodes []topology.NodeID // compacted node id -> global node, first-seen order
+
+	nodeArena []topology.NodeID // backing store for remapped path node sequences
+	pathArena []paths.Path      // backing store for remapped candidate-path slices
+
+	fp    uint64 // prob's topology fingerprint at its last Finalize
+	hasFP bool
+
+	warm *core.CycleState // the workspace the inner solver runs this sub-problem through
+	opts []solve.Option   // the Solver's opts plus WithWarm(warm)
+}
+
+// pooled is one boundary workspace, keyed by the topology fingerprint of the
+// component it last solved. An entry unused for more than two cycles is
+// re-keyed for the next unseen fingerprint — a churned component changes
+// fingerprint every cycle — so the pool stops growing at a few entries per
+// component, storage and R1 counters included.
+type pooled struct {
 	fp       uint64
 	lastUsed int
 	warm     core.CycleState
 }
 
-// shardState is the cross-cycle state of one region.
-type shardState struct {
-	lo, hi   topology.NodeID
-	fp       uint64 // fingerprint of the compacted link structure (endpoints, kind, cap, node count)
-	fpStored uint64 // previous cycle's fingerprint
-	haveFP   bool
-	dirty    bool
-
-	sub  te.Problem
-	warm core.CycleState
-	opts []solve.Option
-
-	back      []int             // sub flow index -> global flow index
-	linkBack  []int             // sub link index -> global link index
-	nodes     []topology.NodeID // compacted node id -> global node, first-seen order
-	nodeArena []topology.NodeID // backing store for remapped path node sequences
-	pathArena []paths.Path      // backing store for remapped candidate-path slices
-}
+// capView is the capacity side a sub-problem is compacted against: the
+// problem's own capacities, or the residuals the other class left behind.
+type capView struct{ link, up, down []float64 }
 
 // New builds a sharded solver around an inner solver.
 func New(inner Inner, k int) *Solver { return &Solver{K: k, Inner: inner} }
@@ -185,31 +179,26 @@ func (s *Solver) Name() string {
 	return s.name
 }
 
-// R1Stats sums the R1 warm-cache statistics across every shard's cycle state
-// and the boundary component pool. Meaningful when Inner is the SaTE model
-// (other solvers never touch the warm state); the ratio hits/(hits+misses)
-// is the fraction of sub-solves that replayed cached R1 embeddings.
+// R1Stats sums the R1 cache statistics of every workspace the solver has
+// solved through — one per band plus the boundary pool, whose entries are
+// re-keyed but never dropped, so hits+misses is the number of sub-solves
+// performed since the partition plan was last rebuilt (a new node universe
+// or shard count starts the bands afresh). Meaningful when Inner is the SaTE
+// model (other solvers never touch the workspace); hits/(hits+misses) is
+// the fraction of sub-solves that replayed cached R1 embeddings.
 func (s *Solver) R1Stats() (hits, misses uint64) {
-	for _, sh := range s.shards {
-		h, m := sh.warm.R1Stats()
+	for _, b := range s.bands {
+		h, m := b.warm.R1Stats()
 		hits += h
 		misses += m
 	}
-	for _, bc := range s.bpool {
-		h, m := bc.warm.R1Stats()
+	for _, e := range s.pool {
+		h, m := e.warm.R1Stats()
 		hits += h
 		misses += m
 	}
 	return hits, misses
 }
-
-// fnv1a mixes one 64-bit word into a running FNV-1a hash.
-func fnv1a(h, x uint64) uint64 {
-	const prime64 = 1099511628211
-	return (h ^ x) * prime64
-}
-
-const fnvOffset64 = 14695981039346656037
 
 // errNilInner is hoisted so the misconfiguration check in Solve stays
 // allocation-free.
@@ -225,10 +214,7 @@ func (s *Solver) Solve(p *te.Problem, opts ...solve.Option) (*te.Allocation, err
 	if s.Inner == nil {
 		return nil, errNilInner
 	}
-	k := o.Shards
-	if k == 0 {
-		k = s.K
-	}
+	k := s.K
 	if k <= 0 {
 		k = DefaultShards
 	}
@@ -243,7 +229,7 @@ func (s *Solver) Solve(p *te.Problem, opts ...solve.Option) (*te.Allocation, err
 
 	sp := o.Registry.StartSpan(obs.PhaseShardPartition)
 	s.plan(p, k, o)
-	dirty, internal, boundary, intDem, bndDem := s.partition(p)
+	internal, boundary, intDem, bndDem := s.classify(p)
 	// Adaptive ordering: the dominant demand class solves first against the
 	// full capacities, the minority takes the residuals. Regional traffic
 	// (the replay fast path) keeps the internal-first order and its warm
@@ -252,51 +238,42 @@ func (s *Solver) Solve(p *te.Problem, opts ...solve.Option) (*te.Allocation, err
 	// greedy ordering collapses.
 	boundaryFirst := bndDem > intDem
 	sp.End()
-	s.bncomp = 0
 
 	alloc := te.NewAllocation(p)
+	own := capView{p.LinkCap, p.UpCap, p.DownCap}
+	dirty, ncomp := 0, 0
+	var err error
 	if boundaryFirst {
 		sp = o.Registry.StartSpan(obs.PhaseShardStitch)
-		err := s.solveBoundary(p, alloc, false)
+		ncomp, err = s.solveBoundary(p, alloc, own)
 		sp.End()
-		if err != nil {
-			return nil, err
-		}
-		if internal > 0 {
-			s.computeResiduals(p, alloc)
+		if err == nil && internal > 0 {
 			sp = o.Registry.StartSpan(obs.PhaseShardSolve)
-			err = s.runShards(p, alloc, true)
+			dirty, err = s.runShards(p, alloc, s.residuals(p, alloc))
 			sp.End()
-			if err != nil {
-				return nil, err
-			}
 		}
 	} else {
 		sp = o.Registry.StartSpan(obs.PhaseShardSolve)
-		err := s.runShards(p, alloc, false)
+		dirty, err = s.runShards(p, alloc, own)
 		sp.End()
-		if err != nil {
-			return nil, err
-		}
-		if boundary > 0 {
-			s.computeResiduals(p, alloc)
+		if err == nil && boundary > 0 {
 			sp = o.Registry.StartSpan(obs.PhaseShardStitch)
-			err = s.solveBoundary(p, alloc, true)
+			ncomp, err = s.solveBoundary(p, alloc, s.residuals(p, alloc))
 			sp.End()
-			if err != nil {
-				return nil, err
-			}
 		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	p.Trim(alloc)
 
 	s.Stats = Stats{
 		Cycles:             s.Stats.Cycles + 1,
-		Shards:             len(s.shards),
+		Shards:             len(s.bands),
 		DirtyShards:        dirty,
 		InternalFlows:      internal,
 		BoundaryFlows:      boundary,
-		BoundaryComponents: s.bncomp,
+		BoundaryComponents: ncomp,
 		BoundaryFirst:      boundaryFirst,
 	}
 	//lint:ignore hotpath-no-alloc counter handles are interned by the registry after the first cycle; lookups thereafter are map reads
@@ -308,7 +285,7 @@ func (s *Solver) Solve(p *te.Problem, opts ...solve.Option) (*te.Allocation, err
 	return alloc, nil
 }
 
-// plan (re)builds the partition plan and the retained per-shard option
+// plan (re)builds the partition plan and the retained inner-call option
 // slices when the node universe, shard count or resolved options moved.
 //
 //lint:ignore hotpath-no-alloc plan construction runs when the constellation or shard count changes, not per cycle
@@ -317,60 +294,41 @@ func (s *Solver) plan(p *te.Problem, k int, o solve.Options) {
 		s.numNodes = p.NumNodes
 		s.planK = k
 		s.bounds = topology.PartitionNodes(p.NumNodes, k)
-		s.shards = make([]*shardState, len(s.bounds)-1)
-		for i := range s.shards {
-			s.shards[i] = &shardState{lo: s.bounds[i], hi: s.bounds[i+1]}
+		s.bands = make([]*sub, len(s.bounds)-1)
+		for i := range s.bands {
+			s.bands[i] = &sub{warm: &core.CycleState{}}
 		}
-		s.optReg = nil
-		s.optObj = 0
-		s.optDt = 0
-		s.bopts = nil
+		s.opts = nil
 	}
-	if s.bopts == nil || s.optObj != o.Objective || s.optReg != o.Registry || s.optDt != o.Dtype {
+	if s.opts == nil || s.optObj != o.Objective || s.optReg != o.Registry || s.optDt != o.Dtype {
 		s.optObj, s.optReg, s.optDt = o.Objective, o.Registry, o.Dtype
 		// Inner calls inherit objective, registry and dtype; the worker
-		// override was already applied globally by this solve's Begin, and
-		// Shards must not propagate (a self-sharding inner would recurse).
-		// Each shard gets its own warm state in place of the caller's.
-		for _, sh := range s.shards {
-			sh.opts = []solve.Option{
-				solve.WithObjective(o.Objective),
-				solve.WithRegistry(o.Registry),
-				solve.WithDtype(o.Dtype),
-				solve.WithWarm(&sh.warm),
-			}
-		}
-		// Boundary components pick their memoized warm state per solve, so
-		// the retained slice carries everything but the warm option.
-		s.bopts = []solve.Option{
+		// override was already applied globally by this solve's Begin. Each
+		// sub-problem gets its own workspace in place of the caller's.
+		s.opts = []solve.Option{
 			solve.WithObjective(o.Objective),
 			solve.WithRegistry(o.Registry),
 			solve.WithDtype(o.Dtype),
 		}
+		for _, b := range s.bands {
+			b.bind(s.opts)
+		}
 	}
 }
 
-// prevFP/storeFP keep the previous cycle's fingerprint in fpStored so the
-// current pass can overwrite fp freely.
-func (sh *shardState) prevFP() (uint64, bool) { return sh.fpStored, sh.haveFP }
-func (sh *shardState) storeFP()               { sh.fpStored, sh.haveFP = sh.fp, true }
+// bind rebuilds the sub-problem's inner-call options around its workspace.
+func (c *sub) bind(base []solve.Option) {
+	c.opts = append(append(c.opts[:0], base...), solve.WithWarm(c.warm))
+}
 
-// partition assigns every flow to its region (all candidate paths inside one
-// shard's node range) or to the boundary set, then compacts each shard's
-// sub-problem to the nodes and links its flows' paths traverse, in
-// first-seen (flow, path, hop) order — deterministic by construction. The
-// compacted link structure (remapped endpoints, kind, capacity bits, node
-// count) is fingerprinted against the previous cycle: a matching fingerprint
-// means the shard's R1 inputs are bit-identical, so the shard skips
-// link-index construction and the R1 module. Returns the dirty-shard count
-// and the per-class flow counts and demand totals (the ordering signal).
-func (s *Solver) partition(p *te.Problem) (dirty, internal, boundary int, intDem, bndDem float64) {
-	// Pass 1: classify flows. A flow is internal to its source's shard iff
-	// every candidate path stays inside the shard's node range.
-	for _, sh := range s.shards {
-		sh.back = sh.back[:0]
+// classify assigns every flow to its band (all candidate paths inside one
+// shard's node range) or to the boundary set, and returns the per-class flow
+// counts and demand totals (the ordering signal).
+func (s *Solver) classify(p *te.Problem) (internal, boundary int, intDem, bndDem float64) {
+	for _, b := range s.bands {
+		b.flows = b.flows[:0]
 	}
-	s.bback = s.bback[:0]
+	s.bflows = s.bflows[:0]
 	for fi := range p.Flows {
 		f := &p.Flows[fi]
 		if len(f.Paths) == 0 {
@@ -387,178 +345,175 @@ func (s *Solver) partition(p *te.Problem) (dirty, internal, boundary int, intDem
 		}
 		if !in {
 			//lint:ignore hotpath-no-alloc boundary flow list grows to the cut-crossing flow count, reusing retained capacity across cycles
-			s.bback = append(s.bback, fi)
+			s.bflows = append(s.bflows, fi)
 			boundary++
 			bndDem += f.DemandMbps
 			continue
 		}
-		//lint:ignore hotpath-no-alloc back-map reaches high-water capacity after a few cycles
-		s.shards[si].back = append(s.shards[si].back, fi)
+		//lint:ignore hotpath-no-alloc band flow list reaches high-water capacity after a few cycles
+		s.bands[si].flows = append(s.bands[si].flows, fi)
 		internal++
 		intDem += f.DemandMbps
 	}
-	// Pass 2: per shard, compact nodes and links and rebuild the sub-problem
-	// into retained storage. The rebuild is linear in the shard's path data
-	// and cheap next to a sub-solve; the fingerprint decides the expensive
-	// parts (Finalize vs RebindFlows, R1 recompute vs warm replay).
-	s.nodeSeen = growInts(s.nodeSeen, p.NumNodes)
-	s.nodeIx = growNodeIDs(s.nodeIx, p.NumNodes)
-	s.linkSeen = growInts(s.linkSeen, len(p.Links))
-	for _, sh := range s.shards {
-		s.nodeStamp++
-		s.linkStamp++
-		sh.nodes = sh.nodes[:0]
-		sh.nodeArena = sh.nodeArena[:0]
-		sh.pathArena = sh.pathArena[:0]
-		sh.sub.Flows = sh.sub.Flows[:0]
-		sh.sub.Links = sh.sub.Links[:0]
-		sh.sub.LinkCap = sh.sub.LinkCap[:0]
-		sh.linkBack = sh.linkBack[:0]
-		fp := uint64(fnvOffset64)
-		for _, fi := range sh.back {
-			f := &p.Flows[fi]
-			ps := len(sh.pathArena)
-			for pi, path := range f.Paths {
-				ns := len(sh.nodeArena)
-				for _, n := range path.Nodes {
-					if s.nodeSeen[n] != s.nodeStamp {
-						s.nodeSeen[n] = s.nodeStamp
-						s.nodeIx[n] = topology.NodeID(len(sh.nodes))
-						//lint:ignore hotpath-no-alloc compacted node list reaches high-water capacity after a few cycles
-						sh.nodes = append(sh.nodes, n)
-					}
-					//lint:ignore hotpath-no-alloc node arena reaches high-water capacity after a few cycles
-					sh.nodeArena = append(sh.nodeArena, s.nodeIx[n])
-				}
-				//lint:ignore hotpath-no-alloc path arena reaches high-water capacity after a few cycles
-				sh.pathArena = append(sh.pathArena, paths.Path{Nodes: sh.nodeArena[ns:len(sh.nodeArena):len(sh.nodeArena)]})
-				for _, li := range p.PathLinks(fi, pi) {
-					if s.linkSeen[li] == s.linkStamp {
-						continue
-					}
-					s.linkSeen[li] = s.linkStamp
-					l := p.Links[li]
-					// Both endpoints sit on the path just remapped, so the
-					// compacted ids exist; MakeLink restores canonical order.
-					nl := topology.MakeLink(s.nodeIx[l.A], s.nodeIx[l.B], l.Kind)
-					//lint:ignore hotpath-no-alloc used-link list reaches high-water capacity after a few cycles
-					sh.sub.Links = append(sh.sub.Links, nl)
-					//lint:ignore hotpath-no-alloc used-link capacities reach high-water capacity after a few cycles
-					sh.sub.LinkCap = append(sh.sub.LinkCap, p.LinkCap[li])
-					//lint:ignore hotpath-no-alloc link back-map reaches high-water capacity after a few cycles
-					sh.linkBack = append(sh.linkBack, li)
-					h := fnv1a(fp, uint64(nl.A)<<32|uint64(uint32(nl.B)))
-					h = fnv1a(h, uint64(nl.Kind))
-					fp = fnv1a(h, math.Float64bits(p.LinkCap[li]))
-				}
-			}
-			//lint:ignore hotpath-no-alloc sub-flow list reaches high-water capacity after a few cycles
-			sh.sub.Flows = append(sh.sub.Flows, te.FlowDemand{
-				Src:        s.nodeIx[f.Src],
-				Dst:        s.nodeIx[f.Dst],
-				DemandMbps: f.DemandMbps,
-				Paths:      sh.pathArena[ps:len(sh.pathArena):len(sh.pathArena)],
-			})
-		}
-		// The node count pins the compaction: identical remapped links over a
-		// different node universe must not compare clean.
-		sh.fp = fnv1a(fp, uint64(len(sh.nodes)))
-		prev, had := sh.prevFP()
-		sh.dirty = !had || prev != sh.fp
-		if sh.dirty {
-			dirty++
-		}
-		sh.storeFP()
-		sh.sub.NumNodes = len(sh.nodes)
-		if len(p.UpCap) > 0 {
-			sh.sub.UpCap = growFloats(sh.sub.UpCap, len(sh.nodes))
-			sh.sub.DownCap = growFloats(sh.sub.DownCap, len(sh.nodes))
-			for j, n := range sh.nodes {
-				sh.sub.UpCap[j] = p.UpCap[n]
-				sh.sub.DownCap[j] = p.DownCap[n]
-			}
-		} else {
-			sh.sub.UpCap, sh.sub.DownCap = nil, nil
-		}
-	}
-	return dirty, internal, boundary, intDem, bndDem
+	return internal, boundary, intDem, bndDem
 }
 
-// runShards performs the regional half of a cycle: it installs each shard's
-// capacity view (the problem's own capacities, or the residuals a preceding
-// boundary pass left behind), rebuilds the sub-problems' derived state —
-// dirty shards pay the full Finalize, clean shards only rebind flows against
-// the retained link index — then fans the sub-solves out across the worker
-// pool and scatters each sub-allocation into the global rows of its flows.
-// Shards write disjoint allocation rows, so the fan-out is race-free and the
-// result is bitwise identical for every worker count.
-func (s *Solver) runShards(p *te.Problem, alloc *te.Allocation, useResiduals bool) error {
-	for i, sh := range s.shards {
-		if useResiduals {
-			// Residual capacities are traffic-dependent, so the shard's R1
-			// inputs move every cycle: no topo-clean fast path in this order.
-			// (partition re-installs the problem's own capacities next cycle.)
-			for j, li := range sh.linkBack {
-				sh.sub.LinkCap[j] = s.residCap[li]
-			}
-			if len(p.UpCap) > 0 {
-				for j, n := range sh.nodes {
-					sh.sub.UpCap[j] = s.residUp[n]
-					sh.sub.DownCap[j] = s.residDown[n]
+// compact rebuilds c as the sub-problem of the given flows under a capacity
+// view: only the nodes and links the flows' candidate paths traverse, remapped
+// dense in first-seen (flow, path, hop) order — deterministic by
+// construction — into c's retained storage, which is pre-sized from a
+// counting pass so the fill never grows it. The rebuild is linear in the
+// flows' path data and cheap next to a sub-solve.
+func (s *Solver) compact(c *sub, p *te.Problem, flows []int, caps capView) {
+	nPaths, nHops := 0, 0
+	for _, fi := range flows {
+		for _, path := range p.Flows[fi].Paths {
+			nHops += len(path.Nodes)
+		}
+		nPaths += len(p.Flows[fi].Paths)
+	}
+	c.flows = flows
+	c.nodeArena = grow(c.nodeArena, nHops)
+	c.pathArena = grow(c.pathArena, nPaths)
+	c.prob.Flows = grow(c.prob.Flows, len(flows))
+	c.nodes = grow(c.nodes, min(nHops, p.NumNodes))
+	c.prob.Links = grow(c.prob.Links, min(nHops, len(p.Links)))
+	c.prob.LinkCap = grow(c.prob.LinkCap, min(nHops, len(p.Links)))
+	s.nodeSeen = grow(s.nodeSeen, p.NumNodes)
+	s.nodeIx = grow(s.nodeIx, p.NumNodes)
+	s.linkSeen = grow(s.linkSeen, len(p.Links))
+	s.stamp++
+
+	nn, nl, na, np := 0, 0, 0, 0
+	for sfi, fi := range flows {
+		f := &p.Flows[fi]
+		p0 := np
+		for pi, path := range f.Paths {
+			a0 := na
+			for _, n := range path.Nodes {
+				if s.nodeSeen[n] != s.stamp {
+					s.nodeSeen[n] = s.stamp
+					s.nodeIx[n] = topology.NodeID(nn)
+					c.nodes[nn] = n
+					nn++
 				}
+				c.nodeArena[na] = s.nodeIx[n]
+				na++
 			}
-			sh.warm.SetTopoClean(false)
-		} else {
-			sh.warm.SetTopoClean(!sh.dirty)
+			c.pathArena[np] = paths.Path{Nodes: c.nodeArena[a0:na:na]}
+			np++
+			for _, li := range p.PathLinks(fi, pi) {
+				if s.linkSeen[li] == s.stamp {
+					continue
+				}
+				s.linkSeen[li] = s.stamp
+				l := p.Links[li]
+				// Both endpoints sit on the path just remapped, so the
+				// compacted ids exist; MakeLink restores canonical order.
+				c.prob.Links[nl] = topology.MakeLink(s.nodeIx[l.A], s.nodeIx[l.B], l.Kind)
+				c.prob.LinkCap[nl] = caps.link[li]
+				nl++
+			}
 		}
-		var err error
-		if sh.dirty {
-			//lint:ignore hotpath-no-alloc dirty shards pay the link-index rebuild by contract; the fingerprint keeps this off the clean replay path
-			err = sh.sub.Finalize()
-		} else {
-			err = sh.sub.RebindFlows()
+		c.prob.Flows[sfi] = te.FlowDemand{
+			Src:        s.nodeIx[f.Src],
+			Dst:        s.nodeIx[f.Dst],
+			DemandMbps: f.DemandMbps,
+			Paths:      c.pathArena[p0:np:np],
 		}
+	}
+	c.nodes = c.nodes[:nn]
+	c.prob.Links = c.prob.Links[:nl]
+	c.prob.LinkCap = c.prob.LinkCap[:nl]
+	c.prob.NumNodes = nn
+	if len(caps.up) > 0 {
+		c.prob.UpCap = grow(c.prob.UpCap, nn)
+		c.prob.DownCap = grow(c.prob.DownCap, nn)
+		for j, n := range c.nodes {
+			c.prob.UpCap[j] = caps.up[n]
+			c.prob.DownCap[j] = caps.down[n]
+		}
+	} else {
+		c.prob.UpCap, c.prob.DownCap = nil, nil
+	}
+}
+
+// finalize brings c's derived state up to date after compact and reports
+// whether its topology fingerprint moved since the previous cycle: a moved
+// (dirty) sub-problem pays the full Finalize, an unchanged one only rebinds
+// its flows against the retained link index.
+func (c *sub) finalize() (dirty bool, err error) {
+	fp := c.prob.TopoFingerprint()
+	if c.hasFP && c.fp == fp {
+		return false, c.prob.RebindFlows()
+	}
+	c.fp, c.hasFP = fp, true
+	//lint:ignore hotpath-no-alloc dirty sub-problems pay the link-index rebuild by contract; the fingerprint keeps this off the clean replay path
+	return true, c.prob.Finalize()
+}
+
+// scatter copies a sub-allocation into the global rows of c's flows.
+func (c *sub) scatter(alloc, sa *te.Allocation) {
+	for sfi, fi := range c.flows {
+		copy(alloc.X[fi], sa.X[sfi])
+	}
+}
+
+// runShards performs the regional half of a cycle: it compacts each band's
+// internal flows against the capacity view (the problem's own capacities, or
+// the residuals a preceding boundary pass left behind), finalizes them, then
+// fans the sub-solves out across the worker pool and scatters each
+// sub-allocation into the global rows of its flows. Shards write disjoint
+// allocation rows, so the fan-out is race-free and the result is bitwise
+// identical for every worker count. Returns the dirty-shard count.
+func (s *Solver) runShards(p *te.Problem, alloc *te.Allocation, caps capView) (dirty int, err error) {
+	for i, b := range s.bands {
+		s.compact(b, p, b.flows, caps)
+		d, err := b.finalize()
 		if err != nil {
 			//lint:ignore hotpath-no-alloc error path: a failed rebind aborts the cycle
-			return fmt.Errorf("shard %d: %w", i, err)
+			return 0, fmt.Errorf("shard %d: %w", i, err)
+		}
+		if d {
+			dirty++
 		}
 	}
 	//lint:ignore hotpath-no-alloc pool fan-out captures one closure per cycle; sub-solve allocation discipline is the inner solver's contract, and the scatter copies into preallocated rows
-	return par.ForErr(len(s.shards), 1, func(lo, hi int) error {
+	return dirty, par.ForErr(len(s.bands), 1, func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
-			sh := s.shards[i]
-			if len(sh.sub.Flows) == 0 {
+			b := s.bands[i]
+			if len(b.flows) == 0 {
 				continue
 			}
-			sa, err := s.Inner.Solve(&sh.sub, sh.opts...)
+			sa, err := s.Inner.Solve(&b.prob, b.opts...)
 			if err != nil {
 				return fmt.Errorf("shard %d (%s): %w", i, s.Inner.Name(), err)
 			}
-			for sfi, fi := range sh.back {
-				copy(alloc.X[fi], sa.X[sfi])
-			}
+			b.scatter(alloc, sa)
 		}
 		return nil
 	})
 }
 
-// computeResiduals records, per link and access node, the capacity left after
-// the allocations scattered so far (clamped at zero; +Inf stays +Inf).
-func (s *Solver) computeResiduals(p *te.Problem, alloc *te.Allocation) {
+// residuals returns the capacity view left after the allocations scattered
+// so far, per link and access node (clamped at zero; +Inf stays +Inf).
+func (s *Solver) residuals(p *te.Problem, alloc *te.Allocation) capView {
 	loads := p.LinkLoads(alloc)
-	s.residCap = growFloats(s.residCap, len(p.Links))
+	s.residCap = grow(s.residCap, len(p.Links))
 	for i, c := range p.LinkCap {
 		s.residCap[i] = residualOf(c, loads[i])
 	}
-	if len(p.UpCap) > 0 {
-		up, down := p.NodeLoads(alloc)
-		s.residUp = growFloats(s.residUp, p.NumNodes)
-		s.residDown = growFloats(s.residDown, p.NumNodes)
-		for n := 0; n < p.NumNodes; n++ {
-			s.residUp[n] = residualOf(p.UpCap[n], up[n])
-			s.residDown[n] = residualOf(p.DownCap[n], down[n])
-		}
+	if len(p.UpCap) == 0 {
+		return capView{link: s.residCap}
 	}
+	up, down := p.NodeLoads(alloc)
+	s.residUp = grow(s.residUp, p.NumNodes)
+	s.residDown = grow(s.residDown, p.NumNodes)
+	for n := 0; n < p.NumNodes; n++ {
+		s.residUp[n] = residualOf(p.UpCap[n], up[n])
+		s.residDown[n] = residualOf(p.DownCap[n], down[n])
+	}
+	return capView{s.residCap, s.residUp, s.residDown}
 }
 
 // ufFind resolves a node's component root with lazy initialisation and path
@@ -596,36 +551,28 @@ func (s *Solver) ufUnion(a, b topology.NodeID) {
 	}
 }
 
-// solveBoundary reconciles the cut-crossing flows — against the residual
-// capacities the regional solves left behind (useResiduals), or against the
-// full capacities when the boundary class dominates and solves first. The
-// flows are first split into node-disjoint components (union-find over
-// their candidate-path nodes), so the per-component solves cannot compete
-// for a link or access node and the combined allocation stays feasible by
-// construction. Each component is compacted to the nodes and links its
-// flows traverse, in first-seen (flow, path, hop) order — deterministic by
-// construction — and fingerprinted: a pool keyed by that fingerprint
-// memoizes warm state, so components whose structure and capacities held
-// still replay their R1 embeddings and only churn-adjacent components pay a
-// recompute.
+// solveBoundary reconciles the cut-crossing flows against a capacity view —
+// the residuals the regional solves left behind, or the full capacities when
+// the boundary class dominates and solves first. The flows are first split
+// into node-disjoint components (union-find over their candidate-path
+// nodes), so the per-component solves cannot compete for a link or access
+// node and the combined allocation stays feasible by construction. Each
+// component is then compacted, finalized and solved exactly like a band,
+// through the pool workspace keyed by its fingerprint: components whose
+// structure and capacities held still replay their R1 embeddings and only
+// churn-adjacent components pay a recompute. Returns the component count.
 //
 //lint:ignore hotpath-no-alloc boundary reconciliation allocates proportionally to cut-crossing flows and churned residuals, reusing retained buffers across cycles
-func (s *Solver) solveBoundary(p *te.Problem, alloc *te.Allocation, useResiduals bool) error {
-	if len(s.bback) == 0 {
-		return nil
+func (s *Solver) solveBoundary(p *te.Problem, alloc *te.Allocation, caps capView) (int, error) {
+	if len(s.bflows) == 0 {
+		return 0, nil
 	}
-	hasAccess := len(p.UpCap) > 0
-	solver := s.Boundary
-	if solver == nil {
-		solver = s.Inner
-	}
-
 	// Component discovery: union every candidate-path node of a flow with the
 	// flow's source, then label components in first-seen flow order.
-	s.ufParent = growInt32s(s.ufParent, p.NumNodes)
-	s.ufSeen = growInts(s.ufSeen, p.NumNodes)
+	s.ufParent = grow(s.ufParent, p.NumNodes)
+	s.ufSeen = grow(s.ufSeen, p.NumNodes)
 	s.ufStamp++
-	for _, fi := range s.bback {
+	for _, fi := range s.bflows {
 		f := &p.Flows[fi]
 		for _, path := range f.Paths {
 			for _, n := range path.Nodes {
@@ -633,12 +580,12 @@ func (s *Solver) solveBoundary(p *te.Problem, alloc *te.Allocation, useResiduals
 			}
 		}
 	}
-	s.gid = growInt32s(s.gid, p.NumNodes)
-	s.gidSeen = growInts(s.gidSeen, p.NumNodes)
+	s.gid = grow(s.gid, p.NumNodes)
+	s.gidSeen = grow(s.gidSeen, p.NumNodes)
 	s.gidStamp++
 	s.bgroup = s.bgroup[:0]
 	ncomp := int32(0)
-	for _, fi := range s.bback {
+	for _, fi := range s.bflows {
 		r := s.ufFind(p.Flows[fi].Src)
 		if s.gidSeen[r] != s.gidStamp {
 			s.gidSeen[r] = s.gidStamp
@@ -647,145 +594,55 @@ func (s *Solver) solveBoundary(p *te.Problem, alloc *te.Allocation, useResiduals
 		}
 		s.bgroup = append(s.bgroup, s.gid[r])
 	}
-	s.bncomp = int(ncomp)
 
-	s.nodeSeen = growInts(s.nodeSeen, p.NumNodes)
-	s.nodeIx = growNodeIDs(s.nodeIx, p.NumNodes)
-	s.linkSeen = growInts(s.linkSeen, len(p.Links))
+	c := &s.bnd
 	for g := int32(0); g < ncomp; g++ {
-		// Compact this component's subproblem and fingerprint its structure
-		// and capacities (the same scheme as the regional shards).
-		s.nodeStamp++
-		s.linkStamp++
-		s.bnodes = s.bnodes[:0]
-		s.bnodeAren = s.bnodeAren[:0]
-		s.bpathAren = s.bpathAren[:0]
-		s.bsub.Flows = s.bsub.Flows[:0]
-		s.bsub.Links = s.bsub.Links[:0]
-		s.bsub.LinkCap = s.bsub.LinkCap[:0]
-		s.blinks = s.blinks[:0]
-		s.bgback = s.bgback[:0]
-		fp := uint64(fnvOffset64)
-		for bi, fi := range s.bback {
-			if s.bgroup[bi] != g {
-				continue
+		s.cflows = s.cflows[:0]
+		for bi, fi := range s.bflows {
+			if s.bgroup[bi] == g {
+				s.cflows = append(s.cflows, fi)
 			}
-			f := &p.Flows[fi]
-			ps := len(s.bpathAren)
-			for pi, path := range f.Paths {
-				ns := len(s.bnodeAren)
-				for _, n := range path.Nodes {
-					if s.nodeSeen[n] != s.nodeStamp {
-						s.nodeSeen[n] = s.nodeStamp
-						s.nodeIx[n] = topology.NodeID(len(s.bnodes))
-						s.bnodes = append(s.bnodes, n)
-					}
-					s.bnodeAren = append(s.bnodeAren, s.nodeIx[n])
-				}
-				s.bpathAren = append(s.bpathAren, paths.Path{Nodes: s.bnodeAren[ns:len(s.bnodeAren):len(s.bnodeAren)]})
-				for _, li := range p.PathLinks(fi, pi) {
-					if s.linkSeen[li] == s.linkStamp {
-						continue
-					}
-					s.linkSeen[li] = s.linkStamp
-					l := p.Links[li]
-					nl := topology.MakeLink(s.nodeIx[l.A], s.nodeIx[l.B], l.Kind)
-					c := p.LinkCap[li]
-					if useResiduals {
-						c = s.residCap[li]
-					}
-					s.bsub.Links = append(s.bsub.Links, nl)
-					s.bsub.LinkCap = append(s.bsub.LinkCap, c)
-					s.blinks = append(s.blinks, li)
-					h := fnv1a(fp, uint64(nl.A)<<32|uint64(uint32(nl.B)))
-					h = fnv1a(h, uint64(nl.Kind))
-					fp = fnv1a(h, math.Float64bits(c))
-				}
-			}
-			s.bsub.Flows = append(s.bsub.Flows, te.FlowDemand{
-				Src:        s.nodeIx[f.Src],
-				Dst:        s.nodeIx[f.Dst],
-				DemandMbps: f.DemandMbps,
-				Paths:      s.bpathAren[ps:len(s.bpathAren):len(s.bpathAren)],
-			})
-			s.bgback = append(s.bgback, fi)
 		}
-		s.bsub.NumNodes = len(s.bnodes)
-		fp = fnv1a(fp, uint64(len(s.bnodes)))
-		if hasAccess {
-			s.bsub.UpCap = growFloats(s.bsub.UpCap, len(s.bnodes))
-			s.bsub.DownCap = growFloats(s.bsub.DownCap, len(s.bnodes))
-			for bi, n := range s.bnodes {
-				if useResiduals {
-					s.bsub.UpCap[bi] = s.residUp[n]
-					s.bsub.DownCap[bi] = s.residDown[n]
-					fp = fnv1a(fp, math.Float64bits(s.residUp[n]))
-					fp = fnv1a(fp, math.Float64bits(s.residDown[n]))
-				} else {
-					s.bsub.UpCap[bi] = p.UpCap[n]
-					s.bsub.DownCap[bi] = p.DownCap[n]
-					fp = fnv1a(fp, math.Float64bits(p.UpCap[n]))
-					fp = fnv1a(fp, math.Float64bits(p.DownCap[n]))
-				}
-			}
-		} else {
-			s.bsub.UpCap, s.bsub.DownCap = nil, nil
+		s.compact(c, p, s.cflows, caps)
+		if _, err := c.finalize(); err != nil {
+			return 0, fmt.Errorf("shard boundary component %d: %w", g, err)
 		}
-		if err := s.bsub.Finalize(); err != nil {
-			return fmt.Errorf("shard boundary component %d: %w", g, err)
-		}
-		s.boptsG = append(s.boptsG[:0], s.bopts...)
-		s.boptsG = append(s.boptsG, solve.WithWarm(&s.poolGet(fp).warm))
-		sa, err := solver.Solve(&s.bsub, s.boptsG...)
+		c.warm = s.poolGet(c.fp)
+		c.bind(s.opts)
+		sa, err := s.Inner.Solve(&c.prob, c.opts...)
 		if err != nil {
-			return fmt.Errorf("shard boundary component %d (%s): %w", g, solver.Name(), err)
+			return 0, fmt.Errorf("shard boundary component %d (%s): %w", g, s.Inner.Name(), err)
 		}
-		for sfi, fi := range s.bgback {
-			copy(alloc.X[fi], sa.X[sfi])
-		}
+		c.scatter(alloc, sa)
 	}
-	s.poolEvict()
-	return nil
+	return int(ncomp), nil
 }
 
-// poolGet returns the memoized warm state for a component fingerprint,
-// creating one on first sight. Fingerprint equality means bit-identical
-// compacted structure and capacities, so sharing an entry — even across
-// symmetric components — keeps the R1 replay exact.
-func (s *Solver) poolGet(fp uint64) *bcomp {
-	if s.bpoolIx == nil {
-		s.bpoolIx = make(map[uint64]int)
-	}
-	if ix, ok := s.bpoolIx[fp]; ok {
-		e := s.bpool[ix]
-		e.lastUsed = s.Stats.Cycles
-		return e
-	}
-	e := &bcomp{fp: fp, lastUsed: s.Stats.Cycles}
-	s.bpoolIx[fp] = len(s.bpool)
-	s.bpool = append(s.bpool, e)
-	return e
-}
-
-// poolEvict drops component states unused for more than two cycles — a
-// churned component changes fingerprint every cycle, so stale entries would
-// otherwise accumulate without bound. The sweep walks the slice (never the
-// index map), so eviction order is deterministic.
-func (s *Solver) poolEvict() {
-	keep := s.bpool[:0]
-	for _, e := range s.bpool {
-		if s.Stats.Cycles-e.lastUsed <= 2 {
-			keep = append(keep, e)
+// poolGet returns the boundary workspace last used for a component
+// fingerprint, re-keying the first entry idle for more than two cycles — or
+// adding one — on first sight. Fingerprint equality means bit-identical
+// compacted structure and capacities, so sharing an entry, even across
+// symmetric components, replays exactly; the inner solver checks the same
+// fingerprint itself, so a re-keyed entry simply recomputes. The pool is
+// small (a few entries per component) and walked in slice order, which keeps
+// the choice deterministic.
+func (s *Solver) poolGet(fp uint64) *core.CycleState {
+	var e *pooled
+	for _, x := range s.pool {
+		if x.fp == fp {
+			e = x
+			break
+		}
+		if e == nil && s.Stats.Cycles-x.lastUsed > 2 {
+			e = x
 		}
 	}
-	if len(keep) == len(s.bpool) {
-		return
+	if e == nil {
+		e = &pooled{}
+		s.pool = append(s.pool, e)
 	}
-	s.bpool = keep
-	clear(s.bpoolIx)
-	for i, e := range s.bpool {
-		s.bpoolIx[e.fp] = i
-	}
+	e.fp, e.lastUsed = fp, s.Stats.Cycles
+	return &e.warm
 }
 
 // residualOf returns the capacity left after a load, clamped at zero;
@@ -801,34 +658,12 @@ func residualOf(cap, load float64) float64 {
 	return r
 }
 
-// growFloats returns a slice of exactly n elements, reusing capacity.
-func growFloats(s []float64, n int) []float64 {
+// grow returns a slice of exactly n elements over s's storage when it is
+// large enough, over fresh storage otherwise. Contents are unspecified.
+func grow[E any](s []E, n int) []E {
 	if cap(s) >= n {
 		return s[:n]
 	}
 	//lint:ignore hotpath-no-alloc growth slow path; steady-state cycles hit the capacity check above
-	return make([]float64, n)
-}
-
-func growInts(s []int, n int) []int {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	//lint:ignore hotpath-no-alloc growth slow path; steady-state cycles hit the capacity check above
-	return make([]int, n)
-}
-
-func growNodeIDs(s []topology.NodeID, n int) []topology.NodeID {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	//lint:ignore hotpath-no-alloc growth slow path; steady-state cycles hit the capacity check above
-	return make([]topology.NodeID, n)
-}
-
-func growInt32s(s []int32, n int) []int32 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]int32, n)
+	return make([]E, n)
 }

@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"sate/internal/baselines"
@@ -340,29 +341,29 @@ func TestShardedEdgeCases(t *testing.T) {
 			t.Fatal("want error for missing inner solver")
 		}
 	})
-	t.Run("withshards override", func(t *testing.T) {
+	t.Run("k is read per solve", func(t *testing.T) {
 		p := handProblem()
 		inner := baselines.GK{Epsilon: 0.05}
 		s := shard.New(inner, 4)
-		a, err := s.Solve(p, solve.WithShards(2))
-		if err != nil {
+		s.K = 2
+		if _, err := s.Solve(p); err != nil {
 			t.Fatal(err)
 		}
 		if s.Stats.Shards != 2 {
-			t.Fatalf("WithShards(2): want 2 shards, got %d", s.Stats.Shards)
+			t.Fatalf("K=2: want 2 shards, got %d", s.Stats.Shards)
 		}
 		mono, err := inner.Solve(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := s.Solve(p, solve.WithShards(1))
+		s.K = 1
+		b, err := s.Solve(p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !allocEqual(mono, b) {
-			t.Fatal("WithShards(1) is not bitwise-identical to monolithic")
+			t.Fatal("K=1 is not bitwise-identical to monolithic")
 		}
-		_ = a
 	})
 }
 
@@ -395,5 +396,43 @@ func TestShardedWarmR1Reuse(t *testing.T) {
 	}
 	if !allocEqual(a, b) {
 		t.Fatal("warm replay is not bitwise identical")
+	}
+}
+
+// countingInner counts the sub-solves a sharded solve hands its inner model.
+type countingInner struct {
+	*core.Model
+	n atomic.Int64
+}
+
+func (c *countingInner) Solve(p *te.Problem, opts ...solve.Option) (*te.Allocation, error) {
+	c.n.Add(1)
+	return c.Model.Solve(p, opts...)
+}
+
+// TestShardedR1StatsSurviveChurn churns the one boundary component for five
+// cycles (the cut link's capacity moves, so its fingerprint does): its
+// recomputes must stay in R1Stats after the pool has moved on, so
+// hits+misses equals the number of sub-solves performed.
+func TestShardedR1StatsSurviveChurn(t *testing.T) {
+	p := handProblem()
+	inner := &countingInner{Model: core.NewModel(core.DefaultConfig())}
+	s := shard.New(inner, 4)
+	for cycle := 0; cycle < 5; cycle++ {
+		p.LinkCap[1] = 10 + float64(cycle) // link (1,2): boundary-only
+		if _, err := s.Solve(p); err != nil {
+			t.Fatal(err)
+		}
+		if s.Stats.BoundaryComponents != 1 || s.Stats.BoundaryFirst {
+			t.Fatalf("cycle %d: want one boundary component after the shards, got %+v", cycle, s.Stats)
+		}
+	}
+	hits, misses := s.R1Stats()
+	if got, want := hits+misses, uint64(inner.n.Load()); got != want || want != 5*4 {
+		t.Fatalf("R1Stats accounts for %d sub-solves (%d hits, %d misses), inner solved %d, want 20", got, hits, misses, want)
+	}
+	// Three bands replay after their first solve; the component never does.
+	if hits != 3*4 || misses != 3+5 {
+		t.Fatalf("want 12 hits and 8 misses, got %d/%d", hits, misses)
 	}
 }

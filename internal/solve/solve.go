@@ -83,18 +83,12 @@ type Options struct {
 	// Solvers without a narrower implementation ignore it (see Dtype).
 	Dtype Dtype
 	// Warm carries solver-specific cross-call state for temporal-coherence
-	// reuse (e.g. core.CycleState for SaTE: reused graph storage and cached
-	// R1 embeddings). The concrete type is owned by the solver; a solver
-	// that does not recognise the value ignores it. The state is mutated by
-	// the solve, so callers must not share one value across concurrent
-	// solves.
+	// reuse (e.g. core.CycleState for SaTE: the solve workspace — graph
+	// storage, inference tape, cached R1 embeddings). The concrete type is
+	// owned by the solver; a solver that does not recognise the value
+	// ignores it. The state is mutated by the solve, so callers must not
+	// share one value across concurrent solves.
 	Warm any
-	// Shards asks a decomposition-capable solver to split the problem into
-	// this many region subproblems for the call (the shard package's solver;
-	// see shard.Solver). Like Dtype, solvers without a sharded implementation
-	// ignore the request; 0 keeps the solver's configured default and 1 is an
-	// explicit monolithic solve.
-	Shards int
 }
 
 // Option mutates Options. Options values are cheap closures built once at
@@ -119,11 +113,6 @@ func WithDtype(d Dtype) Option { return func(o *Options) { o.Dtype = d } }
 // same value on every cycle of a replay loop to let the solver reuse work
 // across topologically-coherent problems.
 func WithWarm(w any) Option { return func(o *Options) { o.Warm = w } }
-
-// WithShards overrides the shard count for a decomposition-capable solver
-// (k <= 0 keeps the solver's default; solvers without a sharded
-// implementation ignore it).
-func WithShards(k int) Option { return func(o *Options) { o.Shards = k } }
 
 // Build folds a variadic option list into an Options value.
 func Build(opts ...Option) Options {

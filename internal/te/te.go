@@ -115,6 +115,31 @@ func (p *Problem) bindFlows() {
 	}
 }
 
+// TopoFingerprint hashes the topology side of the problem: node count, the
+// ordered link endpoints and the capacity bits. It covers exactly what a
+// solver's topology-derived state is a function of (SaTE's R1 relation and
+// the embeddings computed from it, the link index of a compacted
+// sub-problem), so equal fingerprints mean that state still applies bit for
+// bit, whatever happened to the flows. It is recomputed from the current
+// field contents on every call — O(links) word mixes — and so cannot go
+// stale under in-place edits. The mixer is 64-bit FNV-1a over whole words;
+// a collision between the handful of topologies one reuse cache ever
+// compares is negligible.
+func (p *Problem) TopoFingerprint() uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	h = (h ^ uint64(p.NumNodes)) * prime64
+	h = (h ^ uint64(len(p.Links))) * prime64
+	for i, l := range p.Links {
+		h = (h ^ linkKey(l)) * prime64
+		h = (h ^ math.Float64bits(p.LinkCap[i])) * prime64
+	}
+	return h
+}
+
 // LinkSet returns the problem's links as a kind-agnostic membership set —
 // for a problem built from a failure-injected snapshot this IS the degraded
 // link set, which is what the controller's fallback policy scores stale

@@ -127,9 +127,6 @@ var (
 	// WithWarm threads a *CycleState through the solver so consecutive
 	// low-churn cycles reuse topology-derived work (DESIGN.md §11).
 	WithWarm = solve.WithWarm
-	// WithShards overrides the shard count of a decomposition-capable
-	// solver (see Sharded and DESIGN.md §13); other solvers ignore it.
-	WithShards = solve.WithShards
 )
 
 // Solve runs any allocator through the unified option-aware entry point:
@@ -245,7 +242,7 @@ type ShardedSolver = shard.Solver
 // Sharded wraps any solver in the regional decomposition: subproblems solve
 // concurrently, cut-crossing flows reconcile against residual capacities,
 // and per-shard warm state carries across cycles. k <= 0 picks the default
-// shard count; WithShards overrides it per call, and 1 is monolithic.
+// shard count and 1 is monolithic.
 func Sharded(inner shard.Inner, k int) *ShardedSolver { return shard.New(inner, k) }
 
 // NewController builds the TE control center around a scenario and solver;

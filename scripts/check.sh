@@ -1,6 +1,7 @@
 #!/bin/sh
 # Tier-1 verify gate: build, vet, satelint (the project's determinism /
-# concurrency invariant linter, see DESIGN.md "Static analysis"), tests.
+# concurrency invariant linter, see DESIGN.md "Static analysis"), tests,
+# and a short run of the TE-cycle benchmark with its per-cycle checks.
 # Set RACE=1 to append the race-detector pass (scripts/race.sh).
 set -eu
 cd "$(dirname "$0")/.."
@@ -21,11 +22,15 @@ echo "== obs/chaos race =="
 # recording under HTTP scrapes); always gate it and the controller that
 # mounts it under the race detector. The controller run includes the chaos
 # suite (controller_chaos_test.go, DESIGN.md §10): injected solver-failure
-# streaks under link-failure injection, racing /recompute requests, and
+# streaks under link-failure injection, racing /v1/recompute requests, and
 # cancel-mid-solve shutdown — the paths where a data race would hide.
 go test -race ./internal/obs/... ./internal/solve/... ./internal/controller/... ./internal/sim/...
 echo "== bench smoke =="
 ./scripts/bench.sh smoke
+echo "== cycle benchmark =="
+# The TE-cycle benchmark (BENCHMARK.json) drives the product path end to end
+# and checks every cycle's outputs; it exits nonzero on any failed check.
+go run ./benchmark -workload all -seconds 3 -trace 0
 if [ "${RACE:-0}" = "1" ]; then
 	echo "== race =="
 	./scripts/race.sh

@@ -16,3 +16,6 @@ go test -race \
 	./internal/controller/... \
 	./internal/ruledist/... \
 	./internal/pktsim/...
+# The model's workspace pool under concurrent Solve callers; the rest of
+# internal/core is single-threaded above the kernels raced through autodiff.
+go test -race -run 'TestSolveConcurrentWithoutWarm' ./internal/core/
