@@ -1,86 +1,23 @@
-// Root benchmark suite: one bench per paper table/figure (each invokes the
-// corresponding experiment driver at CI scale — run with -benchtime=1x to
-// regenerate every artifact), plus micro-benchmarks of the hot components
-// (SaTE inference, solvers, topology generation, path computation).
+// Kernel micro-benchmarks of the hot components (solvers, topology
+// generation, path computation, trim, rule compilation), run with plain
+// `go test -bench`. Whole TE cycles — inference, sharding, serving, the
+// packet engine — are measured by `go run ./benchmark` (BENCHMARK.json);
+// the paper's tables and figures regenerate with cmd/sate-bench.
 package sate
 
 import (
 	"bytes"
-	"context"
-	"fmt"
-	"math/rand"
-	"net/http"
-	"net/http/httptest"
-	"sort"
-	"sync"
 	"testing"
-	"time"
 
 	"sate/internal/baselines"
 	"sate/internal/constellation"
-	"sate/internal/controller"
-	"sate/internal/core"
-	"sate/internal/experiments"
 	"sate/internal/graphembed"
-	"sate/internal/orbit"
 	"sate/internal/paths"
-	"sate/internal/pktsim"
-	"sate/internal/ruledist"
 	"sate/internal/rules"
-	"sate/internal/shard"
 	"sate/internal/sim"
-	"sate/internal/solve"
 	"sate/internal/te"
 	"sate/internal/topology"
-	"sate/internal/traffic"
 )
-
-// benchExperiment runs a registered experiment driver once per iteration.
-func benchExperiment(b *testing.B, id string) {
-	d, ok := experiments.Registry[id]
-	if !ok {
-		b.Fatalf("experiment %q not registered", id)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r, err := d(experiments.Options{Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + r.String())
-		}
-	}
-}
-
-// Table/figure regeneration benches (Sec. 5, Appendices D/H).
-
-func BenchmarkFig4aTHT(b *testing.B)              { benchExperiment(b, "fig4a") }
-func BenchmarkFig4bPathObsolescence(b *testing.B) { benchExperiment(b, "fig4b") }
-func BenchmarkFig4cLinkExclusion(b *testing.B)    { benchExperiment(b, "fig4c") }
-func BenchmarkTable1Volumes(b *testing.B)         { benchExperiment(b, "tab1") }
-func BenchmarkFig8aLatency(b *testing.B)          { benchExperiment(b, "fig8a") }
-func BenchmarkFig8bLatencyCDF(b *testing.B)       { benchExperiment(b, "fig8b") }
-func BenchmarkFig9aTraining(b *testing.B)         { benchExperiment(b, "fig9a") }
-func BenchmarkFig9bTopologyPruning(b *testing.B)  { benchExperiment(b, "fig9b") }
-func BenchmarkFig10abOnline(b *testing.B)         { benchExperiment(b, "fig10ab") }
-func BenchmarkFig10cTeal(b *testing.B)            { benchExperiment(b, "fig10c") }
-func BenchmarkFig10dGeneralization(b *testing.B)  { benchExperiment(b, "fig10d") }
-func BenchmarkFig13RuleDistribution(b *testing.B) { benchExperiment(b, "fig13") }
-func BenchmarkFig14Offline(b *testing.B)          { benchExperiment(b, "fig14") }
-func BenchmarkFig15aMLU(b *testing.B)             { benchExperiment(b, "fig15a") }
-func BenchmarkFig15bFailures(b *testing.B)        { benchExperiment(b, "fig15b") }
-func BenchmarkFig16FlowLevel(b *testing.B)        { benchExperiment(b, "fig16") }
-
-// Ablation benches (DESIGN.md Sec. 4).
-
-func BenchmarkAblationGraphReduction(b *testing.B) { benchExperiment(b, "abl-graph") }
-func BenchmarkAblationPruning(b *testing.B)        { benchExperiment(b, "abl-prune") }
-func BenchmarkAblationDPPvsRandom(b *testing.B)    { benchExperiment(b, "abl-dpp") }
-func BenchmarkAblationAttention(b *testing.B)      { benchExperiment(b, "abl-attn") }
-func BenchmarkAblationMWUEpsilon(b *testing.B)     { benchExperiment(b, "abl-mwu") }
-
-// Micro-benchmarks of the hot paths.
 
 func benchProblem(b testing.TB, cons *constellation.Constellation, intensity float64) (*sim.Scenario, *te.Problem) {
 	b.Helper()
@@ -95,297 +32,6 @@ func benchProblem(b testing.TB, cons *constellation.Constellation, intensity flo
 		b.Fatal(err)
 	}
 	return s, p
-}
-
-func BenchmarkSaTEInference66(b *testing.B) {
-	_, p := benchProblem(b, constellation.Iridium(), 60)
-	m := core.NewModel(core.DefaultConfig())
-	if _, err := m.Solve(p); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Solve(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSaTEInference396(b *testing.B) {
-	_, p := benchProblem(b, constellation.MidSize1(), 125)
-	m := core.NewModel(core.DefaultConfig())
-	if _, err := m.Solve(p); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Solve(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSaTEInference66F32(b *testing.B) {
-	_, p := benchProblem(b, constellation.Iridium(), 60)
-	m := core.NewModel(core.DefaultConfig())
-	if _, err := m.Solve(p, solve.WithDtype(solve.Float32)); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Solve(p, solve.WithDtype(solve.Float32)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSaTEInference396F32(b *testing.B) {
-	_, p := benchProblem(b, constellation.MidSize1(), 125)
-	m := core.NewModel(core.DefaultConfig())
-	if _, err := m.Solve(p, solve.WithDtype(solve.Float32)); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Solve(p, solve.WithDtype(solve.Float32)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchCycleChurn replays successive TE cycles (0.5 s apart on the 396-sat
-// shell) through one model under scripted sparse churn: three of four
-// cycles keep the ISL grid intact, every fourth fails ~1% of links (paths
-// stay configured for the pre-failure topology, as in the paper's failure
-// replay). The warm variant carries a CycleState across cycles and reports
-// the measured R1 warm-hit ratio, so the benchmark states how much temporal
-// reuse the churn leaves rather than silently replaying identical
-// topologies. Intensity is kept moderate so the R1 module is a visible
-// share of the solve — the regime the warm start targets.
-func benchCycleChurn(b *testing.B, warm bool) {
-	b.Helper()
-	s, _ := benchProblem(b, constellation.MidSize1(), 25)
-	m := core.NewModel(core.DefaultConfig())
-	const cycles = 8
-	problems := make([]*te.Problem, cycles)
-	for i := range problems {
-		t := 30 + 0.5*float64(i)
-		if i%4 == 3 {
-			p, _, err := s.ProblemWithFailures(t, 0.01, rand.New(rand.NewSource(int64(i))))
-			if err != nil {
-				b.Fatal(err)
-			}
-			problems[i] = p
-			continue
-		}
-		p, _, _, err := s.ProblemAt(t)
-		if err != nil {
-			b.Fatal(err)
-		}
-		problems[i] = p
-	}
-	var opts []solve.Option
-	var cs *core.CycleState
-	if warm {
-		cs = &core.CycleState{}
-		opts = append(opts, solve.WithWarm(cs))
-	}
-	for _, p := range problems {
-		if _, err := m.Solve(p, opts...); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Solve(problems[i%cycles], opts...); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if cs != nil {
-		if hits, misses := cs.R1Stats(); hits+misses > 0 {
-			b.ReportMetric(float64(hits)/float64(hits+misses), "r1warmhit")
-		}
-	}
-}
-
-func BenchmarkSaTECycleChurnCold(b *testing.B) { benchCycleChurn(b, false) }
-func BenchmarkSaTECycleChurnWarm(b *testing.B) { benchCycleChurn(b, true) }
-
-// BenchmarkPktSim executes one discrete-event packet run per iteration: an
-// ECMP-WF allocation on the Iridium scenario under a burst plus a rule-update
-// window with real distribution delays (DESIGN.md §15).
-func BenchmarkPktSim(b *testing.B) {
-	s, pCur := benchProblem(b, constellation.Iridium(), 60)
-	_, snap, _, err := s.ProblemAt(30)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pPrev, _, _, err := s.ProblemAt(28)
-	if err != nil {
-		b.Fatal(err)
-	}
-	al := baselines.ECMPWF{}
-	aCur, err := al.Solve(pCur)
-	if err != nil {
-		b.Fatal(err)
-	}
-	aPrev, err := al.Solve(pPrev)
-	if err != nil {
-		b.Fatal(err)
-	}
-	spec := &pktsim.RunSpec{
-		Snap: snap, Problem: pCur, Alloc: aCur,
-		Update: &pktsim.RuleUpdate{
-			PrevProblem: pPrev, PrevAlloc: aPrev, AtSec: 0.25,
-			DelaysSec: ruledist.RuleDistributionDelays(snap, ruledist.HoustonSite, orbit.Deg(10)),
-		},
-	}
-	cfg := pktsim.Config{
-		Seed: 1, HorizonSec: 0.5, JitterFrac: 0.03, Spikes: 2, Handovers: 1,
-		Burst:      &pktsim.Burst{StartSec: 0.1, DurSec: 0.2, Factor: 3},
-		MaxPackets: 200000,
-	}
-	res, err := pktsim.Run(spec, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if res.Injected == 0 || res.Delivered == 0 {
-		b.Fatalf("degenerate run: %+v", res)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pktsim.Run(spec, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(res.Injected), "pkts")
-}
-
-// shardedBenchProblems builds `cycles` successive TE problems over one
-// fixed-time snapshot of a single-shell Walker constellation with
-// region-local traffic (user hotspots keep flows within a few orbital
-// planes of their source). Each cycle fails a disjoint handful of ISLs
-// inside the first plane band — one shard at k=16 — modelling a regional
-// failure domain: exactly the churn whose cost the sharded solver's dirty
-// set confines. Paths stay configured for the pre-failure grid.
-func shardedBenchProblems(b *testing.B, planes, spp, flows, cycles int) []*te.Problem {
-	b.Helper()
-	numSats := planes * spp
-	cons := constellation.MustNew(fmt.Sprintf("walker-%d", numSats), []constellation.Shell{{
-		Name: "shell", AltitudeKm: 550, InclinationDeg: 53,
-		Planes: planes, SatsPerPlane: spp, PhaseFactor: 17, RAANSpanDeg: 360,
-	}})
-	gen := topology.NewGenerator(cons, topology.DefaultConfig(topology.CrossShellNone))
-	snap := gen.Snapshot(0)
-	db := paths.NewDB(cons, snap, 10)
-	rng := rand.New(rand.NewSource(11))
-	tm := &traffic.Matrix{NumSats: numSats}
-	for len(tm.Entries) < flows {
-		sp := rng.Intn(planes)
-		dp := sp + rng.Intn(2)
-		if dp >= planes {
-			dp = planes - 1
-		}
-		ss := rng.Intn(spp)
-		ds := (ss + 1 + rng.Intn(6)) % spp
-		src := constellation.SatID(sp*spp + ss)
-		dst := constellation.SatID(dp*spp + ds)
-		if src == dst {
-			continue
-		}
-		tm.Entries = append(tm.Entries, traffic.Demand{Src: src, Dst: dst, DemandMbps: 20})
-	}
-	region := topology.NodeID(numSats / 16)
-	var regionLinks []int
-	for li, l := range snap.Links {
-		if l.B < region {
-			regionLinks = append(regionLinks, li)
-		}
-	}
-	const failPerCycle = 4
-	if len(regionLinks) < cycles*failPerCycle {
-		b.Fatalf("region has %d links, need %d", len(regionLinks), cycles*failPerCycle)
-	}
-	cfg := te.BuildConfig{LinkCapMbps: 200, K: 10}
-	out := make([]*te.Problem, cycles)
-	for c := range out {
-		failed := make(map[int]bool, failPerCycle)
-		for _, li := range regionLinks[c*failPerCycle : (c+1)*failPerCycle] {
-			failed[li] = true
-		}
-		fs := &topology.Snapshot{TimeSec: snap.TimeSec, NumSats: snap.NumSats, NumNodes: snap.NumNodes, Pos: snap.Pos}
-		for li, l := range snap.Links {
-			if !failed[li] {
-				fs.Links = append(fs.Links, l)
-			}
-		}
-		fs.Finalize()
-		p, err := te.Build(fs, tm, db, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		out[c] = p
-	}
-	return out
-}
-
-// benchShardedSolve replays the regional-churn cycles through a sharded
-// SaTE solver. shards=1 is the monolithic baseline — it still gets the warm
-// path, and its misses are the point: any regional churn invalidates the
-// whole constellation's R1 inputs, while the sharded solver confines the
-// recompute to the one dirty shard.
-func benchShardedSolve(b *testing.B, planes, spp, flows, shards int) {
-	const cycles = 8
-	problems := shardedBenchProblems(b, planes, spp, flows, cycles)
-	m := core.NewModel(core.DefaultConfig())
-	s := shard.New(m, shards)
-	var opts []solve.Option
-	var cs *core.CycleState
-	if shards <= 1 {
-		cs = &core.CycleState{}
-		opts = append(opts, solve.WithWarm(cs))
-	}
-	for _, p := range problems {
-		if _, err := s.Solve(p, opts...); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Solve(problems[i%cycles], opts...); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	hits, misses := s.R1Stats()
-	if cs != nil {
-		hits, misses = cs.R1Stats()
-	}
-	if hits+misses > 0 {
-		b.ReportMetric(float64(hits)/float64(hits+misses), "r1warmhit")
-	}
-}
-
-func BenchmarkShardedSolve(b *testing.B) {
-	for _, sz := range []struct{ planes, spp, flows int }{
-		{32, 66, 128},  // ~2k satellites
-		{128, 62, 128}, // ~8k satellites
-	} {
-		for _, k := range []int{1, 4, 16} {
-			b.Run(fmt.Sprintf("sats=%d/shards=%d", sz.planes*sz.spp, k), func(b *testing.B) {
-				benchShardedSolve(b, sz.planes, sz.spp, sz.flows, k)
-			})
-		}
-	}
 }
 
 func BenchmarkGKSolver(b *testing.B) {
@@ -508,151 +154,6 @@ func BenchmarkSnapshotSerialization(b *testing.B) {
 		}
 		if _, err := topology.ReadSnapshot(&buf); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// Serving-path benchmarks (DESIGN.md §14): the copy-on-publish snapshot
-// surface must sustain high read QPS with sub-millisecond tails while
-// recomputes publish fresh versions underneath.
-
-// nullResponseWriter swallows the body so the benchmark measures the
-// handler, not response buffering.
-type nullResponseWriter struct {
-	hdr    http.Header
-	status int
-	bytes  int64
-}
-
-func (w *nullResponseWriter) Header() http.Header { return w.hdr }
-func (w *nullResponseWriter) Write(p []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	w.bytes += int64(len(p))
-	return len(p), nil
-}
-func (w *nullResponseWriter) WriteHeader(code int) { w.status = code }
-
-func benchServingController(b *testing.B) *controller.Server {
-	b.Helper()
-	scen := sim.NewScenario(constellation.Toy(6, 8), sim.ScenarioConfig{
-		Mode:         topology.CrossShellLasers,
-		Intensity:    60,
-		Seed:         7,
-		Users:        2000,
-		UserClusters: 60,
-		Gateways:     8,
-		Relays:       4,
-		MinElevDeg:   5,
-	})
-	srv := controller.New(scen, baselines.ECMPWF{})
-	if err := srv.RecomputeContext(context.Background(), 100); err != nil {
-		b.Fatal(err)
-	}
-	return srv
-}
-
-// BenchmarkServeSnapshot hammers GET /v1/status through the real handler
-// while a background publisher keeps swapping snapshots. Reported metrics:
-// sustained req/s and p50/p99 per-request latency in milliseconds.
-func BenchmarkServeSnapshot(b *testing.B) {
-	srv := benchServingController(b)
-	h := srv.Handler()
-
-	stop := make(chan struct{})
-	var pubWG sync.WaitGroup
-	pubWG.Add(1)
-	go func() {
-		defer pubWG.Done()
-		t := 100.0
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			t += 5
-			if err := srv.RecomputeContext(context.Background(), t); err != nil {
-				b.Error(err)
-				return
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}()
-
-	var mu sync.Mutex
-	var lats []int64
-	b.ResetTimer()
-	start := time.Now()
-	b.RunParallel(func(pb *testing.PB) {
-		req := httptest.NewRequest(http.MethodGet, "/v1/status", nil)
-		w := &nullResponseWriter{hdr: make(http.Header, 4)}
-		local := make([]int64, 0, 4096)
-		for pb.Next() {
-			t0 := time.Now()
-			w.status = 0
-			h.ServeHTTP(w, req)
-			local = append(local, time.Since(t0).Nanoseconds())
-			if w.status != http.StatusOK {
-				b.Errorf("status = %d", w.status)
-				return
-			}
-		}
-		mu.Lock()
-		lats = append(lats, local...)
-		mu.Unlock()
-	})
-	elapsed := time.Since(start)
-	b.StopTimer()
-	close(stop)
-	pubWG.Wait()
-	if len(lats) == 0 {
-		return
-	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	b.ReportMetric(float64(len(lats))/elapsed.Seconds(), "req/s")
-	b.ReportMetric(float64(lats[len(lats)*50/100])/1e6, "p50-ms")
-	b.ReportMetric(float64(lats[len(lats)*99/100])/1e6, "p99-ms")
-}
-
-// BenchmarkDeltaCatchup measures a rule consumer reconstructing the latest
-// RuleSet from a stale version via the changelog: Since() + Apply() per
-// retained delta, rotating across every possible staleness depth.
-func BenchmarkDeltaCatchup(b *testing.B) {
-	srv := benchServingController(b)
-	const cycles = 8
-	for i := 1; i < cycles; i++ {
-		if err := srv.RecomputeContext(context.Background(), 100+5*float64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	log := srv.Changelog()
-	latest := log.Latest()
-	// A consumer at version v holds the rules of version v; reconstruct the
-	// held states once so each iteration only pays the catch-up itself.
-	held := make([]*rules.RuleSet, latest+1)
-	held[0] = &rules.RuleSet{}
-	cur := &rules.RuleSet{}
-	for v := uint64(1); v <= latest; v++ {
-		cu := log.Since(v - 1)
-		if cu.FullSync {
-			b.Fatalf("version %d already compacted out; raise history", v-1)
-		}
-		cur = ruledist.Apply(cur, cu.Deltas[0])
-		held[v] = cur
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		since := uint64(i) % latest // every staleness depth, round-robin
-		cu := log.Since(since)
-		got := held[since]
-		for _, d := range cu.Deltas {
-			got = ruledist.Apply(got, d)
-		}
-		if got.NumRules() != held[latest].NumRules() {
-			b.Fatalf("catch-up from %d diverged", since)
 		}
 	}
 }

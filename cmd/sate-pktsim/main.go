@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -26,9 +27,7 @@ import (
 
 	"sate/internal/baselines"
 	"sate/internal/constellation"
-	"sate/internal/orbit"
 	"sate/internal/pktsim"
-	"sate/internal/ruledist"
 	"sate/internal/sim"
 	"sate/internal/topology"
 )
@@ -100,35 +99,21 @@ func main() {
 		Users:     2000, UserClusters: 60, Gateways: 8, Relays: 30, MinElevDeg: 5,
 	})
 
-	pCur, snap, _, err := scen.ProblemAt(*evalT)
+	ctx := context.Background()
+	cur, err := scen.RunCycle(ctx, al, *evalT)
 	if err != nil {
 		fatal(err)
 	}
-	if len(pCur.Flows) == 0 {
+	if len(cur.Problem.Flows) == 0 {
 		fatal(fmt.Errorf("no flows at t=%v (raise -intensity or -t)", *evalT))
 	}
-	aCur, err := al.Solve(pCur)
-	if err != nil {
-		fatal(err)
-	}
-	spec := &pktsim.RunSpec{Snap: snap, Problem: pCur, Alloc: aCur}
-
+	var prev *sim.Cycle
 	if *updateAt > 0 {
-		pPrev, _, _, err := scen.ProblemAt(*evalT - *interval)
-		if err != nil {
+		if prev, err = scen.RunCycle(ctx, al, *evalT-*interval); err != nil {
 			fatal(err)
-		}
-		aPrev, err := al.Solve(pPrev)
-		if err != nil {
-			fatal(err)
-		}
-		spec.Update = &pktsim.RuleUpdate{
-			PrevProblem: pPrev,
-			PrevAlloc:   aPrev,
-			AtSec:       *updateAt,
-			DelaysSec:   ruledist.RuleDistributionDelays(snap, ruledist.HoustonSite, orbit.Deg(5)),
 		}
 	}
+	spec := (&sim.PacketReplay{UpdateAtSec: *updateAt}).RunSpec(scen, prev, cur)
 
 	cfg := pktsim.Config{
 		Seed:       *seed,
@@ -149,7 +134,7 @@ func main() {
 	}
 
 	fmt.Printf("solver=%s flows=%d nodes=%d links=%d horizon=%gs\n",
-		al.Name(), len(pCur.Flows), snap.NumNodes, len(snap.Links), *horizon)
+		al.Name(), len(cur.Problem.Flows), cur.Snap.NumNodes, len(cur.Snap.Links), *horizon)
 	fmt.Printf("injected   %d%s\n", res.Injected, map[bool]string{true: "  (truncated by MaxPackets)", false: ""}[res.Truncated])
 	fmt.Printf("delivered  %d  (%.1f%%)\n", res.Delivered, 100*(1-res.LossFrac()))
 	fmt.Printf("dropped    %d  (queue %d, no-rule %d, link-down %d, loop %d)\n",

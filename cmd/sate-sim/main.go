@@ -84,22 +84,9 @@ func main() {
 				fmt.Printf("loaded model from %s\n", *modelPath)
 			} else {
 				fmt.Printf("training SaTE on %s (%d samples, %d epochs)...\n", cons.Name, *samples, *epochs)
-				trainScen := mkScenario(1000)
-				solver := baselines.LPAuto{}
-				var ds []*core.Sample
-				for i := 0; i < *samples; i++ {
-					p, _, _, err := trainScen.ProblemAt(150 + float64(i)*97)
-					if err != nil {
-						return entry{}, err
-					}
-					if len(p.Flows) == 0 {
-						continue
-					}
-					ref, err := solver.Solve(p)
-					if err != nil {
-						return entry{}, err
-					}
-					ds = append(ds, core.NewSample(p, ref))
+				ds, err := mkScenario(1000).Samples(baselines.LPAuto{}, sim.Instants(150, 97, *samples))
+				if err != nil {
+					return entry{}, err
 				}
 				cfg := core.DefaultConfig()
 				cfg.Seed = *seed

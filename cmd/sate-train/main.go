@@ -60,24 +60,18 @@ func main() {
 	solver := baselines.LPAuto{}
 
 	fmt.Printf("generating %d labelled samples on %s (%d sats)...\n", *samples, cons.Name, cons.Size())
-	var ds []*core.Sample
-	for i := 0; i < *samples; i++ {
-		p, _, _, err := scen.ProblemAt(15 + float64(i)*37)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+	ds, err := scen.Samples(solver, sim.Instants(15, 37, *samples))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	for i, s := range ds {
+		var optimal float64
+		for _, x := range s.Labels {
+			optimal += x
 		}
-		if len(p.Flows) == 0 {
-			continue
-		}
-		ref, err := solver.Solve(p)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		ds = append(ds, core.NewSample(p, ref))
 		fmt.Printf("  sample %d: %d flows, %d path vars, optimal %.1f Mbps\n",
-			i, len(p.Flows), p.NumPaths(), ref.Throughput())
+			i, len(s.Problem.Flows), s.Problem.NumPaths(), optimal)
 	}
 
 	var model *core.Model
@@ -131,24 +125,18 @@ func main() {
 
 	// Held-out evaluation.
 	fmt.Println("held-out evaluation (unseen topologies + traffic):")
-	for i := 0; i < 3; i++ {
-		p, _, _, err := scen.ProblemAt(500 + float64(i)*23)
-		if err != nil || len(p.Flows) == 0 {
-			continue
-		}
+	err = scen.SolveEach(model, sim.Instants(500, 23, 3), func(c *sim.Cycle) {
+		p := c.Problem
 		ref, _ := solver.Solve(p)
-		t0 := time.Now()
-		a, err := model.Solve(p)
-		lat := time.Since(t0)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
 		ecmp, _ := (baselines.ECMPWF{}).Solve(p)
 		fmt.Printf("  t=%3.0f: sate %.1f%% in %s | optimal %.1f%% | ecmp-wf %.1f%%\n",
-			500+float64(i)*23,
-			100*p.SatisfiedDemand(a), lat.Round(time.Microsecond),
+			c.TimeSec,
+			100*p.SatisfiedDemand(c.Alloc), c.SolveLatency.Round(time.Microsecond),
 			100*p.SatisfiedDemand(ref), 100*p.SatisfiedDemand(ecmp))
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 
 	if reg != nil {

@@ -9,18 +9,11 @@
 //	satelint -skip no-float-equality ./...
 //	satelint -list                      # describe the rules
 //	satelint -json ./...                # machine-readable findings
-//	satelint -baseline .satelint-baseline.json ./...
-//	satelint -write-baseline .satelint-baseline.json ./...
 //
 // Suppress an individual finding with a directive comment on the same line
 // or the line directly above it (the reason is mandatory):
 //
 //	//lint:ignore <rule>[,<rule>...] <reason>
-//
-// A baseline file records tolerated findings for incremental adoption:
-// -baseline subtracts them from the output, -write-baseline snapshots the
-// current findings. Entries match on (file, rule, message), not line
-// numbers, so unrelated edits do not invalidate them.
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load error.
 package main
@@ -47,14 +40,12 @@ type jsonFinding struct {
 
 func main() {
 	var (
-		list      = flag.Bool("list", false, "list the available rules and exit")
-		only      = flag.String("only", "", "comma-separated rules to run (default: all)")
-		skip      = flag.String("skip", "", "comma-separated rules to skip")
-		dir       = flag.String("dir", ".", "module directory to lint")
-		skipTest  = flag.Bool("no-tests", false, "do not analyze _test.go files")
-		asJSON    = flag.Bool("json", false, "emit findings as a JSON array")
-		baseline  = flag.String("baseline", "", "subtract findings recorded in this baseline file")
-		writeBase = flag.String("write-baseline", "", "write current findings to this baseline file and exit")
+		list     = flag.Bool("list", false, "list the available rules and exit")
+		only     = flag.String("only", "", "comma-separated rules to run (default: all)")
+		skip     = flag.String("skip", "", "comma-separated rules to skip")
+		dir      = flag.String("dir", ".", "module directory to lint")
+		skipTest = flag.Bool("no-tests", false, "do not analyze _test.go files")
+		asJSON   = flag.Bool("json", false, "emit findings as a JSON array")
 	)
 	flag.Parse()
 
@@ -82,31 +73,6 @@ func main() {
 	}
 
 	findings := lint.Run(files, analyzers)
-	root, err := filepath.Abs(*dir)
-	if err != nil {
-		root = ""
-	}
-
-	if *writeBase != "" {
-		if err := lint.WriteBaseline(*writeBase, root, findings); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "satelint: wrote %d finding(s) to %s\n", len(findings), *writeBase)
-		return
-	}
-	if *baseline != "" {
-		b, err := lint.LoadBaseline(*baseline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		var stale int
-		findings, stale = b.Filter(root, findings)
-		if stale > 0 {
-			fmt.Fprintf(os.Stderr, "satelint: %d stale baseline entr(ies) match no finding; regenerate with -write-baseline\n", stale)
-		}
-	}
 
 	if *asJSON {
 		out := []jsonFinding{}

@@ -274,20 +274,6 @@ func TestBackpressureEmptyProblem(t *testing.T) {
 	}
 }
 
-func TestTimedWrapper(t *testing.T) {
-	p := diamond(10)
-	tm := &Timed{Inner: LPExact{}}
-	if _, err := tm.Solve(p); err != nil {
-		t.Fatal(err)
-	}
-	if tm.LastLatency <= 0 {
-		t.Error("latency not recorded")
-	}
-	if tm.Name() != "lp-exact" {
-		t.Errorf("name = %q", tm.Name())
-	}
-}
-
 func TestSolversOrderingUnderLoad(t *testing.T) {
 	// The quality ordering the paper reports offline: exact >= GK ~ POP >=
 	// ECMP-WF (heuristics below optimal under load).

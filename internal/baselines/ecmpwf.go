@@ -17,10 +17,10 @@ type ECMPWF struct {
 	Rounds int
 }
 
-// Name implements Solver.
+// Name implements solve.Solver.
 func (ECMPWF) Name() string { return "ecmp-wf" }
 
-// Solve implements Solver.
+// Solve implements solve.Solver.
 func (s ECMPWF) Solve(p *te.Problem, opts ...solve.Option) (*te.Allocation, error) {
 	defer solve.Begin(solve.Build(opts...), "ecmp-wf").End()
 	rounds := s.Rounds

@@ -21,10 +21,10 @@ type GK struct {
 	Epsilon float64
 }
 
-// Name implements Solver.
+// Name implements solve.Solver.
 func (GK) Name() string { return "gk" }
 
-// Solve implements Solver.
+// Solve implements solve.Solver.
 func (g GK) Solve(p *te.Problem, opts ...solve.Option) (*te.Allocation, error) {
 	defer solve.Begin(solve.Build(opts...), "gk").End()
 	eps := g.Epsilon

@@ -51,7 +51,7 @@ func NewHarp(embedDim int, seed int64) *Harp {
 // Params returns the trainable parameters.
 func (h *Harp) Params() []*autodiff.Value { return h.params }
 
-// Name implements Solver.
+// Name implements solve.Solver.
 func (h *Harp) Name() string { return "harp" }
 
 // forward returns per-variable path scores. The edge-path transformer:
@@ -131,7 +131,7 @@ func (h *Harp) forward(tp *autodiff.Tape, p *te.Problem) (*autodiff.Value, []int
 	return scores, varFlow
 }
 
-// Solve implements Solver: full-demand softmax routing then trim.
+// Solve implements solve.Solver: full-demand softmax routing then trim.
 func (h *Harp) Solve(p *te.Problem, opts ...solve.Option) (*te.Allocation, error) {
 	defer solve.Begin(solve.Build(opts...), "harp").End()
 	alloc := te.NewAllocation(p)

@@ -18,10 +18,10 @@ type MaxMinFair struct {
 	Rounds int
 }
 
-// Name implements Solver.
+// Name implements solve.Solver.
 func (MaxMinFair) Name() string { return "maxmin-fair" }
 
-// Solve implements Solver.
+// Solve implements solve.Solver.
 func (s MaxMinFair) Solve(p *te.Problem, opts ...solve.Option) (*te.Allocation, error) {
 	defer solve.Begin(solve.Build(opts...), "maxmin-fair").End()
 	rounds := s.Rounds

@@ -20,17 +20,17 @@ type POP struct {
 	// single unscaled subproblem (equivalent to the inner solver alone).
 	K     int
 	Seed  int64
-	Inner Solver // solver for subproblems; LPAuto if nil
+	Inner solve.Solver // solver for subproblems; LPAuto if nil
 
 	// MaxSubLatency is the latency of the slowest subproblem in the most
 	// recent Solve (the parallel-execution latency model of Fig. 8).
 	MaxSubLatency time.Duration
 }
 
-// Name implements Solver.
+// Name implements solve.Solver.
 func (POP) Name() string { return "pop" }
 
-// Solve implements Solver. Options are forwarded to the subproblem solver,
+// Solve implements solve.Solver. Options are forwarded to the subproblem solver,
 // so instrumented runs also record per-subproblem latencies under the inner
 // solver's name.
 func (s *POP) Solve(p *te.Problem, opts ...solve.Option) (*te.Allocation, error) {

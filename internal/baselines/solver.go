@@ -15,7 +15,6 @@ package baselines
 
 import (
 	"math"
-	"time"
 
 	"sate/internal/lp"
 	"sate/internal/obs"
@@ -23,25 +22,15 @@ import (
 	"sate/internal/te"
 )
 
-// Solver computes a feasible TE allocation for a problem. Every solver in
-// the repo shares the unified variadic signature of the solve package:
-// options select the objective, inject an obs registry, or override the
-// worker budget, and `Solve(p)` with no options behaves exactly as the
-// pre-redesign methods did.
-type Solver interface {
-	Name() string
-	Solve(p *te.Problem, opts ...solve.Option) (*te.Allocation, error)
-}
-
 // LPExact solves the TE LP exactly with the dense simplex. Suitable for
 // small and mid-size instances; cost grows polynomially (the behaviour the
 // paper reports for commercial solvers).
 type LPExact struct{}
 
-// Name implements Solver.
+// Name implements solve.Solver.
 func (LPExact) Name() string { return "lp-exact" }
 
-// Solve implements Solver.
+// Solve implements solve.Solver.
 func (LPExact) Solve(p *te.Problem, opts ...solve.Option) (*te.Allocation, error) {
 	o := solve.Build(opts...)
 	defer solve.Begin(o, "lp-exact").End()
@@ -161,10 +150,10 @@ type LPAuto struct {
 	Epsilon float64
 }
 
-// Name implements Solver.
+// Name implements solve.Solver.
 func (LPAuto) Name() string { return "lp-auto" }
 
-// Solve implements Solver. Options are forwarded to the solver the
+// Solve implements solve.Solver. Options are forwarded to the solver the
 // size heuristic picks, so instrumented runs record the latency under both
 // "lp-auto" and the concrete solver's name.
 func (s LPAuto) Solve(p *te.Problem, opts ...solve.Option) (*te.Allocation, error) {
@@ -184,22 +173,4 @@ func (s LPAuto) Solve(p *te.Problem, opts ...solve.Option) (*te.Allocation, erro
 		eps = 0.05
 	}
 	return GK{Epsilon: eps}.Solve(p, opts...)
-}
-
-// Timed wraps a solver and records wall-clock solve latency.
-type Timed struct {
-	Inner Solver
-	// LastLatency is the duration of the most recent Solve call.
-	LastLatency time.Duration
-}
-
-// Name implements Solver.
-func (t *Timed) Name() string { return t.Inner.Name() }
-
-// Solve implements Solver.
-func (t *Timed) Solve(p *te.Problem, opts ...solve.Option) (*te.Allocation, error) {
-	start := time.Now()
-	a, err := t.Inner.Solve(p, opts...)
-	t.LastLatency = time.Since(start)
-	return a, err
 }

@@ -74,7 +74,7 @@ func NewTeal(snap *topology.Snapshot, pathsPerPair map[[2]topology.NodeID][][]to
 	}
 	linkIdx := make(map[uint64]int, len(snap.Links))
 	for i, l := range snap.Links {
-		linkIdx[uint64(l.A)<<32|uint64(uint32(l.B))] = i
+		linkIdx[l.Key()] = i
 	}
 	for pair, ps := range pathsPerPair {
 		slot := len(t.pairPaths)
@@ -88,7 +88,7 @@ func NewTeal(snap *topology.Snapshot, pathsPerPair map[[2]topology.NodeID][][]to
 			ok := true
 			for i := 0; i+1 < len(nodes); i++ {
 				l := topology.MakeLink(nodes[i], nodes[i+1], topology.IntraOrbit)
-				li, found := linkIdx[uint64(l.A)<<32|uint64(uint32(l.B))]
+				li, found := linkIdx[l.Key()]
 				if !found {
 					ok = false
 					break
@@ -111,7 +111,7 @@ func NewTeal(snap *topology.Snapshot, pathsPerPair map[[2]topology.NodeID][][]to
 // Params returns the trainable parameters.
 func (t *Teal) Params() []*autodiff.Value { return t.params }
 
-// Name implements Solver.
+// Name implements solve.Solver.
 func (t *Teal) Name() string { return "teal" }
 
 // forward computes per-(flow, path) scores for the problem using the frozen
@@ -194,7 +194,7 @@ func (t *Teal) forward(tp *autodiff.Tape, p *te.Problem) (scores *autodiff.Value
 	return scores, varFlow, varPath
 }
 
-// Solve implements Solver: per-flow softmax over frozen path slots scaled by
+// Solve implements solve.Solver: per-flow softmax over frozen path slots scaled by
 // demand, then trim.
 func (t *Teal) Solve(p *te.Problem, opts ...solve.Option) (*te.Allocation, error) {
 	defer solve.Begin(solve.Build(opts...), "teal").End()

@@ -98,7 +98,7 @@ func (s *Server) recomputeAdmit(ctx context.Context, tSec float64) (coalesced bo
 // a coalesced solve answers many clients, so one disconnecting must not
 // abandon it (request values stay attached for tracing).
 func (s *Server) recomputeDetached(ctx context.Context, tSec float64) error {
-	return s.recompute(context.WithoutCancel(ctx), tSec, 0, nil)
+	return s.RecomputeContext(context.WithoutCancel(ctx), tSec)
 }
 
 // gatePromote hands leadership to the pending batch (or opens the gate when

@@ -32,7 +32,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/pprof"
-	"runtime"
+	"runtime/metrics"
 	"strconv"
 	"strings"
 	"sync"
@@ -44,7 +44,6 @@ import (
 	"sate/internal/rules"
 	"sate/internal/sim"
 	"sate/internal/solve"
-	"sate/internal/te"
 	"sate/internal/topology"
 )
 
@@ -68,9 +67,12 @@ type Server struct {
 	// deg is the current failure streak; a copy travels inside every
 	// published snapshot so readers never touch this field.
 	deg degradedInfo
-	// fb lazily re-scores the live snapshot's allocation against failed
-	// cycles' topologies; reset on every good publish.
-	fb *sim.Fallback
+	// live is the cycle behind the live snapshot: what a failed cycle's
+	// topology re-scores (sim.Cycle.Satisfied). nil until the first publish.
+	live *sim.Cycle
+	// heapAllocs is the runtime/metrics sample the per-cycle allocation
+	// gauge reads (reused every cycle; no stop-the-world).
+	heapAllocs [1]metrics.Sample
 
 	// snap is the live published snapshot: single writer (under computeMu),
 	// lock-free readers. nil until the first successful cycle.
@@ -113,7 +115,6 @@ type srvObs struct {
 	flows        *obs.Gauge
 	rulesCount   *obs.Gauge
 	cycleAlloc   *obs.Gauge
-	spPaths      *obs.Histogram
 	spRules      *obs.Histogram
 
 	// Failure-mode metrics (DESIGN.md §10). degraded is 0/1; consecFails
@@ -161,7 +162,6 @@ func newSrvObs(reg *obs.Registry) srvObs {
 		flows:        reg.Gauge("sate_controld_flows"),
 		rulesCount:   reg.Gauge("sate_controld_rules"),
 		cycleAlloc:   reg.Gauge("sate_controld_cycle_alloc_bytes"),
-		spPaths:      reg.SpanHistogram(obs.PhasePathPrecompute),
 		spRules:      reg.SpanHistogram(obs.PhaseRuleCompile),
 
 		degraded:       reg.Gauge("sate_controld_degraded"),
@@ -231,6 +231,7 @@ func New(scen *sim.Scenario, solver sim.Allocator, opts ...Option) *Server {
 	}
 	s.log = ruledist.NewChangelog(s.deltaHistory)
 	s.metrics = newSrvObs(s.registry)
+	s.heapAllocs[0].Name = "/gc/heap/allocs:bytes"
 	if s.registry != nil {
 		s.solverOpts = append([]solve.Option{solve.WithRegistry(s.registry)}, s.solverOpts...)
 	}
@@ -262,17 +263,10 @@ func (s *Server) Registry() *obs.Registry { return s.registry }
 // sate_controld_canceled_cycles_total, so a graceful shutdown or a client
 // disconnect mid-solve leaves the error counter and degraded state alone.
 func (s *Server) RecomputeContext(ctx context.Context, tSec float64) error {
-	return s.recompute(ctx, tSec, 0, nil)
-}
-
-// recompute is the serialized cycle entry point shared by RecomputeContext
-// and the chaos-mode run loop (failFrac > 0 routes topology determination
-// through failure injection).
-func (s *Server) recompute(ctx context.Context, tSec, failFrac float64, chaos *rand.Rand) error {
 	s.computeMu.Lock()
 	defer s.computeMu.Unlock()
 	m := &s.metrics
-	cur, err := s.cycleLocked(ctx, tSec, failFrac, chaos)
+	cur, err := s.cycleLocked(ctx, tSec)
 	if err == nil {
 		return nil
 	}
@@ -285,61 +279,51 @@ func (s *Server) recompute(ctx context.Context, tSec, failFrac float64, chaos *r
 	return err
 }
 
-// cycleLocked runs the five workflow phases and publishes the result. It
-// returns the cycle's problem even on failure when topology determination
-// succeeded, so the caller can re-score the stale allocation against it.
-func (s *Server) cycleLocked(ctx context.Context, tSec, failFrac float64, chaos *rand.Rand) (*te.Problem, error) {
+// heapAllocBytes reads the cumulative bytes allocated on the heap.
+func (s *Server) heapAllocBytes() uint64 {
+	metrics.Read(s.heapAllocs[:])
+	return s.heapAllocs[0].Value.Uint64()
+}
+
+// cycleLocked runs one sim cycle (the scenario step, failure injection
+// included, and the timed solve), compiles and verifies its rules and
+// publishes the result. It returns the cycle even on failure when topology
+// determination succeeded, so the caller can re-score the stale allocation
+// against its problem.
+func (s *Server) cycleLocked(ctx context.Context, tSec float64) (*sim.Cycle, error) {
 	m := &s.metrics
-	var memBefore runtime.MemStats
+	var allocBefore uint64
 	if s.registry != nil {
-		runtime.ReadMemStats(&memBefore)
+		allocBefore = s.heapAllocBytes()
 	}
 	cycle := obs.StartTimer(m.cycleSeconds)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	sp := obs.StartTimer(m.spPaths)
-	var (
-		p   *te.Problem
-		err error
-	)
-	if chaos != nil && failFrac > 0 {
-		p, _, err = s.scen.ProblemWithFailures(tSec, failFrac, chaos)
-	} else {
-		p, _, _, err = s.scen.ProblemAt(tSec)
-	}
-	sp.End()
+	c, err := s.scen.RunCycle(ctx, s.solver, tSec, s.solverOpts...)
 	if err != nil {
-		return nil, fmt.Errorf("controller: building problem: %w", err)
+		return c, err
 	}
+	p, alloc := c.Problem, c.Alloc
 	if err := ctx.Err(); err != nil {
-		return p, err
+		return c, err
 	}
-	start := time.Now()
-	alloc, err := s.solver.Solve(p, s.solverOpts...)
-	lat := time.Since(start)
-	if err != nil {
-		return p, fmt.Errorf("controller: solving: %w", err)
-	}
-	if err := ctx.Err(); err != nil {
-		return p, err
-	}
-	sp = obs.StartTimer(m.spRules)
+	sp := obs.StartTimer(m.spRules)
 	rs := rules.Compile(p, alloc)
 	if err := rules.Verify(p, alloc, rs); err != nil {
 		sp.End()
-		return p, fmt.Errorf("controller: rule verification: %w", err)
+		return c, fmt.Errorf("controller: rule verification: %w", err)
 	}
 	sp.End()
-	cycle.End()
-	m.cyclesTotal.Inc()
 
 	// Publish (snapshot.go): copy-on-publish under the monotonic-time guard
 	// — a slower cycle that started earlier but computed an OLDER simulated
 	// time must not overwrite newer published state (or its gauges).
-	if !s.publish(tSec, p, alloc, rs, lat) {
+	published := s.publish(c, rs)
+	// The cycle histogram covers publish too: changelog append and JSON
+	// encoding are part of what a cycle costs.
+	cycle.End()
+	m.cyclesTotal.Inc()
+	if !published {
 		m.monotonicDrops.Inc()
-		return p, nil
+		return c, nil
 	}
 	s.deg = degradedInfo{}
 
@@ -351,34 +335,28 @@ func (s *Server) cycleLocked(ctx context.Context, tSec, failFrac float64, chaos 
 	m.flows.Set(float64(len(p.Flows)))
 	m.rulesCount.Set(float64(rs.NumRules()))
 	if s.registry != nil {
-		var memAfter runtime.MemStats
-		runtime.ReadMemStats(&memAfter)
-		m.cycleAlloc.Set(float64(memAfter.TotalAlloc - memBefore.TotalAlloc))
+		m.cycleAlloc.Set(float64(s.heapAllocBytes() - allocBefore))
 	}
-	return p, nil
+	return c, nil
 }
 
 // markDegraded records a failed cycle: it bumps the consecutive-failure
 // streak, and when the failed cycle got far enough to produce a topology it
 // re-scores the last good allocation against that topology so /status and
 // the satisfied-ratio gauge report what the stale rules can actually deliver
-// (sim.Fallback, DESIGN.md §10). The updated degraded info is re-published
-// as a new snapshot version so conditional pollers observe the transition.
-// Called with computeMu held.
-func (s *Server) markDegraded(cause error, cur *te.Problem) {
+// (sim.Cycle.Satisfied, DESIGN.md §10). The updated degraded info is
+// re-published as a new snapshot version so conditional pollers observe the
+// transition. Called with computeMu held.
+func (s *Server) markDegraded(cause error, cur *sim.Cycle) {
 	m := &s.metrics
 	if s.deg.Failures == 0 {
 		s.deg.Since = time.Now()
 	}
 	s.deg.Failures++
 	s.deg.LastError = cause.Error()
-	sn := s.snap.Load()
 	sat := math.NaN()
-	if cur != nil && sn != nil {
-		if s.fb == nil {
-			s.fb = sim.NewFallback(sn.Problem, sn.Alloc)
-		}
-		sat = s.fb.Satisfied(cur, cur.LinkSet())
+	if cur != nil && s.live != nil {
+		sat = s.live.Satisfied(cur.Problem, cur.Problem.LinkSet())
 		s.deg.Satisfied = sat
 		s.deg.SatisfiedOK = true
 	}
@@ -386,7 +364,7 @@ func (s *Server) markDegraded(cause error, cur *te.Problem) {
 
 	m.degraded.Set(1)
 	m.consecFails.Set(float64(s.deg.Failures))
-	if sn != nil {
+	if s.live != nil {
 		m.fallbackTotal.Inc()
 	}
 	if !math.IsNaN(sat) {
@@ -695,6 +673,14 @@ func (s *Server) retryAfter() string {
 	return strconv.FormatInt(secs, 10)
 }
 
+// injectFailures sets the scenario's standing failure injection; the
+// scenario is single-writer state, so it changes only between cycles.
+func (s *Server) injectFailures(frac float64, rng *rand.Rand) {
+	s.computeMu.Lock()
+	defer s.computeMu.Unlock()
+	s.scen.InjectFailures(frac, rng)
+}
+
 // RunConfig parameterises the periodic TE workflow loop.
 type RunConfig struct {
 	// StartSec is the simulated time of the first cycle.
@@ -717,11 +703,11 @@ type RunConfig struct {
 	// RetryMaxSec caps the exponential backoff (default 4×IntervalSec).
 	RetryMaxSec float64
 
-	// FailFrac > 0 enables chaos mode: every cycle's topology passes through
-	// failure injection (sim.Scenario.ProblemWithFailures) with this
-	// fraction of links removed. The controller must survive the resulting
-	// solver stress — this is the live consumer of the failure machinery the
-	// emulation literature asks for.
+	// FailFrac > 0 enables chaos mode: while the loop runs, every cycle's
+	// topology passes through failure injection
+	// (sim.Scenario.InjectFailures) with this fraction of links removed. The
+	// controller must survive the resulting solver stress — this is the live
+	// consumer of the failure machinery the emulation literature asks for.
 	FailFrac float64
 	// ChaosSeed seeds the chaos RNG (default 1); runs are reproducible for a
 	// given seed and cadence.
@@ -767,13 +753,13 @@ func (s *Server) RunContext(ctx context.Context, cfg RunConfig) error {
 	if maxBackoff < base {
 		maxBackoff = base
 	}
-	var chaos *rand.Rand
 	if cfg.FailFrac > 0 {
 		seed := cfg.ChaosSeed
 		if seed == 0 {
 			seed = 1
 		}
-		chaos = rand.New(rand.NewSource(seed))
+		s.injectFailures(cfg.FailFrac, rand.New(rand.NewSource(seed)))
+		defer s.injectFailures(0, nil)
 	}
 
 	// attempt runs one cycle under the per-cycle timeout. It returns
@@ -784,7 +770,7 @@ func (s *Server) RunContext(ctx context.Context, cfg RunConfig) error {
 		if timeout > 0 {
 			cctx, cancel = context.WithTimeout(ctx, timeout)
 		}
-		err := s.recompute(cctx, t, cfg.FailFrac, chaos)
+		err := s.RecomputeContext(cctx, t)
 		cancel()
 		if ctx.Err() != nil {
 			return ctx.Err()

@@ -107,9 +107,9 @@ func TestDegradedCycleServesStaleAllocation(t *testing.T) {
 
 	// Three failed cycles, each with 20% of links failure-injected: the
 	// chaos path the run loop uses, driven synchronously.
-	rng := rand.New(rand.NewSource(11))
+	srv.injectFailures(0.2, rand.New(rand.NewSource(11)))
 	for k := 1; k <= 3; k++ {
-		err := srv.recompute(context.Background(), 100+5*float64(k), 0.2, rng)
+		err := srv.RecomputeContext(context.Background(), 100+5*float64(k))
 		if err == nil {
 			t.Fatalf("cycle %d unexpectedly succeeded", k)
 		}
@@ -143,7 +143,9 @@ func TestDegradedCycleServesStaleAllocation(t *testing.T) {
 		t.Fatalf("errors_total = %d, want 3", got)
 	}
 
-	// Recovery: the next cycle succeeds and clears the degraded state.
+	// Recovery: the next cycle (failure injection off again) succeeds and
+	// clears the degraded state.
+	srv.injectFailures(0, nil)
 	if err := srv.RecomputeContext(context.Background(), 120); err != nil {
 		t.Fatal(err)
 	}

@@ -211,3 +211,45 @@ func TestStatusExplicitOK(t *testing.T) {
 		t.Fatalf("content type = %q", ct)
 	}
 }
+
+// TestCycleSecondsCoversPublish pins what sate_controld_cycle_seconds
+// measures: the whole cycle including publish (changelog append + JSON
+// encoding), not just problem → solve → rules. With a cheap solver on a
+// loaded scenario publish is a large share of the cycle, so a timer that
+// stops before it falls well short of RecomputeContext's wall time.
+func TestCycleSecondsCoversPublish(t *testing.T) {
+	scen := sim.NewScenario(constellation.Iridium(), sim.ScenarioConfig{
+		Mode:              topology.CrossShellLasers,
+		Intensity:         60,
+		Seed:              1,
+		MinElevDeg:        10,
+		FlowDurationScale: 0.05,
+	})
+	reg := obs.NewRegistry()
+	srv := New(scen, baselines.ECMPWF{}, WithRegistry(reg))
+	if err := srv.RecomputeContext(context.Background(), 400); err != nil { // path DB warm-up
+		t.Fatal(err)
+	}
+	h := reg.Histogram("sate_controld_cycle_seconds", obs.DefLatencyBuckets)
+	before := h.Sum()
+	var wall time.Duration
+	const cycles = 5
+	for i := 1; i <= cycles; i++ {
+		start := time.Now()
+		if err := srv.RecomputeContext(context.Background(), 400+float64(i)); err != nil {
+			t.Fatal(err)
+		}
+		wall += time.Since(start)
+	}
+	if got := h.Count(); got != cycles+1 {
+		t.Fatalf("cycle histogram count = %d, want %d", got, cycles+1)
+	}
+	observed := h.Sum() - before
+	if observed < 0.9*wall.Seconds() || observed > wall.Seconds() {
+		t.Fatalf("cycle histogram observed %.3f ms of %.3f ms RecomputeContext wall time; want >= 90%%",
+			observed*1e3, wall.Seconds()*1e3)
+	}
+	if got := reg.Gauge("sate_controld_cycle_alloc_bytes").Value(); got <= 0 {
+		t.Fatalf("cycle alloc gauge = %v, want > 0", got)
+	}
+}

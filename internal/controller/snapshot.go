@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"sate/internal/rules"
+	"sate/internal/sim"
 	"sate/internal/te"
 	"sate/internal/topology"
 )
@@ -188,19 +189,19 @@ func rulesResponse(version uint64, rs *rules.RuleSet) RulesResponse {
 // snapshot is dropped (counted on sate_controld_nonmonotonic_drops_total)
 // rather than rolling the served allocation backwards. Called with
 // computeMu held — the single writer of both the changelog and the pointer.
-func (s *Server) publish(tSec float64, p *te.Problem, alloc *te.Allocation, rs *rules.RuleSet, lat time.Duration) bool {
+func (s *Server) publish(c *sim.Cycle, rs *rules.RuleSet) bool {
 	cur := s.snap.Load()
-	if cur != nil && tSec < cur.TimeSec {
+	if cur != nil && c.TimeSec < cur.TimeSec {
 		return false
 	}
 	next := &Snapshot{
 		Version:      1,
 		RulesVersion: s.log.Append(rs),
-		TimeSec:      tSec,
-		Problem:      p,
-		Alloc:        alloc,
+		TimeSec:      c.TimeSec,
+		Problem:      c.Problem,
+		Alloc:        c.Alloc,
 		Rules:        rs,
-		SolveLatency: lat,
+		SolveLatency: c.SolveLatency,
 		ComputedAt:   time.Now(),
 	}
 	if cur != nil {
@@ -208,7 +209,7 @@ func (s *Server) publish(tSec float64, p *te.Problem, alloc *te.Allocation, rs *
 	}
 	next.encode(s.solver.Name())
 	s.snap.Store(next)
-	s.fb = nil // the fallback re-scorer belonged to the previous allocation
+	s.live = c
 
 	m := &s.metrics
 	m.publishes.Inc()

@@ -392,7 +392,7 @@ func solveThroughput[T autodiff.Float](net *netOf[T], cs *CycleState, ds *dtypeS
 	return alloc, nil
 }
 
-// Solve implements the baselines.Solver interface: graph construction,
+// Solve implements solve.Solver: graph construction,
 // GNN inference, decoding, and the feasibility correction, all inside one
 // workspace — the CycleState attached with solve.WithWarm, or one borrowed
 // from the model for the call, so concurrent Solve calls are safe. Options
@@ -418,5 +418,5 @@ func (m *Model) Solve(p *te.Problem, opts ...solve.Option) (*te.Allocation, erro
 	return solveThroughput(&m.netOf, cs, &cs.f64, p, o, "sate")
 }
 
-// Name implements the baselines.Solver interface.
+// Name implements solve.Solver.
 func (m *Model) Name() string { return "sate" }

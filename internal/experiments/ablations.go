@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"time"
 
-	"sate/internal/autodiff"
 	"sate/internal/baselines"
 	"sate/internal/constellation"
 	"sate/internal/core"
@@ -22,13 +21,6 @@ func init() {
 	register("abl-attn", AblationAttention)
 	register("abl-mwu", AblationMWUEpsilon)
 	register("abl-loss", AblationLoss)
-}
-
-// newAdamFor builds the optimizer used for quick baseline fits.
-func newAdamFor(t *baselines.Teal) *autodiff.Adam {
-	opt := autodiff.NewAdam(3e-3, t.Params()...)
-	opt.ClipNorm = 5
-	return opt
 }
 
 // AblationGraphReduction measures what the graph reduction of Sec. 3.2 saves:
@@ -176,55 +168,32 @@ func AblationDPPvsRandom(opt Options) (*Report, error) {
 	if opt.Full {
 		poolSize, k, epochs = 80, 16, 20
 	}
-	var times []float64
+	pool := sim.Instants(ciTrainStart, 41, poolSize)
 	var vecs [][]float64
-	for i := 0; i < poolSize; i++ {
-		t := ciTrainStart + float64(i)*41
-		times = append(times, t)
+	for _, t := range pool {
 		vecs = append(vecs, graphembed.Embed(s.SnapshotAt(t), 64, 3))
 	}
-	solver := labelSolver()
-	trainOn := func(sel []int) (float64, error) {
-		var samples []*core.Sample
-		for _, idx := range sel {
-			p, _, _, err := s.ProblemAt(times[idx])
-			if err != nil {
-				return 0, err
-			}
-			if len(p.Flows) == 0 {
-				continue
-			}
-			ref, err := solver.Solve(p)
-			if err != nil {
-				return 0, err
-			}
-			samples = append(samples, core.NewSample(p, ref))
+	trainEval := func(sel []int) (*sim.OnlineResult, error) {
+		samples, err := s.Samples(labelSolver(), pick(pool, sel))
+		if err != nil {
+			return nil, err
 		}
-		if len(samples) == 0 {
-			return 0, fmt.Errorf("no samples")
+		m, _, err := trainOn(samples, epochs, opt.Seed)
+		if err != nil {
+			return nil, err
 		}
-		cfg := core.DefaultConfig()
-		cfg.Seed = opt.Seed
-		m := core.NewModel(cfg)
-		tc := core.DefaultTrainConfig()
-		tc.Epochs = epochs
-		if _, err := core.Train(m, samples, tc); err != nil {
-			return 0, err
-		}
-		return evalSatisfied(s, m, 3, ciTrainStart+float64(poolSize)*41+100)
+		return s.RunOffline(m, ciTrainStart+float64(poolSize)*41+100, evalStride, 3)
 	}
-	dppSel := graphembed.DPPSelect(vecs, k)
-	dppSat, err := trainOn(dppSel)
+	dpp, err := trainEval(graphembed.DPPSelect(vecs, k))
 	if err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(opt.Seed + 152))
-	randSel := graphembed.RandomSelect(poolSize, k, rng)
-	randSat, err := trainOn(randSel)
+	random, err := trainEval(graphembed.RandomSelect(poolSize, k, rng))
 	if err != nil {
 		return nil, err
 	}
-	r.AddRow(fmt.Sprintf("%d", k), pct(dppSat), pct(randSat))
+	r.AddRow(fmt.Sprintf("%d", k), pct(dpp.SatisfiedMean), pct(random.SatisfiedMean))
 	r.Note("DPP picks structurally diverse topologies; expected >= random at small budgets")
 	return r, nil
 }
@@ -257,11 +226,11 @@ func AblationAttention(opt Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		sat, err := evalSatisfied(s, m, 3, ciEvalStart)
+		eval, err := s.RunOffline(m, ciEvalStart, evalStride, 3)
 		if err != nil {
 			return nil, err
 		}
-		r.AddRow(variant.name, pct(sat), f3(res.FinalLoss))
+		r.AddRow(variant.name, pct(eval.SatisfiedMean), f3(res.FinalLoss))
 	}
 	return r, nil
 }
@@ -286,17 +255,15 @@ func AblationMWUEpsilon(opt Options) (*Report, error) {
 	}
 	optT := exact.Throughput()
 	for _, eps := range []float64{0.3, 0.1, 0.05, 0.02} {
-		start := time.Now()
-		a, err := (baselines.GK{Epsilon: eps}).Solve(p)
-		lat := time.Since(start)
-		if err != nil {
+		c := sim.Cycle{Problem: p}
+		if err := c.Solve(baselines.GK{Epsilon: eps}); err != nil {
 			return nil, err
 		}
 		ratio := 0.0
 		if optT > 0 {
-			ratio = a.Throughput() / optT
+			ratio = c.Alloc.Throughput() / optT
 		}
-		r.AddRow(fmt.Sprintf("%.2f", eps), pct(ratio), ms(lat))
+		r.AddRow(fmt.Sprintf("%.2f", eps), pct(ratio), ms(c.SolveLatency))
 	}
 	return r, nil
 }
@@ -319,11 +286,11 @@ func AblationLoss(opt Options) (*Report, error) {
 		name      string
 		intensity float64
 	}{{"light load", 0}, {"heavy load (2x)", 2 * sc.intensity}} {
-		trainEval := func(warm float64) (float64, error) {
+		trainEval := func(warm float64) (*sim.OnlineResult, error) {
 			s := newScenario(sc, topology.CrossShellLasers, load.intensity, opt.Seed+181)
 			samples, err := makeSamples(s, 3)
 			if err != nil {
-				return 0, err
+				return nil, err
 			}
 			cfg := core.DefaultConfig()
 			cfg.Seed = opt.Seed
@@ -332,9 +299,9 @@ func AblationLoss(opt Options) (*Report, error) {
 			tcfg.Epochs = 30
 			tcfg.WarmupFrac = warm
 			if _, err := core.Train(m, samples, tcfg); err != nil {
-				return 0, err
+				return nil, err
 			}
-			return evalSatisfied(s, m, 3, ciEvalStart)
+			return s.RunOffline(m, ciEvalStart, evalStride, 3)
 		}
 		sup, err := trainEval(1.0)
 		if err != nil {
@@ -345,11 +312,11 @@ func AblationLoss(opt Options) (*Report, error) {
 			return nil, err
 		}
 		refScen := newScenario(sc, topology.CrossShellLasers, load.intensity, opt.Seed+181)
-		ref, err := evalSatisfied(refScen, labelSolver(), 3, ciEvalStart)
+		ref, err := refScen.RunOffline(labelSolver(), ciEvalStart, evalStride, 3)
 		if err != nil {
 			return nil, err
 		}
-		r.AddRow(load.name, pct(sup), pct(mixed), pct(ref))
+		r.AddRow(load.name, pct(sup.SatisfiedMean), pct(mixed.SatisfiedMean), pct(ref.SatisfiedMean))
 	}
 	return r, nil
 }

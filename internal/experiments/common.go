@@ -121,6 +121,9 @@ type scaleSpec struct {
 const (
 	ciTrainStart = 150.0
 	ciEvalStart  = 700.0
+	// evalStride spaces the unseen instants of an offline evaluation
+	// (sim.Scenario.RunOffline).
+	evalStride = 23.0
 )
 
 func ciScales() []scaleSpec {
@@ -163,7 +166,7 @@ func newScenario(sc scaleSpec, mode topology.CrossShellMode, intensity float64, 
 
 // labelSolver returns the reference solver used for training labels and
 // offline optima (the commercial-solver role).
-func labelSolver() baselines.Solver { return baselines.LPAuto{} }
+func labelSolver() sim.Allocator { return baselines.LPAuto{} }
 
 // trainSaTE generates nSamples problems spaced over time from the scenario,
 // labels them with the reference solver, and trains a fresh SaTE model.
@@ -172,6 +175,12 @@ func trainSaTE(s *sim.Scenario, nSamples, epochs int, seed int64) (*core.Model, 
 	if err != nil {
 		return nil, 0, err
 	}
+	return trainOn(samples, epochs, seed)
+}
+
+// trainOn fits a fresh default-config SaTE model to the samples and reports
+// the training wall time.
+func trainOn(samples []*core.Sample, epochs int, seed int64) (*core.Model, time.Duration, error) {
 	cfg := core.DefaultConfig()
 	cfg.Seed = seed
 	m := core.NewModel(cfg)
@@ -185,56 +194,9 @@ func trainSaTE(s *sim.Scenario, nSamples, epochs int, seed int64) (*core.Model, 
 }
 
 // makeSamples builds labelled training samples from a scenario at spaced
-// instants (different topologies and traffic states).
+// steady-state instants, unaligned with topology periods.
 func makeSamples(s *sim.Scenario, n int) ([]*core.Sample, error) {
-	solver := labelSolver()
-	var out []*core.Sample
-	for i := 0; i < n; i++ {
-		// Steady-state instants, spaced and unaligned with topology periods.
-		t := ciTrainStart + float64(i)*97
-		p, _, _, err := s.ProblemAt(t)
-		if err != nil {
-			return nil, err
-		}
-		if len(p.Flows) == 0 {
-			continue
-		}
-		ref, err := solver.Solve(p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, core.NewSample(p, ref))
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("experiments: no non-empty samples generated")
-	}
-	return out, nil
-}
-
-// evalSatisfied computes the mean offline satisfied demand of an allocator
-// over nTest unseen problems starting at tStart.
-func evalSatisfied(s *sim.Scenario, al sim.Allocator, nTest int, tStart float64) (float64, error) {
-	var sum float64
-	count := 0
-	for i := 0; i < nTest; i++ {
-		p, _, _, err := s.ProblemAt(tStart + float64(i)*23)
-		if err != nil {
-			return 0, err
-		}
-		if len(p.Flows) == 0 {
-			continue
-		}
-		a, err := al.Solve(p)
-		if err != nil {
-			return 0, err
-		}
-		sum += p.SatisfiedDemand(a)
-		count++
-	}
-	if count == 0 {
-		return 0, fmt.Errorf("experiments: no test problems")
-	}
-	return sum / float64(count), nil
+	return s.Samples(labelSolver(), sim.Instants(ciTrainStart, 97, n))
 }
 
 func ms(d time.Duration) string {
@@ -264,9 +226,9 @@ func percentile(data []float64, p float64) float64 {
 
 // solveLatency times one Solve call.
 func solveLatency(al sim.Allocator, p *te.Problem) (time.Duration, error) {
-	start := time.Now()
-	_, err := al.Solve(p)
-	return time.Since(start), err
+	c := sim.Cycle{Problem: p}
+	err := c.Solve(al)
+	return c.SolveLatency, err
 }
 
 // CSV renders the report as RFC-4180 CSV (header row + data rows), for

@@ -154,17 +154,7 @@ func Fig10cTealComparison(opt Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		teal := tealFor(trainScen, p0, 1<<33)
-		if teal != nil && len(p0.Flows) > 0 {
-			if ref, err := labelSolver().Solve(p0); err == nil {
-				tOpt := newAdamFor(teal)
-				for e := 0; e < 25; e++ {
-					if _, err := teal.TrainStep(p0, ref, tOpt); err != nil {
-						break
-					}
-				}
-			}
-		}
+		teal := trainedTeal(trainScen, p0)
 		run := func(al sim.Allocator) string {
 			s := newScenario(sc, mode, intensity, opt.Seed+72)
 			res, err := s.RunOnline(al, sim.OnlineConfig{
@@ -210,22 +200,23 @@ func Fig10dGeneralization(opt Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		optSat, err := evalSatisfied(evalScen, labelSolver(), 3, ciEvalStart)
+		optimum, err := evalScen.RunOffline(labelSolver(), ciEvalStart, evalStride, 3)
 		if err != nil {
 			return nil, err
 		}
-		natSat, err := evalSatisfied(evalScen, native, 3, ciEvalStart)
+		nat, err := evalScen.RunOffline(native, ciEvalStart, evalStride, 3)
 		if err != nil {
 			return nil, err
 		}
-		xferSat, err := evalSatisfied(evalScen, transferred, 3, ciEvalStart)
+		xfer, err := evalScen.RunOffline(transferred, ciEvalStart, evalStride, 3)
 		if err != nil {
 			return nil, err
 		}
+		optSat := optimum.SatisfiedMean
 		if optSat <= 0 {
 			continue
 		}
-		r.AddRow(sc.name, pct(natSat/optSat), pct(xferSat/optSat))
+		r.AddRow(sc.name, pct(nat.SatisfiedMean/optSat), pct(xfer.SatisfiedMean/optSat))
 	}
 	r.Note("paper: native models >80%% of optimum; the 396-trained model transfers with 6-18%% degradation yet still beats the baselines at Starlink")
 	return r, nil
@@ -257,11 +248,11 @@ func Fig14Offline(opt Options) (*Report, error) {
 			}
 			eval := func(al sim.Allocator) string {
 				s := newScenario(sc, topology.CrossShellLasers, intensity, opt.Seed+92)
-				sat, err := evalSatisfied(s, al, 3, ciEvalStart)
+				res, err := s.RunOffline(al, ciEvalStart, evalStride, 3)
 				if err != nil {
 					return "err"
 				}
-				return pct(sat)
+				return pct(res.SatisfiedMean)
 			}
 			rows[ii] = []string{fmt.Sprintf("%.0f", intensity),
 				eval(baselines.LPAuto{}),

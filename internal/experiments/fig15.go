@@ -109,7 +109,7 @@ func Fig15aMLU(opt Options) (*Report, error) {
 // demand under sudden random link failures, without retraining or rerouting.
 // The "stale alloc" column is the degraded-controller view: the allocation
 // computed on the pre-failure topology, re-scored honestly against the failed
-// link set (sim.Fallback) — what sate-controld's /v1/status reports while a
+// link set (sim.Cycle.Satisfied) — what sate-controld's /v1/status reports while a
 // failed cycle keeps it serving the last good allocation.
 func Fig15bLinkFailures(opt Options) (*Report, error) {
 	r := &Report{
@@ -126,23 +126,22 @@ func Fig15bLinkFailures(opt Options) (*Report, error) {
 	evalScen := newScenario(sc, topology.CrossShellLasers, 0, opt.Seed+112)
 	rng := rand.New(rand.NewSource(opt.Seed + 113))
 
-	// Last-good allocations: solve each eval instant on the intact topology
-	// and capture a fallback scorer per instant.
+	// Last-good cycles: solve each eval instant on the intact topology and
+	// keep the cycle to re-score per instant.
 	nEval := 3
-	fallbacks := make([]*sim.Fallback, nEval)
+	lastGood := make([]*sim.Cycle, nEval)
 	for i := 0; i < nEval; i++ {
-		p0, _, _, err := evalScen.ProblemAt(ciEvalStart + float64(i)*23)
+		p0, snap0, _, err := evalScen.ProblemAt(ciEvalStart + float64(i)*evalStride)
 		if err != nil {
 			return nil, err
 		}
 		if len(p0.Flows) == 0 {
 			continue
 		}
-		a0, err := model.Solve(p0)
-		if err != nil {
+		lastGood[i] = &sim.Cycle{Snap: snap0, Problem: p0}
+		if err := lastGood[i].Solve(model); err != nil {
 			return nil, err
 		}
-		fallbacks[i] = sim.NewFallback(p0, a0)
 	}
 
 	baseline := math.NaN()
@@ -150,11 +149,11 @@ func Fig15bLinkFailures(opt Options) (*Report, error) {
 		var sum, staleSum float64
 		n := 0
 		for i := 0; i < nEval; i++ {
-			p, _, err := evalScen.ProblemWithFailures(ciEvalStart+float64(i)*23, rate, rng)
+			p, _, err := evalScen.ProblemWithFailures(ciEvalStart+float64(i)*evalStride, rate, rng)
 			if err != nil {
 				return nil, err
 			}
-			if len(p.Flows) == 0 || fallbacks[i] == nil {
+			if len(p.Flows) == 0 || lastGood[i] == nil {
 				continue
 			}
 			a, err := model.Solve(p)
@@ -162,7 +161,7 @@ func Fig15bLinkFailures(opt Options) (*Report, error) {
 				return nil, err
 			}
 			sum += p.SatisfiedDemand(a)
-			staleSum += fallbacks[i].Satisfied(p, p.LinkSet())
+			staleSum += lastGood[i].Satisfied(p, p.LinkSet())
 			n++
 		}
 		if n == 0 {
@@ -209,24 +208,15 @@ func Fig16FlowLevel(opt Options) (*Report, error) {
 	type pairKey struct{ s, d topology.NodeID }
 	ratiosByPair := make(map[pairKey][]float64)
 	var all []float64
-	for i := 0; i < 5; i++ {
-		p, _, _, err := evalScen.ProblemAt(ciEvalStart + float64(i)*17)
-		if err != nil {
-			return nil, err
-		}
-		if len(p.Flows) == 0 {
-			continue
-		}
-		a, err := model.Solve(p)
-		if err != nil {
-			return nil, err
-		}
-		stats := sim.FlowLevelStats(p, a)
-		for fi, ratio := range stats {
+	err = evalScen.SolveEach(model, sim.Instants(ciEvalStart, 17, 5), func(c *sim.Cycle) {
+		for fi, ratio := range c.Problem.FlowStats(c.Alloc) {
 			all = append(all, ratio)
-			k := pairKey{p.Flows[fi].Src, p.Flows[fi].Dst}
+			k := pairKey{c.Problem.Flows[fi].Src, c.Problem.Flows[fi].Dst}
 			ratiosByPair[k] = append(ratiosByPair[k], ratio)
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	if len(all) == 0 {
 		return nil, fmt.Errorf("fig16: no flows evaluated")

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"sate/internal/autodiff"
 	"sate/internal/baselines"
 	"sate/internal/core"
 	"sate/internal/sim"
@@ -31,6 +32,29 @@ func tealFor(s *sim.Scenario, p *te.Problem, memLimit int64) *baselines.Teal {
 	teal, err := baselines.NewTeal(snap, pp, s.Build.K, 16, memLimit, 1)
 	if err != nil {
 		return nil
+	}
+	return teal
+}
+
+// trainedTeal builds a Teal model for the problem's topology (nil when its
+// dense layout does not fit) and fits it briefly to the reference solver's
+// allocation on that one problem — Teal's models are tied to a single
+// topology (Sec. 5.1).
+func trainedTeal(s *sim.Scenario, p0 *te.Problem) *baselines.Teal {
+	teal := tealFor(s, p0, 1<<33)
+	if teal == nil || len(p0.Flows) == 0 {
+		return teal
+	}
+	ref, err := labelSolver().Solve(p0)
+	if err != nil {
+		return teal
+	}
+	opt := autodiff.NewAdam(3e-3, teal.Params()...)
+	opt.ClipNorm = 5
+	for e := 0; e < 25; e++ {
+		if _, err := teal.TrainStep(p0, ref, opt); err != nil {
+			break
+		}
 	}
 	return teal
 }

@@ -6,8 +6,8 @@ import (
 
 	"sate/internal/autodiff"
 	"sate/internal/baselines"
-	"sate/internal/core"
 	"sate/internal/graphembed"
+	"sate/internal/sim"
 	"sate/internal/topology"
 )
 
@@ -106,69 +106,50 @@ func Fig9bTopologyPruning(opt Options) (*Report, error) {
 		sizes = []int{4, 16, 64}
 		epochs = 20
 	}
-	type instant struct {
-		t    float64
-		snap *topology.Snapshot
-	}
-	var pool []instant
+	pool := sim.Instants(ciTrainStart, 41, poolSize)
 	var vecs [][]float64
-	for i := 0; i < poolSize; i++ {
-		t := ciTrainStart + float64(i)*41
-		snap := s.SnapshotAt(t)
-		pool = append(pool, instant{t: t, snap: snap})
-		vecs = append(vecs, graphembed.Embed(snap, 64, 3))
+	for _, t := range pool {
+		vecs = append(vecs, graphembed.Embed(s.SnapshotAt(t), 64, 3))
 	}
-
 	// Shared held-out evaluation on later, unseen instants.
-	evalModel := func(m *core.Model) (float64, error) {
-		return evalSatisfied(s, m, 4, ciTrainStart+float64(poolSize)*41+100)
-	}
+	evalStart := ciTrainStart + float64(poolSize)*41 + 100
 
 	r := &Report{
 		ID:     "fig9b",
 		Title:  "Satisfied demand vs #representative topologies (DPP pruning)",
 		Header: []string{"#topologies", "satisfied (unseen)"},
 	}
-	solver := labelSolver()
 	for _, k := range sizes {
-		sel := graphembed.DPPSelect(vecs, k)
-		var samples []*core.Sample
-		for _, idx := range sel {
-			p, _, _, err := s.ProblemAt(pool[idx].t)
-			if err != nil {
-				return nil, err
-			}
-			if len(p.Flows) == 0 {
-				continue
-			}
-			ref, err := solver.Solve(p)
-			if err != nil {
-				return nil, err
-			}
-			samples = append(samples, core.NewSample(p, ref))
+		samples, err := s.Samples(labelSolver(), pick(pool, graphembed.DPPSelect(vecs, k)))
+		if err != nil {
+			return nil, err
 		}
 		if len(samples) == 0 {
 			continue
 		}
-		cfg := core.DefaultConfig()
-		cfg.Seed = opt.Seed
-		m := core.NewModel(cfg)
-		tc := core.DefaultTrainConfig()
-		tc.Epochs = epochs
-		if _, err := core.Train(m, samples, tc); err != nil {
-			return nil, err
-		}
-		sat, err := evalModel(m)
+		m, _, err := trainOn(samples, epochs, opt.Seed)
 		if err != nil {
 			return nil, err
 		}
-		r.AddRow(fmt.Sprintf("%d", k), pct(sat))
+		res, err := s.RunOffline(m, evalStart, evalStride, 4)
+		if err != nil {
+			return nil, err
+		}
+		r.AddRow(fmt.Sprintf("%d", k), pct(res.SatisfiedMean))
 	}
 	// Reference: the offline optimum on the same held-out instants.
-	refSat, err := evalSatisfied(s, labelSolver(), 4, ciTrainStart+float64(poolSize)*41+100)
-	if err == nil {
-		r.AddRow("optimal (ref)", pct(refSat))
+	if ref, err := s.RunOffline(labelSolver(), evalStart, evalStride, 4); err == nil {
+		r.AddRow("optimal (ref)", pct(ref.SatisfiedMean))
 	}
 	r.Note("paper: strong by 128 topologies; 512 reaches >99%% of a model trained on 8000 random topologies")
 	return r, nil
+}
+
+// pick returns the pool instants at the selected indices, in selection order.
+func pick(pool []float64, sel []int) []float64 {
+	out := make([]float64, len(sel))
+	for i, idx := range sel {
+		out[i] = pool[idx]
+	}
+	return out
 }

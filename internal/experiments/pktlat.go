@@ -5,9 +5,7 @@ import (
 	"math"
 
 	"sate/internal/baselines"
-	"sate/internal/orbit"
 	"sate/internal/pktsim"
-	"sate/internal/ruledist"
 	"sate/internal/sim"
 	"sate/internal/topology"
 )
@@ -41,22 +39,12 @@ func PktLatCDF(opt Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	teal := tealFor(scen, p0, 1<<33)
-	if teal != nil && len(p0.Flows) > 0 {
-		if ref, err := labelSolver().Solve(p0); err == nil {
-			tOpt := newAdamFor(teal)
-			for e := 0; e < 25; e++ {
-				if _, err := teal.TrainStep(p0, ref, tOpt); err != nil {
-					break
-				}
-			}
-		}
-	}
+	teal := trainedTeal(scen, p0)
 
 	// The update window replays a real recompute: the allocation solved at
 	// ciEvalStart stays installed while the one solved 2 s later distributes.
 	prevT, curT := ciEvalStart, ciEvalStart+2
-	pPrev, _, _, err := scen.ProblemAt(prevT)
+	pPrev, snapPrev, _, err := scen.ProblemAt(prevT)
 	if err != nil {
 		return nil, err
 	}
@@ -67,7 +55,6 @@ func PktLatCDF(opt Options) (*Report, error) {
 	if len(pPrev.Flows) == 0 || len(pCur.Flows) == 0 {
 		return nil, fmt.Errorf("pktlat: empty eval problems at t=%v/%v", prevT, curT)
 	}
-	delays := ruledist.RuleDistributionDelays(snap, ruledist.HoustonSite, orbit.Deg(sc.minElevDeg))
 
 	cfg := pktsim.Config{
 		Seed:       opt.Seed,
@@ -79,7 +66,8 @@ func PktLatCDF(opt Options) (*Report, error) {
 		Burst:      &pktsim.Burst{StartSec: 0.5, DurSec: 1, Factor: 3},
 		MaxPackets: 1 << 20,
 	}
-	const updateAt = 0.8
+	// Rules are pushed from Houston with per-satellite ruledist delays.
+	window := sim.PacketReplay{UpdateAtSec: 0.8}
 
 	r := &Report{
 		ID:    "pktlat",
@@ -103,21 +91,15 @@ func PktLatCDF(opt Options) (*Report, error) {
 	}
 	schemes = append(schemes, baselines.ECMPWF{}, &baselines.POP{K: 4, Seed: opt.Seed})
 	for _, al := range schemes {
-		aPrev, err := al.Solve(pPrev)
-		if err != nil {
+		prev := &sim.Cycle{TimeSec: prevT, Snap: snapPrev, Problem: pPrev}
+		if err := prev.Solve(al); err != nil {
 			return nil, fmt.Errorf("pktlat: %s prev solve: %w", al.Name(), err)
 		}
-		aCur, err := al.Solve(pCur)
-		if err != nil {
+		cur := &sim.Cycle{TimeSec: curT, Snap: snap, Problem: pCur}
+		if err := cur.Solve(al); err != nil {
 			return nil, fmt.Errorf("pktlat: %s cur solve: %w", al.Name(), err)
 		}
-		res, err := pktsim.Run(&pktsim.RunSpec{
-			Snap: snap, Problem: pCur, Alloc: aCur,
-			Update: &pktsim.RuleUpdate{
-				PrevProblem: pPrev, PrevAlloc: aPrev,
-				AtSec: updateAt, DelaysSec: delays,
-			},
-		}, cfg)
+		res, err := pktsim.Run(window.RunSpec(scen, prev, cur), cfg)
 		if err != nil {
 			return nil, fmt.Errorf("pktlat: %s engine run: %w", al.Name(), err)
 		}
@@ -134,7 +116,7 @@ func PktLatCDF(opt Options) (*Report, error) {
 		r.AddRow(row...)
 	}
 	r.Note("burst ×%g over [%.1f s, %.1f s); rules pushed at %.1f s with per-satellite ruledist delays (Houston)",
-		cfg.Burst.Factor, cfg.Burst.StartSec, cfg.Burst.StartSec+cfg.Burst.DurSec, updateAt)
+		cfg.Burst.Factor, cfg.Burst.StartSec, cfg.Burst.StartSec+cfg.Burst.DurSec, window.UpdateAtSec)
 	r.Note("columns are latency CDF points over delivered packets; loss counts queue, no-rule, link-down and loop drops")
 	return r, nil
 }

@@ -13,8 +13,8 @@ import (
 // k=10); the search itself runs on the router's recycled slab heap and
 // scratch. The bound is a generous margin over the ~80 objects a
 // long-route query returns, and two orders of magnitude below the
-// thousands/op that BENCH_2026-08-05.json recorded when a short -benchtime
-// run amortised the lazily-built generic fallback graph into the per-query
+// thousands/op a benchmark run records when a short -benchtime
+// amortises the lazily-built generic fallback graph into the per-query
 // figure (see BenchmarkGridKShortestStarlink's Prewarm).
 func TestGridKShortestSteadyAllocs(t *testing.T) {
 	cons := constellation.StarlinkPhase1()

@@ -132,7 +132,7 @@ func (db *DB) computeAll(pairs []Pair) [][]Path {
 func (db *DB) index(pair Pair, ps []Path) {
 	for _, p := range ps {
 		for _, l := range p.Links() {
-			k := linkKey(l)
+			k := l.Key()
 			m := db.linkIndex[k]
 			if m == nil {
 				m = make(map[Pair]struct{})
@@ -146,7 +146,7 @@ func (db *DB) index(pair Pair, ps []Path) {
 func (db *DB) unindex(pair Pair, ps []Path) {
 	for _, p := range ps {
 		for _, l := range p.Links() {
-			k := linkKey(l)
+			k := l.Key()
 			if m := db.linkIndex[k]; m != nil {
 				delete(m, pair)
 				if len(m) == 0 {
@@ -189,7 +189,7 @@ func (db *DB) Update(s *topology.Snapshot) int {
 func (db *DB) recomputeDirty(removed []topology.Link) int {
 	dirtySet := make(map[Pair]struct{})
 	for _, l := range removed {
-		for pair := range db.linkIndex[linkKey(l)] {
+		for pair := range db.linkIndex[l.Key()] {
 			dirtySet[pair] = struct{}{}
 		}
 	}

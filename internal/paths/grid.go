@@ -81,14 +81,14 @@ func (r *GridRouter) Prewarm() { r.generic() }
 func (r *GridRouter) Rebase(s *topology.Snapshot, added, removed []topology.Link) {
 	r.Snap = s
 	for _, l := range removed {
-		delete(r.links, linkKey(l))
+		delete(r.links, l.Key())
 		if l.Kind == topology.CrossShellLaser || l.Kind == topology.GroundRelayLink {
 			r.crossLinks[l.A] = dropNode(r.crossLinks[l.A], l.B)
 			r.crossLinks[l.B] = dropNode(r.crossLinks[l.B], l.A)
 		}
 	}
 	for _, l := range added {
-		r.links[linkKey(l)] = l
+		r.links[l.Key()] = l
 		if l.Kind == topology.CrossShellLaser || l.Kind == topology.GroundRelayLink {
 			r.crossLinks[l.A] = append(r.crossLinks[l.A], l.B)
 			r.crossLinks[l.B] = append(r.crossLinks[l.B], l.A)
@@ -191,7 +191,7 @@ func (r *GridRouter) enumerateLattice(start constellation.GridCoord, dp, ds, k i
 
 func (r *GridRouter) linkAlive(a, b topology.NodeID) bool {
 	l := topology.MakeLink(a, b, topology.IntraOrbit)
-	_, ok := r.links[linkKey(l)]
+	_, ok := r.links[l.Key()]
 	return ok
 }
 

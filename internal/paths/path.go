@@ -71,15 +71,12 @@ func (p Path) HasLoop() bool {
 func (p Path) ValidIn(links map[uint64]topology.Link) bool {
 	for i := 0; i+1 < len(p.Nodes); i++ {
 		l := topology.MakeLink(p.Nodes[i], p.Nodes[i+1], topology.IntraOrbit)
-		if _, ok := links[linkKey(l)]; !ok {
+		if _, ok := links[l.Key()]; !ok {
 			return false
 		}
 	}
 	return true
 }
-
-// linkKey mirrors topology.Link's canonical pair encoding.
-func linkKey(l topology.Link) uint64 { return uint64(l.A)<<32 | uint64(uint32(l.B)) }
 
 // WithinRange reports whether every node of the path lies in [lo, hi). The
 // sharded solver uses it to classify a flow as shard-internal: a flow whose

@@ -171,7 +171,7 @@ func LinkLoadsFromRules(p *te.Problem, rs *RuleSet) map[uint64]float64 {
 		tbl := rs.Tables[node]
 		for _, r := range tbl.Rules {
 			l := topology.MakeLink(tbl.Node, r.Next, topology.IntraOrbit)
-			loads[uint64(l.A)<<32|uint64(uint32(l.B))] += r.RateMbps
+			loads[l.Key()] += r.RateMbps
 		}
 	}
 	return loads

@@ -47,14 +47,6 @@ import (
 	"sate/internal/topology"
 )
 
-// Inner is the solver contract shards delegate to — structurally identical
-// to baselines.Solver, restated here so the package depends only on the
-// solve surface.
-type Inner interface {
-	Name() string
-	Solve(p *te.Problem, opts ...solve.Option) (*te.Allocation, error)
-}
-
 // DefaultShards is the shard count used when the Solver does not set one.
 const DefaultShards = 4
 
@@ -82,7 +74,7 @@ type Solver struct {
 	// K is the shard count.
 	K int
 	// Inner solves the regional subproblems and the boundary components.
-	Inner Inner
+	Inner solve.Solver
 
 	// Stats describes the most recent solve (read between cycles).
 	Stats Stats
@@ -163,7 +155,7 @@ type pooled struct {
 type capView struct{ link, up, down []float64 }
 
 // New builds a sharded solver around an inner solver.
-func New(inner Inner, k int) *Solver { return &Solver{K: k, Inner: inner} }
+func New(inner solve.Solver, k int) *Solver { return &Solver{K: k, Inner: inner} }
 
 // Name implements the solver interface; the label carries the inner solver
 // ("shard-gk", "shard-sate", ...) so latency histograms stay distinguishable.

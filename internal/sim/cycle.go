@@ -1,0 +1,235 @@
+package sim
+
+import (
+	"context"
+	"fmt"
+	"time"
+
+	"sate/internal/core"
+	"sate/internal/obs"
+	"sate/internal/solve"
+	"sate/internal/te"
+	"sate/internal/topology"
+)
+
+// Allocator is anything that computes a TE allocation (SaTE, the LP solvers,
+// the heuristics, the learned baselines): the sim-side name of solve.Solver.
+type Allocator = solve.Solver
+
+// Cycle is one TE cycle: the state the control loop observed at TimeSec and
+// what it computed from it. The controller, the online and offline
+// evaluators, the packet replay and the training-sample generator all work
+// on this one value; a Cycle with a nil Alloc has been observed but not
+// solved (Solve fills it in).
+type Cycle struct {
+	TimeSec float64
+	Snap    *topology.Snapshot
+	Problem *te.Problem
+	Alloc   *te.Allocation
+	// SolveLatency is the measured wall time of the Solve call.
+	SolveLatency time.Duration
+
+	// perPair[src<<32|dst] = the pair's paths with their allocated rates:
+	// the view a stale allocation is scored and diffed through. Built on
+	// first use, so a Cycle must not be scored from two goroutines at once.
+	perPair map[uint64][]ratedPath
+}
+
+type ratedPath struct {
+	nodes []topology.NodeID
+	rate  float64
+}
+
+// RunCycle runs one TE cycle at simulated time tSec: the scenario step
+// (topology with any configured failure injection, traffic matrix, path
+// update, te.Build), then the timed solve. The context is checked between
+// the phases; a phase in flight runs to completion. When the step succeeded
+// the observed cycle is returned even on error, so the caller can score a
+// stale allocation against it. A registry among opts also receives the
+// step's path-precompute span.
+func (s *Scenario) RunCycle(ctx context.Context, al Allocator, tSec float64, opts ...solve.Option) (*Cycle, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	sp := solve.Build(opts...).Registry.StartSpan(obs.PhasePathPrecompute)
+	p, snap, _, err := s.ProblemAt(tSec)
+	sp.End()
+	if err != nil {
+		return nil, fmt.Errorf("building problem: %w", err)
+	}
+	c := &Cycle{TimeSec: tSec, Snap: snap, Problem: p}
+	if err := ctx.Err(); err != nil {
+		return c, err
+	}
+	if err := c.Solve(al, opts...); err != nil {
+		return c, fmt.Errorf("solving: %w", err)
+	}
+	return c, nil
+}
+
+// Solve computes the cycle's allocation and records how long the solver
+// took: the one place a solve is timed.
+func (c *Cycle) Solve(al Allocator, opts ...solve.Option) error {
+	//lint:ignore no-wallclock-in-sim solver wall-clock latency is the quantity being measured here, not simulated time
+	start := time.Now()
+	a, err := al.Solve(c.Problem, opts...)
+	//lint:ignore no-wallclock-in-sim solver wall-clock latency is the quantity being measured here, not simulated time
+	c.SolveLatency = time.Since(start)
+	c.Alloc, c.perPair = a, nil
+	return err
+}
+
+// Sample labels the cycle as a training sample: its problem with its
+// allocation (from the reference solver) as the ground truth.
+func (c *Cycle) Sample() *core.Sample { return core.NewSample(c.Problem, c.Alloc) }
+
+// SolveEach steps the scenario through the instants and hands visit a solved
+// cycle for each one that has traffic; instants without any are skipped. It
+// is the loop under the offline evaluator and the sample generator.
+func (s *Scenario) SolveEach(al Allocator, times []float64, visit func(*Cycle)) error {
+	for _, t := range times {
+		p, snap, _, err := s.ProblemAt(t)
+		if err != nil {
+			return err
+		}
+		if len(p.Flows) == 0 {
+			continue
+		}
+		c := &Cycle{TimeSec: t, Snap: snap, Problem: p}
+		if err := c.Solve(al); err != nil {
+			return err
+		}
+		visit(c)
+	}
+	return nil
+}
+
+// Samples builds labelled training samples at the given instants (different
+// topologies and traffic states): each cycle solved by the reference solver
+// label is one sample. Instants without traffic yield none.
+func (s *Scenario) Samples(label Allocator, times []float64) ([]*core.Sample, error) {
+	var out []*core.Sample
+	err := s.SolveEach(label, times, func(c *Cycle) { out = append(out, c.Sample()) })
+	return out, err
+}
+
+// Instants returns n times spaced stride apart from start.
+func Instants(start, stride float64, n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = start + float64(i)*stride
+	}
+	return out
+}
+
+func pairKey(a, b topology.NodeID) uint64 { return uint64(a)<<32 | uint64(uint32(b)) }
+
+// routes returns (building it on first use) the pair-indexed view of the
+// cycle's allocation.
+func (c *Cycle) routes() map[uint64][]ratedPath {
+	if c.perPair == nil {
+		c.perPair = make(map[uint64][]ratedPath)
+		for fi, f := range c.Problem.Flows {
+			k := pairKey(f.Src, f.Dst)
+			for pi, path := range f.Paths {
+				if c.Alloc.X[fi][pi] <= 0 {
+					continue
+				}
+				c.perPair[k] = append(c.perPair[k], ratedPath{nodes: path.Nodes, rate: c.Alloc.X[fi][pi]})
+			}
+		}
+	}
+	return c.perPair
+}
+
+// Satisfied scores the cycle's allocation against a later problem — the
+// online evaluator's per-step metric and the controller's degraded-mode
+// re-score (DESIGN.md §10): per pair, the deliverable rate is the allocated
+// rate on paths whose every hop survives in links, capped by the pair's
+// current demand, summed and divided by current total demand. Pairs without
+// an allocation deliver nothing — the cost of stale TE (Sec. 2.3.2). links
+// is typically the link set of the (possibly failure-injected) topology cur
+// was built from.
+func (c *Cycle) Satisfied(cur *te.Problem, links topology.LinkSet) float64 {
+	total := cur.TotalDemand()
+	if total <= 0 {
+		return 1
+	}
+	routes := c.routes()
+	var delivered float64
+	for _, f := range cur.Flows {
+		var rate float64
+		for _, rp := range routes[pairKey(f.Src, f.Dst)] {
+			if pathValid(rp.nodes, links) {
+				rate += rp.rate
+			}
+		}
+		if rate > f.DemandMbps {
+			rate = f.DemandMbps
+		}
+		delivered += rate
+	}
+	return delivered / total
+}
+
+// pathValid reports whether every hop of the path survives in the link set.
+// Membership is kind-agnostic (topology.LinkSet.Has): a configured path does
+// not know — and must not care — which LinkKind the live topology assigns to
+// a surviving hop.
+func pathValid(nodes []topology.NodeID, links topology.LinkSet) bool {
+	for i := 0; i+1 < len(nodes); i++ {
+		if !links.Has(nodes[i], nodes[i+1]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameNodes reports whether two paths traverse the same node sequence.
+func sameNodes(a, b []topology.NodeID) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// missingRoutes counts routes of a absent from b (compared by node
+// sequence; rate changes on a surviving route are not churn).
+func missingRoutes(a, b map[uint64][]ratedPath) int {
+	n := 0
+	for k, aps := range a {
+		bps := b[k]
+	next:
+		for _, ap := range aps {
+			for _, bp := range bps {
+				if sameNodes(ap.nodes, bp.nodes) {
+					continue next
+				}
+			}
+			n++
+		}
+	}
+	return n
+}
+
+// routeChurn counts route changes between consecutive cycles: routes added
+// plus routes removed. A nil prev (first recomputation) counts every
+// installed route — the initial table push is churn too.
+func routeChurn(prev, next *Cycle) int {
+	if next == nil {
+		return 0
+	}
+	if prev == nil {
+		n := 0
+		for _, rps := range next.routes() {
+			n += len(rps)
+		}
+		return n
+	}
+	return missingRoutes(next.routes(), prev.routes()) + missingRoutes(prev.routes(), next.routes())
+}

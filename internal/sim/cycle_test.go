@@ -1,0 +1,282 @@
+package sim
+
+import (
+	"context"
+	"math"
+	"math/rand"
+	"testing"
+
+	"sate/internal/baselines"
+	"sate/internal/orbit"
+	"sate/internal/pktsim"
+	"sate/internal/ruledist"
+	"sate/internal/te"
+)
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+func sameAllocation(t *testing.T, got, want *te.Allocation) {
+	t.Helper()
+	if len(got.X) != len(want.X) {
+		t.Fatalf("allocation has %d flows, reference %d", len(got.X), len(want.X))
+	}
+	for fi := range want.X {
+		if len(got.X[fi]) != len(want.X[fi]) {
+			t.Fatalf("flow %d: %d paths, reference %d", fi, len(got.X[fi]), len(want.X[fi]))
+		}
+		for pi := range want.X[fi] {
+			if !sameBits(got.X[fi][pi], want.X[fi][pi]) {
+				t.Fatalf("x[%d][%d] = %v, reference %v", fi, pi, got.X[fi][pi], want.X[fi][pi])
+			}
+		}
+	}
+}
+
+// sameOnlineResult requires everything but the wall-clock latency to agree
+// bit for bit.
+func sameOnlineResult(t *testing.T, got, want *OnlineResult) {
+	t.Helper()
+	if got.Method != want.Method || got.Recomputations != want.Recomputations || got.RouteChurn != want.RouteChurn {
+		t.Fatalf("result %s/%d solves/%d churn, reference %s/%d/%d",
+			got.Method, got.Recomputations, got.RouteChurn, want.Method, want.Recomputations, want.RouteChurn)
+	}
+	if len(got.Satisfied) != len(want.Satisfied) {
+		t.Fatalf("%d steps, reference %d", len(got.Satisfied), len(want.Satisfied))
+	}
+	for i := range want.Satisfied {
+		if !sameBits(got.Satisfied[i], want.Satisfied[i]) {
+			t.Fatalf("step %d satisfied %v, reference %v", i, got.Satisfied[i], want.Satisfied[i])
+		}
+	}
+	if !sameBits(got.SatisfiedMean, want.SatisfiedMean) {
+		t.Fatalf("mean %v, reference %v", got.SatisfiedMean, want.SatisfiedMean)
+	}
+	if (got.MeanSolveLatency > 0) != (want.MeanSolveLatency > 0) {
+		t.Fatalf("latency %v, reference %v", got.MeanSolveLatency, want.MeanSolveLatency)
+	}
+}
+
+// TestRunCycleMatchesHandSpelledCycle pins the shared cycle against the
+// parent's spelling — ProblemAt (or ProblemWithFailures) then Solve — on a
+// twin scenario, over several instants so the incremental path DB and the
+// traffic process are exercised, with and without failure injection.
+func TestRunCycleMatchesHandSpelledCycle(t *testing.T) {
+	for _, failFrac := range []float64{0, 0.2} {
+		s, twin := toyScenario(60, 29), toyScenario(60, 29)
+		twinRNG := rand.New(rand.NewSource(5))
+		if failFrac > 0 {
+			s.InjectFailures(failFrac, rand.New(rand.NewSource(5)))
+		}
+		for _, tSec := range []float64{10, 15, 40} {
+			c, err := s.RunCycle(context.Background(), baselines.ECMPWF{}, tSec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want *te.Problem
+			if failFrac > 0 {
+				want, _, err = twin.ProblemWithFailures(tSec, failFrac, twinRNG)
+			} else {
+				want, _, _, err = twin.ProblemAt(tSec)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want.Flows) == 0 {
+				t.Fatalf("no flows at t=%v", tSec)
+			}
+			if !sameBits(c.TimeSec, tSec) || len(c.Snap.Links) != len(want.Links) || len(c.Problem.Links) != len(want.Links) {
+				t.Fatalf("fail=%v t=%v: cycle at %v with %d/%d links, reference %d",
+					failFrac, tSec, c.TimeSec, len(c.Snap.Links), len(c.Problem.Links), len(want.Links))
+			}
+			if c.Problem.TopoFingerprint() != want.TopoFingerprint() || len(c.Problem.Flows) != len(want.Flows) ||
+				!sameBits(c.Problem.TotalDemand(), want.TotalDemand()) {
+				t.Fatalf("fail=%v t=%v: problem differs from the reference", failFrac, tSec)
+			}
+			ref, err := (baselines.ECMPWF{}).Solve(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameAllocation(t, c.Alloc, ref)
+			if c.SolveLatency <= 0 {
+				t.Fatal("solve latency not measured")
+			}
+		}
+		// Switching injection off restores the intact topology.
+		s.InjectFailures(0, nil)
+		c, err := s.RunCycle(context.Background(), baselines.ECMPWF{}, 45)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, _, err := twin.ProblemAt(45)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Problem.TopoFingerprint() != want.TopoFingerprint() {
+			t.Fatalf("fail=%v: topology still degraded after injection was switched off", failFrac)
+		}
+	}
+}
+
+// TestRunCycleHonoursContext: a cancelled context abandons the cycle before
+// the step, leaving the scenario untouched.
+func TestRunCycleHonoursContext(t *testing.T) {
+	s := toyScenario(60, 29)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if c, err := s.RunCycle(ctx, baselines.ECMPWF{}, 10); err != context.Canceled || c != nil {
+		t.Fatalf("cancelled RunCycle = %v, %v", c, err)
+	}
+	if s.PathDB != nil {
+		t.Fatal("cancelled cycle stepped the scenario")
+	}
+}
+
+// TestRunOnlineMatchesReferenceLoop replays the parent's RunOnline loop on a
+// twin scenario at a fixed interval (so pacing does not depend on the wall
+// clock): per-step satisfied demand, route churn, recomputation count and —
+// with packet replay on — the merged packet accounting all agree bit for bit.
+func TestRunOnlineMatchesReferenceLoop(t *testing.T) {
+	replay := func() *PacketReplay {
+		return &PacketReplay{
+			Engine:      pktsim.Config{Seed: 11, HorizonSec: 0.25, MaxPackets: 200000},
+			UpdateAtSec: 0.05,
+		}
+	}
+	for _, withReplay := range []bool{false, true} {
+		cfg := OnlineConfig{HorizonSec: 20, StartSec: 10, IntervalSec: 6, StepSec: 2}
+		refCfg := cfg
+		if withReplay {
+			cfg.PacketReplay, refCfg.PacketReplay = replay(), replay()
+		}
+		got, err := toyScenario(60, 17).RunOnline(baselines.ECMPWF{}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := refRunOnline(toyScenario(60, 17), baselines.ECMPWF{}, refCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Recomputations < 3 || want.RouteChurn == 0 {
+			t.Fatalf("degenerate reference run: %+v", want)
+		}
+		sameOnlineResult(t, got, want)
+		if !withReplay {
+			continue
+		}
+		g, w := got.PacketStats, want.PacketStats
+		if g.Injected != w.Injected || g.Delivered != w.Delivered || g.Dropped() != w.Dropped() ||
+			g.MaxQueuePkts != w.MaxQueuePkts || len(g.LatenciesSec) != len(w.LatenciesSec) {
+			t.Fatalf("packet stats %+v, reference %+v", g, w)
+		}
+		for i := range w.LatenciesSec {
+			if !sameBits(g.LatenciesSec[i], w.LatenciesSec[i]) {
+				t.Fatalf("packet %d latency %v, reference %v", i, g.LatenciesSec[i], w.LatenciesSec[i])
+			}
+		}
+	}
+}
+
+// TestRunSpecMatchesOldReplay pins the one RunSpec builder against what the
+// parent's PacketReplay.replay assembled: the first cycle has no update
+// window; later cycles run the previous allocation as the stale generation
+// and switch at UpdateAtSec plus the ruledist delays, with the site and
+// min-elevation defaults resolved the same way.
+func TestRunSpecMatchesOldReplay(t *testing.T) {
+	s := toyScenario(60, 17)
+	ctx := context.Background()
+	prev, err := s.RunCycle(ctx, baselines.ECMPWF{}, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := s.RunCycle(ctx, baselines.ECMPWF{}, 15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr := &PacketReplay{Engine: pktsim.Config{Seed: 3, HorizonSec: 0.25, MaxPackets: 200000}}
+
+	first := pr.RunSpec(s, nil, cur)
+	if first.Snap != cur.Snap || first.Problem != cur.Problem || first.Alloc != cur.Alloc || first.Update != nil {
+		t.Fatalf("first-cycle spec = %+v", first)
+	}
+
+	spec := pr.RunSpec(s, prev, cur)
+	u := spec.Update
+	if u == nil || u.PrevProblem != prev.Problem || u.PrevAlloc != prev.Alloc {
+		t.Fatalf("update window does not run the previous cycle as the stale generation: %+v", u)
+	}
+	if u.AtSec != 0.1 {
+		t.Fatalf("default update instant = %v, want 0.1", u.AtSec)
+	}
+	delays := ruledist.RuleDistributionDelays(cur.Snap, ruledist.HoustonSite, s.MinElevRad)
+	if len(u.DelaysSec) != len(delays) {
+		t.Fatalf("%d delays, want %d", len(u.DelaysSec), len(delays))
+	}
+	for i := range delays {
+		if !sameBits(u.DelaysSec[i], delays[i]) {
+			t.Fatalf("delay[%d] = %v, want %v", i, u.DelaysSec[i], delays[i])
+		}
+	}
+	// With no scenario threshold either, the paper's 25 degrees applies.
+	s.MinElevRad = 0
+	at25 := ruledist.RuleDistributionDelays(cur.Snap, ruledist.HoustonSite, orbit.Deg(25))
+	for i, d := range pr.RunSpec(s, prev, cur).Update.DelaysSec {
+		if !sameBits(d, at25[i]) {
+			t.Fatalf("25-degree default: delay[%d] = %v, want %v", i, d, at25[i])
+		}
+	}
+	s.MinElevRad = orbit.Deg(5)
+
+	// End to end: the engine run of a later cycle equals the old replay's.
+	got, err := pr.replay(s, prev, cur, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := refReplay(pr, s, cur.Snap, refNewActiveAlloc(prev.Problem, prev.Alloc), cur.Problem, cur.Alloc, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Injected == 0 || got.Injected != want.Injected || got.Delivered != want.Delivered ||
+		got.Dropped() != want.Dropped() || len(got.LatenciesSec) != len(want.LatenciesSec) {
+		t.Fatalf("replay %+v, reference %+v", got, want)
+	}
+	for i := range want.LatenciesSec {
+		if !sameBits(got.LatenciesSec[i], want.LatenciesSec[i]) {
+			t.Fatalf("packet %d latency %v, reference %v", i, got.LatenciesSec[i], want.LatenciesSec[i])
+		}
+	}
+}
+
+// TestSamplesLabelEachInstant: one sample per instant with traffic, labelled
+// with the reference solver's allocation on that instant's problem.
+func TestSamplesLabelEachInstant(t *testing.T) {
+	times := Instants(10, 7, 3)
+	if len(times) != 3 || times[0] != 10 || times[2] != 24 {
+		t.Fatalf("Instants = %v", times)
+	}
+	samples, err := toyScenario(60, 31).Samples(baselines.LPExact{}, times)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(samples) != len(times) {
+		t.Fatalf("%d samples for %d instants", len(samples), len(times))
+	}
+	twin := toyScenario(60, 31)
+	for i, tSec := range times {
+		p, _, _, err := twin.ProblemAt(tSec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := (baselines.LPExact{}).Solve(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var labels float64
+		for _, x := range samples[i].Labels {
+			labels += x
+		}
+		if len(samples[i].Problem.Flows) != len(p.Flows) || !sameBits(labels, ref.Throughput()) {
+			t.Fatalf("sample %d: %d flows labelled %v, reference %d flows / %v",
+				i, len(samples[i].Problem.Flows), labels, len(p.Flows), ref.Throughput())
+		}
+	}
+}

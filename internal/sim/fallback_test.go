@@ -72,7 +72,7 @@ func fourNodeProblem(t *testing.T, kinds []topology.LinkKind) *te.Problem {
 }
 
 // TestFallbackRescoresAgainstFailedTopology exercises the degraded-mode
-// policy end to end on a hand-built problem: full delivery while the path
+// policy (Cycle.Satisfied, the one stale-allocation scorer) end to end on a hand-built problem: full delivery while the path
 // survives (whatever link kinds the new topology reports), zero once a hop
 // fails, demand-capped in between.
 func TestFallbackRescoresAgainstFailedTopology(t *testing.T) {
@@ -81,7 +81,7 @@ func TestFallbackRescoresAgainstFailedTopology(t *testing.T) {
 	})
 	a := te.NewAllocation(p0)
 	a.X[0][0] = 50
-	fb := NewFallback(p0, a)
+	fb := &Cycle{Problem: p0, Alloc: a}
 
 	// Same topology, different link kinds: kind must not matter.
 	p1 := fourNodeProblem(t, []topology.LinkKind{
@@ -137,7 +137,7 @@ func TestFallbackOnScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb := NewFallback(p0, a)
+	fb := &Cycle{Snap: snap, Problem: p0, Alloc: a}
 	self := fb.Satisfied(p0, snap.LinkSet())
 	fresh := p0.SatisfiedDemand(a)
 	if math.Abs(self-fresh) > 1e-9 {
@@ -148,6 +148,14 @@ func TestFallbackOnScenario(t *testing.T) {
 		t.Fatal(err)
 	}
 	failed := fb.Satisfied(pf, pf.LinkSet())
+	// The degraded-mode re-score is bit for bit what the old Fallback gave.
+	old := refNewActiveAlloc(p0, a)
+	if want := old.refSatisfiedAgainst(pf, pf.LinkSet()); math.Float64bits(failed) != math.Float64bits(want) {
+		t.Fatalf("re-score %v != reference Fallback value %v", failed, want)
+	}
+	if want := old.refSatisfiedAgainst(p0, snap.LinkSet()); math.Float64bits(self) != math.Float64bits(want) {
+		t.Fatalf("self-score %v != reference Fallback value %v", self, want)
+	}
 	if failed > self+1e-9 {
 		t.Fatalf("failure-injected score %v exceeds intact score %v", failed, self)
 	}

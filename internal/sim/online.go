@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"context"
+	"fmt"
 	"time"
 
 	"sate/internal/obs"
@@ -9,16 +11,6 @@ import (
 	"sate/internal/te"
 	"sate/internal/topology"
 )
-
-// Allocator is anything that computes a TE allocation (SaTE, the LP solvers,
-// the heuristics, the learned baselines). It is the sim-side spelling of the
-// unified solver surface (see the solve package): options select the
-// objective, inject an obs registry, or override the worker budget, and
-// plain `Solve(p)` calls behave exactly as before the redesign.
-type Allocator interface {
-	Name() string
-	Solve(p *te.Problem, opts ...solve.Option) (*te.Allocation, error)
-}
 
 // OnlineConfig controls an online evaluation run.
 type OnlineConfig struct {
@@ -64,128 +56,10 @@ type OnlineResult struct {
 	PacketStats *pktsim.Result
 }
 
-// activeAlloc is the allocation currently loaded into the network, with the
-// pair-indexed view used to score it against fresh demand.
-type activeAlloc struct {
-	problem *te.Problem
-	alloc   *te.Allocation
-	// perPair[src<<32|dst] = candidate paths with their allocated rates.
-	perPair map[uint64][]ratedPath
-}
-
-type ratedPath struct {
-	nodes []topology.NodeID
-	rate  float64
-}
-
-func pairKey(a, b topology.NodeID) uint64 { return uint64(a)<<32 | uint64(uint32(b)) }
-
-func newActiveAlloc(p *te.Problem, a *te.Allocation) *activeAlloc {
-	aa := &activeAlloc{problem: p, alloc: a, perPair: make(map[uint64][]ratedPath)}
-	for fi, f := range p.Flows {
-		k := pairKey(f.Src, f.Dst)
-		for pi, path := range f.Paths {
-			if a.X[fi][pi] <= 0 {
-				continue
-			}
-			aa.perPair[k] = append(aa.perPair[k], ratedPath{nodes: path.Nodes, rate: a.X[fi][pi]})
-		}
-	}
-	return aa
-}
-
-// satisfiedAgainst scores the active allocation against the CURRENT problem:
-// per pair, the deliverable rate is the allocated rate on paths still valid
-// in the current topology, capped by current demand. Pairs without an active
-// allocation deliver nothing — the cost of stale TE (Sec. 2.3.2).
-func (aa *activeAlloc) satisfiedAgainst(cur *te.Problem, links topology.LinkSet) float64 {
-	total := cur.TotalDemand()
-	if total <= 0 {
-		return 1
-	}
-	var delivered float64
-	for _, f := range cur.Flows {
-		rps := aa.perPair[pairKey(f.Src, f.Dst)]
-		var rate float64
-		for _, rp := range rps {
-			if pathValid(rp.nodes, links) {
-				rate += rp.rate
-			}
-		}
-		if rate > f.DemandMbps {
-			rate = f.DemandMbps
-		}
-		delivered += rate
-	}
-	return delivered / total
-}
-
-// pathValid reports whether every hop of the path survives in the link set.
-// Membership is kind-agnostic (topology.LinkSet.Has): a configured path does
-// not know — and must not care — which LinkKind the live topology assigns to
-// a surviving hop.
-func pathValid(nodes []topology.NodeID, links topology.LinkSet) bool {
-	for i := 0; i+1 < len(nodes); i++ {
-		if !links.Has(nodes[i], nodes[i+1]) {
-			return false
-		}
-	}
-	return true
-}
-
-// sameNodes reports whether two paths traverse the same node sequence.
-func sameNodes(a, b []topology.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// missingRoutes counts routes of a absent from b (compared by node
-// sequence; rate changes on a surviving route are not churn).
-func missingRoutes(a, b map[uint64][]ratedPath) int {
-	n := 0
-	for k, aps := range a {
-		bps := b[k]
-	next:
-		for _, ap := range aps {
-			for _, bp := range bps {
-				if sameNodes(ap.nodes, bp.nodes) {
-					continue next
-				}
-			}
-			n++
-		}
-	}
-	return n
-}
-
-// routeChurn counts route changes between consecutive active allocations:
-// routes added plus routes removed. A nil prev (first recomputation) counts
-// every installed route — the initial table push is churn too.
-func routeChurn(prev, next *activeAlloc) int {
-	if next == nil {
-		return 0
-	}
-	if prev == nil {
-		n := 0
-		for _, rps := range next.perPair {
-			n += len(rps)
-		}
-		return n
-	}
-	return missingRoutes(next.perPair, prev.perPair) + missingRoutes(prev.perPair, next.perPair)
-}
-
-// RunOnline evaluates an allocator in the online setting: the allocation
-// computed from the state at each recomputation instant remains in effect
-// until the next one; every step scores the active (possibly stale)
-// allocation against the then-current topology and demand.
+// RunOnline evaluates an allocator in the online setting: the cycle run at
+// each recomputation instant stays in effect until the next one; every step
+// scores the active (possibly stale) cycle against the then-current topology
+// and demand.
 func (s *Scenario) RunOnline(al Allocator, cfg OnlineConfig) (*OnlineResult, error) {
 	if cfg.StepSec <= 0 {
 		cfg.StepSec = 1
@@ -206,113 +80,98 @@ func (s *Scenario) RunOnline(al Allocator, cfg OnlineConfig) (*OnlineResult, err
 		sopts = []solve.Option{solve.WithRegistry(reg)}
 	}
 	res := &OnlineResult{Method: al.Name()}
-	var active *activeAlloc
+	var active *Cycle
 	nextCompute := cfg.StartSec
 	var totalLatency time.Duration
 	for t := cfg.StartSec; t < cfg.StartSec+float64(cfg.HorizonSec); t += cfg.StepSec {
-		sp := obs.StartTimer(problemBuild)
-		cur, snap, _, err := s.ProblemAt(t)
-		sp.End()
-		if err != nil {
-			return nil, err
-		}
+		var cur *te.Problem
+		var snap *topology.Snapshot
 		if t >= nextCompute {
-			//lint:ignore no-wallclock-in-sim solver wall-clock latency is the quantity being measured here, not simulated time
-			start := time.Now()
-			alloc, err := al.Solve(cur, sopts...)
-			//lint:ignore no-wallclock-in-sim solver wall-clock latency is the quantity being measured here, not simulated time
-			lat := time.Since(start)
+			// The signature carries no context: an evaluation run is not
+			// cancellable.
+			c, err := s.RunCycle(context.TODO(), al, t, sopts...)
 			if err != nil {
 				return nil, err
 			}
-			totalLatency += lat
+			totalLatency += c.SolveLatency
 			res.Recomputations++
 			recomputes.Inc()
-			next := newActiveAlloc(cur, alloc)
-			churn := routeChurn(active, next)
+			churn := routeChurn(active, c)
 			res.RouteChurn += churn
 			churnTotal.Add(uint64(churn))
 			churnGauge.Set(float64(churn))
 			if cfg.PacketReplay != nil {
 				// Replay this cycle at packet granularity: `active` still
-				// holds the PREVIOUS allocation, which is exactly the rule
+				// holds the PREVIOUS cycle, which is exactly the rule
 				// generation the network runs until the new push lands.
-				pres, perr := cfg.PacketReplay.replay(s, snap, active, cur, alloc, res.Recomputations)
-				if perr != nil {
-					return nil, perr
+				pres, err := cfg.PacketReplay.replay(s, active, c, res.Recomputations)
+				if err != nil {
+					return nil, err
 				}
 				if res.PacketStats == nil {
 					res.PacketStats = &pktsim.Result{}
 				}
 				res.PacketStats.Merge(pres)
 			}
-			active = next
+			active = c
 			interval := cfg.IntervalSec
 			if interval <= 0 {
-				interval = lat.Seconds()
+				interval = c.SolveLatency.Seconds()
 			}
 			if interval < cfg.StepSec {
 				interval = cfg.StepSec
 			}
 			nextCompute = t + interval
+			cur, snap = c.Problem, c.Snap
+		} else {
+			sp := obs.StartTimer(problemBuild)
+			var err error
+			cur, snap, _, err = s.ProblemAt(t)
+			sp.End()
+			if err != nil {
+				return nil, err
+			}
 		}
-		links := snap.LinkSet()
-		sat := active.satisfiedAgainst(cur, links)
+		sat := active.Satisfied(cur, snap.LinkSet())
 		satGauge.Set(sat)
 		res.Satisfied = append(res.Satisfied, sat)
 	}
-	var sum float64
-	for _, v := range res.Satisfied {
-		sum += v
-	}
-	if len(res.Satisfied) > 0 {
-		res.SatisfiedMean = sum / float64(len(res.Satisfied))
-	}
-	if res.Recomputations > 0 {
-		res.MeanSolveLatency = totalLatency / time.Duration(res.Recomputations)
-	}
+	res.finish(totalLatency)
 	return res, nil
 }
 
-// RunOffline evaluates the allocator with zero computation delay: each step's
-// problem is solved instantly and scored against itself (Appendix H.1).
-func (s *Scenario) RunOffline(al Allocator, steps int, stepSec float64) (*OnlineResult, error) {
-	if stepSec <= 0 {
-		stepSec = 1
-	}
+// RunOffline evaluates the allocator with zero computation delay: the
+// problems at steps instants spaced strideSec apart from startSec are each
+// solved and scored against themselves (Appendix H.1). Instants without
+// traffic are skipped; a window with no traffic at all is an error.
+func (s *Scenario) RunOffline(al Allocator, startSec, strideSec float64, steps int) (*OnlineResult, error) {
 	res := &OnlineResult{Method: al.Name()}
 	var totalLatency time.Duration
-	for i := 0; i < steps; i++ {
-		p, _, _, err := s.ProblemAt(float64(i) * stepSec)
-		if err != nil {
-			return nil, err
-		}
-		//lint:ignore no-wallclock-in-sim solver wall-clock latency is the quantity being measured here, not simulated time
-		start := time.Now()
-		a, err := al.Solve(p)
-		//lint:ignore no-wallclock-in-sim solver wall-clock latency is the quantity being measured here, not simulated time
-		totalLatency += time.Since(start)
-		if err != nil {
-			return nil, err
-		}
+	err := s.SolveEach(al, Instants(startSec, strideSec, steps), func(c *Cycle) {
+		totalLatency += c.SolveLatency
 		res.Recomputations++
-		res.Satisfied = append(res.Satisfied, p.SatisfiedDemand(a))
+		res.Satisfied = append(res.Satisfied, c.Problem.SatisfiedDemand(c.Alloc))
+	})
+	if err != nil {
+		return nil, err
 	}
-	var sum float64
-	for _, v := range res.Satisfied {
-		sum += v
+	if res.Recomputations == 0 {
+		return nil, fmt.Errorf("sim: no traffic at any of the %d evaluated instants", steps)
 	}
-	if len(res.Satisfied) > 0 {
-		res.SatisfiedMean = sum / float64(len(res.Satisfied))
-	}
-	if res.Recomputations > 0 {
-		res.MeanSolveLatency = totalLatency / time.Duration(res.Recomputations)
-	}
+	res.finish(totalLatency)
 	return res, nil
 }
 
-// FlowLevelStats computes the per-pair satisfied-demand ratios of an
-// allocation (Appendix H.4, Fig. 16 a).
-func FlowLevelStats(p *te.Problem, a *te.Allocation) []float64 {
-	return p.FlowStats(a)
+// finish fills in the means over the recorded steps and solves.
+func (r *OnlineResult) finish(totalLatency time.Duration) {
+	var sum float64
+	for _, v := range r.Satisfied {
+		sum += v
+	}
+	if len(r.Satisfied) > 0 {
+		r.SatisfiedMean = sum / float64(len(r.Satisfied))
+	}
+	if r.Recomputations > 0 {
+		r.MeanSolveLatency = totalLatency / time.Duration(r.Recomputations)
+	}
 }

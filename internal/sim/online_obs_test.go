@@ -11,7 +11,7 @@ import (
 
 func TestRouteChurnCounting(t *testing.T) {
 	path := func(ids ...topology.NodeID) []topology.NodeID { return ids }
-	a := &activeAlloc{perPair: map[uint64][]ratedPath{
+	a := &Cycle{perPair: map[uint64][]ratedPath{
 		pairKey(1, 2): {{nodes: path(1, 3, 2), rate: 5}, {nodes: path(1, 4, 2), rate: 3}},
 		pairKey(5, 6): {{nodes: path(5, 6), rate: 1}},
 	}}
@@ -20,7 +20,7 @@ func TestRouteChurnCounting(t *testing.T) {
 		t.Fatalf("initial churn = %d, want 3", got)
 	}
 	// Identical recomputation with a rate change only: no churn.
-	b := &activeAlloc{perPair: map[uint64][]ratedPath{
+	b := &Cycle{perPair: map[uint64][]ratedPath{
 		pairKey(1, 2): {{nodes: path(1, 3, 2), rate: 7}, {nodes: path(1, 4, 2), rate: 1}},
 		pairKey(5, 6): {{nodes: path(5, 6), rate: 2}},
 	}}
@@ -29,7 +29,7 @@ func TestRouteChurnCounting(t *testing.T) {
 	}
 	// One route swapped for another on (1,2), pair (5,6) dropped entirely:
 	// 1 added + 1 removed + 1 removed.
-	c := &activeAlloc{perPair: map[uint64][]ratedPath{
+	c := &Cycle{perPair: map[uint64][]ratedPath{
 		pairKey(1, 2): {{nodes: path(1, 3, 2), rate: 5}, {nodes: path(1, 7, 2), rate: 3}},
 	}}
 	if got := routeChurn(b, c); got != 3 {

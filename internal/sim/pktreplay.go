@@ -5,8 +5,6 @@ import (
 	"sate/internal/orbit"
 	"sate/internal/pktsim"
 	"sate/internal/ruledist"
-	"sate/internal/te"
-	"sate/internal/topology"
 )
 
 // PacketReplay makes RunOnline execute each recomputation cycle through the
@@ -33,34 +31,44 @@ type PacketReplay struct {
 	MinElevRad float64
 }
 
-// replay runs one cycle. prev is the allocation the network was running
-// before this recompute (nil on the first cycle: no update window).
-func (pr *PacketReplay) replay(scen *Scenario, snap *topology.Snapshot, prev *activeAlloc, p *te.Problem, a *te.Allocation, cycle int) (*pktsim.Result, error) {
+// RunSpec builds the packet-engine input for the update window prev → cur:
+// the engine executes cur's allocation on cur's snapshot, and — when prev is
+// non-nil — starts on prev's rules with every satellite switching at
+// UpdateAtSec plus its rule-distribution delay. A nil prev (the first cycle)
+// has no update window.
+func (pr *PacketReplay) RunSpec(scen *Scenario, prev, cur *Cycle) *pktsim.RunSpec {
+	spec := &pktsim.RunSpec{Snap: cur.Snap, Problem: cur.Problem, Alloc: cur.Alloc}
+	if prev == nil {
+		return spec
+	}
+	at := pr.UpdateAtSec
+	if at <= 0 {
+		at = 0.1
+	}
+	site := ruledist.HoustonSite
+	if pr.Site != nil {
+		site = *pr.Site
+	}
+	minElev := pr.MinElevRad
+	if minElev <= 0 {
+		minElev = scen.MinElevRad
+	}
+	if minElev <= 0 {
+		minElev = orbit.Deg(25)
+	}
+	spec.Update = &pktsim.RuleUpdate{
+		PrevProblem: prev.Problem,
+		PrevAlloc:   prev.Alloc,
+		AtSec:       at,
+		DelaysSec:   ruledist.RuleDistributionDelays(cur.Snap, site, minElev),
+	}
+	return spec
+}
+
+// replay runs one cycle through the engine. prev is the cycle the network
+// was running before this recompute (nil on the first one).
+func (pr *PacketReplay) replay(scen *Scenario, prev, cur *Cycle, cycle int) (*pktsim.Result, error) {
 	cfg := pr.Engine
 	cfg.Seed += int64(cycle)
-	spec := &pktsim.RunSpec{Snap: snap, Problem: p, Alloc: a}
-	if prev != nil {
-		at := pr.UpdateAtSec
-		if at <= 0 {
-			at = 0.1
-		}
-		site := ruledist.HoustonSite
-		if pr.Site != nil {
-			site = *pr.Site
-		}
-		minElev := pr.MinElevRad
-		if minElev <= 0 {
-			minElev = scen.MinElevRad
-		}
-		if minElev <= 0 {
-			minElev = orbit.Deg(25)
-		}
-		spec.Update = &pktsim.RuleUpdate{
-			PrevProblem: prev.problem,
-			PrevAlloc:   prev.alloc,
-			AtSec:       at,
-			DelaysSec:   ruledist.RuleDistributionDelays(snap, site, minElev),
-		}
-	}
-	return pktsim.Run(spec, cfg)
+	return pktsim.Run(pr.RunSpec(scen, prev, cur), cfg)
 }

@@ -1,9 +1,10 @@
 // Package sim provides the data-driven evaluation engine of Sec. 4/5:
 // scenario assembly (constellation + topology generator + ground segment +
-// traffic), the ONLINE satisfied-demand metric that accounts for TE
-// computation latency (allocations stay in effect — and go stale — until the
-// next computation finishes), offline evaluation, link-failure experiments,
-// and the rule-distribution propagation-delay model of Appendix D.
+// traffic, with link-failure injection), the one TE cycle every driver runs
+// (cycle.go: scenario step → timed solve, and what is done with a cycle), the
+// ONLINE satisfied-demand metric that accounts for TE computation latency
+// (allocations stay in effect — and go stale — until the next computation
+// finishes), offline evaluation, and per-cycle packet replay.
 package sim
 
 import (
@@ -33,6 +34,9 @@ type Scenario struct {
 	PathDB *paths.DB
 
 	lastSnap *topology.Snapshot
+	// failFrac/failRNG are the standing failure injection (InjectFailures).
+	failFrac float64
+	failRNG  *rand.Rand
 }
 
 // ScenarioConfig parameterises scenario construction.
@@ -141,25 +145,43 @@ func (s *Scenario) MatrixAt(tSec float64, snap *topology.Snapshot) *traffic.Matr
 	return traffic.BuildMatrix(s.Traffic.ActiveFlows(), s.Loc, s.MinElevRad, s.Cons.Size())
 }
 
-// ProblemAt builds the complete TE problem for time t.
+// InjectFailures makes every later step (ProblemAt, RunCycle, RunOnline)
+// pass its topology through failure injection: a random fraction frac of the
+// links, drawn from rng, is removed before traffic is mapped and the problem
+// built (Appendix H.3; the controller's chaos mode). frac <= 0 or a nil rng
+// turns injection off again.
+func (s *Scenario) InjectFailures(frac float64, rng *rand.Rand) {
+	if frac <= 0 {
+		rng = nil
+	}
+	s.failFrac, s.failRNG = frac, rng
+}
+
+// ProblemAt builds the complete TE problem for time t: the scenario step of
+// a TE cycle. With failure injection configured the returned snapshot is
+// the failure-injected one.
 func (s *Scenario) ProblemAt(tSec float64) (*te.Problem, *topology.Snapshot, *traffic.Matrix, error) {
-	snap := s.SnapshotAt(tSec)
-	m := s.MatrixAt(tSec, snap)
-	p, err := te.Build(snap, m, s.PathDB, s.Build)
-	return p, snap, m, err
+	return s.problemAt(tSec, s.failFrac, s.failRNG)
 }
 
 // ProblemWithFailures builds the TE problem at time t with a random fraction
-// of links failed (Appendix H.3). It also returns the failure-injected
-// snapshot so callers (the chaos-mode controller, the failure experiments)
-// can score stale allocations against the degraded link set.
+// of links failed for this one step, whatever the standing injection. It
+// also returns the failure-injected snapshot so callers can score stale
+// allocations against the degraded link set.
 func (s *Scenario) ProblemWithFailures(tSec, failFrac float64, rng *rand.Rand) (*te.Problem, *topology.Snapshot, error) {
+	p, snap, _, err := s.problemAt(tSec, failFrac, rng)
+	return p, snap, err
+}
+
+func (s *Scenario) problemAt(tSec, failFrac float64, rng *rand.Rand) (*te.Problem, *topology.Snapshot, *traffic.Matrix, error) {
 	snap := s.SnapshotAt(tSec)
-	failed := topology.InjectFailures(snap, failFrac, rng)
-	m := s.MatrixAt(tSec, failed)
-	// Paths stay configured for the pre-failure topology (no rerouting, as
-	// in the paper's failure experiment); Build drops path hops over dead
-	// links at Finalize time.
-	p, err := te.Build(failed, m, s.PathDB, s.Build)
-	return p, failed, err
+	if rng != nil {
+		// Paths stay configured for the pre-failure topology (no rerouting,
+		// as in the paper's failure experiment); Build drops path hops over
+		// dead links at Finalize time.
+		snap = topology.InjectFailures(snap, failFrac, rng)
+	}
+	m := s.MatrixAt(tSec, snap)
+	p, err := te.Build(snap, m, s.PathDB, s.Build)
+	return p, snap, m, err
 }

@@ -53,12 +53,25 @@ func TestPathDBIncrementalAcrossSteps(t *testing.T) {
 
 func TestRunOfflineNearOptimalWithExactSolver(t *testing.T) {
 	s := toyScenario(60, 7)
-	res, err := s.RunOffline(baselines.LPExact{}, 3, 5)
+	// No flow has arrived yet at t=0: that instant is skipped, not scored.
+	res, err := s.RunOffline(baselines.LPExact{}, 0, 5, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Recomputations != 3 || len(res.Satisfied) != 3 {
 		t.Fatalf("res = %+v", res)
+	}
+	// Bit for bit the parent's hand-spelled loop on a twin scenario (which
+	// also solved and scored the empty instant).
+	ref, err := refRunOffline(toyScenario(60, 7), baselines.LPExact{}, 4, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.Satisfied, ref.Recomputations = ref.Satisfied[1:], ref.Recomputations-1
+	ref.SatisfiedMean = (ref.Satisfied[0] + ref.Satisfied[1] + ref.Satisfied[2]) / 3
+	sameOnlineResult(t, res, ref)
+	if _, err := toyScenario(60, 7).RunOffline(baselines.LPExact{}, 0, 5, 1); err == nil {
+		t.Fatal("a window without any traffic must be an error")
 	}
 	for _, v := range res.Satisfied {
 		if v < 0 || v > 1 {

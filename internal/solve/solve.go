@@ -24,7 +24,17 @@ package solve
 import (
 	"sate/internal/obs"
 	"sate/internal/par"
+	"sate/internal/te"
 )
+
+// Solver is the one solver contract: the SaTE model, the LP references, the
+// heuristics, the learned baselines and the sharded decomposition all
+// implement it, and every driver (controller, evaluators, shard, POP)
+// accepts it.
+type Solver interface {
+	Name() string
+	Solve(p *te.Problem, opts ...Option) (*te.Allocation, error)
+}
 
 // Objective selects what a solver optimises.
 type Objective uint8

@@ -38,8 +38,6 @@ type Problem struct {
 	pathLinks [][][]int
 }
 
-func linkKey(l topology.Link) uint64 { return uint64(l.A)<<32 | uint64(uint32(l.B)) }
-
 // Finalize builds the link index and path-link incidence (the Phi matrix of
 // Appendix A, stored sparsely). It must be called after the fields are set
 // and before solving. Paths that traverse unknown links are dropped from
@@ -50,7 +48,7 @@ func (p *Problem) Finalize() error {
 	}
 	p.linkIndex = make(map[uint64]int, len(p.Links))
 	for i, l := range p.Links {
-		p.linkIndex[linkKey(l)] = i
+		p.linkIndex[l.Key()] = i
 	}
 	p.bindFlows()
 	return nil
@@ -98,7 +96,7 @@ func (p *Problem) bindFlows() {
 			idx := make([]int, 0, len(links))
 			ok := true
 			for _, l := range links {
-				li, found := p.linkIndex[linkKey(l)]
+				li, found := p.linkIndex[l.Key()]
 				if !found {
 					ok = false
 					break
@@ -134,7 +132,7 @@ func (p *Problem) TopoFingerprint() uint64 {
 	h = (h ^ uint64(p.NumNodes)) * prime64
 	h = (h ^ uint64(len(p.Links))) * prime64
 	for i, l := range p.Links {
-		h = (h ^ linkKey(l)) * prime64
+		h = (h ^ l.Key()) * prime64
 		h = (h ^ math.Float64bits(p.LinkCap[i])) * prime64
 	}
 	return h
@@ -154,7 +152,7 @@ func (p *Problem) LinkSet() topology.LinkSet {
 
 // LinkIndexOf returns the index of a link, or -1.
 func (p *Problem) LinkIndexOf(l topology.Link) int {
-	if i, ok := p.linkIndex[linkKey(l)]; ok {
+	if i, ok := p.linkIndex[l.Key()]; ok {
 		return i
 	}
 	return -1

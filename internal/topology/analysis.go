@@ -95,7 +95,7 @@ func LinkExclusion(snaps []*Snapshot, steps int) float64 {
 			if l.Kind == IntraOrbit {
 				continue
 			}
-			k := l.key()
+			k := l.Key()
 			st := counts[k]
 			if st == nil {
 				st = &stat{}
@@ -126,8 +126,8 @@ func StableLinks(snaps []*Snapshot) []Link {
 	byKey := make(map[uint64]Link)
 	for _, s := range snaps {
 		for _, l := range s.Links {
-			counts[l.key()]++
-			byKey[l.key()] = l
+			counts[l.Key()]++
+			byKey[l.Key()] = l
 		}
 	}
 	var out []Link

@@ -291,7 +291,7 @@ func dedupeLinks(links []Link) []Link {
 	seen := make(map[uint64]struct{}, len(links))
 	out := links[:0]
 	for _, l := range links {
-		k := l.key()
+		k := l.Key()
 		if _, ok := seen[k]; ok {
 			continue
 		}

@@ -224,10 +224,10 @@ func TestDiff(t *testing.T) {
 	// Applying the diff to a's link set must yield b's link set.
 	set := a.LinkSet()
 	for _, l := range removed {
-		delete(set, l.key())
+		delete(set, l.Key())
 	}
 	for _, l := range added {
-		set[l.key()] = l
+		set[l.Key()] = l
 	}
 	want := b.LinkSet()
 	if len(set) != len(want) {
@@ -329,7 +329,7 @@ func TestStableLinks(t *testing.T) {
 	for _, s := range snaps {
 		set := s.LinkSet()
 		for _, l := range stable {
-			if _, ok := set[l.key()]; !ok {
+			if _, ok := set[l.Key()]; !ok {
 				t.Fatal("stable link missing from a snapshot")
 			}
 		}
@@ -374,7 +374,7 @@ func TestInjectFailuresProperty(t *testing.T) {
 		// Surviving links are a subset of the originals.
 		orig := s.LinkSet()
 		for _, l := range out.Links {
-			if _, ok := orig[l.key()]; !ok {
+			if _, ok := orig[l.Key()]; !ok {
 				return false
 			}
 		}
@@ -420,7 +420,7 @@ func TestLinkSetKindAgnosticMembership(t *testing.T) {
 	}
 
 	// Stored kinds survive for consumers that read the Link value.
-	if l := set[MakeLink(3, 9, IntraOrbit).key()]; l.Kind != CrossShellLaser {
+	if l := set[MakeLink(3, 9, IntraOrbit).Key()]; l.Kind != CrossShellLaser {
 		t.Errorf("stored kind = %v, want CrossShellLaser", l.Kind)
 	}
 

@@ -70,13 +70,14 @@ func MakeLink(a, b NodeID, kind LinkKind) Link {
 	return Link{A: a, B: b, Kind: kind}
 }
 
-// key encodes the endpoint pair into a single comparable value.
-func (l Link) key() uint64 { return uint64(l.A)<<32 | uint64(uint32(l.B)) }
+// Key encodes the endpoint pair into a single comparable value: the one
+// spelling of the canonical link key every per-link map in the repo uses.
+func (l Link) Key() uint64 { return uint64(l.A)<<32 | uint64(uint32(l.B)) }
 
 // hash returns a mixed 64-bit hash of the endpoint pair, used for
 // order-independent snapshot fingerprints.
 func (l Link) hash() uint64 {
-	x := l.key()
+	x := l.Key()
 	// SplitMix64 finalizer: excellent avalanche for XOR-combining.
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
@@ -136,7 +137,7 @@ func (s *Snapshot) Fingerprint() [2]uint64 {
 type LinkSet map[uint64]Link
 
 // Add inserts a link (last writer wins on the stored Kind).
-func (m LinkSet) Add(l Link) { m[l.key()] = l }
+func (m LinkSet) Add(l Link) { m[l.Key()] = l }
 
 // Has reports whether a live link connects a and b, in either endpoint order
 // and irrespective of LinkKind.
@@ -144,7 +145,7 @@ func (m LinkSet) Has(a, b NodeID) bool {
 	if a > b {
 		a, b = b, a
 	}
-	_, ok := m[uint64(a)<<32|uint64(uint32(b))]
+	_, ok := m[Link{A: a, B: b}.Key()]
 	return ok
 }
 
@@ -215,7 +216,7 @@ func (s *Snapshot) Diff(o *Snapshot) (added, removed []Link) {
 }
 
 func sortLinks(ls []Link) {
-	sort.Slice(ls, func(i, j int) bool { return ls[i].key() < ls[j].key() })
+	sort.Slice(ls, func(i, j int) bool { return ls[i].Key() < ls[j].Key() })
 }
 
 // ConnectedComponents returns the number of connected components among

@@ -22,8 +22,6 @@
 package sate
 
 import (
-	"time"
-
 	"sate/internal/baselines"
 	"sate/internal/constellation"
 	"sate/internal/controller"
@@ -205,25 +203,13 @@ func Train(s *Scenario, opt TrainOptions) (*Model, error) {
 	}
 	cfg.Seed = opt.Seed
 	m := core.NewModel(cfg)
-	solver := baselines.LPAuto{}
-	var samples []*core.Sample
-	for i := 0; i < opt.Samples; i++ {
-		// Spaced instants past the arrival process's initial ramp; with
-		// ScenarioConfig.FlowDurationScale at its default the load still
-		// grows for a long time — scale durations down (e.g. 0.05) to train
-		// and evaluate at steady state.
-		p, _, _, err := s.ProblemAt(120 + float64(i)*97)
-		if err != nil {
-			return nil, err
-		}
-		if len(p.Flows) == 0 {
-			continue
-		}
-		ref, err := solver.Solve(p)
-		if err != nil {
-			return nil, err
-		}
-		samples = append(samples, core.NewSample(p, ref))
+	// Spaced instants past the arrival process's initial ramp; with
+	// ScenarioConfig.FlowDurationScale at its default the load still grows
+	// for a long time — scale durations down (e.g. 0.05) to train and
+	// evaluate at steady state.
+	samples, err := s.Samples(baselines.LPAuto{}, sim.Instants(120, 97, opt.Samples))
+	if err != nil {
+		return nil, err
 	}
 	tc := core.DefaultTrainConfig()
 	tc.Epochs = opt.Epochs
@@ -243,7 +229,7 @@ type ShardedSolver = shard.Solver
 // concurrently, cut-crossing flows reconcile against residual capacities,
 // and per-shard warm state carries across cycles. k <= 0 picks the default
 // shard count and 1 is monolithic.
-func Sharded(inner shard.Inner, k int) *ShardedSolver { return shard.New(inner, k) }
+func Sharded(inner Allocator, k int) *ShardedSolver { return shard.New(inner, k) }
 
 // NewController builds the TE control center around a scenario and solver;
 // serve its Handler over HTTP and drive it with RunContext (or explicit
@@ -296,11 +282,4 @@ type UnknownExperimentError struct{ ID string }
 
 func (e *UnknownExperimentError) Error() string {
 	return "sate: unknown experiment " + e.ID
-}
-
-// Benchmark measures the solve latency of an allocator on a problem.
-func Benchmark(al Allocator, p *Problem) (time.Duration, error) {
-	start := time.Now()
-	_, err := al.Solve(p)
-	return time.Since(start), err
 }

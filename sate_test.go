@@ -36,13 +36,6 @@ func TestFacadeTrainAndSolve(t *testing.T) {
 	if v := p.Check(a); v.Any(1e-6) {
 		t.Fatalf("facade-trained model infeasible: %+v", v)
 	}
-	d, err := Benchmark(model, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d <= 0 {
-		t.Error("benchmark did not measure")
-	}
 }
 
 func TestFacadeSolvers(t *testing.T) {

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Tier-1 verify gate: build, vet, satelint (the project's determinism /
 # concurrency invariant linter, see DESIGN.md "Static analysis"), tests,
-# and a short run of the TE-cycle benchmark with its per-cycle checks.
+# a short load burst against the serving surface, and a short run of the
+# TE-cycle benchmark with its per-cycle checks.
 # Set RACE=1 to append the race-detector pass (scripts/race.sh).
 set -eu
 cd "$(dirname "$0")/.."
@@ -11,10 +12,7 @@ go build ./...
 echo "== go vet =="
 go vet ./...
 echo "== satelint =="
-# The committed baseline is empty (the tree lints clean); it exists so an
-# incremental adoption of a future rule has somewhere to park findings,
-# and so CI runs the exact invocation developers run locally.
-go run ./cmd/satelint -baseline .satelint-baseline.json ./...
+go run ./cmd/satelint ./...
 echo "== go test =="
 go test ./...
 echo "== obs/chaos race =="
@@ -25,8 +23,11 @@ echo "== obs/chaos race =="
 # streaks under link-failure injection, racing /v1/recompute requests, and
 # cancel-mid-solve shutdown — the paths where a data race would hide.
 go test -race ./internal/obs/... ./internal/solve/... ./internal/controller/... ./internal/sim/...
-echo "== bench smoke =="
-./scripts/bench.sh smoke
+echo "== sate-load smoke (2s burst) =="
+# A short in-process load burst through the real serving surface: any error
+# response (5xx or transport failure) fails the run.
+go run ./cmd/sate-load -duration 2 -conns 4 -publish-interval 0.3 \
+	-out "${LOAD_REPORT:-/tmp/sate-load-report.json}"
 echo "== cycle benchmark =="
 # The TE-cycle benchmark (BENCHMARK.json) drives the product path end to end
 # and checks every cycle's outputs; it exits nonzero on any failed check.
