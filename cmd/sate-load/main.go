@@ -187,8 +187,9 @@ func worker(client *http.Client, base string, mix []mixEntry, total int, seed in
 			st.Coalesced++
 		}
 		if name == "deltas" && resp.StatusCode == http.StatusOK {
-			// Advance the catch-up cursor like a real rule consumer: next
-			// request asks only for what published after this response.
+			// Move the catch-up cursor like a real rule consumer: every
+			// answer (deltas, full sync, up to date) brings it to latest —
+			// a full sync from a restarted server moves it backwards.
 			var dr struct {
 				Latest uint64 `json:"latest"`
 			}
@@ -198,9 +199,7 @@ func worker(client *http.Client, base string, mix []mixEntry, total int, seed in
 				st.Errors++
 				continue
 			}
-			if dr.Latest > since {
-				since = dr.Latest
-			}
+			since = dr.Latest
 		}
 	}
 }

@@ -65,8 +65,6 @@ func NewAdam[T Float](lr float64, params ...*ValueOf[T]) *AdamOf[T] {
 func (a *AdamOf[T]) Params() []*ValueOf[T] { return a.params }
 
 // ZeroGrad clears all parameter gradients.
-//
-//sate:hotpath optimizer inner loop of every training step
 func (a *AdamOf[T]) ZeroGrad() {
 	par.ForCtx(len(a.blocks), par.Grain(len(a.blocks), 1), a, opsFor[T]().adamZeroChunk)
 }
@@ -95,8 +93,6 @@ type adamStepArgs[T Float] struct {
 }
 
 // Step applies one Adam update from the accumulated gradients.
-//
-//sate:hotpath optimizer inner loop of every training step
 func (a *AdamOf[T]) Step() {
 	a.t++
 	scale := 1.0

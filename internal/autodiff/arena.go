@@ -31,8 +31,6 @@ type slab[T any] struct {
 
 // take returns the next n entries, holding whatever the previous pass left
 // there.
-//
-//lint:ignore hotpath-no-alloc chunk growth is amortized; steady state bump-allocates from retained chunks (TestTapeReuseZeroAllocs)
 func (s *slab[T]) take(n int) []T {
 	if n == 0 {
 		return nil

@@ -22,16 +22,13 @@ type opTable[T Float] struct {
 	mulColBroadcastBack  func(*ValueOf[T])
 	leakyReLUBack        func(*ValueOf[T])
 	sigmoidBack          func(*ValueOf[T])
-	tanhBack             func(*ValueOf[T])
 	expBack              func(*ValueOf[T])
-	clampMaxBack         func(*ValueOf[T])
 	softClampBack        func(*ValueOf[T])
 	concatBack           func(*ValueOf[T])
 	gatherBack           func(*ValueOf[T])
 	scatterAddRowsBack   func(*ValueOf[T])
 	segmentSoftmaxBack   func(*ValueOf[T])
 	sumAllBack           func(*ValueOf[T])
-	sumRowsBack          func(*ValueOf[T])
 	rowSoftmaxBack       func(*ValueOf[T])
 	linearBack           func(*ValueOf[T])
 	gatherConcatBack     func(*ValueOf[T])
@@ -53,20 +50,14 @@ type opTable[T Float] struct {
 	leakyReLUBackChunk      func(*ValueOf[T], int, int)
 	sigmoidFwdChunk         func(*ValueOf[T], int, int)
 	sigmoidBackChunk        func(*ValueOf[T], int, int)
-	tanhFwdChunk            func(*ValueOf[T], int, int)
-	tanhBackChunk           func(*ValueOf[T], int, int)
 	expFwdChunk             func(*ValueOf[T], int, int)
 	expBackChunk            func(*ValueOf[T], int, int)
-	clampMaxFwdChunk        func(*ValueOf[T], int, int)
-	clampMaxBackChunk       func(*ValueOf[T], int, int)
 	softClampFwdChunk       func(*ValueOf[T], int, int)
 	softClampBackChunk      func(*ValueOf[T], int, int)
 	concatFwdChunk          func(*ValueOf[T], int, int)
 	concatBackChunk         func(*ValueOf[T], int, int)
 	gatherFwdChunk          func(*ValueOf[T], int, int)
 	scatterAddRowsBkChunk   func(*ValueOf[T], int, int)
-	sumRowsFwdChunk         func(*ValueOf[T], int, int)
-	sumRowsBackChunk        func(*ValueOf[T], int, int)
 	rowSoftmaxFwdChunk      func(*ValueOf[T], int, int)
 	rowSoftmaxBackChunk     func(*ValueOf[T], int, int)
 	linearFwdChunk          func(*ValueOf[T], int, int)
@@ -102,16 +93,13 @@ func newOpTable[T Float]() *opTable[T] {
 		mulColBroadcastBack:  mulColBroadcastBack[T],
 		leakyReLUBack:        leakyReLUBack[T],
 		sigmoidBack:          sigmoidBack[T],
-		tanhBack:             tanhBack[T],
 		expBack:              expBack[T],
-		clampMaxBack:         clampMaxBack[T],
 		softClampBack:        softClampBack[T],
 		concatBack:           concatBack[T],
 		gatherBack:           gatherBack[T],
 		scatterAddRowsBack:   scatterAddRowsBack[T],
 		segmentSoftmaxBack:   segmentSoftmaxBack[T],
 		sumAllBack:           sumAllBack[T],
-		sumRowsBack:          sumRowsBack[T],
 		rowSoftmaxBack:       rowSoftmaxBack[T],
 		linearBack:           linearBack[T],
 		gatherConcatBack:     gatherConcatBack[T],
@@ -132,20 +120,14 @@ func newOpTable[T Float]() *opTable[T] {
 		leakyReLUBackChunk:      leakyReLUBackChunk[T],
 		sigmoidFwdChunk:         sigmoidFwdChunk[T],
 		sigmoidBackChunk:        sigmoidBackChunk[T],
-		tanhFwdChunk:            tanhFwdChunk[T],
-		tanhBackChunk:           tanhBackChunk[T],
 		expFwdChunk:             expFwdChunk[T],
 		expBackChunk:            expBackChunk[T],
-		clampMaxFwdChunk:        clampMaxFwdChunk[T],
-		clampMaxBackChunk:       clampMaxBackChunk[T],
 		softClampFwdChunk:       softClampFwdChunk[T],
 		softClampBackChunk:      softClampBackChunk[T],
 		concatFwdChunk:          concatFwdChunk[T],
 		concatBackChunk:         concatBackChunk[T],
 		gatherFwdChunk:          gatherFwdChunk[T],
 		scatterAddRowsBkChunk:   scatterAddRowsBackChunk[T],
-		sumRowsFwdChunk:         sumRowsFwdChunk[T],
-		sumRowsBackChunk:        sumRowsBackChunk[T],
 		rowSoftmaxFwdChunk:      rowSoftmaxFwdChunk[T],
 		rowSoftmaxBackChunk:     rowSoftmaxBackChunk[T],
 		linearFwdChunk:          linearFwdChunk[T],

@@ -19,8 +19,6 @@ import (
 
 // Linear returns x @ w + bias (bias 1 x n, broadcast over rows) as one
 // kernel: the gemm epilogue adds the bias while the output row is hot.
-//
-//sate:hotpath fused kernel issued per layer per solve
 func (tp *TapeOf[T]) Linear(x, w, bias *ValueOf[T]) *ValueOf[T] {
 	return tp.linear(x, w, bias, 0, false)
 }
@@ -31,8 +29,6 @@ func (tp *TapeOf[T]) Linear(x, w, bias *ValueOf[T]) *ValueOf[T] {
 // is exact. On inference tapes no stash is allocated: the nonlinearity is
 // applied in place on the output — same elementwise operations, one fewer
 // m x n tensor of memory traffic per call.
-//
-//sate:hotpath fused kernel issued per layer per solve
 func (tp *TapeOf[T]) LinearLeakyReLU(x, w, bias *ValueOf[T], slope T) *ValueOf[T] {
 	return tp.linear(x, w, bias, slope, true)
 }
@@ -135,8 +131,6 @@ func linearBack[T Float](v *ValueOf[T]) {
 // [Θd·v_dst ‖ Θn·v_src ‖ Θe·e] with only the dst part gathered — the src
 // part arrives pre-gathered because it is shared with the message term,
 // which keeps the gradient accumulation order of the composed graph.
-//
-//sate:hotpath fused kernel issued per layer per solve
 func (tp *TapeOf[T]) GatherConcat(a *ValueOf[T], ai []int, b *ValueOf[T], bi []int, e *ValueOf[T]) *ValueOf[T] {
 	rows := len(ai)
 	if br := b.Val.Rows; (bi == nil && br != rows) || (bi != nil && len(bi) != rows) {
@@ -249,8 +243,6 @@ func stridedScatterChunk[T Float](a stridedScatterArgs[T], lo, hi int) {
 // alpha[e] * msg[e], without materialising alpha or the weighted messages as
 // graph nodes. score is E x 1, msg is E x cols, out is nSeg x cols. The
 // attention weights are stashed on the node for the backward pass.
-//
-//sate:hotpath fused kernel issued per layer per solve
 func (tp *TapeOf[T]) SegmentAttention(score, msg *ValueOf[T], seg []int, nSeg int) *ValueOf[T] {
 	if score.Val.Cols != 1 || len(seg) != score.Val.Rows || msg.Val.Rows != score.Val.Rows {
 		panic("autodiff: SegmentAttention requires E x 1 scores, E x cols messages and E segment ids")

@@ -313,33 +313,6 @@ func sigmoidBackChunk[T Float](v *ValueOf[T], lo, hi int) {
 	}
 }
 
-// Tanh applies tanh elementwise.
-func (tp *TapeOf[T]) Tanh(a *ValueOf[T]) *ValueOf[T] {
-	v := tp.newNodeStored(a.Val.Rows, a.Val.Cols, opsFor[T]().tanhBack)
-	v.src0 = a
-	par.ForCtx(len(v.Val.Data), elemGrain(len(v.Val.Data)), v, opsFor[T]().tanhFwdChunk)
-	return v
-}
-
-func tanhFwdChunk[T Float](v *ValueOf[T], lo, hi int) {
-	o, x := v.Val.Data, v.src0.Val.Data
-	for i := lo; i < hi; i++ {
-		o[i] = tanhT(x[i])
-	}
-}
-
-func tanhBack[T Float](v *ValueOf[T]) {
-	par.ForCtx(len(v.Grad.Data), elemGrain(len(v.Grad.Data)), v, opsFor[T]().tanhBackChunk)
-}
-
-func tanhBackChunk[T Float](v *ValueOf[T], lo, hi int) {
-	g, o, ga := v.Grad.Data, v.Val.Data, v.src0.Grad.Data
-	for i := lo; i < hi; i++ {
-		y := o[i]
-		ga[i] += g[i] * (1 - y*y)
-	}
-}
-
 // Exp applies exp elementwise.
 func (tp *TapeOf[T]) Exp(a *ValueOf[T]) *ValueOf[T] {
 	v := tp.newNodeStored(a.Val.Rows, a.Val.Cols, opsFor[T]().expBack)
@@ -363,34 +336,6 @@ func expBackChunk[T Float](v *ValueOf[T], lo, hi int) {
 	g, o, ga := v.Grad.Data, v.Val.Data, v.src0.Grad.Data
 	for i := lo; i < hi; i++ {
 		ga[i] += g[i] * o[i]
-	}
-}
-
-// ClampMax applies min(x, c) elementwise (gradient 0 where clamped).
-func (tp *TapeOf[T]) ClampMax(a *ValueOf[T], c T) *ValueOf[T] {
-	v := tp.newNodeStored(a.Val.Rows, a.Val.Cols, opsFor[T]().clampMaxBack)
-	v.src0, v.s0 = a, c
-	par.ForCtx(len(v.Val.Data), elemGrain(len(v.Val.Data)), v, opsFor[T]().clampMaxFwdChunk)
-	return v
-}
-
-func clampMaxFwdChunk[T Float](v *ValueOf[T], lo, hi int) {
-	o, x, c := v.Val.Data, v.src0.Val.Data, v.s0
-	for i := lo; i < hi; i++ {
-		o[i] = minT(x[i], c)
-	}
-}
-
-func clampMaxBack[T Float](v *ValueOf[T]) {
-	par.ForCtx(len(v.Grad.Data), elemGrain(len(v.Grad.Data)), v, opsFor[T]().clampMaxBackChunk)
-}
-
-func clampMaxBackChunk[T Float](v *ValueOf[T], lo, hi int) {
-	g, x, ga, c := v.Grad.Data, v.src0.Val.Data, v.src0.Grad.Data, v.s0
-	for i := lo; i < hi; i++ {
-		if x[i] < c {
-			ga[i] += g[i]
-		}
 	}
 }
 
@@ -616,41 +561,6 @@ func sumAllBack[T Float](v *ValueOf[T]) {
 func (tp *TapeOf[T]) MeanAll(a *ValueOf[T]) *ValueOf[T] {
 	n := float64(len(a.Val.Data))
 	return tp.Scale(tp.SumAll(a), T(1/n))
-}
-
-// SumRows reduces each row to one value (n x 1).
-func (tp *TapeOf[T]) SumRows(a *ValueOf[T]) *ValueOf[T] {
-	v := tp.newNodeStored(a.Val.Rows, 1, opsFor[T]().sumRowsBack)
-	v.src0 = a
-	par.ForCtx(a.Val.Rows, rowGrain(a.Val.Rows, a.Val.Cols), v, opsFor[T]().sumRowsFwdChunk)
-	return v
-}
-
-func sumRowsFwdChunk[T Float](v *ValueOf[T], lo, hi int) {
-	cols := v.src0.Val.Cols
-	x := v.src0.Val.Data
-	for r := lo; r < hi; r++ {
-		var s T
-		for c := 0; c < cols; c++ {
-			s += x[r*cols+c]
-		}
-		v.Val.Data[r] = s
-	}
-}
-
-func sumRowsBack[T Float](v *ValueOf[T]) {
-	par.ForCtx(v.Val.Rows, rowGrain(v.Val.Rows, v.src0.Val.Cols), v, opsFor[T]().sumRowsBackChunk)
-}
-
-func sumRowsBackChunk[T Float](v *ValueOf[T], lo, hi int) {
-	cols := v.src0.Val.Cols
-	ga := v.src0.Grad.Data
-	for r := lo; r < hi; r++ {
-		g := v.Grad.Data[r]
-		for c := 0; c < cols; c++ {
-			ga[r*cols+c] += g
-		}
-	}
 }
 
 // MSE returns mean squared error between a and b as a scalar.

@@ -31,9 +31,6 @@ func ToFloat64[T Float](x T) float64 { return f64(x) }
 // expT is math.Exp over a generic scalar (computed in float64, rounded once).
 func expT[T Float](x T) T { return T(math.Exp(f64(x))) }
 
-// tanhT is math.Tanh over a generic scalar.
-func tanhT[T Float](x T) T { return T(math.Tanh(f64(x))) }
-
 // minT is math.Min over generic scalars (keeps math.Min's NaN/±0 semantics,
 // which a plain < comparison would not).
 func minT[T Float](a, b T) T { return T(math.Min(f64(a), f64(b))) }

@@ -156,8 +156,6 @@ func NewInferenceTapeOf[T Float]() *TapeOf[T] { return &TapeOf[T]{} }
 // are invalidated: the next pass reuses their storage. Prefer Reset over a
 // fresh NewTape in loops; after one warm-up pass the steady state allocates
 // nothing.
-//
-//sate:hotpath tape recycle between passes; the core of the zero-alloc steady state
 func (tp *TapeOf[T]) Reset() {
 	tp.nodes = tp.nodes[:0]
 	tp.arena.reset()
@@ -250,7 +248,6 @@ func (tp *TapeOf[T]) newNodeStored(rows, cols int, back func(*ValueOf[T])) *Valu
 	if tp.grad {
 		v.Grad = tp.arena.tensor(rows, cols)
 		v.back = back
-		//lint:ignore hotpath-no-alloc gradient tapes only; the node list reaches high-water capacity and stops growing
 		tp.nodes = append(tp.nodes, v)
 	}
 	return v
@@ -286,8 +283,6 @@ func (tp *TapeOf[T]) Watch(p *ValueOf[T]) *ValueOf[T] {
 }
 
 // Backward runs reverse accumulation from a scalar output (1x1 tensor).
-//
-//sate:hotpath reverse pass of every training step
 func (tp *TapeOf[T]) Backward(out *ValueOf[T]) {
 	if !tp.grad {
 		panic("autodiff: Backward on an inference tape")

@@ -549,8 +549,10 @@ func (s *Server) serveNodeRules(w http.ResponseWriter, r *http.Request, sn *Snap
 
 // DeltasResponse is the GET /v1/deltas payload. Either Deltas carries the
 // versions Since+1 .. Latest to apply in order, or FullSync is set and Full
-// is the complete latest rule table dump (the client's version predates the
-// compaction window). An up-to-date client gets both empty.
+// is the complete latest rule table dump: the client's version predates the
+// compaction window, or lies beyond Latest (it was served by an earlier
+// incarnation of the controller). A client at exactly Latest gets both
+// empty.
 type DeltasResponse struct {
 	Since    uint64           `json:"since"`
 	Latest   uint64           `json:"latest"`

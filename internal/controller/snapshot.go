@@ -44,36 +44,24 @@ type Snapshot struct {
 // Current returns the live published snapshot (nil before the first cycle).
 // The returned value is immutable and remains valid forever; later
 // publishes swap in a new pointer and never touch old snapshots.
-//
-//sate:hotpath every read endpoint starts here
 func (s *Server) Current() *Snapshot {
 	return s.snap.Load()
 }
 
 // ETag returns the strong entity tag of this snapshot, `"v<Version>"`.
-//
-//sate:hotpath
 func (sn *Snapshot) ETag() string { return sn.etag }
 
 // StatusBody returns the pre-encoded /v1/status JSON body.
-//
-//sate:hotpath
 func (sn *Snapshot) StatusBody() []byte { return sn.statusJSON }
 
 // AllocationBody returns the pre-encoded /v1/allocation JSON body.
-//
-//sate:hotpath
 func (sn *Snapshot) AllocationBody() []byte { return sn.allocJSON }
 
 // RulesBody returns the pre-encoded full /v1/rules JSON body.
-//
-//sate:hotpath
 func (sn *Snapshot) RulesBody() []byte { return sn.rulesJSON }
 
 // Degraded reports whether this snapshot serves a stale allocation after
 // one or more failed cycles.
-//
-//sate:hotpath
 func (sn *Snapshot) Degraded() bool { return sn.deg.Failures > 0 }
 
 // statusResponse assembles the status payload for this snapshot.

@@ -128,8 +128,6 @@ func BuildTEGraphInto(g *TEGraph, p *te.Problem) *TEGraph {
 // rebuilt; the caller passes it only when p's TopoFingerprint — node count,
 // link endpoints, capacities: everything the R1 side is derived from —
 // equals that of the problem g was last built for.
-//
-//lint:ignore hotpath-no-alloc builds by appending into retained high-water capacity; allocation-free once warm (TestSolveObsAddsZeroAllocs pins it)
 func buildTEGraphInto(g *TEGraph, p *te.Problem, keepR1 bool) {
 	g.NumSats = p.NumNodes
 	g.NumPaths = 0

@@ -224,7 +224,6 @@ func (m *Model) float32Net() *netOf[float32] {
 	gen := m.weightGen.Load()
 	m.f32mu.Lock()
 	defer m.f32mu.Unlock()
-	//lint:ignore hotpath-no-alloc weight conversion runs once per weight generation; steady-state solves return the cached copy
 	if m.f32 == nil || m.f32gen != gen {
 		m.f32 = convertNet(&m.netOf)
 		m.f32gen = gen
@@ -366,8 +365,6 @@ func (m *Model) Allocate(tp *autodiff.Tape, g *TEGraph, p *te.Problem) *autodiff
 // solveThroughput is the dtype-generic throughput inference path: graph
 // construction into the workspace, GNN inference on its tape, decoding, and
 // the feasibility correction.
-//
-//sate:hotpath steady-state inference; warm solves add zero heap allocations (TestSolveObsAddsZeroAllocs)
 func solveThroughput[T autodiff.Float](net *netOf[T], cs *CycleState, ds *dtypeState[T], p *te.Problem, o solve.Options, name string) (*te.Allocation, error) {
 	a := solve.Begin(o, name)
 	defer a.End()
@@ -403,8 +400,6 @@ func solveThroughput[T autodiff.Float](net *netOf[T], cs *CycleState, ds *dtypeS
 // graph-build/forward/decode phase spans) or override the worker budget.
 // Instrumentation adds zero heap allocations to the solve path
 // (TestSolveObsAddsZeroAllocs).
-//
-//sate:hotpath inference entry point, one call per TE cycle
 func (m *Model) Solve(p *te.Problem, opts ...solve.Option) (*te.Allocation, error) {
 	o := solve.Build(opts...)
 	cs := m.workspace(o.Warm)

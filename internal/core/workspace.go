@@ -82,7 +82,6 @@ func (ds *dtypeState[T]) satEmbeddings(cs *CycleState, net *netOf[T], g *TEGraph
 	cs.r1Misses++
 	sat := net.r1Embed(tp, g)
 	if ds.r1Out == nil || !ds.r1Out.SameShape(sat.Val) {
-		//lint:ignore hotpath-no-alloc the cached embeddings are reallocated only when the node count moves
 		ds.r1Out = sat.Val.Clone()
 	} else {
 		sat.Val.CopyInto(ds.r1Out)
@@ -111,7 +110,6 @@ func (m *Model) workspace(w any) *CycleState {
 		m.wsFree = m.wsFree[:n-1]
 		return cs
 	}
-	//lint:ignore hotpath-no-alloc the pool grows to the peak number of concurrent solves and then only recycles
 	return &CycleState{model: m, pooled: true}
 }
 
@@ -122,7 +120,6 @@ func (m *Model) release(cs *CycleState) {
 		return
 	}
 	m.wsMu.Lock()
-	//lint:ignore hotpath-no-alloc the free list reaches the peak number of concurrent solves and stops growing
 	m.wsFree = append(m.wsFree, cs)
 	m.wsMu.Unlock()
 }

@@ -89,6 +89,12 @@ func TestWorkspaceAbsorbsShapeDrift(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	// A warm solve's whole budget belongs to its product (DESIGN.md §8):
+	// te.NewAllocation 3, Trim's load and scale slices 6, solve.Build 1 —
+	// the graph build, the GNN forward and the fused kernels add nothing.
+	if fixed > 10 {
+		t.Fatalf("a warm solve of a repeated shape allocates %v objects, want <= 10", fixed)
+	}
 	next := 0
 	drifting := testing.AllocsPerRun(len(vs)-1, func() {
 		next++

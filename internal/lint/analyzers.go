@@ -18,7 +18,6 @@ func Analyzers() []*Analyzer {
 		checkedErrors,
 		noFmtPrintInLib,
 		noDtypeLiteral,
-		hotpathNoAlloc,
 		mapOrderDeterminism,
 		ctxPropagation,
 		unusedSuppression,

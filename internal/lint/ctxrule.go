@@ -47,8 +47,8 @@ var ctxPropagation = &Analyzer{
 			}
 			for _, e := range n.Edges {
 				c := e.Callee
-				if info[c].ctxParam != nil || c.Lit != nil {
-					continue // ctx re-enters, or lexical capture covers it
+				if info[c].ctxParam != nil {
+					continue // ctx re-enters
 				}
 				if probe(c, seen) {
 					reachesFresh[n] = true
@@ -86,11 +86,11 @@ var ctxPropagation = &Analyzer{
 			}
 			for _, e := range n.Edges {
 				c := e.Callee
-				if e.Widened || c.Lit != nil || info[c].ctxParam != nil {
+				if info[c].ctxParam != nil {
 					continue
 				}
 				if reachesFresh[c] {
-					report(n.File, siteNode(n, e), "call into %s drops ctx: the chain below constructs a fresh context; add a ctx parameter through it", c.Name)
+					report(n.File, e.Call, "call into %s drops ctx: the chain below constructs a fresh context; add a ctx parameter through it", c.Name)
 				}
 			}
 		}
@@ -130,28 +130,6 @@ func ctxInfoFor(n *FuncNode) *ctxInfo {
 		return true
 	})
 	return ci
-}
-
-// siteNode wraps an edge site back into a reportable node: find the call
-// expression starting at the site.
-func siteNode(n *FuncNode, e Edge) ast.Node {
-	var found ast.Node
-	ast.Inspect(n.Body(), func(c ast.Node) bool {
-		if found != nil {
-			return false
-		}
-		if c != nil && c.Pos() == e.Site {
-			if _, ok := c.(*ast.CallExpr); ok {
-				found = c
-				return false
-			}
-		}
-		return true
-	})
-	if found == nil {
-		return n.Body()
-	}
-	return found
 }
 
 // usesObj reports whether the node's body references obj (nested literals

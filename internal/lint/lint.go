@@ -5,13 +5,11 @@
 // simulated-time packages never read the wall clock — plus general hygiene
 // rules (discarded errors, float equality, stray prints in library code).
 //
-// Beyond per-file AST checks, the suite builds a whole-program call graph
-// (see callgraph.go) and runs call-graph-aware rules on it: functions
-// annotated //sate:hotpath and everything reachable from them must be
-// allocation-free (hotpath-no-alloc), map iteration in deterministic
-// packages must not accumulate order-dependent state (map-order-
-// determinism), and a context.Context received by a function must not be
-// dropped on its way down a call chain (ctx-propagation).
+// Beyond the per-file AST checks — which include map-order-determinism:
+// map iteration in deterministic packages must not accumulate
+// order-dependent state — the suite builds a whole-program direct-call
+// graph (see callgraph.go) for ctx-propagation: a context.Context received
+// by a function must not be dropped on its way down a call chain.
 //
 // The suite is built purely on the standard library (go/ast, go/parser,
 // go/token, go/types); package resolution shells out to the go command for
@@ -22,10 +20,7 @@
 //
 //	//lint:ignore <rule>[,<rule>...] <reason>
 //
-// The reason is mandatory; a directive without one is itself reported. For
-// the hot-path rule a directive placed on a statement additionally covers
-// the statement's whole extent, and one placed on a func declaration opts
-// the entire function (and every call made from it) out of the traversal.
+// The reason is mandatory; a directive without one is itself reported.
 // A suppression that no longer matches any finding is reported by the
 // unused-suppression pseudo-rule so stale exemptions cannot accumulate.
 package lint
@@ -137,7 +132,6 @@ func Run(files []*File, analyzers []*Analyzer) []Finding {
 	}
 	if needProgram {
 		prog := BuildProgram(files)
-		prog.supp = tables
 		for _, a := range analyzers {
 			if a.runProgram != nil {
 				rule := a.Name

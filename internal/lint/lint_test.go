@@ -135,16 +135,6 @@ func TestMalformedDirective(t *testing.T) {
 	)
 }
 
-func TestHotpathNoAlloc(t *testing.T) {
-	wantExact(t, "hotpath-no-alloc",
-		"internal/lib/hot.go:13:9", // append in hotHelper, reached transitively
-		"internal/lib/hot.go:20:9", // make directly in the annotated root
-	)
-	// The statement-suppressed warm-up make and everything behind the
-	// decl-suppressed buildTable edge must be absent — and because both
-	// directives cut real findings, neither shows up as unused below.
-}
-
 func TestMapOrderDeterminism(t *testing.T) {
 	wantExact(t, "map-order-determinism",
 		"internal/te/maporder.go:15:3", // float += in map range
@@ -170,8 +160,8 @@ func TestUnusedSuppression(t *testing.T) {
 		"internal/lib/unused.go:6:2", // stale: shields no finding
 		"internal/lib/unused.go:8:2", // names a rule that does not exist
 	)
-	// Every other directive in the fixture tree suppresses a live finding
-	// (or cuts a live call-graph edge), so exactly these two surface.
+	// Every other directive in the fixture tree suppresses a live finding,
+	// so exactly these two surface.
 }
 
 // TestFindingFormat pins the rendered diagnostic shape: file:line:col [rule].

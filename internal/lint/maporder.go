@@ -235,3 +235,11 @@ func isFloatExpr(f *File, e ast.Expr) bool {
 	}
 	return isFloat(t)
 }
+
+// typeUnder is Underlying with nil tolerance.
+func typeUnder(t types.Type) types.Type {
+	if t == nil {
+		return nil
+	}
+	return t.Underlying()
+}

@@ -139,7 +139,6 @@ func (r *Registry) HistogramVec(name, label string, bounds []float64) *Histogram
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	//lint:ignore hotpath-no-alloc family creation runs once per metric name; steady state returns from the lock-free read above
 	if v = r.histVecs[name]; v == nil {
 		v = &HistogramVec{label: label, bounds: append([]float64(nil), bounds...), children: make(map[string]*Histogram)}
 		r.histVecs[name] = v
@@ -173,14 +172,10 @@ func (r *Registry) CounterVec(name, label string) *CounterVec {
 type Counter struct{ v atomic.Uint64 }
 
 // Inc adds 1.
-//
-//sate:hotpath metric recording inside the solve loop
 func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds n (callers pass non-negative deltas; this is not enforced on the
 // hot path).
-//
-//sate:hotpath metric recording inside the solve loop
 func (c *Counter) Add(n uint64) {
 	if c == nil {
 		return
@@ -200,8 +195,6 @@ func (c *Counter) Value() uint64 {
 type Gauge struct{ bits atomic.Uint64 }
 
 // Set stores v.
-//
-//sate:hotpath metric recording inside the solve loop
 func (g *Gauge) Set(v float64) {
 	if g == nil {
 		return
@@ -210,8 +203,6 @@ func (g *Gauge) Set(v float64) {
 }
 
 // Add adds delta (CAS loop; no allocation).
-//
-//sate:hotpath metric recording inside the solve loop
 func (g *Gauge) Add(delta float64) {
 	if g == nil {
 		return
@@ -250,8 +241,6 @@ func newHistogram(bounds []float64) *Histogram {
 }
 
 // Observe records v.
-//
-//sate:hotpath metric recording inside the solve loop
 func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
@@ -313,7 +302,6 @@ func (v *HistogramVec) With(value string) *Histogram {
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	//lint:ignore hotpath-no-alloc child creation runs once per label value; steady state returns from the lock-free read above
 	if h = v.children[value]; h == nil {
 		h = newHistogram(v.bounds)
 		v.children[value] = h

@@ -216,7 +216,9 @@ func TestRecordingAddsZeroAllocs(t *testing.T) {
 	v := r.HistogramVec("hv_seconds", "k", DefLatencyBuckets)
 	if allocs := testing.AllocsPerRun(100, func() {
 		c.Inc()
+		c.Add(2)
 		g.Set(1)
+		g.Add(0.5)
 		h.Observe(0.001)
 		v.With("sate").Observe(0.001)
 		r.Counter("c_total").Inc() // constant-name lookup

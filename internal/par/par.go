@@ -92,7 +92,6 @@ func SetWorkers(n int) (restore func()) {
 	} else {
 		workerOverride.Store(int64(n))
 	}
-	//lint:ignore hotpath-no-alloc the restore closure is the API contract; one allocation per solve-scoped override, never per op
 	return func() { workerOverride.Store(prev) }
 }
 
@@ -146,7 +145,6 @@ func ForCtx[T any](n, grain int, ctx T, fn func(ctx T, lo, hi int)) {
 // fast path.
 //
 //go:noinline
-//lint:ignore hotpath-no-alloc goroutine dispatch allocates per fork by design; the zero-alloc gates pin the serial fast path, which never enters here
 func forCtxParallel[T any](n, grain, chunks, workers int, ctx T, fn func(ctx T, lo, hi int)) {
 	if m := metrics.Load(); m != nil {
 		m.dispatch.Inc()

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sate/internal/constellation"
+	"sate/internal/par"
 	"sate/internal/topology"
 )
 
@@ -30,5 +31,47 @@ func TestGridKShortestSteadyAllocs(t *testing.T) {
 		if n > limit {
 			t.Errorf("KShortest(%d, %d, 10): %.0f allocs/query, want <= %d", a, c, n, limit)
 		}
+	}
+}
+
+// TestDBSteadyAllocs pins the path database's two per-cycle entry points in
+// the steady state (DESIGN.md §8). A cache hit in Paths allocates nothing,
+// nor does the sharded solver's per-path range test on what it returns.
+// An Update to a new snapshot of an unchanged topology recomputes no pair
+// and pays only Snapshot.Diff's two link sets — 6 objects at Iridium's 66
+// satellites, growing with the link count, never with the cached pairs.
+func TestDBSteadyAllocs(t *testing.T) {
+	defer par.SetWorkers(1)()
+	cons := constellation.Iridium()
+	gen := topology.NewGenerator(cons, topology.DefaultConfig(topology.CrossShellLasers))
+	db := NewDB(cons, gen.Snapshot(0), 4)
+	var pairs []Pair
+	for a := 0; a < cons.Size(); a += 5 {
+		for c := 1; c < cons.Size(); c += 7 {
+			if a != c {
+				pairs = append(pairs, Pair{constellation.SatID(a), constellation.SatID(c)})
+			}
+		}
+	}
+	db.Precompute(pairs)
+
+	if n := testing.AllocsPerRun(100, func() {
+		for _, p := range pairs {
+			for _, q := range db.Paths(p.Src, p.Dst) {
+				q.WithinRange(0, topology.NodeID(cons.Size()/2))
+			}
+		}
+	}); n != 0 {
+		t.Errorf("Paths + WithinRange on %d cached pairs: %.0f allocs, want 0", len(pairs), n)
+	}
+
+	same := gen.Snapshot(0)
+	const limit = 8
+	if n := testing.AllocsPerRun(20, func() {
+		if db.Update(same) != 0 {
+			panic("unchanged topology recomputed pairs")
+		}
+	}); n > limit {
+		t.Errorf("Update on an unchanged topology with %d cached pairs: %.0f allocs, want <= %d", len(pairs), n, limit)
 	}
 }

@@ -64,18 +64,13 @@ func NewDB(c *constellation.Constellation, s *topology.Snapshot, k int, warm ...
 func (db *DB) Snapshot() *topology.Snapshot { return db.snap }
 
 // Paths returns the candidate paths for a pair, computing them on first use.
-//
-//sate:hotpath per-flow candidate lookup in the problem-build loop
 func (db *DB) Paths(src, dst constellation.SatID) []Path {
 	p := Pair{src, dst}
 	if ps, ok := db.paths[p]; ok {
 		return ps
 	}
-	//lint:ignore hotpath-no-alloc cache-miss branch computes a pair's paths once; replay steady state hits the cache above
 	ps := db.router.KShortest(src, dst, db.K)
-	//lint:ignore hotpath-no-alloc cache-miss branch computes a pair's paths once; replay steady state hits the cache above
 	db.paths[p] = ps
-	//lint:ignore hotpath-no-alloc cache-miss branch computes a pair's paths once; replay steady state hits the cache above
 	db.index(p, ps)
 	return ps
 }
@@ -163,8 +158,6 @@ func (db *DB) unindex(pair Pair, ps []Path) {
 // recomputations run in parallel; the index merge is serial and processes
 // pairs in sorted order so the update is deterministic. It returns the
 // number of pairs recomputed.
-//
-//sate:hotpath incremental path refresh each topology cycle
 func (db *DB) Update(s *topology.Snapshot) int {
 	added, removed := db.snap.Diff(s)
 	db.snap = s
@@ -184,8 +177,6 @@ func (db *DB) Update(s *topology.Snapshot) int {
 // recomputeDirty recomputes every pair whose cached paths traverse a removed
 // link, fanning the searches out across the worker pool and merging results
 // serially in sorted pair order (deterministic). Returns the pair count.
-//
-//lint:ignore hotpath-no-alloc link-churn branch: work and allocation are proportional to the dirty pairs (<2% per cycle); no-churn cycles never enter
 func (db *DB) recomputeDirty(removed []topology.Link) int {
 	dirtySet := make(map[Pair]struct{})
 	for _, l := range removed {

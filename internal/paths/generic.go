@@ -16,8 +16,6 @@ type Graph struct {
 }
 
 // GraphFrom builds a Graph from a snapshot.
-//
-//lint:ignore hotpath-no-alloc builds the generic fallback graph once per rebase (lazily, under the router lock)
 func GraphFrom(s *topology.Snapshot) *Graph {
 	return &Graph{N: s.NumNodes, Adj: s.Adjacency()}
 }
@@ -33,8 +31,6 @@ func GraphFrom(s *topology.Snapshot) *Graph {
 // pointers for the GC to trace. The priority queue mirrors container/heap's
 // sift algorithms exactly, so the pop order — including ties — matches the
 // previous heap-of-pointers implementation bit for bit.
-//
-//lint:ignore hotpath-no-alloc Yen search allocates the returned paths plus amortized retained scratch by contract
 func (g *Graph) KShortest(src, dst topology.NodeID, k int) (out []Path) {
 	if src == dst || k <= 0 {
 		return nil

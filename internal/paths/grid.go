@@ -76,8 +76,6 @@ func (r *GridRouter) Prewarm() { r.generic() }
 // instead of rebuilding them from the full link list. The generic fallback
 // graph is dropped (positions move every snapshot) and rebuilt lazily.
 // The caller must not be running concurrent KShortest queries.
-//
-//lint:ignore hotpath-no-alloc patches link maps in place; allocation proportional to the added links of one cycle's churn
 func (r *GridRouter) Rebase(s *topology.Snapshot, added, removed []topology.Link) {
 	r.Snap = s
 	for _, l := range removed {
@@ -148,8 +146,6 @@ func (r *GridRouter) IntraShellPaths(src, dst constellation.SatID, k int) []Path
 
 // enumerateLattice walks all interleavings of |dp| plane-steps and |ds|
 // slot-steps (up to k results), validating each hop against live links.
-//
-//lint:ignore hotpath-no-alloc allocates only the enumerated candidate paths by contract (TestGridKShortestSteadyAllocs caps the query)
 func (r *GridRouter) enumerateLattice(start constellation.GridCoord, dp, ds, k int, out *[]Path) {
 	stepP := 1
 	if dp < 0 {
@@ -244,8 +240,6 @@ func absI(x int) int {
 // KShortest computes up to k candidate paths between two satellites using the
 // grid algorithm with generic-engine fallback. It always returns loop-free,
 // snapshot-valid paths (possibly fewer than k).
-//
-//sate:hotpath steady-state K-shortest query (TestGridKShortestSteadyAllocs caps it)
 func (r *GridRouter) KShortest(src, dst constellation.SatID, k int) []Path {
 	if src == dst {
 		return nil
@@ -262,7 +256,6 @@ func (r *GridRouter) KShortest(src, dst constellation.SatID, k int) []Path {
 	if len(out) < k {
 		// Fallback: generic k-shortest on the live graph fills the deficit.
 		gen := r.generic().KShortest(topology.NodeID(src), topology.NodeID(dst), k)
-		//lint:ignore hotpath-no-alloc merges the fallback candidates into the returned slice by contract
 		out = Dedup(append(out, gen...))
 		if len(out) > k {
 			out = out[:k]
@@ -274,8 +267,6 @@ func (r *GridRouter) KShortest(src, dst constellation.SatID, k int) []Path {
 // interShellPaths implements the three-step composition of Appendix C for a
 // source and destination in different shells, including the ground-relay
 // variant.
-//
-//lint:ignore hotpath-no-alloc builds the returned inter-shell candidate paths by contract (TestGridKShortestSteadyAllocs caps the query)
 func (r *GridRouter) interShellPaths(src, dst constellation.SatID, k int) []Path {
 	dstShell := r.Cons.ShellOf(dst)
 	srcShell := r.Cons.ShellOf(src)

@@ -82,8 +82,6 @@ func (p Path) ValidIn(links map[uint64]topology.Link) bool {
 // sharded solver uses it to classify a flow as shard-internal: a flow whose
 // candidate paths all stay inside one shard's node range never touches
 // another shard's links, so it can be solved inside that shard alone.
-//
-//sate:hotpath per-flow shard classification, every path each TE cycle
 func (p Path) WithinRange(lo, hi topology.NodeID) bool {
 	for _, n := range p.Nodes {
 		if n < lo || n >= hi {
@@ -135,8 +133,6 @@ func SameNodes(a, b Path) bool {
 // comparison is quadratic in the candidate count but allocation-free —
 // KShortest calls it with k≈10 candidates on the hot path, where the former
 // per-path string keys dominated its cost.
-//
-//lint:ignore hotpath-no-alloc filters into the returned slice by contract (bounded by the candidate count)
 func Dedup(ps []Path) []Path {
 	out := ps[:0]
 	for _, p := range ps {

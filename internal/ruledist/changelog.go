@@ -294,8 +294,6 @@ func (c *Changelog) Append(rs *rules.RuleSet) uint64 {
 }
 
 // Latest returns the newest published version (0 before the first Append).
-//
-//sate:hotpath serving reads this per poll
 func (c *Changelog) Latest() uint64 {
 	st := c.state.Load()
 	if st == nil {
@@ -315,9 +313,11 @@ func (c *Changelog) Floor() uint64 {
 
 // CatchUp is the answer to "I have version Since; bring me to Latest".
 // Either Deltas carries the versions Since+1 .. Latest to apply in order,
-// or FullSync is set and Full is the complete latest rule set (the client
-// predates the retained window, or asked from the empty version 0 after
-// compaction already discarded it).
+// or FullSync is set and Full is the complete latest rule set: the client
+// predates the retained window, asked from the empty version 0 after
+// compaction already discarded it, or holds a version this changelog never
+// published (Since > Latest: it was served by an earlier incarnation, so
+// its rules are not a base any retained delta applies to).
 type CatchUp struct {
 	Since    uint64
 	Latest   uint64
@@ -327,25 +327,25 @@ type CatchUp struct {
 }
 
 // UpToDate reports whether the client already has the latest version.
-func (cu *CatchUp) UpToDate() bool { return cu.Since >= cu.Latest }
+func (cu *CatchUp) UpToDate() bool { return cu.Since == cu.Latest }
 
 // Since computes the catch-up for a client at the given version: a slice
 // into the immutable retained window (no copying, no locks, no allocation),
-// or a full resync when the version has been compacted away. A since beyond
-// latest is answered as up to date (the client is ahead of a restarted
-// changelog; it will converge on the next publish).
-//
-//sate:hotpath the delta-serving read path
+// or a full resync when the version has been compacted away or lies beyond
+// latest (a client of a discarded changelog: answering "up to date" would
+// leave it on the old incarnation's rules until latest passed its cursor,
+// and then apply deltas onto the wrong base).
 func (c *Changelog) Since(since uint64) CatchUp {
 	st := c.state.Load()
 	if st == nil {
-		return CatchUp{Since: since}
+		// Nothing published: only the empty version 0 is current.
+		return CatchUp{Since: since, FullSync: since > 0}
 	}
 	cu := CatchUp{Since: since, Latest: st.latest}
-	if since >= st.latest {
+	if since == st.latest {
 		return cu
 	}
-	if since < st.floor {
+	if since < st.floor || since > st.latest {
 		cu.FullSync = true
 		cu.Full = st.full
 		return cu

@@ -188,9 +188,10 @@ func TestChangelogCompaction(t *testing.T) {
 	if cu.FullSync || len(cu.Deltas) != 2 {
 		t.Fatalf("since=3: %+v", cu)
 	}
-	// Ahead of latest (restarted server): treated as up to date.
+	// Ahead of latest (a client of a discarded changelog): its rules are
+	// not a version of this log, so it full-syncs.
 	cu = c.Since(9)
-	if cu.FullSync || len(cu.Deltas) != 0 || !cu.UpToDate() {
+	if !cu.FullSync || cu.Full != c.Full() || len(cu.Deltas) != 0 || cu.UpToDate() {
 		t.Fatalf("since=9: %+v", cu)
 	}
 }
@@ -234,7 +235,7 @@ func TestSinceCompactionBoundary(t *testing.T) {
 		{name: "since=floor+1 (oldest retained delta applied)", since: 4, deltaSeqs: []uint64{5, 6}},
 		{name: "since=latest-1", since: 5, deltaSeqs: []uint64{6}},
 		{name: "since=latest", since: 6, upToDate: true},
-		{name: "since=latest+1 (restarted server)", since: 7, upToDate: true},
+		{name: "since=latest+1 (restarted server)", since: 7, fullSync: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -273,6 +274,34 @@ func TestSinceCompactionBoundary(t *testing.T) {
 				t.Fatalf("catch-up from %d did not reproduce the latest rule set", tc.since)
 			}
 		})
+	}
+}
+
+// TestRestartedChangelogConverges: a consumer that followed a changelog up
+// to version 7 keeps polling after that changelog is discarded and a fresh
+// one (a restarted controller) has published only 3 versions. Its cursor is
+// ahead of latest and its rules belong to the old incarnation; the answer
+// must bring it to the fresh log's Full().
+func TestRestartedChangelogConverges(t *testing.T) {
+	old := NewChangelog(0)
+	for i := 1; i <= 7; i++ {
+		old.Append(mkRules(t, [6]int{1, 10, 20, 0, 2, i}, [6]int{3, 11, 21, 0, 4, i}))
+	}
+	have, since := old.Full(), old.Latest()
+
+	fresh := NewChangelog(0)
+	for i := 1; i <= 3; i++ {
+		fresh.Append(mkRules(t, [6]int{2, 10, 20, 0, 5, 10 * i}))
+	}
+	cu := fresh.Since(since)
+	if cu.FullSync {
+		have = cu.Full
+	}
+	for _, d := range cu.Deltas {
+		have = Apply(have, d)
+	}
+	if !reflect.DeepEqual(have, fresh.Full()) {
+		t.Fatalf("consumer at version %d of a discarded changelog did not converge on the fresh one (latest %d): %+v", since, cu.Latest, cu)
 	}
 }
 

@@ -165,7 +165,6 @@ func (s *Solver) Name() string {
 		if s.Inner != nil {
 			n = s.Inner.Name()
 		}
-		//lint:ignore hotpath-no-alloc the label is built once and cached for every later cycle
 		s.name = "shard-" + n
 	}
 	return s.name
@@ -199,8 +198,6 @@ var errNilInner = errors.New("shard: Inner solver not set")
 // Solve implements the unified solver surface. See the package comment for
 // the decomposition; the phases are instrumented as shard_partition,
 // shard_solve and shard_stitch spans when a registry is attached.
-//
-//sate:hotpath sharded TE solve entry point, one call per cycle
 func (s *Solver) Solve(p *te.Problem, opts ...solve.Option) (*te.Allocation, error) {
 	o := solve.Build(opts...)
 	if s.Inner == nil {
@@ -213,7 +210,6 @@ func (s *Solver) Solve(p *te.Problem, opts ...solve.Option) (*te.Allocation, err
 	if k == 1 || o.Objective == solve.MLU {
 		// Monolithic delegation: identical to calling the inner solver
 		// directly, including warm state and worker handling.
-		//lint:ignore hotpath-no-alloc delegated solve; allocation discipline is the inner solver's contract (core.Solve carries its own hot-root annotation)
 		return s.Inner.Solve(p, opts...)
 	}
 	a := solve.Begin(o, s.Name())
@@ -268,7 +264,6 @@ func (s *Solver) Solve(p *te.Problem, opts ...solve.Option) (*te.Allocation, err
 		BoundaryComponents: ncomp,
 		BoundaryFirst:      boundaryFirst,
 	}
-	//lint:ignore hotpath-no-alloc counter handles are interned by the registry after the first cycle; lookups thereafter are map reads
 	if o.Registry != nil {
 		o.Registry.Counter("sate_shard_cycles_total").Inc()
 		o.Registry.Counter("sate_shard_dirty_total").Add(uint64(dirty))
@@ -279,8 +274,6 @@ func (s *Solver) Solve(p *te.Problem, opts ...solve.Option) (*te.Allocation, err
 
 // plan (re)builds the partition plan and the retained inner-call option
 // slices when the node universe, shard count or resolved options moved.
-//
-//lint:ignore hotpath-no-alloc plan construction runs when the constellation or shard count changes, not per cycle
 func (s *Solver) plan(p *te.Problem, k int, o solve.Options) {
 	if s.numNodes != p.NumNodes || s.planK != k {
 		s.numNodes = p.NumNodes
@@ -336,13 +329,11 @@ func (s *Solver) classify(p *te.Problem) (internal, boundary int, intDem, bndDem
 			}
 		}
 		if !in {
-			//lint:ignore hotpath-no-alloc boundary flow list grows to the cut-crossing flow count, reusing retained capacity across cycles
 			s.bflows = append(s.bflows, fi)
 			boundary++
 			bndDem += f.DemandMbps
 			continue
 		}
-		//lint:ignore hotpath-no-alloc band flow list reaches high-water capacity after a few cycles
 		s.bands[si].flows = append(s.bands[si].flows, fi)
 		internal++
 		intDem += f.DemandMbps
@@ -440,7 +431,6 @@ func (c *sub) finalize() (dirty bool, err error) {
 		return false, c.prob.RebindFlows()
 	}
 	c.fp, c.hasFP = fp, true
-	//lint:ignore hotpath-no-alloc dirty sub-problems pay the link-index rebuild by contract; the fingerprint keeps this off the clean replay path
 	return true, c.prob.Finalize()
 }
 
@@ -463,14 +453,12 @@ func (s *Solver) runShards(p *te.Problem, alloc *te.Allocation, caps capView) (d
 		s.compact(b, p, b.flows, caps)
 		d, err := b.finalize()
 		if err != nil {
-			//lint:ignore hotpath-no-alloc error path: a failed rebind aborts the cycle
 			return 0, fmt.Errorf("shard %d: %w", i, err)
 		}
 		if d {
 			dirty++
 		}
 	}
-	//lint:ignore hotpath-no-alloc pool fan-out captures one closure per cycle; sub-solve allocation discipline is the inner solver's contract, and the scatter copies into preallocated rows
 	return dirty, par.ForErr(len(s.bands), 1, func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			b := s.bands[i]
@@ -553,8 +541,6 @@ func (s *Solver) ufUnion(a, b topology.NodeID) {
 // through the pool workspace keyed by its fingerprint: components whose
 // structure and capacities held still replay their R1 embeddings and only
 // churn-adjacent components pay a recompute. Returns the component count.
-//
-//lint:ignore hotpath-no-alloc boundary reconciliation allocates proportionally to cut-crossing flows and churned residuals, reusing retained buffers across cycles
 func (s *Solver) solveBoundary(p *te.Problem, alloc *te.Allocation, caps capView) (int, error) {
 	if len(s.bflows) == 0 {
 		return 0, nil
@@ -656,6 +642,5 @@ func grow[E any](s []E, n int) []E {
 	if cap(s) >= n {
 		return s[:n]
 	}
-	//lint:ignore hotpath-no-alloc growth slow path; steady-state cycles hit the capacity check above
 	return make([]E, n)
 }

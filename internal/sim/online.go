@@ -18,10 +18,12 @@ type OnlineConfig struct {
 	// StartSec offsets the evaluation window (e.g. past the arrival
 	// process's ramp-up into steady state).
 	StartSec float64
-	// IntervalSec is the recomputation interval. The paper sets it to the
-	// method's average computational latency (1 s for SaTE, 47 s for Gurobi,
-	// ...). Zero means "measure": the wall-clock latency of each solve,
-	// rounded up to at least 1 s, spaces the next recomputation.
+	// IntervalSec is the recomputation interval in simulated seconds. The
+	// paper sets it to the method's average computational latency (1 s for
+	// SaTE, 47 s for Gurobi, ...). Values below StepSec (zero included)
+	// mean StepSec: recompute every step. The measured wall-clock solve
+	// latency never paces the run — it is reported in MeanSolveLatency
+	// only — so every other result field is a function of (seed, config).
 	IntervalSec float64
 	// StepSec is the metric sampling step (default 1 s).
 	StepSec float64
@@ -114,14 +116,7 @@ func (s *Scenario) RunOnline(al Allocator, cfg OnlineConfig) (*OnlineResult, err
 				res.PacketStats.Merge(pres)
 			}
 			active = c
-			interval := cfg.IntervalSec
-			if interval <= 0 {
-				interval = c.SolveLatency.Seconds()
-			}
-			if interval < cfg.StepSec {
-				interval = cfg.StepSec
-			}
-			nextCompute = t + interval
+			nextCompute = t + max(cfg.IntervalSec, cfg.StepSec)
 			cur, snap = c.Problem, c.Snap
 		} else {
 			sp := obs.StartTimer(problemBuild)

@@ -198,14 +198,7 @@ func refRunOnline(s *Scenario, al Allocator, cfg OnlineConfig) (*OnlineResult, e
 				res.PacketStats.Merge(pres)
 			}
 			active = next
-			interval := cfg.IntervalSec
-			if interval <= 0 {
-				interval = lat.Seconds()
-			}
-			if interval < cfg.StepSec {
-				interval = cfg.StepSec
-			}
-			nextCompute = t + interval
+			nextCompute = t + max(cfg.IntervalSec, cfg.StepSec)
 		}
 		links := snap.LinkSet()
 		sat := active.refSatisfiedAgainst(cur, links)

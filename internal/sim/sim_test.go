@@ -2,10 +2,14 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
+	"time"
 
 	"sate/internal/baselines"
 	"sate/internal/constellation"
+	"sate/internal/solve"
+	"sate/internal/te"
 	"sate/internal/topology"
 )
 
@@ -108,16 +112,40 @@ func TestRunOnlineStaleAllocationHurts(t *testing.T) {
 	}
 }
 
-func TestRunOnlineMeasuredInterval(t *testing.T) {
-	s := toyScenario(40, 13)
-	res, err := s.RunOnline(baselines.ECMPWF{}, OnlineConfig{HorizonSec: 10, StepSec: 1})
-	if err != nil {
-		t.Fatal(err)
+// sleepySolver delays every solve by a fixed wall-clock time.
+type sleepySolver struct {
+	baselines.ECMPWF
+	delay time.Duration
+}
+
+func (s sleepySolver) Solve(p *te.Problem, opts ...solve.Option) (*te.Allocation, error) {
+	time.Sleep(s.delay)
+	return s.ECMPWF.Solve(p, opts...)
+}
+
+// TestRunOnlineIgnoresSolveLatency: with IntervalSec unset the run
+// recomputes every step, however long the solver takes on the wall clock —
+// the result is a function of (seed, config), not of machine load.
+func TestRunOnlineIgnoresSolveLatency(t *testing.T) {
+	cfg := OnlineConfig{HorizonSec: 3, StepSec: 1}
+	run := func(delay time.Duration) *OnlineResult {
+		res, err := toyScenario(40, 13).RunOnline(sleepySolver{delay: delay}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	// ECMP-WF solves in well under a second at toy scale: it should
-	// recompute every step.
-	if res.Recomputations < 8 {
-		t.Errorf("measured-interval mode recomputed only %d times", res.Recomputations)
+	fast, slow := run(0), run(1500*time.Millisecond)
+	if fast.Recomputations != cfg.HorizonSec || slow.Recomputations != fast.Recomputations {
+		t.Errorf("recomputations: %d with an instant solver, %d with a 1.5 s one; want %d for both",
+			fast.Recomputations, slow.Recomputations, cfg.HorizonSec)
+	}
+	if !reflect.DeepEqual(fast.Satisfied, slow.Satisfied) || fast.RouteChurn != slow.RouteChurn {
+		t.Errorf("solver wall time changed the result:\n fast %v churn %d\n slow %v churn %d",
+			fast.Satisfied, fast.RouteChurn, slow.Satisfied, slow.RouteChurn)
+	}
+	if slow.MeanSolveLatency < 1500*time.Millisecond {
+		t.Errorf("MeanSolveLatency %s does not report the measured solve time", slow.MeanSolveLatency)
 	}
 }
 

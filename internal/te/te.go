@@ -61,15 +61,11 @@ func (p *Problem) Finalize() error {
 // solver): the caller asserts the link set is unchanged since the last
 // Finalize, and the O(links) index rebuild is skipped. A problem that was
 // never finalized falls back to the full Finalize.
-//
-//sate:hotpath clean-shard per-cycle refresh in the sharded solver
 func (p *Problem) RebindFlows() error {
 	if p.linkIndex == nil {
-		//lint:ignore hotpath-no-alloc first-bind fallback: a never-finalized problem pays the full Finalize once
 		return p.Finalize()
 	}
 	if len(p.Links) != len(p.LinkCap) {
-		//lint:ignore hotpath-no-alloc error path: a malformed problem aborts the cycle
 		return fmt.Errorf("te: %d links but %d capacities", len(p.Links), len(p.LinkCap))
 	}
 	p.bindFlows()
@@ -79,8 +75,6 @@ func (p *Problem) RebindFlows() error {
 // bindFlows filters each flow's paths against the link index and records the
 // per-path link incidence. The outer pathLinks slice is reused at high-water
 // capacity across rebinds.
-//
-//lint:ignore hotpath-no-alloc per-path incidence slices are rebuilt per cycle by contract (proportional to live flows); the outer slice reuses retained capacity
 func (p *Problem) bindFlows() {
 	if cap(p.pathLinks) >= len(p.Flows) {
 		p.pathLinks = p.pathLinks[:len(p.Flows)]
@@ -186,8 +180,6 @@ type Allocation struct {
 }
 
 // NewAllocation creates a zero allocation shaped for the problem.
-//
-//sate:hotpath decoder output buffer, one per solve
 func NewAllocation(p *Problem) *Allocation {
 	// Single backing slab: one allocation instead of one per flow (Solve
 	// creates an Allocation per call, so this is steady-state garbage).
@@ -195,9 +187,7 @@ func NewAllocation(p *Problem) *Allocation {
 	for i := range p.Flows {
 		total += len(p.Flows[i].Paths)
 	}
-	//lint:ignore hotpath-no-alloc the returned allocation is the product; two slabs total instead of one slice per flow
 	x := make([][]float64, len(p.Flows))
-	//lint:ignore hotpath-no-alloc the returned allocation is the product; two slabs total instead of one slice per flow
 	data := make([]float64, total)
 	off := 0
 	for i, f := range p.Flows {
@@ -205,7 +195,6 @@ func NewAllocation(p *Problem) *Allocation {
 		x[i] = data[off : off+n : off+n]
 		off += n
 	}
-	//lint:ignore hotpath-no-alloc the returned allocation is the product; two slabs total instead of one slice per flow
 	return &Allocation{X: x}
 }
 
@@ -246,8 +235,6 @@ func (a *Allocation) FlowThroughput(f int) float64 {
 }
 
 // LinkLoads returns per-link traffic under the allocation.
-//
-//lint:ignore hotpath-no-alloc returns freshly allocated per-solve loads by API contract (one slice per call, proportional to links)
 func (p *Problem) LinkLoads(a *Allocation) []float64 {
 	load := make([]float64, len(p.Links))
 	for fi := range p.Flows {
@@ -266,8 +253,6 @@ func (p *Problem) LinkLoads(a *Allocation) []float64 {
 
 // NodeLoads returns per-node uplink (sourced) and downlink (terminated)
 // traffic under the allocation.
-//
-//lint:ignore hotpath-no-alloc returns freshly allocated per-solve loads by API contract (two slices per call, proportional to nodes)
 func (p *Problem) NodeLoads(a *Allocation) (up, down []float64) {
 	up = make([]float64, p.NumNodes)
 	down = make([]float64, p.NumNodes)
@@ -383,7 +368,6 @@ func (p *Problem) Trim(a *Allocation) {
 	// path by the minimum factor across the resources it uses. The scaled
 	// loads can only decrease, so a single pass suffices for feasibility.
 	loads := p.LinkLoads(a)
-	//lint:ignore hotpath-no-alloc per-solve correction scratch, proportional to links, not per-op
 	linkScale := make([]float64, len(loads))
 	for i := range loads {
 		linkScale[i] = 1
@@ -394,9 +378,7 @@ func (p *Problem) Trim(a *Allocation) {
 	var upScale, downScale []float64
 	if len(p.UpCap) > 0 || len(p.DownCap) > 0 {
 		up, down := p.NodeLoads(a)
-		//lint:ignore hotpath-no-alloc per-solve correction scratch, proportional to nodes, not per-op
 		upScale = make([]float64, p.NumNodes)
-		//lint:ignore hotpath-no-alloc per-solve correction scratch, proportional to nodes, not per-op
 		downScale = make([]float64, p.NumNodes)
 		for n := 0; n < p.NumNodes; n++ {
 			upScale[n], downScale[n] = 1, 1

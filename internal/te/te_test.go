@@ -325,3 +325,17 @@ func TestWriteLPEmptyProblem(t *testing.T) {
 		t.Error("malformed empty LP")
 	}
 }
+
+// TestNewAllocationAllocs pins the decoder's output buffer at three objects
+// whatever the flow count: the row headers, one slab for every split ratio,
+// and the Allocation itself (DESIGN.md §8).
+func TestNewAllocationAllocs(t *testing.T) {
+	p := diamond(10, 10, 10, 10, 5)
+	for len(p.Flows) < 64 {
+		p.Flows = append(p.Flows, p.Flows[0])
+	}
+	var a *Allocation // escapes, as it does from a solver
+	if n := testing.AllocsPerRun(100, func() { a = NewAllocation(p) }); n != 3 || len(a.X) != len(p.Flows) {
+		t.Errorf("NewAllocation over %d flows: %.0f allocs, want 3", len(p.Flows), n)
+	}
+}

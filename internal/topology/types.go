@@ -195,8 +195,6 @@ func (s *Snapshot) LinkLengthKm(l Link) float64 {
 }
 
 // Diff returns the links added and removed going from s to o.
-//
-//lint:ignore hotpath-no-alloc allocates the returned churn lists by contract; one call per topology cycle, proportional to churn
 func (s *Snapshot) Diff(o *Snapshot) (added, removed []Link) {
 	mine := s.LinkSet()
 	theirs := o.LinkSet()

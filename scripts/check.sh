@@ -2,8 +2,8 @@
 # Tier-1 verify gate: build, vet, satelint (the project's determinism /
 # concurrency invariant linter, see DESIGN.md "Static analysis"), tests,
 # a short load burst against the serving surface, and a short run of the
-# TE-cycle benchmark with its per-cycle checks.
-# Set RACE=1 to append the race-detector pass (scripts/race.sh).
+# TE-cycle benchmark with its per-cycle checks. The full race-detector pass
+# is its own script: ./scripts/check.sh && ./scripts/race.sh
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -32,8 +32,4 @@ echo "== cycle benchmark =="
 # The TE-cycle benchmark (BENCHMARK.json) drives the product path end to end
 # and checks every cycle's outputs; it exits nonzero on any failed check.
 go run ./benchmark -workload all -seconds 3 -trace 0
-if [ "${RACE:-0}" = "1" ]; then
-	echo "== race =="
-	./scripts/race.sh
-fi
 echo "check.sh: all gates passed"
