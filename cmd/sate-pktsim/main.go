@@ -140,29 +140,30 @@ func main() {
 	fmt.Printf("dropped    %d  (queue %d, no-rule %d, link-down %d, loop %d)\n",
 		res.Dropped(), res.DroppedQueue, res.DroppedNoRule, res.DroppedDown, res.DroppedLoop)
 	fmt.Printf("queue high water  %d pkts\n", res.MaxQueuePkts)
+	mean := res.MeanLatencySec() // in delivery order, before -out sorts the series
 	if res.Delivered > 0 {
-		fmt.Printf("latency    mean %.2f ms\n", res.MeanLatencySec()*1e3)
+		fmt.Printf("latency    mean %.2f ms\n", mean*1e3)
 		fmt.Println("latency CDF (delivered packets):")
-		for _, p := range []float64{10, 25, 50, 75, 90, 95, 99, 99.9, 100} {
-			fmt.Printf("  p%-5g %8.2f ms\n", p, res.LatencyPercentile(p)*1e3)
+		ps := []float64{10, 25, 50, 75, 90, 95, 99, 99.9, 100}
+		for i, v := range res.LatencyPercentiles(ps...) {
+			fmt.Printf("  p%-5g %8.2f ms\n", ps[i], v*1e3)
 		}
 	}
 
 	if *out != "" {
 		// Latencies sort ascending in the dump so the file is directly
 		// plottable as a CDF.
-		sorted := append([]float64(nil), res.LatenciesSec...)
-		sort.Float64s(sorted)
+		sort.Float64s(res.LatenciesSec)
 		dump := struct {
 			Solver       string
 			Result       *pktsim.Result
 			SortedLatSec []float64
 			MeanLatSec   float64
-		}{al.Name(), res, sorted, 0}
-		if m := res.MeanLatencySec(); !math.IsNaN(m) {
-			dump.MeanLatSec = m
+		}{al.Name(), res, res.LatenciesSec, 0}
+		if !math.IsNaN(mean) {
+			dump.MeanLatSec = mean
 		}
-		dump.Result.LatenciesSec = nil // superseded by the sorted copy
+		dump.Result.LatenciesSec = nil // superseded by the sorted series
 		b, err := json.MarshalIndent(dump, "", "  ")
 		if err != nil {
 			fatal(err)

@@ -12,9 +12,8 @@ import (
 
 func init() { register("pktlat", PktLatCDF) }
 
-// pktLatQuantiles are the CDF points reported per scheme, as cumulative
-// fractions.
-var pktLatQuantiles = []float64{0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99, 0.999, 1}
+// pktLatPercents are the CDF points reported per scheme.
+var pktLatPercents = []float64{10, 25, 50, 75, 90, 95, 99, 99.9, 100}
 
 // PktLatCDF runs the discrete-event packet engine under a combined stress
 // scenario — a 3× traffic burst overlapping a rule-update window with real
@@ -74,8 +73,8 @@ func PktLatCDF(opt Options) (*Report, error) {
 		Title: "per-packet latency CDF under burst + rule-update window",
 	}
 	r.Header = []string{"scheme"}
-	for _, q := range pktLatQuantiles {
-		r.Header = append(r.Header, fmt.Sprintf("p%g", q*100))
+	for _, p := range pktLatPercents {
+		r.Header = append(r.Header, fmt.Sprintf("p%g", p))
 	}
 	r.Header = append(r.Header, "delivered", "loss")
 
@@ -84,7 +83,7 @@ func PktLatCDF(opt Options) (*Report, error) {
 		schemes = append(schemes, teal)
 	} else {
 		row := []string{"teal"}
-		for range pktLatQuantiles {
+		for range pktLatPercents {
 			row = append(row, "OOM")
 		}
 		r.AddRow(append(row, "OOM", "OOM")...)
@@ -103,9 +102,12 @@ func PktLatCDF(opt Options) (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("pktlat: %s engine run: %w", al.Name(), err)
 		}
+		if res.Truncated {
+			return nil, fmt.Errorf("pktlat: %s run truncated at MaxPackets=%d; its quantiles would describe a clipped schedule",
+				al.Name(), cfg.MaxPackets)
+		}
 		row := []string{al.Name()}
-		for _, q := range pktLatQuantiles {
-			v := res.LatencyPercentile(q * 100)
+		for _, v := range res.LatencyPercentiles(pktLatPercents...) {
 			if math.IsNaN(v) {
 				row = append(row, "n/a")
 			} else {

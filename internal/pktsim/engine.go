@@ -8,13 +8,23 @@ import (
 	"sate/internal/obs"
 )
 
-// packet is one in-flight packet: its forwarding key, destination, injection
-// time, and a hop budget. Packets are stored once in a flat slice; events
-// carry indices.
+// packet is one in-flight packet and, at the same time, its own event and
+// queue node. A packet is in exactly one state — an arrival pending, a
+// departure pending, waiting in a port FIFO, or finished — so one next link
+// threads it through whichever list holds it (a calendar bucket or a port
+// FIFO) and t/seq/kind/where describe its pending event. Packets are stored
+// once in a flat slab; lists carry indices.
 type packet struct {
-	key       uint64
-	dst       int32
+	t    float64 // pending event's instant
+	seq  uint64  // deterministic tie-break among equal-time events
+	next int32   // next packet of the list this one is linked into
+	// where is the node an evArrive reaches or the port an evDepart leaves.
+	where int32
+	kind  uint8
+
 	hops      int32
+	dst       int32
+	key       uint64
 	injectSec float64
 }
 
@@ -27,17 +37,16 @@ type window struct {
 }
 
 type engine struct {
-	cfg     Config
-	ports   []port
-	portIdx map[uint64]int32
+	cfg   Config
+	ports []port
 
 	cur      *gen
 	prev     *gen      // nil without an update window
 	switchAt []float64 // per-node rule-arrival instant; nil without an update
 
 	packets []packet
-	heap    eventHeap
-	seq     uint64
+	cal     calendar
+	seq     uint64     // next sequence number; injections hold 0..len(packets)-1
 	rng     *rand.Rand // per-hop jitter stream
 	maxHops int32
 
@@ -62,30 +71,42 @@ const (
 // Run executes spec under cfg and returns the accounting. The run is
 // bitwise-deterministic for a fixed cfg.Seed at any SATE_WORKERS setting.
 func Run(spec *RunSpec, cfg Config) (*Result, error) {
+	e, err := newEngine(spec, cfg)
+	if err != nil {
+		return nil, err
+	}
+	e.run()
+	e.cfg.Registry.Gauge("pktsim_queue_high_water_pkts").Set(float64(e.res.MaxQueuePkts))
+	return e.res, nil
+}
+
+// newEngine validates spec and builds a loaded engine: ports, forwarding
+// generations, disturbance windows, and every injection pending in the
+// calendar. Everything sized by the packet count is allocated here, once.
+func newEngine(spec *RunSpec, cfg Config) (*engine, error) {
 	cfg = cfg.Defaults()
 	if err := validate(spec); err != nil {
 		return nil, err
 	}
-	ports, portIdx, err := buildPorts(spec, cfg.PacketBits, cfg.QueuePkts)
+	ports, portIdx, err := buildPorts(spec, cfg.PacketBits)
 	if err != nil {
 		return nil, err
 	}
 	numNodes := spec.Snap.NumNodes
-	cur, err := compileGen(spec.Problem, spec.Alloc, numNodes)
+	cur, err := compileGen(spec.Problem, spec.Alloc, numNodes, portIdx)
 	if err != nil {
 		return nil, err
 	}
 	e := &engine{
 		cfg:     cfg,
 		ports:   ports,
-		portIdx: portIdx,
 		cur:     cur,
 		rng:     rand.New(rand.NewSource(int64(mix64(uint64(cfg.Seed) ^ 0x6a74746572)))), // "jitter" stream
 		maxHops: int32(numNodes) + 8,
 		res:     &Result{},
 	}
 	if u := spec.Update; u != nil {
-		e.prev, err = compileGen(u.PrevProblem, u.PrevAlloc, numNodes)
+		e.prev, err = compileGen(u.PrevProblem, u.PrevAlloc, numNodes, portIdx)
 		if err != nil {
 			return nil, err
 		}
@@ -102,41 +123,43 @@ func Run(spec *RunSpec, cfg Config) (*Result, error) {
 	streams := buildStreams(spec, cfg.HorizonSec)
 	if len(streams) == 0 {
 		// A zero allocation (e.g. a no-demand cycle) is a valid, empty run.
-		return e.res, nil
+		return e, nil
 	}
-	scheds, truncated := buildSchedules(streams, &cfg)
+	n, truncated := planSchedule(streams, &e.cfg)
+	e.packets = make([]packet, n)
+	fillSchedule(e.packets, streams, &e.cfg)
+	e.cal = newCalendar(n, cfg.HorizonSec)
+	for pid := range e.packets {
+		e.cal.push(e.packets, int32(pid))
+	}
+	e.seq = uint64(n)
 	e.res.Truncated = truncated
-	for si := range scheds {
-		st := &streams[si]
-		for _, t := range scheds[si] {
-			pid := int32(len(e.packets))
-			e.packets = append(e.packets, packet{key: st.key, dst: st.dst, injectSec: t})
-			e.push(event{t: t, kind: evArrive, node: st.src, pkt: pid})
-		}
-	}
-	e.res.Injected = len(e.packets)
+	e.res.Injected = n
+	e.res.LatenciesSec = make([]float64, 0, n)
 
 	// Disturbance schedules draw from their own seed stream so toggling
 	// jitter or changing traffic does not reshuffle which links fail when.
 	master := rand.New(rand.NewSource(int64(mix64(uint64(cfg.Seed) ^ 0x686f76657273))))
 	numLinks := len(ports) / 2
-	for i := 0; i < cfg.Spikes; i++ {
+	e.spikes = make([]window, cfg.Spikes)
+	for i := range e.spikes {
 		s := master.Float64() * cfg.HorizonSec
-		e.spikes = append(e.spikes, window{
+		e.spikes[i] = window{
 			link: int32(master.Intn(numLinks)), start: s, end: s + cfg.SpikeDurSec, extraSec: cfg.SpikeExtraSec,
-		})
+		}
 	}
-	for i := 0; i < cfg.Handovers; i++ {
+	e.downs = make([]window, cfg.Handovers)
+	for i := range e.downs {
 		s := master.Float64() * cfg.HorizonSec
-		e.downs = append(e.downs, window{
+		e.downs[i] = window{
 			link: int32(master.Intn(numLinks)), start: s, end: s + cfg.HandoverDurSec,
-		})
+		}
 	}
 
 	reg := cfg.Registry
 	e.latHist = reg.Histogram("pktsim_packet_latency_seconds", LatencyBucketsSec)
 	e.depthHist = reg.Histogram("pktsim_queue_depth_pkts", QueueDepthBuckets)
-	reg.Counter("pktsim_packets_injected_total").Add(uint64(e.res.Injected))
+	reg.Counter("pktsim_packets_injected_total").Add(uint64(n))
 	e.delivered = reg.Counter("pktsim_packets_delivered_total")
 	drops := reg.CounterVec("pktsim_packets_dropped_total", "reason")
 	e.dropCtr = [4]*obs.Counter{
@@ -145,10 +168,7 @@ func Run(spec *RunSpec, cfg Config) (*Result, error) {
 		dropDown:   drops.With("link_down"),
 		dropLoop:   drops.With("loop"),
 	}
-
-	e.run()
-	reg.Gauge("pktsim_queue_high_water_pkts").Set(float64(e.res.MaxQueuePkts))
-	return e.res, nil
+	return e, nil
 }
 
 func validate(spec *RunSpec) error {
@@ -182,24 +202,30 @@ func validate(spec *RunSpec) error {
 	return nil
 }
 
-// push assigns the next sequence number and schedules the event. Sequence
-// numbers are the deterministic tie-break for equal-time events.
-func (e *engine) push(ev event) {
-	ev.seq = e.seq
+// schedule sets packet h's pending event and queues it, assigning the next
+// sequence number — the deterministic tie-break for equal-time events.
+func (e *engine) schedule(h int32, t float64, kind uint8, where int32) {
+	p := &e.packets[h]
+	p.t, p.seq, p.kind, p.where = t, e.seq, kind, where
 	e.seq++
-	e.heap.push(ev)
+	e.cal.push(e.packets, h)
 }
 
-// run drains the event heap. Injection is bounded by the horizon; in-flight
+// run drains the calendar. Injection is bounded by the horizon; in-flight
 // packets drain to completion past it, so tail latencies are not clipped.
 func (e *engine) run() {
-	for e.heap.len() > 0 {
-		ev := e.heap.pop()
-		if ev.kind == evArrive {
-			e.arrive(ev)
-		} else {
-			e.depart(ev)
-		}
+	for e.cal.n > 0 {
+		e.step()
+	}
+}
+
+// step executes the earliest pending event.
+func (e *engine) step() {
+	h := e.cal.pop(e.packets)
+	if e.packets[h].kind == evArrive {
+		e.arrive(h)
+	} else {
+		e.depart(h)
 	}
 }
 
@@ -219,10 +245,11 @@ func (e *engine) drop(kind int) {
 
 // arrive delivers a packet to a node: terminal delivery, or a rule lookup in
 // whichever forwarding generation the node runs at this instant.
-func (e *engine) arrive(ev event) {
-	p := &e.packets[ev.pkt]
-	if ev.node == p.dst {
-		lat := ev.t - p.injectSec
+func (e *engine) arrive(h int32) {
+	p := &e.packets[h]
+	t, node := p.t, p.where
+	if node == p.dst {
+		lat := t - p.injectSec
 		e.res.Delivered++
 		e.res.LatenciesSec = append(e.res.LatenciesSec, lat)
 		e.latHist.Observe(lat)
@@ -234,28 +261,25 @@ func (e *engine) arrive(ev event) {
 		return
 	}
 	g := e.cur
-	if e.switchAt != nil && ev.t < e.switchAt[ev.node] {
+	if e.switchAt != nil && t < e.switchAt[node] {
 		g = e.prev // rules for this cycle have not reached this node yet
 	}
-	next, ok := g.lookup(ev.node, p.key)
+	pi, ok := g.out[node][p.key]
 	if !ok {
 		e.drop(dropNoRule)
 		return
 	}
-	pi, ok := e.portIdx[portKey(ev.node, next)]
-	if !ok {
-		// The rule references a link that exists in neither generation's
-		// port set (it left the topology): the packet had nowhere to go.
+	if pi == noPort {
 		e.drop(dropDown)
 		return
 	}
-	e.enqueue(pi, ev.t, ev.pkt)
+	e.enqueue(pi, t, h)
 }
 
 // enqueue offers a packet to a directed port: dropped if the link is in a
 // handover window or the FIFO is full, serialized immediately if the port is
 // idle, queued otherwise.
-func (e *engine) enqueue(pi int32, t float64, pkt int32) {
+func (e *engine) enqueue(pi int32, t float64, h int32) {
 	pt := &e.ports[pi]
 	for _, w := range e.downs {
 		if w.link == pt.link && t >= w.start && t < w.end {
@@ -269,15 +293,15 @@ func (e *engine) enqueue(pi int32, t float64, pkt int32) {
 		if e.res.MaxQueuePkts < 1 {
 			e.res.MaxQueuePkts = 1
 		}
-		e.push(event{t: t + pt.serSec, kind: evDepart, port: pi, pkt: pkt})
+		e.schedule(h, t+pt.serSec, evDepart, pi)
 		return
 	}
-	if pt.q.full() {
+	if int(pt.qn) == e.cfg.QueuePkts {
 		e.drop(dropQueue)
 		return
 	}
-	pt.q.push(pkt)
-	depth := pt.q.n + 1 // queued plus the packet in service
+	pt.qpush(e.packets, h)
+	depth := int(pt.qn) + 1 // queued plus the packet in service
 	e.depthHist.Observe(float64(depth))
 	if depth > e.res.MaxQueuePkts {
 		e.res.MaxQueuePkts = depth
@@ -287,20 +311,21 @@ func (e *engine) enqueue(pi int32, t float64, pkt int32) {
 // depart completes one packet's serialization: the packet propagates to the
 // far end (plus any active delay spike and seeded jitter) and the port takes
 // the next queued packet, if any.
-func (e *engine) depart(ev event) {
-	pt := &e.ports[ev.port]
+func (e *engine) depart(h int32) {
+	t, pi := e.packets[h].t, e.packets[h].where
+	pt := &e.ports[pi]
 	d := pt.propSec
 	for _, w := range e.spikes {
-		if w.link == pt.link && ev.t >= w.start && ev.t < w.end {
+		if w.link == pt.link && t >= w.start && t < w.end {
 			d += w.extraSec
 		}
 	}
 	if e.cfg.JitterFrac > 0 {
 		d += e.rng.Float64() * e.cfg.JitterFrac * pt.propSec
 	}
-	e.push(event{t: ev.t + d, kind: evArrive, node: pt.to, pkt: ev.pkt})
-	if pt.q.n > 0 {
-		e.push(event{t: ev.t + pt.serSec, kind: evDepart, port: ev.port, pkt: pt.q.pop()})
+	e.schedule(h, t+d, evArrive, pt.to)
+	if pt.qn > 0 {
+		e.schedule(pt.qpop(e.packets), t+pt.serSec, evDepart, pi)
 	} else {
 		pt.busy = false
 	}

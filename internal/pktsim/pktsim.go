@@ -13,15 +13,16 @@
 // at any SATE_WORKERS setting. Three rules make that hold:
 //
 //   - Virtual time only. The engine never reads the wall clock; the clock
-//     is the head of the event heap (pktsim is in satelint's wall-clock and
+//     is the earliest pending event (pktsim is in satelint's wall-clock and
 //     map-order deny sets).
-//   - Total event order. The heap orders events by (time, sequence) where
-//     sequence numbers are assigned in a deterministic order, so equal-time
-//     events never tie-break on float identity or insertion racing.
-//   - Parallel setup, sequential execution. Injection schedules are built
-//     per-stream by par.For with per-stream seeded RNGs writing into
-//     preallocated slots (worker count cannot reorder them); the event loop
-//     itself is sequential.
+//   - Total event order. The calendar queue pops events by (time, sequence)
+//     where sequence numbers are assigned in a deterministic order, so
+//     equal-time events never tie-break on float identity or insertion
+//     racing, and the queue's bucket count and width cannot change the order.
+//   - Parallel setup, sequential execution. The injection schedule is counted
+//     and filled per-stream by par.For with per-stream seeded RNGs, each
+//     stream writing its own slots of the packet slab (worker count cannot
+//     reorder them); the event loop itself is sequential.
 package pktsim
 
 import (
@@ -65,9 +66,10 @@ type Config struct {
 
 	Burst *Burst // optional traffic surge
 
-	// MaxPackets bounds total injected packets (default 4Mi). When the
-	// schedule would exceed it, per-stream quotas truncate injection and
-	// Result.Truncated reports it.
+	// MaxPackets bounds total injected packets (default 4Mi). A schedule
+	// that fits is never cut; one that would exceed it keeps each stream's
+	// earliest packets up to a common per-stream cap, injects exactly
+	// MaxPackets, and Result.Truncated reports it.
 	MaxPackets int
 
 	Registry *obs.Registry // optional; nil is a valid no-op sink

@@ -2,6 +2,7 @@ package pktsim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"sate/internal/obs"
@@ -97,8 +98,8 @@ func TestSaturatedPortFillsQueueThenDrops(t *testing.T) {
 	}
 	// Queued packets see up to queue-length × serialization of extra delay.
 	ser := 12000 / (1 * 1e6)
-	if res.LatencyPercentile(99) < 5*ser {
-		t.Fatalf("p99 %.6f s shows no queueing delay (ser %.6f)", res.LatencyPercentile(99), ser)
+	if p99 := res.LatencyPercentiles(99)[0]; p99 < 5*ser {
+		t.Fatalf("p99 %.6f s shows no queueing delay (ser %.6f)", p99, ser)
 	}
 	if res.MaxQueuePkts != 9 { // 8 queued + 1 in service
 		t.Fatalf("high-water occupancy %d, want 9", res.MaxQueuePkts)
@@ -244,9 +245,8 @@ func TestDelaySpikeStretchesTailLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	accounting(t, spiked)
-	if spiked.LatencyPercentile(100) < base.LatencyPercentile(100)+0.04 {
-		t.Fatalf("spike run max latency %.4f s, baseline %.4f s: the 50 ms spike left no trace",
-			spiked.LatencyPercentile(100), base.LatencyPercentile(100))
+	if got, ref := spiked.LatencyPercentiles(100)[0], base.LatencyPercentiles(100)[0]; got < ref+0.04 {
+		t.Fatalf("spike run max latency %.4f s, baseline %.4f s: the 50 ms spike left no trace", got, ref)
 	}
 }
 
@@ -276,7 +276,8 @@ func TestJitterSpreadsLatency(t *testing.T) {
 	}
 	accounting(t, res)
 	floor := 12000/(100*1e6) + orbit.PropagationDelaySec(spec.Snap.Pos[0], spec.Snap.Pos[1])
-	min, max := res.LatencyPercentile(0), res.LatencyPercentile(100)
+	ends := res.LatencyPercentiles(0, 100)
+	min, max := ends[0], ends[1]
 	if min < floor-1e-12 {
 		t.Fatalf("jittered latency %.9f below the physical floor %.9f", min, floor)
 	}
@@ -295,15 +296,62 @@ func TestMaxPacketsTruncates(t *testing.T) {
 	if !res.Truncated {
 		t.Fatal("a 10-packet budget over an ~833-packet schedule did not truncate")
 	}
-	if res.Injected > 10 {
-		t.Fatalf("injected %d packets over a 10-packet budget", res.Injected)
+	if res.Injected != 10 {
+		t.Fatalf("injected %d packets under a 10-packet budget an ~833-packet schedule overruns", res.Injected)
+	}
+}
+
+// TestMaxPacketsBudgetsTheTotal pins the budget to the whole run: streams of
+// unequal rates are cut only when their sum overruns MaxPackets, never
+// because one of them exceeds an even share of it.
+func TestMaxPacketsBudgetsTheTotal(t *testing.T) {
+	p, snap := diamondSpec(t)
+	a := te.NewAllocation(p)
+	a.X[0][0], a.X[0][1] = 10, 1 // two streams, 10:1
+	spec := &RunSpec{Snap: snap, Problem: p, Alloc: a}
+	full, err := Run(spec, Config{Seed: 9, HorizonSec: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Truncated || full.Injected < 800 {
+		t.Fatalf("reference run: %+v", full)
+	}
+
+	// Budget above the total (but under twice the heavy stream): untouched.
+	res, err := Run(spec, Config{Seed: 9, HorizonSec: 1, MaxPackets: full.Injected + 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Truncated || !reflect.DeepEqual(res, full) {
+		t.Fatalf("a %d-packet budget over a %d-packet schedule cut it: injected %d, truncated %v",
+			full.Injected+1, full.Injected, res.Injected, res.Truncated)
+	}
+
+	// Budget below the total: exactly the budget is injected, the light
+	// stream (84 packets, under the common cap) whole.
+	res, err = Run(spec, Config{Seed: 9, HorizonSec: 1, MaxPackets: 500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	accounting(t, res)
+	if !res.Truncated || res.Injected != 500 {
+		t.Fatalf("500-packet budget: injected %d, truncated %v", res.Injected, res.Truncated)
+	}
+
+	// More streams than budget: still never over it.
+	res, err = Run(spec, Config{Seed: 9, HorizonSec: 1, MaxPackets: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Truncated || res.Injected != 1 {
+		t.Fatalf("1-packet budget over two streams: injected %d, truncated %v", res.Injected, res.Truncated)
 	}
 }
 
 func TestRunValidation(t *testing.T) {
 	spec := twoSatSpec(t, 100, 10)
 	cases := []struct {
-		name  string
+		name   string
 		mutate func(*RunSpec)
 	}{
 		{"nil snapshot", func(s *RunSpec) { s.Snap = nil }},
@@ -326,6 +374,12 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(badCap, Config{HorizonSec: 0.1}); err == nil {
 		t.Fatal("zero-capacity link accepted")
 	}
+	// A zero allocation is a valid, empty run, not an error.
+	idle := twoSatSpec(t, 100, 10)
+	idle.Alloc.X[0][0] = 0
+	if res, err := Run(idle, Config{HorizonSec: 0.1, Spikes: 1}); err != nil || res.Injected != 0 || res.Truncated {
+		t.Fatalf("zero allocation: %+v, %v", res, err)
+	}
 }
 
 func TestResultMergeAndPercentiles(t *testing.T) {
@@ -335,14 +389,15 @@ func TestResultMergeAndPercentiles(t *testing.T) {
 	if agg.Injected != 15 || agg.Delivered != 13 || agg.Dropped() != 2 || agg.MaxQueuePkts != 7 || !agg.Truncated {
 		t.Fatalf("merged: %+v", agg)
 	}
-	if got := agg.LatencyPercentile(100); math.Abs(got-0.03) > 1e-15 {
-		t.Fatalf("p100 = %v", got)
+	// Percentiles come back in the order asked, not sorted.
+	if got := agg.LatencyPercentiles(100, 1, 50); math.Abs(got[0]-0.03) > 1e-15 || math.Abs(got[1]-0.01) > 1e-15 || math.Abs(got[2]-0.02) > 1e-15 {
+		t.Fatalf("p100, p1, p50 = %v", got)
 	}
-	if got := agg.LatencyPercentile(1); math.Abs(got-0.01) > 1e-15 {
-		t.Fatalf("p1 = %v", got)
+	if !reflect.DeepEqual(agg.LatenciesSec, []float64{0.01, 0.02, 0.03}) {
+		t.Fatalf("percentiles reordered the series: %v", agg.LatenciesSec)
 	}
 	var empty Result
-	if !math.IsNaN(empty.LatencyPercentile(50)) || !math.IsNaN(empty.MeanLatencySec()) {
+	if got := empty.LatencyPercentiles(50, 99); len(got) != 2 || !math.IsNaN(got[0]) || !math.IsNaN(got[1]) || !math.IsNaN(empty.MeanLatencySec()) {
 		t.Fatal("empty result must report NaN latency, not zero")
 	}
 	if empty.LossFrac() > 0 {

@@ -11,36 +11,36 @@ import (
 // finite FIFO queue. Propagation delay is the light time between the
 // endpoints' snapshot positions; rate comes from the TE problem's link
 // capacity, so the engine serializes at exactly the capacity the solver
-// allocated against.
+// allocated against. The FIFO is a list threaded through packet.next (a
+// queued packet has no pending event, so the link is free), bounded by
+// Config.QueuePkts.
 type port struct {
 	link    int32   // undirected schedule index (spikes/handovers key)
 	to      int32   // arrival node of a completed departure
 	serSec  float64 // serialization time of one Config.PacketBits packet
 	propSec float64 // light-time propagation delay
 
-	busy bool
-	q    ring
+	busy         bool
+	qhead, qtail int32 // first and last queued packet; valid while qn > 0
+	qn           int32
 }
 
-// ring is a fixed-capacity FIFO of packet indices.
-type ring struct {
-	buf  []int32
-	head int
-	n    int
+func (pt *port) qpush(pk []packet, h int32) {
+	pk[h].next = nilPkt
+	if pt.qn == 0 {
+		pt.qhead = h
+	} else {
+		pk[pt.qtail].next = h
+	}
+	pt.qtail = h
+	pt.qn++
 }
 
-func (r *ring) full() bool { return r.n == len(r.buf) }
-
-func (r *ring) push(pkt int32) {
-	r.buf[(r.head+r.n)%len(r.buf)] = pkt
-	r.n++
-}
-
-func (r *ring) pop() int32 {
-	pkt := r.buf[r.head]
-	r.head = (r.head + 1) % len(r.buf)
-	r.n--
-	return pkt
+func (pt *port) qpop(pk []packet) int32 {
+	h := pt.qhead
+	pt.qhead = pk[h].next
+	pt.qn--
+	return h
 }
 
 // portKey addresses a directed edge.
@@ -52,7 +52,7 @@ func portKey(from, to int32) uint64 { return uint64(uint32(from))<<32 | uint64(u
 // queued or dropped rather than vanishing). Each undirected link gets one
 // schedule index, shared by its two ports, which is what seeded spike and
 // handover windows key on. Returns the ports and the directed-edge index.
-func buildPorts(spec *RunSpec, packetBits, queuePkts int) ([]port, map[uint64]int32, error) {
+func buildPorts(spec *RunSpec, packetBits int) ([]port, map[uint64]int32, error) {
 	ports := make([]port, 0, 2*len(spec.Problem.Links))
 	idx := make(map[uint64]int32, 2*len(spec.Problem.Links))
 	linkSeq := int32(0)
@@ -73,7 +73,6 @@ func buildPorts(spec *RunSpec, packetBits, queuePkts int) ([]port, map[uint64]in
 					to:      dir[1],
 					serSec:  ser,
 					propSec: prop,
-					q:       ring{buf: make([]int32, queuePkts)},
 				})
 			}
 			linkSeq++

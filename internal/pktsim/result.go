@@ -17,7 +17,7 @@ type Result struct {
 	DroppedDown   int // port in a handover window (or its link left the topology)
 	DroppedLoop   int // hop-budget exceeded (cross-generation forwarding loop)
 
-	Truncated    bool // MaxPackets quota cut at least one stream's injection
+	Truncated    bool // the schedule exceeded MaxPackets and was cut to it
 	MaxQueuePkts int  // high-water occupancy over every port (queued + in service)
 
 	LatenciesSec []float64 // one entry per delivered packet, delivery order
@@ -36,25 +36,26 @@ func (r *Result) LossFrac() float64 {
 	return float64(r.Dropped()) / float64(r.Injected)
 }
 
-// LatencyPercentile returns the p-th percentile (0 < p <= 100) of delivered
-// packet latency in seconds, from a sorted copy of the series. NaN when
-// nothing was delivered, so a missing distribution cannot masquerade as a
-// zero-latency one.
-func (r *Result) LatencyPercentile(p float64) float64 {
+// LatencyPercentiles returns the nearest-rank p-th percentiles (0 < p <=
+// 100, in any order) of delivered packet latency in seconds, from one sorted
+// copy of the series. NaN when nothing was delivered, so a missing
+// distribution cannot masquerade as a zero-latency one.
+func (r *Result) LatencyPercentiles(ps ...float64) []float64 {
+	out := make([]float64, len(ps))
 	n := len(r.LatenciesSec)
 	if n == 0 {
-		return math.NaN()
+		for i := range out {
+			out[i] = math.NaN()
+		}
+		return out
 	}
 	s := append([]float64(nil), r.LatenciesSec...)
 	sort.Float64s(s)
-	idx := int(math.Ceil(p/100*float64(n))) - 1
-	if idx < 0 {
-		idx = 0
+	for i, p := range ps {
+		idx := int(math.Ceil(p/100*float64(n))) - 1
+		out[i] = s[min(max(idx, 0), n-1)]
 	}
-	if idx >= n {
-		idx = n - 1
-	}
-	return s[idx]
+	return out
 }
 
 // MeanLatencySec is the mean delivered-packet latency (NaN when empty).

@@ -2,6 +2,7 @@ package pktsim
 
 import (
 	"math/rand"
+	"sort"
 
 	"sate/internal/par"
 	"sate/internal/te"
@@ -16,6 +17,13 @@ type stream struct {
 	rateMbps float64
 	startSec float64
 	endSec   float64
+
+	// Set by planSchedule: the stream injects packets off..off+n-1 of the
+	// slab, the first at firstSec, each baseSec (less inside a burst) after
+	// the one before.
+	baseSec  float64
+	firstSec float64
+	off, n   int
 }
 
 // buildStreams lists the positive-rate (flow, label) streams. With an update
@@ -69,45 +77,81 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// buildSchedules computes per-stream injection times. The fan-out runs
-// through par.For, and stream si's schedule depends only on (seed, si) —
-// never on which worker built it or what its neighbours produced — so the
-// result is bitwise-identical at any SATE_WORKERS setting. Returns the
-// schedules and whether any stream hit its MaxPackets quota.
-func buildSchedules(streams []stream, cfg *Config) ([][]float64, bool) {
-	quota := cfg.MaxPackets / len(streams)
-	if quota < 1 {
-		quota = 1
+// interval is the gap to a stream's next packet after one injected at t:
+// the stream's base spacing, shortened inside a burst.
+func (cfg *Config) interval(base, t float64) float64 {
+	if b := cfg.Burst; b != nil && b.Factor > 0 && t >= b.StartSec && t < b.StartSec+b.DurSec {
+		return base / b.Factor
 	}
-	out := make([][]float64, len(streams))
-	truncated := make([]bool, len(streams))
-	par.For(len(streams), 8, func(lo, hi int) {
+	return base
+}
+
+// planSchedule counts every stream's packets, budgets the total against
+// cfg.MaxPackets and lays the streams out in the packet slab. The fan-out
+// runs through par.For, and stream si's phase and count depend only on
+// (seed, si) — never on which worker computed them — so the plan is
+// bitwise-identical at any SATE_WORKERS setting. A plan whose total fits the
+// budget is never cut; one that does not keeps each stream's earliest packets
+// up to a common per-stream cap (the largest that fits, the remainder going
+// one packet each to the lowest-indexed capped streams), so exactly
+// MaxPackets are injected. Returns the total and whether the plan was cut.
+func planSchedule(streams []stream, cfg *Config) (total int, truncated bool) {
+	par.For(len(streams), par.Grain(len(streams), 8), func(lo, hi int) {
+		rng := rand.New(rand.NewSource(0)) // reseeded per stream: one source per chunk
 		for si := lo; si < hi; si++ {
 			st := &streams[si]
-			rng := rand.New(rand.NewSource(int64(mix64(uint64(cfg.Seed) ^ mix64(uint64(si)+1)))))
-			base := float64(cfg.PacketBits) / (st.rateMbps * 1e6)
+			rng.Seed(int64(mix64(uint64(cfg.Seed) ^ mix64(uint64(si)+1))))
+			st.baseSec = float64(cfg.PacketBits) / (st.rateMbps * 1e6)
 			// Random initial phase decorrelates same-rate streams; without
 			// it every stream would batch its packets onto the same instants.
-			t := st.startSec + rng.Float64()*base
-			var times []float64
-			for t < st.endSec {
-				if len(times) >= quota {
-					truncated[si] = true
-					break
-				}
-				times = append(times, t)
-				iv := base
-				if b := cfg.Burst; b != nil && b.Factor > 0 && t >= b.StartSec && t < b.StartSec+b.DurSec {
-					iv = base / b.Factor
-				}
-				t += iv
+			st.firstSec = st.startSec + rng.Float64()*st.baseSec
+			// One past the budget is enough to know the stream overruns it.
+			for t := st.firstSec; t < st.endSec && st.n <= cfg.MaxPackets; st.n++ {
+				t += cfg.interval(st.baseSec, t)
 			}
-			out[si] = times
 		}
 	})
-	trunc := false
-	for _, tr := range truncated {
-		trunc = trunc || tr
+	capped := func(q int) (sum int) {
+		for si := range streams {
+			sum += min(streams[si].n, q)
+		}
+		return sum
 	}
-	return out, trunc
+	truncated = capped(cfg.MaxPackets+1) > cfg.MaxPackets
+	if truncated {
+		q := sort.Search(cfg.MaxPackets, func(q int) bool { return capped(q+1) > cfg.MaxPackets })
+		spare := cfg.MaxPackets - capped(q)
+		for si := range streams {
+			if st := &streams[si]; st.n > q {
+				st.n = q
+				if spare > 0 {
+					st.n++
+					spare--
+				}
+			}
+		}
+	}
+	for si := range streams {
+		streams[si].off = total
+		total += streams[si].n
+	}
+	return total, truncated
+}
+
+// fillSchedule writes the planned injections into the packet slab, each as a
+// pending arrival at its stream's source with seq = slab index (stream-major).
+func fillSchedule(pk []packet, streams []stream, cfg *Config) {
+	par.For(len(streams), par.Grain(len(streams), 8), func(lo, hi int) {
+		for si := lo; si < hi; si++ {
+			st := &streams[si]
+			t := st.firstSec
+			for pid := st.off; pid < st.off+st.n; pid++ {
+				pk[pid] = packet{
+					t: t, seq: uint64(pid), kind: evArrive, where: st.src,
+					key: st.key, dst: st.dst, injectSec: t,
+				}
+				t += cfg.interval(st.baseSec, t)
+			}
+		}
+	})
 }

@@ -21,15 +21,20 @@ func fwdKey(src, dst topology.NodeID, label int) uint64 {
 }
 
 // gen is one compiled forwarding generation: per-node flat lookup from
-// (src, dst, label) to the next hop. It is the engine-side image of a
+// (src, dst, label) to the outgoing port. It is the engine-side image of a
 // rules.RuleSet, flattened so the per-hop lookup is one slice index and one
 // map access instead of a linear rule scan.
 type gen struct {
-	next []map[uint64]int32 // indexed by node; nil for nodes with no rules
+	out []map[uint64]int32 // indexed by node; nil for nodes with no rules
 }
 
-// compileGen compiles an allocation's rule set into a generation.
-func compileGen(p *te.Problem, a *te.Allocation, numNodes int) (*gen, error) {
+// noPort is the compiled image of a rule whose link exists in neither
+// generation's port set (it left the topology): the packet has nowhere to go.
+const noPort = int32(-1)
+
+// compileGen compiles an allocation's rule set into a generation, resolving
+// each rule's next hop to its index in the directed-edge table portIdx.
+func compileGen(p *te.Problem, a *te.Allocation, numNodes int, portIdx map[uint64]int32) (*gen, error) {
 	if p.NumNodes > maxNodes {
 		return nil, fmt.Errorf("pktsim: %d nodes exceeds the %d forwarding-key limit", p.NumNodes, maxNodes)
 	}
@@ -40,7 +45,7 @@ func compileGen(p *te.Problem, a *te.Allocation, numNodes int) (*gen, error) {
 		}
 	}
 	rs := rules.Compile(p, a)
-	g := &gen{next: make([]map[uint64]int32, numNodes)}
+	g := &gen{out: make([]map[uint64]int32, numNodes)}
 	// Map iteration without a sort is fine here: every write is keyed by the
 	// range variable, so the resulting tables are order-independent.
 	for node, tbl := range rs.Tables {
@@ -49,19 +54,13 @@ func compileGen(p *te.Problem, a *te.Allocation, numNodes int) (*gen, error) {
 		}
 		m := make(map[uint64]int32, len(tbl.Rules))
 		for _, r := range tbl.Rules {
-			m[fwdKey(r.Flow.Src, r.Flow.Dst, r.Label)] = int32(r.Next)
+			pi, ok := portIdx[portKey(int32(node), int32(r.Next))]
+			if !ok {
+				pi = noPort
+			}
+			m[fwdKey(r.Flow.Src, r.Flow.Dst, r.Label)] = pi
 		}
-		g.next[node] = m
+		g.out[node] = m
 	}
 	return g, nil
-}
-
-// lookup returns the next hop for (src, dst, label) at node.
-func (g *gen) lookup(node int32, key uint64) (int32, bool) {
-	m := g.next[node]
-	if m == nil {
-		return 0, false
-	}
-	nxt, ok := m[key]
-	return nxt, ok
 }
