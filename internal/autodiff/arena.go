@@ -107,6 +107,15 @@ func (a *arena[T]) value() *ValueOf[T] {
 	return v
 }
 
+// keep copies a caller's operand list into the arena, so ops can hold it
+// past the call (and hand it to parallel chunks) without forcing the
+// caller's slice to the heap.
+func (a *arena[T]) keep(vs []*ValueOf[T]) []*ValueOf[T] {
+	out := a.vals.take(len(vs))
+	copy(out, vs)
+	return out
+}
+
 // reset rewinds every slab. Callers must drop all references obtained since
 // the previous reset: the next pass hands the same memory out again.
 func (a *arena[T]) reset() {

@@ -131,6 +131,41 @@ func TestGradConcatGatherScatter(t *testing.T) {
 	})
 }
 
+// TestColMatchesSelectorMatMul: Col is the strided spelling of multiplying by
+// a one-hot selector column — same output and same input gradient, bit for
+// bit and at every worker count, for finite values (which is what keeps
+// training bits where the selector spelling left them).
+func TestColMatchesSelectorMatMul(t *testing.T) {
+	for c := 0; c < 3; c++ {
+		checkFusedMatchesComposed(t, "Col",
+			func(tp *Tape, in []*Value) *Value { return tp.Col(in[0], c) },
+			func(tp *Tape, in []*Value) *Value {
+				sel := tp.Zeros(3, 1)
+				sel.Set(c, 0, 1)
+				return tp.MatMul(in[0], tp.Const(sel))
+			},
+			[2]int{70001, 3})
+	}
+}
+
+// TestColIsolatesNonFiniteColumns: a non-finite entry stays in its own
+// column, forward and backward.
+func TestColIsolatesNonFiniteColumns(t *testing.T) {
+	tp := NewTape()
+	a := tp.Const(FromSlice(2, 2, []float64{1, math.Inf(1), 2, math.NaN()}))
+	c0, c1 := tp.Col(a, 0), tp.Col(a, 1)
+	if c0.Val.Data[0] != 1 || c0.Val.Data[1] != 2 {
+		t.Fatalf("column 0 = %v beside a non-finite column 1", c0.Val.Data)
+	}
+	if !math.IsInf(c1.Val.Data[0], 1) || !math.IsNaN(c1.Val.Data[1]) {
+		t.Fatalf("column 1 = %v, want [+Inf NaN]", c1.Val.Data)
+	}
+	tp.Backward(tp.SumAll(c0))
+	if g := a.Grad.Data; g[0] != 1 || g[1] != 0 || g[2] != 1 || g[3] != 0 {
+		t.Fatalf("gradient of sum(column 0) = %v, want [1 0 1 0]", g)
+	}
+}
+
 func TestGradSegmentSoftmax(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	a := randParam(rng, 6, 1)

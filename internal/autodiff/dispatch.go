@@ -25,6 +25,7 @@ type opTable[T Float] struct {
 	expBack              func(*ValueOf[T])
 	softClampBack        func(*ValueOf[T])
 	concatBack           func(*ValueOf[T])
+	colBack              func(*ValueOf[T])
 	gatherBack           func(*ValueOf[T])
 	scatterAddRowsBack   func(*ValueOf[T])
 	segmentSoftmaxBack   func(*ValueOf[T])
@@ -56,6 +57,8 @@ type opTable[T Float] struct {
 	softClampBackChunk      func(*ValueOf[T], int, int)
 	concatFwdChunk          func(*ValueOf[T], int, int)
 	concatBackChunk         func(*ValueOf[T], int, int)
+	colFwdChunk             func(*ValueOf[T], int, int)
+	colBackChunk            func(*ValueOf[T], int, int)
 	gatherFwdChunk          func(*ValueOf[T], int, int)
 	scatterAddRowsBkChunk   func(*ValueOf[T], int, int)
 	rowSoftmaxFwdChunk      func(*ValueOf[T], int, int)
@@ -75,6 +78,7 @@ type opTable[T Float] struct {
 	stridedScatterChunk func(stridedScatterArgs[T], int, int)
 	segAttnAggChunk     func(segAttnAggArgs[T], int, int)
 	segAttnEdgeChunk    func(segAttnEdgeArgs[T], int, int)
+	edgeAttnChunk       func(edgeAttnArgs[T], int, int)
 
 	// Adam chunks.
 	adamZeroChunk func(*AdamOf[T], int, int)
@@ -96,6 +100,7 @@ func newOpTable[T Float]() *opTable[T] {
 		expBack:              expBack[T],
 		softClampBack:        softClampBack[T],
 		concatBack:           concatBack[T],
+		colBack:              colBack[T],
 		gatherBack:           gatherBack[T],
 		scatterAddRowsBack:   scatterAddRowsBack[T],
 		segmentSoftmaxBack:   segmentSoftmaxBack[T],
@@ -126,6 +131,8 @@ func newOpTable[T Float]() *opTable[T] {
 		softClampBackChunk:      softClampBackChunk[T],
 		concatFwdChunk:          concatFwdChunk[T],
 		concatBackChunk:         concatBackChunk[T],
+		colFwdChunk:             colFwdChunk[T],
+		colBackChunk:            colBackChunk[T],
 		gatherFwdChunk:          gatherFwdChunk[T],
 		scatterAddRowsBkChunk:   scatterAddRowsBackChunk[T],
 		rowSoftmaxFwdChunk:      rowSoftmaxFwdChunk[T],
@@ -144,6 +151,7 @@ func newOpTable[T Float]() *opTable[T] {
 		stridedScatterChunk: stridedScatterChunk[T],
 		segAttnAggChunk:     segAttnAggChunk[T],
 		segAttnEdgeChunk:    segAttnEdgeChunk[T],
+		edgeAttnChunk:       edgeAttnChunk[T],
 
 		adamZeroChunk: adamZeroChunk[T],
 		adamStepChunk: adamStepChunk[T],

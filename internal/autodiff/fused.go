@@ -16,6 +16,9 @@ import (
 //	Linear / LinearLeakyReLU   = MatMul -> AddRowBroadcast [-> LeakyReLU]
 //	GatherConcat               = Gather -> (Gather) -> Concat
 //	SegmentAttention           = SegmentSoftmax -> MulColBroadcast -> ScatterAddRows
+//	EdgeAttention (edgeattn.go) = a GAT layer's whole edge-level tail, all
+//	                             heads; inference tapes only, where it stands
+//	                             in for GatherConcat and SegmentAttention
 
 // Linear returns x @ w + bias (bias 1 x n, broadcast over rows) as one
 // kernel: the gemm epilogue adds the bias while the output row is hot.

@@ -192,12 +192,14 @@ func TestTapeReuseZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	w1 := Param(NewTensor(13, 16).Randn(rng, 1))
 	b1 := Param(NewTensor(1, 16))
-	w2 := Param(NewTensor(16, 1).Randn(rng, 1))
+	w2 := Param(NewTensor(48, 1).Randn(rng, 1))
 	b2 := Param(NewTensor(1, 1))
 	x := NewTensor(40, 13).Randn(rng, 1)
 	seg := make([]int, 40)
+	nbr := make([]int, 40)
 	for i := range seg {
 		seg[i] = i % 8
+		nbr[i] = (7 * i) % 40
 	}
 	opt := NewAdam(1e-3, w1, b1, w2, b2)
 	tp := NewTape()
@@ -205,7 +207,7 @@ func TestTapeReuseZeroAllocs(t *testing.T) {
 		tp.Reset()
 		xin := tp.Const(tp.TensorFrom(40, 13, x.Data))
 		h := tp.LinearLeakyReLU(xin, tp.Watch(w1), tp.Watch(b1), 0.2)
-		score := tp.Linear(h, tp.Watch(w2), tp.Watch(b2))
+		score := tp.Linear(tp.GatherConcat(h, nbr, h, nil, h), tp.Watch(w2), tp.Watch(b2))
 		agg := tp.SegmentAttention(score, h, seg, 8)
 		loss := tp.MeanAll(tp.Mul(agg, agg))
 		opt.ZeroGrad()

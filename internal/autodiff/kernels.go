@@ -12,14 +12,16 @@ import (
 // write state and no gradient merge — results are bitwise identical to the
 // serial loops for every worker count (see the package par contract).
 //
-// The kernels are cache-blocked for L1/L2 locality: output rows are
-// processed in tiles of gemmRowTile (so a row of b is reused across several
-// rows of a while it is hot), and the j dimension in blocks of colBlockOf[T]
-// elements (≈2KB per block regardless of dtype — 256 float64s or 512
-// float32s — comfortably L1-resident together with the accumulator rows).
-// Blocking only reorders WHICH (i, j) cell is touched when; for any single
-// output element the terms are still added in increasing p, so the result is
-// bitwise identical to the unblocked axpy loop.
+// gemm runs a register-blocked 4x2 microkernel over full tiles of
+// gemmRowTile output rows (see gemmChunk); the row remainder, gemmBT and
+// gemmAT — the training-side kernels — are cache-blocked for L1/L2 locality:
+// output rows are processed in tiles of gemmRowTile (so a row of b is reused
+// across several rows of a while it is hot), and the j dimension in blocks of
+// colBlockOf[T] elements (≈2KB per block regardless of dtype — 256 float64s
+// or 512 float32s — comfortably L1-resident together with the accumulator
+// rows). Tiling and blocking only reorder WHICH (i, j) cell is touched when;
+// for any single output element the terms are still added in increasing p,
+// so the result is bitwise identical to the unblocked axpy loop.
 //
 // The accumulate flag selects between out = product (forward) and
 // out += product (backward gradient accumulation). In accumulate mode each
@@ -109,15 +111,21 @@ func gemmChunk[T Float](g gemmArgs[T], lo, hi int) {
 	a, b, out := g.a, g.b, g.out
 	k, n := a.Cols, b.Cols
 	bd := b.Data
-	// Register-blocked 4x4 microkernel over full row tiles: sixteen
-	// accumulators live in registers across the whole p sweep, so the inner
-	// loop issues no stores and only eight loads per sixteen multiply-adds.
-	// Every output element still sums its terms serially in increasing p —
-	// the identical operation sequence (+0 start, += term per p) as the
-	// row-sweep form — so the result is bitwise identical for any tiling. A
-	// p whose four a-entries are all zero contributes nothing and may be
-	// skipped on the forward path; the backward path keeps every term so
-	// non-finite gradients propagate exactly as the direct dot product would.
+	// Register-blocked 4x2 microkernel over full row tiles: eight
+	// accumulators, four a-entries and two b-entries — fourteen values
+	// against amd64's fifteen usable XMM registers, so the accumulators stay
+	// resident across the whole p sweep (the compiler, which schedules the
+	// eight products before the eight adds, still parks two of them and one
+	// b-entry on the stack: 7 moves per p, where a 4x4 tile's sixteen
+	// accumulators alone overflow the file and moved ~30). Every output
+	// element still sums its terms serially in increasing p — the identical
+	// operation sequence (+0 start, += term per p) as the row-sweep form — so
+	// the result is bitwise identical for any tiling. The tile takes every
+	// term: skipping a p whose four a-entries are all zero would drop only
+	// ±0 additions, but no solve feeds it such rows past the k = 1 embedding
+	// products, and four compares per p measure slower than the
+	// multiply-adds they save. The remainder paths below keep their skip on
+	// the forward path.
 	i0 := lo
 	for ; i0+gemmRowTile <= hi; i0 += gemmRowTile {
 		base := i0 * k
@@ -130,48 +138,36 @@ func gemmChunk[T Float](g gemmArgs[T], lo, hi int) {
 		o2 := out.Data[(i0+2)*n : (i0+3)*n]
 		o3 := out.Data[(i0+3)*n : (i0+4)*n]
 		jt := 0
-		for ; jt+4 <= n; jt += 4 {
-			var c00, c01, c02, c03 T
-			var c10, c11, c12, c13 T
-			var c20, c21, c22, c23 T
-			var c30, c31, c32, c33 T
+		for ; jt+2 <= n; jt += 2 {
+			var c00, c01 T
+			var c10, c11 T
+			var c20, c21 T
+			var c30, c31 T
 			off := jt
 			for p := 0; p < k; p++ {
 				v0, v1, v2, v3 := a0[p], a1[p], a2[p], a3[p]
-				if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 && !g.accumulate {
-					off += n
-					continue
-				}
-				bp := bd[off : off+4]
-				b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
+				bp := bd[off : off+2]
+				b0, b1 := bp[0], bp[1]
 				off += n
 				c00 += v0 * b0
 				c01 += v0 * b1
-				c02 += v0 * b2
-				c03 += v0 * b3
 				c10 += v1 * b0
 				c11 += v1 * b1
-				c12 += v1 * b2
-				c13 += v1 * b3
 				c20 += v2 * b0
 				c21 += v2 * b1
-				c22 += v2 * b2
-				c23 += v2 * b3
 				c30 += v3 * b0
 				c31 += v3 * b1
-				c32 += v3 * b2
-				c33 += v3 * b3
 			}
 			if g.accumulate {
-				o0[jt], o0[jt+1], o0[jt+2], o0[jt+3] = o0[jt]+c00, o0[jt+1]+c01, o0[jt+2]+c02, o0[jt+3]+c03
-				o1[jt], o1[jt+1], o1[jt+2], o1[jt+3] = o1[jt]+c10, o1[jt+1]+c11, o1[jt+2]+c12, o1[jt+3]+c13
-				o2[jt], o2[jt+1], o2[jt+2], o2[jt+3] = o2[jt]+c20, o2[jt+1]+c21, o2[jt+2]+c22, o2[jt+3]+c23
-				o3[jt], o3[jt+1], o3[jt+2], o3[jt+3] = o3[jt]+c30, o3[jt+1]+c31, o3[jt+2]+c32, o3[jt+3]+c33
+				o0[jt], o0[jt+1] = o0[jt]+c00, o0[jt+1]+c01
+				o1[jt], o1[jt+1] = o1[jt]+c10, o1[jt+1]+c11
+				o2[jt], o2[jt+1] = o2[jt]+c20, o2[jt+1]+c21
+				o3[jt], o3[jt+1] = o3[jt]+c30, o3[jt+1]+c31
 			} else {
-				o0[jt], o0[jt+1], o0[jt+2], o0[jt+3] = c00, c01, c02, c03
-				o1[jt], o1[jt+1], o1[jt+2], o1[jt+3] = c10, c11, c12, c13
-				o2[jt], o2[jt+1], o2[jt+2], o2[jt+3] = c20, c21, c22, c23
-				o3[jt], o3[jt+1], o3[jt+2], o3[jt+3] = c30, c31, c32, c33
+				o0[jt], o0[jt+1] = c00, c01
+				o1[jt], o1[jt+1] = c10, c11
+				o2[jt], o2[jt+1] = c20, c21
+				o3[jt], o3[jt+1] = c30, c31
 			}
 		}
 		// Column remainder: 4x1 register tile.

@@ -386,8 +386,7 @@ func (tp *TapeOf[T]) Concat(parts ...*ValueOf[T]) *ValueOf[T] {
 		total += p.Val.Cols
 	}
 	v := tp.newNodeStored(rows, total, opsFor[T]().concatBack)
-	v.srcs = tp.arena.vals.take(len(parts))
-	copy(v.srcs, parts)
+	v.srcs = tp.arena.keep(parts)
 	// Row-parallel: each chunk copies whole output rows, all parts at once.
 	par.ForCtx(rows, rowGrain(rows, total), v, opsFor[T]().concatFwdChunk)
 	return v
@@ -420,6 +419,37 @@ func concatBackChunk[T Float](v *ValueOf[T], lo, hi int) {
 			}
 			off += c
 		}
+	}
+}
+
+// Col returns column c of a as a rows x 1 value — a strided copy, so each
+// output is its own element's bits whatever the row's other columns hold.
+// Backward adds the gradient into that column.
+func (tp *TapeOf[T]) Col(a *ValueOf[T], c int) *ValueOf[T] {
+	if c < 0 || c >= a.Val.Cols {
+		panic(fmt.Sprintf("autodiff: column %d of %s", c, a.Val.shape()))
+	}
+	v := tp.newNodeStored(a.Val.Rows, 1, opsFor[T]().colBack)
+	v.src0, v.n = a, c
+	par.ForCtx(a.Val.Rows, elemGrain(a.Val.Rows), v, opsFor[T]().colFwdChunk)
+	return v
+}
+
+func colFwdChunk[T Float](v *ValueOf[T], lo, hi int) {
+	o, x, cols, c := v.Val.Data, v.src0.Val.Data, v.src0.Val.Cols, v.n
+	for i := lo; i < hi; i++ {
+		o[i] = x[i*cols+c]
+	}
+}
+
+func colBack[T Float](v *ValueOf[T]) {
+	par.ForCtx(v.Val.Rows, elemGrain(v.Val.Rows), v, opsFor[T]().colBackChunk)
+}
+
+func colBackChunk[T Float](v *ValueOf[T], lo, hi int) {
+	g, ga, cols, c := v.Grad.Data, v.src0.Grad.Data, v.src0.Val.Cols, v.n
+	for i := lo; i < hi; i++ {
+		ga[i*cols+c] += g[i]
 	}
 }
 

@@ -10,7 +10,9 @@ import "math"
 // The float64 instantiation is the reference path: every generic scalar
 // helper below lowers to an identity conversion around the stdlib math call,
 // so TensorOf[float64] arithmetic is bitwise-identical to the pre-generic
-// float64 code (TestFloat64Bitwise pins this).
+// float64 code. What the tree pins today is that every float64 path agrees
+// with every other, bit for bit: TestWarmStartBitwise (root package) and
+// core's TestSolveMatchesGradientTapeForward.
 type Float interface {
 	float32 | float64
 }

@@ -281,3 +281,32 @@ func TestModelEmptyProblem(t *testing.T) {
 		t.Error("empty problem should yield zero allocation")
 	}
 }
+
+// TestNonFiniteGateLeavesScoresFinite: the score and gate columns of the
+// decoder output are read independently. With every gate pre-activation at
+// +Inf (a diverged output bias) the scores stay finite and the allocation is
+// demand times the path softmax; extracting columns by multiplying with a
+// selector computed score·1 + Inf·0 = NaN for every path.
+func TestNonFiniteGateLeavesScoresFinite(t *testing.T) {
+	p := buildScenario(t, 0, 60, 3)
+	m := NewModel(DefaultConfig())
+	m.decoder.SetOutputBias(1, math.Inf(1))
+	for _, tp := range []*autodiff.Tape{autodiff.NewTape(), autodiff.NewInferenceTape()} {
+		g := BuildTEGraph(p)
+		scores, gates := m.Forward(tp, g)
+		for j, s := range scores.Val.Data {
+			if math.IsNaN(s) || math.IsInf(s, 0) {
+				t.Fatalf("score %d = %v beside an infinite gate", j, s)
+			}
+			if !math.IsInf(gates.Val.Data[j], 1) {
+				t.Fatalf("gate %d = %v, want +Inf", j, gates.Val.Data[j])
+			}
+		}
+		tp.Reset()
+		for j, x := range m.Allocate(tp, g, p).Val.Data {
+			if math.IsNaN(x) || x < 0 || x > p.Flows[g.VarFlow[j]].DemandMbps {
+				t.Fatalf("path variable %d = %v of demand %v", j, x, p.Flows[g.VarFlow[j]].DemandMbps)
+			}
+		}
+	}
+}

@@ -319,20 +319,12 @@ func (n *netOf[T]) forward(tp *autodiff.TapeOf[T], g *TEGraph, sat *autodiff.Val
 	}
 	trfPerVar := tp.Gather(trf, g.VarFlow)
 	dec := n.decoder.Forward(tp, tp.Concat(path, trfPerVar)) // NumPaths x 2
-	return colSlice(tp, dec, 0), colSlice(tp, dec, 1)
+	return tp.Col(dec, 0), tp.Col(dec, 1)
 }
 
 // Forward runs the float64 model (training surface).
 func (m *Model) Forward(tp *autodiff.Tape, g *TEGraph) (scores, gates *autodiff.Value) {
 	return m.forward(tp, g, m.r1Embed(tp, g))
-}
-
-// colSlice extracts one column of a two-column value as an n x 1 value.
-func colSlice[T autodiff.Float](tp *autodiff.TapeOf[T], v *autodiff.ValueOf[T], col int) *autodiff.ValueOf[T] {
-	// Multiply by a constant selector matrix (cols x 1).
-	sel := tp.Zeros(v.Val.Cols, 1)
-	sel.Set(col, 0, 1)
-	return tp.MatMul(v, tp.Const(sel))
 }
 
 // allocate runs the model and converts scores/gates into an allocation:
@@ -362,12 +354,11 @@ func (m *Model) Allocate(tp *autodiff.Tape, g *TEGraph, p *te.Problem) *autodiff
 	return m.allocate(tp, g, p, m.r1Embed(tp, g))
 }
 
-// solveThroughput is the dtype-generic throughput inference path: graph
-// construction into the workspace, GNN inference on its tape, decoding, and
-// the feasibility correction.
-func solveThroughput[T autodiff.Float](net *netOf[T], cs *CycleState, ds *dtypeState[T], p *te.Problem, o solve.Options, name string) (*te.Allocation, error) {
-	a := solve.Begin(o, name)
-	defer a.End()
+// inferThroughput is the model half of a throughput solve: graph construction
+// into the workspace and GNN inference on its tape. The returned allocation
+// column (one entry per path variable of g, before the feasibility
+// correction) lives on the workspace tape until the next solve through cs.
+func inferThroughput[T autodiff.Float](net *netOf[T], cs *CycleState, ds *dtypeState[T], p *te.Problem, o solve.Options) (*TEGraph, *autodiff.ValueOf[T]) {
 	sp := o.Registry.StartSpan(obs.PhaseGraphBuild)
 	g, topo := cs.graph(p)
 	sp.End()
@@ -376,7 +367,16 @@ func solveThroughput[T autodiff.Float](net *netOf[T], cs *CycleState, ds *dtypeS
 	tp.Reset()
 	x := net.allocate(tp, g, p, ds.satEmbeddings(cs, net, g, topo))
 	sp.End()
-	sp = o.Registry.StartSpan(obs.PhaseDecode)
+	return g, x
+}
+
+// solveThroughput is the dtype-generic throughput inference path:
+// inferThroughput, decoding, and the feasibility correction.
+func solveThroughput[T autodiff.Float](net *netOf[T], cs *CycleState, ds *dtypeState[T], p *te.Problem, o solve.Options, name string) (*te.Allocation, error) {
+	a := solve.Begin(o, name)
+	defer a.End()
+	g, x := inferThroughput(net, cs, ds, p, o)
+	sp := o.Registry.StartSpan(obs.PhaseDecode)
 	alloc := te.NewAllocation(p)
 	xd := x.Val.Data
 	for fi, vars := range g.FlowVars {

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"sate/internal/autodiff"
 	"sate/internal/obs"
 	"sate/internal/par"
 	"sate/internal/solve"
@@ -192,4 +193,44 @@ func TestSolveConcurrentWithoutWarm(t *testing.T) {
 	if n := len(m.wsFree); n == 0 || n > callers {
 		t.Fatalf("model pool holds %d workspaces after %d concurrent callers", n, callers)
 	}
+}
+
+// TestSolveMatchesGradientTapeForward pins the inference/training fork to one
+// value: Model.Solve runs the edge kernel over deduplicated edge features on
+// an inference tape, Model.Allocate the composed ops over per-edge features
+// on a gradient tape, and on a 60-satellite problem every path variable
+// comes out bit for bit the same — before the feasibility correction, and so
+// after it.
+func TestSolveMatchesGradientTapeForward(t *testing.T) {
+	p := buildScenario60(t)
+	m := NewModel(DefaultConfig())
+	want := m.Allocate(autodiff.NewTape(), BuildTEGraph(p), p).Val.Data
+
+	cs := m.workspace(nil)
+	defer m.release(cs)
+	g, x := inferThroughput(&m.netOf, cs, &cs.f64, p, solve.Build())
+	if len(g.R2FeatIx) != len(g.R2Feat) || len(g.R2FeatU) >= len(g.R2Feat) {
+		t.Fatalf("inference ran without edge-feature dedup: %d R2 features, %d distinct", len(g.R2Feat), len(g.R2FeatU))
+	}
+	if len(x.Val.Data) != len(want) || len(want) == 0 {
+		t.Fatalf("%d path variables, gradient tape %d", len(x.Val.Data), len(want))
+	}
+	for j, w := range want {
+		if math.Float64bits(x.Val.Data[j]) != math.Float64bits(w) {
+			t.Fatalf("path variable %d: inference %v, gradient tape %v", j, x.Val.Data[j], w)
+		}
+	}
+
+	trimmed := te.NewAllocation(p)
+	for fi, vars := range g.FlowVars {
+		for pi, j := range vars {
+			trimmed.X[fi][pi] = want[j]
+		}
+	}
+	p.Trim(trimmed)
+	got, err := m.Solve(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameAlloc(t, "Solve vs trimmed gradient-tape allocation", got, trimmed)
 }

@@ -136,12 +136,12 @@ func (l *GATLayerOf[T]) Forward(tp *autodiff.TapeOf[T], vDst, vSrc, eFeat *autod
 
 // ForwardDedup is Forward for relations whose per-edge features repeat:
 // eFeatU holds only the distinct feature rows and eIdx[e] selects edge e's
-// row in it. The edge projection Θe·e runs once per distinct row and is
-// gathered back per edge — bitwise identical to Forward on the expanded
-// features, since a gemm output row depends only on its own input row and
-// Gather copies bits. Inference tapes only: on a gradient tape the edge
-// gradient would accumulate in a different order than the composed graph,
-// breaking training bit-reproducibility.
+// row in it. The edge projection Θe·e runs once per distinct row and the
+// edge kernel reads it through eIdx in place — bitwise identical to Forward
+// on the expanded features, since a gemm output row depends only on its own
+// input row. Inference tapes only: on a gradient tape the edge gradient
+// would accumulate in a different order than the composed graph, breaking
+// training bit-reproducibility.
 func (l *GATLayerOf[T]) ForwardDedup(tp *autodiff.TapeOf[T], vDst, vSrc, eFeatU *autodiff.ValueOf[T], eIdx []int, rel EdgeList) *autodiff.ValueOf[T] {
 	if !tp.NoGrad() {
 		panic("gnn: ForwardDedup on a gradient tape")
@@ -149,25 +149,46 @@ func (l *GATLayerOf[T]) ForwardDedup(tp *autodiff.TapeOf[T], vDst, vSrc, eFeatU 
 	return l.forward(tp, vDst, vSrc, eFeatU, eIdx, rel)
 }
 
+// maxStackHeads is how many heads' operand lists forward keeps on the stack
+// (it runs once per layer per step — zero-alloc steady state); append spills
+// wider layers to the heap.
+const maxStackHeads = 8
+
 func (l *GATLayerOf[T]) forward(tp *autodiff.TapeOf[T], vDst, vSrc, eFeat *autodiff.ValueOf[T], eIdx []int, rel EdgeList) *autodiff.ValueOf[T] {
 	for _, p := range l.Params() {
 		tp.Watch(p)
 	}
-	nDst := vDst.Val.Rows
 	self := tp.MatMul(vDst, l.thetaS)
 	slope := T(l.Slope)
 
-	// headsBuf keeps the per-head slice off the heap for realistic head
-	// counts (Forward runs once per layer per step — zero-alloc steady state).
-	var headsBuf [8]*autodiff.ValueOf[T]
+	if tp.NoGrad() {
+		// Inference: the node-level projections feed one edge kernel that
+		// scores, normalises and aggregates per destination for all heads
+		// and applies the self term and activation — every float the
+		// composed ops below would produce, with nothing per-edge stored.
+		var bufD, bufS, bufE [maxStackHeads]*autodiff.ValueOf[T]
+		hDst, hSrc, hE := bufD[:0], bufS[:0], bufE[:0]
+		attn := l.attnVector
+		if l.Uniform {
+			attn = nil // every edge scores 0; the query projection is not needed
+		}
+		for k := 0; k < l.Heads; k++ {
+			if attn != nil {
+				hDst = append(hDst, tp.MatMul(vDst, l.thetaDst[k])) // nDst x dh
+			}
+			hSrc = append(hSrc, tp.MatMul(vSrc, l.thetaSrc[k])) // nSrc x dh
+			hE = append(hE, tp.MatMul(eFeat, l.thetaEdge[k]))   // E x dh (U x dh when deduped)
+		}
+		return tp.EdgeAttention(self, hDst, hSrc, hE, attn, eIdx, rel.Dst, rel.Src, slope)
+	}
+
+	nDst := vDst.Val.Rows
+	var headsBuf [maxStackHeads]*autodiff.ValueOf[T]
 	heads := headsBuf[:0]
 	for k := 0; k < l.Heads; k++ {
 		hDst := tp.MatMul(vDst, l.thetaDst[k]) // nDst x dh
 		hSrc := tp.MatMul(vSrc, l.thetaSrc[k]) // nSrc x dh
-		hE := tp.MatMul(eFeat, l.thetaEdge[k]) // E x dh (U x dh when deduped)
-		if eIdx != nil {
-			hE = tp.Gather(hE, eIdx) // expand back to E x dh
-		}
+		hE := tp.MatMul(eFeat, l.thetaEdge[k]) // E x dh
 
 		gSrc := tp.Gather(hSrc, rel.Src) // E x dh
 

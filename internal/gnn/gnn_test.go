@@ -208,3 +208,126 @@ func TestEmptyRelation(t *testing.T) {
 		t.Errorf("empty relation output rows %d", out.Val.Rows)
 	}
 }
+
+// r2Shaped builds a relation with the shape of R2 at 396 satellites (the
+// solve-ring-396 benchmark workload): every path node touches the 7–11
+// satellites it crosses, and the edge features take nFeat distinct values.
+func r2Shaped(rng *rand.Rand, nPath, nSat, nFeat int) (rel EdgeList, eIdx []int) {
+	for p := 0; p < nPath; p++ {
+		for h, hops := 0, 7+rng.Intn(5); h < hops; h++ {
+			rel.Dst = append(rel.Dst, p)
+			rel.Src = append(rel.Src, rng.Intn(nSat))
+			eIdx = append(eIdx, rng.Intn(nFeat))
+		}
+	}
+	return rel, eIdx
+}
+
+// tensorRequests counts the arena tensors f takes from tp.
+func tensorRequests[T autodiff.Float](tp *autodiff.TapeOf[T], f func()) uint64 {
+	before := tp.ArenaStats()
+	f()
+	after := tp.ArenaStats()
+	return after.TensorReuse + after.TensorAlloc - before.TensorReuse - before.TensorAlloc
+}
+
+// TestInferenceForwardIsOneEdgeKernel pins the inference/training fork of a
+// layer to one value and one shape. Forward and ForwardDedup on an inference
+// tape return the gradient tape's bits, and take only node-level tensors from
+// the arena — self, three projections per head (two when uniform) and the
+// output: no per-edge Gather, GatherConcat, score MatMul or SegmentAttention.
+// The gradient tape issues the composed graph it always has.
+func TestInferenceForwardIsOneEdgeKernel(t *testing.T) {
+	const nPath, nSat, nFeat, dim, heads = 300, 40, 9, 8, 2
+	rng := rand.New(rand.NewSource(11))
+	rel, eIdx := r2Shaped(rng, nPath, nSat, nFeat)
+	vPath := autodiff.NewTensor(nPath, dim).Randn(rng, 1)
+	vSat := autodiff.NewTensor(nSat, dim).Randn(rng, 1)
+	eU := autodiff.NewTensor(nFeat, 3).Randn(rng, 1)
+	eFull := autodiff.NewTensor(rel.Len(), 3)
+	for e, ix := range eIdx {
+		copy(eFull.Data[e*3:(e+1)*3], eU.Data[ix*3:(ix+1)*3])
+	}
+	for _, uniform := range []bool{false, true} {
+		for _, toSat := range []bool{false, true} {
+			l := NewGATLayer(rng, dim, dim, 3, heads, dim/heads)
+			l.Uniform = uniform
+			r, vDst, vSrc := rel, vPath, vSat
+			if toSat {
+				r, vDst, vSrc = rel.Reverse(), vSat, vPath
+			}
+			gtp := autodiff.NewTape()
+			var want *autodiff.Value
+			gradReqs := tensorRequests(gtp, func() {
+				want = l.Forward(gtp, gtp.Const(vDst), gtp.Const(vSrc), gtp.Const(eFull), r)
+			})
+			// Per head nine nodes — three projections, Gather, GatherConcat,
+			// score MatMul, LeakyReLU, Add, SegmentAttention — or, uniform, six
+			// and a zero score column; then self, Concat, Add and LeakyReLU.
+			// A node takes a value and a gradient; each head's attention
+			// stash and the three inputs' gradients are one tensor each.
+			wantGrad := uint64(2*(heads*9+4) + heads + 3)
+			if uniform {
+				wantGrad = uint64(2*(heads*7+4) + heads + 3)
+			}
+			if gradReqs != wantGrad {
+				t.Errorf("uniform=%v toSat=%v: gradient tape took %d tensors, want %d", uniform, toSat, gradReqs, wantGrad)
+			}
+			itp := autodiff.NewInferenceTape()
+			for _, dedup := range []bool{false, true} {
+				itp.Reset()
+				var got *autodiff.Value
+				reqs := tensorRequests(itp, func() {
+					if dedup {
+						got = l.ForwardDedup(itp, itp.Const(vDst), itp.Const(vSrc), itp.Const(eU), eIdx, r)
+					} else {
+						got = l.Forward(itp, itp.Const(vDst), itp.Const(vSrc), itp.Const(eFull), r)
+					}
+				})
+				wantReqs := uint64(3*heads + 2)
+				if uniform {
+					wantReqs = uint64(2*heads + 2)
+				}
+				if reqs != wantReqs {
+					t.Errorf("uniform=%v toSat=%v dedup=%v: inference tape took %d tensors, want %d", uniform, toSat, dedup, reqs, wantReqs)
+				}
+				for i, x := range want.Val.Data {
+					if math.Float64bits(got.Val.Data[i]) != math.Float64bits(x) {
+						t.Fatalf("uniform=%v toSat=%v dedup=%v: output[%d] = %v, gradient tape %v", uniform, toSat, dedup, i, got.Val.Data[i], x)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkGATLayerInference runs one R2-shaped layer (3,185 path nodes, 396
+// satellites, ~28 k edges over 60 distinct edge features, dim 32, 2 heads —
+// the solve-ring-396 shape) on a reused inference tape, in each direction:
+// the kernel under the benchmark's solve, without the harness.
+func BenchmarkGATLayerInference(b *testing.B) {
+	const nPath, nSat, nFeat, dim, heads = 3185, 396, 60, 32, 2
+	rng := rand.New(rand.NewSource(1))
+	rel, eIdx := r2Shaped(rng, nPath, nSat, nFeat)
+	vPath := autodiff.NewTensor(nPath, dim).Randn(rng, 1)
+	vSat := autodiff.NewTensor(nSat, dim).Randn(rng, 1)
+	eU := autodiff.NewTensor(nFeat, dim).Randn(rng, 1)
+	for _, dir := range []struct {
+		name       string
+		rel        EdgeList
+		vDst, vSrc *autodiff.Tensor
+	}{
+		{"SatToPath", rel, vPath, vSat},
+		{"PathToSat", rel.Reverse(), vSat, vPath},
+	} {
+		b.Run(dir.name, func(b *testing.B) {
+			l := NewGATLayer(rng, dim, dim, dim, heads, dim/heads)
+			tp := autodiff.NewInferenceTape()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tp.Reset()
+				l.ForwardDedup(tp, tp.Const(dir.vDst), tp.Const(dir.vSrc), tp.Const(eU), eIdx, dir.rel)
+			}
+		})
+	}
+}

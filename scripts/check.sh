@@ -1,10 +1,10 @@
 #!/bin/sh
 # Tier-1 verify gate: build, vet, satelint (the project's determinism /
-# concurrency invariant linter, see DESIGN.md "Static analysis"), tests, a
-# 5 s native fuzz of the packet engine's event queue, a short load burst
-# against the serving surface, and a short run of the TE-cycle benchmark with
-# its per-cycle checks. The full race-detector pass is its own script:
-# ./scripts/check.sh && ./scripts/race.sh
+# concurrency invariant linter, see DESIGN.md "Static analysis"), tests, 5 s
+# native fuzz runs of the packet engine's event queue and of the GAT edge
+# kernel, a short load burst against the serving surface, and a short run of
+# the TE-cycle benchmark with its per-cycle checks. The full race-detector
+# pass is its own script: ./scripts/check.sh && ./scripts/race.sh
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -16,10 +16,13 @@ echo "== satelint =="
 go run ./cmd/satelint ./...
 echo "== go test =="
 go test ./...
-echo "== fuzz (5s) =="
+echo "== fuzz (2 x 5s) =="
 # The packet engine's calendar queue against the reference binary heap:
 # random push/pop interleavings must pop identical (t, seq) sequences.
 go test -run='^$' -fuzz=FuzzCalendarOrder -fuzztime=5s ./internal/pktsim
+# The inference edge kernel against the composed ops it replaces: random
+# small relations and projections must produce identical bits in both dtypes.
+go test -run='^$' -fuzz=FuzzEdgeAttention -fuzztime=5s ./internal/autodiff
 echo "== obs/chaos race =="
 # The observability subsystem is concurrent by construction (atomic metric
 # recording under HTTP scrapes); always gate it and the controller that
