@@ -16,6 +16,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"sate/internal/autodiff"
 	"sate/internal/experiments"
 )
 
@@ -45,6 +46,7 @@ func main() {
 	if *exp == "all" {
 		ids = experiments.IDs()
 	}
+	fmt.Printf("gemm kernel: %s\n\n", autodiff.GemmKernel())
 	failed := 0
 	for _, id := range ids {
 		d, ok := experiments.Registry[id]

@@ -27,6 +27,7 @@ import (
 	"os"
 	"os/signal"
 
+	"sate/internal/autodiff"
 	"sate/internal/baselines"
 	"sate/internal/constellation"
 	"sate/internal/controller"
@@ -113,6 +114,9 @@ func main() {
 	reg := obs.NewRegistry()
 	reg.CollectGoRuntime()
 	par.Observe(reg)
+	// Which gemm kernel produced this process's latency figures: one labelled
+	// sample, and one line in the start-up log below.
+	reg.CounterVec("sate_autodiff_gemm_kernel", "isa").With(autodiff.GemmKernel()).Inc()
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer cancel()
@@ -158,6 +162,7 @@ func main() {
 
 	fmt.Printf("sate-controld: %s, method %s, interval %gs, listening on %s\n",
 		cons.Name, solver.Name(), *interval, *listen)
+	fmt.Printf("gemm kernel: %s\n", autodiff.GemmKernel())
 	if *chaosFailFrac > 0 {
 		fmt.Printf("chaos mode: failing %.1f%% of links per cycle (seed %d)\n", 100**chaosFailFrac, *chaosSeed)
 	}

@@ -15,6 +15,7 @@ import (
 	"os"
 	"strings"
 
+	"sate/internal/autodiff"
 	"sate/internal/baselines"
 	"sate/internal/constellation"
 	"sate/internal/core"
@@ -110,6 +111,7 @@ func main() {
 
 	fmt.Printf("online evaluation: %s, %s, lambda=%.0f flows/s, t=[%.0f, %.0f)s\n",
 		cons.Name, m, *intensity, *start, *start+float64(*horizon))
+	fmt.Printf("gemm kernel: %s\n", autodiff.GemmKernel())
 	for _, name := range strings.Split(*methods, ",") {
 		name = strings.TrimSpace(name)
 		mk, ok := table[name]

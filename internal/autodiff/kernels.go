@@ -12,16 +12,38 @@ import (
 // write state and no gradient merge — results are bitwise identical to the
 // serial loops for every worker count (see the package par contract).
 //
-// gemm runs a register-blocked 4x2 microkernel over full tiles of
-// gemmRowTile output rows (see gemmChunk); the row remainder, gemmBT and
-// gemmAT — the training-side kernels — are cache-blocked for L1/L2 locality:
-// output rows are processed in tiles of gemmRowTile (so a row of b is reused
-// across several rows of a while it is hot), and the j dimension in blocks of
-// colBlockOf[T] elements (≈2KB per block regardless of dtype — 256 float64s
-// or 512 float32s — comfortably L1-resident together with the accumulator
-// rows). Tiling and blocking only reorder WHICH (i, j) cell is touched when;
-// for any single output element the terms are still added in increasing p,
-// so the result is bitwise identical to the unblocked axpy loop.
+// gemm runs register tiles over full groups of gemmRowTile output rows (see
+// gemmChunk): a vector tile first, where the machine has one, then a
+// register-blocked 4x2 Go tile over the columns that are left; the row
+// remainder, gemmBT and gemmAT — the training-side kernels — are cache-blocked
+// for L1/L2 locality: output rows are processed in tiles of gemmRowTile (so a
+// row of b is reused across several rows of a while it is hot), and the j
+// dimension in blocks of colBlockOf[T] elements (≈2KB per block regardless of
+// dtype — 256 float64s or 512 float32s — comfortably L1-resident together
+// with the accumulator rows). Tiling and blocking only reorder WHICH (i, j)
+// cell is touched when; for any single output element the terms are still
+// added in increasing p, so the result is bitwise identical to the unblocked
+// axpy loop.
+//
+// Vector tile. On amd64 with AVX2 (gemm_amd64.{go,s}; decided once, by CPUID
+// and XGETBV, into gemmVector) every full block of 8 float64 / 16 float32
+// columns of a row tile is computed by one assembly routine, four rows by one
+// block in eight YMM accumulators. It is the Go tile's arithmetic, not an
+// approximation of it: a lane is one output element; it starts from +0
+// (VXORPD) and for p = 0, 1, ... takes round(a[i][p] * b[p][j]) (VMULPD) and
+// then round(c + that) (VADDPD) — two IEEE operations, each rounded to the
+// element type, in increasing p, exactly the MULSD / ADDSD pair the compiler
+// emits for the Go tile's c += a * b; accumulate mode then adds out once, as
+// the Go tile does. A fused multiply-add would round once where these round
+// twice and move the last bit of most sums, so the routine never uses one.
+// Hence the Kernel bitwise contract (DESIGN.md §11) holds across kernels as
+// it does across tilings: same bits with the tile on or off, at every worker
+// count, forward and backward (TestGemmVectorMatchesGeneric, FuzzGemmVector;
+// NaN payloads excepted — x86 picks them by operand order). The contract is
+// stated for the default GOAMD64=v1: at v3 the compiler may itself fuse the
+// Go tile's multiply-adds, which moves the Go tile's bits, not the
+// assembly's. Other architectures, and amd64 without usable AVX2, run the Go
+// tile over every column (gemm_other.go); GemmKernel reports which.
 //
 // The accumulate flag selects between out = product (forward) and
 // out += product (backward gradient accumulation). In accumulate mode each
@@ -30,6 +52,22 @@ import (
 // the original compute-s-then-add backward loops. Scratch rows come from a
 // per-dtype process-wide sync.Pool (chunks may run on pool goroutines, so
 // they cannot touch the single-threaded tape arena).
+
+// gemmVector says whether gemmChunk's vector register tile runs (amd64 with
+// AVX2 the kernel saves, decided once here) or the Go tile takes every column.
+// Only the bitwise tests and benchmarks write it, between launches, to run
+// both kernels in one process.
+var gemmVector = gemmVectorSupported()
+
+// GemmKernel names the instruction set under gemm — "avx2" or "generic" — so
+// a latency figure can be traced to the kernel that produced it. Both produce
+// the same bits.
+func GemmKernel() string {
+	if gemmVector {
+		return "avx2"
+	}
+	return "generic"
+}
 
 // kernelFlopTarget is the minimum number of multiply-adds a chunk should
 // carry so goroutine dispatch stays negligible.
@@ -111,21 +149,24 @@ func gemmChunk[T Float](g gemmArgs[T], lo, hi int) {
 	a, b, out := g.a, g.b, g.out
 	k, n := a.Cols, b.Cols
 	bd := b.Data
-	// Register-blocked 4x2 microkernel over full row tiles: eight
+	// Full row tiles. The vector tile (when on) takes the leading full column
+	// blocks and says how many columns that was; the register-blocked 4x2 Go
+	// tile continues from there — all of them where there is no vector tile
+	// or n is under one block (the decoder's 64x2). The Go tile keeps eight
 	// accumulators, four a-entries and two b-entries — fourteen values
 	// against amd64's fifteen usable XMM registers, so the accumulators stay
 	// resident across the whole p sweep (the compiler, which schedules the
 	// eight products before the eight adds, still parks two of them and one
 	// b-entry on the stack: 7 moves per p, where a 4x4 tile's sixteen
-	// accumulators alone overflow the file and moved ~30). Every output
-	// element still sums its terms serially in increasing p — the identical
+	// accumulators alone overflow the file and moved ~30). Either way every
+	// output element sums its terms serially in increasing p — the identical
 	// operation sequence (+0 start, += term per p) as the row-sweep form — so
-	// the result is bitwise identical for any tiling. The tile takes every
-	// term: skipping a p whose four a-entries are all zero would drop only
-	// ±0 additions, but no solve feeds it such rows past the k = 1 embedding
-	// products, and four compares per p measure slower than the
-	// multiply-adds they save. The remainder paths below keep their skip on
-	// the forward path.
+	// the result is bitwise identical for any tiling and either kernel. The
+	// tiles take every term: skipping a p whose four a-entries are all zero
+	// would drop only ±0 additions, but no solve feeds it such rows past the
+	// k = 1 embedding products, and four compares per p measure slower than
+	// the multiply-adds they save. The remainder paths below keep their skip
+	// on the forward path.
 	i0 := lo
 	for ; i0+gemmRowTile <= hi; i0 += gemmRowTile {
 		base := i0 * k
@@ -137,7 +178,7 @@ func gemmChunk[T Float](g gemmArgs[T], lo, hi int) {
 		o1 := out.Data[(i0+1)*n : (i0+2)*n]
 		o2 := out.Data[(i0+2)*n : (i0+3)*n]
 		o3 := out.Data[(i0+3)*n : (i0+4)*n]
-		jt := 0
+		jt := gemmVectorTile(a.Data[base:base+4*k], bd, out.Data[i0*n:(i0+4)*n], k, n, g.accumulate)
 		for ; jt+2 <= n; jt += 2 {
 			var c00, c01 T
 			var c10, c11 T

@@ -14,6 +14,7 @@ package ruledist
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -123,18 +124,8 @@ func ruleID(r rules.Rule) RuleID {
 	return RuleID{Src: r.Flow.Src, Dst: r.Flow.Dst, Label: r.Label}
 }
 
-// idLess orders rule identities the same way rules.Compile sorts tables.
-func idLess(a, b RuleID) bool {
-	if a.Src != b.Src {
-		return a.Src < b.Src
-	}
-	if a.Dst != b.Dst {
-		return a.Dst < b.Dst
-	}
-	return a.Label < b.Label
-}
-
-// diffNode merge-walks two sorted rule slices producing one node's delta.
+// diffNode merge-walks two tables — sorted by rules.CompareKey, the
+// rules.Table invariant — producing one node's delta.
 func diffNode(id topology.NodeID, old, new *rules.Table) NodeDelta {
 	nd := NodeDelta{Node: id}
 	var or, nr []rules.Rule
@@ -144,26 +135,33 @@ func diffNode(id topology.NodeID, old, new *rules.Table) NodeDelta {
 	if new != nil {
 		nr = new.Rules
 	}
+	upsert := func(r rules.Rule) {
+		nd.Upserts = append(nd.Upserts, Upsert{
+			Src: r.Flow.Src, Dst: r.Flow.Dst, Label: r.Label,
+			Next: r.Next, RateMbps: r.RateMbps,
+		})
+	}
 	i, j := 0, 0
 	for i < len(or) || j < len(nr) {
+		var c int // which side holds the smaller identity; an exhausted side never does
 		switch {
-		case j == len(nr) || (i < len(or) && idLess(ruleID(or[i]), ruleID(nr[j]))):
+		case j == len(nr):
+			c = -1
+		case i == len(or):
+			c = 1
+		default:
+			c = rules.CompareKey(or[i], nr[j])
+		}
+		switch {
+		case c < 0:
 			nd.Removes = append(nd.Removes, ruleID(or[i]))
 			i++
-		case i == len(or) || idLess(ruleID(nr[j]), ruleID(or[i])):
-			r := nr[j]
-			nd.Upserts = append(nd.Upserts, Upsert{
-				Src: r.Flow.Src, Dst: r.Flow.Dst, Label: r.Label,
-				Next: r.Next, RateMbps: r.RateMbps,
-			})
+		case c > 0:
+			upsert(nr[j])
 			j++
 		default: // same identity: upsert only when payload changed
 			if or[i].Next != nr[j].Next || !sameRate(or[i].RateMbps, nr[j].RateMbps) {
-				r := nr[j]
-				nd.Upserts = append(nd.Upserts, Upsert{
-					Src: r.Flow.Src, Dst: r.Flow.Dst, Label: r.Label,
-					Next: r.Next, RateMbps: r.RateMbps,
-				})
+				upsert(nr[j])
 			}
 			i++
 			j++
@@ -220,9 +218,7 @@ func applyNode(old *rules.Table, nd NodeDelta) *rules.Table {
 	for _, r := range byID {
 		tbl.Rules = append(tbl.Rules, r)
 	}
-	sort.Slice(tbl.Rules, func(i, j int) bool {
-		return idLess(ruleID(tbl.Rules[i]), ruleID(tbl.Rules[j]))
-	})
+	slices.SortFunc(tbl.Rules, rules.CompareKey)
 	return tbl
 }
 

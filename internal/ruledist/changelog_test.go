@@ -2,7 +2,7 @@ package ruledist
 
 import (
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
 
 	"sate/internal/rules"
@@ -29,9 +29,7 @@ func mkRules(t *testing.T, entries ...[6]int) *rules.RuleSet {
 		})
 	}
 	for _, tbl := range rs.Tables {
-		sort.Slice(tbl.Rules, func(i, j int) bool {
-			return idLess(ruleID(tbl.Rules[i]), ruleID(tbl.Rules[j]))
-		})
+		slices.SortFunc(tbl.Rules, rules.CompareKey)
 	}
 	return rs
 }

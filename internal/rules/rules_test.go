@@ -2,6 +2,7 @@ package rules_test
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"sate/internal/baselines"
@@ -124,6 +125,31 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 	rs.Tables[1].Rules[0].RateMbps = 5
 	if err := rules.Verify(p, a, rs); err == nil {
 		t.Error("corrupted rules passed verification")
+	}
+}
+
+// TestVerifyReportsShuffledTable: Table.Rules sorted by (src, dst, label) is
+// an invariant lookups rely on, so a table holding the right rules in the
+// wrong order is an inconsistency Verify names — not a rule it fails to find.
+func TestVerifyReportsShuffledTable(t *testing.T) {
+	p := diamond(30)
+	a := te.NewAllocation(p)
+	a.X[0][0] = 10
+	a.X[0][1] = 5
+	rs := rules.Compile(p, a)
+	if err := rules.Verify(p, a, rs); err != nil {
+		t.Fatalf("compiled rules: %v", err)
+	}
+	r := rs.Tables[0].Rules
+	r[0], r[1] = r[1], r[0]
+	err := rules.Verify(p, a, rs)
+	if err == nil || !strings.Contains(err.Error(), "table at node 0 is not strictly sorted") {
+		t.Errorf("shuffled table at node 0: Verify = %v, want the order inconsistency", err)
+	}
+	// A duplicated key breaks "strictly" too.
+	r[0] = r[1]
+	if err := rules.Verify(p, a, rs); err == nil {
+		t.Error("table with a duplicated (flow, label) passed verification")
 	}
 }
 

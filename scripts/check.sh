@@ -1,9 +1,11 @@
 #!/bin/sh
 # Tier-1 verify gate: build, vet, satelint (the project's determinism /
-# concurrency invariant linter, see DESIGN.md "Static analysis"), tests, 5 s
-# native fuzz runs of the packet engine's event queue and of the GAT edge
-# kernel, a short load burst against the serving surface, and a short run of
-# the TE-cycle benchmark with its per-cycle checks. The full race-detector
+# concurrency invariant linter, see DESIGN.md "Static analysis"), an arm64
+# cross-build (the gemm vector tile is amd64 assembly; everything else must
+# build without it), tests, 5 s native fuzz runs of the packet engine's event
+# queue, the GAT edge kernel and the gemm vector tile, a short load burst
+# against the serving surface, and a short run of the TE-cycle benchmark with
+# its per-cycle checks. The full race-detector
 # pass is its own script: ./scripts/check.sh && ./scripts/race.sh
 set -eu
 cd "$(dirname "$0")/.."
@@ -14,15 +16,26 @@ echo "== go vet =="
 go vet ./...
 echo "== satelint =="
 go run ./cmd/satelint ./...
+echo "== arm64 cross-build =="
+# internal/autodiff's gemm has an amd64 assembly tile (go vet's asmdecl pass
+# above checks its frames against the Go declarations); the portable build
+# must compile and vet with the hook that covers no columns. Cross-compiling
+# the standard library needs no network.
+GOARCH=arm64 go build ./...
+GOARCH=arm64 go vet ./internal/autodiff
 echo "== go test =="
 go test ./...
-echo "== fuzz (2 x 5s) =="
+echo "== fuzz (3 x 5s) =="
 # The packet engine's calendar queue against the reference binary heap:
 # random push/pop interleavings must pop identical (t, seq) sequences.
 go test -run='^$' -fuzz=FuzzCalendarOrder -fuzztime=5s ./internal/pktsim
 # The inference edge kernel against the composed ops it replaces: random
 # small relations and projections must produce identical bits in both dtypes.
 go test -run='^$' -fuzz=FuzzEdgeAttention -fuzztime=5s ./internal/autodiff
+# gemm's assembly tile against its Go tile: random small products, store and
+# accumulate, must produce identical bits in both dtypes (skips, saying so,
+# on a machine without AVX2).
+go test -run='^$' -fuzz=FuzzGemmVector -fuzztime=5s ./internal/autodiff
 echo "== obs/chaos race =="
 # The observability subsystem is concurrent by construction (atomic metric
 # recording under HTTP scrapes); always gate it and the controller that
