@@ -64,6 +64,7 @@ type arena[T Float] struct {
 	values  slab[ValueOf[T]]
 	ints    slab[int]
 	vals    slab[*ValueOf[T]]
+	edges   slab[edgeAttnArgs[T]] // EdgeAttention launches kept for backward
 
 	// Plain (non-atomic) observability counters: the arena is
 	// single-threaded by design, and readers sample them between passes via
@@ -77,7 +78,7 @@ type arena[T Float] struct {
 // tensorRaw returns a rows x cols tensor whose elements still hold whatever
 // the previous pass left in that storage. Only for op results whose forward
 // kernel stores every element before any read; accumulating kernels
-// (scatter-add, segment attention) and gradient buffers must use tensor.
+// (scatter-add) and gradient buffers must use tensor.
 func (a *arena[T]) tensorRaw(rows, cols int) *TensorOf[T] {
 	grown := len(a.scalars.chunks)
 	t := &a.tensors.take(1)[0]
@@ -124,5 +125,6 @@ func (a *arena[T]) reset() {
 	a.values.reset()
 	a.ints.reset()
 	a.vals.reset()
+	a.edges.reset()
 	a.resets++
 }

@@ -65,23 +65,31 @@ func benchSegmentSoftmax(b *testing.B, workers int) {
 func BenchmarkParSegmentSoftmaxSerial(b *testing.B)   { benchSegmentSoftmax(b, 1) }
 func BenchmarkParSegmentSoftmaxParallel(b *testing.B) { benchSegmentSoftmax(b, 0) }
 
-// benchTapeStep builds a GAT-shaped forward/backward/Adam step closure over
-// the fused kernels. When reuse is true a single tape is recycled with
-// Reset; otherwise every step allocates a fresh tape (the pre-arena
+// gatTapeStep builds a forward/backward/Adam step closure over one GAT-shaped
+// layer of the fused kernels: LinearLeakyReLU on the edge features, the node
+// projections, EdgeAttention, a Linear readout. When reuse is true a single tape is recycled
+// with Reset; otherwise every step allocates a fresh tape (the pre-arena
 // behaviour, kept as the comparison point).
-func benchTapeStep(reuse bool) func() {
+func gatTapeStep(nodes, edges, dim int, reuse bool) func() {
+	const heads = 2
+	dh := dim / heads
 	rng := rand.New(rand.NewSource(5))
-	const nodes, edges, dim = 512, 2048, 32
-	w1 := Param(NewTensor(dim, dim).Randn(rng, 1))
-	b1 := Param(NewTensor(1, dim))
-	w2 := Param(NewTensor(dim, 1).Randn(rng, 1))
-	b2 := Param(NewTensor(1, 1))
-	x := NewTensor(edges, dim).Randn(rng, 1)
-	seg := make([]int, edges)
-	for i := range seg {
-		seg[i] = rng.Intn(nodes)
+	mk := func(r, c int) *Value { return Param(NewTensor(r, c).Randn(rng, 1)) }
+	w1, b1, wS := mk(dim, dim), Param(NewTensor(1, dim)), mk(dim, dim)
+	wO, bO := mk(dim, 1), Param(NewTensor(1, 1))
+	params := []*Value{w1, b1, wS, wO, bO}
+	var wD, wN, wE, attn [heads]*Value
+	for k := range wD {
+		wD[k], wN[k], wE[k], attn[k] = mk(dim, dh), mk(dim, dh), mk(dim, dh), mk(3*dh, 1)
+		params = append(params, wD[k], wN[k], wE[k], attn[k])
 	}
-	opt := NewAdam(1e-3, w1, b1, w2, b2)
+	v := NewTensor(nodes, dim).Randn(rng, 1)
+	x := NewTensor(edges, dim).Randn(rng, 1)
+	dst, src := make([]int, edges), make([]int, edges)
+	for i := range dst {
+		dst[i], src[i] = rng.Intn(nodes), rng.Intn(nodes)
+	}
+	opt := NewAdam(1e-3, params...)
 	tp := NewTape()
 	return func() {
 		if reuse {
@@ -89,11 +97,15 @@ func benchTapeStep(reuse bool) func() {
 		} else {
 			tp = NewTape()
 		}
-		xin := tp.Const(tp.TensorFrom(edges, dim, x.Data))
-		h := tp.LinearLeakyReLU(xin, tp.Watch(w1), tp.Watch(b1), 0.2)
-		score := tp.Linear(h, tp.Watch(w2), tp.Watch(b2))
-		agg := tp.SegmentAttention(score, h, seg, nodes)
-		loss := tp.MeanAll(tp.Mul(agg, agg))
+		vin := tp.Const(tp.TensorFrom(nodes, dim, v.Data))
+		e := tp.LinearLeakyReLU(tp.Const(tp.TensorFrom(edges, dim, x.Data)), tp.Watch(w1), tp.Watch(b1), 0.2)
+		var hDst, hSrc, hE [heads]*Value
+		for k := range hDst {
+			hDst[k], hSrc[k], hE[k] = tp.MatMul(vin, wD[k]), tp.MatMul(vin, wN[k]), tp.MatMul(e, wE[k])
+		}
+		out := tp.EdgeAttention(tp.MatMul(vin, wS), hDst[:], hSrc[:], hE[:], attn[:], nil, dst, src, 0.2)
+		y := tp.Linear(out, tp.Watch(wO), tp.Watch(bO))
+		loss := tp.MeanAll(tp.Mul(y, y))
 		opt.ZeroGrad()
 		tp.Backward(loss)
 		opt.Step()
@@ -107,7 +119,7 @@ func benchTapeStep(reuse bool) func() {
 func BenchmarkTapeReuseForwardBackward(b *testing.B) {
 	restore := par.SetWorkers(1)
 	defer restore()
-	step := benchTapeStep(true)
+	step := gatTapeStep(512, 2048, 32, true)
 	step()
 	step() // two warm-up steps fill every free-list to steady state
 	b.ReportAllocs()
@@ -122,7 +134,7 @@ func BenchmarkTapeReuseForwardBackward(b *testing.B) {
 func BenchmarkTapeFreshForwardBackward(b *testing.B) {
 	restore := par.SetWorkers(1)
 	defer restore()
-	step := benchTapeStep(false)
+	step := gatTapeStep(512, 2048, 32, false)
 	step()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -12,28 +12,27 @@ package autodiff
 // closed two-member set, so two tables cover every instantiation.
 type opTable[T Float] struct {
 	// Backward functions (newNode's back argument).
-	matMulBack           func(*ValueOf[T])
-	matMulTBack          func(*ValueOf[T])
-	addBack              func(*ValueOf[T])
-	subBack              func(*ValueOf[T])
-	mulBack              func(*ValueOf[T])
-	scaleBack            func(*ValueOf[T])
-	addRowBroadcastBack  func(*ValueOf[T])
-	mulColBroadcastBack  func(*ValueOf[T])
-	leakyReLUBack        func(*ValueOf[T])
-	sigmoidBack          func(*ValueOf[T])
-	expBack              func(*ValueOf[T])
-	softClampBack        func(*ValueOf[T])
-	concatBack           func(*ValueOf[T])
-	colBack              func(*ValueOf[T])
-	gatherBack           func(*ValueOf[T])
-	scatterAddRowsBack   func(*ValueOf[T])
-	segmentSoftmaxBack   func(*ValueOf[T])
-	sumAllBack           func(*ValueOf[T])
-	rowSoftmaxBack       func(*ValueOf[T])
-	linearBack           func(*ValueOf[T])
-	gatherConcatBack     func(*ValueOf[T])
-	segmentAttentionBack func(*ValueOf[T])
+	matMulBack          func(*ValueOf[T])
+	matMulTBack         func(*ValueOf[T])
+	addBack             func(*ValueOf[T])
+	subBack             func(*ValueOf[T])
+	mulBack             func(*ValueOf[T])
+	scaleBack           func(*ValueOf[T])
+	addRowBroadcastBack func(*ValueOf[T])
+	mulColBroadcastBack func(*ValueOf[T])
+	leakyReLUBack       func(*ValueOf[T])
+	sigmoidBack         func(*ValueOf[T])
+	expBack             func(*ValueOf[T])
+	softClampBack       func(*ValueOf[T])
+	concatBack          func(*ValueOf[T])
+	colBack             func(*ValueOf[T])
+	gatherBack          func(*ValueOf[T])
+	scatterAddRowsBack  func(*ValueOf[T])
+	segmentSoftmaxBack  func(*ValueOf[T])
+	sumAllBack          func(*ValueOf[T])
+	rowSoftmaxBack      func(*ValueOf[T])
+	linearBack          func(*ValueOf[T])
+	edgeAttnBack        func(*ValueOf[T])
 
 	// Parallel chunk functions with the node as context.
 	addFwdChunk             func(*ValueOf[T], int, int)
@@ -64,21 +63,19 @@ type opTable[T Float] struct {
 	rowSoftmaxFwdChunk      func(*ValueOf[T], int, int)
 	rowSoftmaxBackChunk     func(*ValueOf[T], int, int)
 	linearFwdChunk          func(*ValueOf[T], int, int)
-	gatherConcatFwdChunk    func(*ValueOf[T], int, int)
 
 	// Chunk functions with args-struct contexts.
-	gemmChunk           func(gemmArgs[T], int, int)
-	gemmBTChunk         func(gemmArgs[T], int, int)
-	gemmATChunk         func(gemmArgs[T], int, int)
-	segSoftmaxFwdChunk  func(segSoftmaxArgs[T], int, int)
-	segSoftmaxBackChunk func(segSoftmaxArgs[T], int, int)
-	segScatterChunk     func(segScatterArgs[T], int, int)
-	lreluRouteChunk     func(lreluRouteArgs[T], int, int)
-	stridedAddChunk     func(stridedAddArgs[T], int, int)
-	stridedScatterChunk func(stridedScatterArgs[T], int, int)
-	segAttnAggChunk     func(segAttnAggArgs[T], int, int)
-	segAttnEdgeChunk    func(segAttnEdgeArgs[T], int, int)
-	edgeAttnChunk       func(edgeAttnArgs[T], int, int)
+	gemmChunk             func(gemmArgs[T], int, int)
+	gemmBTChunk           func(gemmArgs[T], int, int)
+	gemmATChunk           func(gemmArgs[T], int, int)
+	segSoftmaxFwdChunk    func(segSoftmaxArgs[T], int, int)
+	segSoftmaxBackChunk   func(segSoftmaxArgs[T], int, int)
+	segScatterChunk       func(segScatterArgs[T], int, int)
+	lreluRouteChunk       func(lreluRouteArgs[T], int, int)
+	edgeAttnChunk         func(edgeAttnArgs[T], int, int)
+	edgeAttnBackDstChunk  func(edgeAttnArgs[T], int, int)
+	edgeAttnBackSrcChunk  func(edgeAttnArgs[T], int, int)
+	edgeAttnBackAttnChunk func(edgeAttnArgs[T], int, int)
 
 	// Adam chunks.
 	adamZeroChunk func(*AdamOf[T], int, int)
@@ -87,28 +84,27 @@ type opTable[T Float] struct {
 
 func newOpTable[T Float]() *opTable[T] {
 	return &opTable[T]{
-		matMulBack:           matMulBack[T],
-		matMulTBack:          matMulTBack[T],
-		addBack:              addBack[T],
-		subBack:              subBack[T],
-		mulBack:              mulBack[T],
-		scaleBack:            scaleBack[T],
-		addRowBroadcastBack:  addRowBroadcastBack[T],
-		mulColBroadcastBack:  mulColBroadcastBack[T],
-		leakyReLUBack:        leakyReLUBack[T],
-		sigmoidBack:          sigmoidBack[T],
-		expBack:              expBack[T],
-		softClampBack:        softClampBack[T],
-		concatBack:           concatBack[T],
-		colBack:              colBack[T],
-		gatherBack:           gatherBack[T],
-		scatterAddRowsBack:   scatterAddRowsBack[T],
-		segmentSoftmaxBack:   segmentSoftmaxBack[T],
-		sumAllBack:           sumAllBack[T],
-		rowSoftmaxBack:       rowSoftmaxBack[T],
-		linearBack:           linearBack[T],
-		gatherConcatBack:     gatherConcatBack[T],
-		segmentAttentionBack: segmentAttentionBack[T],
+		matMulBack:          matMulBack[T],
+		matMulTBack:         matMulTBack[T],
+		addBack:             addBack[T],
+		subBack:             subBack[T],
+		mulBack:             mulBack[T],
+		scaleBack:           scaleBack[T],
+		addRowBroadcastBack: addRowBroadcastBack[T],
+		mulColBroadcastBack: mulColBroadcastBack[T],
+		leakyReLUBack:       leakyReLUBack[T],
+		sigmoidBack:         sigmoidBack[T],
+		expBack:             expBack[T],
+		softClampBack:       softClampBack[T],
+		concatBack:          concatBack[T],
+		colBack:             colBack[T],
+		gatherBack:          gatherBack[T],
+		scatterAddRowsBack:  scatterAddRowsBack[T],
+		segmentSoftmaxBack:  segmentSoftmaxBack[T],
+		sumAllBack:          sumAllBack[T],
+		rowSoftmaxBack:      rowSoftmaxBack[T],
+		linearBack:          linearBack[T],
+		edgeAttnBack:        edgeAttnBack[T],
 
 		addFwdChunk:             addFwdChunk[T],
 		addBackChunk:            addBackChunk[T],
@@ -138,20 +134,18 @@ func newOpTable[T Float]() *opTable[T] {
 		rowSoftmaxFwdChunk:      rowSoftmaxFwdChunk[T],
 		rowSoftmaxBackChunk:     rowSoftmaxBackChunk[T],
 		linearFwdChunk:          linearFwdChunk[T],
-		gatherConcatFwdChunk:    gatherConcatFwdChunk[T],
 
-		gemmChunk:           gemmChunk[T],
-		gemmBTChunk:         gemmBTChunk[T],
-		gemmATChunk:         gemmATChunk[T],
-		segSoftmaxFwdChunk:  segSoftmaxFwdChunk[T],
-		segSoftmaxBackChunk: segSoftmaxBackChunk[T],
-		segScatterChunk:     segScatterChunk[T],
-		lreluRouteChunk:     lreluRouteChunk[T],
-		stridedAddChunk:     stridedAddChunk[T],
-		stridedScatterChunk: stridedScatterChunk[T],
-		segAttnAggChunk:     segAttnAggChunk[T],
-		segAttnEdgeChunk:    segAttnEdgeChunk[T],
-		edgeAttnChunk:       edgeAttnChunk[T],
+		gemmChunk:             gemmChunk[T],
+		gemmBTChunk:           gemmBTChunk[T],
+		gemmATChunk:           gemmATChunk[T],
+		segSoftmaxFwdChunk:    segSoftmaxFwdChunk[T],
+		segSoftmaxBackChunk:   segSoftmaxBackChunk[T],
+		segScatterChunk:       segScatterChunk[T],
+		lreluRouteChunk:       lreluRouteChunk[T],
+		edgeAttnChunk:         edgeAttnChunk[T],
+		edgeAttnBackDstChunk:  edgeAttnBackDstChunk[T],
+		edgeAttnBackSrcChunk:  edgeAttnBackSrcChunk[T],
+		edgeAttnBackAttnChunk: edgeAttnBackAttnChunk[T],
 
 		adamZeroChunk: adamZeroChunk[T],
 		adamStepChunk: adamStepChunk[T],

@@ -43,64 +43,125 @@ func randEdgeAttnCase[T Float](rng *rand.Rand, dst, src []int, nDst, nSrc, nFeat
 	return c
 }
 
-func consts[T Float](tp *TapeOf[T], ts []*TensorOf[T]) []*ValueOf[T] {
-	vs := make([]*ValueOf[T], len(ts))
-	for i, t := range ts {
-		vs[i] = tp.Const(t)
+// edgeAttnOperands is a case's tensors wrapped as graph values.
+type edgeAttnOperands[T Float] struct {
+	self                 *ValueOf[T]
+	hDst, hSrc, hE, attn []*ValueOf[T]
+}
+
+func (c edgeAttnCase[T]) operands(wrap func(*TensorOf[T]) *ValueOf[T]) edgeAttnOperands[T] {
+	list := func(ts []*TensorOf[T]) []*ValueOf[T] {
+		vs := make([]*ValueOf[T], len(ts))
+		for i, t := range ts {
+			vs[i] = wrap(t)
+		}
+		return vs
 	}
-	return vs
+	return edgeAttnOperands[T]{self: wrap(c.self), hDst: list(c.hDst), hSrc: list(c.hSrc), hE: list(c.hE), attn: list(c.attn)}
 }
 
 // fused runs the case through the one kernel.
-func (c edgeAttnCase[T]) fused(tp *TapeOf[T]) *ValueOf[T] {
-	return tp.EdgeAttention(tp.Const(c.self), consts(tp, c.hDst), consts(tp, c.hSrc), consts(tp, c.hE), consts(tp, c.attn), c.eIdx, c.dst, c.src, c.slope)
+func (c edgeAttnCase[T]) fused(tp *TapeOf[T], in edgeAttnOperands[T]) *ValueOf[T] {
+	return tp.EdgeAttention(in.self, in.hDst, in.hSrc, in.hE, in.attn, c.eIdx, c.dst, c.src, c.slope)
 }
 
-// composed spells the case with the ops a gradient tape issues: per head
-// Gather -> GatherConcat -> MatMul -> LeakyReLU -> Add -> SegmentAttention,
-// then Concat -> Add -> LeakyReLU.
-func (c edgeAttnCase[T]) composed(tp *TapeOf[T]) *ValueOf[T] {
+// composed is the reference EdgeAttention is held to, forward and backward:
+// the layer's edge-level tail spelled with the primitive ops, in the order the
+// layer issued them before the kernel existed (the order fixes how each
+// gradient buffer accumulates).
+func (c edgeAttnCase[T]) composed(tp *TapeOf[T], in edgeAttnOperands[T]) *ValueOf[T] {
+	nDst := c.self.Rows
 	var heads []*ValueOf[T]
 	for k := range c.hSrc {
-		hE := tp.Const(c.hE[k])
+		hE := in.hE[k]
 		if c.eIdx != nil {
 			hE = tp.Gather(hE, c.eIdx)
 		}
-		gSrc := tp.Gather(tp.Const(c.hSrc[k]), c.src)
+		gSrc := tp.Gather(in.hSrc[k], c.src)
 		score := tp.Const(tp.Zeros(len(c.dst), 1))
 		if c.attn != nil {
-			cat := tp.GatherConcat(tp.Const(c.hDst[k]), c.dst, gSrc, nil, hE)
-			score = tp.LeakyReLU(tp.MatMul(cat, tp.Const(c.attn[k])), c.slope)
+			cat := tp.Concat(tp.Gather(in.hDst[k], c.dst), gSrc, hE)
+			score = tp.LeakyReLU(tp.MatMul(cat, in.attn[k]), c.slope)
 		}
-		heads = append(heads, tp.SegmentAttention(score, tp.Add(gSrc, hE), c.dst, c.self.Rows))
+		msg := tp.Add(gSrc, hE)
+		alpha := tp.SegmentSoftmax(score, c.dst, nDst)
+		heads = append(heads, tp.ScatterAddRows(tp.MulColBroadcast(msg, alpha), c.dst, nDst))
 	}
-	return tp.LeakyReLU(tp.Add(tp.Const(c.self), tp.Concat(heads...)), c.slope)
+	agg := heads[0]
+	if len(heads) > 1 {
+		agg = tp.Concat(heads...)
+	}
+	return tp.LeakyReLU(tp.Add(in.self, agg), c.slope)
+}
+
+func requireSameBits[T Float](t *testing.T, what string, got, want []T) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, composed %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if !sameBits(got[i], want[i]) {
+			t.Fatalf("%s[%d]: fused %v, composed %v", what, i, got[i], want[i])
+		}
+	}
 }
 
 // requireFusedEqualsComposed runs both spellings on inference tapes and
 // requires the same bits.
 func (c edgeAttnCase[T]) requireFusedEqualsComposed(t *testing.T, what string) {
 	t.Helper()
-	got := c.fused(NewInferenceTapeOf[T]()).Val.Data
-	want := c.composed(NewInferenceTapeOf[T]()).Val.Data
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d outputs, composed %d", what, len(got), len(want))
+	ftp, ctp := NewInferenceTapeOf[T](), NewInferenceTapeOf[T]()
+	requireSameBits(t, what+": output", c.fused(ftp, c.operands(ftp.Const)).Val.Data, c.composed(ctp, c.operands(ctp.Const)).Val.Data)
+}
+
+// train runs `passes` forward + backward passes of one spelling on a gradient
+// tape, the operands as parameters so their gradients accumulate across the
+// passes (no ZeroGrad), under the loss Σ out ∘ lossW. It returns the last
+// output and every operand's gradient: self, then hDst, hSrc, hE and attn per
+// head.
+func (c edgeAttnCase[T]) train(spell func(*TapeOf[T], edgeAttnOperands[T]) *ValueOf[T], lossW *TensorOf[T], passes int) (out []T, grads [][]T) {
+	in := c.operands(Param[T])
+	tp := NewTapeOf[T]()
+	for p := 0; p < passes; p++ {
+		tp.Reset()
+		y := spell(tp, in)
+		tp.Backward(tp.SumAll(tp.Mul(y, tp.Const(lossW))))
+		out = append(out[:0], y.Val.Data...)
 	}
-	for i := range want {
-		if math.Float64bits(f64(got[i])) != math.Float64bits(f64(want[i])) {
-			t.Fatalf("%s: fused output[%d] = %v, composed %v", what, i, got[i], want[i])
+	grads = append(grads, in.self.Grad.Data)
+	for _, vs := range [][]*ValueOf[T]{in.hDst, in.hSrc, in.hE, in.attn} {
+		for _, v := range vs {
+			grads = append(grads, v.Grad.Data)
+		}
+	}
+	return out, grads
+}
+
+// requireBackwardEqualsComposed compares the two spellings' output and
+// operand gradients bit for bit after two accumulated passes, the fused one at
+// each worker count against the composed one at a single worker. The case
+// must not be deduplicated (gradient tapes take one hE row per edge).
+func (c edgeAttnCase[T]) requireBackwardEqualsComposed(t *testing.T, what string, lossW *TensorOf[T], workers ...int) {
+	t.Helper()
+	restore := par.SetWorkers(1)
+	wantOut, wantGrads := c.train(c.composed, lossW, 2)
+	restore()
+	for _, w := range workers {
+		restore := par.SetWorkers(w)
+		gotOut, gotGrads := c.train(c.fused, lossW, 2)
+		restore()
+		requireSameBits(t, fmt.Sprintf("%s workers=%d: output", what, w), gotOut, wantOut)
+		for i := range wantGrads {
+			requireSameBits(t, fmt.Sprintf("%s workers=%d: gradient %d (self, then hDst, hSrc, hE, attn per head)", what, w, i), gotGrads[i], wantGrads[i])
 		}
 	}
 }
 
-func testEdgeAttentionMatchesComposed[T Float](t *testing.T) {
-	const nDst, nSrc, nEdge, heads, dh = 700, 90, 3500, 2, 5
-	rng := rand.New(rand.NewSource(31))
-	// Unsorted destinations over two thirds of the nodes: the rest are
-	// isolated (zero in-edges) and must come out as LeakyReLU(self). Node 1
-	// has exactly one in-edge.
-	dst := make([]int, nEdge)
-	src := make([]int, nEdge)
+// testRelation draws unsorted edges into two thirds of the nDst destinations:
+// the rest are isolated (zero in-edges) and must come out as LeakyReLU(self).
+// Node 1 has exactly one in-edge; sources repeat (nEdge >> nSrc).
+func testRelation(rng *rand.Rand, nDst, nSrc, nEdge int) (dst, src []int) {
+	dst, src = make([]int, nEdge), make([]int, nEdge)
 	for e := range dst {
 		dst[e] = 3 * (1 + rng.Intn(nDst/3-1))
 		if rng.Intn(2) == 0 {
@@ -109,6 +170,13 @@ func testEdgeAttentionMatchesComposed[T Float](t *testing.T) {
 		src[e] = rng.Intn(nSrc)
 	}
 	dst[nEdge/2] = 1
+	return dst, src
+}
+
+func testEdgeAttentionMatchesComposed[T Float](t *testing.T) {
+	const nDst, nSrc, nEdge, heads, dh = 700, 90, 3500, 2, 5
+	rng := rand.New(rand.NewSource(31))
+	dst, src := testRelation(rng, nDst, nSrc, nEdge)
 	for _, nFeat := range []int{0, 17} {
 		for _, uniform := range []bool{false, true} {
 			c := randEdgeAttnCase[T](rng, dst, src, nDst, nSrc, nFeat, heads, dh, uniform)
@@ -117,7 +185,8 @@ func testEdgeAttentionMatchesComposed[T Float](t *testing.T) {
 				c.requireFusedEqualsComposed(t, fmt.Sprintf("nFeat=%d uniform=%v workers=%d", nFeat, uniform, w))
 				restore()
 			}
-			out := c.fused(NewInferenceTapeOf[T]()).Val
+			tp := NewInferenceTapeOf[T]()
+			out := c.fused(tp, c.operands(tp.Const)).Val
 			for j := 0; j < heads*dh; j++ {
 				want := c.self.At(2, j)
 				if want < 0 {
@@ -131,18 +200,51 @@ func testEdgeAttentionMatchesComposed[T Float](t *testing.T) {
 	}
 }
 
-// TestEdgeAttentionMatchesComposed pins the inference kernel to the composed
-// graph bit for bit, in both dtypes and at four worker counts, with and
-// without edge-feature dedup, with learned and uniform attention.
+// TestEdgeAttentionMatchesComposed pins the kernel's forward to the composed
+// graph bit for bit on inference tapes, in both dtypes and at four worker
+// counts, with and without edge-feature dedup, with learned and uniform
+// attention.
 func TestEdgeAttentionMatchesComposed(t *testing.T) {
 	t.Run("float64", testEdgeAttentionMatchesComposed[float64])
 	t.Run("float32", testEdgeAttentionMatchesComposed[float32])
 }
 
+func testEdgeAttentionBackwardMatchesComposed[T Float](t *testing.T) {
+	const nDst, nSrc, nEdge, dh = 700, 90, 3500, 5
+	rng := rand.New(rand.NewSource(37))
+	dst, src := testRelation(rng, nDst, nSrc, nEdge)
+	for _, heads := range []int{1, 2, 3} { // one head has no Concat
+		lossW := NewTensorOf[T](nDst, heads*dh).Randn(rng, 1)
+		for i := 0; i < len(lossW.Data); i += 7 {
+			lossW.Data[i] = 0
+		}
+		for _, uniform := range []bool{false, true} {
+			for _, slope := range []T{0.2, 0} {
+				c := randEdgeAttnCase[T](rng, dst, src, nDst, nSrc, 0, heads, dh, uniform)
+				c.slope = slope
+				c.requireBackwardEqualsComposed(t, fmt.Sprintf("heads=%d uniform=%v slope=%v", heads, uniform, slope), lossW, 1, 2, 3, 8)
+			}
+		}
+	}
+}
+
+// TestEdgeAttentionBackwardMatchesComposed pins the kernel on gradient tapes:
+// output and every operand gradient carry the composed graph's bits — signed
+// zeros included — in both dtypes, at four worker counts, for one to three
+// heads, learned and uniform attention, LeakyReLU and ReLU slopes, with
+// isolated destinations, a one-edge destination and repeated sources, the
+// gradients accumulated over two passes.
+func TestEdgeAttentionBackwardMatchesComposed(t *testing.T) {
+	t.Run("float64", testEdgeAttentionBackwardMatchesComposed[float64])
+	t.Run("float32", testEdgeAttentionBackwardMatchesComposed[float32])
+}
+
 // FuzzEdgeAttention decodes bytes into a small relation — sizes, edge
 // endpoints and every value on a coarse grid, so ties, zeros and sign flips
-// are common — and requires fused and composed bits to agree in both dtypes.
-// The seed corpus is testdata/fuzz/FuzzEdgeAttention.
+// are common — and requires fused and composed bits to agree in both dtypes:
+// the output on inference tapes, then (edge features expanded to one row per
+// edge) the output and every operand gradient on gradient tapes at one and
+// three workers. The seed corpus is testdata/fuzz/FuzzEdgeAttention.
 func FuzzEdgeAttention(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -161,6 +263,11 @@ func fuzzEdgeAttention[T Float](t *testing.T, data []byte) {
 		pos++
 		return int(b)
 	}
+	grid := func(tn *TensorOf[T]) {
+		for i := range tn.Data {
+			tn.Data[i] = T(int8(next())) / 16
+		}
+	}
 	nDst, nSrc := 1+next()%8, 1+next()%8
 	heads, dh := 1+next()%3, 1+next()%5
 	nEdge, flags := next()%32, next()
@@ -173,17 +280,32 @@ func fuzzEdgeAttention[T Float](t *testing.T, data []byte) {
 		dst[e], src[e] = next()%nDst, next()%nSrc
 	}
 	c := randEdgeAttnCase[T](rand.New(rand.NewSource(1)), dst, src, nDst, nSrc, nFeat, heads, dh, flags&2 != 0)
+	if flags&16 != 0 {
+		c.slope = 0
+	}
 	for _, ts := range [][]*TensorOf[T]{{c.self}, c.hDst, c.hSrc, c.hE, c.attn} {
 		for _, tn := range ts {
-			for i := range tn.Data {
-				tn.Data[i] = T(int8(next())) / 16
-			}
+			grid(tn)
 		}
 	}
 	for e := range c.eIdx {
 		c.eIdx[e] = next() % nFeat
 	}
 	c.requireFusedEqualsComposed(t, "fuzz")
+
+	for k, u := range c.hE {
+		if c.eIdx == nil {
+			break
+		}
+		c.hE[k] = NewTensorOf[T](nEdge, dh)
+		for e, ix := range c.eIdx {
+			copy(c.hE[k].Data[e*dh:(e+1)*dh], u.Data[ix*dh:(ix+1)*dh])
+		}
+	}
+	c.eIdx = nil
+	lossW := NewTensorOf[T](nDst, heads*dh)
+	grid(lossW)
+	c.requireBackwardEqualsComposed(t, "fuzz backward", lossW, 1, 3)
 }
 
 // TestEdgeAttentionZeroAllocs: a warm launch on a reset inference tape
@@ -216,7 +338,7 @@ func TestEdgeAttentionZeroAllocs(t *testing.T) {
 }
 
 // TestEdgeAttentionRejectsBadInput: shape and index errors panic at issue
-// time, like the neighbouring ops, and so does a gradient tape.
+// time, like the neighbouring ops, and so does dedup on a gradient tape.
 func TestEdgeAttentionRejectsBadInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	good := func() edgeAttnCase[float64] {
@@ -237,11 +359,12 @@ func TestEdgeAttentionRejectsBadInput(t *testing.T) {
 	} {
 		c := good()
 		breakIt(&c)
-		requirePanic(t, name, func() { c.fused(NewInferenceTape()) })
+		requirePanic(t, name, func() { tp := NewInferenceTape(); c.fused(tp, c.operands(tp.Const)) })
 	}
 	c := good()
-	requirePanic(t, "gradient tape", func() { c.fused(NewTape()) })
-	c.fused(NewInferenceTape())
+	requirePanic(t, "eIdx on a gradient tape", func() { tp := NewTape(); c.fused(tp, c.operands(tp.Const)) })
+	tp := NewInferenceTape()
+	c.fused(tp, c.operands(tp.Const))
 }
 
 func requirePanic(t *testing.T, what string, f func()) {

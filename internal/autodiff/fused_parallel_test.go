@@ -56,82 +56,10 @@ func TestLinearLeakyReLUMatchesComposed(t *testing.T) {
 		[2]int{64, 24}, [2]int{24, 32}, [2]int{1, 32})
 }
 
-func TestGatherConcatMatchesComposed(t *testing.T) {
-	const e, aRows, bRows = 150, 40, 35
-	rng := rand.New(rand.NewSource(17))
-	ai := make([]int, e)
-	bi := make([]int, e)
-	for i := range ai {
-		ai[i] = rng.Intn(aRows)
-		bi[i] = rng.Intn(bRows)
-	}
-	// b passed through directly (bi nil) — the GAT shape, where the source
-	// part is gathered once outside and shared with the message path.
-	checkFusedMatchesComposed(t, "GatherConcat/direct",
-		func(tp *Tape, in []*Value) *Value {
-			return tp.GatherConcat(in[0], ai, in[1], nil, in[2])
-		},
-		func(tp *Tape, in []*Value) *Value {
-			return tp.Concat(tp.Gather(in[0], ai), in[1], in[2])
-		},
-		[2]int{aRows, 7}, [2]int{e, 7}, [2]int{e, 5})
-	// b gathered too.
-	checkFusedMatchesComposed(t, "GatherConcat/gathered",
-		func(tp *Tape, in []*Value) *Value {
-			return tp.GatherConcat(in[0], ai, in[1], bi, in[2])
-		},
-		func(tp *Tape, in []*Value) *Value {
-			return tp.Concat(tp.Gather(in[0], ai), tp.Gather(in[1], bi), in[2])
-		},
-		[2]int{aRows, 7}, [2]int{bRows, 7}, [2]int{e, 5})
-}
-
-func TestSegmentAttentionMatchesComposed(t *testing.T) {
-	const e, nSeg = 300, 23
-	seg := make([]int, e)
-	rng := rand.New(rand.NewSource(19))
-	for i := range seg {
-		seg[i] = rng.Intn(nSeg)
-	}
-	checkFusedMatchesComposed(t, "SegmentAttention",
-		func(tp *Tape, in []*Value) *Value {
-			return tp.SegmentAttention(in[0], in[1], seg, nSeg)
-		},
-		func(tp *Tape, in []*Value) *Value {
-			alpha := tp.SegmentSoftmax(in[0], seg, nSeg)
-			return tp.ScatterAddRows(tp.MulColBroadcast(in[1], alpha), seg, nSeg)
-		},
-		[2]int{e, 1}, [2]int{e, 9})
-}
-
 func TestParallelLinearMatchesSerial(t *testing.T) {
 	checkParallelMatchesSerial(t, "LinearLeakyReLU", func(tp *Tape, in []*Value) *Value {
 		return tp.LinearLeakyReLU(in[0], in[1], in[2], 0.2)
 	}, [2]int{130, 24}, [2]int{24, 40}, [2]int{1, 40})
-}
-
-func TestParallelGatherConcatMatchesSerial(t *testing.T) {
-	const e, aRows = 400, 60
-	rng := rand.New(rand.NewSource(23))
-	ai := make([]int, e)
-	for i := range ai {
-		ai[i] = rng.Intn(aRows)
-	}
-	checkParallelMatchesSerial(t, "GatherConcat", func(tp *Tape, in []*Value) *Value {
-		return tp.GatherConcat(in[0], ai, in[1], nil, in[2])
-	}, [2]int{aRows, 11}, [2]int{e, 11}, [2]int{e, 6})
-}
-
-func TestParallelSegmentAttentionMatchesSerial(t *testing.T) {
-	const e, nSeg = 500, 37
-	seg := make([]int, e)
-	rng := rand.New(rand.NewSource(29))
-	for i := range seg {
-		seg[i] = rng.Intn(nSeg)
-	}
-	checkParallelMatchesSerial(t, "SegmentAttention", func(tp *Tape, in []*Value) *Value {
-		return tp.SegmentAttention(in[0], in[1], seg, nSeg)
-	}, [2]int{e, 1}, [2]int{e, 13})
 }
 
 // adamRun performs several Adam steps over two parameters (one large enough
@@ -189,31 +117,7 @@ func TestTapeReuseZeroAllocs(t *testing.T) {
 	defer restore()
 	par.Observe(obs.NewRegistry())
 	defer par.Observe(nil)
-	rng := rand.New(rand.NewSource(5))
-	w1 := Param(NewTensor(13, 16).Randn(rng, 1))
-	b1 := Param(NewTensor(1, 16))
-	w2 := Param(NewTensor(48, 1).Randn(rng, 1))
-	b2 := Param(NewTensor(1, 1))
-	x := NewTensor(40, 13).Randn(rng, 1)
-	seg := make([]int, 40)
-	nbr := make([]int, 40)
-	for i := range seg {
-		seg[i] = i % 8
-		nbr[i] = (7 * i) % 40
-	}
-	opt := NewAdam(1e-3, w1, b1, w2, b2)
-	tp := NewTape()
-	step := func() {
-		tp.Reset()
-		xin := tp.Const(tp.TensorFrom(40, 13, x.Data))
-		h := tp.LinearLeakyReLU(xin, tp.Watch(w1), tp.Watch(b1), 0.2)
-		score := tp.Linear(tp.GatherConcat(h, nbr, h, nil, h), tp.Watch(w2), tp.Watch(b2))
-		agg := tp.SegmentAttention(score, h, seg, 8)
-		loss := tp.MeanAll(tp.Mul(agg, agg))
-		opt.ZeroGrad()
-		tp.Backward(loss)
-		opt.Step()
-	}
+	step := gatTapeStep(40, 40, 16, true)
 	step()
 	step() // warm the arena and free-lists
 	if n := testing.AllocsPerRun(20, step); n != 0 {

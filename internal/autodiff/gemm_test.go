@@ -87,31 +87,34 @@ func runGemm[T Float](a, b, out0 *TensorOf[T], vector bool, workers int) []T {
 	return out.Data
 }
 
+// requireGemmVectorMatchesGeneric holds both kernels at every worker count to
+// the Go tile at one worker: the same bits whichever kernel runs and wherever
+// the chunk boundaries fall, non-finite inputs included.
 func requireGemmVectorMatchesGeneric[T Float](t *testing.T, a, b, out0 *TensorOf[T], workers []int, what string) {
 	t.Helper()
+	want := runGemm(a, b, out0, false, 1)
 	for _, w := range workers {
-		// The reference runs at the same worker count: where a chunk boundary
-		// leaves a row remainder, the Go kernel's forward zero-skip drops the
-		// NaN of 0 * Inf there, so with non-finite inputs its own result
-		// depends on the chunking. The vector tile sits inside full row tiles
-		// only, which skip nothing.
-		want, got := runGemm(a, b, out0, false, w), runGemm(a, b, out0, true, w)
-		for i := range want {
-			if !sameBits(got[i], want[i]) {
-				t.Fatalf("%s %dx%d @ %dx%d workers=%d: vector tile out[%d] = %v (%#x), Go tile %v (%#x).\n"+
-					"The two perform the same separately rounded multiply and add per term; the contract is stated for the default GOAMD64=v1 — "+
-					"at GOAMD64=v3 the compiler may fuse the Go tile's multiply-adds, which moves the Go tile's bits, not the assembly's.",
-					what, a.Rows, a.Cols, b.Rows, b.Cols, w, i, got[i], math.Float64bits(f64(got[i])), want[i], math.Float64bits(f64(want[i])))
+		for _, vector := range []bool{false, true} {
+			got := runGemm(a, b, out0, vector, w)
+			for i := range want {
+				if !sameBits(got[i], want[i]) {
+					t.Fatalf("%s %dx%d @ %dx%d workers=%d vector tile=%v: out[%d] = %v (%#x), Go tile at one worker %v (%#x).\n"+
+						"The two perform the same separately rounded multiply and add per term; the contract is stated for the default GOAMD64=v1 — "+
+						"at GOAMD64=v3 the compiler may fuse the Go tile's multiply-adds, which moves the Go tile's bits, not the assembly's.",
+						what, a.Rows, a.Cols, b.Rows, b.Cols, w, vector, i, got[i], math.Float64bits(f64(got[i])), want[i], math.Float64bits(f64(want[i])))
+				}
 			}
 		}
 	}
 }
 
-// TestGemmVectorMatchesGeneric pins the assembly tile to the Go tile bit for
-// bit: both dtypes, store and accumulate (onto a non-zero out), four worker
-// counts, shapes on every side of the tile and block edges (rows 4, columns
-// 8 / 16) up to the solve-ring-396 sizes, plain inputs (normals, ±0) and
-// inputs with subnormals, ±Inf and NaN.
+// TestGemmVectorMatchesGeneric pins the assembly tile to the Go tile, and
+// both to the Go tile at one worker, bit for bit: both dtypes, store and
+// accumulate (onto a non-zero out), four worker counts, shapes on every side
+// of the tile and block edges (rows 4, columns 8 / 16) up to the
+// solve-ring-396 sizes, plain inputs (normals, ±0) and inputs with subnormals,
+// ±Inf and NaN — where a term 0·Inf is a NaN on every path, row remainder
+// included.
 func TestGemmVectorMatchesGeneric(t *testing.T) {
 	requireGemmVector(t)
 	t.Run("float64", testGemmVectorMatchesGeneric[float64])

@@ -161,12 +161,11 @@ func gemmChunk[T Float](g gemmArgs[T], lo, hi int) {
 	// accumulators alone overflow the file and moved ~30). Either way every
 	// output element sums its terms serially in increasing p — the identical
 	// operation sequence (+0 start, += term per p) as the row-sweep form — so
-	// the result is bitwise identical for any tiling and either kernel. The
-	// tiles take every term: skipping a p whose four a-entries are all zero
-	// would drop only ±0 additions, but no solve feeds it such rows past the
-	// k = 1 embedding products, and four compares per p measure slower than
-	// the multiply-adds they save. The remainder paths below keep their skip
-	// on the forward path.
+	// the result is bitwise identical for any tiling and either kernel. Every
+	// path takes every term: skipping a zero a-entry would drop a ±0 addition
+	// when b is finite but the NaN of 0·Inf when it is not — the answer would
+	// depend on which rows a chunk boundary leaves to the remainder — and the
+	// compares measure slower than the multiply-adds they save.
 	i0 := lo
 	for ; i0+gemmRowTile <= hi; i0 += gemmRowTile {
 		base := i0 * k
@@ -217,10 +216,6 @@ func gemmChunk[T Float](g gemmArgs[T], lo, hi int) {
 			off := jt
 			for p := 0; p < k; p++ {
 				v0, v1, v2, v3 := a0[p], a1[p], a2[p], a3[p]
-				if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 && !g.accumulate {
-					off += n
-					continue
-				}
 				bv := bd[off]
 				off += n
 				c0 += v0 * bv
@@ -274,9 +269,6 @@ func gemmChunk[T Float](g gemmArgs[T], lo, hi int) {
 			rb := bd[p*n+j0 : p*n+j1]
 			for r := 0; r < rows; r++ {
 				av := a.Data[(i0+r)*k+p]
-				if av == 0 && !g.accumulate {
-					continue
-				}
 				d := dst[r][j0:j1]
 				for j, bv := range rb {
 					d[j] += av * bv

@@ -110,13 +110,13 @@ type ValueOf[T Float] struct {
 	src0       *ValueOf[T]
 	src1       *ValueOf[T]
 	src2       *ValueOf[T]
-	srcs       []*ValueOf[T] // variadic inputs (Concat)
-	aux        *TensorOf[T]  // fused-op stash (pre-activation, attention weights)
-	idx        []int         // row indices / segment ids
-	idx2       []int         // second index set (GatherConcat)
-	sidx       segmentIndex  // cached segment index for segment-parallel backward
-	n          int           // op-specific count (nSeg, part width, ...)
-	s0, s1, s2 T             // op-specific scalars (slopes, clamp bounds, ...)
+	srcs       []*ValueOf[T]    // variadic inputs (Concat)
+	aux        *TensorOf[T]     // fused-op stash (LinearLeakyReLU's pre-activation)
+	idx        []int            // row indices / segment ids
+	sidx       segmentIndex     // cached segment index for segment-parallel backward
+	edge       *edgeAttnArgs[T] // EdgeAttention's launch (operands, index, stashes)
+	n          int              // op-specific count (nSeg, part width, ...)
+	s0, s1, s2 T                // op-specific scalars (slopes, clamp bounds, ...)
 }
 
 // Value is the float64 graph node.

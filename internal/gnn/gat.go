@@ -139,13 +139,10 @@ func (l *GATLayerOf[T]) Forward(tp *autodiff.TapeOf[T], vDst, vSrc, eFeat *autod
 // row in it. The edge projection Θe·e runs once per distinct row and the
 // edge kernel reads it through eIdx in place — bitwise identical to Forward
 // on the expanded features, since a gemm output row depends only on its own
-// input row. Inference tapes only: on a gradient tape the edge gradient
-// would accumulate in a different order than the composed graph, breaking
-// training bit-reproducibility.
+// input row. Inference tapes only: EdgeAttention panics on a gradient tape,
+// where the distinct rows' gradient would sum in a different order than
+// Forward's and training would stop being bit-reproducible.
 func (l *GATLayerOf[T]) ForwardDedup(tp *autodiff.TapeOf[T], vDst, vSrc, eFeatU *autodiff.ValueOf[T], eIdx []int, rel EdgeList) *autodiff.ValueOf[T] {
-	if !tp.NoGrad() {
-		panic("gnn: ForwardDedup on a gradient tape")
-	}
 	return l.forward(tp, vDst, vSrc, eFeatU, eIdx, rel)
 }
 
@@ -154,68 +151,29 @@ func (l *GATLayerOf[T]) ForwardDedup(tp *autodiff.TapeOf[T], vDst, vSrc, eFeatU 
 // wider layers to the heap.
 const maxStackHeads = 8
 
+// forward is the node-level projections and one edge kernel, on either tape:
+// EdgeAttention scores, normalises and aggregates per destination for all
+// heads and applies the self term and activation, with nothing E x dh stored
+// but the edge projection itself.
 func (l *GATLayerOf[T]) forward(tp *autodiff.TapeOf[T], vDst, vSrc, eFeat *autodiff.ValueOf[T], eIdx []int, rel EdgeList) *autodiff.ValueOf[T] {
 	for _, p := range l.Params() {
 		tp.Watch(p)
 	}
 	self := tp.MatMul(vDst, l.thetaS)
-	slope := T(l.Slope)
-
-	if tp.NoGrad() {
-		// Inference: the node-level projections feed one edge kernel that
-		// scores, normalises and aggregates per destination for all heads
-		// and applies the self term and activation — every float the
-		// composed ops below would produce, with nothing per-edge stored.
-		var bufD, bufS, bufE [maxStackHeads]*autodiff.ValueOf[T]
-		hDst, hSrc, hE := bufD[:0], bufS[:0], bufE[:0]
-		attn := l.attnVector
-		if l.Uniform {
-			attn = nil // every edge scores 0; the query projection is not needed
-		}
-		for k := 0; k < l.Heads; k++ {
-			if attn != nil {
-				hDst = append(hDst, tp.MatMul(vDst, l.thetaDst[k])) // nDst x dh
-			}
-			hSrc = append(hSrc, tp.MatMul(vSrc, l.thetaSrc[k])) // nSrc x dh
-			hE = append(hE, tp.MatMul(eFeat, l.thetaEdge[k]))   // E x dh (U x dh when deduped)
-		}
-		return tp.EdgeAttention(self, hDst, hSrc, hE, attn, eIdx, rel.Dst, rel.Src, slope)
+	var bufD, bufS, bufE [maxStackHeads]*autodiff.ValueOf[T]
+	hDst, hSrc, hE := bufD[:0], bufS[:0], bufE[:0]
+	attn := l.attnVector
+	if l.Uniform {
+		attn = nil // every edge scores 0; the query projection is not needed
 	}
-
-	nDst := vDst.Val.Rows
-	var headsBuf [maxStackHeads]*autodiff.ValueOf[T]
-	heads := headsBuf[:0]
 	for k := 0; k < l.Heads; k++ {
-		hDst := tp.MatMul(vDst, l.thetaDst[k]) // nDst x dh
-		hSrc := tp.MatMul(vSrc, l.thetaSrc[k]) // nSrc x dh
-		hE := tp.MatMul(eFeat, l.thetaEdge[k]) // E x dh
-
-		gSrc := tp.Gather(hSrc, rel.Src) // E x dh
-
-		var score *autodiff.ValueOf[T]
-		if l.Uniform {
-			// Mean aggregation: softmax over zero scores is uniform.
-			score = tp.Const(tp.Zeros(rel.Len(), 1))
-		} else {
-			// Fused gather→concat builds [Θd·v_dst ‖ Θn·v_src ‖ Θe·e]; only
-			// the dst part is gathered here — gSrc stays a shared node so its
-			// gradient accumulates once, as in the composed graph.
-			cat := tp.GatherConcat(hDst, rel.Dst, gSrc, nil, hE) // E x 3dh
-			score = tp.MatMul(cat, l.attnVector[k])              // E x 1
-			score = tp.LeakyReLU(score, slope)                   // Eq. (7)
+		if attn != nil {
+			hDst = append(hDst, tp.MatMul(vDst, l.thetaDst[k])) // nDst x dh
 		}
-		msg := tp.Add(gSrc, hE) // E x dh
-		// Fused segment-softmax → weighted scatter (Eq. 6 aggregation).
-		agg := tp.SegmentAttention(score, msg, rel.Dst, nDst) // nDst x dh
-		heads = append(heads, agg)
+		hSrc = append(hSrc, tp.MatMul(vSrc, l.thetaSrc[k])) // nSrc x dh
+		hE = append(hE, tp.MatMul(eFeat, l.thetaEdge[k]))   // E x dh (U x dh when deduped)
 	}
-	var aggAll *autodiff.ValueOf[T]
-	if len(heads) == 1 {
-		aggAll = heads[0]
-	} else {
-		aggAll = tp.Concat(heads...)
-	}
-	return tp.LeakyReLU(tp.Add(self, aggAll), slope)
+	return tp.EdgeAttention(self, hDst, hSrc, hE, attn, eIdx, rel.Dst, rel.Src, T(l.Slope))
 }
 
 // StackOf is a residual stack of GAT layers over one relation: each layer's

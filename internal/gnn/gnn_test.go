@@ -231,12 +231,13 @@ func tensorRequests[T autodiff.Float](tp *autodiff.TapeOf[T], f func()) uint64 {
 	return after.TensorReuse + after.TensorAlloc - before.TensorReuse - before.TensorAlloc
 }
 
-// TestInferenceForwardIsOneEdgeKernel pins the inference/training fork of a
-// layer to one value and one shape. Forward and ForwardDedup on an inference
-// tape return the gradient tape's bits, and take only node-level tensors from
-// the arena — self, three projections per head (two when uniform) and the
-// output: no per-edge Gather, GatherConcat, score MatMul or SegmentAttention.
-// The gradient tape issues the composed graph it always has.
+// TestInferenceForwardIsOneEdgeKernel pins a layer to one spelling on both
+// tapes. Forward and ForwardDedup on an inference tape return the gradient
+// tape's bits, and either tape takes only node-level tensors from the arena —
+// self, three projections per head (two when uniform) and the output, each
+// with a gradient on the gradient tape: no per-edge Gather, Concat, score
+// MatMul or weighted messages. (The kernel's per-edge stash, α and the raw
+// score per head, is arena scratch, not a tensor.)
 func TestInferenceForwardIsOneEdgeKernel(t *testing.T) {
 	const nPath, nSat, nFeat, dim, heads = 300, 40, 9, 8, 2
 	rng := rand.New(rand.NewSource(11))
@@ -261,14 +262,11 @@ func TestInferenceForwardIsOneEdgeKernel(t *testing.T) {
 			gradReqs := tensorRequests(gtp, func() {
 				want = l.Forward(gtp, gtp.Const(vDst), gtp.Const(vSrc), gtp.Const(eFull), r)
 			})
-			// Per head nine nodes — three projections, Gather, GatherConcat,
-			// score MatMul, LeakyReLU, Add, SegmentAttention — or, uniform, six
-			// and a zero score column; then self, Concat, Add and LeakyReLU.
-			// A node takes a value and a gradient; each head's attention
-			// stash and the three inputs' gradients are one tensor each.
-			wantGrad := uint64(2*(heads*9+4) + heads + 3)
+			// A node takes a value and a gradient; the three inputs'
+			// gradients are one tensor each.
+			wantGrad := uint64(2*(3*heads+2) + 3)
 			if uniform {
-				wantGrad = uint64(2*(heads*7+4) + heads + 3)
+				wantGrad = uint64(2*(2*heads+2) + 3)
 			}
 			if gradReqs != wantGrad {
 				t.Errorf("uniform=%v toSat=%v: gradient tape took %d tensors, want %d", uniform, toSat, gradReqs, wantGrad)

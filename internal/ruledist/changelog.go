@@ -193,33 +193,81 @@ func Apply(rs *rules.RuleSet, d Delta) *rules.RuleSet {
 	return out
 }
 
-// applyNode rebuilds one node's table under a delta; nil means the table
+// applyNode merges one node's table with its delta; nil means the table
 // ended up empty (rules.Compile never emits empty tables, so neither do we).
+// The table, the removes and the upserts are each increasing under
+// rules.CompareKey, so one walk over the three builds the new table in order:
+// an upsert inserts or replaces (removed or not — upserts apply after
+// removes), an old rule survives unless a remove names it.
 func applyNode(old *rules.Table, nd NodeDelta) *rules.Table {
-	byID := make(map[RuleID]rules.Rule)
+	var or []rules.Rule
 	if old != nil {
-		for _, r := range old.Rules {
-			byID[ruleID(r)] = r
+		or = old.Rules
+	}
+	rem := make([]rules.Rule, len(nd.Removes)) // keys only
+	for i, id := range nd.Removes {
+		rem[i] = rules.Rule{Flow: rules.FlowKey{Src: id.Src, Dst: id.Dst}, Label: id.Label}
+	}
+	ups := make([]rules.Rule, len(nd.Upserts))
+	for i, u := range nd.Upserts {
+		ups[i] = rules.Rule{Flow: rules.FlowKey{Src: u.Src, Dst: u.Dst}, Label: u.Label, Next: u.Next, RateMbps: u.RateMbps}
+	}
+	rem, ups = ordered(rem), ordered(ups)
+	out := make([]rules.Rule, 0, len(or)+len(ups))
+	i, j, k := 0, 0, 0
+	for i < len(or) || j < len(ups) {
+		var c int // which of or[i], ups[j] has the smaller key; an exhausted side never does
+		switch {
+		case j == len(ups):
+			c = -1
+		case i == len(or):
+			c = 1
+		default:
+			c = rules.CompareKey(or[i], ups[j])
 		}
-	}
-	for _, id := range nd.Removes {
-		delete(byID, id)
-	}
-	for _, u := range nd.Upserts {
-		byID[RuleID{Src: u.Src, Dst: u.Dst, Label: u.Label}] = rules.Rule{
-			Flow:  rules.FlowKey{Src: u.Src, Dst: u.Dst},
-			Label: u.Label, Next: u.Next, RateMbps: u.RateMbps,
+		if c >= 0 {
+			out = append(out, ups[j])
+			j++
+			if c == 0 {
+				i++
+			}
+			continue
 		}
+		for k < len(rem) && rules.CompareKey(rem[k], or[i]) < 0 {
+			k++
+		}
+		if k == len(rem) || rules.CompareKey(rem[k], or[i]) != 0 {
+			out = append(out, or[i])
+		}
+		i++
 	}
-	if len(byID) == 0 {
+	if len(out) == 0 {
 		return nil
 	}
-	tbl := &rules.Table{Node: nd.Node, Rules: make([]rules.Rule, 0, len(byID))}
-	for _, r := range byID {
-		tbl.Rules = append(tbl.Rules, r)
+	return &rules.Table{Node: nd.Node, Rules: out}
+}
+
+// ordered returns rs strictly increasing under rules.CompareKey: as it is when
+// it already is — what Diff emits — and otherwise sorted in place (rs is
+// applyNode's own copy) with the last of each run of equal keys kept. Deltas
+// arrive over HTTP, and a delta in any order, with repeats, means what it
+// meant applied entry by entry.
+func ordered(rs []rules.Rule) []rules.Rule {
+	strict := true
+	for i := 1; i < len(rs) && strict; i++ {
+		strict = rules.CompareKey(rs[i-1], rs[i]) < 0
 	}
-	slices.SortFunc(tbl.Rules, rules.CompareKey)
-	return tbl
+	if strict {
+		return rs
+	}
+	slices.SortStableFunc(rs, rules.CompareKey)
+	out := rs[:0]
+	for i, r := range rs {
+		if i+1 == len(rs) || rules.CompareKey(r, rs[i+1]) != 0 {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 // logState is one immutable changelog generation: the full rule set at the

@@ -1,6 +1,8 @@
 package ruledist
 
 import (
+	"math"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -65,6 +67,123 @@ func TestDiffApplyRoundTrip(t *testing.T) {
 	for _, nd := range d0.Nodes {
 		if len(nd.Removes) != 0 {
 			t.Fatalf("diff from empty has removes: %+v", nd)
+		}
+	}
+}
+
+// requireSameRules compares two rule sets table for table and rule for rule,
+// rates by their bits (DeepEqual would call −0 and +0 equal and NaN unequal).
+func requireSameRules(t *testing.T, what string, got, want *rules.RuleSet) {
+	t.Helper()
+	if len(got.Tables) != len(want.Tables) {
+		t.Fatalf("%s: %d tables, want %d", what, len(got.Tables), len(want.Tables))
+	}
+	for id, wt := range want.Tables {
+		gt := got.Tables[id]
+		if gt == nil || gt.Node != id || len(gt.Rules) != len(wt.Rules) {
+			t.Fatalf("%s: table %d = %+v, want %+v", what, id, gt, wt)
+		}
+		for i, w := range wt.Rules {
+			g := gt.Rules[i]
+			if g.Flow != w.Flow || g.Label != w.Label || g.Next != w.Next || math.Float64bits(g.RateMbps) != math.Float64bits(w.RateMbps) {
+				t.Fatalf("%s: table %d rule %d = %+v, want %+v", what, id, i, g, w)
+			}
+		}
+	}
+}
+
+// randRuleSet draws tables at some of the nodes in [lo, hi), each a random
+// subset of a small key space in table order, with rates over the floats a
+// bitwise comparison tells apart.
+func randRuleSet(rng *rand.Rand, lo, hi int) *rules.RuleSet {
+	rates := []float64{0, math.Copysign(0, -1), 1, 1 + 0x1p-52, 37.5, 5e-324, math.Inf(1), math.NaN()}
+	rs := &rules.RuleSet{Tables: make(map[topology.NodeID]*rules.Table)}
+	for n := lo; n < hi; n++ {
+		if rng.Intn(3) == 0 {
+			continue
+		}
+		tbl := &rules.Table{Node: topology.NodeID(n)}
+		for src := 0; src < 3; src++ {
+			for dst := 0; dst < 3; dst++ {
+				for label := 0; label < 2; label++ {
+					if rng.Intn(2) == 0 {
+						tbl.Rules = append(tbl.Rules, rules.Rule{
+							Flow:  rules.FlowKey{Src: topology.NodeID(src), Dst: topology.NodeID(dst)},
+							Label: label, Next: topology.NodeID(rng.Intn(4)), RateMbps: rates[rng.Intn(len(rates))],
+						})
+					}
+				}
+			}
+		}
+		if len(tbl.Rules) > 0 {
+			rs.Tables[tbl.Node] = tbl
+		}
+	}
+	return rs
+}
+
+// TestApplyDiffProperty: Apply(a, Diff(a, b)) is b, rule for rule with bitwise
+// rates, over random pairs — overlapping tables, disjoint node ranges, and the
+// empty rule set (nil and allocated) on either side.
+func TestApplyDiffProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	empty := &rules.RuleSet{Tables: map[topology.NodeID]*rules.Table{}}
+	for trial := 0; trial < 300; trial++ {
+		a, b := randRuleSet(rng, 0, 6), randRuleSet(rng, 0, 6)
+		switch trial % 6 {
+		case 1:
+			b = randRuleSet(rng, 6, 12) // disjoint tables
+		case 2:
+			a = nil
+		case 3:
+			a = empty
+		case 4:
+			b = empty
+		}
+		requireSameRules(t, "apply(a, diff(a, b))", Apply(a, Diff(a, b)), b)
+	}
+}
+
+// TestApplyTakesDeltaInAnyOrder: a delta is applied as the list of edits it
+// is — removes, then upserts, the last upsert of a key winning — whatever
+// order it arrives in over HTTP. The merge sorts such a delta on its own copy.
+func TestApplyTakesDeltaInAnyOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for trial := 0; trial < 100; trial++ {
+		a, b := randRuleSet(rng, 0, 4), randRuleSet(rng, 0, 4)
+		d := Diff(a, b)
+		for i := range d.Nodes {
+			nd := &d.Nodes[i]
+			// A stale upsert ahead of each real one, and a remove of a key that
+			// is also upserted: neither may show in the result.
+			var ups []Upsert
+			for _, u := range nd.Upserts {
+				stale := u
+				stale.Next, stale.RateMbps = u.Next+1, u.RateMbps+1
+				ups = append(ups, stale, u)
+				nd.Removes = append(nd.Removes, RuleID{Src: u.Src, Dst: u.Dst, Label: u.Label})
+			}
+			// Shuffle, keeping each stale upsert ahead of its real one.
+			rng.Shuffle(len(ups)/2, func(x, y int) {
+				ups[2*x], ups[2*y] = ups[2*y], ups[2*x]
+				ups[2*x+1], ups[2*y+1] = ups[2*y+1], ups[2*x+1]
+			})
+			nd.Upserts = ups
+			rng.Shuffle(len(nd.Removes), func(x, y int) { nd.Removes[x], nd.Removes[y] = nd.Removes[y], nd.Removes[x] })
+		}
+		order := func() (ids []RuleID) {
+			for _, nd := range d.Nodes {
+				for _, u := range nd.Upserts {
+					ids = append(ids, RuleID{Src: u.Src, Dst: u.Dst, Label: u.Label})
+				}
+				ids = append(ids, nd.Removes...)
+			}
+			return ids
+		}
+		arrived := order()
+		requireSameRules(t, "apply(a, shuffled diff(a, b))", Apply(a, d), b)
+		if !slices.Equal(order(), arrived) {
+			t.Fatal("Apply reordered the delta it was given")
 		}
 	}
 }

@@ -3,9 +3,10 @@
 # concurrency invariant linter, see DESIGN.md "Static analysis"), an arm64
 # cross-build (the gemm vector tile is amd64 assembly; everything else must
 # build without it), tests, 5 s native fuzz runs of the packet engine's event
-# queue, the GAT edge kernel and the gemm vector tile, a short load burst
-# against the serving surface, and a short run of the TE-cycle benchmark with
-# its per-cycle checks. The full race-detector
+# queue, the GAT edge kernel and the gemm vector tile, two training runs whose
+# model files must come out byte for byte, a short load burst against the
+# serving surface, and a short run of the TE-cycle benchmark with its
+# per-cycle checks. The full race-detector
 # pass is its own script: ./scripts/check.sh && ./scripts/race.sh
 set -eu
 cd "$(dirname "$0")/.."
@@ -29,13 +30,31 @@ echo "== fuzz (3 x 5s) =="
 # The packet engine's calendar queue against the reference binary heap:
 # random push/pop interleavings must pop identical (t, seq) sequences.
 go test -run='^$' -fuzz=FuzzCalendarOrder -fuzztime=5s ./internal/pktsim
-# The inference edge kernel against the composed ops it replaces: random
-# small relations and projections must produce identical bits in both dtypes.
+# The GAT edge kernel against the primitive-op graph it replaces: random small
+# relations and projections must produce identical bits in both dtypes — the
+# output on inference tapes, the output and every gradient on gradient tapes.
 go test -run='^$' -fuzz=FuzzEdgeAttention -fuzztime=5s ./internal/autodiff
 # gemm's assembly tile against its Go tile: random small products, store and
 # accumulate, must produce identical bits in both dtypes (skips, saying so,
 # on a machine without AVX2).
 go test -run='^$' -fuzz=FuzzGemmVector -fuzztime=5s ./internal/autodiff
+echo "== training bits =="
+# "Training bits cannot move" as a check: every float of a kernel change is
+# meant to be the float before it, so a training run must write the model file
+# it always wrote. The benchmark's model is refitted and compared with the
+# committed benchmark/model.gob, and a short sate-train run with the digest in
+# scripts/sate-train.sha256. Both were recorded on amd64 at the default
+# GOAMD64=v1; a target whose compiler fuses multiply-adds rounds differently.
+if [ "$(go env GOARCH)" = amd64 ]; then
+	tmp=$(mktemp -d)
+	trap 'rm -rf "$tmp"' EXIT
+	go run ./benchmark -fit-model "$tmp/fit.gob"
+	cmp "$tmp/fit.gob" benchmark/model.gob
+	go run ./cmd/sate-train -epochs 6 -samples 3 -save "$tmp/train.gob" >/dev/null
+	echo "$(cat scripts/sate-train.sha256)  $tmp/train.gob" | sha256sum -c -
+else
+	echo "skipped: digests are recorded for amd64"
+fi
 echo "== obs/chaos race =="
 # The observability subsystem is concurrent by construction (atomic metric
 # recording under HTTP scrapes); always gate it and the controller that
