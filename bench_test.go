@@ -2,7 +2,7 @@
 // generation, path computation, trim, rule compilation), run with plain
 // `go test -bench`. Whole TE cycles — inference, sharding, serving, the
 // packet engine — are measured by `go run ./benchmark` (BENCHMARK.json);
-// the paper's tables and figures regenerate with cmd/sate-bench.
+// the paper's tables and figures regenerate with `sate bench`.
 package sate
 
 import (

@@ -5,7 +5,8 @@
 //
 // Usage:
 //
-//	sate-controld -cons iridium -method ecmp-wf -listen :8080 -interval 5
+//	sate-controld -cons iridium -solver ecmp-wf -listen :8080 -interval 5
+//	sate-controld -cons iridium -solver sate -model m.gob -dtype float32
 //	curl localhost:8080/v1/status
 //	curl localhost:8080/v1/rules?node=12
 //	curl localhost:8080/v1/deltas?since=0
@@ -13,7 +14,8 @@
 //	curl -X POST -d '{"time_sec": 300}' localhost:8080/v1/recompute
 //	go tool pprof http://localhost:8080/debug/pprof/profile?seconds=10
 //
-// The API lives under /v1/ (DESIGN.md §14). GETs serve the published
+// The scenario and solver flags are sim.Spec keys, spelled as in the sate
+// command. The API lives under /v1/ (DESIGN.md §14). GETs serve the published
 // snapshot's cached bytes with its version as ETag, so pollers holding
 // If-None-Match get 304s.
 package main
@@ -28,33 +30,24 @@ import (
 	"os/signal"
 
 	"sate/internal/autodiff"
-	"sate/internal/baselines"
-	"sate/internal/constellation"
 	"sate/internal/controller"
 	"sate/internal/core"
 	"sate/internal/obs"
 	"sate/internal/par"
-	"sate/internal/shard"
 	"sate/internal/sim"
 	"sate/internal/solve"
-	"sate/internal/topology"
 )
 
 func main() {
+	spec := sim.Spec{Cons: "iridium", Solver: "ecmp-wf", ScenarioConfig: sim.ScenarioConfig{
+		Intensity: 8, Seed: 1, MinElevDeg: 10, FlowDurationScale: 0.05,
+	}}
+	spec.Flags(flag.CommandLine, "cons", "intensity", "seed", "min-elev", "dur-scale", "solver", "model", "shards")
 	var (
-		consName  = flag.String("cons", "iridium", "constellation: starlink | iridium | midsize1 | midsize2")
-		method    = flag.String("method", "ecmp-wf", "solver: sate (needs -model) | lp | gk | pop | ecmp-wf | maxmin-fair")
-		modelPath = flag.String("model", "", "trained SaTE model file (for -method sate)")
-		listen    = flag.String("listen", "127.0.0.1:8080", "HTTP listen address")
-		intensity = flag.Float64("intensity", 8, "traffic intensity, flows/s")
-		interval  = flag.Float64("interval", 5, "TE workflow interval, seconds")
-		start     = flag.Float64("start", 150, "initial simulated time")
-		durScale  = flag.Float64("dur-scale", 0.05, "flow duration scale")
-		minElev   = flag.Float64("min-elev", 10, "user min elevation, degrees")
-		seed      = flag.Int64("seed", 1, "random seed")
-
-		dtype  = flag.String("dtype", "float64", "inference precision for -method sate: float64 | float32")
-		shards = flag.Int("shards", 1, "split each solve into this many regional subproblems with boundary reconciliation (1 = monolithic)")
+		dtype    = flag.String("dtype", "float64", "inference precision for -solver sate: float64 | float32")
+		listen   = flag.String("listen", "127.0.0.1:8080", "HTTP listen address")
+		interval = flag.Float64("interval", 5, "TE workflow interval, seconds")
+		start    = flag.Float64("start", 150, "initial simulated time")
 
 		deltaHistory   = flag.Int("delta-history", 0, "rule-delta changelog retention, versions (0 = default 64); clients further behind get a full sync")
 		recomputeQueue = flag.Int("recompute-queue", 0, "max queued /v1/recompute requests coalescing into the next solve (0 = default 64); beyond it requests get 429")
@@ -67,48 +60,26 @@ func main() {
 	)
 	flag.Parse()
 
-	cons, ok := constellation.ByName(*consName)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown constellation %q\n", *consName)
-		os.Exit(2)
-	}
-	scen := sim.NewScenario(cons, sim.ScenarioConfig{
-		Mode:              topology.CrossShellLasers,
-		Intensity:         *intensity,
-		Seed:              *seed,
-		MinElevDeg:        *minElev,
-		FlowDurationScale: *durScale,
-	})
-
-	var solver sim.Allocator
-	switch *method {
-	case "sate":
-		if *modelPath == "" {
-			fmt.Fprintln(os.Stderr, "-method sate requires -model (train one with sate-train -save)")
-			os.Exit(2)
-		}
-		m, err := core.LoadFile(*modelPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		solver = m
-	case "lp":
-		solver = baselines.LPAuto{}
-	case "gk":
-		solver = baselines.GK{Epsilon: 0.05}
-	case "pop":
-		solver = &baselines.POP{K: 4, Seed: *seed}
-	case "ecmp-wf":
-		solver = baselines.ECMPWF{}
-	case "maxmin-fair":
-		solver = baselines.MaxMinFair{}
+	// Every cycle solves through one workspace (DESIGN.md §11): bitwise what
+	// a cold solve returns, without rebuilding what held still since the
+	// previous cycle. Solvers other than SaTE ignore it; the sharded solver
+	// substitutes one per sub-problem.
+	solverOpts := []solve.Option{solve.WithWarm(&core.CycleState{})}
+	switch *dtype {
+	case "float64":
+	case "float32":
+		solverOpts = append(solverOpts, solve.WithDtype(solve.Float32))
 	default:
-		fmt.Fprintf(os.Stderr, "unknown method %q\n", *method)
-		os.Exit(2)
+		fatal(fmt.Errorf("unknown dtype %q (want float64 | float32)", *dtype))
 	}
-	if *shards > 1 {
-		solver = shard.New(solver, *shards)
+
+	scen, err := spec.Scenario()
+	if err != nil {
+		fatal(err)
+	}
+	solver, err := spec.NewSolver()
+	if err != nil {
+		fatal(err)
 	}
 
 	reg := obs.NewRegistry()
@@ -127,19 +98,6 @@ func main() {
 	}
 	if *recomputeQueue > 0 {
 		ctlOpts = append(ctlOpts, controller.WithRecomputeQueue(*recomputeQueue))
-	}
-	// Every cycle solves through one workspace (DESIGN.md §11): bitwise what
-	// a cold solve returns, without rebuilding what held still since the
-	// previous cycle. Solvers other than SaTE ignore it; the sharded solver
-	// substitutes one per sub-problem.
-	solverOpts := []solve.Option{solve.WithWarm(&core.CycleState{})}
-	switch *dtype {
-	case "float64":
-	case "float32":
-		solverOpts = append(solverOpts, solve.WithDtype(solve.Float32))
-	default:
-		fmt.Fprintf(os.Stderr, "unknown dtype %q\n", *dtype)
-		os.Exit(2)
 	}
 	ctlOpts = append(ctlOpts, controller.WithSolverOptions(solverOpts...))
 
@@ -161,7 +119,7 @@ func main() {
 	go func() { errc <- httpSrv.ListenAndServe() }()
 
 	fmt.Printf("sate-controld: %s, method %s, interval %gs, listening on %s\n",
-		cons.Name, solver.Name(), *interval, *listen)
+		scen.Cons.Name, solver.Name(), *interval, *listen)
 	fmt.Printf("gemm kernel: %s\n", autodiff.GemmKernel())
 	if *chaosFailFrac > 0 {
 		fmt.Printf("chaos mode: failing %.1f%% of links per cycle (seed %d)\n", 100**chaosFailFrac, *chaosSeed)
@@ -171,8 +129,7 @@ func main() {
 	select {
 	case err := <-errc:
 		if err != nil && err != http.ErrServerClosed && !errors.Is(err, context.Canceled) {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fatal(err)
 		}
 	case <-ctx.Done():
 		fmt.Println("shutting down")
@@ -181,4 +138,9 @@ func main() {
 	if err := httpSrv.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 	}
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "sate-controld:", err)
+	os.Exit(1)
 }

@@ -33,11 +33,8 @@ import (
 	"sync"
 	"time"
 
-	"sate/internal/baselines"
-	"sate/internal/constellation"
 	"sate/internal/controller"
 	"sate/internal/sim"
-	"sate/internal/topology"
 )
 
 // endpointStats accumulates per-endpoint outcomes for one worker; workers
@@ -205,16 +202,21 @@ func worker(client *http.Client, base string, mix []mixEntry, total int, seed in
 }
 
 func main() {
+	// The in-process controller's scenario; -cons is the sim.Spec key (the
+	// -seed below seeds the request mix, not the scenario).
+	spec := sim.Spec{Cons: "toy-6x8", Solver: "ecmp-wf", ScenarioConfig: sim.ScenarioConfig{
+		Intensity: 60, Seed: 7, MinElevDeg: 5,
+		Users: 2000, UserClusters: 60, Gateways: 8, Relays: 4,
+	}}
+	spec.Flags(flag.CommandLine, "cons")
 	var (
-		url        = flag.String("url", "", "target base URL; empty runs an in-process controller on an ephemeral port")
-		durSec     = flag.Float64("duration", 5, "run duration, seconds")
-		conns      = flag.Int("conns", 8, "concurrent client connections")
-		mixStr     = flag.String("mix", "status=60,allocation=10,rules=5,deltas=20,recompute=5", "weighted endpoint mix")
-		pubSec     = flag.Float64("publish-interval", 0.5, "in-process mode: background recompute interval, seconds (0 disables)")
-		out        = flag.String("out", "", "write a JSON report here")
-		seed       = flag.Int64("seed", 1, "request-mix RNG seed")
-		consPlanes = flag.Int("planes", 6, "in-process mode: toy constellation planes")
-		consSats   = flag.Int("sats", 8, "in-process mode: satellites per plane")
+		url    = flag.String("url", "", "target base URL; empty runs an in-process controller on an ephemeral port")
+		durSec = flag.Float64("duration", 5, "run duration, seconds")
+		conns  = flag.Int("conns", 8, "concurrent client connections")
+		mixStr = flag.String("mix", "status=60,allocation=10,rules=5,deltas=20,recompute=5", "weighted endpoint mix")
+		pubSec = flag.Float64("publish-interval", 0.5, "in-process mode: background recompute interval, seconds (0 disables)")
+		out    = flag.String("out", "", "write a JSON report here")
+		seed   = flag.Int64("seed", 1, "request-mix RNG seed")
 	)
 	flag.Parse()
 
@@ -232,7 +234,7 @@ func main() {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	if base == "" {
-		ln, err := inProcess(ctx, *consPlanes, *consSats, *pubSec)
+		ln, err := inProcess(ctx, spec, *pubSec)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -243,7 +245,7 @@ func main() {
 			}
 		}()
 		base = "http://" + ln.Addr().String()
-		fmt.Printf("sate-load: in-process controller (toy %dx%d) on %s\n", *consPlanes, *consSats, base)
+		fmt.Printf("sate-load: in-process controller (%s) on %s\n", spec.Cons, base)
 	}
 	base = strings.TrimRight(base, "/")
 
@@ -295,21 +297,19 @@ func main() {
 	}
 }
 
-// inProcess builds a toy-constellation controller, primes it with one cycle,
+// inProcess builds a controller on the spec's scenario, primes it with one cycle,
 // serves it on an ephemeral port, and (optionally) keeps publishing fresh
 // snapshots in the background so reads race real version churn.
-func inProcess(ctx context.Context, planes, sats int, pubSec float64) (net.Listener, error) {
-	scen := sim.NewScenario(constellation.Toy(planes, sats), sim.ScenarioConfig{
-		Mode:         topology.CrossShellLasers,
-		Intensity:    60,
-		Seed:         7,
-		Users:        2000,
-		UserClusters: 60,
-		Gateways:     8,
-		Relays:       4,
-		MinElevDeg:   5,
-	})
-	srv := controller.New(scen, baselines.ECMPWF{})
+func inProcess(ctx context.Context, spec sim.Spec, pubSec float64) (net.Listener, error) {
+	scen, err := spec.Scenario()
+	if err != nil {
+		return nil, err
+	}
+	solver, err := spec.NewSolver()
+	if err != nil {
+		return nil, err
+	}
+	srv := controller.New(scen, solver)
 	if err := srv.RecomputeContext(ctx, 100); err != nil {
 		return nil, fmt.Errorf("priming cycle: %w", err)
 	}

@@ -23,7 +23,7 @@ func main() {
 		cons.Size(), len(s0.Links), s0.ConnectedComponents())
 
 	// Topology holding time over a short window (12.5 ms sampling, as in the
-	// paper; extend -snapshots via cmd/sate-topology for the full 40k run).
+	// paper; extend -snapshots with `sate topology` for the full 40k run).
 	const dt = 0.0125
 	const n = 1200 // 15 seconds
 	snaps := gen.Series(0, dt, n)

@@ -155,7 +155,13 @@ func TestByName(t *testing.T) {
 			t.Errorf("ByName(%q) not found", name)
 		}
 	}
-	if _, ok := ByName("nope"); ok {
-		t.Error("ByName(nope) should fail")
+	for _, name := range []string{"nope", "toy-", "toy-5", "toy-5x", "toy-0x6", "toy-5x-1", "toy-axb"} {
+		if _, ok := ByName(name); ok {
+			t.Errorf("ByName(%q) should fail", name)
+		}
+	}
+	c, ok := ByName("toy-5x6")
+	if want := Toy(5, 6); !ok || c.Size() != want.Size() || len(c.Shells) != len(want.Shells) {
+		t.Errorf("ByName(toy-5x6) = %v, %v; want Toy(5, 6)", c, ok)
 	}
 }

@@ -1,5 +1,10 @@
 package constellation
 
+import (
+	"strconv"
+	"strings"
+)
+
 // Presets encoding Table 4 of the paper (orbital parameters for Starlink
 // Phase 1 and Iridium) and the mid-size constellations of Sec. 4 / Appendix G.
 
@@ -66,8 +71,18 @@ func SingleShell(planes, satsPerPlane int) *Constellation {
 }
 
 // ByName returns a preset constellation by its short name, for CLI tools:
-// "starlink", "iridium", "midsize1", "midsize2".
+// "starlink", "iridium", "midsize1", "midsize2", or "toy-<planes>x<sats>"
+// for Toy(planes, sats).
 func ByName(name string) (*Constellation, bool) {
+	if dims, ok := strings.CutPrefix(name, "toy-"); ok {
+		p, s, ok := strings.Cut(dims, "x")
+		planes, errP := strconv.Atoi(p)
+		sats, errS := strconv.Atoi(s)
+		if !ok || errP != nil || errS != nil || planes < 1 || sats < 1 {
+			return nil, false
+		}
+		return Toy(planes, sats), true
+	}
 	switch name {
 	case "starlink":
 		return StarlinkPhase1(), true

@@ -285,7 +285,7 @@ func AblationLoss(opt Options) (*Report, error) {
 	for _, load := range []struct {
 		name      string
 		intensity float64
-	}{{"light load", 0}, {"heavy load (2x)", 2 * sc.intensity}} {
+	}{{"light load", 0}, {"heavy load (2x)", 2 * sc.spec.Intensity}} {
 		trainEval := func(warm float64) (*sim.OnlineResult, error) {
 			s := newScenario(sc, topology.CrossShellLasers, load.intensity, opt.Seed+181)
 			samples, err := makeSamples(s, 3)

@@ -1,7 +1,7 @@
 // Package experiments contains one driver per table and figure of the
 // paper's evaluation (Sec. 5 and Appendices D/H), plus the ablation studies
 // listed in DESIGN.md. Every driver returns a Report that renders as an
-// aligned text table; cmd/sate-bench and the root bench suite call into
+// aligned text table; `sate bench` and the root bench suite call into
 // these drivers.
 //
 // Drivers honour an Options.Full switch: the default CI scale finishes on a
@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"sate/internal/baselines"
-	"sate/internal/constellation"
 	"sate/internal/core"
 	"sate/internal/sim"
 	"sate/internal/te"
@@ -101,18 +100,16 @@ func IDs() []string {
 	return out
 }
 
-// scaleSpec names a constellation scale used in the sweeps.
+// scaleSpec is a constellation scale used in the sweeps: the row label and
+// the scenario it names (the sweep sets mode and seed, and may override the
+// intensity). Small constellations need a lower elevation mask (MinElevDeg)
+// to have meaningful coverage; FlowDurationScale multiplies the Table-2 flow
+// durations so that the arrival process reaches steady state within the
+// simulated horizon (the paper itself scales bandwidth/flows down, Sec. 4
+// footnote 5).
 type scaleSpec struct {
 	name string
-	cons func() *constellation.Constellation
-	// minElev for user access; small constellations need a lower threshold
-	// to have meaningful coverage (see sim.ScenarioConfig.MinElevDeg).
-	minElevDeg float64
-	intensity  float64 // default traffic intensity for this scale
-	// durScale multiplies the Table-2 flow durations so that the arrival
-	// process reaches steady state within the simulated horizon (the paper
-	// itself scales bandwidth/flows down, Sec. 4 footnote 5).
-	durScale float64
+	spec sim.Spec
 }
 
 // Steady-state timeline under durScale 0.05: mean flow lifetime ~51 s, so
@@ -128,18 +125,18 @@ const (
 
 func ciScales() []scaleSpec {
 	return []scaleSpec{
-		{name: "toy-60", cons: func() *constellation.Constellation { return constellation.Toy(5, 6) }, minElevDeg: 5, intensity: 6, durScale: 0.05},
-		{name: "iridium-66", cons: constellation.Iridium, minElevDeg: 5, intensity: 6, durScale: 0.05},
-		{name: "toy-160", cons: func() *constellation.Constellation { return constellation.Toy(8, 10) }, minElevDeg: 5, intensity: 10, durScale: 0.05},
+		{"toy-60", sim.Spec{Cons: "toy-5x6", ScenarioConfig: sim.ScenarioConfig{Intensity: 6, MinElevDeg: 5, FlowDurationScale: 0.05}}},
+		{"iridium-66", sim.Spec{Cons: "iridium", ScenarioConfig: sim.ScenarioConfig{Intensity: 6, MinElevDeg: 5, FlowDurationScale: 0.05}}},
+		{"toy-160", sim.Spec{Cons: "toy-8x10", ScenarioConfig: sim.ScenarioConfig{Intensity: 10, MinElevDeg: 5, FlowDurationScale: 0.05}}},
 	}
 }
 
 func fullScales() []scaleSpec {
 	return []scaleSpec{
-		{name: "iridium-66", cons: constellation.Iridium, minElevDeg: 5, intensity: 12, durScale: 0.05},
-		{name: "midsize-396", cons: constellation.MidSize1, minElevDeg: 10, intensity: 125, durScale: 0.05},
-		{name: "midsize-1584", cons: constellation.MidSize2, minElevDeg: 25, intensity: 250, durScale: 0.05},
-		{name: "starlink-4236", cons: constellation.StarlinkPhase1, minElevDeg: 25, intensity: 500, durScale: 0.05},
+		{"iridium-66", sim.Spec{Cons: "iridium", ScenarioConfig: sim.ScenarioConfig{Intensity: 12, MinElevDeg: 5, FlowDurationScale: 0.05}}},
+		{"midsize-396", sim.Spec{Cons: "midsize1", ScenarioConfig: sim.ScenarioConfig{Intensity: 125, MinElevDeg: 10, FlowDurationScale: 0.05}}},
+		{"midsize-1584", sim.Spec{Cons: "midsize2", ScenarioConfig: sim.ScenarioConfig{Intensity: 250, MinElevDeg: 25, FlowDurationScale: 0.05}}},
+		{"starlink-4236", sim.Spec{Cons: "starlink", ScenarioConfig: sim.ScenarioConfig{Intensity: 500, MinElevDeg: 25, FlowDurationScale: 0.05}}},
 	}
 }
 
@@ -150,18 +147,19 @@ func scales(opt Options) []scaleSpec {
 	return ciScales()
 }
 
-// newScenario builds a sim scenario for a scale spec.
+// newScenario builds a sim scenario for a scale spec in the given mode and
+// seed; intensity 0 keeps the scale's own.
 func newScenario(sc scaleSpec, mode topology.CrossShellMode, intensity float64, seed int64) *sim.Scenario {
-	if intensity == 0 {
-		intensity = sc.intensity
+	spec := sc.spec
+	spec.Mode, spec.Seed = mode, seed
+	if intensity != 0 {
+		spec.Intensity = intensity
 	}
-	return sim.NewScenario(sc.cons(), sim.ScenarioConfig{
-		Mode:              mode,
-		Intensity:         intensity,
-		Seed:              seed,
-		MinElevDeg:        sc.minElevDeg,
-		FlowDurationScale: sc.durScale,
-	})
+	s, err := spec.Scenario()
+	if err != nil {
+		panic("experiments: " + err.Error()) // the scale tables name known constellations only
+	}
+	return s
 }
 
 // labelSolver returns the reference solver used for training labels and

@@ -247,15 +247,22 @@ func NewRuleChangelog(maxEntries int) *RuleChangelog { return ruledist.NewChange
 // version's rules; the input is not mutated.
 var ApplyRuleDelta = ruledist.Apply
 
-// Solvers gives access to the paper's baselines as ready-to-use allocators.
+// Solvers gives access to the paper's baselines as ready-to-use allocators,
+// keyed by their names in the solver table (sim.SolverNames) that every
+// driver resolves "-solver" through.
 func Solvers() map[string]Allocator {
-	return map[string]Allocator{
-		"lp":          baselines.LPAuto{},
-		"gk":          baselines.GK{Epsilon: 0.05},
-		"pop":         &baselines.POP{K: 4},
-		"ecmp-wf":     baselines.ECMPWF{},
-		"maxmin-fair": baselines.MaxMinFair{},
+	out := map[string]Allocator{}
+	for _, name := range sim.SolverNames() {
+		if name == "sate" {
+			continue // needs a trained model: Train or LoadModel
+		}
+		al, err := sim.Spec{Solver: name}.NewSolver()
+		if err != nil {
+			panic("sate: building baseline " + name + ": " + err.Error()) // baselines take no input that can fail
+		}
+		out[name] = al
 	}
+	return out
 }
 
 // SaveModel writes a trained model to a file; LoadModel restores it.

@@ -42,7 +42,7 @@ echo "== training bits =="
 # "Training bits cannot move" as a check: every float of a kernel change is
 # meant to be the float before it, so a training run must write the model file
 # it always wrote. The benchmark's model is refitted and compared with the
-# committed benchmark/model.gob, and a short sate-train run with the digest in
+# committed benchmark/model.gob, and a short `sate train` run with the digest in
 # scripts/sate-train.sha256. Both were recorded on amd64 at the default
 # GOAMD64=v1; a target whose compiler fuses multiply-adds rounds differently.
 if [ "$(go env GOARCH)" = amd64 ]; then
@@ -50,7 +50,7 @@ if [ "$(go env GOARCH)" = amd64 ]; then
 	trap 'rm -rf "$tmp"' EXIT
 	go run ./benchmark -fit-model "$tmp/fit.gob"
 	cmp "$tmp/fit.gob" benchmark/model.gob
-	go run ./cmd/sate-train -epochs 6 -samples 3 -save "$tmp/train.gob" >/dev/null
+	go run ./cmd/sate train -epochs 6 -samples 3 -save "$tmp/train.gob" >/dev/null
 	echo "$(cat scripts/sate-train.sha256)  $tmp/train.gob" | sha256sum -c -
 else
 	echo "skipped: digests are recorded for amd64"
