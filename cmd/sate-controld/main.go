@@ -31,7 +31,6 @@ import (
 
 	"sate/internal/autodiff"
 	"sate/internal/controller"
-	"sate/internal/core"
 	"sate/internal/obs"
 	"sate/internal/par"
 	"sate/internal/sim"
@@ -60,11 +59,7 @@ func main() {
 	)
 	flag.Parse()
 
-	// Every cycle solves through one workspace (DESIGN.md §11): bitwise what
-	// a cold solve returns, without rebuilding what held still since the
-	// previous cycle. Solvers other than SaTE ignore it; the sharded solver
-	// substitutes one per sub-problem.
-	solverOpts := []solve.Option{solve.WithWarm(&core.CycleState{})}
+	var solverOpts []solve.Option
 	switch *dtype {
 	case "float64":
 	case "float32":

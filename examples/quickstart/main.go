@@ -6,6 +6,8 @@ package main
 import (
 	"fmt"
 	"log"
+	"maps"
+	"slices"
 	"time"
 
 	"sate"
@@ -45,12 +47,13 @@ func main() {
 	fmt.Printf("SaTE:       %.1f%% satisfied in %s\n",
 		100*problem.SatisfiedDemand(alloc), time.Since(start).Round(time.Microsecond))
 
-	for name, solver := range sate.Solvers() {
+	solvers := sate.Solvers()
+	for _, name := range slices.Sorted(maps.Keys(solvers)) {
 		if name == "gk" {
 			continue // lp already covers the reference role here
 		}
 		start = time.Now()
-		a, err := solver.Solve(problem)
+		a, err := solvers[name].Solve(problem)
 		if err != nil {
 			log.Fatal(err)
 		}

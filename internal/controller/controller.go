@@ -195,10 +195,10 @@ func WithRegistry(r *obs.Registry) Option {
 }
 
 // WithSolverOptions appends solve options passed on every cycle's Solve
-// call — e.g. solve.WithDtype(solve.Float32) for the low-precision
-// inference path, or solve.WithWarm(&core.CycleState{}) for cross-cycle
-// warm starts. Cycles are serialized on an internal mutex, so one warm
-// state attached here is never used by two solves at once.
+// call — e.g. solve.WithDtype(solve.Float32), which sate-controld's
+// -dtype float32 attaches, for the low-precision inference path. Cycles
+// are serialized on an internal mutex, so a warm state attached here is
+// never used by two solves at once.
 func WithSolverOptions(opts ...solve.Option) Option {
 	return func(s *Server) { s.solverOpts = append(s.solverOpts, opts...) }
 }

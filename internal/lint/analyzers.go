@@ -8,30 +8,15 @@ import (
 	"strings"
 )
 
-// Analyzers returns the full rule suite in stable order.
-func Analyzers() []*Analyzer {
-	return []*Analyzer{
-		noNakedGoroutine,
-		seededRandOnly,
-		noWallclockInSim,
-		noFloatEquality,
-		checkedErrors,
-		noFmtPrintInLib,
-		noDtypeLiteral,
-		mapOrderDeterminism,
-		ctxPropagation,
-		unusedSuppression,
-	}
-}
-
-// unusedSuppression is a pseudo-rule: its findings are produced by Run
-// itself after every other analyzer has had the chance to consume each
-// //lint:ignore directive. Registering it here makes it toggleable and
-// listable like any other rule.
-var unusedSuppression = &Analyzer{
-	Name: unusedRule,
-	Doc: "a //lint:ignore directive that suppressed nothing in this run is a " +
-		"stale exemption (or names a rule that does not exist); remove it",
+// analyzers is the full rule suite in stable order.
+var analyzers = []*analyzer{
+	noNakedGoroutine,
+	seededRandOnly,
+	noWallclockInSim,
+	noFloatEquality,
+	checkedErrors,
+	noFmtPrintInLib,
+	noDtypeLiteral,
 }
 
 // poolPath is the one package allowed to spawn goroutines: every other
@@ -40,13 +25,13 @@ const poolPath = "internal/par"
 
 // wallclockDeny lists the deterministic packages where reading the wall
 // clock breaks reproducibility: the simulated-time pipeline (orbit,
-// topology, traffic, te, lp, gnn, autodiff, paths, graphembed), the
-// solver/rules layers added in PRs 4-5, the core warm-start path (PR 6),
-// internal/sim — the few sites in sim that time the *solver* (where
+// topology, traffic, te, lp, gnn, autodiff, paths, graphembed), the solver
+// and rule layers (solve, rules, ruledist), the solvers themselves (core,
+// shard), internal/sim — the few sites in sim that time the *solver* (where
 // wall-clock latency is the measurement itself) carry explicit reasoned
 // //lint:ignore directives instead of a package-wide exemption — and
 // internal/pktsim, the discrete-event packet engine, whose entire clock is
-// virtual (the head of its event heap).
+// virtual (the head of its event queue).
 // baselines, experiments, controller, cmd/ and the root package remain
 // exempt: there, wall-clock timing is the deliverable (figure tables,
 // production control loop pacing).
@@ -68,12 +53,6 @@ var wallclockDeny = map[string]bool{
 	"internal/ruledist":   true,
 	"internal/pktsim":     true,
 }
-
-// deterministicPkg is the set map-order-determinism enforces: the same
-// packages whose outputs must be bitwise-reproducible, which is exactly
-// the wall-clock deny set (a package that may not read the clock may not
-// leak map iteration order either).
-var deterministicPkg = wallclockDeny
 
 // globalRand lists the math/rand top-level functions that draw from the
 // shared global source. Constructors (New, NewSource, NewZipf) are fine:
@@ -114,10 +93,10 @@ func importedCall(f *File, call *ast.CallExpr, paths ...string) (string, bool) {
 	return "", false
 }
 
-var noNakedGoroutine = &Analyzer{
-	Name: "no-naked-goroutine",
-	Doc: "go statements are forbidden outside internal/par and _test.go files; " +
-		"all parallelism flows through the deterministic worker pool",
+// noNakedGoroutine: go statements are forbidden outside internal/par and
+// _test.go files; all parallelism flows through the deterministic worker pool.
+var noNakedGoroutine = &analyzer{
+	name: "no-naked-goroutine",
 	run: func(f *File, report func(ast.Node, string, ...any)) {
 		if f.IsTest || f.RelPath == poolPath {
 			return
@@ -131,10 +110,10 @@ var noNakedGoroutine = &Analyzer{
 	},
 }
 
-var seededRandOnly = &Analyzer{
-	Name: "seeded-rand-only",
-	Doc: "top-level math/rand functions draw from the unseeded global source; " +
-		"library code must thread an explicit *rand.Rand",
+// seededRandOnly: top-level math/rand functions draw from the unseeded
+// global source; library code must thread an explicit *rand.Rand.
+var seededRandOnly = &analyzer{
+	name: "seeded-rand-only",
 	run: func(f *File, report func(ast.Node, string, ...any)) {
 		if f.IsTest {
 			return
@@ -152,11 +131,12 @@ var seededRandOnly = &Analyzer{
 	},
 }
 
-var noWallclockInSim = &Analyzer{
-	Name: "no-wallclock-in-sim",
-	Doc: "time.Now/time.Since are forbidden in simulated-time packages " +
-		"(orbit, topology, traffic, te, lp, gnn, autodiff, paths, graphembed); " +
-		"time must arrive as a parameter",
+// noWallclockInSim: time.Now/time.Since are forbidden in the simulated-time
+// packages of wallclockDeny (orbit, topology, traffic, te, lp, gnn, autodiff,
+// paths, graphembed, solve, rules, core, shard, sim, ruledist, pktsim); time
+// must arrive as a parameter.
+var noWallclockInSim = &analyzer{
+	name: "no-wallclock-in-sim",
 	run: func(f *File, report func(ast.Node, string, ...any)) {
 		if f.IsTest || !wallclockDeny[f.RelPath] {
 			return
@@ -180,11 +160,12 @@ func isFloat(t types.Type) bool {
 	return ok && b.Info()&types.IsFloat != 0
 }
 
-var noFloatEquality = &Analyzer{
-	Name: "no-float-equality",
-	Doc: "==/!= between two computed float expressions is almost always a bug; " +
-		"comparisons against constants (exact sentinels like 0) are allowed, as are " +
-		"the serial-vs-parallel equivalence tests where bitwise equality is the point",
+// noFloatEquality: ==/!= between two computed float expressions is almost
+// always a bug; comparisons against constants (exact sentinels like 0) are
+// allowed, as are the serial-vs-parallel equivalence tests where bitwise
+// equality is the point.
+var noFloatEquality = &analyzer{
+	name: "no-float-equality",
 	run: func(f *File, report func(ast.Node, string, ...any)) {
 		if f.RelPath == poolPath || strings.HasSuffix(filepath.Base(f.Name), "parallel_test.go") {
 			return
@@ -282,11 +263,11 @@ func errExempt(f *File, call *ast.CallExpr) bool {
 	return false
 }
 
-var checkedErrors = &Analyzer{
-	Name: "checked-errors",
-	Doc: "a call whose returned error is silently discarded as a bare statement " +
-		"must handle it or assign it away explicitly (_ =); defers, stdio prints, " +
-		"in-memory buffer writes, and sticky-error bufio prints are exempt",
+// checkedErrors: a call whose returned error is silently discarded as a bare
+// statement must handle it or assign it away explicitly (_ =); defers, stdio
+// prints, in-memory buffer writes, and sticky-error bufio prints are exempt.
+var checkedErrors = &analyzer{
+	name: "checked-errors",
 	run: func(f *File, report func(ast.Node, string, ...any)) {
 		if f.IsTest {
 			return
@@ -332,12 +313,12 @@ func floatConstrained(tp *types.TypeParam) bool {
 	return false
 }
 
-var noDtypeLiteral = &Analyzer{
-	Name: "no-dtype-literal",
-	Doc: "a float64(x)/float32(x) conversion of a float-constrained type parameter " +
-		"pins generic kernel code to one dtype and silently defeats the float32 " +
-		"inference path; route scalar math through the sanctioned helpers " +
-		"(autodiff's f64/ToFloat64) instead",
+// noDtypeLiteral: a float64(x)/float32(x) conversion of a float-constrained
+// type parameter pins generic kernel code to one dtype and silently defeats
+// the float32 inference path; route scalar math through the sanctioned
+// helpers (autodiff's f64/ToFloat64) instead.
+var noDtypeLiteral = &analyzer{
+	name: "no-dtype-literal",
 	run: func(f *File, report func(ast.Node, string, ...any)) {
 		if f.IsTest {
 			return // equivalence tests widen T deliberately
@@ -365,10 +346,10 @@ var noDtypeLiteral = &Analyzer{
 	},
 }
 
-var noFmtPrintInLib = &Analyzer{
-	Name: "no-fmt-print-in-lib",
-	Doc: "fmt.Print*/println write to process stdout/stderr from library code; " +
-		"take an io.Writer instead (cmd/ and examples/ are exempt)",
+// noFmtPrintInLib: fmt.Print*/println write to process stdout/stderr from
+// library code; take an io.Writer instead (cmd/ and examples/ are exempt).
+var noFmtPrintInLib = &analyzer{
+	name: "no-fmt-print-in-lib",
 	run: func(f *File, report func(ast.Node, string, ...any)) {
 		if f.IsTest {
 			return

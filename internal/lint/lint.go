@@ -1,15 +1,11 @@
-// Package lint implements satelint, the project's static-analysis suite.
-// It enforces the determinism and concurrency invariants the SaTE
-// reproduction depends on — all parallelism goes through the internal/par
-// pool, randomness flows through explicit seeded *rand.Rand values, and
-// simulated-time packages never read the wall clock — plus general hygiene
-// rules (discarded errors, float equality, stray prints in library code).
-//
-// Beyond the per-file AST checks — which include map-order-determinism:
-// map iteration in deterministic packages must not accumulate
-// order-dependent state — the suite builds a whole-program direct-call
-// graph (see callgraph.go) for ctx-propagation: a context.Context received
-// by a function must not be dropped on its way down a call chain.
+// Package lint is the project's static-analysis suite. It enforces the
+// determinism and concurrency invariants the SaTE reproduction depends on —
+// all parallelism goes through the internal/par pool, randomness flows
+// through explicit seeded *rand.Rand values, and simulated-time packages
+// never read the wall clock — plus general hygiene rules (discarded errors,
+// float equality, stray prints in library code, dtype-pinning conversions).
+// Every rule is per-file: it looks at one type-checked AST. TestSelfLint
+// runs the suite over the module inside `go test ./...`.
 //
 // The suite is built purely on the standard library (go/ast, go/parser,
 // go/token, go/types); package resolution shells out to the go command for
@@ -45,15 +41,10 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Rule, f.Msg)
 }
 
-// Analyzer is one named, individually toggleable rule. Per-file rules set
-// run; whole-program rules set runProgram and receive the call graph.
-// A pseudo-rule (unused-suppression) may set neither: its findings are
-// produced by Run itself.
-type Analyzer struct {
-	Name       string
-	Doc        string
-	run        func(f *File, report func(n ast.Node, format string, args ...any))
-	runProgram func(p *Program, report func(f *File, n ast.Node, format string, args ...any))
+// analyzer is one named per-file rule.
+type analyzer struct {
+	name string
+	run  func(f *File, report func(n ast.Node, format string, args ...any))
 }
 
 // directiveRule is the pseudo-rule under which malformed //lint:ignore
@@ -61,7 +52,8 @@ type Analyzer struct {
 const directiveRule = "lint-directive"
 
 // unusedRule is the pseudo-rule under which stale suppressions are
-// reported; it is registered as a toggleable analyzer in Analyzers.
+// reported: a //lint:ignore directive that suppressed nothing, or that names
+// a rule that does not exist.
 const unusedRule = "unused-suppression"
 
 // directive is one parsed //lint:ignore comment.
@@ -94,9 +86,9 @@ func (t *suppTable) suppressed(rule string, line int) bool {
 	return false
 }
 
-// Run applies the analyzers to every file and returns the unsuppressed
+// Run applies every rule to every file and returns the unsuppressed
 // findings sorted by position.
-func Run(files []*File, analyzers []*Analyzer) []Finding {
+func Run(files []*File) []Finding {
 	var out []Finding
 	tables := map[*File]*suppTable{}
 	for _, f := range files {
@@ -115,58 +107,25 @@ func Run(files []*File, analyzers []*Analyzer) []Finding {
 		}
 	}
 
-	active := map[string]bool{directiveRule: true}
-	needProgram := false
-	for _, a := range analyzers {
-		active[a.Name] = true
-		if a.runProgram != nil {
-			needProgram = true
-		}
-	}
 	for _, f := range files {
 		for _, a := range analyzers {
-			if a.run != nil {
-				a.run(f, reporter(f, a.Name))
-			}
-		}
-	}
-	if needProgram {
-		prog := BuildProgram(files)
-		for _, a := range analyzers {
-			if a.runProgram != nil {
-				rule := a.Name
-				a.runProgram(prog, func(f *File, n ast.Node, format string, args ...any) {
-					reporter(f, rule)(n, format, args...)
-				})
-			}
+			a.run(f, reporter(f, a.name))
 		}
 	}
 
-	// Stale-suppression pass: a directive rule that is active in this
-	// run but suppressed nothing is a stale exemption; a rule name no
-	// analyzer has ever carried is a typo. Rules that exist but were
-	// deselected this run are left alone — we cannot judge them.
-	if active[unusedRule] {
-		known := knownRules()
-		for _, f := range files {
-			for _, d := range tables[f].list {
-				for _, r := range d.rules {
-					if !known[r] {
-						out = append(out, Finding{
-							Pos:  d.pos,
-							Rule: unusedRule,
-							Msg:  fmt.Sprintf("directive names unknown rule %q", r),
-						})
-						continue
-					}
-					if active[r] && !d.used[r] {
-						out = append(out, Finding{
-							Pos:  d.pos,
-							Rule: unusedRule,
-							Msg:  fmt.Sprintf("suppression of %s matches no finding; remove the stale directive", r),
-						})
-					}
+	// Stale-suppression pass: a directive rule that suppressed nothing is a
+	// stale exemption; a rule name no analyzer carries is a typo.
+	known := knownRules()
+	for _, f := range files {
+		for _, d := range tables[f].list {
+			for _, r := range d.rules {
+				msg := fmt.Sprintf("suppression of %s matches no finding; remove the stale directive", r)
+				if !known[r] {
+					msg = fmt.Sprintf("directive names unknown rule %q", r)
+				} else if d.used[r] {
+					continue
 				}
+				out = append(out, Finding{Pos: d.pos, Rule: unusedRule, Msg: msg})
 			}
 		}
 	}
@@ -191,8 +150,8 @@ func Run(files []*File, analyzers []*Analyzer) []Finding {
 // pseudo-rules, for typo detection in directives.
 func knownRules() map[string]bool {
 	known := map[string]bool{directiveRule: true, unusedRule: true}
-	for _, a := range Analyzers() {
-		known[a.Name] = true
+	for _, a := range analyzers {
+		known[a.name] = true
 	}
 	return known
 }
@@ -224,43 +183,4 @@ func buildSuppTable(f *File) (*suppTable, []Finding) {
 		}
 	}
 	return t, bad
-}
-
-// Select returns the analyzers chosen by the only/skip lists (comma- or
-// space-separated rule names); an empty only-list means all. Unknown names
-// are an error so typos cannot silently disable a gate.
-func Select(all []*Analyzer, only, skip string) ([]*Analyzer, error) {
-	names := map[string]*Analyzer{}
-	for _, a := range all {
-		names[a.Name] = a
-	}
-	parse := func(s string) (map[string]bool, error) {
-		set := map[string]bool{}
-		for _, f := range strings.FieldsFunc(s, func(r rune) bool { return r == ',' || r == ' ' }) {
-			if names[f] == nil {
-				return nil, fmt.Errorf("lint: unknown rule %q", f)
-			}
-			set[f] = true
-		}
-		return set, nil
-	}
-	onlySet, err := parse(only)
-	if err != nil {
-		return nil, err
-	}
-	skipSet, err := parse(skip)
-	if err != nil {
-		return nil, err
-	}
-	var out []*Analyzer
-	for _, a := range all {
-		if len(onlySet) > 0 && !onlySet[a.Name] {
-			continue
-		}
-		if skipSet[a.Name] {
-			continue
-		}
-		out = append(out, a)
-	}
-	return out, nil
 }

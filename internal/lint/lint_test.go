@@ -20,12 +20,12 @@ var (
 func fixture(t *testing.T) []Finding {
 	t.Helper()
 	fixtureOnce.Do(func() {
-		files, err := Load(Options{Dir: filepath.Join("testdata", "mod")})
+		files, err := Load(filepath.Join("testdata", "mod"))
 		if err != nil {
 			fixtureErr = err
 			return
 		}
-		fixtureFindings = Run(files, Analyzers())
+		fixtureFindings = Run(files)
 	})
 	if fixtureErr != nil {
 		t.Fatal(fixtureErr)
@@ -135,26 +135,6 @@ func TestMalformedDirective(t *testing.T) {
 	)
 }
 
-func TestMapOrderDeterminism(t *testing.T) {
-	wantExact(t, "map-order-determinism",
-		"internal/te/maporder.go:15:3", // float += in map range
-		"internal/te/maporder.go:24:3", // append without a following sort
-		"internal/te/maporder.go:32:3", // WriteString emits in map order
-	)
-	// SumSorted (collect-sort-fold), ScaleLoads (keyed write), and the
-	// suppressed SumTolerant accumulation must all be absent.
-}
-
-func TestCtxPropagation(t *testing.T) {
-	wantExact(t, "ctx-propagation",
-		"internal/lib/ctxprop.go:20:17", // context.Background with ctx in scope
-		"internal/lib/ctxprop.go:24:53", // unused ctx parameter
-		"internal/lib/ctxprop.go:31:15", // chain drop through freshLookup
-	)
-	// Propagates (pass-through), freshLookup itself (no ctx in scope), and
-	// the suppressed DetachedProbe drop must all be absent.
-}
-
 func TestUnusedSuppression(t *testing.T) {
 	wantExact(t, "unused-suppression",
 		"internal/lib/unused.go:6:2", // stale: shields no finding
@@ -178,56 +158,4 @@ func TestFindingFormat(t *testing.T) {
 		return
 	}
 	t.Fatal("expected spawn.go finding not present")
-}
-
-func TestSelect(t *testing.T) {
-	all := Analyzers()
-	only, err := Select(all, "seeded-rand-only,no-float-equality", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(only) != 2 || only[0].Name != "seeded-rand-only" || only[1].Name != "no-float-equality" {
-		t.Fatalf("only = %v", names(only))
-	}
-	skip, err := Select(all, "", "checked-errors")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(skip) != len(all)-1 {
-		t.Fatalf("skip = %v", names(skip))
-	}
-	for _, a := range skip {
-		if a.Name == "checked-errors" {
-			t.Fatal("checked-errors not skipped")
-		}
-	}
-	if _, err := Select(all, "no-such-rule", ""); err == nil {
-		t.Fatal("unknown rule silently accepted")
-	}
-}
-
-func names(as []*Analyzer) []string {
-	var out []string
-	for _, a := range as {
-		out = append(out, a.Name)
-	}
-	return out
-}
-
-// TestRuleToggling proves each analyzer can run in isolation: running only
-// one rule yields exactly that rule's findings.
-func TestRuleToggling(t *testing.T) {
-	files, err := Load(Options{Dir: filepath.Join("testdata", "mod")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	only, err := Select(Analyzers(), "no-wallclock-in-sim", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range Run(files, only) {
-		if f.Rule != "no-wallclock-in-sim" && f.Rule != directiveRule {
-			t.Errorf("unexpected rule %s at %s", f.Rule, f.Pos)
-		}
-	}
 }

@@ -16,18 +16,6 @@ import (
 	"strings"
 )
 
-// Options configures Load.
-type Options struct {
-	// Dir is the module directory to lint. Empty means the current
-	// directory.
-	Dir string
-	// Patterns are package patterns in `go list` syntax. Empty means
-	// ["./..."].
-	Patterns []string
-	// SkipTests excludes _test.go files from analysis.
-	SkipTests bool
-}
-
 // File is one parsed, type-checked source file plus the package context the
 // analyzers need.
 type File struct {
@@ -68,31 +56,22 @@ func cleanPath(p string) string {
 	return p
 }
 
-// Load resolves the given package patterns with the go command, type-checks
-// every matched package from source (dependencies are loaded from compiler
-// export data, so only the matched packages are re-checked), and returns the
-// files to analyze.
+// Load resolves every package of the module rooted at dir (`./...`, test
+// files included) with the go command, type-checks each from source
+// (dependencies are loaded from compiler export data, so only the module's
+// packages are re-checked), and returns the files to analyze. An empty dir
+// means the current directory.
 //
 // The heavy lifting is delegated to `go list -deps -export`, which compiles
 // dependency export data into the build cache; the linter itself depends
 // only on the standard library.
-func Load(opts Options) ([]*File, error) {
-	patterns := opts.Patterns
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	modPath, err := goListModule(opts.Dir)
+func Load(dir string) ([]*File, error) {
+	modPath, err := goListModule(dir)
 	if err != nil {
 		return nil, err
 	}
-
-	args := []string{"list", "-deps", "-export",
-		"-json=ImportPath,Dir,Export,GoFiles,DepOnly,ForTest"}
-	if !opts.SkipTests {
-		args = append(args, "-test")
-	}
-	args = append(args, patterns...)
-	out, err := runGo(opts.Dir, args...)
+	out, err := runGo(dir, "list", "-deps", "-export", "-test",
+		"-json=ImportPath,Dir,Export,GoFiles,DepOnly,ForTest", "./...")
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +87,7 @@ func Load(opts Options) ([]*File, error) {
 	var files []*File
 	for _, clean := range order {
 		p := targets[clean]
-		pkgFiles, err := checkPackage(fset, imp, modPath, clean, p, opts.SkipTests)
+		pkgFiles, err := checkPackage(fset, imp, modPath, clean, p)
 		if err != nil {
 			return nil, err
 		}
@@ -117,11 +96,11 @@ func Load(opts Options) ([]*File, error) {
 	return files, nil
 }
 
-// parseList decodes a `go list -deps -export -json` stream in one pass:
-// it collects export data for every package and picks the lint targets.
-// When tests are included, `go list -test` emits both "pkg" and the
-// superset variant "pkg [pkg.test]"; only the variant is linted so each
-// file is analyzed exactly once.
+// parseList decodes a `go list -deps -export -test -json` stream in one
+// pass: it collects export data for every package and picks the lint
+// targets. `go list -test` emits both "pkg" and the superset variant
+// "pkg [pkg.test]"; only the variant is linted so each file is analyzed
+// exactly once.
 func parseList(out []byte) (exports map[string]string, targets map[string]listPkg, order []string, err error) {
 	exports = map[string]string{}
 	targets = map[string]listPkg{}
@@ -169,7 +148,7 @@ func exportImporter(fset *token.FileSet, exports map[string]string) types.Import
 }
 
 // checkPackage parses and type-checks one package and wraps its files.
-func checkPackage(fset *token.FileSet, imp types.Importer, modPath, clean string, p listPkg, skipTests bool) ([]*File, error) {
+func checkPackage(fset *token.FileSet, imp types.Importer, modPath, clean string, p listPkg) ([]*File, error) {
 	var asts []*ast.File
 	var names []string
 	for _, g := range p.GoFiles {
@@ -201,12 +180,8 @@ func checkPackage(fset *token.FileSet, imp types.Importer, modPath, clean string
 	}
 	var files []*File
 	for i, a := range asts {
-		isTest := strings.HasSuffix(names[i], "_test.go")
-		if isTest && skipTests {
-			continue
-		}
 		files = append(files, &File{
-			Fset: fset, Ast: a, Name: names[i], IsTest: isTest,
+			Fset: fset, Ast: a, Name: names[i], IsTest: strings.HasSuffix(names[i], "_test.go"),
 			Pkg: pkg, Info: info, ImportPath: clean, RelPath: rel,
 		})
 	}

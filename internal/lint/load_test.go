@@ -8,22 +8,10 @@ import (
 	"testing"
 )
 
-// TestLoadBadPattern: a pattern matching no packages surfaces the go list
-// failure instead of silently linting nothing.
-func TestLoadBadPattern(t *testing.T) {
-	_, err := Load(Options{Dir: filepath.Join("testdata", "mod"), Patterns: []string{"./no-such-dir/..."}})
-	if err == nil {
-		t.Fatal("Load succeeded on a pattern matching nothing")
-	}
-	if !strings.Contains(err.Error(), "go list") {
-		t.Errorf("error = %v, want the go list invocation folded in", err)
-	}
-}
-
 // TestLoadOutsideModule: a directory with no go.mod is rejected up front by
 // the module-path probe.
 func TestLoadOutsideModule(t *testing.T) {
-	_, err := Load(Options{Dir: t.TempDir()})
+	_, err := Load(t.TempDir())
 	if err == nil {
 		t.Fatal("Load succeeded outside a module")
 	}
@@ -82,7 +70,7 @@ func TestCheckPackageParseError(t *testing.T) {
 	}
 	fset := token.NewFileSet()
 	_, err := checkPackage(fset, exportImporter(fset, nil), "m", "m/x",
-		listPkg{ImportPath: "m/x", Dir: dir, GoFiles: []string{"bad.go"}}, false)
+		listPkg{ImportPath: "m/x", Dir: dir, GoFiles: []string{"bad.go"}})
 	if err == nil {
 		t.Fatal("checkPackage accepted a syntactically invalid file")
 	}
@@ -101,7 +89,7 @@ func TestCheckPackageMissingExport(t *testing.T) {
 	}
 	fset := token.NewFileSet()
 	_, err := checkPackage(fset, exportImporter(fset, map[string]string{}), "m", "m/x",
-		listPkg{ImportPath: "m/x", Dir: dir, GoFiles: []string{"x.go"}}, false)
+		listPkg{ImportPath: "m/x", Dir: dir, GoFiles: []string{"x.go"}})
 	if err == nil {
 		t.Fatal("checkPackage type-checked against a missing export archive")
 	}

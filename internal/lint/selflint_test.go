@@ -14,16 +14,16 @@ func TestSelfLint(t *testing.T) {
 		t.Skip("self-lint type-checks the whole module; skipped in -short mode")
 	}
 	root := moduleRoot(t)
-	files, err := Load(Options{Dir: root})
+	files, err := Load(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings := Run(files, Analyzers())
+	findings := Run(files)
 	for _, f := range findings {
 		t.Errorf("%s", f)
 	}
 	if len(findings) > 0 {
-		t.Fatalf("satelint found %d violation(s); fix them or add a //lint:ignore <rule> <reason> directive", len(findings))
+		t.Fatalf("lint found %d violation(s); fix them or add a //lint:ignore <rule> <reason> directive", len(findings))
 	}
 	// Sanity floor: an empty load would vacuously pass.
 	if len(files) < 50 {

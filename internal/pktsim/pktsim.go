@@ -13,8 +13,8 @@
 // at any SATE_WORKERS setting. Three rules make that hold:
 //
 //   - Virtual time only. The engine never reads the wall clock; the clock
-//     is the earliest pending event (pktsim is in satelint's wall-clock and
-//     map-order deny sets).
+//     is the earliest pending event (pktsim is in satelint's wall-clock
+//     deny set).
 //   - Total event order. The calendar queue pops events by (time, sequence)
 //     where sequence numbers are assigned in a deterministic order, so
 //     equal-time events never tie-break on float identity or insertion

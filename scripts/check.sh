@@ -1,12 +1,12 @@
 #!/bin/sh
-# Tier-1 verify gate: build, vet, satelint (the project's determinism /
-# concurrency invariant linter, see DESIGN.md "Static analysis"), an arm64
-# cross-build (the gemm vector tile is amd64 assembly; everything else must
-# build without it), tests, 5 s native fuzz runs of the packet engine's event
-# queue, the GAT edge kernel and the gemm vector tile, two training runs whose
-# model files must come out byte for byte, a short load burst against the
-# serving surface, and a short run of the TE-cycle benchmark with its
-# per-cycle checks. The full race-detector
+# Tier-1 verify gate: build, vet, an arm64 cross-build (the gemm vector tile
+# is amd64 assembly; everything else must build without it), tests (which
+# include satelint, the project's determinism / concurrency invariant linter,
+# as internal/lint.TestSelfLint; see DESIGN.md "Static analysis"), 5 s native
+# fuzz runs of the packet engine's event queue, the GAT edge kernel and the
+# gemm vector tile, two training runs whose model files must come out byte
+# for byte, a short load burst against the serving surface, and a short run
+# of the TE-cycle benchmark with its per-cycle checks. The full race-detector
 # pass is its own script: ./scripts/check.sh && ./scripts/race.sh
 set -eu
 cd "$(dirname "$0")/.."
@@ -15,8 +15,6 @@ echo "== go build =="
 go build ./...
 echo "== go vet =="
 go vet ./...
-echo "== satelint =="
-go run ./cmd/satelint ./...
 echo "== arm64 cross-build =="
 # internal/autodiff's gemm has an amd64 assembly tile (go vet's asmdecl pass
 # above checks its frames against the Go declarations); the portable build
