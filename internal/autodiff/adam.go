@@ -19,9 +19,6 @@ import (
 // instantiation exists for API completeness.
 type AdamOf[T Float] struct {
 	LR       float64
-	Beta1    float64
-	Beta2    float64
-	Eps      float64
 	ClipNorm float64 // global gradient-norm clip; 0 disables
 
 	params []*ValueOf[T]
@@ -36,14 +33,22 @@ type Adam = AdamOf[float64]
 // adamBlock is one contiguous slice [lo, hi) of parameter pi's elements.
 type adamBlock struct{ pi, lo, hi int }
 
+// Adam's moment decay rates and denominator guard. They are typed so that
+// 1-adamBeta1 and 1-adamBeta2 fold to the float64 rounding a runtime
+// subtraction gives, not to the exact decimal.
+const (
+	adamBeta1 float64 = 0.9
+	adamBeta2 float64 = 0.999
+	adamEps   float64 = 1e-8
+)
+
 // adamBlockSize bounds elements per block: large parameters split across
 // workers, small ones stay whole.
 const adamBlockSize = 4096
 
-// NewAdam creates an optimizer with standard defaults (lr as given,
-// beta1=0.9, beta2=0.999, eps=1e-8).
+// NewAdam creates an optimizer with learning rate lr and no gradient clip.
 func NewAdam[T Float](lr float64, params ...*ValueOf[T]) *AdamOf[T] {
-	a := &AdamOf[T]{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, params: params}
+	a := &AdamOf[T]{LR: lr, params: params}
 	for pi, p := range params {
 		if !p.isParam {
 			panic("autodiff: Adam over non-parameter value")
@@ -101,8 +106,8 @@ func (a *AdamOf[T]) Step() {
 			scale = a.ClipNorm / n
 		}
 	}
-	b1c := 1 - math.Pow(a.Beta1, float64(a.t))
-	b2c := 1 - math.Pow(a.Beta2, float64(a.t))
+	b1c := 1 - math.Pow(adamBeta1, float64(a.t))
+	b2c := 1 - math.Pow(adamBeta2, float64(a.t))
 	par.ForCtx(len(a.blocks), par.Grain(len(a.blocks), 1),
 		adamStepArgs[T]{a: a, scale: scale, b1c: b1c, b2c: b2c}, opsFor[T]().adamStepChunk)
 }
@@ -113,13 +118,13 @@ func adamStepChunk[T Float](s adamStepArgs[T], lo, hi int) {
 		p, m, v := a.params[blk.pi], a.m[blk.pi], a.v[blk.pi]
 		for i := blk.lo; i < blk.hi; i++ {
 			g := f64(p.Grad.Data[i]) * s.scale
-			mv := a.Beta1*f64(m.Data[i]) + (1-a.Beta1)*g
-			vv := a.Beta2*f64(v.Data[i]) + (1-a.Beta2)*g*g
+			mv := adamBeta1*f64(m.Data[i]) + (1-adamBeta1)*g
+			vv := adamBeta2*f64(v.Data[i]) + (1-adamBeta2)*g*g
 			m.Data[i] = T(mv)
 			v.Data[i] = T(vv)
 			mh := mv / s.b1c
 			vh := vv / s.b2c
-			p.Val.Data[i] = T(f64(p.Val.Data[i]) - a.LR*mh/(math.Sqrt(vh)+a.Eps))
+			p.Val.Data[i] = T(f64(p.Val.Data[i]) - a.LR*mh/(math.Sqrt(vh)+adamEps))
 		}
 	}
 }

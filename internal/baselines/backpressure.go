@@ -11,31 +11,23 @@ import (
 // controller and no preconfigured paths; the paper compares only its
 // performance (not computational latency), which this type exposes through
 // Evaluate: the fraction of injected demand delivered over a horizon.
-type Backpressure struct {
-	// SlotSec is the slot duration (default 0.1 s).
-	SlotSec float64
-	// HorizonSec is the simulated duration (default 30 s).
-	HorizonSec float64
-}
+type Backpressure struct{}
+
+// The queue simulation's slot and horizon. They are typed so the slot count
+// horizon/slot folds to the float64 quotient a runtime division gives.
+const (
+	backpressureSlotSec    float64 = 0.1
+	backpressureHorizonSec float64 = 10
+)
 
 // Name identifies the scheme.
 func (Backpressure) Name() string { return "backpressure" }
 
 // Evaluate runs the queue simulation against a problem's links and demands
 // and returns the satisfied-demand fraction (delivered / injected).
-func (bp Backpressure) Evaluate(p *te.Problem) float64 {
-	slot := bp.SlotSec
-	if slot <= 0 {
-		slot = 0.1
-	}
-	horizon := bp.HorizonSec
-	if horizon <= 0 {
-		horizon = 30
-	}
-	steps := int(horizon / slot)
-	if steps < 1 {
-		steps = 1
-	}
+func (Backpressure) Evaluate(p *te.Problem) float64 {
+	const slot = backpressureSlotSec
+	const steps = int(backpressureHorizonSec / backpressureSlotSec)
 
 	// Commodities: distinct destinations.
 	dstIdx := make(map[topology.NodeID]int)

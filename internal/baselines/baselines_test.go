@@ -245,17 +245,15 @@ func TestECMPWFDiamondEqualSplit(t *testing.T) {
 }
 
 func TestBackpressureDelivers(t *testing.T) {
-	p := diamond(10)
-	bp := Backpressure{SlotSec: 0.05, HorizonSec: 20}
-	frac := bp.Evaluate(p)
+	frac := Backpressure{}.Evaluate(diamond(10))
 	if frac <= 0.3 || frac > 1 {
 		t.Errorf("backpressure satisfied = %v", frac)
 	}
 }
 
 func TestBackpressureWorseUnderLoad(t *testing.T) {
-	light := Backpressure{SlotSec: 0.05, HorizonSec: 15}.Evaluate(diamond(5))
-	heavy := Backpressure{SlotSec: 0.05, HorizonSec: 15}.Evaluate(diamond(200))
+	light := Backpressure{}.Evaluate(diamond(5))
+	heavy := Backpressure{}.Evaluate(diamond(200))
 	if heavy > light+1e-9 {
 		t.Errorf("backpressure better under overload: %v vs %v", heavy, light)
 	}

@@ -9,12 +9,12 @@
 // produces an immutable Snapshot with pre-encoded JSON bodies, swapped in
 // through one atomic pointer, so read endpoints take zero locks and perform
 // zero allocations. The HTTP surface is versioned under /v1/ (/v1/status,
-// /v1/allocation, /v1/rules, /v1/deltas) with the pre-redesign paths kept
-// as aliases; snapshot versions double as strong ETags so pollers sending
-// If-None-Match get cheap 304s. Rule updates for satellites are served as a
-// sequence-numbered delta changelog (internal/ruledist) on /v1/deltas, and
-// POST /recompute is admission-controlled: concurrent requests coalesce
-// into one solve and a full pending batch is answered 429 + Retry-After.
+// /v1/allocation, /v1/rules, /v1/deltas, /v1/recompute); snapshot versions
+// double as strong ETags so pollers sending If-None-Match get cheap 304s.
+// Rule updates for satellites are served as a sequence-numbered delta
+// changelog (internal/ruledist) on /v1/deltas, and POST /v1/recompute is
+// admission-controlled: concurrent requests coalesce into one solve and a
+// full pending batch is answered 429 + Retry-After.
 //
 // With a registry attached (WithRegistry), the server also exposes
 // Prometheus-text metrics on GET /metrics and the standard pprof profiles
@@ -218,9 +218,7 @@ func WithRecomputeQueue(n int) Option {
 	return func(s *Server) { s.maxQueue = n }
 }
 
-// New creates a controller over a scenario with the given solver. The
-// variadic options keep pre-redesign `New(scen, solver)` call sites
-// compiling unchanged.
+// New creates a controller over a scenario with the given solver.
 func New(scen *sim.Scenario, solver sim.Allocator, opts ...Option) *Server {
 	s := &Server{scen: scen, solver: solver}
 	for _, o := range opts {
@@ -479,9 +477,8 @@ type StatusResponse struct {
 	DegradedSinceUnix   int64  `json:"degraded_since_unix,omitempty"`
 }
 
-// handleStatus serves the cached status body of the live snapshot — the
-// pre-redesign handler re-marshalled the full payload on every poll; it is
-// now encoded once at publish time.
+// handleStatus serves the status body of the live snapshot, encoded once at
+// publish time.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	sn := s.Current()
 	if sn == nil {

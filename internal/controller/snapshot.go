@@ -92,11 +92,10 @@ func (sn *Snapshot) statusResponse(method string) StatusResponse {
 	return resp
 }
 
-// mustJSON marshals v with a trailing newline (matching the json.Encoder
-// framing the pre-redesign handlers produced). The payload types contain
-// only marshalable fields, so an error is a programming bug; the fallback
-// keeps serving syntactically valid JSON rather than panicking the publish
-// path.
+// mustJSON marshals v with a trailing newline (json.Encoder's framing). The
+// payload types contain only marshalable fields, so an error is a
+// programming bug; the fallback keeps serving syntactically valid JSON rather
+// than panicking the publish path.
 func mustJSON(v interface{}) []byte {
 	b, err := json.Marshal(v)
 	if err != nil {

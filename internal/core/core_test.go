@@ -218,7 +218,6 @@ func TestTrainEmptyDataset(t *testing.T) {
 
 func TestLossPenalizesOverload(t *testing.T) {
 	p := buildScenario(t, 0, 60, 31)
-	m := NewModel(DefaultConfig())
 	ref, _ := (baselines.LPExact{}).Solve(p)
 	s := NewSample(p, ref)
 
@@ -230,12 +229,58 @@ func TestLossPenalizesOverload(t *testing.T) {
 			vals[j] = s.Labels[j] * scale
 		}
 		x := tp.Const(autodiff.FromSlice(s.Graph.NumPaths, 1, vals))
-		return Loss(tp, m, s, x, DefaultLossConfig()).Val.Data[0]
+		return Loss(tp, s, x).Val.Data[0]
 	}
 	feasible := mk(1)
 	overloaded := mk(20) // 20x the optimum blows past link capacities
 	if overloaded <= feasible {
 		t.Errorf("overload not penalised: %v <= %v", overloaded, feasible)
+	}
+}
+
+// TestLossBits pins the mixed loss of Eq. (4)/(5) bit for bit on a fixed
+// sample and a fixed (untrained) model: its value at the model's own
+// allocation, at 20× the labels (past the α_max clamp), and the squared norm
+// of the parameter gradient it back-propagates. Training's default recipe is
+// supervised-only, so the training-bits digest never reaches this path.
+func TestLossBits(t *testing.T) {
+	p := buildScenario(t, 0, 60, 31)
+	ref, err := (baselines.LPExact{}).Solve(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSample(p, ref)
+	m := NewModel(DefaultConfig())
+
+	tp := autodiff.NewTape()
+	l := Loss(tp, s, m.Allocate(tp, s.Graph, s.Problem))
+	tp.Backward(l)
+	var gradSq float64
+	for _, q := range m.Params() {
+		for _, g := range q.Grad.Data {
+			gradSq += g * g
+		}
+	}
+
+	vals := make([]float64, s.Graph.NumPaths)
+	for j := range vals {
+		vals[j] = s.Labels[j] * 20
+	}
+	tp2 := autodiff.NewTape()
+	over := Loss(tp2, s, tp2.Const(autodiff.FromSlice(s.Graph.NumPaths, 1, vals)))
+
+	for _, c := range []struct {
+		name string
+		got  float64
+		want uint64
+	}{
+		{"loss at the model's allocation", l.Val.Data[0], 0x3fc5cd0e51cd35a0},
+		{"loss at 20x the labels", over.Val.Data[0], 0x40580d3c39634ba3},
+		{"squared gradient norm", gradSq, 0x3f9fb064688db2b9},
+	} {
+		if math.Float64bits(c.got) != c.want {
+			t.Errorf("%s = %v (%#x), want %v (%#x)", c.name, c.got, math.Float64bits(c.got), math.Float64frombits(c.want), c.want)
+		}
 	}
 }
 

@@ -19,21 +19,9 @@ import (
 // The paper notes SaTE's MLU variant "directly repurposes the
 // throughput-maximizing GNN's objective", retaining components not perfectly
 // suited to MLU — reproduced here by keeping the architecture identical and
-// swapping only the loss.
-// The optional trailing registry wires per-epoch loss, step latency and
-// tape-arena counters into obs (same keys as Train, DESIGN.md §9); the
-// variadic spelling keeps pre-redesign call sites compiling unchanged.
-func TrainMLU(m *Model, problems []*te.Problem, epochs int, lr float64, registry ...*obs.Registry) ([]float64, error) {
-	if len(problems) == 0 {
-		return nil, fmt.Errorf("core: no training problems")
-	}
-	var reg *obs.Registry
-	if len(registry) > 0 {
-		reg = registry[0]
-	}
-	opt := autodiff.NewAdam(lr, m.Params()...)
-	opt.ClipNorm = 5
-	var perEpoch []float64
+// swapping only the loss. Problems with no path variables are skipped; a set
+// with none left is an error.
+func TrainMLU(m *Model, problems []*te.Problem, epochs int, lr float64) ([]float64, error) {
 	const beta = 8.0
 
 	// Static per-problem state (graph, incidence, demand, inverse capacity)
@@ -74,41 +62,37 @@ func TrainMLU(m *Model, problems []*te.Problem, epochs int, lr float64, registry
 		}
 		units = append(units, u)
 	}
+	if len(units) == 0 {
+		return nil, fmt.Errorf("core: no training problems with path variables")
+	}
 
-	to := newTrainObs(reg)
+	opt := autodiff.NewAdam(lr, m.Params()...)
+	opt.ClipNorm = clipNorm
+	var perEpoch []float64
 	tp := autodiff.NewTape()
 	for ep := 0; ep < epochs; ep++ {
 		var sum float64
 		for _, u := range units {
 			g, p := u.g, u.p
 			tp.Reset()
-			step := obs.StartTimer(to.stepSeconds)
-			sp := obs.StartTimer(to.spForward)
 			scores, _ := m.Forward(tp, g)
 			alpha := tp.SegmentSoftmax(scores, g.VarFlow, g.NumTraffic)
 			x := tp.Mul(alpha, tp.Const(tp.TensorFrom(g.NumPaths, 1, u.demand)))
 			loads := tp.ScatterAddRows(tp.Gather(x, u.varIdx), u.linkIdx, len(p.Links))
 			util := tp.Mul(loads, tp.Const(tp.TensorFrom(len(p.Links), 1, u.invCap)))
 			loss := tp.Scale(tp.SumAll(tp.Exp(tp.Scale(util, beta))), 1/beta)
-			sp.End()
 			opt.ZeroGrad()
-			sp = obs.StartTimer(to.spBackward)
 			tp.Backward(loss)
-			sp.End()
-			sp = obs.StartTimer(to.spAdam)
 			opt.Step()
-			sp.End()
-			step.End()
 			lv := loss.Val.Data[0]
 			if math.IsNaN(lv) || math.IsInf(lv, 0) {
 				return nil, fmt.Errorf("core: MLU loss diverged at epoch %d", ep)
 			}
 			sum += lv
 		}
-		mean := sum / float64(len(problems))
+		mean := sum / float64(len(units))
 		perEpoch = append(perEpoch, mean)
 		m.InvalidateWeightCaches()
-		to.epoch(tp, mean)
 	}
 	return perEpoch, nil
 }

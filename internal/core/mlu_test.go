@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"sate/internal/solve"
@@ -44,6 +45,32 @@ func TestTrainMLUEmpty(t *testing.T) {
 	m := NewModel(DefaultConfig())
 	if _, err := TrainMLU(m, nil, 5, 1e-3); err == nil {
 		t.Error("expected error on empty dataset")
+	}
+}
+
+// TestTrainMLUSkipsEmptyProblems: a problem with no path variables trains
+// nothing, so it neither dilutes the per-epoch mean nor counts as data.
+func TestTrainMLUSkipsEmptyProblems(t *testing.T) {
+	empty := &te.Problem{NumNodes: 5}
+	if err := empty.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	p := buildScenario(t, 0, 80, 51)
+	want, err := TrainMLU(NewModel(DefaultConfig()), []*te.Problem{p}, 3, 3e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := TrainMLU(NewModel(DefaultConfig()), []*te.Problem{empty, p}, 3, 3e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ep := range want {
+		if math.Float64bits(got[ep]) != math.Float64bits(want[ep]) {
+			t.Fatalf("epoch %d: loss %v with an empty problem beside, %v without", ep, got[ep], want[ep])
+		}
+	}
+	if _, err := TrainMLU(NewModel(DefaultConfig()), []*te.Problem{empty}, 3, 3e-3); err == nil {
+		t.Error("a set of empty problems trained without error")
 	}
 }
 

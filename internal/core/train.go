@@ -9,22 +9,22 @@ import (
 	"sate/internal/te"
 )
 
-// LossConfig holds the hyperparameters of the mixed loss of Appendix B.
-type LossConfig struct {
-	LambdaFlow    float64 // weights total-flow reward in the penalty term
-	LambdaBalance float64 // balances supervised vs penalized-optimization terms
-	AlphaMax      float64 // utilisation clamp inside the exp of Eq. (5)
-}
+// Hyperparameters of the mixed loss of Appendix B, grid-searched. The
+// supervised term is the anchor (its labels are feasible by construction);
+// the penalized-optimization term nudges toward higher flow and away from
+// overload without being allowed to dominate early training — a large
+// balance keeps the overload penalty from crashing the gates before the
+// supervised signal differentiates paths (feasibility at inference is
+// guaranteed by trimming).
+const (
+	lambdaFlow    float64 = 1  // weights total-flow reward in the penalty term
+	lambdaBalance float64 = 40 // balances supervised vs penalized-optimization terms
+	alphaMax      float64 = 2  // utilisation clamp inside the exp of Eq. (5)
+)
 
-// DefaultLossConfig returns the grid-searched defaults. The supervised term
-// is the anchor (its labels are feasible by construction); the penalized-
-// optimization term nudges toward higher flow and away from overload without
-// being allowed to dominate early training — a large balance keeps the
-// overload penalty from crashing the gates before the supervised signal
-// differentiates paths (feasibility at inference is guaranteed by trimming).
-func DefaultLossConfig() LossConfig {
-	return LossConfig{LambdaFlow: 1.0, LambdaBalance: 40.0, AlphaMax: 2.0}
-}
+// clipNorm is the global gradient-norm clip of every training loop (Train
+// and TrainMLU).
+const clipNorm float64 = 5
 
 // Sample is one training data point: a TE problem with ground-truth labels
 // produced by the reference solver (the paper uses Gurobi; here the exact
@@ -107,7 +107,7 @@ func SupervisedLoss(tp *autodiff.Tape, s *Sample, x *autodiff.Value) *autodiff.V
 //
 // x is the model's NumPaths x 1 allocation; the supervised term is the MSE of
 // demand-normalised allocations against the labels.
-func Loss(tp *autodiff.Tape, m *Model, s *Sample, x *autodiff.Value, cfg LossConfig) *autodiff.Value {
+func Loss(tp *autodiff.Tape, s *Sample, x *autodiff.Value) *autodiff.Value {
 	g := s.Graph
 	p := s.Problem
 	if g.NumPaths == 0 {
@@ -127,7 +127,7 @@ func Loss(tp *autodiff.Tape, m *Model, s *Sample, x *autodiff.Value, cfg LossCon
 	if totalDemand <= 0 {
 		totalDemand = 1
 	}
-	den := cfg.LambdaBalance * cfg.LambdaFlow * totalDemand
+	den := lambdaBalance * lambdaFlow * totalDemand
 	if len(varIdx) > 0 {
 		contrib := tp.Gather(x, varIdx)                            // nnz x 1
 		loads := tp.ScatterAddRows(contrib, linkIdx, len(p.Links)) // links x 1
@@ -139,26 +139,24 @@ func Loss(tp *autodiff.Tape, m *Model, s *Sample, x *autodiff.Value, cfg LossCon
 		for i := range p.LinkCap {
 			if p.LinkCap[i] > 0 {
 				u := loads.Val.Data[i] / p.LinkCap[i]
-				alphaConst.Data[i] = math.Exp(math.Min(u, cfg.AlphaMax))
+				alphaConst.Data[i] = math.Exp(math.Min(u, alphaMax))
 			}
 		}
 		caps := tp.Const(tp.TensorFrom(len(p.Links), 1, p.LinkCap))
 		over := tp.ReLU(tp.Sub(loads, caps)) // over_flow_i
 		penalty := tp.SumAll(tp.Mul(tp.Const(alphaConst), over))
-		mixed := tp.Scale(tp.Sub(penalty, tp.Scale(totalFlow, cfg.LambdaFlow)), 1/den)
+		mixed := tp.Scale(tp.Sub(penalty, tp.Scale(totalFlow, lambdaFlow)), 1/den)
 		loss = tp.Add(loss, mixed)
 	} else {
-		loss = tp.Add(loss, tp.Scale(totalFlow, -cfg.LambdaFlow/den))
+		loss = tp.Add(loss, tp.Scale(totalFlow, -lambdaFlow/den))
 	}
 	return loss
 }
 
 // TrainConfig controls the supervised training loop.
 type TrainConfig struct {
-	Epochs   int
-	LR       float64
-	ClipNorm float64
-	Loss     LossConfig
+	Epochs int
+	LR     float64
 	// WarmupFrac is the fraction of epochs trained on the supervised term
 	// alone before the penalized-optimization term is blended in (see
 	// SupervisedLoss). Zero uses the default of 1.0: CPU-scale training is
@@ -220,7 +218,7 @@ func (to *trainObs) epoch(tp *autodiff.Tape, mean float64) {
 
 // DefaultTrainConfig returns sane CPU-scale defaults.
 func DefaultTrainConfig() TrainConfig {
-	return TrainConfig{Epochs: 30, LR: 3e-3, ClipNorm: 5, Loss: DefaultLossConfig(), WarmupFrac: 1.0}
+	return TrainConfig{Epochs: 30, LR: 3e-3, WarmupFrac: 1.0}
 }
 
 // TrainResult summarises a training run.
@@ -239,7 +237,7 @@ func Train(m *Model, samples []*Sample, cfg TrainConfig) (*TrainResult, error) {
 		cfg = DefaultTrainConfig()
 	}
 	opt := autodiff.NewAdam(cfg.LR, m.Params()...)
-	opt.ClipNorm = cfg.ClipNorm
+	opt.ClipNorm = clipNorm
 	warm := cfg.WarmupFrac
 	if warm == 0 {
 		warm = 1.0
@@ -261,7 +259,7 @@ func Train(m *Model, samples []*Sample, cfg TrainConfig) (*TrainResult, error) {
 			if ep < warmEpochs {
 				l = SupervisedLoss(tp, s, x)
 			} else {
-				l = Loss(tp, m, s, x, cfg.Loss)
+				l = Loss(tp, s, x)
 			}
 			sp.End()
 			opt.ZeroGrad()

@@ -59,7 +59,7 @@ func BenchmarkTrainStep(b *testing.B) {
 			step := func() {
 				tp.Reset()
 				t0 := time.Now()
-				l := core.Loss(tp, m, s, m.Allocate(tp, s.Graph, s.Problem), core.DefaultLossConfig())
+				l := core.Loss(tp, s, m.Allocate(tp, s.Graph, s.Problem))
 				t1 := time.Now()
 				opt.ZeroGrad()
 				tp.Backward(l)

@@ -123,7 +123,7 @@ func fig10abCell(opt Options, sc scaleSpec, horizon int, mode topology.CrossShel
 		if len(p.Flows) == 0 {
 			continue
 		}
-		bpSum += (baselines.Backpressure{SlotSec: 0.1, HorizonSec: 10}).Evaluate(p)
+		bpSum += baselines.Backpressure{}.Evaluate(p)
 		bpN++
 	}
 	bpCell := "n/a"

@@ -138,19 +138,6 @@ func TestBuildSegment(t *testing.T) {
 	}
 }
 
-func TestDefaultConfigMatchesPaper(t *testing.T) {
-	cfg := DefaultConfig()
-	if cfg.Users != 3_000_000 {
-		t.Errorf("users = %d, want 3M (Sec. 4)", cfg.Users)
-	}
-	if cfg.Gateways != 1000 {
-		t.Errorf("gateways = %d, want 1000", cfg.Gateways)
-	}
-	if cfg.Relays != 222 {
-		t.Errorf("relays = %d, want 222 (Sec. 2.3.1)", cfg.Relays)
-	}
-}
-
 func TestSatLocatorFindsOverheadSat(t *testing.T) {
 	c := constellation.StarlinkPhase1()
 	pos := c.PositionsECEF(0, nil)

@@ -35,19 +35,6 @@ type Config struct {
 	Seed         int64
 }
 
-// DefaultConfig returns the paper's scenario parameters with a cluster
-// resolution suitable for simulation.
-func DefaultConfig() Config {
-	return Config{
-		Users:        3_000_000,
-		UserClusters: 2000,
-		Gateways:     1000,
-		Relays:       222,
-		Gamma:        0.05,
-		Seed:         1,
-	}
-}
-
 // Build places the ground segment on the given population grid.
 func Build(grid *PopulationGrid, cfg Config) *Segment {
 	rng := rand.New(rand.NewSource(cfg.Seed))

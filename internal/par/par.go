@@ -10,8 +10,9 @@
 // grain), never on the worker count or scheduling, so a kernel whose chunks
 // write disjoint outputs (the only kind used here) produces bitwise
 // identical results for every worker count — including 1, where For degrades
-// to a plain loop with no goroutines. Kernels that need cross-chunk
-// reduction merge per-chunk partials in chunk order (see ForChunks).
+// to a plain loop with no goroutines. A kernel that needs a per-chunk slot
+// (a partial, an error) indexes it by lo/grain — chunk boundaries are
+// multiples of grain — and merges the slots in chunk order (see ForErr).
 //
 // Worker budget: GOMAXPROCS by default, overridden by the SATE_WORKERS
 // environment variable (useful to pin tests and reproduce training runs),
@@ -187,8 +188,12 @@ func ForErr(n, grain int, fn func(lo, hi int) error) error {
 	}
 	g := max(grain, 1)
 	errs := make([]error, numChunks(n, g))
-	ForChunks(n, g, func(chunk, lo, hi int) {
-		errs[chunk] = fn(lo, hi)
+	For(n, g, func(lo, hi int) {
+		// The serial path hands over [0, n) in one call; split it so fn
+		// still sees one chunk per call at any worker count.
+		for c := lo; c < hi; c += g {
+			errs[c/g] = fn(c, min(c+g, hi))
+		}
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -198,69 +203,8 @@ func ForErr(n, grain int, fn func(lo, hi int) error) error {
 	return nil
 }
 
-// ForChunks is For with the chunk index exposed: fn(chunk, lo, hi) may
-// accumulate into a per-chunk partial (indexed by chunk, allocated via
-// NumChunks) which the caller merges serially in chunk order afterwards.
-// Because the chunk layout is fixed by (n, grain), the partials — and any
-// in-chunk-order merge of them — are deterministic for a fixed grain,
-// independent of worker count and scheduling.
-func ForChunks(n, grain int, fn func(chunk, lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if grain <= 0 {
-		grain = 1
-	}
-	chunks := numChunks(n, grain)
-	workers := Workers()
-	if workers > chunks {
-		workers = chunks
-	}
-	if workers <= 1 {
-		if m := metrics.Load(); m != nil {
-			m.serial.Inc()
-		}
-		for c := 0; c < chunks; c++ {
-			lo := c * grain
-			hi := lo + grain
-			if hi > n {
-				hi = n
-			}
-			fn(c, lo, hi)
-		}
-		return
-	}
-	if m := metrics.Load(); m != nil {
-		m.dispatch.Inc()
-		m.chunks.Add(uint64(chunks))
-		m.inflight.Add(float64(workers))
-		defer m.inflight.Add(-float64(workers))
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= chunks {
-					return
-				}
-				lo := c * grain
-				hi := lo + grain
-				if hi > n {
-					hi = n
-				}
-				fn(c, lo, hi)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// NumChunks returns the number of chunks For/ForChunks will use for (n,
-// grain) — the size callers need for per-chunk partial buffers.
+// NumChunks returns the number of chunks For will use for (n, grain) — the
+// size callers need for per-chunk buffers.
 func NumChunks(n, grain int) int {
 	if n <= 0 {
 		return 0

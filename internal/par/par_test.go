@@ -1,6 +1,7 @@
 package par
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 )
@@ -32,28 +33,56 @@ func TestForCoversRange(t *testing.T) {
 	}
 }
 
-// TestForChunksLayoutFixed checks the chunk layout depends only on (n,
-// grain), not the worker count.
-func TestForChunksLayoutFixed(t *testing.T) {
-	layout := func(workers int) map[int][2]int {
+// TestForLayoutFixed checks the chunk layout depends only on (n, grain),
+// not the worker count: every parallel chunk starts at a multiple of grain
+// and spans grain items (the last one the remainder).
+func TestForLayoutFixed(t *testing.T) {
+	for _, workers := range []int{2, 4} {
 		restore := SetWorkers(workers)
-		defer restore()
 		var mu sync32
 		out := make(map[int][2]int)
-		ForChunks(100, 7, func(c, lo, hi int) {
+		For(100, 7, func(lo, hi int) {
 			mu.Lock()
-			out[c] = [2]int{lo, hi}
+			out[lo/7] = [2]int{lo, hi}
 			mu.Unlock()
 		})
-		return out
+		restore()
+		if len(out) != NumChunks(100, 7) {
+			t.Fatalf("workers=%d: %d chunks, want %d", workers, len(out), NumChunks(100, 7))
+		}
+		for c, bounds := range out {
+			if want := [2]int{7 * c, min(7*c+7, 100)}; bounds != want {
+				t.Errorf("workers=%d: chunk %d spans %v, want %v", workers, c, bounds, want)
+			}
+		}
 	}
-	a, b := layout(1), layout(4)
-	if len(a) != len(b) || len(a) != NumChunks(100, 7) {
-		t.Fatalf("chunk counts differ: %d vs %d (want %d)", len(a), len(b), NumChunks(100, 7))
-	}
-	for c, bounds := range a {
-		if b[c] != bounds {
-			t.Errorf("chunk %d bounds differ: %v vs %v", c, bounds, b[c])
+}
+
+// TestForErrContract: every chunk runs even when an earlier one fails, and
+// the returned error is the lowest-indexed failing chunk's, at any worker
+// count.
+func TestForErrContract(t *testing.T) {
+	const n, grain = 100, 7
+	for _, workers := range []int{1, 2, 8} {
+		restore := SetWorkers(workers)
+		var ran [n]atomic.Int32
+		err := ForErr(n, grain, func(lo, hi int) error {
+			for i := lo; i < hi; i++ {
+				ran[i].Add(1)
+			}
+			if c := lo / grain; c == 3 || c == 9 {
+				return fmt.Errorf("chunk %d [%d,%d)", c, lo, hi)
+			}
+			return nil
+		})
+		restore()
+		if err == nil || err.Error() != "chunk 3 [21,28)" {
+			t.Fatalf("workers=%d: error %v, want chunk 3's", workers, err)
+		}
+		for i := range ran {
+			if v := ran[i].Load(); v != 1 {
+				t.Fatalf("workers=%d: index %d ran %d times", workers, i, v)
+			}
 		}
 	}
 }

@@ -145,14 +145,14 @@ func newEngine(spec *RunSpec, cfg Config) (*engine, error) {
 	for i := range e.spikes {
 		s := master.Float64() * cfg.HorizonSec
 		e.spikes[i] = window{
-			link: int32(master.Intn(numLinks)), start: s, end: s + cfg.SpikeDurSec, extraSec: cfg.SpikeExtraSec,
+			link: int32(master.Intn(numLinks)), start: s, end: s + spikeDurSec, extraSec: spikeExtraSec,
 		}
 	}
 	e.downs = make([]window, cfg.Handovers)
 	for i := range e.downs {
 		s := master.Float64() * cfg.HorizonSec
 		e.downs[i] = window{
-			link: int32(master.Intn(numLinks)), start: s, end: s + cfg.HandoverDurSec,
+			link: int32(master.Intn(numLinks)), start: s, end: s + handoverDurSec,
 		}
 	}
 

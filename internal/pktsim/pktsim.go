@@ -53,16 +53,13 @@ type Config struct {
 	JitterFrac float64
 
 	// Spikes inserts that many seeded delay spikes: a random link gains
-	// SpikeExtraSec of propagation delay for SpikeDurSec.
-	Spikes        int
-	SpikeExtraSec float64 // default 0.03
-	SpikeDurSec   float64 // default 0.2
+	// spikeExtraSec of propagation delay for spikeDurSec.
+	Spikes int
 
 	// Handovers inserts that many seeded link-down windows of
-	// HandoverDurSec each, modeling ISL re-pointing during handover;
+	// handoverDurSec each, modeling ISL re-pointing during handover;
 	// packets enqueued onto a down link are dropped.
-	Handovers      int
-	HandoverDurSec float64 // default 0.15
+	Handovers int
 
 	Burst *Burst // optional traffic surge
 
@@ -75,6 +72,13 @@ type Config struct {
 	Registry *obs.Registry // optional; nil is a valid no-op sink
 }
 
+// Disturbance window shapes (Config.Spikes, Config.Handovers).
+const (
+	spikeExtraSec  float64 = 0.03 // propagation delay a spike adds
+	spikeDurSec    float64 = 0.2  // how long a spike lasts
+	handoverDurSec float64 = 0.15 // how long a handover holds a link down
+)
+
 // Defaults returns a copy of c with every unset field at its default.
 func (c Config) Defaults() Config {
 	if c.HorizonSec <= 0 {
@@ -85,15 +89,6 @@ func (c Config) Defaults() Config {
 	}
 	if c.QueuePkts <= 0 {
 		c.QueuePkts = 64
-	}
-	if c.SpikeExtraSec <= 0 {
-		c.SpikeExtraSec = 0.03
-	}
-	if c.SpikeDurSec <= 0 {
-		c.SpikeDurSec = 0.2
-	}
-	if c.HandoverDurSec <= 0 {
-		c.HandoverDurSec = 0.15
 	}
 	if c.MaxPackets <= 0 {
 		c.MaxPackets = 4 << 20

@@ -216,13 +216,13 @@ func refRun(t *testing.T, spec *RunSpec, cfg Config) *Result {
 	for i := 0; i < cfg.Spikes; i++ {
 		s := master.Float64() * cfg.HorizonSec
 		e.spikes = append(e.spikes, window{
-			link: int32(master.Intn(numLinks)), start: s, end: s + cfg.SpikeDurSec, extraSec: cfg.SpikeExtraSec,
+			link: int32(master.Intn(numLinks)), start: s, end: s + spikeDurSec, extraSec: spikeExtraSec,
 		})
 	}
 	for i := 0; i < cfg.Handovers; i++ {
 		s := master.Float64() * cfg.HorizonSec
 		e.downs = append(e.downs, window{
-			link: int32(master.Intn(numLinks)), start: s, end: s + cfg.HandoverDurSec,
+			link: int32(master.Intn(numLinks)), start: s, end: s + handoverDurSec,
 		})
 	}
 
@@ -397,7 +397,7 @@ func TestEngineMatchesReference(t *testing.T) {
 		a := te.NewAllocation(p)
 		a.X[0][0], a.X[0][1] = 40, 25
 		cases = append(cases, tc{"two slow hops in a diamond", &RunSpec{Snap: snap, Problem: p, Alloc: a},
-			Config{Seed: 6, HorizonSec: 0.02, JitterFrac: 0.05, QueuePkts: 16, Spikes: 1, SpikeDurSec: 1}})
+			Config{Seed: 6, HorizonSec: 0.02, JitterFrac: 0.05, QueuePkts: 16, Spikes: 1}})
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

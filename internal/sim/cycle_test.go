@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"sate/internal/baselines"
-	"sate/internal/orbit"
 	"sate/internal/pktsim"
 	"sate/internal/ruledist"
 	"sate/internal/te"
@@ -179,8 +178,8 @@ func TestRunOnlineMatchesReferenceLoop(t *testing.T) {
 // TestRunSpecMatchesOldReplay pins the one RunSpec builder against what the
 // parent's PacketReplay.replay assembled: the first cycle has no update
 // window; later cycles run the previous allocation as the stale generation
-// and switch at UpdateAtSec plus the ruledist delays, with the site and
-// min-elevation defaults resolved the same way.
+// and switch at UpdateAtSec plus the ruledist delays from Houston at the
+// scenario's min elevation.
 func TestRunSpecMatchesOldReplay(t *testing.T) {
 	s := toyScenario(60, 17)
 	ctx := context.Background()
@@ -216,16 +215,6 @@ func TestRunSpecMatchesOldReplay(t *testing.T) {
 			t.Fatalf("delay[%d] = %v, want %v", i, u.DelaysSec[i], delays[i])
 		}
 	}
-	// With no scenario threshold either, the paper's 25 degrees applies.
-	s.MinElevRad = 0
-	at25 := ruledist.RuleDistributionDelays(cur.Snap, ruledist.HoustonSite, orbit.Deg(25))
-	for i, d := range pr.RunSpec(s, prev, cur).Update.DelaysSec {
-		if !sameBits(d, at25[i]) {
-			t.Fatalf("25-degree default: delay[%d] = %v, want %v", i, d, at25[i])
-		}
-	}
-	s.MinElevRad = orbit.Deg(5)
-
 	// End to end: the engine run of a later cycle equals the old replay's.
 	got, err := pr.replay(s, prev, cur, 2)
 	if err != nil {

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"sate/internal/groundnet"
-	"sate/internal/orbit"
 	"sate/internal/pktsim"
 	"sate/internal/ruledist"
 )
@@ -23,19 +21,14 @@ type PacketReplay struct {
 	// UpdateAtSec is the instant, within a replayed cycle, when the control
 	// center pushes the new rules (default 0.1 s).
 	UpdateAtSec float64
-	// Site is the control center the rule push originates from
-	// (default ruledist.HoustonSite).
-	Site *groundnet.Site
-	// MinElevRad gates which satellites the control center seeds directly;
-	// zero falls back to the scenario's threshold, then to 25°.
-	MinElevRad float64
 }
 
 // RunSpec builds the packet-engine input for the update window prev → cur:
 // the engine executes cur's allocation on cur's snapshot, and — when prev is
 // non-nil — starts on prev's rules with every satellite switching at
-// UpdateAtSec plus its rule-distribution delay. A nil prev (the first cycle)
-// has no update window.
+// UpdateAtSec plus its rule-distribution delay from ruledist.HoustonSite,
+// which seeds the satellites above the scenario's user minimum elevation. A
+// nil prev (the first cycle) has no update window.
 func (pr *PacketReplay) RunSpec(scen *Scenario, prev, cur *Cycle) *pktsim.RunSpec {
 	spec := &pktsim.RunSpec{Snap: cur.Snap, Problem: cur.Problem, Alloc: cur.Alloc}
 	if prev == nil {
@@ -45,22 +38,11 @@ func (pr *PacketReplay) RunSpec(scen *Scenario, prev, cur *Cycle) *pktsim.RunSpe
 	if at <= 0 {
 		at = 0.1
 	}
-	site := ruledist.HoustonSite
-	if pr.Site != nil {
-		site = *pr.Site
-	}
-	minElev := pr.MinElevRad
-	if minElev <= 0 {
-		minElev = scen.MinElevRad
-	}
-	if minElev <= 0 {
-		minElev = orbit.Deg(25)
-	}
 	spec.Update = &pktsim.RuleUpdate{
 		PrevProblem: prev.Problem,
 		PrevAlloc:   prev.Alloc,
 		AtSec:       at,
-		DelaysSec:   ruledist.RuleDistributionDelays(cur.Snap, site, minElev),
+		DelaysSec:   ruledist.RuleDistributionDelays(cur.Snap, ruledist.HoustonSite, scen.MinElevRad),
 	}
 	return spec
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"sate/internal/obs"
-	"sate/internal/orbit"
 	"sate/internal/pktsim"
 	"sate/internal/ruledist"
 	"sate/internal/solve"
@@ -264,22 +263,11 @@ func refReplay(pr *PacketReplay, scen *Scenario, snap *topology.Snapshot, prev *
 		if at <= 0 {
 			at = 0.1
 		}
-		site := ruledist.HoustonSite
-		if pr.Site != nil {
-			site = *pr.Site
-		}
-		minElev := pr.MinElevRad
-		if minElev <= 0 {
-			minElev = scen.MinElevRad
-		}
-		if minElev <= 0 {
-			minElev = orbit.Deg(25)
-		}
 		spec.Update = &pktsim.RuleUpdate{
 			PrevProblem: prev.problem,
 			PrevAlloc:   prev.alloc,
 			AtSec:       at,
-			DelaysSec:   ruledist.RuleDistributionDelays(snap, site, minElev),
+			DelaysSec:   ruledist.RuleDistributionDelays(snap, ruledist.HoustonSite, scen.MinElevRad),
 		}
 	}
 	return pktsim.Run(spec, cfg)

@@ -6,8 +6,7 @@
 //
 // where the variadic options select the objective (throughput vs. MLU),
 // inject an observability registry, or override the worker budget for the
-// call. Call sites that pass no options are unchanged from the pre-redesign
-// signatures, so the old `Solve(p)` spelling still compiles everywhere.
+// call; `Solve(p)` with no options takes every default.
 //
 // Solvers apply the options with two lines:
 //

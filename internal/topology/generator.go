@@ -36,34 +36,29 @@ func (m CrossShellMode) String() string {
 	}
 }
 
-// Config holds the link-formation rules of Sec. 2.3.1.
+// The link-formation rules of Sec. 2.3.1.
+const (
+	// interOrbitMaxLatDeg deactivates inter-orbit links above this latitude.
+	interOrbitMaxLatDeg float64 = 75
+	// laserMaxRangeKm breaks a cross-shell laser when satellites are farther
+	// apart.
+	laserMaxRangeKm float64 = 2000
+	// relayMinElevDeg breaks a ground-relay link when the satellite drops
+	// below this elevation.
+	relayMinElevDeg float64 = 25
+)
+
+// Config selects how shells interconnect.
 type Config struct {
 	Mode CrossShellMode
-
-	// InterOrbitMaxLatDeg deactivates inter-orbit links above this latitude
-	// (paper: 75 degrees).
-	InterOrbitMaxLatDeg float64
-
-	// LaserMaxRangeKm breaks a cross-shell laser when satellites are farther
-	// apart (paper: 2000 km).
-	LaserMaxRangeKm float64
-
-	// RelayMinElevDeg breaks a ground-relay link when the satellite drops
-	// below this elevation (paper: 25 degrees).
-	RelayMinElevDeg float64
 
 	// Relays are the ground-relay sites (bent-pipe mode only).
 	Relays []groundnet.Site
 }
 
-// DefaultConfig returns the paper's link-formation parameters.
+// DefaultConfig returns the config for a cross-shell mode with no relays.
 func DefaultConfig(mode CrossShellMode) Config {
-	return Config{
-		Mode:                mode,
-		InterOrbitMaxLatDeg: 75,
-		LaserMaxRangeKm:     2000,
-		RelayMinElevDeg:     25,
-	}
+	return Config{Mode: mode}
 }
 
 // Generator produces topology snapshots for a constellation under a link
@@ -144,7 +139,7 @@ func (g *Generator) Snapshot(tSec float64) *Snapshot {
 		copy(s.Pos[c.Size():], g.relayPos)
 	}
 
-	maxLat := orbit.Deg(g.Cfg.InterOrbitMaxLatDeg)
+	maxLat := orbit.Deg(interOrbitMaxLatDeg)
 	// Intra-shell +Grid links.
 	for i := range c.Sats {
 		sat := &c.Sats[i]
@@ -255,7 +250,7 @@ func (g *Generator) addCrossShellLasers(s *Snapshot) {
 		if sh+1 >= g.nShells {
 			continue
 		}
-		nb := g.nearestInShell(s.Pos[sat.ID], sh+1, g.Cfg.LaserMaxRangeKm, s.Pos)
+		nb := g.nearestInShell(s.Pos[sat.ID], sh+1, laserMaxRangeKm, s.Pos)
 		if nb >= 0 {
 			s.Links = append(s.Links, MakeLink(NodeID(sat.ID), NodeID(nb), CrossShellLaser))
 		}
@@ -263,7 +258,7 @@ func (g *Generator) addCrossShellLasers(s *Snapshot) {
 }
 
 func (g *Generator) addGroundRelayLinks(s *Snapshot) {
-	minElev := orbit.Deg(g.Cfg.RelayMinElevDeg)
+	minElev := orbit.Deg(relayMinElevDeg)
 	for i := range g.Cons.Sats {
 		sat := &g.Cons.Sats[i]
 		p := s.Pos[sat.ID]
@@ -323,7 +318,7 @@ func maxInt(a, b int) int {
 // result is identical to the serial sweep.
 func (g *Generator) Series(t0, dt float64, n int) []*Snapshot {
 	out := make([]*Snapshot, n)
-	par.ForChunks(n, par.Grain(n, 8), func(chunk, lo, hi int) {
+	par.For(n, par.Grain(n, 8), func(lo, hi int) {
 		gen := g
 		if lo != 0 || hi != n {
 			gen = NewGenerator(g.Cons, g.Cfg)

@@ -126,8 +126,8 @@ func TestCrossShellLasersRespectRange(t *testing.T) {
 			continue
 		}
 		nCross++
-		if d := s.LinkLengthKm(l); d > g.Cfg.LaserMaxRangeKm {
-			t.Fatalf("laser link length %.0f km exceeds %v", d, g.Cfg.LaserMaxRangeKm)
+		if d := s.LinkLengthKm(l); d > laserMaxRangeKm {
+			t.Fatalf("laser link length %.0f km exceeds %v", d, laserMaxRangeKm)
 		}
 		// Endpoints must be in different shells.
 		if g.Cons.ShellOf(constellation.SatID(l.A)) == g.Cons.ShellOf(constellation.SatID(l.B)) {
@@ -180,7 +180,7 @@ func TestGroundRelayLinks(t *testing.T) {
 	if s.NumNodes != s.NumSats+40 {
 		t.Fatalf("expected 40 relay nodes, got %d extra", s.NumNodes-s.NumSats)
 	}
-	minElev := orbit.Deg(g.Cfg.RelayMinElevDeg)
+	minElev := orbit.Deg(relayMinElevDeg)
 	n := 0
 	for _, l := range s.Links {
 		if l.Kind != GroundRelayLink {

@@ -57,19 +57,14 @@ type Config struct {
 	Intensity float64
 	Classes   []Class
 	Seed      int64
-	// AccessMbps caps each connection's uplink and downlink (paper: 50 Mbps
-	// per connection); exposed so the TE layer can build per-satellite
-	// access-capacity constraints.
-	AccessMbps float64
 }
 
 // DefaultConfig returns the paper's traffic parameters at a given intensity.
 func DefaultConfig(intensity float64, seed int64) Config {
 	return Config{
-		Intensity:  intensity,
-		Classes:    DefaultClasses(),
-		Seed:       seed,
-		AccessMbps: 50,
+		Intensity: intensity,
+		Classes:   DefaultClasses(),
+		Seed:      seed,
 	}
 }
 

@@ -1,8 +1,10 @@
 #!/bin/sh
-# Race-detector pass over every package that spawns goroutines through
-# internal/par (kernels, path fan-out, snapshot series, experiment grids)
-# plus the concurrent serving layer (atomic snapshot publication, the rule
-# changelog, and recompute coalescing under parallel HTTP clients).
+# Race-detector pass over par itself and the packages that spawn goroutines
+# through it (autodiff kernels, path fan-out, shard sub-solves, the topology
+# snapshot series, the packet engine's schedule fill), plus te and the
+# concurrent serving layer (atomic snapshot publication and recompute
+# coalescing under parallel HTTP clients, the rule changelog). obs, solve and
+# sim are raced by check.sh; the experiment grids are not raced.
 # Part of the tier-1 verify path: run before merging changes to any of these.
 set -eu
 cd "$(dirname "$0")/.."
