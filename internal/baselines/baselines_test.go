@@ -8,6 +8,7 @@ import (
 	"sate/internal/groundnet"
 	"sate/internal/orbit"
 	"sate/internal/paths"
+	"sate/internal/solve"
 	"sate/internal/te"
 	"sate/internal/topology"
 	"sate/internal/traffic"
@@ -141,6 +142,25 @@ func TestLPAutoDispatch(t *testing.T) {
 	}
 	if a1.Throughput() < 0.7*a2.Throughput() {
 		t.Errorf("GK too weak: %v vs %v", a1.Throughput(), a2.Throughput())
+	}
+	// Each branch hands its rows to the solver it picked: the allocation is
+	// the direct solver's, bit for bit.
+	for _, c := range []struct {
+		name   string
+		auto   *te.Allocation
+		direct solve.Solver
+	}{{"gk", a1, GK{Epsilon: 0.05}}, {"lp-exact", a2, LPExact{}}} {
+		want, err := c.direct.Solve(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for fi := range want.X {
+			for pi, w := range want.X[fi] {
+				if math.Float64bits(c.auto.X[fi][pi]) != math.Float64bits(w) {
+					t.Fatalf("%s branch: x[%d][%d] = %v, direct solver %v", c.name, fi, pi, c.auto.X[fi][pi], w)
+				}
+			}
+		}
 	}
 }
 

@@ -28,7 +28,7 @@ func (s ECMPWF) Solve(p *te.Problem, opts ...solve.Option) (*te.Allocation, erro
 		rounds = 64
 	}
 	alloc := te.NewAllocation(p)
-	_, bounds, colOf := buildRows(p)
+	bounds, colOf := buildRows(p)
 	residual := append([]float64(nil), bounds...)
 
 	// Equal-cost path sets: minimum-hop candidates per flow.

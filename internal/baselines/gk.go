@@ -27,11 +27,15 @@ func (GK) Name() string { return "gk" }
 // Solve implements solve.Solver.
 func (g GK) Solve(p *te.Problem, opts ...solve.Option) (*te.Allocation, error) {
 	defer solve.Begin(solve.Build(opts...), "gk").End()
-	eps := g.Epsilon
+	bounds, colOf := buildRows(p)
+	return solveGK(p, g.Epsilon, bounds, colOf)
+}
+
+// solveGK is GK over rows already built by buildRows.
+func solveGK(p *te.Problem, eps float64, bounds []float64, colOf func(fi, pi int) []int) (*te.Allocation, error) {
 	if eps <= 0 || eps >= 1 {
 		eps = 0.1
 	}
-	_, bounds, colOf := buildRows(p)
 	m := len(bounds)
 	alloc := te.NewAllocation(p)
 	if m == 0 || p.NumPaths() == 0 {

@@ -134,22 +134,15 @@ func (h *Harp) forward(tp *autodiff.Tape, p *te.Problem) (*autodiff.Value, []int
 // Solve implements solve.Solver: full-demand softmax routing then trim.
 func (h *Harp) Solve(p *te.Problem, opts ...solve.Option) (*te.Allocation, error) {
 	defer solve.Begin(solve.Build(opts...), "harp").End()
-	alloc := te.NewAllocation(p)
 	tp := h.solveTapes.get()
 	defer h.solveTapes.put(tp)
 	scores, varFlow := h.forward(tp, p)
 	if scores == nil {
+		alloc := te.NewAllocation(p)
 		p.Trim(alloc)
 		return alloc, nil
 	}
-	alpha := tp.SegmentSoftmax(scores, varFlow, len(p.Flows))
-	j := 0
-	for fi := range p.Flows {
-		for pi := range p.Flows[fi].Paths {
-			alloc.X[fi][pi] = alpha.Val.Data[j] * p.Flows[fi].DemandMbps
-			j++
-		}
-	}
+	alloc := allocFromSoftmax(p, tp.SegmentSoftmax(scores, varFlow, len(p.Flows)))
 	p.Trim(alloc)
 	return alloc, nil
 }
@@ -169,23 +162,15 @@ func (h *Harp) TrainStep(p *te.Problem, opt *autodiff.Adam) (float64, error) {
 	}
 	alpha := tp.SegmentSoftmax(scores, varFlow, len(p.Flows))
 	demands := tp.Zeros(len(varFlow), 1)
-	j := 0
-	var varIdx, linkIdx []int
-	for fi := range p.Flows {
-		for pi := range p.Flows[fi].Paths {
-			demands.Data[j] = p.Flows[fi].DemandMbps
-			for _, li := range p.PathLinks(fi, pi) {
-				varIdx = append(varIdx, j)
-				linkIdx = append(linkIdx, li)
-			}
-			j++
-		}
+	for j, fi := range varFlow {
+		demands.Data[j] = p.Flows[fi].DemandMbps
 	}
+	vars, links := p.Incidence()
 	x := tp.Mul(alpha, tp.Const(demands))
-	if len(varIdx) == 0 {
+	if len(vars) == 0 {
 		return 0, nil
 	}
-	loads := tp.ScatterAddRows(tp.Gather(x, varIdx), linkIdx, len(p.Links))
+	loads := tp.ScatterAddRows(tp.Gather(x, vars), links, len(p.Links))
 	invCap := tp.Zeros(len(p.Links), 1)
 	for i, c := range p.LinkCap {
 		if c > 0 {

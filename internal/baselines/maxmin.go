@@ -29,7 +29,7 @@ func (s MaxMinFair) Solve(p *te.Problem, opts ...solve.Option) (*te.Allocation, 
 		rounds = 128
 	}
 	alloc := te.NewAllocation(p)
-	_, bounds, colOf := buildRows(p)
+	bounds, colOf := buildRows(p)
 	residual := append([]float64(nil), bounds...)
 
 	type fstate struct {

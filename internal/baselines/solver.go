@@ -34,7 +34,12 @@ func (LPExact) Name() string { return "lp-exact" }
 func (LPExact) Solve(p *te.Problem, opts ...solve.Option) (*te.Allocation, error) {
 	o := solve.Build(opts...)
 	defer solve.Begin(o, "lp-exact").End()
-	rows, b, colOf := buildRows(p)
+	b, colOf := buildRows(p)
+	return solveExact(p, o, b, colOf)
+}
+
+// solveExact is LPExact over rows already built by buildRows.
+func solveExact(p *te.Problem, o solve.Options, b []float64, colOf func(fi, pi int) []int) (*te.Allocation, error) {
 	n := p.NumPaths()
 	c := make([]float64, n)
 	a := make([][]float64, len(b))
@@ -51,7 +56,6 @@ func (LPExact) Solve(p *te.Problem, opts ...solve.Option) (*te.Allocation, error
 			j++
 		}
 	}
-	_ = rows
 	sp := o.Registry.StartSpan(obs.PhaseLPSolve)
 	res, err := lp.Maximize(c, a, b)
 	sp.End()
@@ -85,10 +89,10 @@ type resourceKey struct {
 
 // buildRows enumerates the packing rows actually reachable by some path
 // variable: used links, finite up/down caps of active endpoints, and one
-// demand row per flow. It returns the row count via len(b), the bounds, and
+// demand row per flow. It returns the bounds (the row count is len(b)) and
 // a function giving the row indices of a (flow, path) column.
-func buildRows(p *te.Problem) (rows map[resourceKey]int, b []float64, colOf func(fi, pi int) []int) {
-	rows = make(map[resourceKey]int)
+func buildRows(p *te.Problem) (b []float64, colOf func(fi, pi int) []int) {
+	rows := make(map[resourceKey]int)
 	addRow := func(k resourceKey, bound float64) int {
 		if i, ok := rows[k]; ok {
 			return i
@@ -137,7 +141,7 @@ func buildRows(p *te.Problem) (rows map[resourceKey]int, b []float64, colOf func
 		}
 		return out
 	}
-	return rows, b, colOf
+	return b, colOf
 }
 
 // LPAuto is the commercial-solver stand-in: exact simplex when the dense
@@ -153,9 +157,9 @@ type LPAuto struct {
 // Name implements solve.Solver.
 func (LPAuto) Name() string { return "lp-auto" }
 
-// Solve implements solve.Solver. Options are forwarded to the solver the
-// size heuristic picks, so instrumented runs record the latency under both
-// "lp-auto" and the concrete solver's name.
+// Solve implements solve.Solver. The rows are built once, sized against the
+// dense budget and handed to the solver the heuristic picks; instrumented
+// runs record the latency under both "lp-auto" and that solver's name.
 func (s LPAuto) Solve(p *te.Problem, opts ...solve.Option) (*te.Allocation, error) {
 	o := solve.Build(opts...)
 	defer solve.Begin(o, "lp-auto").End()
@@ -163,14 +167,15 @@ func (s LPAuto) Solve(p *te.Problem, opts ...solve.Option) (*te.Allocation, erro
 	if maxCells == 0 {
 		maxCells = 4_000_000
 	}
-	n := p.NumPaths()
-	_, b, _ := buildRows(p)
-	if len(b)*n <= maxCells {
-		return LPExact{}.Solve(p, opts...)
+	b, colOf := buildRows(p)
+	if len(b)*p.NumPaths() <= maxCells {
+		defer solve.Begin(o, "lp-exact").End()
+		return solveExact(p, o, b, colOf)
 	}
 	eps := s.Epsilon
 	if eps == 0 {
 		eps = 0.05
 	}
-	return GK{Epsilon: eps}.Solve(p, opts...)
+	defer solve.Begin(o, "gk").End()
+	return solveGK(p, eps, b, colOf)
 }

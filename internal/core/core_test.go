@@ -65,13 +65,26 @@ func TestBuildTEGraphInvariants(t *testing.T) {
 	if g.R3.Len() != g.NumPaths {
 		t.Errorf("R3 edges = %d want %d", g.R3.Len(), g.NumPaths)
 	}
-	// VarFlow/FlowVars are mutually consistent.
-	for fi, vars := range g.FlowVars {
-		for _, j := range vars {
+	// Path node j is te's path variable j: VarFlow follows the flow-major
+	// numbering, and the incidence pairs of variable j are that path's links.
+	vars, links := p.Incidence()
+	j, k := 0, 0
+	for fi := range p.Flows {
+		for pi := range p.Flows[fi].Paths {
 			if g.VarFlow[j] != fi {
-				t.Fatal("VarFlow/FlowVars inconsistent")
+				t.Fatalf("VarFlow[%d] = %d, te numbers it in flow %d", j, g.VarFlow[j], fi)
 			}
+			for _, li := range p.PathLinks(fi, pi) {
+				if vars[k] != j || links[k] != li {
+					t.Fatalf("incidence pair %d = (%d, %d), want (%d, %d)", k, vars[k], links[k], j, li)
+				}
+				k++
+			}
+			j++
 		}
+	}
+	if j != len(g.VarFlow) || k != len(vars) {
+		t.Fatalf("walked %d variables and %d pairs, graph has %d, incidence %d", j, k, len(g.VarFlow), len(vars))
 	}
 	// R2 position features are in [0,1].
 	for _, f := range g.R2Feat {
@@ -130,14 +143,14 @@ func TestAllocationRespectsdemandByConstruction(t *testing.T) {
 	tp := autodiff.NewTape()
 	x := m.Allocate(tp, g, p)
 	// Per flow: sum over candidate paths <= demand (softmax*sigmoid mix).
-	for fi, vars := range g.FlowVars {
-		var s float64
-		for _, j := range vars {
-			if x.Val.Data[j] < 0 {
-				t.Fatal("negative raw allocation")
-			}
-			s += x.Val.Data[j]
+	sums := make([]float64, len(p.Flows))
+	for j, fi := range g.VarFlow {
+		if x.Val.Data[j] < 0 {
+			t.Fatal("negative raw allocation")
 		}
+		sums[fi] += x.Val.Data[j]
+	}
+	for fi, s := range sums {
 		if s > p.Flows[fi].DemandMbps+1e-9 {
 			t.Fatalf("flow %d raw allocation %v exceeds demand %v", fi, s, p.Flows[fi].DemandMbps)
 		}

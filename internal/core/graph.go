@@ -53,15 +53,10 @@ type TEGraph struct {
 	Access     gnn.EdgeList
 	AccessFeat []float64
 
-	// VarFlow maps each path node (variable) to its flow index, and
-	// FlowVars lists path-node indices per flow — the decoder's alignment
-	// between graph nodes and allocation variables x_fp.
-	VarFlow  []int
-	FlowVars [][]int
-
-	// allVars is the shared backing array the FlowVars slices point into,
-	// retained so BuildTEGraphInto can reuse it across cycles.
-	allVars []int
+	// VarFlow maps each path node to its flow index. Path node j is the
+	// problem's path variable j (te numbers them flow-major), so decoders
+	// and labels walk the flows' paths in order with one running index.
+	VarFlow []int
 
 	// Deduplicated views of the scalar R2/R3 edge features. The raw features
 	// have tiny cardinality (R2Feat is a position fraction i/(len-1), R3Feat a
@@ -150,24 +145,12 @@ func buildTEGraphInto(g *TEGraph, p *te.Problem, keepR1 bool) {
 	g.TrafficFeat = reuseFloats(g.TrafficFeat, len(p.Flows))
 	g.PathFeat = reuseFloats(g.PathFeat, nPaths)
 	g.VarFlow = reuseInts(g.VarFlow, nPaths)
-	if cap(g.FlowVars) >= len(p.Flows) {
-		g.FlowVars = g.FlowVars[:0]
-	} else {
-		g.FlowVars = make([][]int, 0, len(p.Flows))
-	}
 	g.R2 = gnn.EdgeList{Src: reuseInts(g.R2.Src, nR2), Dst: reuseInts(g.R2.Dst, nR2)}
 	g.R2Feat = reuseFloats(g.R2Feat, nR2)
 	g.R3 = gnn.EdgeList{Src: reuseInts(g.R3.Src, nPaths), Dst: reuseInts(g.R3.Dst, nPaths)}
 	g.R3Feat = reuseFloats(g.R3Feat, nPaths)
 	g.Access = gnn.EdgeList{Src: reuseInts(g.Access.Src, 2*len(p.Flows)), Dst: reuseInts(g.Access.Dst, 2*len(p.Flows))}
 	g.AccessFeat = reuseFloats(g.AccessFeat, 2*len(p.Flows))
-	// Variable ids are assigned densely in flow order, so FlowVars is a
-	// contiguous slicing of 0..nPaths-1 — one shared backing array.
-	allVars := reuseInts(g.allVars, nPaths)[:nPaths]
-	for i := range allVars {
-		allVars[i] = i
-	}
-	g.allVars = allVars
 
 	// R1: satellite interconnection, both directions, capacity feature.
 	// Degrees accumulate directly into SatFeat (exact small integers), then
@@ -196,7 +179,6 @@ func buildTEGraphInto(g *TEGraph, p *te.Problem, keepR1 bool) {
 		g.NumTraffic++
 		g.TrafficFeat = append(g.TrafficFeat, f.DemandMbps*featDemandScale)
 		nCand := float64(len(f.Paths)) * featPathsScale
-		vars := allVars[g.NumPaths : g.NumPaths+len(f.Paths) : g.NumPaths+len(f.Paths)]
 		for pi := range f.Paths {
 			pn := g.NumPaths
 			g.NumPaths++
@@ -219,7 +201,6 @@ func buildTEGraphInto(g *TEGraph, p *te.Problem, keepR1 bool) {
 			g.R3.Dst = append(g.R3.Dst, pn)
 			g.R3Feat = append(g.R3Feat, nCand)
 		}
-		g.FlowVars = append(g.FlowVars, vars)
 		// Redundant access relation (ablation only): the flow's endpoints.
 		g.Access.Src = append(g.Access.Src, int(f.Src), int(f.Dst))
 		g.Access.Dst = append(g.Access.Dst, ti, ti)
@@ -266,10 +247,7 @@ func FullGraphRelations(p *te.Problem) (reduced, full int) {
 	// link nodes: one per link, 2 incidence edges each.
 	full += 2 * len(p.Links)
 	// contains: one edge per (path, link) incidence.
-	for fi := range p.Flows {
-		for pi := range p.Flows[fi].Paths {
-			full += len(p.PathLinks(fi, pi))
-		}
-	}
+	vars, _ := p.Incidence()
+	full += len(vars)
 	return reduced, full
 }

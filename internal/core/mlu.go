@@ -24,35 +24,23 @@ import (
 func TrainMLU(m *Model, problems []*te.Problem, epochs int, lr float64) ([]float64, error) {
 	const beta = 8.0
 
-	// Static per-problem state (graph, incidence, demand, inverse capacity)
-	// is built once; the epoch loop only runs forward/backward passes on a
-	// reused tape.
+	// Static per-problem state (graph, demand, inverse capacity) is built
+	// once; the epoch loop only runs forward/backward passes on a reused
+	// tape, reading the incidence from the problem.
 	type mluUnit struct {
-		p               *te.Problem
-		g               *TEGraph
-		varIdx, linkIdx []int
-		demand, invCap  []float64
+		p              *te.Problem
+		g              *TEGraph
+		demand, invCap []float64
 	}
 	var units []mluUnit
 	for _, p := range problems {
-		g := BuildTEGraph(p)
-		if g.NumPaths == 0 {
+		if vars, _ := p.Incidence(); len(vars) == 0 {
 			continue
 		}
+		g := BuildTEGraph(p)
 		u := mluUnit{p: p, g: g, demand: make([]float64, g.NumPaths)}
 		for j, fi := range g.VarFlow {
 			u.demand[j] = p.Flows[fi].DemandMbps
-		}
-		for fi, vars := range g.FlowVars {
-			for pi, j := range vars {
-				for _, li := range p.PathLinks(fi, pi) {
-					u.varIdx = append(u.varIdx, j)
-					u.linkIdx = append(u.linkIdx, li)
-				}
-			}
-		}
-		if len(u.varIdx) == 0 {
-			continue
 		}
 		u.invCap = make([]float64, len(p.Links))
 		for i, c := range p.LinkCap {
@@ -78,7 +66,8 @@ func TrainMLU(m *Model, problems []*te.Problem, epochs int, lr float64) ([]float
 			scores, _ := m.Forward(tp, g)
 			alpha := tp.SegmentSoftmax(scores, g.VarFlow, g.NumTraffic)
 			x := tp.Mul(alpha, tp.Const(tp.TensorFrom(g.NumPaths, 1, u.demand)))
-			loads := tp.ScatterAddRows(tp.Gather(x, u.varIdx), u.linkIdx, len(p.Links))
+			vars, links := p.Incidence()
+			loads := tp.ScatterAddRows(tp.Gather(x, vars), links, len(p.Links))
 			util := tp.Mul(loads, tp.Const(tp.TensorFrom(len(p.Links), 1, u.invCap)))
 			loss := tp.Scale(tp.SumAll(tp.Exp(tp.Scale(util, beta))), 1/beta)
 			opt.ZeroGrad()
@@ -118,9 +107,11 @@ func (m *Model) solveMLU(cs *CycleState, p *te.Problem, o solve.Options) (*te.Al
 	alpha := tp.SegmentSoftmax(scores, g.VarFlow, g.NumTraffic)
 	sp.End()
 	sp = o.Registry.StartSpan(obs.PhaseDecode)
-	for fi, vars := range g.FlowVars {
-		for pi, j := range vars {
-			alloc.X[fi][pi] = alpha.Val.Data[j] * p.Flows[fi].DemandMbps
+	j := 0
+	for fi, row := range alloc.X {
+		for pi := range row {
+			row[pi] = alpha.Val.Data[j] * p.Flows[fi].DemandMbps
+			j++
 		}
 	}
 	p.Trim(alloc)

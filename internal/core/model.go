@@ -375,13 +375,15 @@ func inferThroughput[T autodiff.Float](net *netOf[T], cs *CycleState, ds *dtypeS
 func solveThroughput[T autodiff.Float](net *netOf[T], cs *CycleState, ds *dtypeState[T], p *te.Problem, o solve.Options, name string) (*te.Allocation, error) {
 	a := solve.Begin(o, name)
 	defer a.End()
-	g, x := inferThroughput(net, cs, ds, p, o)
+	_, x := inferThroughput(net, cs, ds, p, o)
 	sp := o.Registry.StartSpan(obs.PhaseDecode)
 	alloc := te.NewAllocation(p)
 	xd := x.Val.Data
-	for fi, vars := range g.FlowVars {
-		for pi, j := range vars { // variables were appended in path order
-			alloc.X[fi][pi] = autodiff.ToFloat64(xd[j])
+	j := 0
+	for _, row := range alloc.X { // path variables are numbered flow-major
+		for pi := range row {
+			row[pi] = autodiff.ToFloat64(xd[j])
+			j++
 		}
 	}
 	p.Trim(alloc)

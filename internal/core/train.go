@@ -32,46 +32,19 @@ const clipNorm float64 = 5
 type Sample struct {
 	Problem *te.Problem
 	Graph   *TEGraph
-	// Labels are the optimal x*_fp aligned with Graph variable order.
+	// Labels are the optimal x*_fp in the problem's path-variable order.
 	Labels []float64
-
-	// varIdx/linkIdx cache the variable->link incidence used by the penalty
-	// term (one entry per (path variable, traversed link) pair). Built once
-	// per sample — the incidence is static across epochs.
-	varIdx, linkIdx []int
-	incBuilt        bool
 }
 
 // NewSample builds a training sample from a problem and a reference
 // allocation.
 func NewSample(p *te.Problem, ref *te.Allocation) *Sample {
 	g := BuildTEGraph(p)
-	labels := make([]float64, g.NumPaths)
-	for fi, vars := range g.FlowVars {
-		for pi, j := range vars {
-			labels[j] = ref.X[fi][pi]
-		}
+	labels := make([]float64, 0, g.NumPaths)
+	for _, row := range ref.X {
+		labels = append(labels, row...)
 	}
-	s := &Sample{Problem: p, Graph: g, Labels: labels}
-	s.incidence()
-	return s
-}
-
-// incidence returns the cached variable->link incidence, building it on
-// first use (samples constructed literally in tests skip NewSample).
-func (s *Sample) incidence() ([]int, []int) {
-	if !s.incBuilt {
-		for fi, vars := range s.Graph.FlowVars {
-			for pi, j := range vars {
-				for _, li := range s.Problem.PathLinks(fi, pi) {
-					s.varIdx = append(s.varIdx, j)
-					s.linkIdx = append(s.linkIdx, li)
-				}
-			}
-		}
-		s.incBuilt = true
-	}
-	return s.varIdx, s.linkIdx
+	return &Sample{Problem: p, Graph: g, Labels: labels}
 }
 
 // SupervisedLoss computes only the supervised term (demand-normalised MSE
@@ -120,17 +93,17 @@ func Loss(tp *autodiff.Tape, s *Sample, x *autodiff.Value) *autodiff.Value {
 	// total_flow = sum of allocations.
 	totalFlow := tp.SumAll(x)
 
-	// Per-link loads via scatter over the cached variable->link incidence.
-	varIdx, linkIdx := s.incidence()
+	// Per-link loads via scatter over the problem's variable->link incidence.
+	vars, links := p.Incidence()
 	loss := sup
 	totalDemand := p.TotalDemand()
 	if totalDemand <= 0 {
 		totalDemand = 1
 	}
 	den := lambdaBalance * lambdaFlow * totalDemand
-	if len(varIdx) > 0 {
-		contrib := tp.Gather(x, varIdx)                            // nnz x 1
-		loads := tp.ScatterAddRows(contrib, linkIdx, len(p.Links)) // links x 1
+	if len(vars) > 0 {
+		contrib := tp.Gather(x, vars)                            // nnz x 1
+		loads := tp.ScatterAddRows(contrib, links, len(p.Links)) // links x 1
 		// alpha_i of Eq. (5) are adaptive penalty COEFFICIENTS: computed
 		// from the current utilisations but detached from the gradient.
 		// Back-propagating through the exponential makes the penalty

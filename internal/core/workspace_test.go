@@ -221,10 +221,16 @@ func TestSolveMatchesGradientTapeForward(t *testing.T) {
 		}
 	}
 
+	// The graph's path nodes are te's flow-major path variables.
 	trimmed := te.NewAllocation(p)
-	for fi, vars := range g.FlowVars {
-		for pi, j := range vars {
-			trimmed.X[fi][pi] = want[j]
+	j := 0
+	for fi, row := range trimmed.X {
+		for pi := range row {
+			if g.VarFlow[j] != fi {
+				t.Fatalf("path node %d belongs to flow %d, te numbers it in flow %d (path %d)", j, g.VarFlow[j], fi, pi)
+			}
+			row[pi] = want[j]
+			j++
 		}
 	}
 	p.Trim(trimmed)

@@ -34,12 +34,18 @@ type Problem struct {
 	UpCap, DownCap []float64
 
 	linkIndex map[uint64]int
-	// pathLinks[f][p] lists link indices traversed by path p of flow f.
-	pathLinks [][][]int
+
+	// The path-link incidence Φ of Appendix A, flat. Path variables are
+	// numbered flow-major: path pi of flow fi is variable flowOff[fi]+pi.
+	// Variable j traverses links hopLinks[varOff[j]:varOff[j+1]] in hop
+	// order, and hopVars[k] is the variable of entry k, so (hopVars,
+	// hopLinks) are the (variable, link) pairs of Φ in that same order.
+	flowOff, varOff   []int
+	hopVars, hopLinks []int
 }
 
-// Finalize builds the link index and path-link incidence (the Phi matrix of
-// Appendix A, stored sparsely). It must be called after the fields are set
+// Finalize builds the link index and the path-link incidence (the Φ matrix
+// of Appendix A, stored flat). It must be called after the fields are set
 // and before solving. Paths that traverse unknown links are dropped from
 // their flow (they are obsolete w.r.t. the link set).
 func (p *Problem) Finalize() error {
@@ -72,38 +78,37 @@ func (p *Problem) RebindFlows() error {
 	return nil
 }
 
-// bindFlows filters each flow's paths against the link index and records the
-// per-path link incidence. The outer pathLinks slice is reused at high-water
-// capacity across rebinds.
+// bindFlows filters each flow's paths against the link index and rebuilds
+// the flat incidence, walking each path's node pairs. The arrays are reused
+// at high-water capacity, so a warm rebind does not allocate.
 func (p *Problem) bindFlows() {
-	if cap(p.pathLinks) >= len(p.Flows) {
-		p.pathLinks = p.pathLinks[:len(p.Flows)]
-	} else {
-		p.pathLinks = make([][][]int, len(p.Flows))
-	}
+	p.flowOff = append(p.flowOff[:0], 0)
+	p.varOff = append(p.varOff[:0], 0)
+	p.hopVars, p.hopLinks = p.hopVars[:0], p.hopLinks[:0]
 	for fi := range p.Flows {
 		f := &p.Flows[fi]
 		kept := f.Paths[:0]
-		var pls [][]int
 		for _, path := range f.Paths {
-			links := path.Links()
-			idx := make([]int, 0, len(links))
+			j, k0 := len(p.varOff)-1, len(p.hopLinks)
 			ok := true
-			for _, l := range links {
-				li, found := p.linkIndex[l.Key()]
+			for h := 0; h+1 < len(path.Nodes); h++ {
+				li, found := p.linkIndex[topology.MakeLink(path.Nodes[h], path.Nodes[h+1], topology.IntraOrbit).Key()]
 				if !found {
 					ok = false
 					break
 				}
-				idx = append(idx, li)
+				p.hopVars = append(p.hopVars, j)
+				p.hopLinks = append(p.hopLinks, li)
 			}
-			if ok {
-				kept = append(kept, path)
-				pls = append(pls, idx)
+			if !ok {
+				p.hopVars, p.hopLinks = p.hopVars[:k0], p.hopLinks[:k0]
+				continue
 			}
+			kept = append(kept, path)
+			p.varOff = append(p.varOff, len(p.hopLinks))
 		}
 		f.Paths = kept
-		p.pathLinks[fi] = pls
+		p.flowOff = append(p.flowOff, len(p.varOff)-1)
 	}
 }
 
@@ -144,16 +149,17 @@ func (p *Problem) LinkSet() topology.LinkSet {
 	return s
 }
 
-// LinkIndexOf returns the index of a link, or -1.
-func (p *Problem) LinkIndexOf(l topology.Link) int {
-	if i, ok := p.linkIndex[l.Key()]; ok {
-		return i
-	}
-	return -1
+// PathLinks returns the link indices of path pi of flow fi, in hop order.
+func (p *Problem) PathLinks(fi, pi int) []int {
+	j := p.flowOff[fi] + pi
+	return p.hopLinks[p.varOff[j]:p.varOff[j+1]:p.varOff[j+1]]
 }
 
-// PathLinks returns the link indices of path pi of flow fi.
-func (p *Problem) PathLinks(fi, pi int) []int { return p.pathLinks[fi][pi] }
+// Incidence returns Φ as parallel (variable, link) pairs: variables are
+// numbered flow-major (flow 0's paths first, each flow's in path order) and
+// each variable's links follow in hop order. The slices belong to the
+// problem and are valid until the next Finalize or RebindFlows.
+func (p *Problem) Incidence() (vars, links []int) { return p.hopVars, p.hopLinks }
 
 // TotalDemand returns the sum of all flow demands.
 func (p *Problem) TotalDemand() float64 {
@@ -243,7 +249,7 @@ func (p *Problem) LinkLoads(a *Allocation) []float64 {
 			if v == 0 {
 				continue
 			}
-			for _, li := range p.pathLinks[fi][pi] {
+			for _, li := range p.PathLinks(fi, pi) {
 				load[li] += v
 			}
 		}
@@ -393,7 +399,7 @@ func (p *Problem) Trim(a *Allocation) {
 	for fi, f := range p.Flows {
 		for pi := range f.Paths {
 			s := 1.0
-			for _, li := range p.pathLinks[fi][pi] {
+			for _, li := range p.PathLinks(fi, pi) {
 				if linkScale[li] < s {
 					s = linkScale[li]
 				}

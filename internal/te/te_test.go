@@ -3,6 +3,7 @@ package te
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -323,6 +324,131 @@ func TestWriteLPEmptyProblem(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "End") {
 		t.Error("malformed empty LP")
+	}
+}
+
+// TestRebindFlowsMatchesFinalize drives one problem through a random
+// sequence of flow sets — growing, shrinking, with paths over absent links —
+// rebinding each against its retained arrays. After every step the kept
+// paths, PathLinks and incidence pairs must equal those of a freshly
+// finalized copy, and both must match the path filter and hop-order link
+// indices read off Path.Links.
+func TestRebindFlowsMatchesFinalize(t *testing.T) {
+	const n = 8 // ring 0-1-...-7-0
+	links := make([]topology.Link, n)
+	caps := make([]float64, n)
+	index := map[uint64]int{}
+	for i := range links {
+		links[i] = topology.MakeLink(topology.NodeID(i), topology.NodeID((i+1)%n), topology.IntraOrbit)
+		caps[i] = 10
+		index[links[i].Key()] = i
+	}
+	rng := rand.New(rand.NewSource(5))
+	randPath := func() paths.Path {
+		nodes := []topology.NodeID{topology.NodeID(rng.Intn(n))}
+		dir := 1 + rng.Intn(2)*(n-2) // +1 or -1 around the ring
+		for h := 1 + rng.Intn(4); h > 0; h-- {
+			step := dir
+			if rng.Intn(6) == 0 { // never a ring neighbour: the hop's link is absent
+				step = 2 + rng.Intn(n-3)
+			}
+			nodes = append(nodes, topology.NodeID((int(nodes[len(nodes)-1])+step)%n))
+		}
+		return paths.Path{Nodes: nodes}
+	}
+	clone := func(flows []FlowDemand) []FlowDemand {
+		out := append([]FlowDemand(nil), flows...)
+		for fi := range out {
+			out[fi].Paths = append([]paths.Path(nil), out[fi].Paths...)
+		}
+		return out
+	}
+
+	rebound := &Problem{NumNodes: n, Links: links, LinkCap: caps}
+	for step := 0; step < 300; step++ {
+		flows := make([]FlowDemand, rng.Intn(12))
+		for fi := range flows {
+			flows[fi].DemandMbps = 1
+			for k := rng.Intn(5); k > 0; k-- {
+				flows[fi].Paths = append(flows[fi].Paths, randPath())
+			}
+		}
+		rebound.Flows = clone(flows)
+		if err := rebound.RebindFlows(); err != nil {
+			t.Fatal(err)
+		}
+		fresh := &Problem{NumNodes: n, Links: links, LinkCap: caps, Flows: clone(flows)}
+		if err := fresh.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+
+		var wantVars, wantLinks []int
+		j := 0
+		for fi, f := range flows {
+			var kept []paths.Path
+			for _, path := range f.Paths {
+				var idx []int
+				for _, l := range path.Links() {
+					if li, ok := index[l.Key()]; ok {
+						idx = append(idx, li)
+					}
+				}
+				if len(idx) < path.Hops() {
+					continue
+				}
+				pi := len(kept)
+				kept = append(kept, path)
+				for _, q := range []*Problem{rebound, fresh} {
+					if got := q.PathLinks(fi, pi); !slices.Equal(got, idx) {
+						t.Fatalf("step %d flow %d path %d: PathLinks %v, want %v", step, fi, pi, got, idx)
+					}
+				}
+				for _, li := range idx {
+					wantVars, wantLinks = append(wantVars, j), append(wantLinks, li)
+				}
+				j++
+			}
+			for _, q := range []*Problem{rebound, fresh} {
+				if !slices.EqualFunc(q.Flows[fi].Paths, kept, func(a, b paths.Path) bool { return slices.Equal(a.Nodes, b.Nodes) }) {
+					t.Fatalf("step %d flow %d: kept %v, want %v", step, fi, q.Flows[fi].Paths, kept)
+				}
+			}
+		}
+		for _, q := range []*Problem{rebound, fresh} {
+			if vars, links := q.Incidence(); !slices.Equal(vars, wantVars) || !slices.Equal(links, wantLinks) {
+				t.Fatalf("step %d: incidence (%v, %v), want (%v, %v)", step, vars, links, wantVars, wantLinks)
+			}
+		}
+	}
+}
+
+// TestRebindFlowsZeroAllocs pins the warm rebind at zero allocations
+// (DESIGN.md §8): the incidence arrays are rebuilt in retained storage and
+// paths are walked node pair by node pair, one of them dropped every time.
+func TestRebindFlowsZeroAllocs(t *testing.T) {
+	p := diamond(10, 10, 10, 10, 5)
+	base := []paths.Path{paths.NewPath(0, 1, 3), paths.NewPath(0, 3), paths.NewPath(0, 2, 3)}
+	for len(p.Flows) < 64 {
+		p.Flows = append(p.Flows, FlowDemand{Src: 0, Dst: 3, DemandMbps: 1})
+	}
+	bufs := make([][]paths.Path, len(p.Flows))
+	for fi := range bufs {
+		bufs[fi] = make([]paths.Path, len(base))
+	}
+	var err error
+	rebind := func() {
+		for fi := range p.Flows {
+			copy(bufs[fi], base)
+			p.Flows[fi].Paths = bufs[fi]
+		}
+		err = p.RebindFlows()
+	}
+	rebind() // grows the arrays to this flow set's high-water mark
+	if n := testing.AllocsPerRun(100, rebind); n != 0 || err != nil {
+		t.Errorf("warm RebindFlows over %d flows: %.0f allocs (err %v), want 0", len(p.Flows), n, err)
+	}
+	if vars, _ := p.Incidence(); len(p.Flows[63].Paths) != 2 || len(vars) != 4*len(p.Flows) {
+		t.Errorf("rebind kept %d paths of the last flow and %d incidence pairs", len(p.Flows[63].Paths), len(vars))
 	}
 }
 

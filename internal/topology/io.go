@@ -73,9 +73,12 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 }
 
 // ReadSnapshot deserializes a snapshot written by WriteTo, validating the
-// header and all counts. It reads exactly one snapshot's bytes, so multiple
-// snapshots can be read from one stream (wrap the stream in a bufio.Reader
-// yourself for throughput).
+// header, all counts and every link (endpoints in range, stored canonically
+// with A < B as MakeLink writes them). The header's counts are not trusted
+// for sizing: the slices grow as records arrive, so a file that claims more
+// than it holds fails at EOF having allocated about what it held. It reads
+// exactly one snapshot's bytes, so multiple snapshots can be read from one
+// stream (wrap the stream in a bufio.Reader yourself for throughput).
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	magic := make([]byte, len(snapshotMagic))
 	if _, err := io.ReadFull(r, magic); err != nil {
@@ -112,8 +115,7 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	}
 	s.NumSats = int(numSats)
 	s.NumNodes = int(numNodes)
-	s.Links = make([]Link, numLinks)
-	for i := range s.Links {
+	for i := uint32(0); i < numLinks; i++ {
 		var a, b uint32
 		var kind uint8
 		if err := read(&a); err != nil {
@@ -128,10 +130,12 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 		if a >= numNodes || b >= numNodes {
 			return nil, fmt.Errorf("topology: link %d endpoint out of range", i)
 		}
-		s.Links[i] = Link{A: NodeID(a), B: NodeID(b), Kind: LinkKind(kind)}
+		if a >= b {
+			return nil, fmt.Errorf("topology: link %d (%d, %d) is a self-loop or not canonical (want A < B)", i, a, b)
+		}
+		s.Links = append(s.Links, Link{A: NodeID(a), B: NodeID(b), Kind: LinkKind(kind)})
 	}
-	s.Pos = make([]orbit.Vec3, numNodes)
-	for i := range s.Pos {
+	for i := uint32(0); i < numNodes; i++ {
 		var x, y, z float64
 		if err := read(&x); err != nil {
 			return nil, err
@@ -145,7 +149,7 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 		if math.IsNaN(x) || math.IsNaN(y) || math.IsNaN(z) {
 			return nil, fmt.Errorf("topology: NaN position for node %d", i)
 		}
-		s.Pos[i] = orbit.Vec3{X: x, Y: y, Z: z}
+		s.Pos = append(s.Pos, orbit.Vec3{X: x, Y: y, Z: z})
 	}
 	s.Finalize()
 	return s, nil
@@ -178,13 +182,13 @@ func ReadSeries(r io.Reader) ([]*Snapshot, error) {
 	if n > 10_000_000 {
 		return nil, fmt.Errorf("topology: implausible series length %d", n)
 	}
-	out := make([]*Snapshot, n)
-	for i := range out {
+	var out []*Snapshot
+	for i := uint32(0); i < n; i++ {
 		s, err := ReadSnapshot(br)
 		if err != nil {
 			return nil, fmt.Errorf("topology: snapshot %d: %w", i, err)
 		}
-		out[i] = s
+		out = append(out, s)
 	}
 	return out, nil
 }

@@ -124,11 +124,6 @@ func (s *Snapshot) Finalize() { s.fp = fingerprintOf(s.Links) }
 // (order-independent 64-bit XOR + 64-bit sum + count).
 func (s *Snapshot) SameTopology(o *Snapshot) bool { return s.fp == o.fp }
 
-// Fingerprint returns a stable digest usable as a map key.
-func (s *Snapshot) Fingerprint() [2]uint64 {
-	return [2]uint64{s.fp.xor ^ uint64(s.fp.count), s.fp.sum}
-}
-
 // LinkSet is a membership set of links keyed by endpoint pair. Membership is
 // kind-agnostic by construction: the key encodes only the canonicalised
 // endpoints, so Has(a, b) answers "is there a live link between a and b"
@@ -156,17 +151,6 @@ func (s *Snapshot) LinkSet() LinkSet {
 		m.Add(l)
 	}
 	return m
-}
-
-// HasLink reports whether the link between a and b is present.
-func (s *Snapshot) HasLink(a, b NodeID) bool {
-	l := MakeLink(a, b, IntraOrbit)
-	for _, x := range s.Links {
-		if x.A == l.A && x.B == l.B {
-			return true
-		}
-	}
-	return false
 }
 
 // Adjacency builds an adjacency list over all nodes.

@@ -3,8 +3,9 @@
 # is amd64 assembly; everything else must build without it), tests (which
 # include satelint, the project's determinism / concurrency invariant linter,
 # as internal/lint.TestSelfLint; see DESIGN.md "Static analysis"), 5 s native
-# fuzz runs of the packet engine's event queue, the GAT edge kernel and the
-# gemm vector tile, two training runs whose model files must come out byte
+# fuzz runs of the packet engine's event queue, the GAT edge kernel, the
+# gemm vector tile and the two file readers (topology snapshots, model
+# files), two training runs whose model files must come out byte
 # for byte, a short load burst against the serving surface, and a short run
 # of the TE-cycle benchmark with its per-cycle checks. The full race-detector
 # pass is its own script: ./scripts/check.sh && ./scripts/race.sh
@@ -24,7 +25,7 @@ GOARCH=arm64 go build ./...
 GOARCH=arm64 go vet ./internal/autodiff
 echo "== go test =="
 go test ./...
-echo "== fuzz (3 x 5s) =="
+echo "== fuzz (5 x 5s) =="
 # The packet engine's calendar queue against the reference binary heap:
 # random push/pop interleavings must pop identical (t, seq) sequences.
 go test -run='^$' -fuzz=FuzzCalendarOrder -fuzztime=5s ./internal/pktsim
@@ -36,6 +37,11 @@ go test -run='^$' -fuzz=FuzzEdgeAttention -fuzztime=5s ./internal/autodiff
 # accumulate, must produce identical bits in both dtypes (skips, saying so,
 # on a machine without AVX2).
 go test -run='^$' -fuzz=FuzzGemmVector -fuzztime=5s ./internal/autodiff
+# The file readers every -model flag and snapshot cache reach: any byte
+# string must come back as an error or a value, never a panic, and an
+# accepted snapshot must write back to the bytes it was read from.
+go test -run='^$' -fuzz=FuzzReadSnapshot -fuzztime=5s ./internal/topology
+go test -run='^$' -fuzz=FuzzLoad -fuzztime=5s ./internal/core
 echo "== training bits =="
 # "Training bits cannot move" as a check: every float of a kernel change is
 # meant to be the float before it, so a training run must write the model file
