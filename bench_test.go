@@ -116,10 +116,10 @@ func BenchmarkTrimAllocation(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := a.Clone()
+		c := te.NewAllocation(p)
 		for fi := range c.X {
 			for pi := range c.X[fi] {
-				c.X[fi][pi] *= 3
+				c.X[fi][pi] = 3 * a.X[fi][pi]
 			}
 		}
 		p.Trim(c)

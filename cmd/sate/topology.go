@@ -14,14 +14,14 @@ import (
 )
 
 // sate topology analyses the link dynamics of a constellation: topology
-// holding time (Sec. 2.3.1), link churn, connectivity, and configured-path
-// obsolescence.
+// holding time (Sec. 2.3.1), link churn, connectivity, link exclusion for
+// growing TE intervals (Sec. 2.3.2), and configured-path obsolescence.
 //
 //	sate topology -cons starlink -snapshots 4000 -dt 0.0125
 //	sate topology -cons midsize1 -mode ground-relays
 var topologyCommand = command{
 	name:    "topology",
-	summary: "topology holding time, link churn and path obsolescence (Sec. 2.3.1)",
+	summary: "topology holding time, link churn, link exclusion and path obsolescence (Sec. 2.3)",
 	spec:    sim.Spec{Cons: "midsize1", ScenarioConfig: sim.ScenarioConfig{Seed: 1}},
 	keys:    []string{"cons", "mode", "seed"},
 	setup:   topologySetup,
@@ -98,6 +98,16 @@ func topologySetup(fs *flag.FlagSet) func(sim.Spec) error {
 		churn := topology.MeasureChurn(snaps)
 		fmt.Printf("churn: %d/%d steps changed, +%d/-%d links\n",
 			churn.ChangedSteps, churn.Steps, churn.TotalAdded, churn.TotalRemoved)
+
+		// Link exclusion for growing TE intervals (Fig. 4 c), as far as the
+		// sampled series reaches.
+		for _, steps := range []int{1, 8, 80, 800} {
+			if steps > len(snaps) {
+				break
+			}
+			fmt.Printf("TE interval %7.1f ms: %5.1f%% of changeable ISLs excluded\n",
+				float64(steps)**dt*1000, 100*topology.LinkExclusion(snaps, steps))
+		}
 
 		// Path obsolescence over longer horizons.
 		router := paths.NewGridRouter(cons, s0)

@@ -66,9 +66,6 @@ func NewAdam[T Float](lr float64, params ...*ValueOf[T]) *AdamOf[T] {
 	return a
 }
 
-// Params returns the managed parameters.
-func (a *AdamOf[T]) Params() []*ValueOf[T] { return a.params }
-
 // ZeroGrad clears all parameter gradients.
 func (a *AdamOf[T]) ZeroGrad() {
 	par.ForCtx(len(a.blocks), par.Grain(len(a.blocks), 1), a, opsFor[T]().adamZeroChunk)
@@ -127,15 +124,6 @@ func adamStepChunk[T Float](s adamStepArgs[T], lo, hi int) {
 			p.Val.Data[i] = T(f64(p.Val.Data[i]) - a.LR*mh/(math.Sqrt(vh)+adamEps))
 		}
 	}
-}
-
-// NumParams returns the total number of scalar parameters.
-func (a *AdamOf[T]) NumParams() int {
-	n := 0
-	for _, p := range a.params {
-		n += len(p.Val.Data)
-	}
-	return n
 }
 
 // GradCheck numerically verifies the analytic gradient of a scalar-valued

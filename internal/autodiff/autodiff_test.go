@@ -57,7 +57,7 @@ func checkGrad(t *testing.T, ps []*Value, f func(tp *Tape) *Value) {
 	// Analytic gradients.
 	tp := NewTape()
 	for _, p := range ps {
-		p.Grad.Fill(0)
+		clear(p.Grad.Data)
 		tp.Watch(p)
 	}
 	out := f(tp)

@@ -81,7 +81,9 @@ func runGemm[T Float](a, b, out0 *TensorOf[T], vector bool, workers int) []T {
 	if out0 != nil {
 		out0.CopyInto(out)
 	} else {
-		out.Fill(T(math.NaN()))
+		for i := range out.Data {
+			out.Data[i] = T(math.NaN())
+		}
 	}
 	gemm(out, a, b, out0 != nil)
 	return out.Data

@@ -71,13 +71,6 @@ func (t *TensorOf[T]) CopyInto(dst *TensorOf[T]) {
 	copy(dst.Data, t.Data)
 }
 
-// Fill sets every element to v.
-func (t *TensorOf[T]) Fill(v T) {
-	for i := range t.Data {
-		t.Data[i] = v
-	}
-}
-
 // Randn fills the tensor with N(0, scale^2) samples (drawn in float64,
 // rounded once to T).
 func (t *TensorOf[T]) Randn(rng *rand.Rand, scale float64) *TensorOf[T] {

@@ -351,17 +351,10 @@ func TestMaxMinFairDiamond(t *testing.T) {
 	}
 }
 
-func TestJainAndLogUtility(t *testing.T) {
+func TestJainIndex(t *testing.T) {
 	p := diamond(10)
 	a, _ := (LPExact{}).Solve(p)
 	if j := p.JainIndex(a); math.Abs(j-1) > 1e-9 {
 		t.Errorf("single satisfied flow Jain = %v want 1", j)
-	}
-	if u := p.LogUtility(a); u <= 0 {
-		t.Errorf("log utility = %v", u)
-	}
-	zero := te.NewAllocation(p)
-	if u := p.LogUtility(zero); u != 0 {
-		t.Errorf("zero allocation utility = %v", u)
 	}
 }

@@ -201,9 +201,3 @@ func allocFromSoftmax(p *te.Problem, alpha *autodiff.Value) *te.Allocation {
 	}
 	return alloc
 }
-
-// HarpAttentionCost returns the P x E attention size — the term that makes
-// HARP latency grow with network scale (for the Fig. 8 commentary).
-func HarpAttentionCost(p *te.Problem) int {
-	return p.NumPaths() * len(p.Links)
-}

@@ -119,20 +119,6 @@ func TestHarpTrainingReducesMLU(t *testing.T) {
 	}
 }
 
-func TestHarpAttentionCostGrowsWithScale(t *testing.T) {
-	small, _ := scenarioWithSnap(t, 40, 11)
-	big := scenario(t, 120, 11)
-	cs := HarpAttentionCost(small)
-	cb := HarpAttentionCost(big)
-	if cs <= 0 || cb <= 0 {
-		t.Fatal("zero attention cost")
-	}
-	// More flows -> more paths -> bigger P x E attention.
-	if cb <= cs {
-		t.Logf("note: attention cost small=%d big=%d", cs, cb)
-	}
-}
-
 func TestTealStalePathsDegrade(t *testing.T) {
 	// Bind Teal to t=0 paths, then evaluate on a problem built much later:
 	// some frozen paths no longer match and get no allocation.

@@ -240,9 +240,6 @@ func New(scen *sim.Scenario, solver sim.Allocator, opts ...Option) *Server {
 // replay catch-up client-side).
 func (s *Server) Changelog() *ruledist.Changelog { return s.log }
 
-// Registry returns the attached observability registry (nil if none).
-func (s *Server) Registry() *obs.Registry { return s.registry }
-
 // RecomputeContext runs one full TE workflow cycle at simulated time t:
 // traffic matrix acquisition, topology determination, path
 // (re)configuration, TE computation, and rule compilation. Cancelling the

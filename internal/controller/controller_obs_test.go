@@ -55,7 +55,7 @@ func scrape(t *testing.T, url string) string {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	srv, ts, _ := testServerWithRegistry(t)
+	srv, ts, reg := testServerWithRegistry(t)
 
 	// Scrapable before the first cycle; every sample line well-formed.
 	out := scrape(t, ts.URL+"/metrics")
@@ -93,7 +93,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if !strings.Contains(out, `sate_solve_seconds_count{solver="ecmp-wf"} 2`) {
 		t.Fatalf("solve histogram did not move:\n%s", out)
 	}
-	if g := srv.Registry().Gauge("sate_controld_satisfied_ratio").Value(); g < 0 || g > 1 {
+	if g := reg.Gauge("sate_controld_satisfied_ratio").Value(); g < 0 || g > 1 {
 		t.Fatalf("satisfied ratio out of range: %v", g)
 	}
 }

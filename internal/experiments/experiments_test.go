@@ -75,6 +75,18 @@ func TestFig15a(t *testing.T)  { runExperiment(t, "fig15a") }
 func TestFig15b(t *testing.T)  { runExperiment(t, "fig15b") }
 func TestFig16(t *testing.T)   { runExperiment(t, "fig16") }
 
+// TestRuleOverheadBelowAppendixD checks Appendix D's estimate that rule
+// distribution costs under 5% of the ISL capacity of one TE interval.
+func TestRuleOverheadBelowAppendixD(t *testing.T) {
+	frac, err := ruleOverhead(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frac <= 0 || frac >= 0.05 {
+		t.Errorf("rule overhead fraction = %v, want in (0, 0.05)", frac)
+	}
+}
+
 func TestAblGraph(t *testing.T) { runExperiment(t, "abl-graph") }
 func TestAblPrune(t *testing.T) { runExperiment(t, "abl-prune") }
 func TestAblDPP(t *testing.T)   { runExperiment(t, "abl-dpp") }

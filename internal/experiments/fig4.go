@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"math/rand"
 
+	"sate/internal/baselines"
 	"sate/internal/constellation"
 	"sate/internal/groundnet"
 	"sate/internal/orbit"
 	"sate/internal/par"
 	"sate/internal/paths"
 	"sate/internal/ruledist"
+	"sate/internal/rules"
 	"sate/internal/topology"
 )
 
@@ -189,6 +191,28 @@ func Fig13RuleDistribution(opt Options) (*Report, error) {
 	r.AddRow("p90", fmt.Sprintf("%.1f ms", percentile(finite, 0.9)*1000))
 	r.AddRow("max", fmt.Sprintf("%.1f ms", st.MaxSec*1000))
 	r.AddRow("reachable", fmt.Sprintf("%d/%d", st.Reachable, snap.NumSats))
+	frac, err := ruleOverhead(opt.Seed)
+	if err != nil {
+		return nil, err
+	}
+	r.AddRow("rule overhead", fmt.Sprintf("%.4f%%", 100*frac))
 	r.Note("paper: 2.3 ms minimum, 174 ms maximum")
+	r.Note("rule overhead: ecmp-wf's compiled rules on the CI iridium-66 problem, 64 B each per 1 s interval, over total ISL capacity (Appendix D: < 5%%)")
 	return r, nil
+}
+
+// ruleOverhead is Appendix D's control-message overhead for the CI-scale
+// iridium-66 problem (lasers, at ciTrainStart) under ECMP-WF's allocation:
+// 64-byte rules distributed once per 1 s TE interval, as a fraction of the
+// interval's total ISL capacity.
+func ruleOverhead(seed int64) (float64, error) {
+	p, _, _, err := newScenario(ciScales()[1], topology.CrossShellLasers, 0, seed).ProblemAt(ciTrainStart)
+	if err != nil {
+		return 0, err
+	}
+	a, err := (baselines.ECMPWF{}).Solve(p)
+	if err != nil {
+		return 0, err
+	}
+	return ruledist.RuleOverheadFraction(p, rules.Compile(p, a), 64, 1), nil
 }

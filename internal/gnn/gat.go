@@ -120,9 +120,6 @@ func ConvertGATLayer[T autodiff.Float](l *GATLayer) *GATLayerOf[T] {
 	return c
 }
 
-// OutDim returns the layer's output embedding width.
-func (l *GATLayerOf[T]) OutDim() int { return l.Heads * l.HeadDim }
-
 // Params returns the trainable parameters. The slice is cached — callers
 // must not mutate it.
 func (l *GATLayerOf[T]) Params() []*autodiff.ValueOf[T] { return l.params }

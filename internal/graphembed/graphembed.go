@@ -175,14 +175,3 @@ func RandomSelect(n, k int, rng *rand.Rand) []int {
 	sort.Ints(perm)
 	return perm
 }
-
-// SelectTopologies embeds every snapshot and DPP-selects k representative
-// ones, returning their indices (the end-to-end topology pruning of
-// Sec. 3.4).
-func SelectTopologies(snaps []*topology.Snapshot, k, dim int) []int {
-	vecs := make([][]float64, len(snaps))
-	for i, s := range snaps {
-		vecs[i] = Embed(s, dim, 3)
-	}
-	return DPPSelect(vecs, k)
-}

@@ -142,18 +142,3 @@ func TestRandomSelect(t *testing.T) {
 		t.Errorf("k>n: %v", got)
 	}
 }
-
-func TestSelectTopologies(t *testing.T) {
-	c := constellation.Toy(5, 6)
-	gen := topology.NewGenerator(c, topology.DefaultConfig(topology.CrossShellLasers))
-	snaps := gen.Series(0, 60, 20)
-	sel := SelectTopologies(snaps, 5, 64)
-	if len(sel) > 5 || len(sel) == 0 {
-		t.Fatalf("selected %d", len(sel))
-	}
-	for i := 1; i < len(sel); i++ {
-		if sel[i] <= sel[i-1] {
-			t.Fatal("selection not sorted/unique")
-		}
-	}
-}

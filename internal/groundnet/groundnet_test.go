@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -191,48 +190,5 @@ func TestStarlinkCoverageMidLatitudes(t *testing.T) {
 	}
 	if misses > 0 {
 		t.Errorf("%d mid-latitude sites without coverage", misses)
-	}
-}
-
-func TestPopulationCSVRoundTrip(t *testing.T) {
-	g := SyntheticPopulation(1)
-	var buf strings.Builder
-	if err := g.WritePopulationCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := LoadPopulationCSV(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(g.TotalDensity()-g2.TotalDensity()) > 1e-6 {
-		t.Errorf("total density %v vs %v", g.TotalDensity(), g2.TotalDensity())
-	}
-	for i := range g.Density {
-		if math.Abs(g.Density[i]-g2.Density[i]) > 1e-9 {
-			t.Fatalf("cell %d density %v vs %v", i, g.Density[i], g2.Density[i])
-		}
-	}
-}
-
-func TestLoadPopulationCSVValidation(t *testing.T) {
-	cases := map[string]string{
-		"empty":         "lat_deg,lon_deg,density\n",
-		"bad latitude":  "95,0,1\n",
-		"negative":      "10,10,-5\n",
-		"non-numeric":   "10,10,abc\n20,20,1\n",
-		"wrong columns": "10,10\n",
-	}
-	for name, in := range cases {
-		if _, err := LoadPopulationCSV(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: expected error", name)
-		}
-	}
-	// Header + valid rows accepted; densities in the same cell accumulate.
-	g, err := LoadPopulationCSV(strings.NewReader("lat,lon,density\n10.2,10.7,3\n10.4,10.1,2\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := g.Density[CellIndex(10.5, 10.5)]; got != 5 {
-		t.Errorf("accumulated density = %v want 5", got)
 	}
 }

@@ -11,13 +11,8 @@
 package groundnet
 
 import (
-	"encoding/csv"
-	"fmt"
-	"io"
 	"math"
 	"math/rand"
-	"strconv"
-	"strings"
 
 	"sate/internal/orbit"
 )
@@ -199,70 +194,4 @@ func PlaceSites(n int, probs []float64, rng *rand.Rand) []Site {
 		}
 	}
 	return sites
-}
-
-// LoadPopulationCSV reads a density grid from CSV with rows
-// "lat_deg,lon_deg,density" (header optional). Cells not mentioned stay at
-// zero. This is the bridge to real rasters such as GPWv4 (the paper's
-// source): export the raster to CSV at one-degree resolution and feed it
-// here instead of SyntheticPopulation.
-func LoadPopulationCSV(r io.Reader) (*PopulationGrid, error) {
-	g := &PopulationGrid{Density: make([]float64, GridRows*GridCols)}
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = 3
-	line := 0
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("groundnet: population CSV line %d: %w", line+1, err)
-		}
-		line++
-		lat, err1 := strconv.ParseFloat(strings.TrimSpace(rec[0]), 64)
-		if err1 != nil && line == 1 {
-			continue // header row ("lat_deg,lon_deg,density")
-		}
-		lon, err2 := strconv.ParseFloat(strings.TrimSpace(rec[1]), 64)
-		den, err3 := strconv.ParseFloat(strings.TrimSpace(rec[2]), 64)
-		if err1 != nil || err2 != nil || err3 != nil {
-			return nil, fmt.Errorf("groundnet: population CSV line %d: non-numeric fields %v", line, rec)
-		}
-		if lat < -90 || lat > 90 || lon < -180 || lon > 180 {
-			return nil, fmt.Errorf("groundnet: population CSV line %d: coordinates out of range", line)
-		}
-		if den < 0 {
-			return nil, fmt.Errorf("groundnet: population CSV line %d: negative density", line)
-		}
-		g.Density[CellIndex(lat, lon)] += den
-	}
-	if g.TotalDensity() == 0 {
-		return nil, fmt.Errorf("groundnet: population CSV contains no density")
-	}
-	return g, nil
-}
-
-// WritePopulationCSV exports the grid in the format LoadPopulationCSV reads
-// (non-zero cells only).
-func (g *PopulationGrid) WritePopulationCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"lat_deg", "lon_deg", "density"}); err != nil {
-		return err
-	}
-	for idx, d := range g.Density {
-		if d == 0 {
-			continue
-		}
-		lat, lon := CellCenter(idx)
-		if err := cw.Write([]string{
-			strconv.FormatFloat(lat, 'g', -1, 64),
-			strconv.FormatFloat(lon, 'g', -1, 64),
-			strconv.FormatFloat(d, 'g', -1, 64),
-		}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }

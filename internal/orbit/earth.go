@@ -84,28 +84,6 @@ func ElevationAngle(site, target Vec3) float64 {
 	return math.Asin(s)
 }
 
-// HasLineOfSight reports whether the straight segment between two positions
-// clears the Earth sphere (with an optional extra clearance in km, e.g. for
-// atmospheric grazing). Positions are in any common Earth-centred frame.
-func HasLineOfSight(a, b Vec3, clearanceKm float64) bool {
-	// Minimum distance from Earth's centre to segment a-b.
-	ab := b.Sub(a)
-	den := ab.Dot(ab)
-	var closest Vec3
-	if den == 0 {
-		closest = a
-	} else {
-		t := -a.Dot(ab) / den
-		if t < 0 {
-			t = 0
-		} else if t > 1 {
-			t = 1
-		}
-		closest = a.Add(ab.Scale(t))
-	}
-	return closest.Norm() >= EarthRadiusKm+clearanceKm
-}
-
 // PropagationDelaySec returns the speed-of-light propagation delay between two
 // positions in seconds.
 func PropagationDelaySec(a, b Vec3) float64 {

@@ -47,56 +47,3 @@ func (o Orbit) PositionECI(tSec float64) Vec3 {
 func (o Orbit) PositionECEF(tSec float64) Vec3 {
 	return ECIToECEF(o.PositionECI(tSec), tSec)
 }
-
-// SubSatellitePoint returns the geodetic latitude and longitude (radians) of
-// the point directly beneath the satellite at time t.
-func (o Orbit) SubSatellitePoint(tSec float64) (latRad, lonRad float64) {
-	lat, lon, _ := ECEFToGeodetic(o.PositionECEF(tSec))
-	return lat, lon
-}
-
-// LatitudeRad returns the geodetic latitude (radians) at time t. Cheaper than
-// SubSatellitePoint when longitude is not needed, and exact for the spherical
-// Earth model: latitude is frame-independent under rotation about the z axis.
-func (o Orbit) LatitudeRad(tSec float64) float64 {
-	p := o.PositionECI(tSec)
-	r := p.Norm()
-	return math.Asin(p.Z / r)
-}
-
-// J2 is Earth's dominant zonal harmonic coefficient; it causes secular drift
-// of the ascending node (RAAN) and argument of latitude for inclined LEO
-// orbits — about -5 degrees/day of nodal regression for a Starlink shell.
-const J2 = 1.08262668e-3
-
-// J2NodalRegressionRadS returns the secular RAAN drift rate dOmega/dt for a
-// circular orbit: -(3/2) n J2 (Re/a)^2 cos(i).
-func (o Orbit) J2NodalRegressionRadS() float64 {
-	a := o.SemiMajorAxisKm()
-	ratio := EarthRadiusKm / a
-	return -1.5 * o.MeanMotionRadS() * J2 * ratio * ratio * math.Cos(o.InclinationRad)
-}
-
-// J2ArgLatDriftRadS returns the secular drift of the argument of latitude
-// beyond the mean motion for a circular orbit — the sum of the standard
-// argument-of-perigee and mean-anomaly J2 rates at e = 0:
-//
-//	du/dt - n = (3/4) n J2 (Re/a)^2 [(4 - 5 sin^2 i) + (2 - 3 sin^2 i)]
-func (o Orbit) J2ArgLatDriftRadS() float64 {
-	a := o.SemiMajorAxisKm()
-	n := o.MeanMotionRadS()
-	k := 0.75 * n * J2 * (EarthRadiusKm / a) * (EarthRadiusKm / a)
-	s2 := math.Sin(o.InclinationRad) * math.Sin(o.InclinationRad)
-	return k * ((4 - 5*s2) + (2 - 3*s2))
-}
-
-// PositionECIJ2 returns the inertial position at time t including secular J2
-// drift of RAAN and argument of latitude. For the sub-hour horizons of the
-// TE experiments the difference from PositionECI is negligible; over hours
-// to days the nodal regression dominates real constellation evolution.
-func (o Orbit) PositionECIJ2(tSec float64) Vec3 {
-	drifted := o
-	drifted.RAANRad = o.RAANRad + o.J2NodalRegressionRadS()*tSec
-	drifted.ArgLatRad = o.ArgLatRad + o.J2ArgLatDriftRadS()*tSec
-	return drifted.PositionECI(tSec)
-}

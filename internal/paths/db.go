@@ -60,9 +60,6 @@ func NewDB(c *constellation.Constellation, s *topology.Snapshot, k int, warm ...
 	return db
 }
 
-// Snapshot returns the snapshot the database currently reflects.
-func (db *DB) Snapshot() *topology.Snapshot { return db.snap }
-
 // Paths returns the candidate paths for a pair, computing them on first use.
 func (db *DB) Paths(src, dst constellation.SatID) []Path {
 	p := Pair{src, dst}

@@ -160,28 +160,6 @@ func (sc *kspScratch) path(li int32) Path {
 	return Path{Nodes: nodes}
 }
 
-// ShortestHops runs a BFS from src and returns hop distances to all nodes
-// (math.MaxInt32 where unreachable).
-func (g *Graph) ShortestHops(src topology.NodeID) []int {
-	dist := make([]int, g.N)
-	for i := range dist {
-		dist[i] = math.MaxInt32
-	}
-	dist[src] = 0
-	queue := []topology.NodeID{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range g.Adj[u] {
-			if dist[v] == math.MaxInt32 {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	return dist
-}
-
 // ShortestPath returns one minimum-hop path from src to dst, or false if
 // disconnected.
 func (g *Graph) ShortestPath(src, dst topology.NodeID) (Path, bool) {

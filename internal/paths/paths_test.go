@@ -73,10 +73,6 @@ func TestShortestPathBFS(t *testing.T) {
 	if p.Hops() != 3 {
 		t.Errorf("hops = %d want 3", p.Hops())
 	}
-	dist := g.ShortestHops(0)
-	if dist[3] != 3 {
-		t.Errorf("dist = %d", dist[3])
-	}
 }
 
 func TestKShortestProperties(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 
 	"sate/internal/groundnet"
 	"sate/internal/orbit"
+	"sate/internal/rules"
 	"sate/internal/te"
 	"sate/internal/topology"
 )
@@ -112,27 +113,12 @@ func SummarizeDelays(delays []float64) DelayStats {
 	return st
 }
 
-// RuleCount returns the number of traffic rules an allocation compiles into:
-// one per (flow, path, hop) with non-zero allocation (Appendix D: ~m*k*E_l
-// rules for m active pairs, k candidate paths of average length E_l).
-func RuleCount(p *te.Problem, a *te.Allocation) int {
-	rules := 0
-	for fi := range p.Flows {
-		for pi, path := range p.Flows[fi].Paths {
-			if a.X[fi][pi] > 0 {
-				rules += path.Hops()
-			}
-		}
-	}
-	return rules
-}
-
 // RuleOverheadFraction estimates the control-message overhead of distributing
-// the rules, as a fraction of one TE interval's total ISL capacity
-// (Appendix D argues O(mk ln n) rules vs O(n) links keeps this negligible).
-// bytesPerRule is the encoded rule size (e.g. 64 bytes); intervalSec is the
-// TE workflow period.
-func RuleOverheadFraction(p *te.Problem, a *te.Allocation, bytesPerRule int, intervalSec float64) float64 {
+// the compiled rules of problem p, as a fraction of one TE interval's total
+// ISL capacity (Appendix D argues O(mk ln n) rules vs O(n) links keeps this
+// negligible). bytesPerRule is the encoded rule size (e.g. 64 bytes);
+// intervalSec is the TE workflow period.
+func RuleOverheadFraction(p *te.Problem, rs *rules.RuleSet, bytesPerRule int, intervalSec float64) float64 {
 	var capMbps float64
 	for _, c := range p.LinkCap {
 		capMbps += c
@@ -140,7 +126,7 @@ func RuleOverheadFraction(p *te.Problem, a *te.Allocation, bytesPerRule int, int
 	if capMbps <= 0 || intervalSec <= 0 {
 		return 0
 	}
-	bits := float64(RuleCount(p, a)*bytesPerRule) * 8
+	bits := float64(rs.NumRules()*bytesPerRule) * 8
 	totalBits := capMbps * 1e6 * intervalSec
 	return bits / totalBits
 }

@@ -11,6 +11,7 @@ import (
 	"sate/internal/constellation"
 	"sate/internal/orbit"
 	"sate/internal/ruledist"
+	"sate/internal/rules"
 	"sate/internal/sim"
 	"sate/internal/te"
 	"sate/internal/topology"
@@ -107,18 +108,18 @@ func TestRuleCountAndOverhead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rules := ruledist.RuleCount(p, a)
-	if rules <= 0 {
+	rs := rules.Compile(p, a)
+	if rs.NumRules() <= 0 {
 		t.Fatal("no rules for a non-empty allocation")
 	}
 	// Appendix D: overhead must be a tiny fraction of interval capacity.
-	frac := ruledist.RuleOverheadFraction(p, a, 64, 1.0)
+	frac := ruledist.RuleOverheadFraction(p, rs, 64, 1.0)
 	if frac <= 0 || frac > 0.05 {
 		t.Errorf("rule overhead fraction = %v; expected small positive", frac)
 	}
 	// Zero allocation compiles to zero rules.
 	zero := te.NewAllocation(p)
-	if ruledist.RuleCount(p, zero) != 0 {
-		t.Error("zero allocation has rules")
+	if n := rules.Compile(p, zero).NumRules(); n != 0 {
+		t.Errorf("zero allocation has %d rules", n)
 	}
 }

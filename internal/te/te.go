@@ -204,22 +204,6 @@ func NewAllocation(p *Problem) *Allocation {
 	return &Allocation{X: x}
 }
 
-// Clone deep-copies the allocation.
-func (a *Allocation) Clone() *Allocation {
-	total := 0
-	for i := range a.X {
-		total += len(a.X[i])
-	}
-	x := make([][]float64, len(a.X))
-	data := make([]float64, 0, total)
-	for i := range a.X {
-		off := len(data)
-		data = append(data, a.X[i]...)
-		x[i] = data[off:len(data):len(data)]
-	}
-	return &Allocation{X: x}
-}
-
 // Throughput returns the total allocated traffic (objective 2.a).
 func (a *Allocation) Throughput() float64 {
 	var s float64
@@ -450,15 +434,4 @@ func (p *Problem) JainIndex(a *Allocation) float64 {
 	}
 	n := float64(len(ratios))
 	return sum * sum / (n * sumSq)
-}
-
-// LogUtility returns the proportional-fairness utility sum(log(1+x_f)) of
-// Appendix A Eq. (3) ("Maximize Network Utility" with a concave log that
-// limits any single flow from monopolising resources).
-func (p *Problem) LogUtility(a *Allocation) float64 {
-	var u float64
-	for fi := range p.Flows {
-		u += math.Log1p(a.FlowThroughput(fi))
-	}
-	return u
 }

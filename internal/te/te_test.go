@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -190,17 +189,6 @@ func TestFlowStats(t *testing.T) {
 	}
 }
 
-func TestAllocationClone(t *testing.T) {
-	p := diamond(10, 10, 10, 10, 20)
-	a := NewAllocation(p)
-	a.X[0][0] = 5
-	b := a.Clone()
-	b.X[0][0] = 9
-	if a.X[0][0] != 5 {
-		t.Error("clone aliases original")
-	}
-}
-
 func TestBuildFromScenario(t *testing.T) {
 	cons := constellation.Toy(6, 8)
 	gen := topology.NewGenerator(cons, topology.DefaultConfig(topology.CrossShellLasers))
@@ -284,46 +272,6 @@ func TestBuildRandomizedTrimAlwaysFeasible(t *testing.T) {
 		if v := p.Check(a); v.Any(1e-6) {
 			t.Fatalf("trial %d: violations %+v", trial, v)
 		}
-	}
-}
-
-func TestWriteLPFormat(t *testing.T) {
-	p := diamond(10, 10, 10, 10, 12)
-	p.UpCap = []float64{30, math.Inf(1), math.Inf(1), math.Inf(1)}
-	p.DownCap = []float64{math.Inf(1), math.Inf(1), math.Inf(1), 25}
-	var buf strings.Builder
-	if err := p.WriteLP(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"Maximize", "Subject To", "Bounds", "End",
-		"x_f0_p0", "x_f0_p1",
-		"demand_0: x_f0_p0 + x_f0_p1 <= 12",
-		"up_0:", "dn_3:",
-		"<= 10",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("LP output missing %q:\n%s", want, out)
-		}
-	}
-	// Every link used by a path gets a capacity row.
-	if n := strings.Count(out, "link_"); n != 4 {
-		t.Errorf("link constraints = %d, want 4", n)
-	}
-}
-
-func TestWriteLPEmptyProblem(t *testing.T) {
-	p := &Problem{NumNodes: 2}
-	if err := p.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	var buf strings.Builder
-	if err := p.WriteLP(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "End") {
-		t.Error("malformed empty LP")
 	}
 }
 

@@ -1,9 +1,6 @@
 package topology
 
-import (
-	"math/rand"
-	"sort"
-)
+import "math/rand"
 
 // THTResult summarises a topology-holding-time analysis (Sec. 2.3.1): how
 // long the topology remains unchanged, measured over consecutive snapshots.
@@ -58,19 +55,6 @@ func (r THTResult) Max() float64 {
 	return m
 }
 
-// CDF returns sorted holding times and their cumulative probabilities,
-// suitable for plotting Fig. 4 (a).
-func (r THTResult) CDF() (times, probs []float64) {
-	times = append([]float64(nil), r.HoldTimesSec...)
-	sort.Float64s(times)
-	probs = make([]float64, len(times))
-	n := float64(len(times))
-	for i := range times {
-		probs[i] = float64(i+1) / n
-	}
-	return times, probs
-}
-
 // LinkExclusion computes, for a TE interval spanning the given number of
 // snapshot steps, the fraction of *changeable* links that must be excluded
 // because they are not present in every snapshot of the interval
@@ -114,30 +98,6 @@ func LinkExclusion(snaps []*Snapshot, steps int) float64 {
 		}
 	}
 	return float64(excluded) / float64(len(counts))
-}
-
-// StableLinks returns the links present in every one of the given snapshots.
-// TE computation over an interval may only use these links (Sec. 2.3.2).
-func StableLinks(snaps []*Snapshot) []Link {
-	if len(snaps) == 0 {
-		return nil
-	}
-	counts := make(map[uint64]int, len(snaps[0].Links))
-	byKey := make(map[uint64]Link)
-	for _, s := range snaps {
-		for _, l := range s.Links {
-			counts[l.Key()]++
-			byKey[l.Key()] = l
-		}
-	}
-	var out []Link
-	for k, c := range counts {
-		if c == len(snaps) {
-			out = append(out, byKey[k])
-		}
-	}
-	sortLinks(out)
-	return out
 }
 
 // InjectFailures returns a copy of the snapshot with a random fraction of

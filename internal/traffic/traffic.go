@@ -107,9 +107,6 @@ func NewGenerator(seg *groundnet.Segment, cfg Config) *Generator {
 	return g
 }
 
-// Now returns the generator's current simulated time.
-func (g *Generator) Now() float64 { return g.nowSec }
-
 // ActiveFlows returns the currently ongoing flows. The returned map is the
 // generator's own; callers must not modify it.
 func (g *Generator) ActiveFlows() map[FlowID]*Flow { return g.active }
