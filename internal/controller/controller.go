@@ -435,17 +435,23 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, sn *Snapsho
 	}
 }
 
-// writeJSON commits a 200 with an explicit status line before encoding. A
-// mid-encode failure can no longer smuggle an http.Error into a half-written
-// body (the old bug: Encode had already streamed partial JSON and an
-// implicit 200 before the 500 was attempted); instead the failure is counted
-// on sate_controld_encode_errors_total and the connection is left to the
-// client to detect via truncation.
-func (s *Server) writeJSON(w http.ResponseWriter, v interface{}) {
+// writeBody commits a 200 and writes a rule payload in pieces (wire.go). The
+// status line goes out first, so a failure cannot turn into an error status
+// after part of a body: an unencodable payload (ok false; the body is then the
+// encode-failed fallback) and a short write are counted on
+// sate_controld_encode_errors_total, and a client detects the latter by
+// truncation.
+func (s *Server) writeBody(w http.ResponseWriter, ok bool, body ...[]byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
+	if !ok {
 		s.metrics.encodeErrors.Inc()
+	}
+	for _, b := range body {
+		if _, err := w.Write(b); err != nil {
+			s.metrics.encodeErrors.Inc()
+			return
+		}
 	}
 }
 
@@ -533,12 +539,9 @@ func (s *Server) serveNodeRules(w http.ResponseWriter, r *http.Request, sn *Snap
 		http.Error(w, "invalid node id", http.StatusBadRequest)
 		return
 	}
-	out := []RuleEntry{}
-	if tbl := sn.Rules.Tables[topology.NodeID(node)]; tbl != nil {
-		out = ruleEntries(tbl)
-	}
+	body, ok := nodeRulesBody(sn.Rules.Tables[topology.NodeID(node)])
 	w.Header().Set("ETag", sn.etag)
-	s.writeJSON(w, out)
+	s.writeBody(w, ok, body)
 }
 
 // DeltasResponse is the GET /v1/deltas payload. Either Deltas carries the
@@ -585,34 +588,20 @@ func (s *Server) handleDeltas(w http.ResponseWriter, r *http.Request) {
 		node = n
 	}
 	cu := s.log.Since(since)
-	resp := DeltasResponse{Since: cu.Since, Latest: cu.Latest}
-	switch {
-	case cu.FullSync:
+	if cu.FullSync {
 		s.metrics.fullSyncs.Inc()
-		resp.FullSync = true
-		resp.Full = rulesResponse(cu.Latest, cu.Full).Tables
-		if node >= 0 {
-			filtered := resp.Full[:0:0]
-			for _, nr := range resp.Full {
-				if nr.Node == node {
-					filtered = append(filtered, nr)
-				}
-			}
-			resp.Full = filtered
-		}
-	case node >= 0:
-		resp.Deltas = make([]ruledist.Delta, 0, len(cu.Deltas))
-		for _, d := range cu.Deltas {
-			fd := ruledist.Delta{Seq: d.Seq}
-			if nd, ok := d.Node(topology.NodeID(node)); ok {
-				fd.Nodes = []ruledist.NodeDelta{nd}
-			}
-			resp.Deltas = append(resp.Deltas, fd)
-		}
-	default:
-		resp.Deltas = cu.Deltas
 	}
-	s.writeJSON(w, resp)
+	// The catch-up of a consumer that followed the last cycle is exactly the
+	// live snapshot's own delta, encoded at publish. The changelog may
+	// already be a version ahead of the snapshot (publish appends, then
+	// swaps), so the cached object is used only when the catch-up is that
+	// one delta.
+	if sn := s.Current(); node < 0 && len(cu.Deltas) == 1 && cu.Deltas[0].Seq == sn.RulesVersion && sn.deltaJSON != nil {
+		s.writeBody(w, true, cachedDeltasHead(&cu), sn.deltaJSON, deltasTail)
+		return
+	}
+	body, ok := deltasBody(&cu, node)
+	s.writeBody(w, ok, body)
 }
 
 // recomputeRequest is the /recompute body.

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -201,44 +202,116 @@ func TestDeltaCatchup(t *testing.T) {
 	}
 }
 
-func TestDeltaCatchupPerNodeFilter(t *testing.T) {
-	srv, ts := testServer(t)
-	mustRecompute(t, srv, 100)
-	mustRecompute(t, srv, 150)
-	sn := srv.Current()
-	// Pick a node that has rules in the latest set.
-	node := -1
-	for id := range sn.Rules.Tables {
-		node = int(id)
-		break
-	}
-	if node < 0 {
-		t.Skip("no rules compiled")
-	}
-	var dr DeltasResponse
-	resp, err := http.Get(fmt.Sprintf("%s/v1/deltas?since=0&node=%d", ts.URL, node))
+// getBody fetches url and returns a 200's body.
+func getBody(t *testing.T, url string) []byte {
+	t.Helper()
+	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&dr); err != nil {
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if dr.FullSync {
-		t.Fatalf("unexpected full sync: %+v", dr)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s -> %d: %s", url, resp.StatusCode, body)
 	}
-	var got *rules.RuleSet
-	for _, d := range dr.Deltas {
-		for _, nd := range d.Nodes {
-			if int(nd.Node) != node {
-				t.Fatalf("delta %d carries foreign node %d", d.Seq, nd.Node)
+	return body
+}
+
+// probeNodes returns every node with a table in rs, ascending, and then the
+// lowest node without one.
+func probeNodes(rs *rules.RuleSet, numNodes int) []int {
+	var nodes []int
+	for id := range rs.Tables {
+		nodes = append(nodes, int(id))
+	}
+	sort.Ints(nodes)
+	for id := 0; id < numNodes; id++ {
+		if rs.Tables[topology.NodeID(id)] == nil {
+			return append(nodes, id)
+		}
+	}
+	return nodes
+}
+
+// TestDeltaCatchupPerNodeFilter walks every node with rules plus one
+// without, from every since in the window. The filtered catch-up must carry
+// only that node, bring its table to the latest one, and be byte for byte the
+// body encoding/json writes; so must /v1/rules?node= (the [] of a node
+// without a table) and, after compaction, the node-filtered full sync.
+func TestDeltaCatchupPerNodeFilter(t *testing.T) {
+	srv, ts := testServer(t)
+	history := map[uint64]*rules.RuleSet{0: {Tables: map[topology.NodeID]*rules.Table{}}}
+	for _, tm := range []float64{100, 130, 160, 190} {
+		mustRecompute(t, srv, tm)
+		history[srv.Current().RulesVersion] = srv.Current().Rules
+	}
+	sn := srv.Current()
+	nodes := probeNodes(sn.Rules, sn.Problem.NumNodes)
+	if len(nodes) < 2 || sn.Rules.Tables[topology.NodeID(nodes[len(nodes)-1])] != nil {
+		t.Fatalf("nodes %v: want tables and one node without", nodes)
+	}
+	for _, node := range nodes {
+		id := topology.NodeID(node)
+		body := getBody(t, fmt.Sprintf("%s/v1/rules?node=%d", ts.URL, node))
+		if want := mustJSON(nodeRulesResponse(sn.Rules.Tables[id])); !bytes.Equal(body, want) {
+			t.Fatalf("/v1/rules?node=%d:\n got %s\nwant %s", node, body, want)
+		}
+		for since := uint64(0); since <= sn.RulesVersion; since++ {
+			body := getBody(t, fmt.Sprintf("%s/v1/deltas?since=%d&node=%d", ts.URL, since, node))
+			cu := srv.Changelog().Since(since)
+			if want := mustJSON(deltasResponse(&cu, node)); !bytes.Equal(body, want) {
+				t.Fatalf("since=%d node=%d:\n got %s\nwant %s", since, node, body, want)
+			}
+			var dr DeltasResponse
+			if err := json.Unmarshal(body, &dr); err != nil {
+				t.Fatal(err)
+			}
+			if dr.FullSync {
+				t.Fatalf("since=%d node=%d: unexpected full sync", since, node)
+			}
+			got := history[since]
+			for _, d := range dr.Deltas {
+				for _, nd := range d.Nodes {
+					if nd.Node != id {
+						t.Fatalf("since=%d node=%d: delta %d carries node %d", since, node, d.Seq, nd.Node)
+					}
+				}
+				got = ruledist.Apply(got, d)
+			}
+			if !reflect.DeepEqual(got.Tables[id], sn.Rules.Tables[id]) {
+				t.Fatalf("since=%d: per-node catch-up diverged for node %d", since, node)
 			}
 		}
-		got = ruledist.Apply(got, d)
 	}
-	wantTbl := sn.Rules.Tables[topology.NodeID(node)]
-	if got == nil || !reflect.DeepEqual(got.Tables[topology.NodeID(node)], wantTbl) {
-		t.Fatalf("per-node catch-up diverged for node %d", node)
+
+	// Behind a two-version window every catch-up from 0 is a full sync.
+	srv = New(testServer2Scenario(), baselines.ECMPWF{}, WithDeltaHistory(2))
+	ts = httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	for i := 0; i < 5; i++ {
+		mustRecompute(t, srv, 100+30*float64(i))
+	}
+	sn = srv.Current()
+	for _, node := range probeNodes(sn.Rules, sn.Problem.NumNodes) {
+		body := getBody(t, fmt.Sprintf("%s/v1/deltas?since=0&node=%d", ts.URL, node))
+		cu := srv.Changelog().Since(0)
+		if want := mustJSON(deltasResponse(&cu, node)); !cu.FullSync || !bytes.Equal(body, want) {
+			t.Fatalf("full sync node=%d (full sync %v):\n got %s\nwant %s", node, cu.FullSync, body, want)
+		}
+		var dr DeltasResponse
+		if err := json.Unmarshal(body, &dr); err != nil {
+			t.Fatal(err)
+		}
+		want := &rules.RuleSet{Tables: map[topology.NodeID]*rules.Table{}}
+		if tbl := sn.Rules.Tables[topology.NodeID(node)]; tbl != nil {
+			want.Tables[tbl.Node] = tbl
+		}
+		if !dr.FullSync || !reflect.DeepEqual(parseRuleSet(dr.Full), want) {
+			t.Fatalf("full sync node=%d: %+v", node, dr)
+		}
 	}
 }
 
@@ -339,7 +412,10 @@ func TestRestartedControllerFullSyncsAheadClient(t *testing.T) {
 
 // TestConcurrentServingUnderPublishes hammers the read endpoints from many
 // goroutines while RecomputeContext publishes new snapshots — the race
-// detector (scripts/race.sh) proves the lock-free read path.
+// detector (scripts/race.sh) proves the lock-free read path. Half the delta
+// readers follow the live version, so they take the cached delta of the
+// snapshot while the changelog moves ahead of it; every delta body they get
+// must chain from their version to its latest.
 func TestConcurrentServingUnderPublishes(t *testing.T) {
 	srv, ts := testServer(t)
 	mustRecompute(t, srv, 100)
@@ -374,8 +450,12 @@ func TestConcurrentServingUnderPublishes(t *testing.T) {
 			etag := ""
 			for i := 0; i < 150; i++ {
 				url := ts.URL + "/v1/status"
+				since := uint64(i % 5)
+				if w%4 == 3 {
+					since = srv.Current().RulesVersion - 1
+				}
 				if w%2 == 1 {
-					url = fmt.Sprintf("%s/v1/deltas?since=%d", ts.URL, i%5)
+					url = fmt.Sprintf("%s/v1/deltas?since=%d", ts.URL, since)
 				}
 				req, _ := http.NewRequest("GET", url, nil)
 				if etag != "" && w%2 == 0 {
@@ -386,11 +466,34 @@ func TestConcurrentServingUnderPublishes(t *testing.T) {
 					errs <- err
 					return
 				}
-				io.Copy(io.Discard, resp.Body)
+				body, err := io.ReadAll(resp.Body)
 				resp.Body.Close()
+				if err != nil {
+					errs <- err
+					return
+				}
 				if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNotModified {
 					errs <- fmt.Errorf("%s -> %d", url, resp.StatusCode)
 					return
+				}
+				if w%2 == 1 {
+					var dr DeltasResponse
+					if err := json.Unmarshal(body, &dr); err != nil {
+						errs <- fmt.Errorf("%s: %v", url, err)
+						return
+					}
+					at := since
+					for _, d := range dr.Deltas {
+						if d.Seq != at+1 {
+							errs <- fmt.Errorf("%s: delta %d after version %d", url, d.Seq, at)
+							return
+						}
+						at = d.Seq
+					}
+					if !dr.FullSync && at != dr.Latest {
+						errs <- fmt.Errorf("%s: deltas end at %d, latest %d", url, at, dr.Latest)
+						return
+					}
 				}
 				if e := resp.Header.Get("ETag"); e != "" {
 					etag = e

@@ -2,14 +2,13 @@ package controller
 
 import (
 	"encoding/json"
-	"sort"
 	"strconv"
 	"time"
 
+	"sate/internal/ruledist"
 	"sate/internal/rules"
 	"sate/internal/sim"
 	"sate/internal/te"
-	"sate/internal/topology"
 )
 
 // Snapshot is one immutable published controller state. Every publish —
@@ -38,7 +37,12 @@ type Snapshot struct {
 	statusJSON []byte
 	allocJSON  []byte
 	rulesJSON  []byte
-	etag       string
+	// deltaJSON is the JSON object of the changelog delta RulesVersion-1 →
+	// RulesVersion, written from rulesJSON's bytes (encodeRules): the one
+	// delta of the catch-up every consumer that followed the last cycle asks
+	// for next. Nil when the rule set could not be encoded.
+	deltaJSON []byte
+	etag      string
 }
 
 // Current returns the live published snapshot (nil before the first cycle).
@@ -112,8 +116,9 @@ func (sn *Snapshot) encodeStatus(method string) {
 	sn.statusJSON = mustJSON(sn.statusResponse(method))
 }
 
-// encode pre-builds every cached body for a freshly computed snapshot.
-func (sn *Snapshot) encode(method string) {
+// encode pre-builds every cached body for a freshly computed snapshot; d is
+// the changelog delta that produced its rules.
+func (sn *Snapshot) encode(method string, d *ruledist.Delta) {
 	sn.encodeStatus(method)
 	out := make([]AllocationEntry, 0, len(sn.Problem.Flows))
 	for fi, f := range sn.Problem.Flows {
@@ -126,7 +131,7 @@ func (sn *Snapshot) encode(method string) {
 		})
 	}
 	sn.allocJSON = mustJSON(out)
-	sn.rulesJSON = mustJSON(rulesResponse(sn.RulesVersion, sn.Rules))
+	sn.rulesJSON, sn.deltaJSON = encodeRules(sn.RulesVersion, sn.Rules, d)
 }
 
 // NodeRules is one satellite's flow table in the full /v1/rules payload.
@@ -144,33 +149,6 @@ type RulesResponse struct {
 	Tables       []NodeRules `json:"tables"`
 }
 
-func ruleEntries(tbl *rules.Table) []RuleEntry {
-	out := make([]RuleEntry, 0, len(tbl.Rules))
-	for _, rule := range tbl.Rules {
-		out = append(out, RuleEntry{
-			Src:      int(rule.Flow.Src),
-			Dst:      int(rule.Flow.Dst),
-			Label:    rule.Label,
-			Next:     int(rule.Next),
-			RateMbps: rule.RateMbps,
-		})
-	}
-	return out
-}
-
-func rulesResponse(version uint64, rs *rules.RuleSet) RulesResponse {
-	ids := make([]topology.NodeID, 0, len(rs.Tables))
-	for id := range rs.Tables {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	resp := RulesResponse{RulesVersion: version, Tables: make([]NodeRules, 0, len(ids))}
-	for _, id := range ids {
-		resp.Tables = append(resp.Tables, NodeRules{Node: int(id), Rules: ruleEntries(rs.Tables[id])})
-	}
-	return resp
-}
-
 // publish swaps in the snapshot of a successful cycle under the monotonic
 // guard: a slower cycle that computed an OLDER simulated time than the live
 // snapshot is dropped (counted on sate_controld_nonmonotonic_drops_total)
@@ -181,9 +159,10 @@ func (s *Server) publish(c *sim.Cycle, rs *rules.RuleSet) bool {
 	if cur != nil && c.TimeSec < cur.TimeSec {
 		return false
 	}
+	version := s.log.Append(rs)
 	next := &Snapshot{
 		Version:      1,
-		RulesVersion: s.log.Append(rs),
+		RulesVersion: version,
 		TimeSec:      c.TimeSec,
 		Problem:      c.Problem,
 		Alloc:        c.Alloc,
@@ -194,7 +173,8 @@ func (s *Server) publish(c *sim.Cycle, rs *rules.RuleSet) bool {
 	if cur != nil {
 		next.Version = cur.Version + 1
 	}
-	next.encode(s.solver.Name())
+	cu := s.log.Since(version - 1)
+	next.encode(s.solver.Name(), &cu.Deltas[0])
 	s.snap.Store(next)
 	s.live = c
 
@@ -227,6 +207,7 @@ func (s *Server) publishDegraded(deg degradedInfo) {
 		deg:          deg,
 		allocJSON:    cur.allocJSON,
 		rulesJSON:    cur.rulesJSON,
+		deltaJSON:    cur.deltaJSON,
 	}
 	next.encodeStatus(s.solver.Name())
 	s.snap.Store(next)

@@ -17,6 +17,7 @@ package rules
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -183,7 +184,9 @@ func Verify(p *te.Problem, a *te.Allocation, rs *RuleSet) error {
 					return fmt.Errorf("rules: flow %d->%d label %d: no rule at node %d",
 						f.Src, f.Dst, pi, node)
 				}
-				if diff := r.RateMbps - rate; diff > tol || diff < -tol {
+				// Written so a NaN difference fails too: a NaN or infinite
+				// rate (Inf - Inf is NaN) is no rate a switch can install.
+				if diff := r.RateMbps - rate; !(math.Abs(diff) <= tol) {
 					return fmt.Errorf("rules: flow %d->%d label %d at node %d: rate %.6f, allocated %.6f",
 						f.Src, f.Dst, pi, node, r.RateMbps, rate)
 				}

@@ -1,6 +1,7 @@
 package rules_test
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -125,6 +126,24 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 	rs.Tables[1].Rules[0].RateMbps = 5
 	if err := rules.Verify(p, a, rs); err == nil {
 		t.Error("corrupted rules passed verification")
+	}
+}
+
+// TestVerifyRejectsNonFiniteRates: a NaN or infinite allocated rate compiles
+// into rules that carry it, and Verify must refuse them rather than let them
+// be published.
+func TestVerifyRejectsNonFiniteRates(t *testing.T) {
+	for _, rate := range []float64{math.NaN(), math.Inf(1)} {
+		p := diamond(30)
+		a := te.NewAllocation(p)
+		a.X[0][0] = rate
+		rs := rules.Compile(p, a)
+		if rs.NumRules() == 0 {
+			t.Fatalf("rate %v: no rules compiled", rate)
+		}
+		if err := rules.Verify(p, a, rs); err == nil {
+			t.Errorf("rate %v passed verification", rate)
+		}
 	}
 }
 

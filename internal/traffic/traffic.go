@@ -81,7 +81,16 @@ type Generator struct {
 	cumW    []float64 // cumulative class weights
 	// site sampling: user clusters weighted by population
 	userCum []float64
+	maxDur  float64 // longest duration any class draws
 }
+
+// farJump is how many of the longest flow lifetimes a step may span before
+// AdvanceTo draws only its last lifetime: a flow that arrived earlier has
+// expired by the step's end, so that is the same process, and the cost of a
+// step stays the flows it can leave alive however far it jumps (a recompute
+// requested years ahead would otherwise draw billions of arrivals). Every
+// shorter step draws exactly what it always drew.
+const farJump = 64
 
 // NewGenerator builds a traffic generator over a ground segment.
 func NewGenerator(seg *groundnet.Segment, cfg Config) *Generator {
@@ -98,6 +107,7 @@ func NewGenerator(seg *groundnet.Segment, cfg Config) *Generator {
 	for _, c := range cfg.Classes {
 		w += c.Weight
 		g.cumW = append(g.cumW, w)
+		g.maxDur = max(g.maxDur, c.MinDurationSec, c.MaxDurationSec)
 	}
 	var u float64
 	for _, c := range seg.UserClusters {
@@ -127,10 +137,13 @@ func (g *Generator) AdvanceTo(tSec float64) {
 	}
 	// Poisson arrivals: number in the interval ~ Poisson(lambda*dt); each
 	// arrival time uniform in the interval.
-	dt := tSec - g.nowSec
+	from, dt := g.nowSec, tSec-g.nowSec
+	if dt > farJump*g.maxDur {
+		from, dt = tSec-g.maxDur, g.maxDur
+	}
 	n := poissonSample(g.rng, g.cfg.Intensity*dt)
 	for i := 0; i < n; i++ {
-		at := g.nowSec + g.rng.Float64()*dt
+		at := from + g.rng.Float64()*dt
 		g.spawn(at)
 	}
 	g.nowSec = tSec

@@ -91,6 +91,30 @@ func TestGeneratorFlowsExpire(t *testing.T) {
 	}
 }
 
+// TestFarJumpDrawsOnlyLiveArrivals: a step of many flow lifetimes draws only
+// the arrivals of its last lifetime, the ones that can still be alive, so a
+// jump of 5e12 expected arrivals costs a handful of flows. A step shorter than
+// farJump lifetimes draws every arrival (TestGeneratorFlowsExpire's 90 s).
+func TestFarJumpDrawsOnlyLiveArrivals(t *testing.T) {
+	cfg := DefaultConfig(5, 3)
+	cfg.Classes = []Class{{Name: "blip", DemandMbps: 1, MinDurationSec: 1, MaxDurationSec: 2, Weight: 1}}
+	g := NewGenerator(testSegment(), cfg)
+	g.AdvanceTo(10)
+	const far = 1e12
+	g.AdvanceTo(far)
+	if n := g.ActiveCount(); n == 0 || n > 30 {
+		t.Errorf("%d flows alive after a far jump at lambda=5 with lifetimes <= 2 s", n)
+	}
+	for _, f := range g.ActiveFlows() {
+		if f.StartSec < far-2 || f.EndSec <= far {
+			t.Fatalf("flow [%v, %v] alive at %v", f.StartSec, f.EndSec, far)
+		}
+	}
+	if g.nextID > 1000 {
+		t.Errorf("far jump drew %d flows in all", g.nextID)
+	}
+}
+
 func TestAdvanceToBackwardsNoop(t *testing.T) {
 	g := NewGenerator(testSegment(), DefaultConfig(10, 1))
 	g.AdvanceTo(5)

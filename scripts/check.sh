@@ -4,8 +4,9 @@
 # include satelint, the project's determinism / concurrency invariant linter,
 # as internal/lint.TestSelfLint; see DESIGN.md "Static analysis"), 5 s native
 # fuzz runs of the packet engine's event queue, the GAT edge kernel, the
-# gemm vector tile and the two file readers (topology snapshots, model
-# files), two training runs whose model files must come out byte
+# gemm vector tile, the two file readers (topology snapshots, model
+# files), the rule payload encoder and the two serving inputs
+# (/v1/deltas queries, /v1/recompute bodies), two training runs whose model files must come out byte
 # for byte, a short load burst against the serving surface, and a short run
 # of the TE-cycle benchmark with its per-cycle checks. The full race-detector
 # pass is its own script: ./scripts/check.sh && ./scripts/race.sh
@@ -25,7 +26,7 @@ GOARCH=arm64 go build ./...
 GOARCH=arm64 go vet ./internal/autodiff
 echo "== go test =="
 go test ./...
-echo "== fuzz (5 x 5s) =="
+echo "== fuzz (8 x 5s) =="
 # The packet engine's calendar queue against the reference binary heap:
 # random push/pop interleavings must pop identical (t, seq) sequences.
 go test -run='^$' -fuzz=FuzzCalendarOrder -fuzztime=5s ./internal/pktsim
@@ -42,6 +43,15 @@ go test -run='^$' -fuzz=FuzzGemmVector -fuzztime=5s ./internal/autodiff
 # accepted snapshot must write back to the bytes it was read from.
 go test -run='^$' -fuzz=FuzzReadSnapshot -fuzztime=5s ./internal/topology
 go test -run='^$' -fuzz=FuzzLoad -fuzztime=5s ./internal/core
+# The rule payload encoder against encoding/json: random rule sets and deltas,
+# rates from raw float bits, must encode to the same bytes, and a NaN or
+# infinite rate to the same encode-failed body.
+go test -run='^$' -fuzz=FuzzRuleWire -fuzztime=5s ./internal/controller
+# The serving inputs: any /v1/deltas query and any /v1/recompute body gets
+# 200, 400 or 429, never a 5xx or a panic, and a /v1/deltas 200 is what
+# encoding/json writes for the same catch-up.
+go test -run='^$' -fuzz=FuzzDeltasQuery -fuzztime=5s ./internal/controller
+go test -run='^$' -fuzz=FuzzRecomputeBody -fuzztime=5s ./internal/controller
 echo "== training bits =="
 # "Training bits cannot move" as a check: every float of a kernel change is
 # meant to be the float before it, so a training run must write the model file
