@@ -79,7 +79,7 @@ func runGemm[T Float](a, b, out0 *TensorOf[T], vector bool, workers int) []T {
 	defer par.SetWorkers(workers)()
 	out := NewTensorOf[T](a.Rows, b.Cols)
 	if out0 != nil {
-		out0.CopyInto(out)
+		copy(out.Data, out0.Data)
 	} else {
 		for i := range out.Data {
 			out.Data[i] = T(math.NaN())

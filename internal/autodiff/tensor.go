@@ -55,20 +55,11 @@ func (t *TensorOf[T]) At(r, c int) T { return t.Data[r*t.Cols+c] }
 func (t *TensorOf[T]) Set(r, c int, v T) { t.Data[r*t.Cols+c] = v }
 
 // Clone deep-copies the tensor into fresh heap storage. Hot paths that own a
-// destination should use CopyInto (or Tape.Zeros + copy) instead.
+// destination copy into it instead.
 func (t *TensorOf[T]) Clone() *TensorOf[T] {
 	out := NewTensorOf[T](t.Rows, t.Cols)
 	copy(out.Data, t.Data)
 	return out
-}
-
-// CopyInto copies t's contents into dst (shapes must match). It is the
-// allocation-free counterpart of Clone for arena-backed destinations.
-func (t *TensorOf[T]) CopyInto(dst *TensorOf[T]) {
-	if !t.SameShape(dst) {
-		panic(fmt.Sprintf("autodiff: CopyInto shape mismatch %s vs %s", t.shape(), dst.shape()))
-	}
-	copy(dst.Data, t.Data)
 }
 
 // Randn fills the tensor with N(0, scale^2) samples (drawn in float64,

@@ -94,7 +94,8 @@ func (m *Model) solveMLU(cs *CycleState, p *te.Problem, o solve.Options) (*te.Al
 	a := solve.Begin(o, "sate-mlu")
 	defer a.End()
 	sp := o.Registry.StartSpan(obs.PhaseGraphBuild)
-	g, topo := cs.graph(p)
+	topo := p.TopoFingerprint()
+	g := cs.graph(p, topo)
 	sp.End()
 	alloc := te.NewAllocation(p)
 	if g.NumPaths == 0 {

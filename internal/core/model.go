@@ -355,30 +355,53 @@ func (m *Model) Allocate(tp *autodiff.Tape, g *TEGraph, p *te.Problem) *autodiff
 }
 
 // inferThroughput is the model half of a throughput solve: graph construction
-// into the workspace and GNN inference on its tape. The returned allocation
-// column (one entry per path variable of g, before the feasibility
-// correction) lives on the workspace tape until the next solve through cs.
-func inferThroughput[T autodiff.Float](net *netOf[T], cs *CycleState, ds *dtypeState[T], p *te.Problem, o solve.Options) (*TEGraph, *autodiff.ValueOf[T]) {
+// into the workspace and GNN inference on its tape. It returns the
+// allocation column (one entry per path variable of p, before the
+// feasibility correction), valid until the next solve through cs. In a
+// workspace the caller attached, the problem the previous solve at this
+// dtype was for, with its topology, flows and the weight generation all
+// unchanged since, is not inferred again: the column that solve retained is
+// returned as it is. A replay loop that re-solves unchanged inputs keeps its
+// problem in place (the shard solver compacts each sub-problem into retained
+// storage every cycle); a different problem value is a different instant,
+// inferred even when it happens to be equal, so a ring of problems through
+// one workspace keeps timing inferences.
+func inferThroughput[T autodiff.Float](net *netOf[T], cs *CycleState, ds *dtypeState[T], p *te.Problem, o solve.Options) []T {
+	topo := p.TopoFingerprint()
+	var key replayKey
+	if !cs.pooled {
+		key = replayKey{p, topo, p.FlowFingerprint(), cs.model.weightGen.Load()}
+		if x, ok := ds.fwd.get(key); ok {
+			cs.replayHits++
+			cs.r1Hits++ // R1 did not run either
+			return x
+		}
+		cs.replayMisses++
+	}
 	sp := o.Registry.StartSpan(obs.PhaseGraphBuild)
-	g, topo := cs.graph(p)
+	g := cs.graph(p, topo)
 	sp.End()
 	sp = o.Registry.StartSpan(obs.PhaseForward)
 	tp := &ds.tape
 	tp.Reset()
 	x := net.allocate(tp, g, p, ds.satEmbeddings(cs, net, g, topo))
+	if !cs.pooled {
+		ds.fwd.put(key, x.Val)
+	}
 	sp.End()
-	return g, x
+	return x.Val.Data
 }
 
 // solveThroughput is the dtype-generic throughput inference path:
-// inferThroughput, decoding, and the feasibility correction.
+// inferThroughput, decoding, and the feasibility correction. Decoding and
+// the correction always run on the live problem: they are the only readers
+// of its access capacities.
 func solveThroughput[T autodiff.Float](net *netOf[T], cs *CycleState, ds *dtypeState[T], p *te.Problem, o solve.Options, name string) (*te.Allocation, error) {
 	a := solve.Begin(o, name)
 	defer a.End()
-	_, x := inferThroughput(net, cs, ds, p, o)
+	xd := inferThroughput(net, cs, ds, p, o)
 	sp := o.Registry.StartSpan(obs.PhaseDecode)
 	alloc := te.NewAllocation(p)
-	xd := x.Val.Data
 	j := 0
 	for _, row := range alloc.X { // path variables are numbered flow-major
 		for pi := range row {

@@ -20,14 +20,22 @@ import (
 //     cached solve — the common case, since topology holds still for seconds
 //     while traffic changes every cycle — the R1 module is skipped and the
 //     cached output replayed, bit for bit what recomputing would give.
+//   - The forward cache, in a workspace the caller attached only: the
+//     throughput forward's allocation column is a function of the topology
+//     and te.Problem.FlowFingerprint's inputs and the weights. When the
+//     caller solves the same problem value again and all three still match
+//     the previous solve at that dtype, graph construction and the whole
+//     forward are skipped and the retained column is decoded again.
 //
 // Every Solve runs through one: the caller's when solve.WithWarm passes it,
 // otherwise one borrowed from the model's own pool for the duration of the
 // call. A replay loop that owns a CycleState therefore gets the same results
 // as one that does not, only without rebuilding what held still; a fresh
-// &CycleState{} is the cold reference. The zero value is ready to use. One
-// value must not be in two solves at once, and it binds to the first model
-// that solves with it; other models ignore it.
+// &CycleState{} is the cold reference. A borrowed workspace keeps no forward
+// cache, so repeated Solve(p) calls without one time an inference each. The
+// zero value is ready to use. One value must not be in two solves at once,
+// and it binds to the first model that solves with it; other models ignore
+// it.
 type CycleState struct {
 	model  *Model
 	pooled bool // borrowed from model's pool rather than owned by a caller
@@ -36,36 +44,75 @@ type CycleState struct {
 	topo    uint64 // fingerprint the R1 side of g was built from
 	hasTopo bool
 
-	r1Hits, r1Misses uint64
+	r1Hits, r1Misses         uint64
+	replayHits, replayMisses uint64
 
 	f64 dtypeState[float64]
 	f32 dtypeState[float32]
 }
 
 // dtypeState is the per-element-type half of a workspace: the inference tape
-// and the post-R1 embeddings cached from the last solve at this dtype, keyed
-// by the topology fingerprint and weight generation they were computed at.
+// and the outputs retained from the last solve at this dtype — the post-R1
+// embeddings and, in an attached workspace, the forward's allocation column.
 type dtypeState[T autodiff.Float] struct {
 	tape autodiff.TapeOf[T]
 
-	r1Topo uint64
-	r1Gen  uint64
-	r1Out  *autodiff.TensorOf[T]
+	r1, fwd replaySlot[T]
+}
+
+// replayKey is what a retained output was computed from: the problem's
+// topology and flow fingerprints and the model's weight generation. The
+// forward's key also names the problem value it was computed for; R1 reads
+// no flow and leaves prob and flow zero.
+type replayKey struct {
+	prob            *te.Problem
+	topo, flow, gen uint64
+}
+
+// replaySlot retains one tensor computed on a workspace tape and the key it
+// was computed at. Its storage is reused by capacity and grows by append, so
+// refreshing a slot allocates only when the tensor outgrows every earlier
+// one, and a slowly growing shape does not reallocate every solve.
+type replaySlot[T autodiff.Float] struct {
+	key        replayKey
+	ok         bool
+	rows, cols int
+	data       []T
+}
+
+// get returns the retained tensor's elements if they were computed at k.
+func (s *replaySlot[T]) get(k replayKey) ([]T, bool) {
+	if !s.ok || s.key != k {
+		return nil, false
+	}
+	return s.data, true
+}
+
+// put retains a copy of t, computed at k.
+func (s *replaySlot[T]) put(k replayKey, t *autodiff.TensorOf[T]) {
+	s.data = append(s.data[:0], t.Data...)
+	s.key, s.ok, s.rows, s.cols = k, true, t.Rows, t.Cols
 }
 
 // R1Stats reports how many solves through this state replayed the cached
 // post-R1 embeddings (hits) versus recomputed them (misses). The warm-hit
 // ratio hits/(hits+misses) is the temporal-coherence yield of a replay loop.
+// A forward replay (ReplayStats) counts as a hit: R1 did not run.
 func (cs *CycleState) R1Stats() (hits, misses uint64) { return cs.r1Hits, cs.r1Misses }
 
-// graph rebuilds the workspace's TE graph for p and returns it with p's
-// topology fingerprint. The R1 side is rebuilt only when the fingerprint
-// moved since the previous build.
-func (cs *CycleState) graph(p *te.Problem) (*TEGraph, uint64) {
-	topo := p.TopoFingerprint()
+// ReplayStats reports how many throughput solves through this state returned
+// the previous solve's retained forward output (hits) versus ran the forward
+// (misses). Only a workspace the caller attached counts either; a borrowed
+// one never replays.
+func (cs *CycleState) ReplayStats() (hits, misses uint64) { return cs.replayHits, cs.replayMisses }
+
+// graph rebuilds the workspace's TE graph for p, whose topology fingerprint
+// is topo. The R1 side is rebuilt only when the fingerprint moved since the
+// previous build.
+func (cs *CycleState) graph(p *te.Problem, topo uint64) *TEGraph {
 	buildTEGraphInto(&cs.g, p, cs.hasTopo && cs.topo == topo)
 	cs.topo, cs.hasTopo = topo, true
-	return &cs.g, topo
+	return &cs.g
 }
 
 // satEmbeddings returns the post-R1 satellite embeddings for g on the
@@ -74,19 +121,14 @@ func (cs *CycleState) graph(p *te.Problem) (*TEGraph, uint64) {
 // the next solve) otherwise.
 func (ds *dtypeState[T]) satEmbeddings(cs *CycleState, net *netOf[T], g *TEGraph, topo uint64) *autodiff.ValueOf[T] {
 	tp := &ds.tape
-	gen := cs.model.weightGen.Load()
-	if ds.r1Out != nil && ds.r1Topo == topo && ds.r1Gen == gen {
+	k := replayKey{topo: topo, gen: cs.model.weightGen.Load()}
+	if data, ok := ds.r1.get(k); ok {
 		cs.r1Hits++
-		return tp.Const(tp.TensorFrom(ds.r1Out.Rows, ds.r1Out.Cols, ds.r1Out.Data))
+		return tp.Const(tp.TensorFrom(ds.r1.rows, ds.r1.cols, data))
 	}
 	cs.r1Misses++
 	sat := net.r1Embed(tp, g)
-	if ds.r1Out == nil || !ds.r1Out.SameShape(sat.Val) {
-		ds.r1Out = sat.Val.Clone()
-	} else {
-		sat.Val.CopyInto(ds.r1Out)
-	}
-	ds.r1Topo, ds.r1Gen = topo, gen
+	ds.r1.put(k, sat.Val)
 	return sat
 }
 

@@ -80,9 +80,56 @@ func (rs *RuleSet) NumRules() int {
 
 // Compile converts an allocation into per-node label-switched rules: every
 // hop of every path with non-zero allocation becomes one rule.
+//
+// Flows are visited in (Src, Dst) order and each flow's paths in label
+// order, so every table receives its rules already in CompareKey order and
+// none is sorted. A counting pass sizes each node's table in a dense
+// per-node array, and all tables are laid out in one backing slice, each
+// capped at its own length so that no table can append into its neighbour.
 func Compile(p *te.Problem, a *te.Allocation) *RuleSet {
-	rs := &RuleSet{Tables: make(map[topology.NodeID]*Table)}
+	order := make([]int, len(p.Flows))
+	for fi := range order {
+		order[fi] = fi
+	}
+	slices.SortFunc(order, func(i, j int) int {
+		fi, fj := &p.Flows[i], &p.Flows[j]
+		if c := cmp.Compare(fi.Src, fj.Src); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(fi.Dst, fj.Dst); c != 0 {
+			return c
+		}
+		return cmp.Compare(i, j)
+	})
+
+	// end[n] first counts node n's rules, then holds the offset its table
+	// starts at and serves as the table's fill cursor, so after the fill it
+	// is where the table ends.
+	end := make([]int, p.NumNodes)
 	for fi := range p.Flows {
+		for pi, path := range p.Flows[fi].Paths {
+			if a.X[fi][pi] <= 0 {
+				continue
+			}
+			for h := 0; h+1 < len(path.Nodes); h++ {
+				node := path.Nodes[h]
+				if int(node) >= len(end) {
+					end = append(end, make([]int, int(node)+1-len(end))...)
+				}
+				end[node]++
+			}
+		}
+	}
+	total, tables := 0, 0
+	for n, c := range end {
+		end[n] = total
+		total += c
+		if c > 0 {
+			tables++
+		}
+	}
+	all := make([]Rule, total)
+	for _, fi := range order {
 		f := &p.Flows[fi]
 		key := FlowKey{Src: f.Src, Dst: f.Dst}
 		for pi, path := range f.Paths {
@@ -91,20 +138,22 @@ func Compile(p *te.Problem, a *te.Allocation) *RuleSet {
 				continue
 			}
 			for h := 0; h+1 < len(path.Nodes); h++ {
-				node, next := path.Nodes[h], path.Nodes[h+1]
-				tbl := rs.Tables[node]
-				if tbl == nil {
-					tbl = &Table{Node: node}
-					rs.Tables[node] = tbl
-				}
-				tbl.Rules = append(tbl.Rules, Rule{
-					Flow: key, Label: pi, Next: next, RateMbps: rate,
-				})
+				node := path.Nodes[h]
+				all[end[node]] = Rule{Flow: key, Label: pi, Next: path.Nodes[h+1], RateMbps: rate}
+				end[node]++
 			}
 		}
 	}
-	for _, tbl := range rs.Tables {
-		slices.SortFunc(tbl.Rules, CompareKey)
+
+	rs := &RuleSet{Tables: make(map[topology.NodeID]*Table, tables)}
+	slab := make([]Table, 0, tables)
+	start := 0
+	for n, e := range end {
+		if e > start {
+			slab = append(slab, Table{Node: topology.NodeID(n), Rules: all[start:e:e]})
+			rs.Tables[topology.NodeID(n)] = &slab[len(slab)-1]
+		}
+		start = e
 	}
 	return rs
 }

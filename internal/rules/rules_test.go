@@ -3,6 +3,8 @@ package rules_test
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -251,6 +253,90 @@ func TestCompileLinkLoadsMatchProperty(t *testing.T) {
 			if diff := got - wantLoads[li]; diff > 1e-6 || diff < -1e-6 {
 				t.Fatalf("trial %d link %d: rules %v, problem %v", trial, li, got, wantLoads[li])
 			}
+		}
+	}
+}
+
+// refCompile is the direct spelling of rules.Compile: a map probe per hop,
+// an append per rule and a sort per table. TestCompileMatchesReference holds
+// Compile to it.
+func refCompile(p *te.Problem, a *te.Allocation) *rules.RuleSet {
+	rs := &rules.RuleSet{Tables: make(map[topology.NodeID]*rules.Table)}
+	for fi := range p.Flows {
+		f := &p.Flows[fi]
+		key := rules.FlowKey{Src: f.Src, Dst: f.Dst}
+		for pi, path := range f.Paths {
+			rate := a.X[fi][pi]
+			if rate <= 0 {
+				continue
+			}
+			for h := 0; h+1 < len(path.Nodes); h++ {
+				node, next := path.Nodes[h], path.Nodes[h+1]
+				tbl := rs.Tables[node]
+				if tbl == nil {
+					tbl = &rules.Table{Node: node}
+					rs.Tables[node] = tbl
+				}
+				tbl.Rules = append(tbl.Rules, rules.Rule{
+					Flow: key, Label: pi, Next: next, RateMbps: rate,
+				})
+			}
+		}
+	}
+	for _, tbl := range rs.Tables {
+		slices.SortFunc(tbl.Rules, rules.CompareKey)
+	}
+	return rs
+}
+
+// TestCompileMatchesReference compiles random valid problems — flows in
+// random order over a few nodes that many of them share, loop-free paths of
+// one to six nodes, positive, zero and negative rates — and requires the
+// rule set to deep-equal refCompile's. Half the problems leave NumNodes
+// unset, so the per-node counts grow as nodes turn up.
+func TestCompileMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + rng.Intn(10)
+		p := &te.Problem{NumNodes: n * (trial % 2)}
+		seen := map[rules.FlowKey]bool{}
+		for f := rng.Intn(3 * n); f > 0; f-- {
+			key := rules.FlowKey{Src: topology.NodeID(rng.Intn(n)), Dst: topology.NodeID(rng.Intn(n))}
+			if seen[key] {
+				continue
+			}
+			seen[key] = true
+			fd := te.FlowDemand{Src: key.Src, Dst: key.Dst, DemandMbps: 1}
+			for k := rng.Intn(4); k > 0; k-- {
+				nodes := []topology.NodeID{key.Src}
+				if key.Src != key.Dst {
+					for _, v := range rng.Perm(n)[:rng.Intn(min(n, 5))] {
+						if v := topology.NodeID(v); v != key.Src && v != key.Dst {
+							nodes = append(nodes, v)
+						}
+					}
+					nodes = append(nodes, key.Dst)
+				}
+				fd.Paths = append(fd.Paths, paths.Path{Nodes: nodes})
+			}
+			p.Flows = append(p.Flows, fd)
+		}
+		a := te.NewAllocation(p)
+		for fi := range a.X {
+			for pi := range a.X[fi] {
+				switch rng.Intn(4) {
+				case 0:
+					a.X[fi][pi] = 0
+				case 1:
+					a.X[fi][pi] = -rng.Float64()
+				default:
+					a.X[fi][pi] = rng.Float64() * 50
+				}
+			}
+		}
+		got, want := rules.Compile(p, a), refCompile(p, a)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (%d flows over %d nodes): Compile differs from the reference", trial, len(p.Flows), n)
 		}
 	}
 }

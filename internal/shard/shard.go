@@ -27,10 +27,12 @@
 // compacted links, the capacities in effect and the node count) says whether
 // its link index still applies. Unchanged sub-problems skip link-index
 // construction (te.Problem.RebindFlows instead of Finalize) and — for a SaTE
-// inner solver, which checks the same fingerprint itself — the R1 module.
-// Under the paper's sparse churn (<2% of paths per second) most shards are
-// unchanged most cycles, which is where the latency win at
-// mega-constellation scale comes from.
+// inner solver, which checks the same fingerprint itself — the R1 module; a
+// sub-problem whose flows are unchanged too (te.Problem.FlowFingerprint, also
+// checked by the inner model) skips the whole GNN forward and only decodes
+// and trims the retained output again. Under the paper's sparse churn (<2% of
+// paths per second) most shards are unchanged most cycles, which is where the
+// latency win at mega-constellation scale comes from.
 package shard
 
 import (
@@ -98,7 +100,8 @@ type Solver struct {
 	// into node-disjoint components (union-find over candidate-path nodes);
 	// each is compacted into bnd in turn and solved through the pool
 	// workspace last used for its fingerprint, so components untouched by
-	// churn replay their R1 embeddings.
+	// churn replay their R1 embeddings, or their whole forward when their
+	// flows held still too.
 	bflows   []int   // boundary flow order -> global flow index
 	bgroup   []int32 // boundary flow order -> component id
 	cflows   []int   // the current component's global flow indices
@@ -177,14 +180,27 @@ func (s *Solver) Name() string {
 // or shard count starts the bands afresh). Meaningful when Inner is the SaTE
 // model (other solvers never touch the workspace); hits/(hits+misses) is
 // the fraction of sub-solves that replayed cached R1 embeddings.
-func (s *Solver) R1Stats() (hits, misses uint64) {
+func (s *Solver) R1Stats() (hits, misses uint64) { return s.sumStats((*core.CycleState).R1Stats) }
+
+// ReplayStats sums the forward-replay statistics (core.CycleState.ReplayStats)
+// of the same workspaces R1Stats does: hits/(hits+misses) is the fraction of
+// sub-solves whose problem was bit-identical to the one their workspace
+// solved last, so the inner model skipped the whole forward. Every replay is
+// also an R1 hit. Meaningful when Inner is the SaTE model.
+func (s *Solver) ReplayStats() (hits, misses uint64) {
+	return s.sumStats((*core.CycleState).ReplayStats)
+}
+
+// sumStats adds one per-workspace counter pair up over the bands and the
+// boundary pool.
+func (s *Solver) sumStats(stat func(*core.CycleState) (uint64, uint64)) (hits, misses uint64) {
 	for _, b := range s.bands {
-		h, m := b.warm.R1Stats()
+		h, m := stat(b.warm)
 		hits += h
 		misses += m
 	}
 	for _, e := range s.pool {
-		h, m := e.warm.R1Stats()
+		h, m := stat(&e.warm)
 		hits += h
 		misses += m
 	}
@@ -539,8 +555,9 @@ func (s *Solver) ufUnion(a, b topology.NodeID) {
 // node and the combined allocation stays feasible by construction. Each
 // component is then compacted, finalized and solved exactly like a band,
 // through the pool workspace keyed by its fingerprint: components whose
-// structure and capacities held still replay their R1 embeddings and only
-// churn-adjacent components pay a recompute. Returns the component count.
+// structure and capacities held still replay their R1 embeddings (and their
+// whole forward when their flows did too) and only churn-adjacent components
+// pay a recompute. Returns the component count.
 func (s *Solver) solveBoundary(p *te.Problem, alloc *te.Allocation, caps capView) (int, error) {
 	if len(s.bflows) == 0 {
 		return 0, nil

@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"math"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 
@@ -15,6 +16,7 @@ import (
 	"sate/internal/solve"
 	"sate/internal/te"
 	"sate/internal/topology"
+	"sate/internal/traffic"
 )
 
 // scenarioProblem builds a finalized TE problem from a scenario snapshot.
@@ -367,13 +369,58 @@ func TestShardedEdgeCases(t *testing.T) {
 	})
 }
 
+// regionalProblem builds a finalized problem on a planes x spp Walker shell
+// with region-local traffic: each flow stays within two adjacent planes and a
+// few slots of its source, so most flows are internal to one shard.
+func regionalProblem(t testing.TB, planes, spp, flows int) *te.Problem {
+	t.Helper()
+	cons := constellation.MustNew("walker-regional", []constellation.Shell{{
+		Name: "shell", AltitudeKm: 550, InclinationDeg: 53,
+		Planes: planes, SatsPerPlane: spp, PhaseFactor: 1, RAANSpanDeg: 360,
+	}})
+	snap := topology.NewGenerator(cons, topology.DefaultConfig(topology.CrossShellNone)).Snapshot(0)
+	rng := rand.New(rand.NewSource(1))
+	tm := &traffic.Matrix{NumSats: planes * spp}
+	seen := map[[2]int]bool{}
+	for len(tm.Entries) < flows {
+		sp := rng.Intn(planes)
+		dp := min(sp+rng.Intn(2), planes-1)
+		ss := rng.Intn(spp)
+		ds := (ss + 1 + rng.Intn(4)) % spp
+		src, dst := sp*spp+ss, dp*spp+ds
+		if src != dst && !seen[[2]int{src, dst}] {
+			seen[[2]int{src, dst}] = true
+			tm.Entries = append(tm.Entries, traffic.Demand{
+				Src: constellation.SatID(src), Dst: constellation.SatID(dst), DemandMbps: 20,
+			})
+		}
+	}
+	p, err := te.Build(snap, tm, paths.NewDB(cons, snap, 4), te.BuildConfig{LinkCapMbps: 200, K: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // TestShardedWarmR1Reuse runs the SaTE model as the inner solver across
-// cycles and asserts the per-shard R1 caches hit when the topology holds
-// still, and that the warm replay stays bitwise identical to the first solve.
+// cycles: an unchanged second cycle replays the whole forward of every band
+// and boundary component (and so hits R1 everywhere) and equals a cold
+// solver bit for bit; a cycle that fails links inside one band recomputes
+// that band and still replays every other.
 func TestShardedWarmR1Reuse(t *testing.T) {
-	p := scenarioProblem(t, constellation.Toy(6, 8), 40)
+	p := regionalProblem(t, 16, 12, 80)
 	m := core.NewModel(core.DefaultConfig())
 	s := shard.New(m, 4)
+	requireCold := func(what string, q *te.Problem, got *te.Allocation) {
+		t.Helper()
+		want, err := shard.New(m, 4).Solve(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !allocEqual(got, want) {
+			t.Fatalf("%s: warm solve is not bitwise a cold solver's", what)
+		}
+	}
 
 	a, err := s.Solve(p)
 	if err != nil {
@@ -383,20 +430,79 @@ func TestShardedWarmR1Reuse(t *testing.T) {
 	if hits0 != 0 || miss0 == 0 {
 		t.Fatalf("first cycle: want 0 hits and some misses, got %d/%d", hits0, miss0)
 	}
+	if r, rm := s.ReplayStats(); r != 0 || rm != miss0 {
+		t.Fatalf("first cycle: %d forward replays and %d misses, want 0 and %d", r, rm, miss0)
+	}
 	b, err := s.Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hits1, miss1 := s.R1Stats()
-	if hits1 == 0 {
-		t.Fatalf("second cycle over unchanged topology: want R1 hits, got %d/%d", hits1, miss1)
+	if hits1 != miss0 || miss1 != miss0 {
+		t.Fatalf("second cycle over an unchanged problem: R1 %d hits, %d misses; want %d and %d", hits1, miss1, miss0, miss0)
 	}
-	if miss1 != miss0 {
-		t.Fatalf("second cycle recomputed R1: misses %d -> %d", miss0, miss1)
+	if r, rm := s.ReplayStats(); r != miss0 || rm != miss0 {
+		t.Fatalf("second cycle over an unchanged problem: %d forward replays, %d misses; want %d each", r, rm, miss0)
 	}
 	if !allocEqual(a, b) {
 		t.Fatal("warm replay is not bitwise identical")
 	}
+	requireCold("unchanged cycle", p, b)
+
+	// Fail the first hop of every path of one internal flow: only its band's
+	// sub-problem moves.
+	bounds := topology.PartitionNodes(p.NumNodes, 4)
+	internal := func(f te.FlowDemand) int {
+		si := topology.ShardOfNode(bounds, f.Src)
+		for _, path := range f.Paths {
+			if !path.WithinRange(bounds[si], bounds[si+1]) {
+				return -1
+			}
+		}
+		return si
+	}
+	bands := map[int]bool{}
+	victim := -1
+	for fi, f := range p.Flows {
+		if si := internal(f); si >= 0 && len(f.Paths) > 0 {
+			bands[si] = true
+			if victim < 0 {
+				victim = fi
+			}
+		}
+	}
+	if len(bands) < 2 {
+		t.Fatalf("internal flows in %d bands, want at least 2", len(bands))
+	}
+	failed := map[int]bool{}
+	for pi := range p.Flows[victim].Paths {
+		failed[p.PathLinks(victim, pi)[0]] = true
+	}
+	q := &te.Problem{NumNodes: p.NumNodes, UpCap: p.UpCap, DownCap: p.DownCap}
+	for li, l := range p.Links {
+		if !failed[li] {
+			q.Links = append(q.Links, l)
+			q.LinkCap = append(q.LinkCap, p.LinkCap[li])
+		}
+	}
+	for _, f := range p.Flows {
+		f.Paths = append(f.Paths[:0:0], f.Paths...) // Finalize filters in place
+		q.Flows = append(q.Flows, f)
+	}
+	if err := q.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	r0, rm0 := s.ReplayStats()
+	c, err := s.Solve(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1, rm1 := s.ReplayStats()
+	if s.Stats.DirtyShards != 1 || rm1 == rm0 || r1-r0 < uint64(len(bands)-1) {
+		t.Fatalf("links failed in one band: %d dirty shards, %d forward replays, %d misses; want 1 dirty and >= %d replays",
+			s.Stats.DirtyShards, r1-r0, rm1-rm0, len(bands)-1)
+	}
+	requireCold("links failed in one band", q, c)
 }
 
 // countingInner counts the sub-solves a sharded solve hands its inner model.

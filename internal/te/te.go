@@ -123,19 +123,46 @@ func (p *Problem) bindFlows() {
 // a collision between the handful of topologies one reuse cache ever
 // compares is negligible.
 func (p *Problem) TopoFingerprint() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	h = (h ^ uint64(p.NumNodes)) * prime64
-	h = (h ^ uint64(len(p.Links))) * prime64
+	h := mix(fnvOffset, uint64(p.NumNodes))
+	h = mix(h, uint64(len(p.Links)))
 	for i, l := range p.Links {
-		h = (h ^ l.Key()) * prime64
-		h = (h ^ math.Float64bits(p.LinkCap[i])) * prime64
+		h = mix(h, l.Key())
+		h = mix(h, math.Float64bits(p.LinkCap[i]))
 	}
 	return h
 }
+
+// FlowFingerprint hashes the flow side of the problem: the flow count and,
+// in order, each flow's endpoints, demand bits, path count and path node
+// sequences (each prefixed by its length). Together with TopoFingerprint it
+// covers everything a solver's forward pass reads apart from the access
+// capacities, which it leaves out on purpose: those are read only by the
+// feasibility correction that runs after it. Like TopoFingerprint it is
+// recomputed from the live fields on every call, O(path nodes) word mixes,
+// with the same mixer.
+func (p *Problem) FlowFingerprint() uint64 {
+	h := mix(fnvOffset, uint64(len(p.Flows)))
+	for fi := range p.Flows {
+		f := &p.Flows[fi]
+		h = mix(h, uint64(f.Src))
+		h = mix(h, uint64(f.Dst))
+		h = mix(h, math.Float64bits(f.DemandMbps))
+		h = mix(h, uint64(len(f.Paths)))
+		for _, path := range f.Paths {
+			h = mix(h, uint64(len(path.Nodes)))
+			for _, n := range path.Nodes {
+				h = mix(h, uint64(n))
+			}
+		}
+	}
+	return h
+}
+
+// fnvOffset is the 64-bit FNV-1a offset basis the fingerprints start from.
+const fnvOffset = 14695981039346656037
+
+// mix folds one word into a 64-bit FNV-1a hash.
+func mix(h, w uint64) uint64 { return (h ^ w) * 1099511628211 }
 
 // LinkSet returns the problem's links as a kind-agnostic membership set —
 // for a problem built from a failure-injected snapshot this IS the degraded

@@ -413,3 +413,50 @@ func TestNewAllocationAllocs(t *testing.T) {
 		t.Errorf("NewAllocation over %d flows: %.0f allocs, want 3", len(p.Flows), n)
 	}
 }
+
+// TestFlowFingerprint moves the fingerprint with every flow field a forward
+// pass reads and holds it still under edits to what it leaves out: the
+// access capacities and the topology side.
+func TestFlowFingerprint(t *testing.T) {
+	base := func() *Problem {
+		p := diamond(10, 10, 10, 10, 5)
+		p.Flows = append(p.Flows, FlowDemand{
+			Src: 3, Dst: 0, DemandMbps: 2,
+			Paths: []paths.Path{paths.NewPath(3, 1, 0), paths.NewPath(3, 2, 0)},
+		})
+		p.UpCap = []float64{9, 9, 9, 9}
+		p.DownCap = []float64{9, 9, 9, 9}
+		return p
+	}
+	want := base().FlowFingerprint()
+	for _, tc := range []struct {
+		name  string
+		edit  func(p *Problem)
+		moves bool
+	}{
+		{"nothing", func(p *Problem) {}, false},
+		{"uplink capacity", func(p *Problem) { p.UpCap[1] = 1 }, false},
+		{"downlink capacity", func(p *Problem) { p.DownCap[3] = math.Inf(1) }, false},
+		{"access caps dropped", func(p *Problem) { p.UpCap, p.DownCap = nil, nil }, false},
+		{"link capacity", func(p *Problem) { p.LinkCap[0] = 1 }, false},
+		{"source", func(p *Problem) { p.Flows[1].Src = 2 }, true},
+		{"destination", func(p *Problem) { p.Flows[0].Dst = 2 }, true},
+		{"demand", func(p *Problem) { p.Flows[0].DemandMbps = 5.000000000000001 }, true},
+		{"path dropped", func(p *Problem) { p.Flows[1].Paths = p.Flows[1].Paths[:1] }, true},
+		{"paths swapped", func(p *Problem) { f := &p.Flows[0]; f.Paths[0], f.Paths[1] = f.Paths[1], f.Paths[0] }, true},
+		{"path node", func(p *Problem) { p.Flows[0].Paths[1].Nodes[1] = 1 }, true},
+		{"path extended", func(p *Problem) { p.Flows[0].Paths[0].Nodes = append(p.Flows[0].Paths[0].Nodes, 2) }, true},
+		{"hop moved between paths", func(p *Problem) {
+			f := &p.Flows[0]
+			f.Paths[0].Nodes, f.Paths[1].Nodes = f.Paths[0].Nodes[:2], append(f.Paths[1].Nodes, f.Paths[0].Nodes[2])
+		}, true},
+		{"flows swapped", func(p *Problem) { p.Flows[0], p.Flows[1] = p.Flows[1], p.Flows[0] }, true},
+		{"flow dropped", func(p *Problem) { p.Flows = p.Flows[:1] }, true},
+	} {
+		p := base()
+		tc.edit(p)
+		if moved := p.FlowFingerprint() != want; moved != tc.moves {
+			t.Errorf("%s: fingerprint moved = %v, want %v", tc.name, moved, tc.moves)
+		}
+	}
+}

@@ -18,6 +18,7 @@ go test -race \
 	./internal/controller/... \
 	./internal/ruledist/... \
 	./internal/pktsim/...
-# The model's workspace pool under concurrent Solve callers; the rest of
+# The model's workspace pool under concurrent Solve callers, and the
+# workspace's R1 and forward replays at several worker counts; the rest of
 # internal/core is single-threaded above the kernels raced through autodiff.
-go test -race -run 'TestSolveConcurrentWithoutWarm' ./internal/core/
+go test -race -run 'TestSolveConcurrentWithoutWarm|TestWorkspaceDetectsTopologyItself|TestBorrowedWorkspaceNeverReplays' ./internal/core/
