@@ -1,7 +1,7 @@
 package autodiff
 
 // Referencing a generic function as a value inside generic code (e.g.
-// passing addFwdChunk[T] to par.ForCtx from a TapeOf[T] method) makes the
+// passing elemFwdChunk[T] to par.ForCtx from a TapeOf[T] method) makes the
 // runtime build a closure binding the instantiation dictionary — one heap
 // allocation per reference, which would put two allocations back into every
 // op and break the zero-alloc steady state (TestTapeReuseZeroAllocs).
@@ -14,16 +14,9 @@ type opTable[T Float] struct {
 	// Backward functions (newNode's back argument).
 	matMulBack          func(*ValueOf[T])
 	matMulTBack         func(*ValueOf[T])
-	addBack             func(*ValueOf[T])
-	subBack             func(*ValueOf[T])
-	mulBack             func(*ValueOf[T])
-	scaleBack           func(*ValueOf[T])
+	elemBack            func(*ValueOf[T])
 	addRowBroadcastBack func(*ValueOf[T])
 	mulColBroadcastBack func(*ValueOf[T])
-	leakyReLUBack       func(*ValueOf[T])
-	sigmoidBack         func(*ValueOf[T])
-	expBack             func(*ValueOf[T])
-	softClampBack       func(*ValueOf[T])
 	concatBack          func(*ValueOf[T])
 	colBack             func(*ValueOf[T])
 	gatherBack          func(*ValueOf[T])
@@ -35,25 +28,11 @@ type opTable[T Float] struct {
 	edgeAttnBack        func(*ValueOf[T])
 
 	// Parallel chunk functions with the node as context.
-	addFwdChunk             func(*ValueOf[T], int, int)
-	addBackChunk            func(*ValueOf[T], int, int)
-	subFwdChunk             func(*ValueOf[T], int, int)
-	subBackChunk            func(*ValueOf[T], int, int)
-	mulFwdChunk             func(*ValueOf[T], int, int)
-	mulBackChunk            func(*ValueOf[T], int, int)
-	scaleFwdChunk           func(*ValueOf[T], int, int)
-	scaleBackChunk          func(*ValueOf[T], int, int)
+	elemFwdChunk            func(*ValueOf[T], int, int)
+	elemBackChunk           func(*ValueOf[T], int, int)
 	addRowBroadcastFwdChunk func(*ValueOf[T], int, int)
 	mulColBroadcastFwdChunk func(*ValueOf[T], int, int)
 	mulColBroadcastBkChunk  func(*ValueOf[T], int, int)
-	leakyReLUFwdChunk       func(*ValueOf[T], int, int)
-	leakyReLUBackChunk      func(*ValueOf[T], int, int)
-	sigmoidFwdChunk         func(*ValueOf[T], int, int)
-	sigmoidBackChunk        func(*ValueOf[T], int, int)
-	expFwdChunk             func(*ValueOf[T], int, int)
-	expBackChunk            func(*ValueOf[T], int, int)
-	softClampFwdChunk       func(*ValueOf[T], int, int)
-	softClampBackChunk      func(*ValueOf[T], int, int)
 	concatFwdChunk          func(*ValueOf[T], int, int)
 	concatBackChunk         func(*ValueOf[T], int, int)
 	colFwdChunk             func(*ValueOf[T], int, int)
@@ -86,16 +65,9 @@ func newOpTable[T Float]() *opTable[T] {
 	return &opTable[T]{
 		matMulBack:          matMulBack[T],
 		matMulTBack:         matMulTBack[T],
-		addBack:             addBack[T],
-		subBack:             subBack[T],
-		mulBack:             mulBack[T],
-		scaleBack:           scaleBack[T],
+		elemBack:            elemBack[T],
 		addRowBroadcastBack: addRowBroadcastBack[T],
 		mulColBroadcastBack: mulColBroadcastBack[T],
-		leakyReLUBack:       leakyReLUBack[T],
-		sigmoidBack:         sigmoidBack[T],
-		expBack:             expBack[T],
-		softClampBack:       softClampBack[T],
 		concatBack:          concatBack[T],
 		colBack:             colBack[T],
 		gatherBack:          gatherBack[T],
@@ -106,25 +78,11 @@ func newOpTable[T Float]() *opTable[T] {
 		linearBack:          linearBack[T],
 		edgeAttnBack:        edgeAttnBack[T],
 
-		addFwdChunk:             addFwdChunk[T],
-		addBackChunk:            addBackChunk[T],
-		subFwdChunk:             subFwdChunk[T],
-		subBackChunk:            subBackChunk[T],
-		mulFwdChunk:             mulFwdChunk[T],
-		mulBackChunk:            mulBackChunk[T],
-		scaleFwdChunk:           scaleFwdChunk[T],
-		scaleBackChunk:          scaleBackChunk[T],
+		elemFwdChunk:            elemFwdChunk[T],
+		elemBackChunk:           elemBackChunk[T],
 		addRowBroadcastFwdChunk: addRowBroadcastFwdChunk[T],
 		mulColBroadcastFwdChunk: mulColBroadcastFwdChunk[T],
 		mulColBroadcastBkChunk:  mulColBroadcastBackChunk[T],
-		leakyReLUFwdChunk:       leakyReLUFwdChunk[T],
-		leakyReLUBackChunk:      leakyReLUBackChunk[T],
-		sigmoidFwdChunk:         sigmoidFwdChunk[T],
-		sigmoidBackChunk:        sigmoidBackChunk[T],
-		expFwdChunk:             expFwdChunk[T],
-		expBackChunk:            expBackChunk[T],
-		softClampFwdChunk:       softClampFwdChunk[T],
-		softClampBackChunk:      softClampBackChunk[T],
 		concatFwdChunk:          concatFwdChunk[T],
 		concatBackChunk:         concatBackChunk[T],
 		colFwdChunk:             colFwdChunk[T],

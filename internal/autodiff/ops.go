@@ -13,12 +13,6 @@ import (
 // allocation once the arena is warm. Parallel chunks run through par.ForCtx
 // with static chunk functions for the same reason.
 
-func assertSameShape[T Float](op string, a, b *TensorOf[T]) {
-	if !a.SameShape(b) {
-		panic(fmt.Sprintf("autodiff: %s shape mismatch %s vs %s", op, a.shape(), b.shape()))
-	}
-}
-
 // elemGrain is the chunk grain for elementwise kernels over n scalars.
 func elemGrain(n int) int { return par.Grain(n, kernelFlopTarget) }
 
@@ -60,115 +54,182 @@ func matMulTBack[T Float](v *ValueOf[T]) {
 	gemmAT(b.Grad, v.Grad, a.Val, true) // dB += dOut^T @ A
 }
 
-// Add returns a + b (same shape).
-func (tp *TapeOf[T]) Add(a, b *ValueOf[T]) *ValueOf[T] {
-	assertSameShape("add", a.Val, b.Val)
-	v := tp.newNodeStored(a.Val.Rows, a.Val.Cols, opsFor[T]().addBack)
-	v.src0, v.src1 = a, b
-	par.ForCtx(len(v.Val.Data), elemGrain(len(v.Val.Data)), v, opsFor[T]().addFwdChunk)
+// elemOp is the kernel an elementwise node runs, kept in the node's n: the
+// eight elementwise ops share one constructor, one forward chunk and one
+// backward chunk, and the chunks switch on the code once per chunk.
+type elemOp int
+
+const (
+	opAdd       elemOp = iota // a + b
+	opSub                     // a - b
+	opMul                     // a * b
+	opScale                   // a * s0
+	opLeakyReLU               // max(a, s0*a)
+	opSigmoid                 // 1/(1+exp(-a))
+	opExp                     // exp(a)
+	opSoftClamp               // clamp(a, s0, s1) + s2*(a - clamp(a, s0, s1))
+)
+
+// binaryOpNames names the ops that take b, for the shape-mismatch panic.
+var binaryOpNames = [...]string{opAdd: "add", opSub: "sub", opMul: "mul"}
+
+// elementwise issues op on a and, for the binary ops, b (nil otherwise), with
+// the op's scalars in s0..s2.
+func (tp *TapeOf[T]) elementwise(op elemOp, a, b *ValueOf[T], s0, s1, s2 T) *ValueOf[T] {
+	if b != nil && !a.Val.SameShape(b.Val) {
+		panic(fmt.Sprintf("autodiff: %s shape mismatch %s vs %s", binaryOpNames[op], a.Val.shape(), b.Val.shape()))
+	}
+	v := tp.newNodeStored(a.Val.Rows, a.Val.Cols, opsFor[T]().elemBack)
+	v.n, v.src0, v.src1, v.s0, v.s1, v.s2 = int(op), a, b, s0, s1, s2
+	par.ForCtx(len(v.Val.Data), elemGrain(len(v.Val.Data)), v, opsFor[T]().elemFwdChunk)
 	return v
 }
 
-func addFwdChunk[T Float](v *ValueOf[T], lo, hi int) {
-	o, x, y := v.Val.Data, v.src0.Val.Data, v.src1.Val.Data
-	for i := lo; i < hi; i++ {
-		o[i] = x[i] + y[i]
-	}
-}
-
-func addBack[T Float](v *ValueOf[T]) {
-	par.ForCtx(len(v.Grad.Data), elemGrain(len(v.Grad.Data)), v, opsFor[T]().addBackChunk)
-}
-
-func addBackChunk[T Float](v *ValueOf[T], lo, hi int) {
-	g, ga, gb := v.Grad.Data, v.src0.Grad.Data, v.src1.Grad.Data
-	for i := lo; i < hi; i++ {
-		ga[i] += g[i]
-		gb[i] += g[i]
-	}
-}
+// Add returns a + b (same shape).
+func (tp *TapeOf[T]) Add(a, b *ValueOf[T]) *ValueOf[T] { return tp.elementwise(opAdd, a, b, 0, 0, 0) }
 
 // Sub returns a - b.
-func (tp *TapeOf[T]) Sub(a, b *ValueOf[T]) *ValueOf[T] {
-	assertSameShape("sub", a.Val, b.Val)
-	v := tp.newNodeStored(a.Val.Rows, a.Val.Cols, opsFor[T]().subBack)
-	v.src0, v.src1 = a, b
-	par.ForCtx(len(v.Val.Data), elemGrain(len(v.Val.Data)), v, opsFor[T]().subFwdChunk)
-	return v
-}
-
-func subFwdChunk[T Float](v *ValueOf[T], lo, hi int) {
-	o, x, y := v.Val.Data, v.src0.Val.Data, v.src1.Val.Data
-	for i := lo; i < hi; i++ {
-		o[i] = x[i] - y[i]
-	}
-}
-
-func subBack[T Float](v *ValueOf[T]) {
-	par.ForCtx(len(v.Grad.Data), elemGrain(len(v.Grad.Data)), v, opsFor[T]().subBackChunk)
-}
-
-func subBackChunk[T Float](v *ValueOf[T], lo, hi int) {
-	g, ga, gb := v.Grad.Data, v.src0.Grad.Data, v.src1.Grad.Data
-	for i := lo; i < hi; i++ {
-		ga[i] += g[i]
-		gb[i] -= g[i]
-	}
-}
+func (tp *TapeOf[T]) Sub(a, b *ValueOf[T]) *ValueOf[T] { return tp.elementwise(opSub, a, b, 0, 0, 0) }
 
 // Mul returns the elementwise product.
-func (tp *TapeOf[T]) Mul(a, b *ValueOf[T]) *ValueOf[T] {
-	assertSameShape("mul", a.Val, b.Val)
-	v := tp.newNodeStored(a.Val.Rows, a.Val.Cols, opsFor[T]().mulBack)
-	v.src0, v.src1 = a, b
-	par.ForCtx(len(v.Val.Data), elemGrain(len(v.Val.Data)), v, opsFor[T]().mulFwdChunk)
-	return v
-}
-
-func mulFwdChunk[T Float](v *ValueOf[T], lo, hi int) {
-	o, x, y := v.Val.Data, v.src0.Val.Data, v.src1.Val.Data
-	for i := lo; i < hi; i++ {
-		o[i] = x[i] * y[i]
-	}
-}
-
-func mulBack[T Float](v *ValueOf[T]) {
-	par.ForCtx(len(v.Grad.Data), elemGrain(len(v.Grad.Data)), v, opsFor[T]().mulBackChunk)
-}
-
-func mulBackChunk[T Float](v *ValueOf[T], lo, hi int) {
-	g := v.Grad.Data
-	x, y := v.src0.Val.Data, v.src1.Val.Data
-	ga, gb := v.src0.Grad.Data, v.src1.Grad.Data
-	for i := lo; i < hi; i++ {
-		ga[i] += g[i] * y[i]
-		gb[i] += g[i] * x[i]
-	}
-}
+func (tp *TapeOf[T]) Mul(a, b *ValueOf[T]) *ValueOf[T] { return tp.elementwise(opMul, a, b, 0, 0, 0) }
 
 // Scale returns a * s for scalar s.
 func (tp *TapeOf[T]) Scale(a *ValueOf[T], s T) *ValueOf[T] {
-	v := tp.newNodeStored(a.Val.Rows, a.Val.Cols, opsFor[T]().scaleBack)
-	v.src0, v.s0 = a, s
-	par.ForCtx(len(v.Val.Data), elemGrain(len(v.Val.Data)), v, opsFor[T]().scaleFwdChunk)
-	return v
+	return tp.elementwise(opScale, a, nil, s, 0, 0)
 }
 
-func scaleFwdChunk[T Float](v *ValueOf[T], lo, hi int) {
-	o, x, s := v.Val.Data, v.src0.Val.Data, v.s0
-	for i := lo; i < hi; i++ {
-		o[i] = x[i] * s
+// LeakyReLU applies max(x, slope*x) elementwise.
+func (tp *TapeOf[T]) LeakyReLU(a *ValueOf[T], slope T) *ValueOf[T] {
+	return tp.elementwise(opLeakyReLU, a, nil, slope, 0, 0)
+}
+
+// ReLU applies max(x, 0).
+func (tp *TapeOf[T]) ReLU(a *ValueOf[T]) *ValueOf[T] { return tp.LeakyReLU(a, 0) }
+
+// Sigmoid applies 1/(1+exp(-x)) elementwise.
+func (tp *TapeOf[T]) Sigmoid(a *ValueOf[T]) *ValueOf[T] {
+	return tp.elementwise(opSigmoid, a, nil, 0, 0, 0)
+}
+
+// Exp applies exp elementwise.
+func (tp *TapeOf[T]) Exp(a *ValueOf[T]) *ValueOf[T] { return tp.elementwise(opExp, a, nil, 0, 0, 0) }
+
+// SoftClamp limits values to [lo, hi] with a residual slope outside the
+// band: y = clamp(x) + slope*(x - clamp(x)). Unlike a hard clamp the
+// gradient never vanishes (slope outside, 1 inside), so downstream
+// saturating nonlinearities (e.g. sigmoid gates) can always recover.
+func (tp *TapeOf[T]) SoftClamp(a *ValueOf[T], lo, hi, slope T) *ValueOf[T] {
+	return tp.elementwise(opSoftClamp, a, nil, lo, hi, slope)
+}
+
+func elemFwdChunk[T Float](v *ValueOf[T], lo, hi int) {
+	o, x := v.Val.Data, v.src0.Val.Data
+	var y []T
+	if v.src1 != nil {
+		y = v.src1.Val.Data
+	}
+	s0, s1, s2 := v.s0, v.s1, v.s2
+	switch elemOp(v.n) {
+	case opAdd:
+		for i := lo; i < hi; i++ {
+			o[i] = x[i] + y[i]
+		}
+	case opSub:
+		for i := lo; i < hi; i++ {
+			o[i] = x[i] - y[i]
+		}
+	case opMul:
+		for i := lo; i < hi; i++ {
+			o[i] = x[i] * y[i]
+		}
+	case opScale:
+		for i := lo; i < hi; i++ {
+			o[i] = x[i] * s0
+		}
+	case opLeakyReLU:
+		for i := lo; i < hi; i++ {
+			if xv := x[i]; xv >= 0 {
+				o[i] = xv
+			} else {
+				o[i] = s0 * xv
+			}
+		}
+	case opSigmoid:
+		for i := lo; i < hi; i++ {
+			o[i] = 1 / (1 + expT(-x[i]))
+		}
+	case opExp:
+		for i := lo; i < hi; i++ {
+			o[i] = expT(x[i])
+		}
+	case opSoftClamp:
+		for i := lo; i < hi; i++ {
+			c := maxT(s0, minT(s1, x[i]))
+			o[i] = c + s2*(x[i]-c)
+		}
 	}
 }
 
-func scaleBack[T Float](v *ValueOf[T]) {
-	par.ForCtx(len(v.Grad.Data), elemGrain(len(v.Grad.Data)), v, opsFor[T]().scaleBackChunk)
+func elemBack[T Float](v *ValueOf[T]) {
+	par.ForCtx(len(v.Grad.Data), elemGrain(len(v.Grad.Data)), v, opsFor[T]().elemBackChunk)
 }
 
-func scaleBackChunk[T Float](v *ValueOf[T], lo, hi int) {
-	g, ga, s := v.Grad.Data, v.src0.Grad.Data, v.s0
-	for i := lo; i < hi; i++ {
-		ga[i] += g[i] * s
+// elemBackChunk accumulates the node's gradient into its operands' over
+// [lo, hi). A binary op on one value twice (Mul(d, d)) adds a's share and
+// then b's into the same element, in that order.
+func elemBackChunk[T Float](v *ValueOf[T], lo, hi int) {
+	g, o, x, ga := v.Grad.Data, v.Val.Data, v.src0.Val.Data, v.src0.Grad.Data
+	var y, gb []T
+	if v.src1 != nil {
+		y, gb = v.src1.Val.Data, v.src1.Grad.Data
+	}
+	s0, s1, s2 := v.s0, v.s1, v.s2
+	switch elemOp(v.n) {
+	case opAdd:
+		for i := lo; i < hi; i++ {
+			ga[i] += g[i]
+			gb[i] += g[i]
+		}
+	case opSub:
+		for i := lo; i < hi; i++ {
+			ga[i] += g[i]
+			gb[i] -= g[i]
+		}
+	case opMul:
+		for i := lo; i < hi; i++ {
+			ga[i] += g[i] * y[i]
+			gb[i] += g[i] * x[i]
+		}
+	case opScale:
+		for i := lo; i < hi; i++ {
+			ga[i] += g[i] * s0
+		}
+	case opLeakyReLU:
+		for i := lo; i < hi; i++ {
+			if x[i] >= 0 {
+				ga[i] += g[i]
+			} else {
+				ga[i] += g[i] * s0
+			}
+		}
+	case opSigmoid:
+		for i := lo; i < hi; i++ {
+			y := o[i]
+			ga[i] += g[i] * y * (1 - y)
+		}
+	case opExp:
+		for i := lo; i < hi; i++ {
+			ga[i] += g[i] * o[i]
+		}
+	case opSoftClamp:
+		for i := lo; i < hi; i++ {
+			if x[i] < s0 || x[i] > s1 {
+				ga[i] += g[i] * s2
+			} else {
+				ga[i] += g[i]
+			}
+		}
 	}
 }
 
@@ -246,132 +307,6 @@ func mulColBroadcastBackChunk[T Float](v *ValueOf[T], lo, hi int) {
 			dot += g * a.Val.Data[r*cols+c]
 		}
 		s.Grad.Data[r] += dot
-	}
-}
-
-// LeakyReLU applies max(x, slope*x) elementwise.
-func (tp *TapeOf[T]) LeakyReLU(a *ValueOf[T], slope T) *ValueOf[T] {
-	v := tp.newNodeStored(a.Val.Rows, a.Val.Cols, opsFor[T]().leakyReLUBack)
-	v.src0, v.s0 = a, slope
-	par.ForCtx(len(v.Val.Data), elemGrain(len(v.Val.Data)), v, opsFor[T]().leakyReLUFwdChunk)
-	return v
-}
-
-func leakyReLUFwdChunk[T Float](v *ValueOf[T], lo, hi int) {
-	o, x, slope := v.Val.Data, v.src0.Val.Data, v.s0
-	for i := lo; i < hi; i++ {
-		if xv := x[i]; xv >= 0 {
-			o[i] = xv
-		} else {
-			o[i] = slope * xv
-		}
-	}
-}
-
-func leakyReLUBack[T Float](v *ValueOf[T]) {
-	par.ForCtx(len(v.Grad.Data), elemGrain(len(v.Grad.Data)), v, opsFor[T]().leakyReLUBackChunk)
-}
-
-func leakyReLUBackChunk[T Float](v *ValueOf[T], lo, hi int) {
-	g, x, ga, slope := v.Grad.Data, v.src0.Val.Data, v.src0.Grad.Data, v.s0
-	for i := lo; i < hi; i++ {
-		if x[i] >= 0 {
-			ga[i] += g[i]
-		} else {
-			ga[i] += g[i] * slope
-		}
-	}
-}
-
-// ReLU applies max(x, 0).
-func (tp *TapeOf[T]) ReLU(a *ValueOf[T]) *ValueOf[T] { return tp.LeakyReLU(a, 0) }
-
-// Sigmoid applies 1/(1+exp(-x)) elementwise.
-func (tp *TapeOf[T]) Sigmoid(a *ValueOf[T]) *ValueOf[T] {
-	v := tp.newNodeStored(a.Val.Rows, a.Val.Cols, opsFor[T]().sigmoidBack)
-	v.src0 = a
-	par.ForCtx(len(v.Val.Data), elemGrain(len(v.Val.Data)), v, opsFor[T]().sigmoidFwdChunk)
-	return v
-}
-
-func sigmoidFwdChunk[T Float](v *ValueOf[T], lo, hi int) {
-	o, x := v.Val.Data, v.src0.Val.Data
-	for i := lo; i < hi; i++ {
-		o[i] = 1 / (1 + expT(-x[i]))
-	}
-}
-
-func sigmoidBack[T Float](v *ValueOf[T]) {
-	par.ForCtx(len(v.Grad.Data), elemGrain(len(v.Grad.Data)), v, opsFor[T]().sigmoidBackChunk)
-}
-
-func sigmoidBackChunk[T Float](v *ValueOf[T], lo, hi int) {
-	g, o, ga := v.Grad.Data, v.Val.Data, v.src0.Grad.Data
-	for i := lo; i < hi; i++ {
-		y := o[i]
-		ga[i] += g[i] * y * (1 - y)
-	}
-}
-
-// Exp applies exp elementwise.
-func (tp *TapeOf[T]) Exp(a *ValueOf[T]) *ValueOf[T] {
-	v := tp.newNodeStored(a.Val.Rows, a.Val.Cols, opsFor[T]().expBack)
-	v.src0 = a
-	par.ForCtx(len(v.Val.Data), elemGrain(len(v.Val.Data)), v, opsFor[T]().expFwdChunk)
-	return v
-}
-
-func expFwdChunk[T Float](v *ValueOf[T], lo, hi int) {
-	o, x := v.Val.Data, v.src0.Val.Data
-	for i := lo; i < hi; i++ {
-		o[i] = expT(x[i])
-	}
-}
-
-func expBack[T Float](v *ValueOf[T]) {
-	par.ForCtx(len(v.Grad.Data), elemGrain(len(v.Grad.Data)), v, opsFor[T]().expBackChunk)
-}
-
-func expBackChunk[T Float](v *ValueOf[T], lo, hi int) {
-	g, o, ga := v.Grad.Data, v.Val.Data, v.src0.Grad.Data
-	for i := lo; i < hi; i++ {
-		ga[i] += g[i] * o[i]
-	}
-}
-
-// SoftClamp limits values to [lo, hi] with a residual slope outside the
-// band: y = clamp(x) + slope*(x - clamp(x)). Unlike a hard clamp the
-// gradient never vanishes (slope outside, 1 inside), so downstream
-// saturating nonlinearities (e.g. sigmoid gates) can always recover.
-func (tp *TapeOf[T]) SoftClamp(a *ValueOf[T], lo, hi, slope T) *ValueOf[T] {
-	v := tp.newNodeStored(a.Val.Rows, a.Val.Cols, opsFor[T]().softClampBack)
-	v.src0, v.s0, v.s1, v.s2 = a, lo, hi, slope
-	par.ForCtx(len(v.Val.Data), elemGrain(len(v.Val.Data)), v, opsFor[T]().softClampFwdChunk)
-	return v
-}
-
-func softClampFwdChunk[T Float](v *ValueOf[T], lo, hi int) {
-	o, x := v.Val.Data, v.src0.Val.Data
-	cl, ch, slope := v.s0, v.s1, v.s2
-	for i := lo; i < hi; i++ {
-		c := maxT(cl, minT(ch, x[i]))
-		o[i] = c + slope*(x[i]-c)
-	}
-}
-
-func softClampBack[T Float](v *ValueOf[T]) {
-	par.ForCtx(len(v.Grad.Data), elemGrain(len(v.Grad.Data)), v, opsFor[T]().softClampBackChunk)
-}
-
-func softClampBackChunk[T Float](v *ValueOf[T], lo, hi int) {
-	g, x, ga := v.Grad.Data, v.src0.Val.Data, v.src0.Grad.Data
-	cl, ch, slope := v.s0, v.s1, v.s2
-	for i := lo; i < hi; i++ {
-		if x[i] < cl || x[i] > ch {
-			ga[i] += g[i] * slope
-		} else {
-			ga[i] += g[i]
-		}
 	}
 }
 

@@ -99,7 +99,7 @@ type ValueOf[T Float] struct {
 	idx        []int            // row indices / segment ids
 	sidx       segmentIndex     // cached segment index for segment-parallel backward
 	edge       *edgeAttnArgs[T] // EdgeAttention's launch (operands, index, stashes)
-	n          int              // op-specific count (nSeg, part width, ...)
+	n          int              // op-specific int (nSeg, column, elemOp code, ...)
 	s0, s1, s2 T                // op-specific scalars (slopes, clamp bounds, ...)
 }
 

@@ -3,6 +3,7 @@ package paths
 import (
 	"container/heap"
 	"math"
+	"slices"
 	"sync"
 
 	"sate/internal/orbit"
@@ -222,7 +223,7 @@ func (g *Graph) YenKShortest(src, dst topology.NodeID, k int) []Path {
 			// root nodes (except the spur) to force looplessness.
 			banned := make(map[[2]topology.NodeID]bool)
 			for _, a := range A {
-				if i < len(a.Nodes)-1 && samePrefix(a.Nodes, prev.Nodes, i+1) {
+				if i < len(a.Nodes)-1 && slices.Equal(a.Nodes[:i+1], prev.Nodes[:i+1]) {
 					banned[[2]topology.NodeID{a.Nodes[i], a.Nodes[i+1]}] = true
 					banned[[2]topology.NodeID{a.Nodes[i+1], a.Nodes[i]}] = true
 				}
@@ -260,18 +261,6 @@ func (g *Graph) YenKShortest(src, dst topology.NodeID, k int) []Path {
 		B = append(B[:bestIdx], B[bestIdx+1:]...)
 	}
 	return A
-}
-
-func samePrefix(a, b []topology.NodeID, n int) bool {
-	if len(a) < n || len(b) < n {
-		return false
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func containsPath(ps []Path, p Path) bool {

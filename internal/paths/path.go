@@ -8,6 +8,7 @@ package paths
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"sate/internal/topology"
@@ -116,19 +117,6 @@ func Concat(a, b Path) (Path, bool) {
 	return p, true
 }
 
-// SameNodes reports whether two paths traverse the identical node sequence.
-func SameNodes(a, b Path) bool {
-	if len(a.Nodes) != len(b.Nodes) {
-		return false
-	}
-	for i, n := range a.Nodes {
-		if n != b.Nodes[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Dedup removes duplicate paths (same node sequence), preserving order. The
 // comparison is quadratic in the candidate count but allocation-free —
 // KShortest calls it with k≈10 candidates on the hot path, where the former
@@ -138,7 +126,7 @@ func Dedup(ps []Path) []Path {
 	for _, p := range ps {
 		dup := false
 		for _, q := range out {
-			if SameNodes(p, q) {
+			if slices.Equal(p.Nodes, q.Nodes) {
 				dup = true
 				break
 			}

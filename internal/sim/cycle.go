@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"sate/internal/core"
@@ -185,19 +186,6 @@ func pathValid(nodes []topology.NodeID, links topology.LinkSet) bool {
 	return true
 }
 
-// sameNodes reports whether two paths traverse the same node sequence.
-func sameNodes(a, b []topology.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // missingRoutes counts routes of a absent from b (compared by node
 // sequence; rate changes on a surviving route are not churn).
 func missingRoutes(a, b map[uint64][]ratedPath) int {
@@ -207,7 +195,7 @@ func missingRoutes(a, b map[uint64][]ratedPath) int {
 	next:
 		for _, ap := range aps {
 			for _, bp := range bps {
-				if sameNodes(ap.nodes, bp.nodes) {
+				if slices.Equal(ap.nodes, bp.nodes) {
 					continue next
 				}
 			}

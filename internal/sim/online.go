@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"sate/internal/obs"
@@ -25,7 +26,9 @@ type OnlineConfig struct {
 	// latency never paces the run — it is reported in MeanSolveLatency
 	// only — so every other result field is a function of (seed, config).
 	IntervalSec float64
-	// StepSec is the metric sampling step (default 1 s).
+	// StepSec is the metric sampling step (default 1 s). The run scores
+	// the instants StartSec + i·StepSec for the ceil(HorizonSec/StepSec)
+	// values of i (stepCount).
 	StepSec float64
 	// Registry receives online-evaluation metrics: per-step satisfaction
 	// gauge, recompute counter, route-churn counter/gauge, problem-build
@@ -85,7 +88,10 @@ func (s *Scenario) RunOnline(al Allocator, cfg OnlineConfig) (*OnlineResult, err
 	var active *Cycle
 	nextCompute := cfg.StartSec
 	var totalLatency time.Duration
-	for t := cfg.StartSec; t < cfg.StartSec+float64(cfg.HorizonSec); t += cfg.StepSec {
+	for i := range stepCount(cfg.HorizonSec, cfg.StepSec) {
+		// From the index, not t += StepSec: a fractional step drifts when
+		// accumulated, and a drifted t adds a step to the horizon.
+		t := cfg.StartSec + float64(i)*cfg.StepSec
 		var cur *te.Problem
 		var snap *topology.Snapshot
 		if t >= nextCompute {
@@ -133,6 +139,18 @@ func (s *Scenario) RunOnline(al Allocator, cfg OnlineConfig) (*OnlineResult, err
 	}
 	res.finish(totalLatency)
 	return res, nil
+}
+
+// stepCount is the number of sampling instants in a horizon:
+// ceil(horizonSec/stepSec), where a quotient within 1e-9 (relative) of a
+// whole number counts as that number — 3 s in steps of 0.3 s is 10 steps,
+// though 0.3 has no exact binary value.
+func stepCount(horizonSec int, stepSec float64) int {
+	q := float64(horizonSec) / stepSec
+	if r := math.Round(q); math.Abs(q-r) <= 1e-9*r {
+		return int(r)
+	}
+	return int(math.Ceil(q))
 }
 
 // RunOffline evaluates the allocator with zero computation delay: the

@@ -69,13 +69,13 @@ func NewScenario(cons *constellation.Constellation, cfg ScenarioConfig) *Scenari
 		cfg.Users = 700 * n // 3M users at Starlink scale
 	}
 	if cfg.UserClusters == 0 {
-		cfg.UserClusters = minInt(2000, 20+n/2)
+		cfg.UserClusters = min(2000, 20+n/2)
 	}
 	if cfg.Gateways == 0 {
-		cfg.Gateways = minInt(1000, 10+n/4)
+		cfg.Gateways = min(1000, 10+n/4)
 	}
 	if cfg.Relays == 0 {
-		cfg.Relays = minInt(222, 10+n/20)
+		cfg.Relays = min(222, 10+n/20)
 	}
 	grid := groundnet.SyntheticPopulation(cfg.Seed)
 	seg := groundnet.Build(grid, groundnet.Config{
@@ -115,13 +115,6 @@ func NewScenario(cons *constellation.Constellation, cfg ScenarioConfig) *Scenari
 		MinElevRad: orbit.Deg(minElev),
 	}
 	return s
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // SnapshotAt returns (and caches) the topology at time t, keeping the path

@@ -149,6 +149,28 @@ func TestRunOnlineIgnoresSolveLatency(t *testing.T) {
 	}
 }
 
+// TestRunOnlineStepCount: a fractional step scores as many instants as the
+// horizon holds; accumulating t += StepSec drifted short of the horizon's
+// end and scored one more (11 for 3 s in steps of 0.3 s, 201 for 60 s).
+func TestRunOnlineStepCount(t *testing.T) {
+	res, err := toyScenario(40, 13).RunOnline(baselines.ECMPWF{}, OnlineConfig{HorizonSec: 3, StartSec: 700, IntervalSec: 1000, StepSec: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Satisfied) != 10 {
+		t.Errorf("horizon 3 s, step 0.3 s: %d steps scored, want 10", len(res.Satisfied))
+	}
+	for _, c := range []struct {
+		horizon int
+		step    float64
+		want    int
+	}{{3, 0.3, 10}, {60, 0.3, 200}, {1, 0.1, 10}, {7, 0.7, 10}, {10, 3, 4}, {20, 2, 10}, {5, 5, 1}, {1, 2, 1}} {
+		if got := stepCount(c.horizon, c.step); got != c.want {
+			t.Errorf("stepCount(%d, %v) = %d, want %d", c.horizon, c.step, got, c.want)
+		}
+	}
+}
+
 func TestProblemWithFailures(t *testing.T) {
 	s := toyScenario(60, 17)
 	rng := rand.New(rand.NewSource(1))

@@ -4,12 +4,13 @@
 # include satelint, the project's determinism / concurrency invariant linter,
 # as internal/lint.TestSelfLint; see DESIGN.md "Static analysis"), 5 s native
 # fuzz runs of the packet engine's event queue, the GAT edge kernel, the
-# gemm vector tile, the two file readers (topology snapshots, model
-# files), the rule payload encoder and the two serving inputs
-# (/v1/deltas queries, /v1/recompute bodies), two training runs whose model files must come out byte
-# for byte, a short load burst against the serving surface, and a short run
-# of the TE-cycle benchmark with its per-cycle checks. The full race-detector
-# pass is its own script: ./scripts/check.sh && ./scripts/race.sh
+# elementwise ops, the gemm vector tile, the two file readers (topology
+# snapshots, model files), the rule payload encoder and the two serving
+# inputs (/v1/deltas queries, /v1/recompute bodies), two training runs whose
+# model files must come out byte for byte, a short load burst against the
+# serving surface, and a short run of the TE-cycle benchmark with its
+# per-cycle checks. The full race-detector pass is its own script:
+# ./scripts/check.sh && ./scripts/race.sh
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -26,7 +27,7 @@ GOARCH=arm64 go build ./...
 GOARCH=arm64 go vet ./internal/autodiff
 echo "== go test =="
 go test ./...
-echo "== fuzz (8 x 5s) =="
+echo "== fuzz (9 x 5s) =="
 # The packet engine's calendar queue against the reference binary heap:
 # random push/pop interleavings must pop identical (t, seq) sequences.
 go test -run='^$' -fuzz=FuzzCalendarOrder -fuzztime=5s ./internal/pktsim
@@ -34,6 +35,11 @@ go test -run='^$' -fuzz=FuzzCalendarOrder -fuzztime=5s ./internal/pktsim
 # relations and projections must produce identical bits in both dtypes — the
 # output on inference tapes, the output and every gradient on gradient tapes.
 go test -run='^$' -fuzz=FuzzEdgeAttention -fuzztime=5s ./internal/autodiff
+# The eight elementwise ops against a per-element scalar reference: random
+# shapes, operands, gradients and op scalars from raw float bits (±0, NaN and
+# ±Inf included) must give the reference's output and gradient bits in both
+# dtypes at workers 1, 2, 3 and 8.
+go test -run='^$' -fuzz=FuzzElementwise -fuzztime=5s ./internal/autodiff
 # gemm's assembly tile against its Go tile: random small products, store and
 # accumulate, must produce identical bits in both dtypes (skips, saying so,
 # on a machine without AVX2).
