@@ -37,6 +37,19 @@ import (
 // recompute exactly — per head the weights α and the raw score (its LeakyReLU
 // mask; the slope may be 0), and the output's pre-activation.
 //
+// Edge lanes. On amd64 with AVX2 — gemm's decision, gemmVector — the
+// forward's three per-edge loops run in assembly (edge_amd64.{go,s}) over a
+// block of whole segments at a time: the scores with one lane per edge (a
+// lane is the Go chain prefix += s[p]·w[p] in increasing p, a VMULPD then a
+// VADDPD per term, never fused), exp(α − max) with one lane per edge (math's
+// own exp_amd64.s sequence, in the variant — fused or not — that matches
+// math.Exp on this machine, decided once at init; inputs outside its main
+// path go to math.Exp), and the message fold with one lane per column. The
+// prefix, max, sum, divide and the self/activation pass stay in Go. Each
+// lane performs one Go-spelled chain's operations in order, so the bits are
+// the Go spelling's (TestEdgeAttentionVectorMatchesGeneric, FuzzExpLanes),
+// which stays as the fallback on every other machine.
+//
 // Backward: three passes, each owning the gradient elements it writes, so the
 // bits are the same at every worker count. By destination segment: the output
 // gradient routed through the activation mask (g) into self.Grad, then per
@@ -98,6 +111,7 @@ func (tp *TapeOf[T]) EdgeAttention(self *ValueOf[T], hDst, hSrc, hE, attn []*Val
 		hSrc: tp.arena.keep(hSrc), hE: tp.arena.keep(hE),
 		dst: dst, src: src, eIdx: eIdx,
 		sidx: buildSegmentIndex(tp, dst, nDst),
+		seg:  tp.arena.scalars.take(nDst),
 		dh:   dh, slope: slope,
 	}
 	if !uniform {
@@ -133,6 +147,7 @@ type edgeAttnArgs[T Float] struct {
 	dh, perHead          int
 	slope                T
 	alpha, raw, pre      []T
+	seg                  []T // per destination: the score prefix, then the maximum
 
 	// Backward scratch: g is the output gradient routed through the
 	// activation mask (nDst x heads·dh), ds the score gradients routed through
@@ -152,59 +167,99 @@ func (a *edgeAttnArgs[T]) segGrain(n int) int {
 	return rowGrain(n, segCost)
 }
 
+// edgeBlock is about how many edges edgeAttnChunk's passes take at a time:
+// enough for the lanes to fill across segment ends, few enough that the
+// block's rows are still in cache when the fold reads them again.
+const edgeBlock = 256
+
+// edgeAttnChunk runs destinations [lo, hi) in blocks of whole segments of
+// about edgeBlock edges.
 func edgeAttnChunk[T Float](a edgeAttnArgs[T], lo, hi int) {
+	off := a.sidx.off
+	for b := lo; b < hi; {
+		end := b + 1
+		for end < hi && off[end+1]-off[b] <= edgeBlock {
+			end++
+		}
+		a.block(b, end)
+		b = end
+	}
+}
+
+// block runs destinations [lo, hi) head by head: the lanes' passes (scores,
+// exp, fold) each take the whole run of segments in one call, and the
+// per-segment passes between them (prefix, max, sum and divide) are Go.
+// Every element sees the operations it saw one segment at a time.
+func (a *edgeAttnArgs[T]) block(lo, hi int) {
 	dh, slope := a.dh, a.slope
 	width := len(a.hSrc) * dh
 	out, self := a.out.Val.Data, a.self.Val.Data
-	for s := lo; s < hi; s++ {
-		edges := a.sidx.rows[a.sidx.off[s]:a.sidx.off[s+1]]
-		row := out[s*width : (s+1)*width]
-		// The aggregate accumulates where the pre-activation is wanted: in the
-		// stash, or (inference) in the output row, rewritten in place below.
-		agg := row
-		if a.pre != nil {
-			agg = a.pre[s*width : (s+1)*width]
-		}
-		clear(agg)
-		for k := 0; k < len(a.hSrc) && len(edges) > 0; k++ {
-			hs, he := a.hSrc[k].Val.Data, a.hE[k].Val.Data
-			alpha := a.alpha[k*a.perHead:]
-			mx := T(0)
-			if a.attn == nil {
-				for _, e := range edges {
-					alpha[e] = 0
-				}
-			} else {
-				av := a.attn[k].Val.Data
-				// The destination's dh terms of the score, once per segment.
+	// The aggregate accumulates where the pre-activation is wanted: in the
+	// stash, or (inference) in the output rows, rewritten in place below.
+	agg := out
+	if a.pre != nil {
+		agg = a.pre
+	}
+	agg = agg[lo*width : hi*width]
+	clear(agg)
+	edges := a.sidx.rows[a.sidx.off[lo]:a.sidx.off[hi]] // segment after segment
+	for k := 0; k < len(a.hSrc) && len(edges) > 0; k++ {
+		hs, he := a.hSrc[k].Val.Data, a.hE[k].Val.Data
+		alpha := a.alpha[k*a.perHead:]
+		if a.attn == nil {
+			for _, e := range edges {
+				alpha[e] = 0
+			}
+			clear(a.seg[lo:hi]) // every maximum is 0
+		} else {
+			av := a.attn[k].Val.Data
+			// The destination's dh terms of the score, once per segment.
+			for s := lo; s < hi; s++ {
 				var prefix T
 				for p, x := range a.hDst[k].Val.Data[s*dh : (s+1)*dh] {
 					prefix += x * av[p]
 				}
-				mx = a.scores(edges, alpha, a.raw[k*a.perHead:], hs, he, av[dh:2*dh], av[2*dh:3*dh], prefix)
+				a.seg[s] = prefix
 			}
+			a.scores(lo, hi, edges, alpha, a.raw[k*a.perHead:], hs, he, av[dh:2*dh], av[2*dh:3*dh])
+		}
+		if !edgeExpLanes(a, edges, alpha) {
+			for s := lo; s < hi; s++ {
+				mx := a.seg[s]
+				for _, e := range a.segment(s) {
+					alpha[e] = expT(alpha[e] - mx)
+				}
+			}
+		}
+		// alpha keeps the weights: the fold reads them, the stash keeps them.
+		for s := lo; s < hi; s++ {
 			var sum T
-			for _, e := range edges {
-				alpha[e] = expT(alpha[e] - mx)
+			for _, e := range a.segment(s) {
 				sum += alpha[e]
 			}
-			ro := agg[k*dh : (k+1)*dh]
-			for _, e := range edges {
-				f := alpha[e] / sum
+			for _, e := range a.segment(s) {
+				alpha[e] /= sum
+			}
+		}
+		if edgeFoldLanes(a, lo, hi, alpha, hs, he, agg, k*dh) {
+			continue
+		}
+		for s := lo; s < hi; s++ {
+			ro := agg[(s-lo)*width+k*dh:][:dh]
+			for _, e := range a.segment(s) {
+				f := alpha[e]
 				sr, er := a.edgeRows(hs, he, e, len(ro))
 				for j := range ro {
 					ro[j] += f * (sr[j] + er[j])
 				}
 			}
-			if a.pre != nil { // the stash keeps the weights, not the exponentials
-				for _, e := range edges {
-					alpha[e] /= sum
-				}
-			}
 		}
+	}
+	for s := lo; s < hi; s++ {
+		row, pre := out[s*width:(s+1)*width], agg[(s-lo)*width:][:width]
 		for j, sv := range self[s*width : (s+1)*width] {
-			x := sv + agg[j]
-			agg[j] = x
+			x := sv + pre[j]
+			pre[j] = x
 			if x >= 0 {
 				row[j] = x
 			} else {
@@ -212,6 +267,11 @@ func edgeAttnChunk[T Float](a edgeAttnArgs[T], lo, hi int) {
 			}
 		}
 	}
+}
+
+// segment returns destination s's in-edges.
+func (a *edgeAttnArgs[T]) segment(s int) []int {
+	return a.sidx.rows[a.sidx.off[s]:a.sidx.off[s+1]]
 }
 
 // edgeRows returns edge e's source-node and edge-feature projection rows,
@@ -225,55 +285,71 @@ func (a *edgeAttnArgs[T]) edgeRows(hs, he []T, e, n int) (sr, er []T) {
 	return hs[a.src[e]*n:][:n], he[ix*n:][:n]
 }
 
-// scores writes LeakyReLU(prefix + hs[src[e]]·aSrc + he[e]·aEdge) into
+// scores writes LeakyReLU(seg[s] + hs[src[e]]·aSrc + he[e]·aEdge) into
 // alpha[e] — and the sum before the LeakyReLU into raw[e], when raw is kept —
-// for one segment's edges and returns their maximum. Four edges run in
+// for the edges of destinations [lo, hi) (edges, segment after segment),
+// where seg[s] holds the destination's prefix, and leaves each segment's
+// maximum in seg[s]. In the Go spelling four edges of a segment run in
 // lockstep — each score is a serial chain of 2·dh dependent adds, and four
 // independent chains keep the adder busy the way gemm's four-row tile does;
 // each chain is still its edge's own terms in increasing p. A short last
 // group repeats the segment's last edge, which stores the same score again.
-func (a *edgeAttnArgs[T]) scores(edges []int, alpha, raw, hs, he, aSrc, aEdge []T, prefix T) T {
+func (a *edgeAttnArgs[T]) scores(lo, hi int, edges []int, alpha, raw, hs, he, aSrc, aEdge []T) {
+	if edgeScoreLanes(a, edges, alpha, raw, hs, he, aSrc, aEdge) {
+		for s := lo; s < hi; s++ {
+			mx := negInfT[T]()
+			for _, e := range a.segment(s) {
+				if alpha[e] > mx {
+					mx = alpha[e]
+				}
+			}
+			a.seg[s] = mx
+		}
+		return
+	}
 	slope, dh := a.slope, len(aSrc)
 	aEdge = aEdge[:dh]
-	mx := negInfT[T]()
-	store := func(e int, sc T) {
-		if raw != nil {
-			raw[e] = sc
+	for s := lo; s < hi; s++ {
+		edges, prefix, mx := a.segment(s), a.seg[s], negInfT[T]()
+		store := func(e int, sc T) {
+			if raw != nil {
+				raw[e] = sc
+			}
+			if !(sc >= 0) { // NaN takes the slope branch, as in LeakyReLU
+				sc = slope * sc
+			}
+			alpha[e] = sc
+			if sc > mx {
+				mx = sc
+			}
 		}
-		if !(sc >= 0) { // NaN takes the slope branch, as in LeakyReLU
-			sc = slope * sc
+		last := len(edges) - 1
+		for i := 0; i <= last; i += 4 {
+			i0, i1, i2, i3 := edges[i], edges[min(i+1, last)], edges[min(i+2, last)], edges[min(i+3, last)]
+			s0, e0 := a.edgeRows(hs, he, i0, dh)
+			s1, e1 := a.edgeRows(hs, he, i1, dh)
+			s2, e2 := a.edgeRows(hs, he, i2, dh)
+			s3, e3 := a.edgeRows(hs, he, i3, dh)
+			c0, c1, c2, c3 := prefix, prefix, prefix, prefix
+			for p, w := range aSrc {
+				c0 += s0[p] * w
+				c1 += s1[p] * w
+				c2 += s2[p] * w
+				c3 += s3[p] * w
+			}
+			for p, w := range aEdge {
+				c0 += e0[p] * w
+				c1 += e1[p] * w
+				c2 += e2[p] * w
+				c3 += e3[p] * w
+			}
+			store(i0, c0)
+			store(i1, c1)
+			store(i2, c2)
+			store(i3, c3)
 		}
-		alpha[e] = sc
-		if sc > mx {
-			mx = sc
-		}
+		a.seg[s] = mx
 	}
-	last := len(edges) - 1
-	for i := 0; i <= last; i += 4 {
-		i0, i1, i2, i3 := edges[i], edges[min(i+1, last)], edges[min(i+2, last)], edges[min(i+3, last)]
-		s0, e0 := a.edgeRows(hs, he, i0, dh)
-		s1, e1 := a.edgeRows(hs, he, i1, dh)
-		s2, e2 := a.edgeRows(hs, he, i2, dh)
-		s3, e3 := a.edgeRows(hs, he, i3, dh)
-		c0, c1, c2, c3 := prefix, prefix, prefix, prefix
-		for p, w := range aSrc {
-			c0 += s0[p] * w
-			c1 += s1[p] * w
-			c2 += s2[p] * w
-			c3 += s3[p] * w
-		}
-		for p, w := range aEdge {
-			c0 += e0[p] * w
-			c1 += e1[p] * w
-			c2 += e2[p] * w
-			c3 += e3[p] * w
-		}
-		store(i0, c0)
-		store(i1, c1)
-		store(i2, c2)
-		store(i3, c3)
-	}
-	return mx
 }
 
 func edgeAttnBack[T Float](v *ValueOf[T]) {

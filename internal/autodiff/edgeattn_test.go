@@ -239,12 +239,14 @@ func TestEdgeAttentionBackwardMatchesComposed(t *testing.T) {
 	t.Run("float32", testEdgeAttentionBackwardMatchesComposed[float32])
 }
 
-// FuzzEdgeAttention decodes bytes into a small relation — sizes, edge
+// FuzzEdgeAttention decodes bytes into a small relation — sizes (head width
+// up to 18, up to 63 edges, optionally crowded onto two destinations), edge
 // endpoints and every value on a coarse grid, so ties, zeros and sign flips
-// are common — and requires fused and composed bits to agree in both dtypes:
-// the output on inference tapes, then (edge features expanded to one row per
-// edge) the output and every operand gradient on gradient tapes at one and
-// three workers. The seed corpus is testdata/fuzz/FuzzEdgeAttention.
+// are common — and requires fused and composed bits to agree in both dtypes,
+// with the vector lanes off and (where the machine has them) on: the output
+// on inference tapes, then (edge features expanded to one row per edge) the
+// output and every operand gradient on gradient tapes at one and three
+// workers. The seed corpus is testdata/fuzz/FuzzEdgeAttention.
 func FuzzEdgeAttention(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -269,15 +271,21 @@ func fuzzEdgeAttention[T Float](t *testing.T, data []byte) {
 		}
 	}
 	nDst, nSrc := 1+next()%8, 1+next()%8
-	heads, dh := 1+next()%3, 1+next()%5
-	nEdge, flags := next()%32, next()
+	heads, dh := 1+next()%3, 1+next()%18
+	nEdge, flags := next()%64, next()
 	nFeat := 0
 	if flags&1 != 0 {
 		nFeat = 1 + (flags>>2)%4
 	}
+	// flags&32 crowds the edges onto two destinations: segments long enough
+	// for two lane groups and a tail.
+	nSeg := nDst
+	if flags&32 != 0 {
+		nSeg = min(nDst, 2)
+	}
 	dst, src := make([]int, nEdge), make([]int, nEdge)
 	for e := range dst {
-		dst[e], src[e] = next()%nDst, next()%nSrc
+		dst[e], src[e] = next()%nSeg, next()%nSrc
 	}
 	c := randEdgeAttnCase[T](rand.New(rand.NewSource(1)), dst, src, nDst, nSrc, nFeat, heads, dh, flags&2 != 0)
 	if flags&16 != 0 {
@@ -291,7 +299,11 @@ func fuzzEdgeAttention[T Float](t *testing.T, data []byte) {
 	for e := range c.eIdx {
 		c.eIdx[e] = next() % nFeat
 	}
-	c.requireFusedEqualsComposed(t, "fuzz")
+	for _, vector := range lanesSettings() {
+		restore := setGemmVector(vector)
+		c.requireFusedEqualsComposed(t, fmt.Sprintf("fuzz lanes=%v", vector))
+		restore()
+	}
 
 	for k, u := range c.hE {
 		if c.eIdx == nil {
@@ -305,7 +317,20 @@ func fuzzEdgeAttention[T Float](t *testing.T, data []byte) {
 	c.eIdx = nil
 	lossW := NewTensorOf[T](nDst, heads*dh)
 	grid(lossW)
-	c.requireBackwardEqualsComposed(t, "fuzz backward", lossW, 1, 3)
+	for _, vector := range lanesSettings() {
+		restore := setGemmVector(vector)
+		c.requireBackwardEqualsComposed(t, fmt.Sprintf("fuzz backward lanes=%v", vector), lossW, 1, 3)
+		restore()
+	}
+}
+
+// lanesSettings lists the vector settings this machine can run: the Go
+// spelling, and the lanes where there are any.
+func lanesSettings() []bool {
+	if gemmVectorSupported() {
+		return []bool{false, true}
+	}
+	return []bool{false}
 }
 
 // TestEdgeAttentionZeroAllocs: a warm launch on a reset inference tape

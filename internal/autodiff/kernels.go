@@ -53,15 +53,15 @@ import (
 // per-dtype process-wide sync.Pool (chunks may run on pool goroutines, so
 // they cannot touch the single-threaded tape arena).
 
-// gemmVector says whether gemmChunk's vector register tile runs (amd64 with
-// AVX2 the kernel saves, decided once here) or the Go tile takes every column.
-// Only the bitwise tests and benchmarks write it, between launches, to run
-// both kernels in one process.
+// gemmVector says whether gemmChunk's vector register tile and EdgeAttention's
+// edge lanes run (amd64 with AVX2 the kernel saves, decided once here) or the
+// Go spellings take everything. Only the bitwise tests and benchmarks write
+// it, between launches, to run both kernels in one process.
 var gemmVector = gemmVectorSupported()
 
-// GemmKernel names the instruction set under gemm — "avx2" or "generic" — so
-// a latency figure can be traced to the kernel that produced it. Both produce
-// the same bits.
+// GemmKernel names the instruction set under gemm and EdgeAttention's edge
+// lanes — "avx2" or "generic" — so a latency figure can be traced to the
+// kernel that produced it. Both produce the same bits.
 func GemmKernel() string {
 	if gemmVector {
 		return "avx2"

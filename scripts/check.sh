@@ -1,10 +1,12 @@
 #!/bin/sh
 # Tier-1 verify gate: build, vet, an arm64 cross-build (the gemm vector tile
-# is amd64 assembly; everything else must build without it), tests (which
+# and the GAT edge lanes are amd64 assembly; everything else must build
+# without them), tests (which
 # include satelint, the project's determinism / concurrency invariant linter,
 # as internal/lint.TestSelfLint; see DESIGN.md "Static analysis"), 5 s native
 # fuzz runs of the packet engine's event queue, the GAT edge kernel, the
-# elementwise ops, the gemm vector tile, the two file readers (topology
+# edge lanes' exp, the elementwise ops, the gemm vector tile, the two file
+# readers (topology
 # snapshots, model files), the rule payload encoder and the two serving
 # inputs (/v1/deltas queries, /v1/recompute bodies), two training runs whose
 # model files must come out byte for byte, a short load burst against the
@@ -19,22 +21,29 @@ go build ./...
 echo "== go vet =="
 go vet ./...
 echo "== arm64 cross-build =="
-# internal/autodiff's gemm has an amd64 assembly tile (go vet's asmdecl pass
-# above checks its frames against the Go declarations); the portable build
-# must compile and vet with the hook that covers no columns. Cross-compiling
-# the standard library needs no network.
+# internal/autodiff's gemm tile and EdgeAttention's edge lanes are amd64
+# assembly (go vet's asmdecl pass above checks their frames against the Go
+# declarations); the portable build must compile and vet with the hooks that
+# leave everything to the Go spellings. Cross-compiling the standard library
+# needs no network.
 GOARCH=arm64 go build ./...
 GOARCH=arm64 go vet ./internal/autodiff
 echo "== go test =="
 go test ./...
-echo "== fuzz (9 x 5s) =="
+echo "== fuzz (10 x 5s) =="
 # The packet engine's calendar queue against the reference binary heap:
 # random push/pop interleavings must pop identical (t, seq) sequences.
 go test -run='^$' -fuzz=FuzzCalendarOrder -fuzztime=5s ./internal/pktsim
 # The GAT edge kernel against the primitive-op graph it replaces: random small
-# relations and projections must produce identical bits in both dtypes — the
-# output on inference tapes, the output and every gradient on gradient tapes.
+# relations and projections must produce identical bits in both dtypes, with
+# the vector lanes off and on — the output on inference tapes, the output and
+# every gradient on gradient tapes.
 go test -run='^$' -fuzz=FuzzEdgeAttention -fuzztime=5s ./internal/autodiff
+# The edge lanes' exp against math.Exp: inputs from raw float64 bits and
+# math.Exp's branch edges (±0, subnormals, −745, −708, 709.78, NaN, ±Inf)
+# must give math.Exp's bits, and float32 inputs expT's (skips, saying so, on
+# a machine without AVX2).
+go test -run='^$' -fuzz=FuzzExpLanes -fuzztime=5s ./internal/autodiff
 # The eight elementwise ops against a per-element scalar reference: random
 # shapes, operands, gradients and op scalars from raw float bits (±0, NaN and
 # ±Inf included) must give the reference's output and gradient bits in both
