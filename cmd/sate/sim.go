@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"sate/internal/autodiff"
-	"sate/internal/baselines"
 	"sate/internal/core"
 	"sate/internal/sim"
 )
@@ -58,16 +57,11 @@ func simSetup(fs *flag.FlagSet) func(sim.Spec) error {
 			if err != nil {
 				return nil, err
 			}
-			ds, err := scen.Samples(baselines.LPAuto{}, sim.Instants(150, 97, *samples))
-			if err != nil {
-				return nil, err
-			}
 			cfg := core.DefaultConfig()
 			cfg.Seed = spec.Seed
 			model := core.NewModel(cfg)
-			tc := core.DefaultTrainConfig()
-			tc.Epochs = *epochs
-			if _, err := core.Train(model, ds, tc); err != nil {
+			r := sim.Recipe{Instants: sim.Instants(150, 97, *samples), TrainConfig: core.TrainConfig{Epochs: *epochs}}
+			if _, err := scen.Fit(model, r); err != nil {
 				return nil, err
 			}
 			return model, nil

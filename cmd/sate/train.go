@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"sate/internal/baselines"
@@ -51,22 +50,6 @@ func trainSetup(fs *flag.FlagSet) func(sim.Spec) error {
 		if err != nil {
 			return err
 		}
-		cons := scen.Cons
-		solver := baselines.LPAuto{}
-
-		fmt.Printf("generating %d labelled samples on %s (%d sats)...\n", *samples, cons.Name, cons.Size())
-		ds, err := scen.Samples(solver, sim.Instants(15, 37, *samples))
-		if err != nil {
-			return err
-		}
-		for i, s := range ds {
-			var optimal float64
-			for _, x := range s.Labels {
-				optimal += x
-			}
-			fmt.Printf("  sample %d: %d flows, %d path vars, optimal %.1f Mbps\n",
-				i, len(s.Problem.Flows), s.Problem.NumPaths(), optimal)
-		}
 
 		var model *core.Model
 		if spec.Model != "" {
@@ -82,29 +65,21 @@ func trainSetup(fs *flag.FlagSet) func(sim.Spec) error {
 			fmt.Printf("model: %d parameters (embed %d)\n", model.NumParams(), *embed)
 		}
 
-		tc := core.DefaultTrainConfig()
-		tc.Epochs = *epochs
-		tc.Registry = reg
-		tc.Log = func(ep int, loss float64) {
-			if ep%5 == 0 || ep == *epochs-1 {
-				fmt.Printf("  epoch %3d  loss %.5f\n", ep, loss)
-			}
-		}
-		var memBefore runtime.MemStats
-		runtime.ReadMemStats(&memBefore)
+		fmt.Printf("training on %d LP-labelled instants of %s (%d sats)...\n", *samples, scen.Cons.Name, scen.Cons.Size())
+		r := sim.Recipe{Instants: sim.Instants(15, 37, *samples), TrainConfig: core.TrainConfig{
+			Epochs:   *epochs,
+			Registry: reg,
+			Log: func(ep int, loss float64) {
+				if ep%5 == 0 || ep == *epochs-1 {
+					fmt.Printf("  epoch %3d  loss %.5f\n", ep, loss)
+				}
+			},
+		}}
 		start := time.Now()
-		if _, err := core.Train(model, ds, tc); err != nil {
+		if _, err := scen.Fit(model, r); err != nil {
 			return err
 		}
-		elapsed := time.Since(start)
-		var memAfter runtime.MemStats
-		runtime.ReadMemStats(&memAfter)
-		// Allocation delta over the whole run: with the reused-tape arena the
-		// steady-state per-epoch cost should be near zero after warm-up.
-		allocMB := float64(memAfter.TotalAlloc-memBefore.TotalAlloc) / (1 << 20)
-		fmt.Printf("trained in %s (%.1f MiB allocated, %d GC cycles, %.2f MiB/epoch)\n",
-			elapsed.Round(time.Millisecond), allocMB,
-			memAfter.NumGC-memBefore.NumGC, allocMB/float64(*epochs))
+		fmt.Printf("labelled and trained in %s\n", time.Since(start).Round(time.Millisecond))
 		if *savePath != "" {
 			if err := model.SaveFile(*savePath); err != nil {
 				return err
@@ -116,7 +91,7 @@ func trainSetup(fs *flag.FlagSet) func(sim.Spec) error {
 		fmt.Println("held-out evaluation (unseen topologies + traffic):")
 		err = scen.SolveEach(model, sim.Instants(500, 23, 3), func(c *sim.Cycle) {
 			p := c.Problem
-			ref, _ := solver.Solve(p)
+			ref, _ := (baselines.LPAuto{}).Solve(p)
 			ecmp, _ := (baselines.ECMPWF{}).Solve(p)
 			fmt.Printf("  t=%3.0f: sate %.1f%% in %s | optimal %.1f%% | ecmp-wf %.1f%%\n",
 				c.TimeSec,

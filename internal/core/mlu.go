@@ -1,89 +1,38 @@
 package core
 
 import (
-	"fmt"
-	"math"
-
 	"sate/internal/autodiff"
 	"sate/internal/obs"
 	"sate/internal/solve"
 	"sate/internal/te"
 )
 
-// TrainMLU fits the model for the minimise-max-link-utilisation objective of
-// Appendix H.2. Training is self-supervised: the allocation must route all
-// demand (the MLU problem's convention — gates are ignored, the softmax
-// split carries full demand) and the loss is a smooth-max (scaled
-// sum-exp) surrogate of MLU over link utilisations.
-//
-// The paper notes SaTE's MLU variant "directly repurposes the
-// throughput-maximizing GNN's objective", retaining components not perfectly
-// suited to MLU — reproduced here by keeping the architecture identical and
-// swapping only the loss. Problems with no path variables are skipped; a set
-// with none left is an error.
-func TrainMLU(m *Model, problems []*te.Problem, epochs int, lr float64) ([]float64, error) {
+// mluLoss is the self-supervised loss of the minimise-MLU objective of
+// Appendix H.2: the allocation routes all demand (gates ignored, the softmax
+// split carries full demand) and the loss is a smooth-max (scaled sum-exp)
+// of link utilisations. The paper's MLU variant "directly repurposes the
+// throughput-maximizing GNN's objective"; here the architecture and the
+// training loop stay identical and only the loss is swapped.
+func mluLoss(tp *autodiff.Tape, m *Model, s *Sample) *autodiff.Value {
 	const beta = 8.0
-
-	// Static per-problem state (graph, demand, inverse capacity) is built
-	// once; the epoch loop only runs forward/backward passes on a reused
-	// tape, reading the incidence from the problem.
-	type mluUnit struct {
-		p              *te.Problem
-		g              *TEGraph
-		demand, invCap []float64
+	g, p := s.Graph, s.Problem
+	demand := tp.Zeros(g.NumPaths, 1)
+	for j, fi := range g.VarFlow {
+		demand.Data[j] = p.Flows[fi].DemandMbps
 	}
-	var units []mluUnit
-	for _, p := range problems {
-		if vars, _ := p.Incidence(); len(vars) == 0 {
-			continue
+	invCap := tp.Zeros(len(p.Links), 1)
+	for i, c := range p.LinkCap {
+		if c > 0 {
+			invCap.Data[i] = 1 / c
 		}
-		g := BuildTEGraph(p)
-		u := mluUnit{p: p, g: g, demand: make([]float64, g.NumPaths)}
-		for j, fi := range g.VarFlow {
-			u.demand[j] = p.Flows[fi].DemandMbps
-		}
-		u.invCap = make([]float64, len(p.Links))
-		for i, c := range p.LinkCap {
-			if c > 0 {
-				u.invCap[i] = 1 / c
-			}
-		}
-		units = append(units, u)
 	}
-	if len(units) == 0 {
-		return nil, fmt.Errorf("core: no training problems with path variables")
-	}
-
-	opt := autodiff.NewAdam(lr, m.Params()...)
-	opt.ClipNorm = clipNorm
-	var perEpoch []float64
-	tp := autodiff.NewTape()
-	for ep := 0; ep < epochs; ep++ {
-		var sum float64
-		for _, u := range units {
-			g, p := u.g, u.p
-			tp.Reset()
-			scores, _ := m.Forward(tp, g)
-			alpha := tp.SegmentSoftmax(scores, g.VarFlow, g.NumTraffic)
-			x := tp.Mul(alpha, tp.Const(tp.TensorFrom(g.NumPaths, 1, u.demand)))
-			vars, links := p.Incidence()
-			loads := tp.ScatterAddRows(tp.Gather(x, vars), links, len(p.Links))
-			util := tp.Mul(loads, tp.Const(tp.TensorFrom(len(p.Links), 1, u.invCap)))
-			loss := tp.Scale(tp.SumAll(tp.Exp(tp.Scale(util, beta))), 1/beta)
-			opt.ZeroGrad()
-			tp.Backward(loss)
-			opt.Step()
-			lv := loss.Val.Data[0]
-			if math.IsNaN(lv) || math.IsInf(lv, 0) {
-				return nil, fmt.Errorf("core: MLU loss diverged at epoch %d", ep)
-			}
-			sum += lv
-		}
-		mean := sum / float64(len(units))
-		perEpoch = append(perEpoch, mean)
-		m.InvalidateWeightCaches()
-	}
-	return perEpoch, nil
+	scores, _ := m.Forward(tp, g)
+	alpha := tp.SegmentSoftmax(scores, g.VarFlow, g.NumTraffic)
+	x := tp.Mul(alpha, tp.Const(demand))
+	vars, links := p.Incidence()
+	loads := tp.ScatterAddRows(tp.Gather(x, vars), links, len(p.Links))
+	util := tp.Mul(loads, tp.Const(invCap))
+	return tp.Scale(tp.SumAll(tp.Exp(tp.Scale(util, beta))), 1/beta)
 }
 
 // solveMLU is the MLU inference path of Solve: full demand is routed via

@@ -1,17 +1,35 @@
 package core
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"sate/internal/solve"
 	"sate/internal/te"
 )
 
+// trainMLU trains m under the MLU objective on unlabelled samples of the
+// problems and returns the per-epoch mean losses.
+func trainMLU(m *Model, problems []*te.Problem, epochs int) ([]float64, error) {
+	var samples []*Sample
+	for _, p := range problems {
+		samples = append(samples, NewSample(p, nil))
+	}
+	res, err := Train(m, samples, TrainConfig{Epochs: epochs, Objective: solve.MLU})
+	if err != nil {
+		return nil, err
+	}
+	return res.Losses, nil
+}
+
 func TestTrainMLUReducesLoss(t *testing.T) {
 	p := buildScenario(t, 0, 80, 51)
 	m := NewModel(DefaultConfig())
-	losses, err := TrainMLU(m, []*te.Problem{p}, 15, 3e-3)
+	losses, err := trainMLU(m, []*te.Problem{p}, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +61,7 @@ func TestSolveMLUFeasibleAndRoutesDemand(t *testing.T) {
 
 func TestTrainMLUEmpty(t *testing.T) {
 	m := NewModel(DefaultConfig())
-	if _, err := TrainMLU(m, nil, 5, 1e-3); err == nil {
+	if _, err := trainMLU(m, nil, 5); err == nil {
 		t.Error("expected error on empty dataset")
 	}
 }
@@ -56,11 +74,11 @@ func TestTrainMLUSkipsEmptyProblems(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := buildScenario(t, 0, 80, 51)
-	want, err := TrainMLU(NewModel(DefaultConfig()), []*te.Problem{p}, 3, 3e-3)
+	want, err := trainMLU(NewModel(DefaultConfig()), []*te.Problem{p}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := TrainMLU(NewModel(DefaultConfig()), []*te.Problem{empty, p}, 3, 3e-3)
+	got, err := trainMLU(NewModel(DefaultConfig()), []*te.Problem{empty, p}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +87,7 @@ func TestTrainMLUSkipsEmptyProblems(t *testing.T) {
 			t.Fatalf("epoch %d: loss %v with an empty problem beside, %v without", ep, got[ep], want[ep])
 		}
 	}
-	if _, err := TrainMLU(NewModel(DefaultConfig()), []*te.Problem{empty}, 3, 3e-3); err == nil {
+	if _, err := trainMLU(NewModel(DefaultConfig()), []*te.Problem{empty}, 3); err == nil {
 		t.Error("a set of empty problems trained without error")
 	}
 }
@@ -93,5 +111,41 @@ func TestAccessRelationAblationModel(t *testing.T) {
 	g := BuildTEGraph(p)
 	if g.Access.Len() != 2*len(p.Flows) {
 		t.Errorf("access edges = %d want %d", g.Access.Len(), 2*len(p.Flows))
+	}
+}
+
+// TestTrainMLUBits pins MLU training bit for bit, as the MLU-only loop
+// that Train absorbed trained it: the mean loss of each of 7
+// epochs over two problems, and the SHA-256 of the weights it saves. The
+// bits were recorded on amd64 (elsewhere the compiler may fuse a
+// multiply-add), like the training-bits step of scripts/check.sh.
+func TestTrainMLUBits(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("MLU training bits were recorded on amd64")
+	}
+	problems := []*te.Problem{buildScenario(t, 0, 80, 51), buildScenario(t, 200, 60, 57)}
+	m := NewModel(DefaultConfig())
+	losses, err := trainMLU(m, problems, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []uint64{
+		0x425d8a4610781623, 0x4238a233b5c5050e, 0x42165b611b238075, 0x41f4b5c2e8dd14ff,
+		0x41dc183bb6b7301f, 0x41c2a2d45e0f46c2, 0x41ad5284368d87ca,
+	}
+	if len(losses) != len(want) {
+		t.Fatalf("%d epoch losses, want %d", len(losses), len(want))
+	}
+	for ep, l := range losses {
+		if math.Float64bits(l) != want[ep] {
+			t.Errorf("epoch %d: loss %v (%#x), want %v", ep, l, math.Float64bits(l), math.Float64frombits(want[ep]))
+		}
+	}
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != "a7cb66e9820a5fcb665be802467fabf4f64f80d11af2008a97484af42fe8b312" {
+		t.Errorf("saved weights hash to %s", got)
 	}
 }

@@ -85,6 +85,39 @@ func TestTrainRecordsMetrics(t *testing.T) {
 	}
 }
 
+// TestTrainZeroFieldsTakeDefaults: each zero TrainConfig field takes its own
+// default and the fields that are set stay — a config naming only a registry
+// trains the default 30 epochs into that registry, and one naming only the
+// epochs trains at the default learning rate and warm-up.
+func TestTrainZeroFieldsTakeDefaults(t *testing.T) {
+	p := buildScenario(t, 0, 60, 7)
+	ref, err := (baselines.LPExact{}).Solve(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := []*Sample{NewSample(p, ref)}
+	reg := obs.NewRegistry()
+	if _, err := Train(NewModel(DefaultConfig()), samples, TrainConfig{Registry: reg}); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("sate_train_epochs_total").Value(); got != 30 {
+		t.Fatalf("epochs recorded in the registry = %d, want 30", got)
+	}
+	want, err := Train(NewModel(DefaultConfig()), samples, TrainConfig{Epochs: 3, LR: 3e-3, WarmupFrac: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Train(NewModel(DefaultConfig()), samples, TrainConfig{Epochs: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ep := range want.Losses {
+		if math.Float64bits(got.Losses[ep]) != math.Float64bits(want.Losses[ep]) {
+			t.Fatalf("epoch %d: loss %v with LR and warm-up left zero, %v with them spelled out", ep, got.Losses[ep], want.Losses[ep])
+		}
+	}
+}
+
 // TestSolveMLUObjectiveRouting checks that the unified entry dispatches on
 // the objective option: the MLU head routes full demand (no gating), so its
 // allocation differs from the throughput head's, and it records under its

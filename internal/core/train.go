@@ -1,11 +1,14 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"sate/internal/autodiff"
 	"sate/internal/obs"
+	"sate/internal/solve"
 	"sate/internal/te"
 )
 
@@ -22,8 +25,7 @@ const (
 	alphaMax      float64 = 2  // utilisation clamp inside the exp of Eq. (5)
 )
 
-// clipNorm is the global gradient-norm clip of every training loop (Train
-// and TrainMLU).
+// clipNorm is the global gradient-norm clip of the training loop.
 const clipNorm float64 = 5
 
 // Sample is one training data point: a TE problem with ground-truth labels
@@ -32,19 +34,22 @@ const clipNorm float64 = 5
 type Sample struct {
 	Problem *te.Problem
 	Graph   *TEGraph
-	// Labels are the optimal x*_fp in the problem's path-variable order.
+	// Labels are the optimal x*_fp in the problem's path-variable order; nil
+	// for an unlabelled sample (the self-supervised MLU objective).
 	Labels []float64
 }
 
 // NewSample builds a training sample from a problem and a reference
-// allocation.
+// allocation; a nil allocation makes an unlabelled sample.
 func NewSample(p *te.Problem, ref *te.Allocation) *Sample {
-	g := BuildTEGraph(p)
-	labels := make([]float64, 0, g.NumPaths)
-	for _, row := range ref.X {
-		labels = append(labels, row...)
+	s := &Sample{Problem: p, Graph: BuildTEGraph(p)}
+	if ref != nil {
+		s.Labels = make([]float64, 0, s.Graph.NumPaths)
+		for _, row := range ref.X {
+			s.Labels = append(s.Labels, row...)
+		}
 	}
-	return &Sample{Problem: p, Graph: g, Labels: labels}
+	return s
 }
 
 // SupervisedLoss computes only the supervised term (demand-normalised MSE
@@ -126,19 +131,26 @@ func Loss(tp *autodiff.Tape, s *Sample, x *autodiff.Value) *autodiff.Value {
 	return loss
 }
 
-// TrainConfig controls the supervised training loop.
+// TrainConfig controls the training loop. Each zero field takes its
+// default (DefaultTrainConfig).
 type TrainConfig struct {
+	// Epochs of Adam over the samples (default 30).
 	Epochs int
-	LR     float64
+	// LR is Adam's learning rate (default 3e-3).
+	LR float64
 	// WarmupFrac is the fraction of epochs trained on the supervised term
 	// alone before the penalized-optimization term is blended in (see
-	// SupervisedLoss). Zero uses the default of 1.0: CPU-scale training is
-	// most robust purely supervised — under heavy overload the Mbps-scale
+	// SupervisedLoss). The default of 1.0 stays purely supervised: CPU-scale
+	// training is most robust that way — under heavy overload the Mbps-scale
 	// penalty gradient overwhelms the demand-normalised supervised term and
 	// can crash the gates (see the abl-loss experiment). Set below 1 to
 	// blend the Eq. 4 mixed loss in after a supervised warm start.
 	WarmupFrac float64
-	// Verbose emits per-epoch progress via the Log callback.
+	// Objective selects the loss: throughput (the zero value) trains against
+	// the samples' labels; MLU trains the self-supervised mluLoss, reads no
+	// labels and drops samples without path variables.
+	Objective solve.Objective
+	// Log, when set, receives each epoch's mean loss.
 	Log func(epoch int, loss float64)
 	// Registry receives training metrics: per-epoch loss gauge, per-step
 	// latency histogram, forward/backward/adam-step spans and tape-arena
@@ -189,34 +201,37 @@ func (to *trainObs) epoch(tp *autodiff.Tape, mean float64) {
 	to.prev = st
 }
 
-// DefaultTrainConfig returns sane CPU-scale defaults.
+// DefaultTrainConfig returns sane CPU-scale defaults: the values a zero
+// TrainConfig field takes.
 func DefaultTrainConfig() TrainConfig {
 	return TrainConfig{Epochs: 30, LR: 3e-3, WarmupFrac: 1.0}
 }
 
 // TrainResult summarises a training run.
 type TrainResult struct {
-	Epochs    int
 	FinalLoss float64
 	Losses    []float64 // mean loss per epoch
 }
 
-// Train fits the model on the samples with Adam.
+// Train fits the model on the samples with Adam: the one training loop,
+// for either objective.
 func Train(m *Model, samples []*Sample, cfg TrainConfig) (*TrainResult, error) {
+	d := DefaultTrainConfig()
+	cfg.Epochs, cfg.LR, cfg.WarmupFrac = cmp.Or(cfg.Epochs, d.Epochs), cmp.Or(cfg.LR, d.LR), cmp.Or(cfg.WarmupFrac, d.WarmupFrac)
+	mlu := cfg.Objective == solve.MLU
+	if mlu { // no path variables, no MLU gradient
+		samples = slices.DeleteFunc(slices.Clone(samples), func(s *Sample) bool {
+			vars, _ := s.Problem.Incidence()
+			return len(vars) == 0
+		})
+	}
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("core: no training samples")
 	}
-	if cfg.Epochs == 0 {
-		cfg = DefaultTrainConfig()
-	}
 	opt := autodiff.NewAdam(cfg.LR, m.Params()...)
 	opt.ClipNorm = clipNorm
-	warm := cfg.WarmupFrac
-	if warm == 0 {
-		warm = 1.0
-	}
-	warmEpochs := int(warm * float64(cfg.Epochs))
-	res := &TrainResult{Epochs: cfg.Epochs}
+	warmEpochs := int(cfg.WarmupFrac * float64(cfg.Epochs))
+	res := &TrainResult{}
 	to := newTrainObs(cfg.Registry)
 	// One tape for the whole run: Reset recycles every intermediate into the
 	// arena, so after the first pass per problem size steps allocate nothing.
@@ -227,12 +242,14 @@ func Train(m *Model, samples []*Sample, cfg TrainConfig) (*TrainResult, error) {
 			tp.Reset()
 			step := obs.StartTimer(to.stepSeconds)
 			sp := obs.StartTimer(to.spForward)
-			x := m.Allocate(tp, s.Graph, s.Problem)
 			var l *autodiff.Value
-			if ep < warmEpochs {
-				l = SupervisedLoss(tp, s, x)
-			} else {
-				l = Loss(tp, s, x)
+			switch {
+			case mlu:
+				l = mluLoss(tp, m, s)
+			case ep < warmEpochs:
+				l = SupervisedLoss(tp, s, m.Allocate(tp, s.Graph, s.Problem))
+			default:
+				l = Loss(tp, s, m.Allocate(tp, s.Graph, s.Problem))
 			}
 			sp.End()
 			opt.ZeroGrad()

@@ -163,26 +163,24 @@ func AblationDPPvsRandom(opt Options) (*Report, error) {
 		Header: []string{"budget", "dpp satisfied", "random satisfied"},
 	}
 	sc := scales(opt)[0]
-	s := newScenario(sc, topology.CrossShellLasers, 0, opt.Seed+151)
+	// Each pass embeds, trains or scores on a fresh scenario of one seed.
+	scen := func() *sim.Scenario { return newScenario(sc, topology.CrossShellLasers, 0, opt.Seed+151) }
 	poolSize, k, epochs := 16, 3, 10
 	if opt.Full {
 		poolSize, k, epochs = 80, 16, 20
 	}
 	pool := sim.Instants(ciTrainStart, 41, poolSize)
+	embedScen := scen()
 	var vecs [][]float64
 	for _, t := range pool {
-		vecs = append(vecs, graphembed.Embed(s.SnapshotAt(t), 64, 3))
+		vecs = append(vecs, graphembed.Embed(embedScen.SnapshotAt(t), 64, 3))
 	}
 	trainEval := func(sel []int) (*sim.OnlineResult, error) {
-		samples, err := s.Samples(labelSolver(), pick(pool, sel))
-		if err != nil {
+		m := newModel(opt.Seed)
+		if _, err := scen().Fit(m, sim.Recipe{Instants: pick(pool, sel), TrainConfig: core.TrainConfig{Epochs: epochs}}); err != nil {
 			return nil, err
 		}
-		m, _, err := trainOn(samples, epochs, opt.Seed)
-		if err != nil {
-			return nil, err
-		}
-		return s.RunOffline(m, ciTrainStart+float64(poolSize)*41+100, evalStride, 3)
+		return scen().RunOffline(m, ciTrainStart+float64(poolSize)*41+100, evalStride, 3)
 	}
 	dpp, err := trainEval(graphembed.DPPSelect(vecs, k))
 	if err != nil {
@@ -207,11 +205,8 @@ func AblationAttention(opt Options) (*Report, error) {
 		Header: []string{"variant", "satisfied (unseen)", "train loss"},
 	}
 	sc := scales(opt)[0]
-	s := newScenario(sc, topology.CrossShellLasers, 0, opt.Seed+161)
-	samples, err := makeSamples(s, 3)
-	if err != nil {
-		return nil, err
-	}
+	// Each pass trains or scores on a fresh scenario of one seed.
+	scen := func() *sim.Scenario { return newScenario(sc, topology.CrossShellLasers, 0, opt.Seed+161) }
 	for _, variant := range []struct {
 		name    string
 		uniform bool
@@ -220,13 +215,11 @@ func AblationAttention(opt Options) (*Report, error) {
 		cfg.Seed = opt.Seed
 		cfg.UniformAttention = variant.uniform
 		m := core.NewModel(cfg)
-		tc := core.DefaultTrainConfig()
-		tc.Epochs = 12
-		res, err := core.Train(m, samples, tc)
+		res, err := scen().Fit(m, sim.Recipe{Instants: trainInstants(3), TrainConfig: core.TrainConfig{Epochs: 12}})
 		if err != nil {
 			return nil, err
 		}
-		eval, err := s.RunOffline(m, ciEvalStart, evalStride, 3)
+		eval, err := scen().RunOffline(m, ciEvalStart, evalStride, 3)
 		if err != nil {
 			return nil, err
 		}
@@ -288,17 +281,8 @@ func AblationLoss(opt Options) (*Report, error) {
 	}{{"light load", 0}, {"heavy load (2x)", 2 * sc.spec.Intensity}} {
 		trainEval := func(warm float64) (*sim.OnlineResult, error) {
 			s := newScenario(sc, topology.CrossShellLasers, load.intensity, opt.Seed+181)
-			samples, err := makeSamples(s, 3)
-			if err != nil {
-				return nil, err
-			}
-			cfg := core.DefaultConfig()
-			cfg.Seed = opt.Seed
-			m := core.NewModel(cfg)
-			tcfg := core.DefaultTrainConfig()
-			tcfg.Epochs = 30
-			tcfg.WarmupFrac = warm
-			if _, err := core.Train(m, samples, tcfg); err != nil {
+			m := newModel(opt.Seed)
+			if _, err := s.Fit(m, sim.Recipe{Instants: trainInstants(3), TrainConfig: core.TrainConfig{WarmupFrac: warm}}); err != nil {
 				return nil, err
 			}
 			return s.RunOffline(m, ciEvalStart, evalStride, 3)

@@ -11,6 +11,7 @@ import (
 	"sate/internal/groundnet"
 	"sate/internal/orbit"
 	"sate/internal/paths"
+	"sate/internal/sim"
 	"sate/internal/topology"
 )
 
@@ -205,29 +206,26 @@ func DiscussionFineTune(opt Options) (*Report, error) {
 		return nil, err
 	}
 
-	dstEval := newScenario(dstScale, topology.CrossShellLasers, 0, opt.Seed+212)
-	optimum, err := dstEval.RunOffline(labelSolver(), ciEvalStart, evalStride, 3)
+	// Each evaluation scores the same unseen instants on a fresh scenario.
+	evalDst := func(al sim.Allocator) (*sim.OnlineResult, error) {
+		return newScenario(dstScale, topology.CrossShellLasers, 0, opt.Seed+212).RunOffline(al, ciEvalStart, evalStride, 3)
+	}
+	optimum, err := evalDst(labelSolver())
 	if err != nil {
 		return nil, err
 	}
-	before, err := dstEval.RunOffline(model, ciEvalStart, evalStride, 3)
+	before, err := evalDst(model)
 	if err != nil {
 		return nil, err
 	}
 
-	// Fine-tune on a few target-scale samples (fresh traffic seed).
+	// Fine-tune on a few target-scale samples (fresh traffic seed), with
+	// gentler steps than from scratch: adapt, do not forget.
 	ftScen := newScenario(dstScale, topology.CrossShellLasers, 0, opt.Seed+213)
-	samples, err := makeSamples(ftScen, 3)
-	if err != nil {
+	if _, err := ftScen.Fit(model, sim.Recipe{Instants: trainInstants(3), TrainConfig: core.TrainConfig{Epochs: 15, LR: 2e-3}}); err != nil {
 		return nil, err
 	}
-	tc := core.DefaultTrainConfig()
-	tc.Epochs = 15
-	tc.LR = 2e-3 // gentler steps than from-scratch: adapt, do not forget
-	if _, err := core.Train(model, samples, tc); err != nil {
-		return nil, err
-	}
-	after, err := dstEval.RunOffline(model, ciEvalStart, evalStride, 3)
+	after, err := evalDst(model)
 	if err != nil {
 		return nil, err
 	}

@@ -18,8 +18,10 @@ import (
 	"strings"
 	"time"
 
+	"sate/internal/autodiff"
 	"sate/internal/baselines"
 	"sate/internal/core"
+	"sate/internal/obs"
 	"sate/internal/sim"
 	"sate/internal/te"
 	"sate/internal/topology"
@@ -166,35 +168,51 @@ func newScenario(sc scaleSpec, mode topology.CrossShellMode, intensity float64, 
 // offline optima (the commercial-solver role).
 func labelSolver() sim.Allocator { return baselines.LPAuto{} }
 
-// trainSaTE generates nSamples problems spaced over time from the scenario,
-// labels them with the reference solver, and trains a fresh SaTE model.
-func trainSaTE(s *sim.Scenario, nSamples, epochs int, seed int64) (*core.Model, time.Duration, error) {
-	samples, err := makeSamples(s, nSamples)
-	if err != nil {
-		return nil, 0, err
-	}
-	return trainOn(samples, epochs, seed)
-}
-
-// trainOn fits a fresh default-config SaTE model to the samples and reports
-// the training wall time.
-func trainOn(samples []*core.Sample, epochs int, seed int64) (*core.Model, time.Duration, error) {
+// newModel returns a fresh default-config SaTE model seeded for the run.
+func newModel(seed int64) *core.Model {
 	cfg := core.DefaultConfig()
 	cfg.Seed = seed
-	m := core.NewModel(cfg)
-	tc := core.DefaultTrainConfig()
-	tc.Epochs = epochs
-	start := time.Now()
-	if _, err := core.Train(m, samples, tc); err != nil {
-		return nil, 0, err
-	}
-	return m, time.Since(start), nil
+	return core.NewModel(cfg)
 }
 
-// makeSamples builds labelled training samples from a scenario at spaced
-// steady-state instants, unaligned with topology periods.
-func makeSamples(s *sim.Scenario, n int) ([]*core.Sample, error) {
-	return s.Samples(labelSolver(), sim.Instants(ciTrainStart, 97, n))
+// trainInstants are n steady-state instants, unaligned with topology periods.
+func trainInstants(n int) []float64 { return sim.Instants(ciTrainStart, 97, n) }
+
+// trainSaTE fits a fresh SaTE model to the scenario's problems at
+// trainInstants(nSamples) and reports the wall time of its training steps
+// (labelling excluded), which fig9a compares.
+func trainSaTE(s *sim.Scenario, nSamples, epochs int, seed int64) (*core.Model, time.Duration, error) {
+	m := newModel(seed)
+	reg := obs.NewRegistry()
+	r := sim.Recipe{Instants: trainInstants(nSamples), TrainConfig: core.TrainConfig{Epochs: epochs, Registry: reg}}
+	if _, err := s.Fit(m, r); err != nil {
+		return nil, 0, err
+	}
+	steps := reg.Histogram("sate_train_step_seconds", nil).Sum()
+	return m, time.Duration(steps * float64(time.Second)), nil
+}
+
+// problemsAt returns the scenario's problems at the instants with traffic:
+// the training set of the baselines trained outside the recipe.
+func problemsAt(s *sim.Scenario, times []float64) ([]*te.Problem, error) {
+	var out []*te.Problem
+	err := s.SolveEach(nil, times, func(c *sim.Cycle) { out = append(out, c.Problem) })
+	return out, err
+}
+
+// trainHarp fits a fresh HARP model self-supervised (MLU) to the problems.
+func trainHarp(problems []*te.Problem, epochs int, seed int64) (*baselines.Harp, error) {
+	harp := baselines.NewHarp(16, seed)
+	opt := autodiff.NewAdam(3e-3, harp.Params()...)
+	opt.ClipNorm = 5
+	for range epochs {
+		for _, p := range problems {
+			if _, err := harp.TrainStep(p, opt); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return harp, nil
 }
 
 func ms(d time.Duration) string {

@@ -153,11 +153,12 @@ func Fig10cTealComparison(opt Options) (*Report, error) {
 		// Teal is bound to (and trained on) a topology from the TRAINING
 		// scenario; at evaluation time the topology has drifted and Teal's
 		// frozen pair/path layout is stale — the effect the paper measures.
-		p0, _, _, err := trainScen.ProblemAt(ciTrainStart)
+		tealScen := newScenario(sc, mode, intensity, opt.Seed+71)
+		p0, _, _, err := tealScen.ProblemAt(ciTrainStart)
 		if err != nil {
 			return nil, err
 		}
-		teal := trainedTeal(trainScen, p0)
+		teal := trainedTeal(tealScen, p0)
 		run := func(al sim.Allocator) string {
 			s := newScenario(sc, mode, intensity, opt.Seed+72)
 			res, err := s.RunOnline(al, sim.OnlineConfig{
@@ -198,20 +199,23 @@ func Fig10dGeneralization(opt Options) (*Report, error) {
 		return nil, err
 	}
 	for _, sc := range scs {
-		evalScen := newScenario(sc, topology.CrossShellLasers, 0, opt.Seed+82)
 		native, _, err := trainSaTE(newScenario(sc, topology.CrossShellLasers, 0, opt.Seed+83), 3, 30, opt.Seed)
 		if err != nil {
 			return nil, err
 		}
-		optimum, err := evalScen.RunOffline(labelSolver(), ciEvalStart, evalStride, 3)
+		// Each evaluation scores the same unseen instants on a fresh scenario.
+		eval := func(al sim.Allocator) (*sim.OnlineResult, error) {
+			return newScenario(sc, topology.CrossShellLasers, 0, opt.Seed+82).RunOffline(al, ciEvalStart, evalStride, 3)
+		}
+		optimum, err := eval(labelSolver())
 		if err != nil {
 			return nil, err
 		}
-		nat, err := evalScen.RunOffline(native, ciEvalStart, evalStride, 3)
+		nat, err := eval(native)
 		if err != nil {
 			return nil, err
 		}
-		xfer, err := evalScen.RunOffline(transferred, ciEvalStart, evalStride, 3)
+		xfer, err := eval(transferred)
 		if err != nil {
 			return nil, err
 		}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 
-	"sate/internal/autodiff"
 	"sate/internal/baselines"
 	"sate/internal/core"
 	"sate/internal/sim"
@@ -37,41 +36,30 @@ func Fig15aMLU(opt Options) (*Report, error) {
 		intensities = []float64{60, 125, 250}
 	}
 	for _, intensity := range intensities {
-		// Train SaTE-MLU and HARP self-supervised on training problems.
-		trainScen := newScenario(sc, topology.CrossShellLasers, intensity, opt.Seed+101)
-		var trainProblems []*te.Problem
-		for i := 0; i < 3; i++ {
-			p, _, _, err := trainScen.ProblemAt(ciTrainStart + float64(i)*97)
-			if err != nil {
-				return nil, err
-			}
-			if len(p.Flows) > 0 {
-				trainProblems = append(trainProblems, p)
-			}
+		// Train SaTE-MLU and HARP self-supervised on the same training
+		// problems, each read from its own scenario of one seed.
+		trainScen := func() *sim.Scenario { return newScenario(sc, topology.CrossShellLasers, intensity, opt.Seed+101) }
+		trainProblems, err := problemsAt(trainScen(), trainInstants(3))
+		if err != nil {
+			return nil, err
 		}
 		if len(trainProblems) == 0 {
 			continue
 		}
-		cfg := core.DefaultConfig()
-		cfg.Seed = opt.Seed
-		sate := core.NewModel(cfg)
-		if _, err := core.TrainMLU(sate, trainProblems, epochs, 3e-3); err != nil {
+		sate := newModel(opt.Seed)
+		mlu := core.TrainConfig{Epochs: epochs, Objective: solve.MLU}
+		if _, err := trainScen().Fit(sate, sim.Recipe{Instants: trainInstants(3), TrainConfig: mlu}); err != nil {
 			return nil, err
 		}
-		harp := baselines.NewHarp(16, opt.Seed)
-		hOpt := autodiff.NewAdam(3e-3, harp.Params()...)
-		hOpt.ClipNorm = 5
-		for e := 0; e < epochs; e++ {
-			for _, p := range trainProblems {
-				if _, err := harp.TrainStep(p, hOpt); err != nil {
-					return nil, err
-				}
-			}
+		harp, err := trainHarp(trainProblems, epochs, opt.Seed)
+		if err != nil {
+			return nil, err
 		}
-		// Evaluate MLU on unseen problems. All methods route what they can;
-		// MLU is measured on the feasible allocation.
-		evalScen := newScenario(sc, topology.CrossShellLasers, intensity, opt.Seed+102)
+		// Evaluate MLU on unseen problems, each method on a fresh scenario.
+		// All methods route what they can; MLU is measured on the feasible
+		// allocation.
 		evalMLU := func(solveFn func(*te.Problem, ...solve.Option) (*te.Allocation, error)) string {
+			evalScen := newScenario(sc, topology.CrossShellLasers, intensity, opt.Seed+102)
 			var mluSum, satSum float64
 			n := 0
 			for i := 0; i < 3; i++ {
@@ -123,15 +111,16 @@ func Fig15bLinkFailures(opt Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	evalScen := newScenario(sc, topology.CrossShellLasers, 0, opt.Seed+112)
+	// Each pass over the eval instants reads them from a fresh scenario.
 	rng := rand.New(rand.NewSource(opt.Seed + 113))
 
 	// Last-good cycles: solve each eval instant on the intact topology and
 	// keep the cycle to re-score per instant.
 	nEval := 3
 	lastGood := make([]*sim.Cycle, nEval)
+	intact := newScenario(sc, topology.CrossShellLasers, 0, opt.Seed+112)
 	for i := 0; i < nEval; i++ {
-		p0, snap0, _, err := evalScen.ProblemAt(ciEvalStart + float64(i)*evalStride)
+		p0, snap0, _, err := intact.ProblemAt(ciEvalStart + float64(i)*evalStride)
 		if err != nil {
 			return nil, err
 		}
@@ -148,8 +137,9 @@ func Fig15bLinkFailures(opt Options) (*Report, error) {
 	for _, rate := range []float64{0, 0.001, 0.01, 0.05} {
 		var sum, staleSum float64
 		n := 0
+		failed := newScenario(sc, topology.CrossShellLasers, 0, opt.Seed+112)
 		for i := 0; i < nEval; i++ {
-			p, _, err := evalScen.ProblemWithFailures(ciEvalStart+float64(i)*evalStride, rate, rng)
+			p, _, err := failed.ProblemWithFailures(ciEvalStart+float64(i)*evalStride, rate, rng)
 			if err != nil {
 				return nil, err
 			}

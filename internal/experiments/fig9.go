@@ -2,10 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"sate/internal/autodiff"
-	"sate/internal/baselines"
+	"sate/internal/core"
 	"sate/internal/graphembed"
 	"sate/internal/sim"
 	"sate/internal/topology"
@@ -33,28 +34,29 @@ func Fig9aTrainingTime(opt Options) (*Report, error) {
 		scs = scs[:2] // learned-baseline training above 396 sats is days on 1 core
 	}
 	for _, sc := range scs {
+		_, sateTime, err := trainSaTE(newScenario(sc, topology.CrossShellLasers, 0, opt.Seed+41), nSamples, epochs, opt.Seed)
+		if err != nil {
+			return nil, err
+		}
+		// Teal and HARP train on the same problems, read from a scenario of
+		// their own: SaTE's has stepped past them.
 		s := newScenario(sc, topology.CrossShellLasers, 0, opt.Seed+41)
-
-		_, sateTime, err := trainSaTE(s, nSamples, epochs, opt.Seed)
+		problems, err := problemsAt(s, trainInstants(nSamples))
 		if err != nil {
 			return nil, err
 		}
 
 		// Teal: trained per topology on the same sample count.
 		tealCell := "OOM"
-		p0, _, _, err := s.ProblemAt(ciTrainStart)
-		if err != nil {
-			return nil, err
-		}
-		if teal := tealFor(s, p0, 512<<20); teal != nil {
-			ref, err := labelSolver().Solve(p0)
+		if teal := tealFor(s, problems[0], 512<<20); teal != nil {
+			ref, err := labelSolver().Solve(problems[0])
 			if err != nil {
 				return nil, err
 			}
 			opt2 := autodiff.NewAdam(3e-3, teal.Params()...)
 			start := time.Now()
 			for e := 0; e < epochs*nSamples; e++ {
-				if _, err := teal.TrainStep(p0, ref, opt2); err != nil {
+				if _, err := teal.TrainStep(problems[0], ref, opt2); err != nil {
 					return nil, err
 				}
 			}
@@ -62,23 +64,9 @@ func Fig9aTrainingTime(opt Options) (*Report, error) {
 		}
 
 		// HARP: self-supervised MLU training on the same problems.
-		harp := baselines.NewHarp(16, opt.Seed)
-		hOpt := autodiff.NewAdam(3e-3, harp.Params()...)
-		hOpt.ClipNorm = 5
 		start := time.Now()
-		for e := 0; e < epochs; e++ {
-			for i := 0; i < nSamples; i++ {
-				p, _, _, err := s.ProblemAt(ciTrainStart + float64(i)*97)
-				if err != nil {
-					return nil, err
-				}
-				if len(p.Flows) == 0 {
-					continue
-				}
-				if _, err := harp.TrainStep(p, hOpt); err != nil {
-					return nil, err
-				}
-			}
+		if _, err := trainHarp(problems, epochs, opt.Seed); err != nil {
+			return nil, err
 		}
 		harpTime := time.Since(start)
 
@@ -95,7 +83,8 @@ func Fig9aTrainingTime(opt Options) (*Report, error) {
 // saturate well below the full pool size.
 func Fig9bTopologyPruning(opt Options) (*Report, error) {
 	sc := scales(opt)[0]
-	s := newScenario(sc, topology.CrossShellLasers, 0, opt.Seed+51)
+	// Each pass embeds, trains or scores on a fresh scenario of one seed.
+	scen := func() *sim.Scenario { return newScenario(sc, topology.CrossShellLasers, 0, opt.Seed+51) }
 
 	// Pool of candidate training instants; embed their topologies.
 	poolSize := 24
@@ -107,9 +96,10 @@ func Fig9bTopologyPruning(opt Options) (*Report, error) {
 		epochs = 20
 	}
 	pool := sim.Instants(ciTrainStart, 41, poolSize)
+	embedScen := scen()
 	var vecs [][]float64
 	for _, t := range pool {
-		vecs = append(vecs, graphembed.Embed(s.SnapshotAt(t), 64, 3))
+		vecs = append(vecs, graphembed.Embed(embedScen.SnapshotAt(t), 64, 3))
 	}
 	// Shared held-out evaluation on later, unseen instants.
 	evalStart := ciTrainStart + float64(poolSize)*41 + 100
@@ -120,36 +110,32 @@ func Fig9bTopologyPruning(opt Options) (*Report, error) {
 		Header: []string{"#topologies", "satisfied (unseen)"},
 	}
 	for _, k := range sizes {
-		samples, err := s.Samples(labelSolver(), pick(pool, graphembed.DPPSelect(vecs, k)))
-		if err != nil {
+		m := newModel(opt.Seed)
+		recipe := sim.Recipe{Instants: pick(pool, graphembed.DPPSelect(vecs, k)), TrainConfig: core.TrainConfig{Epochs: epochs}}
+		if _, err := scen().Fit(m, recipe); err != nil {
 			return nil, err
 		}
-		if len(samples) == 0 {
-			continue
-		}
-		m, _, err := trainOn(samples, epochs, opt.Seed)
-		if err != nil {
-			return nil, err
-		}
-		res, err := s.RunOffline(m, evalStart, evalStride, 4)
+		res, err := scen().RunOffline(m, evalStart, evalStride, 4)
 		if err != nil {
 			return nil, err
 		}
 		r.AddRow(fmt.Sprintf("%d", k), pct(res.SatisfiedMean))
 	}
 	// Reference: the offline optimum on the same held-out instants.
-	if ref, err := s.RunOffline(labelSolver(), evalStart, evalStride, 4); err == nil {
+	if ref, err := scen().RunOffline(labelSolver(), evalStart, evalStride, 4); err == nil {
 		r.AddRow("optimal (ref)", pct(ref.SatisfiedMean))
 	}
 	r.Note("paper: strong by 128 topologies; 512 reaches >99%% of a model trained on 8000 random topologies")
 	return r, nil
 }
 
-// pick returns the pool instants at the selected indices, in selection order.
+// pick returns the pool instants at the selected indices in time order, the
+// order a scenario can step through them.
 func pick(pool []float64, sel []int) []float64 {
 	out := make([]float64, len(sel))
 	for i, idx := range sel {
 		out[i] = pool[idx]
 	}
+	slices.Sort(out)
 	return out
 }

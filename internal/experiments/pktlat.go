@@ -34,11 +34,12 @@ func PktLatCDF(opt Options) (*Report, error) {
 
 	// Teal trains on the t=ciTrainStart topology (its models are tied to a
 	// single topology, Sec. 5.1); at eval time unseen pairs get no score.
-	p0, _, _, err := scen.ProblemAt(ciTrainStart)
+	tealScen := newScenario(sc, mode, 0, opt.Seed+91)
+	p0, _, _, err := tealScen.ProblemAt(ciTrainStart)
 	if err != nil {
 		return nil, err
 	}
-	teal := trainedTeal(scen, p0)
+	teal := trainedTeal(tealScen, p0)
 
 	// The update window replays a real recompute: the allocation solved at
 	// ciEvalStart stays installed while the one solved 2 s later distributes.

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"time"
 
+	"sate/internal/baselines"
 	"sate/internal/core"
 	"sate/internal/obs"
 	"sate/internal/solve"
@@ -19,7 +20,7 @@ type Allocator = solve.Solver
 
 // Cycle is one TE cycle: the state the control loop observed at TimeSec and
 // what it computed from it. The controller, the online and offline
-// evaluators, the packet replay and the training-sample generator all work
+// evaluators, the packet replay and the training recipe all work
 // on this one value; a Cycle with a nil Alloc has been observed but not
 // solved (Solve fills it in).
 type Cycle struct {
@@ -80,15 +81,15 @@ func (c *Cycle) Solve(al Allocator, opts ...solve.Option) error {
 	return err
 }
 
-// Sample labels the cycle as a training sample: its problem with its
-// allocation (from the reference solver) as the ground truth.
-func (c *Cycle) Sample() *core.Sample { return core.NewSample(c.Problem, c.Alloc) }
-
-// SolveEach steps the scenario through the instants and hands visit a solved
-// cycle for each one that has traffic; instants without any are skipped. It
-// is the loop under the offline evaluator and the sample generator.
+// SolveEach steps the scenario through the instants and hands visit a cycle
+// for each one that has traffic, solved by al (unsolved when al is nil);
+// instants without traffic are skipped, and one before the traffic clock is
+// an error. It is the loop under the offline evaluator and the training recipe.
 func (s *Scenario) SolveEach(al Allocator, times []float64, visit func(*Cycle)) error {
 	for _, t := range times {
+		if err := s.notBefore(t); err != nil {
+			return err
+		}
 		p, snap, _, err := s.ProblemAt(t)
 		if err != nil {
 			return err
@@ -97,21 +98,49 @@ func (s *Scenario) SolveEach(al Allocator, times []float64, visit func(*Cycle)) 
 			continue
 		}
 		c := &Cycle{TimeSec: t, Snap: snap, Problem: p}
-		if err := c.Solve(al); err != nil {
-			return err
+		if al != nil {
+			if err := c.Solve(al); err != nil {
+				return err
+			}
 		}
 		visit(c)
 	}
 	return nil
 }
 
-// Samples builds labelled training samples at the given instants (different
-// topologies and traffic states): each cycle solved by the reference solver
-// label is one sample. Instants without traffic yield none.
-func (s *Scenario) Samples(label Allocator, times []float64) ([]*core.Sample, error) {
-	var out []*core.Sample
-	err := s.SolveEach(label, times, func(c *Cycle) { out = append(out, c.Sample()) })
-	return out, err
+// notBefore refuses an instant before the traffic clock, which cannot step
+// back: a pass that revisits instants needs a fresh scenario. ProblemAt and
+// RunCycle do not check; the controller drops late requests at publish.
+func (s *Scenario) notBefore(tSec float64) error {
+	if now := s.Traffic.Now(); tSec < now {
+		return fmt.Errorf("sim: instant %gs is before the scenario's traffic clock (%gs); revisit it on a fresh scenario", tSec, now)
+	}
+	return nil
+}
+
+// Recipe is how a SaTE model learns from a scenario: the training instants
+// and the loop's config. Fit labels each instant's problem with
+// baselines.LPAuto, or nothing under the self-supervised MLU objective.
+type Recipe struct {
+	Instants []float64
+	core.TrainConfig
+}
+
+// Fit trains m by the recipe on one sample per instant with traffic: the one
+// path from scenario instants to a trained model.
+func (s *Scenario) Fit(m *core.Model, r Recipe) (*core.TrainResult, error) {
+	var label Allocator
+	if r.Objective != solve.MLU {
+		label = baselines.LPAuto{}
+	}
+	var samples []*core.Sample
+	err := s.SolveEach(label, r.Instants, func(c *Cycle) {
+		samples = append(samples, core.NewSample(c.Problem, c.Alloc))
+	})
+	if err != nil {
+		return nil, err
+	}
+	return core.Train(m, samples, r.TrainConfig)
 }
 
 // Instants returns n times spaced stride apart from start.

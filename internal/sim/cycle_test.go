@@ -1,14 +1,18 @@
 package sim
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"math/rand"
 	"testing"
 
 	"sate/internal/baselines"
+	"sate/internal/core"
+	"sate/internal/obs"
 	"sate/internal/pktsim"
 	"sate/internal/ruledist"
+	"sate/internal/solve"
 	"sate/internal/te"
 )
 
@@ -235,37 +239,115 @@ func TestRunSpecMatchesOldReplay(t *testing.T) {
 	}
 }
 
-// TestSamplesLabelEachInstant: one sample per instant with traffic, labelled
-// with the reference solver's allocation on that instant's problem.
-func TestSamplesLabelEachInstant(t *testing.T) {
+// fitLosses trains a fresh default model by the recipe on a fresh toy
+// scenario and returns its per-epoch losses and saved weights.
+func fitLosses(t *testing.T, r Recipe) ([]float64, []byte) {
+	t.Helper()
+	m := core.NewModel(core.DefaultConfig())
+	res, err := toyScenario(60, 31).Fit(m, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Losses, savedBytes(t, m)
+}
+
+func savedBytes(t *testing.T, m *core.Model) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestFitIsTrainOnLabelledInstants: Fit is core.Train on one sample per
+// instant with traffic — the problem labelled by baselines.LPAuto under the
+// throughput objective, unlabelled under MLU — bit for bit; an instant
+// without traffic yields no sample.
+func TestFitIsTrainOnLabelledInstants(t *testing.T) {
 	times := Instants(10, 7, 3)
 	if len(times) != 3 || times[0] != 10 || times[2] != 24 {
 		t.Fatalf("Instants = %v", times)
 	}
-	samples, err := toyScenario(60, 31).Samples(baselines.LPExact{}, times)
+	for _, obj := range []solve.Objective{solve.Throughput, solve.MLU} {
+		cfg := core.TrainConfig{Epochs: 3, Objective: obj}
+		gotLosses, gotWeights := fitLosses(t, Recipe{Instants: times, TrainConfig: cfg})
+
+		twin := toyScenario(60, 31)
+		var samples []*core.Sample
+		for _, tSec := range times {
+			p, _, _, err := twin.ProblemAt(tSec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(p.Flows) == 0 {
+				t.Fatalf("no traffic at t=%v", tSec)
+			}
+			var ref *te.Allocation
+			if obj == solve.Throughput {
+				if ref, err = (baselines.LPAuto{}).Solve(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			samples = append(samples, core.NewSample(p, ref))
+		}
+		m := core.NewModel(core.DefaultConfig())
+		res, err := core.Train(m, samples, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ep := range res.Losses {
+			if !sameBits(gotLosses[ep], res.Losses[ep]) {
+				t.Fatalf("%v epoch %d: Fit loss %v, core.Train %v", obj, ep, gotLosses[ep], res.Losses[ep])
+			}
+		}
+		if !bytes.Equal(gotWeights, savedBytes(t, m)) {
+			t.Fatalf("%v: Fit and core.Train saved different weights", obj)
+		}
+	}
+
+	// t=0 precedes every arrival: its problem has no traffic, so it adds no
+	// training step.
+	p, _, _, err := toyScenario(60, 31).ProblemAt(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(samples) != len(times) {
-		t.Fatalf("%d samples for %d instants", len(samples), len(times))
+	if len(p.Flows) != 0 {
+		t.Fatalf("t=0 has %d flows, want none", len(p.Flows))
 	}
-	twin := toyScenario(60, 31)
-	for i, tSec := range times {
-		p, _, _, err := twin.ProblemAt(tSec)
-		if err != nil {
-			t.Fatal(err)
+	reg := obs.NewRegistry()
+	fitLosses(t, Recipe{Instants: append([]float64{0}, times...), TrainConfig: core.TrainConfig{Epochs: 1, Registry: reg}})
+	if got := reg.Histogram("sate_train_step_seconds", nil).Count(); got != uint64(len(times)) {
+		t.Fatalf("%d training steps for %d instants with traffic", got, len(times))
+	}
+}
+
+// TestRunOfflineRefusesARewind: a second offline pass over one window on
+// the same scenario would pair each instant's topology with the traffic of
+// a later one, so it is an error — as are Fit and RunOnline before the
+// traffic clock — while a fresh scenario repeats the first pass exactly.
+func TestRunOfflineRefusesARewind(t *testing.T) {
+	s := toyScenario(60, 31)
+	first, err := s.RunOffline(baselines.ECMPWF{}, 10, 7, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := s.RunOffline(baselines.ECMPWF{}, 10, 7, 3); err == nil {
+		t.Fatalf("a second pass over the window ran (satisfied %v, first pass %v)", again.Satisfied, first.Satisfied)
+	}
+	fresh, err := toyScenario(60, 31).RunOffline(baselines.ECMPWF{}, 10, 7, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range first.Satisfied {
+		if !sameBits(fresh.Satisfied[i], first.Satisfied[i]) {
+			t.Fatalf("step %d: fresh scenario %v, first pass %v", i, fresh.Satisfied[i], first.Satisfied[i])
 		}
-		ref, err := (baselines.LPExact{}).Solve(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var labels float64
-		for _, x := range samples[i].Labels {
-			labels += x
-		}
-		if len(samples[i].Problem.Flows) != len(p.Flows) || !sameBits(labels, ref.Throughput()) {
-			t.Fatalf("sample %d: %d flows labelled %v, reference %d flows / %v",
-				i, len(samples[i].Problem.Flows), labels, len(p.Flows), ref.Throughput())
-		}
+	}
+	if _, err := s.Fit(core.NewModel(core.DefaultConfig()), Recipe{Instants: []float64{10}}); err == nil {
+		t.Error("Fit trained on an instant before the traffic clock")
+	}
+	if _, err := s.RunOnline(baselines.ECMPWF{}, OnlineConfig{StartSec: 10, HorizonSec: 2}); err == nil {
+		t.Error("RunOnline started before the traffic clock")
 	}
 }

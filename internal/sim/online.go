@@ -64,13 +64,16 @@ type OnlineResult struct {
 // RunOnline evaluates an allocator in the online setting: the cycle run at
 // each recomputation instant stays in effect until the next one; every step
 // scores the active (possibly stale) cycle against the then-current topology
-// and demand.
+// and demand. A start before the scenario's traffic clock is an error.
 func (s *Scenario) RunOnline(al Allocator, cfg OnlineConfig) (*OnlineResult, error) {
 	if cfg.StepSec <= 0 {
 		cfg.StepSec = 1
 	}
 	if cfg.HorizonSec <= 0 {
 		cfg.HorizonSec = 60
+	}
+	if err := s.notBefore(cfg.StartSec); err != nil {
+		return nil, err
 	}
 	reg := cfg.Registry
 	var (
@@ -156,7 +159,8 @@ func stepCount(horizonSec int, stepSec float64) int {
 // RunOffline evaluates the allocator with zero computation delay: the
 // problems at steps instants spaced strideSec apart from startSec are each
 // solved and scored against themselves (Appendix H.1). Instants without
-// traffic are skipped; a window with no traffic at all is an error.
+// traffic are skipped; a window with no traffic at all, or one starting
+// before the scenario's traffic clock, is an error.
 func (s *Scenario) RunOffline(al Allocator, startSec, strideSec float64, steps int) (*OnlineResult, error) {
 	res := &OnlineResult{Method: al.Name()}
 	var totalLatency time.Duration

@@ -124,6 +124,10 @@ func (g *Generator) ActiveFlows() map[FlowID]*Flow { return g.active }
 // ActiveCount returns the number of ongoing flows.
 func (g *Generator) ActiveCount() int { return len(g.active) }
 
+// Now returns the generator's simulated time: the latest instant AdvanceTo
+// reached, which AdvanceTo cannot go back before.
+func (g *Generator) Now() float64 { return g.nowSec }
+
 // AdvanceTo moves simulated time forward, expiring finished flows and
 // generating Poisson arrivals in the elapsed interval.
 func (g *Generator) AdvanceTo(tSec float64) {

@@ -22,7 +22,8 @@
 package sate
 
 import (
-	"sate/internal/baselines"
+	"cmp"
+
 	"sate/internal/constellation"
 	"sate/internal/controller"
 	"sate/internal/core"
@@ -175,10 +176,10 @@ func DefaultModelConfig() ModelConfig { return core.DefaultConfig() }
 
 // TrainOptions controls Train.
 type TrainOptions struct {
-	// Samples is the number of labelled (topology, traffic) instants to
-	// train on; they are labelled with the reference LP solver.
+	// Samples is the number of (topology, traffic) instants to train on;
+	// they are labelled with the reference LP solver (default 8).
 	Samples int
-	// Epochs of Adam over the samples.
+	// Epochs of Adam over the samples (default 20).
 	Epochs int
 	// Seed for model initialisation.
 	Seed int64
@@ -189,14 +190,11 @@ type TrainOptions struct {
 	Registry *Registry
 }
 
-// Train generates labelled samples from the scenario and fits a SaTE model.
+// Train fits a SaTE model to the scenario by the one training recipe
+// (sim.Recipe, run by Scenario.Fit): opt.Samples instants spaced 97 s apart
+// from t = 120 s, each labelled by the reference LP solver.
 func Train(s *Scenario, opt TrainOptions) (*Model, error) {
-	if opt.Samples == 0 {
-		opt.Samples = 8
-	}
-	if opt.Epochs == 0 {
-		opt.Epochs = 20
-	}
+	opt.Samples, opt.Epochs = cmp.Or(opt.Samples, 8), cmp.Or(opt.Epochs, 20)
 	cfg := opt.Config
 	if cfg.EmbedDim == 0 {
 		cfg = core.DefaultConfig()
@@ -207,14 +205,11 @@ func Train(s *Scenario, opt TrainOptions) (*Model, error) {
 	// ScenarioConfig.FlowDurationScale at its default the load still grows
 	// for a long time — scale durations down (e.g. 0.05) to train and
 	// evaluate at steady state.
-	samples, err := s.Samples(baselines.LPAuto{}, sim.Instants(120, 97, opt.Samples))
-	if err != nil {
-		return nil, err
+	r := sim.Recipe{
+		Instants:    sim.Instants(120, 97, opt.Samples),
+		TrainConfig: core.TrainConfig{Epochs: opt.Epochs, Registry: opt.Registry},
 	}
-	tc := core.DefaultTrainConfig()
-	tc.Epochs = opt.Epochs
-	tc.Registry = opt.Registry
-	if _, err := core.Train(m, samples, tc); err != nil {
+	if _, err := s.Fit(m, r); err != nil {
 		return nil, err
 	}
 	return m, nil

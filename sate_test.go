@@ -1,6 +1,9 @@
 package sate
 
 import (
+	"bytes"
+	"os"
+	"runtime"
 	"testing"
 )
 
@@ -97,5 +100,35 @@ func TestExperimentIDsNonEmpty(t *testing.T) {
 	ids := ExperimentIDs()
 	if len(ids) < 20 {
 		t.Errorf("only %d experiments registered", len(ids))
+	}
+}
+
+// TestRecipeReproducesBenchmarkModel: the facade's training recipe, run on
+// the quickstart scenario with the quickstart's 4 samples × 30 epochs at
+// seed 1, writes exactly the committed benchmark/model.gob — the model
+// every benchmark workload solves with (go run ./benchmark -fit-model).
+// The bytes were recorded on amd64; elsewhere the compiler may fuse a
+// multiply-add and move a float, so the test runs on amd64 only.
+func TestRecipeReproducesBenchmarkModel(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("benchmark/model.gob was recorded on amd64")
+	}
+	want, err := os.ReadFile("benchmark/model.gob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scen := NewScenario(Iridium(), ScenarioConfig{
+		Mode: CrossShellLasers, Intensity: 8, Seed: 1, MinElevDeg: 10, FlowDurationScale: 0.05,
+	})
+	model, err := Train(scen, TrainOptions{Samples: 4, Epochs: 30, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := model.Save(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("recipe wrote %d bytes that differ from benchmark/model.gob (%d bytes)", got.Len(), len(want))
 	}
 }

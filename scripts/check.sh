@@ -74,6 +74,9 @@ echo "== training bits =="
 # committed benchmark/model.gob, and a short `sate train` run with the digest in
 # scripts/sate-train.sha256. Both were recorded on amd64 at the default
 # GOAMD64=v1; a target whose compiler fuses multiply-adds rounds differently.
+# `go test` above holds the same bits as tests: TestRecipeReproducesBenchmarkModel
+# (sate.Train, i.e. the one recipe sim.Scenario.Fit, writes model.gob's bytes)
+# and core's TestTrainMLUBits (the MLU objective's losses and weights).
 if [ "$(go env GOARCH)" = amd64 ]; then
 	tmp=$(mktemp -d)
 	trap 'rm -rf "$tmp"' EXIT
