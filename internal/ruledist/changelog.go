@@ -19,6 +19,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"sate/internal/par"
 	"sate/internal/rules"
 	"sate/internal/topology"
 )
@@ -79,12 +80,19 @@ func sameRate(a, b float64) bool {
 // Diff computes the per-satellite delta turning the old rule set into the
 // new one. Either side may be nil (the empty rule set, version 0). The
 // result is deterministic: nodes ascending, and within a node the upserts
-// and removes follow the tables' (src, dst, label) rule order.
+// and removes follow the tables' (src, dst, label) rule order. Nodes are
+// diffed on the par pool, each into its own slot, and the slots with a
+// change are kept in node order.
 func Diff(old, new *rules.RuleSet) Delta {
 	ids := unionNodes(old, new)
+	nds := make([]NodeDelta, len(ids))
+	par.For(len(ids), par.Grain(len(ids), 16), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			nds[i] = diffNode(ids[i], tableOf(old, ids[i]), tableOf(new, ids[i]))
+		}
+	})
 	var out Delta
-	for _, id := range ids {
-		nd := diffNode(id, tableOf(old, id), tableOf(new, id))
+	for _, nd := range nds {
 		if len(nd.Upserts) > 0 || len(nd.Removes) > 0 {
 			out.Nodes = append(out.Nodes, nd)
 		}
@@ -125,9 +133,9 @@ func ruleID(r rules.Rule) RuleID {
 }
 
 // diffNode merge-walks two tables — sorted by rules.CompareKey, the
-// rules.Table invariant — producing one node's delta.
+// rules.Table invariant — producing one node's delta. The first walk only
+// counts, so the second appends into slices of exactly the right size.
 func diffNode(id topology.NodeID, old, new *rules.Table) NodeDelta {
-	nd := NodeDelta{Node: id}
 	var or, nr []rules.Rule
 	if old != nil {
 		or = old.Rules
@@ -135,11 +143,29 @@ func diffNode(id topology.NodeID, old, new *rules.Table) NodeDelta {
 	if new != nil {
 		nr = new.Rules
 	}
+	nd := NodeDelta{Node: id}
+	ups, rms := mergeWalk(or, nr, nil)
+	if ups > 0 {
+		nd.Upserts = make([]Upsert, 0, ups)
+	}
+	if rms > 0 {
+		nd.Removes = make([]RuleID, 0, rms)
+	}
+	mergeWalk(or, nr, &nd)
+	return nd
+}
+
+// mergeWalk counts the upserts and removes that turn the rules or into nr,
+// and appends them to nd unless it is nil.
+func mergeWalk(or, nr []rules.Rule, nd *NodeDelta) (ups, rms int) {
 	upsert := func(r rules.Rule) {
-		nd.Upserts = append(nd.Upserts, Upsert{
-			Src: r.Flow.Src, Dst: r.Flow.Dst, Label: r.Label,
-			Next: r.Next, RateMbps: r.RateMbps,
-		})
+		ups++
+		if nd != nil {
+			nd.Upserts = append(nd.Upserts, Upsert{
+				Src: r.Flow.Src, Dst: r.Flow.Dst, Label: r.Label,
+				Next: r.Next, RateMbps: r.RateMbps,
+			})
+		}
 	}
 	i, j := 0, 0
 	for i < len(or) || j < len(nr) {
@@ -154,7 +180,10 @@ func diffNode(id topology.NodeID, old, new *rules.Table) NodeDelta {
 		}
 		switch {
 		case c < 0:
-			nd.Removes = append(nd.Removes, ruleID(or[i]))
+			rms++
+			if nd != nil {
+				nd.Removes = append(nd.Removes, ruleID(or[i]))
+			}
 			i++
 		case c > 0:
 			upsert(nr[j])
@@ -167,7 +196,7 @@ func diffNode(id topology.NodeID, old, new *rules.Table) NodeDelta {
 			j++
 		}
 	}
-	return nd
+	return ups, rms
 }
 
 // Apply returns a new rule set with one delta applied; the input is not

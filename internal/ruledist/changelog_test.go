@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"sate/internal/par"
 	"sate/internal/rules"
 	"sate/internal/topology"
 )
@@ -436,5 +437,40 @@ func TestChangelogSinceZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Since allocated %v times per run", allocs)
+	}
+}
+
+// TestDiffIndependentOfWorkers: nodes are diffed on the par pool, and the
+// delta deep-equals the one-worker delta at every worker count.
+func TestDiffIndependentOfWorkers(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	// reflect.DeepEqual holds no NaN equal to itself, so the rule sets
+	// here carry a number in its place.
+	finite := func(rs *rules.RuleSet) *rules.RuleSet {
+		for _, tbl := range rs.Tables {
+			for i := range tbl.Rules {
+				if r := &tbl.Rules[i]; math.IsNaN(r.RateMbps) {
+					r.RateMbps = 2
+				}
+			}
+		}
+		return rs
+	}
+	for trial := 0; trial < 20; trial++ {
+		a, b := finite(randRuleSet(rng, 0, 300)), finite(randRuleSet(rng, 100, 400))
+		restore := par.SetWorkers(1)
+		want := Diff(a, b)
+		restore()
+		if len(want.Nodes) < 100 {
+			t.Fatalf("trial %d: only %d nodes changed", trial, len(want.Nodes))
+		}
+		for _, workers := range []int{2, 8} {
+			restore := par.SetWorkers(workers)
+			got := Diff(a, b)
+			restore()
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d workers=%d: delta differs from the one-worker delta", trial, workers)
+			}
+		}
 	}
 }

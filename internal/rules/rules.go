@@ -21,6 +21,7 @@ import (
 	"slices"
 	"sort"
 
+	"sate/internal/par"
 	"sate/internal/te"
 	"sate/internal/topology"
 )
@@ -210,45 +211,57 @@ func (rs *RuleSet) checkOrder() error {
 // and checks that the rules forward it along the configured path at exactly
 // the allocated rate, terminating at the destination. It returns the first
 // inconsistency found; a table out of order is one (a lookup in it could miss
-// a rule that is there).
+// a rule that is there). Flows are walked in chunks on the par pool; the
+// lowest failing chunk holds the lowest failing flow, so the error is the
+// one a walk in flow order meets first, at every worker count.
 func Verify(p *te.Problem, a *te.Allocation, rs *RuleSet) error {
-	const tol = 1e-6
-	const maxHops = 1 << 16 // loop guard
 	if err := rs.checkOrder(); err != nil {
 		return err
 	}
-	for fi := range p.Flows {
-		f := &p.Flows[fi]
-		key := FlowKey{Src: f.Src, Dst: f.Dst}
-		for pi := range f.Paths {
-			rate := a.X[fi][pi]
-			if rate <= 0 {
-				continue
+	return par.ForErr(len(p.Flows), par.Grain(len(p.Flows), 32), func(lo, hi int) error {
+		for fi := lo; fi < hi; fi++ {
+			if err := verifyFlow(p, a, rs, fi); err != nil {
+				return err
 			}
-			node := f.Src
-			hops := 0
-			for node != f.Dst {
-				r, ok := rs.lookup(node, key, pi)
-				if !ok {
-					return fmt.Errorf("rules: flow %d->%d label %d: no rule at node %d",
-						f.Src, f.Dst, pi, node)
-				}
-				// Written so a NaN difference fails too: a NaN or infinite
-				// rate (Inf - Inf is NaN) is no rate a switch can install.
-				if diff := r.RateMbps - rate; !(math.Abs(diff) <= tol) {
-					return fmt.Errorf("rules: flow %d->%d label %d at node %d: rate %.6f, allocated %.6f",
-						f.Src, f.Dst, pi, node, r.RateMbps, rate)
-				}
-				node = r.Next
-				if hops++; hops > maxHops {
-					return fmt.Errorf("rules: flow %d->%d label %d: forwarding loop", f.Src, f.Dst, pi)
-				}
+		}
+		return nil
+	})
+}
+
+// verifyFlow is Verify's walk of flow fi's allocated labels.
+func verifyFlow(p *te.Problem, a *te.Allocation, rs *RuleSet, fi int) error {
+	const tol = 1e-6
+	const maxHops = 1 << 16 // loop guard
+	f := &p.Flows[fi]
+	key := FlowKey{Src: f.Src, Dst: f.Dst}
+	for pi := range f.Paths {
+		rate := a.X[fi][pi]
+		if rate <= 0 {
+			continue
+		}
+		node := f.Src
+		hops := 0
+		for node != f.Dst {
+			r, ok := rs.lookup(node, key, pi)
+			if !ok {
+				return fmt.Errorf("rules: flow %d->%d label %d: no rule at node %d",
+					f.Src, f.Dst, pi, node)
 			}
-			// The rules must also trace the configured path exactly.
-			if hops != f.Paths[pi].Hops() {
-				return fmt.Errorf("rules: flow %d->%d label %d: %d hops, path has %d",
-					f.Src, f.Dst, pi, hops, f.Paths[pi].Hops())
+			// Written so a NaN difference fails too: a NaN or infinite
+			// rate (Inf - Inf is NaN) is no rate a switch can install.
+			if diff := r.RateMbps - rate; !(math.Abs(diff) <= tol) {
+				return fmt.Errorf("rules: flow %d->%d label %d at node %d: rate %.6f, allocated %.6f",
+					f.Src, f.Dst, pi, node, r.RateMbps, rate)
 			}
+			node = r.Next
+			if hops++; hops > maxHops {
+				return fmt.Errorf("rules: flow %d->%d label %d: forwarding loop", f.Src, f.Dst, pi)
+			}
+		}
+		// The rules must also trace the configured path exactly.
+		if hops != f.Paths[pi].Hops() {
+			return fmt.Errorf("rules: flow %d->%d label %d: %d hops, path has %d",
+				f.Src, f.Dst, pi, hops, f.Paths[pi].Hops())
 		}
 	}
 	return nil

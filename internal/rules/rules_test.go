@@ -10,6 +10,7 @@ import (
 
 	"sate/internal/baselines"
 	"sate/internal/constellation"
+	"sate/internal/par"
 	"sate/internal/paths"
 	"sate/internal/rules"
 	"sate/internal/sim"
@@ -337,6 +338,62 @@ func TestCompileMatchesReference(t *testing.T) {
 		got, want := rules.Compile(p, a), refCompile(p, a)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d (%d flows over %d nodes): Compile differs from the reference", trial, len(p.Flows), n)
+		}
+	}
+}
+
+// diamonds: n disjoint copies of diamond, flow k from 4k to 4k+3, each
+// allocated on both paths.
+func diamonds(n int) (*te.Problem, *te.Allocation) {
+	p := &te.Problem{NumNodes: 4 * n}
+	for k := 0; k < n; k++ {
+		b := topology.NodeID(4 * k)
+		p.Links = append(p.Links,
+			topology.MakeLink(b, b+1, topology.IntraOrbit),
+			topology.MakeLink(b+1, b+3, topology.IntraOrbit),
+			topology.MakeLink(b, b+2, topology.IntraOrbit),
+			topology.MakeLink(b+2, b+3, topology.IntraOrbit))
+		p.LinkCap = append(p.LinkCap, 10, 10, 10, 10)
+		p.Flows = append(p.Flows, te.FlowDemand{
+			Src: b, Dst: b + 3, DemandMbps: 20,
+			Paths: []paths.Path{paths.NewPath(b, b+1, b+3), paths.NewPath(b, b+2, b+3)},
+		})
+	}
+	if err := p.Finalize(); err != nil {
+		panic(err)
+	}
+	a := te.NewAllocation(p)
+	for fi := range a.X {
+		a.X[fi][0], a.X[fi][1] = 4, 6
+	}
+	return p, a
+}
+
+// TestVerifyErrorIndependentOfWorkers: with two flows corrupted in different
+// chunks of the parallel walk, Verify names the lower one — the error a walk
+// in flow order meets first — at every worker count, and passes the intact
+// set at every worker count.
+func TestVerifyErrorIndependentOfWorkers(t *testing.T) {
+	p, a := diamonds(200)
+	rs := rules.Compile(p, a)
+	for _, workers := range []int{1, 2, 8} {
+		restore := par.SetWorkers(workers)
+		err := rules.Verify(p, a, rs)
+		restore()
+		if err != nil {
+			t.Fatalf("workers=%d: intact rules: %v", workers, err)
+		}
+	}
+	// Flow 50: a wrong rate at its first hop. Flow 170: no rule at node 681.
+	rs.Tables[200].Rules[0].RateMbps = 5
+	delete(rs.Tables, 681)
+	const want = "rules: flow 200->203 label 0 at node 200: rate 5.000000, allocated 4.000000"
+	for _, workers := range []int{1, 2, 8} {
+		restore := par.SetWorkers(workers)
+		err := rules.Verify(p, a, rs)
+		restore()
+		if err == nil || err.Error() != want {
+			t.Errorf("workers=%d: Verify = %v, want %q", workers, err, want)
 		}
 	}
 }

@@ -1,8 +1,8 @@
 // Package shard promotes TE-problem decomposition to a first-class solver:
 // the constellation is split into K contiguous node regions (orbital-plane
 // bands — see topology.PartitionNodes), flows whose candidate paths stay
-// inside one region are solved as K independent subproblems fanned out on
-// the par worker pool, and the remaining cut-crossing flows are reconciled
+// inside one region are solved as K independent subproblems, each on the par
+// worker pool, and the remaining cut-crossing flows are reconciled
 // in a boundary pass against the residual capacities the regional solves
 // left behind.
 //
@@ -42,7 +42,6 @@ import (
 
 	"sate/internal/core"
 	"sate/internal/obs"
-	"sate/internal/par"
 	"sate/internal/paths"
 	"sate/internal/solve"
 	"sate/internal/te"
@@ -460,10 +459,11 @@ func (c *sub) scatter(alloc, sa *te.Allocation) {
 // runShards performs the regional half of a cycle: it compacts each band's
 // internal flows against the capacity view (the problem's own capacities, or
 // the residuals a preceding boundary pass left behind), finalizes them, then
-// fans the sub-solves out across the worker pool and scatters each
-// sub-allocation into the global rows of its flows. Shards write disjoint
-// allocation rows, so the fan-out is race-free and the result is bitwise
-// identical for every worker count. Returns the dirty-shard count.
+// solves the bands in order and scatters each sub-allocation into the global
+// rows of its flows. The bands run one after another so that each
+// sub-solve's kernels get the par pool: a band fan-out would hold the pool
+// and run each band's kernels on one goroutine, which measured slower on
+// shard-regional-7936 (DESIGN.md §6). Returns the dirty-shard count.
 func (s *Solver) runShards(p *te.Problem, alloc *te.Allocation, caps capView) (dirty int, err error) {
 	for i, b := range s.bands {
 		s.compact(b, p, b.flows, caps)
@@ -475,20 +475,17 @@ func (s *Solver) runShards(p *te.Problem, alloc *te.Allocation, caps capView) (d
 			dirty++
 		}
 	}
-	return dirty, par.ForErr(len(s.bands), 1, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			b := s.bands[i]
-			if len(b.flows) == 0 {
-				continue
-			}
-			sa, err := s.Inner.Solve(&b.prob, b.opts...)
-			if err != nil {
-				return fmt.Errorf("shard %d (%s): %w", i, s.Inner.Name(), err)
-			}
-			b.scatter(alloc, sa)
+	for i, b := range s.bands {
+		if len(b.flows) == 0 {
+			continue
 		}
-		return nil
-	})
+		sa, err := s.Inner.Solve(&b.prob, b.opts...)
+		if err != nil {
+			return dirty, fmt.Errorf("shard %d (%s): %w", i, s.Inner.Name(), err)
+		}
+		b.scatter(alloc, sa)
+	}
+	return dirty, nil
 }
 
 // residuals returns the capacity view left after the allocations scattered

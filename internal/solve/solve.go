@@ -84,9 +84,13 @@ type Options struct {
 	// disables instrumentation (every obs handle degrades to a no-op).
 	Registry *obs.Registry
 	// Workers overrides the par worker budget for the duration of the call;
-	// 0 keeps the process-wide setting. The override is process-global while
-	// active (par's budget is), so concurrent solves with different
-	// overrides race on it — use per-call overrides from one driver loop.
+	// 0 keeps the process-wide setting. The budget sets how many of par's
+	// persistent helpers join each kernel dispatch (the caller works too);
+	// the results are the same bits at every budget. The override is
+	// process-global while active (par's budget is), so concurrent solves
+	// with different overrides race on it — use per-call overrides from one
+	// driver loop. Concurrent solves share the one pool: a kernel that finds
+	// it busy runs on its caller's goroutine.
 	Workers int
 	// Dtype selects the element type of the solver's numeric kernels.
 	// Solvers without a narrower implementation ignore it (see Dtype).

@@ -1,7 +1,8 @@
 #!/bin/sh
-# Race-detector pass over par itself and the packages that spawn goroutines
-# through it (autodiff kernels, path fan-out, shard sub-solves, the topology
-# snapshot series, the packet engine's schedule fill), plus te and the
+# Race-detector pass over par itself and the packages that fork through it
+# (autodiff kernels, path fan-out, shard sub-solves' kernels, the topology
+# snapshot series, the rule verifier's flow walk, the changelog's per-node
+# diff, the packet engine's schedule fill), plus te and the
 # concurrent serving layer (atomic snapshot publication and recompute
 # coalescing under parallel HTTP clients, the rule changelog). obs, solve and
 # sim are raced by check.sh; the experiment grids are not raced.
@@ -15,6 +16,7 @@ go test -race \
 	./internal/shard/... \
 	./internal/topology/... \
 	./internal/te/... \
+	./internal/rules/... \
 	./internal/controller/... \
 	./internal/ruledist/... \
 	./internal/pktsim/...
