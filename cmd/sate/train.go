@@ -89,14 +89,21 @@ func trainSetup(fs *flag.FlagSet) func(sim.Spec) error {
 
 		// Held-out evaluation.
 		fmt.Println("held-out evaluation (unseen topologies + traffic):")
-		err = scen.SolveEach(model, sim.Instants(500, 23, 3), func(c *sim.Cycle) {
+		err = scen.SolveEach(model, sim.Instants(500, 23, 3), func(c *sim.Cycle) error {
 			p := c.Problem
-			ref, _ := (baselines.LPAuto{}).Solve(p)
-			ecmp, _ := (baselines.ECMPWF{}).Solve(p)
+			ref, err := (baselines.LPAuto{}).Solve(p)
+			if err != nil {
+				return fmt.Errorf("optimal reference at t=%g: %w", c.TimeSec, err)
+			}
+			ecmp, err := (baselines.ECMPWF{}).Solve(p)
+			if err != nil {
+				return fmt.Errorf("ecmp-wf at t=%g: %w", c.TimeSec, err)
+			}
 			fmt.Printf("  t=%3.0f: sate %.1f%% in %s | optimal %.1f%% | ecmp-wf %.1f%%\n",
 				c.TimeSec,
-				100*p.SatisfiedDemand(c.Alloc), c.SolveLatency.Round(time.Microsecond),
+				100*p.SatisfiedDemand(c.Alloc), c.Stages.Solve.Round(time.Microsecond),
 				100*p.SatisfiedDemand(ref), 100*p.SatisfiedDemand(ecmp))
+			return nil
 		})
 		if err != nil {
 			return err

@@ -28,7 +28,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"net/http"
 	"net/http/pprof"
@@ -41,7 +40,6 @@ import (
 
 	"sate/internal/obs"
 	"sate/internal/ruledist"
-	"sate/internal/rules"
 	"sate/internal/sim"
 	"sate/internal/solve"
 	"sate/internal/topology"
@@ -67,9 +65,6 @@ type Server struct {
 	// deg is the current failure streak; a copy travels inside every
 	// published snapshot so readers never touch this field.
 	deg degradedInfo
-	// live is the cycle behind the live snapshot: what a failed cycle's
-	// topology re-scores (sim.Cycle.Satisfied). nil until the first publish.
-	live *sim.Cycle
 	// heapAllocs is the runtime/metrics sample the per-cycle allocation
 	// gauge reads (reused every cycle; no stop-the-world).
 	heapAllocs [1]metrics.Sample
@@ -281,10 +276,9 @@ func (s *Server) heapAllocBytes() uint64 {
 }
 
 // cycleLocked runs one sim cycle (the scenario step, failure injection
-// included, and the timed solve), compiles and verifies its rules and
-// publishes the result. It returns the cycle even on failure when topology
-// determination succeeded, so the caller can re-score the stale allocation
-// against its problem.
+// included, and the solve), compiles its rules and publishes the result. It
+// returns the cycle even on failure when topology determination succeeded,
+// so the caller can re-score the stale allocation against its problem.
 func (s *Server) cycleLocked(ctx context.Context, tSec float64) (*sim.Cycle, error) {
 	m := &s.metrics
 	var allocBefore uint64
@@ -296,22 +290,19 @@ func (s *Server) cycleLocked(ctx context.Context, tSec float64) (*sim.Cycle, err
 	if err != nil {
 		return c, err
 	}
-	p, alloc := c.Problem, c.Alloc
 	if err := ctx.Err(); err != nil {
 		return c, err
 	}
-	sp := obs.StartTimer(m.spRules)
-	rs := rules.Compile(p, alloc)
-	if err := rules.Verify(p, alloc, rs); err != nil {
-		sp.End()
-		return c, fmt.Errorf("controller: rule verification: %w", err)
+	err = c.Compile()
+	m.spRules.Observe(c.Stages.Compile.Seconds())
+	if err != nil {
+		return c, fmt.Errorf("controller: %w", err)
 	}
-	sp.End()
 
 	// Publish (snapshot.go): copy-on-publish under the monotonic-time guard
 	// — a slower cycle that started earlier but computed an OLDER simulated
 	// time must not overwrite newer published state (or its gauges).
-	published := s.publish(c, rs)
+	published := s.publish(c)
 	// The cycle histogram covers publish too: changelog append and JSON
 	// encoding are part of what a cycle costs.
 	cycle.End()
@@ -324,11 +315,11 @@ func (s *Server) cycleLocked(ctx context.Context, tSec float64) (*sim.Cycle, err
 
 	m.degraded.Set(0)
 	m.consecFails.Set(0)
-	m.satisfied.Set(p.SatisfiedDemand(alloc))
-	m.throughput.Set(alloc.Throughput())
-	m.mlu.Set(p.MLU(alloc))
-	m.flows.Set(float64(len(p.Flows)))
-	m.rulesCount.Set(float64(rs.NumRules()))
+	m.satisfied.Set(c.Problem.SatisfiedDemand(c.Alloc))
+	m.throughput.Set(c.Alloc.Throughput())
+	m.mlu.Set(c.Problem.MLU(c.Alloc))
+	m.flows.Set(float64(len(c.Problem.Flows)))
+	m.rulesCount.Set(float64(c.Rules.NumRules()))
 	if s.registry != nil {
 		m.cycleAlloc.Set(float64(s.heapAllocBytes() - allocBefore))
 	}
@@ -337,7 +328,7 @@ func (s *Server) cycleLocked(ctx context.Context, tSec float64) (*sim.Cycle, err
 
 // markDegraded records a failed cycle: it bumps the consecutive-failure
 // streak, and when the failed cycle got far enough to produce a topology it
-// re-scores the last good allocation against that topology so /status and
+// re-scores the live snapshot's cycle against that topology so /status and
 // the satisfied-ratio gauge report what the stale rules can actually deliver
 // (sim.Cycle.Satisfied, DESIGN.md §10). The updated degraded info is
 // re-published as a new snapshot version so conditional pollers observe the
@@ -349,22 +340,18 @@ func (s *Server) markDegraded(cause error, cur *sim.Cycle) {
 	}
 	s.deg.Failures++
 	s.deg.LastError = cause.Error()
-	sat := math.NaN()
-	if cur != nil && s.live != nil {
-		sat = s.live.Satisfied(cur.Problem, cur.Problem.LinkSet())
-		s.deg.Satisfied = sat
-		s.deg.SatisfiedOK = true
-	}
-	s.publishDegraded(s.deg)
-
 	m.degraded.Set(1)
 	m.consecFails.Set(float64(s.deg.Failures))
-	if s.live != nil {
-		m.fallbackTotal.Inc()
+	live := s.snap.Load()
+	if live == nil {
+		return
 	}
-	if !math.IsNaN(sat) {
-		m.satisfied.Set(sat)
+	if cur != nil {
+		s.deg.Satisfied, s.deg.SatisfiedOK = live.Satisfied(cur.Problem, cur.Problem.LinkSet()), true
+		m.satisfied.Set(s.deg.Satisfied)
 	}
+	m.fallbackTotal.Inc()
+	s.publishDegraded(live)
 }
 
 // Handler returns the HTTP routes: /healthz and the versioned surface under
@@ -651,7 +638,7 @@ func (s *Server) handleRecompute(w http.ResponseWriter, r *http.Request) {
 func (s *Server) retryAfter() string {
 	secs := int64(1)
 	if sn := s.Current(); sn != nil {
-		if d := int64(sn.SolveLatency/time.Second) + 1; d > secs {
+		if d := int64(sn.Stages.Solve/time.Second) + 1; d > secs {
 			secs = d
 		}
 	}

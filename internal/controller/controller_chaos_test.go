@@ -1,9 +1,11 @@
 package controller
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +17,7 @@ import (
 	"sate/internal/baselines"
 	"sate/internal/constellation"
 	"sate/internal/obs"
+	"sate/internal/rules"
 	"sate/internal/sim"
 	"sate/internal/solve"
 	"sate/internal/te"
@@ -56,17 +59,20 @@ func (f *scriptedSolver) Solve(p *te.Problem, opts ...solve.Option) (*te.Allocat
 	return f.inner.Solve(p, opts...)
 }
 
-func chaosServer(t *testing.T, solver sim.Allocator) (*Server, *httptest.Server, *obs.Registry) {
-	t.Helper()
-	scen := sim.NewScenario(constellation.Toy(5, 6), sim.ScenarioConfig{
+func chaosScenario() *sim.Scenario {
+	return sim.NewScenario(constellation.Toy(5, 6), sim.ScenarioConfig{
 		Mode:              topology.CrossShellLasers,
 		Intensity:         6,
 		Seed:              7,
 		MinElevDeg:        5,
 		FlowDurationScale: 0.05,
 	})
+}
+
+func chaosServer(t *testing.T, solver sim.Allocator) (*Server, *httptest.Server, *obs.Registry) {
+	t.Helper()
 	reg := obs.NewRegistry()
-	srv := New(scen, solver, WithRegistry(reg))
+	srv := New(chaosScenario(), solver, WithRegistry(reg))
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts, reg
@@ -161,6 +167,95 @@ func TestDegradedCycleServesStaleAllocation(t *testing.T) {
 	}
 	if got := reg.Gauge("sate_controld_consecutive_failures").Value(); got != 0 {
 		t.Fatalf("consecutive_failures after recovery = %v, want 0", got)
+	}
+}
+
+// poisonSolver is ECMP-WF whose allocations after the first carry a NaN rate
+// on the first allocated path: the rules compile, and rules.Verify rejects
+// them. Calls are serialized by the controller's compute mutex.
+type poisonSolver struct{ calls int }
+
+func (*poisonSolver) Name() string { return "poisoned" }
+
+func (s *poisonSolver) Solve(p *te.Problem, opts ...solve.Option) (*te.Allocation, error) {
+	a, err := (baselines.ECMPWF{}).Solve(p, opts...)
+	if s.calls++; err != nil || s.calls == 1 {
+		return a, err
+	}
+	poison(a)
+	return a, nil
+}
+
+func poison(a *te.Allocation) {
+	for _, x := range a.X {
+		for pi := range x {
+			if x[pi] > 0 {
+				x[pi] = math.NaN()
+				return
+			}
+		}
+	}
+}
+
+// TestRuleVerificationFailureKeepsPreviousCycle drives the one cycle failure
+// that happens after a successful solve: rules that fail verification. The
+// cycle's error is the verification error, wrapped; it counts as a failed
+// cycle and flips the controller to degraded; and the previous cycle's rules
+// keep being served — same snapshot cycle, rules version, changelog head and
+// /v1/rules body.
+func TestRuleVerificationFailureKeepsPreviousCycle(t *testing.T) {
+	srv, ts, reg := chaosServer(t, &poisonSolver{})
+	if err := srv.RecomputeContext(context.Background(), 100); err != nil {
+		t.Fatal(err)
+	}
+	good := srv.Current()
+	if good.Rules == nil || srv.Changelog().Full() != good.Rules {
+		t.Fatal("the published rules are not the cycle's own rule set")
+	}
+	goodRules := getBody(t, ts.URL+"/v1/rules")
+
+	// The verification error a twin scenario produces for the same instants.
+	twin := chaosScenario()
+	if _, _, _, err := twin.ProblemAt(100); err != nil {
+		t.Fatal(err)
+	}
+	p, _, _, err := twin.ProblemAt(105)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := (baselines.ECMPWF{}).Solve(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	poison(a)
+	verr := rules.Verify(p, a, rules.Compile(p, a))
+	if verr == nil {
+		t.Fatal("a NaN rate passed verification")
+	}
+
+	err = srv.RecomputeContext(context.Background(), 105)
+	if want := "controller: rule verification: " + verr.Error(); err == nil || err.Error() != want {
+		t.Fatalf("RecomputeContext = %v, want %q", err, want)
+	}
+	if got := reg.Counter("sate_controld_errors_total").Value(); got != 1 {
+		t.Fatalf("errors_total = %d, want 1", got)
+	}
+	if got := reg.SpanHistogram(obs.PhaseRuleCompile).Count(); got != 2 {
+		t.Fatalf("rule_compile histogram count = %d, want 2 (the failed compile is timed too)", got)
+	}
+	st, code := getStatus(t, ts.URL)
+	if code != http.StatusOK || !st.Degraded || st.ConsecutiveFailures != 1 || st.LastError != err.Error() {
+		t.Fatalf("status %d: %+v", code, st)
+	}
+	sn := srv.Current()
+	if sn.Cycle != good.Cycle || sn.Rules != good.Rules || sn.RulesVersion != good.RulesVersion {
+		t.Fatalf("degraded snapshot serves rules version %d of another cycle, want the previous cycle's %d", sn.RulesVersion, good.RulesVersion)
+	}
+	if got := srv.Changelog().Latest(); got != good.RulesVersion {
+		t.Fatalf("changelog latest = %d, want %d", got, good.RulesVersion)
+	}
+	if got := getBody(t, ts.URL+"/v1/rules"); !bytes.Equal(got, goodRules) {
+		t.Fatal("/v1/rules changed after a failed verification")
 	}
 }
 

@@ -6,17 +6,15 @@ import (
 	"time"
 
 	"sate/internal/ruledist"
-	"sate/internal/rules"
 	"sate/internal/sim"
-	"sate/internal/te"
 )
 
 // Snapshot is one immutable published controller state. Every publish —
 // a successful TE cycle or a degraded re-publish after a failed one —
 // builds a complete new Snapshot (JSON bodies pre-encoded, ETag included)
 // and swaps it in with one atomic pointer store. Readers load the pointer
-// and serve the cached bytes: zero locks, zero allocations, no sharing of
-// mutable state with the compute path (DESIGN.md §14).
+// and serve the cached bytes: zero locks, zero allocations, and nothing a
+// reader touches is written after publish (DESIGN.md §14).
 type Snapshot struct {
 	// Version numbers every publish, including degraded re-publishes; it is
 	// the ETag (`"v<Version>"`) served on every read endpoint.
@@ -25,12 +23,11 @@ type Snapshot struct {
 	// successful cycles advance it; /v1/deltas catch-up is relative to it.
 	RulesVersion uint64
 
-	TimeSec      float64
-	Problem      *te.Problem
-	Alloc        *te.Allocation
-	Rules        *rules.RuleSet
-	SolveLatency time.Duration
-	ComputedAt   time.Time
+	// Cycle is the served TE cycle: problem, allocation, verified rules and
+	// stage times. After publish only the compute path touches it, through
+	// its computeMu-guarded score view (sim.Cycle.Satisfied).
+	*sim.Cycle
+	ComputedAt time.Time
 
 	deg degradedInfo
 
@@ -80,7 +77,7 @@ func (sn *Snapshot) statusResponse(method string) StatusResponse {
 		ThroughputMbps:  sn.Alloc.Throughput(),
 		SatisfiedFrac:   sn.Problem.SatisfiedDemand(sn.Alloc),
 		MLU:             sn.Problem.MLU(sn.Alloc),
-		SolveLatencyMs:  float64(sn.SolveLatency.Nanoseconds()) / 1e6,
+		SolveLatencyMs:  float64(sn.Stages.Solve.Nanoseconds()) / 1e6,
 		NumRules:        sn.Rules.NumRules(),
 		ComputedAtUnix:  sn.ComputedAt.Unix(),
 	}
@@ -154,29 +151,20 @@ type RulesResponse struct {
 // snapshot is dropped (counted on sate_controld_nonmonotonic_drops_total)
 // rather than rolling the served allocation backwards. Called with
 // computeMu held — the single writer of both the changelog and the pointer.
-func (s *Server) publish(c *sim.Cycle, rs *rules.RuleSet) bool {
+// c must be compiled (sim.Cycle.Compile).
+func (s *Server) publish(c *sim.Cycle) bool {
 	cur := s.snap.Load()
 	if cur != nil && c.TimeSec < cur.TimeSec {
 		return false
 	}
-	version := s.log.Append(rs)
-	next := &Snapshot{
-		Version:      1,
-		RulesVersion: version,
-		TimeSec:      c.TimeSec,
-		Problem:      c.Problem,
-		Alloc:        c.Alloc,
-		Rules:        rs,
-		SolveLatency: c.SolveLatency,
-		ComputedAt:   time.Now(),
-	}
+	version := s.log.Append(c.Rules)
+	next := &Snapshot{Version: 1, RulesVersion: version, Cycle: c, ComputedAt: time.Now()}
 	if cur != nil {
 		next.Version = cur.Version + 1
 	}
 	cu := s.log.Since(version - 1)
 	next.encode(s.solver.Name(), &cu.Deltas[0])
 	s.snap.Store(next)
-	s.live = c
 
 	m := &s.metrics
 	m.publishes.Inc()
@@ -185,34 +173,16 @@ func (s *Server) publish(c *sim.Cycle, rs *rules.RuleSet) bool {
 	return true
 }
 
-// publishDegraded re-publishes the last good snapshot with updated degraded
-// info and a bumped version: pollers see the state change through the ETag
-// without the allocation/rules bodies being re-encoded (they are shared
-// with the previous snapshot). No-op before the first good cycle. Called
-// with computeMu held.
-func (s *Server) publishDegraded(deg degradedInfo) {
-	cur := s.snap.Load()
-	if cur == nil {
-		return
-	}
-	next := &Snapshot{
-		Version:      cur.Version + 1,
-		RulesVersion: cur.RulesVersion,
-		TimeSec:      cur.TimeSec,
-		Problem:      cur.Problem,
-		Alloc:        cur.Alloc,
-		Rules:        cur.Rules,
-		SolveLatency: cur.SolveLatency,
-		ComputedAt:   cur.ComputedAt,
-		deg:          deg,
-		allocJSON:    cur.allocJSON,
-		rulesJSON:    cur.rulesJSON,
-		deltaJSON:    cur.deltaJSON,
-	}
+// publishDegraded re-publishes the live snapshot with the current degraded
+// info and a bumped version: pollers see the state change through the ETag,
+// and the allocation and rules bodies are shared with live, not re-encoded.
+// Called with computeMu held.
+func (s *Server) publishDegraded(live *Snapshot) {
+	next := *live
+	next.Version++
+	next.deg = s.deg
 	next.encodeStatus(s.solver.Name())
-	s.snap.Store(next)
-
-	m := &s.metrics
-	m.publishes.Inc()
-	m.snapVersion.Set(float64(next.Version))
+	s.snap.Store(&next)
+	s.metrics.publishes.Inc()
+	s.metrics.snapVersion.Set(float64(next.Version))
 }

@@ -256,7 +256,7 @@ func AblationMWUEpsilon(opt Options) (*Report, error) {
 		if optT > 0 {
 			ratio = c.Alloc.Throughput() / optT
 		}
-		r.AddRow(fmt.Sprintf("%.2f", eps), pct(ratio), ms(c.SolveLatency))
+		r.AddRow(fmt.Sprintf("%.2f", eps), pct(ratio), ms(c.Stages.Solve))
 	}
 	return r, nil
 }

@@ -196,7 +196,10 @@ func trainSaTE(s *sim.Scenario, nSamples, epochs int, seed int64) (*core.Model, 
 // the training set of the baselines trained outside the recipe.
 func problemsAt(s *sim.Scenario, times []float64) ([]*te.Problem, error) {
 	var out []*te.Problem
-	err := s.SolveEach(nil, times, func(c *sim.Cycle) { out = append(out, c.Problem) })
+	err := s.SolveEach(nil, times, func(c *sim.Cycle) error {
+		out = append(out, c.Problem)
+		return nil
+	})
 	return out, err
 }
 
@@ -244,7 +247,7 @@ func percentile(data []float64, p float64) float64 {
 func solveLatency(al sim.Allocator, p *te.Problem) (time.Duration, error) {
 	c := sim.Cycle{Problem: p}
 	err := c.Solve(al)
-	return c.SolveLatency, err
+	return c.Stages.Solve, err
 }
 
 // CSV renders the report as RFC-4180 CSV (header row + data rows), for

@@ -198,12 +198,13 @@ func Fig16FlowLevel(opt Options) (*Report, error) {
 	type pairKey struct{ s, d topology.NodeID }
 	ratiosByPair := make(map[pairKey][]float64)
 	var all []float64
-	err = evalScen.SolveEach(model, sim.Instants(ciEvalStart, 17, 5), func(c *sim.Cycle) {
+	err = evalScen.SolveEach(model, sim.Instants(ciEvalStart, 17, 5), func(c *sim.Cycle) error {
 		for fi, ratio := range c.Problem.FlowStats(c.Alloc) {
 			all = append(all, ratio)
 			k := pairKey{c.Problem.Flows[fi].Src, c.Problem.Flows[fi].Dst}
 			ratiosByPair[k] = append(ratiosByPair[k], ratio)
 		}
+		return nil
 	})
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -11,7 +12,6 @@ import (
 	"sate/internal/par"
 	"sate/internal/paths"
 	"sate/internal/ruledist"
-	"sate/internal/rules"
 	"sate/internal/topology"
 )
 
@@ -202,17 +202,17 @@ func Fig13RuleDistribution(opt Options) (*Report, error) {
 }
 
 // ruleOverhead is Appendix D's control-message overhead for the CI-scale
-// iridium-66 problem (lasers, at ciTrainStart) under ECMP-WF's allocation:
-// 64-byte rules distributed once per 1 s TE interval, as a fraction of the
-// interval's total ISL capacity.
+// iridium-66 cycle (lasers, at ciTrainStart) under ECMP-WF: its compiled
+// rules, 64 bytes each, distributed once per 1 s TE interval, as a fraction
+// of the interval's total ISL capacity.
 func ruleOverhead(seed int64) (float64, error) {
-	p, _, _, err := newScenario(ciScales()[1], topology.CrossShellLasers, 0, seed).ProblemAt(ciTrainStart)
+	s := newScenario(ciScales()[1], topology.CrossShellLasers, 0, seed)
+	c, err := s.RunCycle(context.Background(), baselines.ECMPWF{}, ciTrainStart)
 	if err != nil {
 		return 0, err
 	}
-	a, err := (baselines.ECMPWF{}).Solve(p)
-	if err != nil {
+	if err := c.Compile(); err != nil {
 		return 0, err
 	}
-	return ruledist.RuleOverheadFraction(p, rules.Compile(p, a), 64, 1), nil
+	return ruledist.RuleOverheadFraction(c.Problem, c.Rules, 64, 1), nil
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"sate/internal/autodiff"
@@ -129,15 +130,11 @@ func Fig8bLatencyCDF(opt Options) (*Report, error) {
 		sate := core.NewModel(core.DefaultConfig())
 		var lats []float64
 		for i := 0; i < reps; i++ {
-			p, _, _, err := s.ProblemAt(ciTrainStart + float64(i)*13)
+			c, err := s.RunCycle(context.Background(), sate, ciTrainStart+float64(i)*13)
 			if err != nil {
 				return nil, err
 			}
-			d, err := solveLatency(sate, p)
-			if err != nil {
-				return nil, err
-			}
-			lats = append(lats, d.Seconds()*1000)
+			lats = append(lats, c.Stages.Solve.Seconds()*1000)
 		}
 		mean := 0.0
 		for _, l := range lats {

@@ -9,6 +9,7 @@ import (
 	"sate/internal/baselines"
 	"sate/internal/core"
 	"sate/internal/obs"
+	"sate/internal/rules"
 	"sate/internal/solve"
 	"sate/internal/te"
 	"sate/internal/topology"
@@ -22,14 +23,15 @@ type Allocator = solve.Solver
 // what it computed from it. The controller, the online and offline
 // evaluators, the packet replay and the training recipe all work
 // on this one value; a Cycle with a nil Alloc has been observed but not
-// solved (Solve fills it in).
+// solved (Solve fills it in), one with nil Rules has not been compiled
+// (Compile fills them in).
 type Cycle struct {
 	TimeSec float64
 	Snap    *topology.Snapshot
 	Problem *te.Problem
 	Alloc   *te.Allocation
-	// SolveLatency is the measured wall time of the Solve call.
-	SolveLatency time.Duration
+	Rules   *rules.RuleSet
+	Stages  Stages
 
 	// perPair[src<<32|dst] = the pair's paths with their allocated rates:
 	// the view a stale allocation is scored and diffed through. Built on
@@ -37,29 +39,53 @@ type Cycle struct {
 	perPair map[uint64][]ratedPath
 }
 
+// Stages is the wall time of each stage the cycle ran, measured by the
+// stage's own step (observe, Solve, Compile); a stage not run reads zero.
+type Stages struct {
+	Observe, Solve, Compile time.Duration
+}
+
 type ratedPath struct {
 	nodes []topology.NodeID
 	rate  float64
 }
 
-// RunCycle runs one TE cycle at simulated time tSec: the scenario step
-// (topology with any configured failure injection, traffic matrix, path
-// update, te.Build), then the timed solve. The context is checked between
-// the phases; a phase in flight runs to completion. When the step succeeded
-// the observed cycle is returned even on error, so the caller can score a
-// stale allocation against it. A registry among opts also receives the
-// step's path-precompute span.
+// wallNow reads the wall clock for Stages: stage latency is the quantity
+// measured there, never simulated time.
+func wallNow() time.Time {
+	//lint:ignore no-wallclock-in-sim stage wall time is the quantity being measured here, not simulated time
+	return time.Now()
+}
+
+// observe runs the scenario step at tSec (topology with any configured
+// failure injection, traffic matrix, path update, te.Build), recording its
+// time on reg's path-precompute span: the one builder of a Cycle from the
+// scenario.
+func (s *Scenario) observe(tSec float64, reg *obs.Registry) (*Cycle, error) {
+	start := wallNow()
+	p, snap, _, err := s.ProblemAt(tSec)
+	if err != nil {
+		return nil, err
+	}
+	c := &Cycle{TimeSec: tSec, Snap: snap, Problem: p, Stages: Stages{Observe: wallNow().Sub(start)}}
+	reg.SpanHistogram(obs.PhasePathPrecompute).Observe(c.Stages.Observe.Seconds())
+	return c, nil
+}
+
+// RunCycle runs one TE cycle at simulated time tSec: the scenario step,
+// then the solve. The context is checked between the phases; a phase in
+// flight runs to completion. When the step succeeded the observed cycle is
+// returned even on error, so the caller can score a stale allocation
+// against it. A registry among opts also receives the step's
+// path-precompute span.
 func (s *Scenario) RunCycle(ctx context.Context, al Allocator, tSec float64, opts ...solve.Option) (*Cycle, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	sp := solve.Build(opts...).Registry.StartSpan(obs.PhasePathPrecompute)
-	p, snap, _, err := s.ProblemAt(tSec)
-	sp.End()
+	c, err := s.observe(tSec, solve.Build(opts...).Registry)
 	if err != nil {
 		return nil, fmt.Errorf("building problem: %w", err)
 	}
-	c := &Cycle{TimeSec: tSec, Snap: snap, Problem: p}
 	if err := ctx.Err(); err != nil {
 		return c, err
 	}
@@ -69,41 +95,62 @@ func (s *Scenario) RunCycle(ctx context.Context, al Allocator, tSec float64, opt
 	return c, nil
 }
 
-// Solve computes the cycle's allocation and records how long the solver
-// took: the one place a solve is timed.
+// Solve computes the cycle's allocation, dropping any rules compiled from
+// an earlier one.
 func (c *Cycle) Solve(al Allocator, opts ...solve.Option) error {
-	//lint:ignore no-wallclock-in-sim solver wall-clock latency is the quantity being measured here, not simulated time
-	start := time.Now()
+	start := wallNow()
 	a, err := al.Solve(c.Problem, opts...)
-	//lint:ignore no-wallclock-in-sim solver wall-clock latency is the quantity being measured here, not simulated time
-	c.SolveLatency = time.Since(start)
-	c.Alloc, c.perPair = a, nil
+	c.Stages.Solve = wallNow().Sub(start)
+	c.Alloc, c.Rules, c.perPair = a, nil, nil
 	return err
+}
+
+// Compile compiles the cycle's allocation into per-satellite rules and sets
+// Rules if they pass rules.Verify. Once Rules is set a call does no work; an
+// unsolved cycle is an error.
+func (c *Cycle) Compile() error {
+	if c.Rules != nil {
+		return nil
+	}
+	if c.Alloc == nil {
+		return fmt.Errorf("sim: compiling the unsolved cycle at %gs", c.TimeSec)
+	}
+	start := wallNow()
+	rs := rules.Compile(c.Problem, c.Alloc)
+	err := rules.Verify(c.Problem, c.Alloc, rs)
+	c.Stages.Compile = wallNow().Sub(start)
+	if err != nil {
+		return fmt.Errorf("rule verification: %w", err)
+	}
+	c.Rules = rs
+	return nil
 }
 
 // SolveEach steps the scenario through the instants and hands visit a cycle
 // for each one that has traffic, solved by al (unsolved when al is nil);
 // instants without traffic are skipped, and one before the traffic clock is
-// an error. It is the loop under the offline evaluator and the training recipe.
-func (s *Scenario) SolveEach(al Allocator, times []float64, visit func(*Cycle)) error {
+// an error. An error from visit stops the walk and is returned. It is the
+// loop under the offline evaluator and the training recipe.
+func (s *Scenario) SolveEach(al Allocator, times []float64, visit func(*Cycle) error) error {
 	for _, t := range times {
 		if err := s.notBefore(t); err != nil {
 			return err
 		}
-		p, snap, _, err := s.ProblemAt(t)
+		c, err := s.observe(t, nil)
 		if err != nil {
 			return err
 		}
-		if len(p.Flows) == 0 {
+		if len(c.Problem.Flows) == 0 {
 			continue
 		}
-		c := &Cycle{TimeSec: t, Snap: snap, Problem: p}
 		if al != nil {
 			if err := c.Solve(al); err != nil {
 				return err
 			}
 		}
-		visit(c)
+		if err := visit(c); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -134,8 +181,9 @@ func (s *Scenario) Fit(m *core.Model, r Recipe) (*core.TrainResult, error) {
 		label = baselines.LPAuto{}
 	}
 	var samples []*core.Sample
-	err := s.SolveEach(label, r.Instants, func(c *Cycle) {
+	err := s.SolveEach(label, r.Instants, func(c *Cycle) error {
 		samples = append(samples, core.NewSample(c.Problem, c.Alloc))
+		return nil
 	})
 	if err != nil {
 		return nil, err

@@ -3,8 +3,11 @@ package sim
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"sate/internal/baselines"
@@ -12,6 +15,7 @@ import (
 	"sate/internal/obs"
 	"sate/internal/pktsim"
 	"sate/internal/ruledist"
+	"sate/internal/rules"
 	"sate/internal/solve"
 	"sate/internal/te"
 )
@@ -100,8 +104,8 @@ func TestRunCycleMatchesHandSpelledCycle(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameAllocation(t, c.Alloc, ref)
-			if c.SolveLatency <= 0 {
-				t.Fatal("solve latency not measured")
+			if c.Stages.Observe <= 0 || c.Stages.Solve <= 0 || c.Stages.Compile != 0 {
+				t.Fatalf("stage times %+v: observe and solve must be measured, compile not run", c.Stages)
 			}
 		}
 		// Switching injection off restores the intact topology.
@@ -117,6 +121,91 @@ func TestRunCycleMatchesHandSpelledCycle(t *testing.T) {
 		if c.Problem.TopoFingerprint() != want.TopoFingerprint() {
 			t.Fatalf("fail=%v: topology still degraded after injection was switched off", failFrac)
 		}
+	}
+}
+
+// nanAllocator is ECMP-WF with the first allocated path's rate replaced by
+// NaN: the rules compile, and rules.Verify rejects them.
+type nanAllocator struct{}
+
+func (nanAllocator) Name() string { return "ecmp-wf-nan" }
+
+func (nanAllocator) Solve(p *te.Problem, opts ...solve.Option) (*te.Allocation, error) {
+	a, err := (baselines.ECMPWF{}).Solve(p, opts...)
+	if err != nil {
+		return nil, err
+	}
+	for _, x := range a.X {
+		for pi := range x {
+			if x[pi] > 0 {
+				x[pi] = math.NaN()
+				return a, nil
+			}
+		}
+	}
+	return a, nil
+}
+
+// TestCycleCompile: Compile sets Rules to rules.Compile of the cycle's own
+// problem and allocation, timed once; a second call keeps the same rule set
+// and does no work; an unsolved cycle is an error; a re-solve drops the
+// rules, and rules that fail verification are not kept.
+func TestCycleCompile(t *testing.T) {
+	s := toyScenario(60, 29)
+	c, err := s.RunCycle(context.Background(), baselines.ECMPWF{}, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unsolved := &Cycle{TimeSec: c.TimeSec, Snap: c.Snap, Problem: c.Problem}
+	if err := unsolved.Compile(); err == nil || unsolved.Rules != nil {
+		t.Fatalf("compiling an unsolved cycle: err %v, rules %v", err, unsolved.Rules)
+	}
+	if err := c.Compile(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(c.Rules, rules.Compile(c.Problem, c.Alloc)) {
+		t.Fatal("the cycle's rules differ from rules.Compile of its problem and allocation")
+	}
+	if c.Stages.Compile <= 0 {
+		t.Fatal("compile stage not timed")
+	}
+	rs, stages := c.Rules, c.Stages
+	if err := c.Compile(); err != nil || c.Rules != rs || c.Stages != stages {
+		t.Fatalf("second Compile: err %v, same rules %v, stages %+v then %+v", err, c.Rules == rs, stages, c.Stages)
+	}
+
+	if err := c.Solve(nanAllocator{}); err != nil {
+		t.Fatal(err)
+	}
+	if c.Rules != nil {
+		t.Fatal("re-solving kept the previous allocation's rules")
+	}
+	if err := c.Compile(); err == nil || !strings.HasPrefix(err.Error(), "rule verification: rules: ") || c.Rules != nil {
+		t.Fatalf("compiling a NaN allocation: err %v, rules kept %v", err, c.Rules != nil)
+	}
+}
+
+// TestSolveEachStopsAtAVisitError: an error from visit ends the walk, no
+// later instant is visited (nor stepped to), and SolveEach returns it.
+func TestSolveEachStopsAtAVisitError(t *testing.T) {
+	s := toyScenario(60, 29)
+	stop := errors.New("stop")
+	var visited []float64
+	err := s.SolveEach(baselines.ECMPWF{}, Instants(10, 5, 4), func(c *Cycle) error {
+		visited = append(visited, c.TimeSec)
+		if len(visited) == 2 {
+			return stop
+		}
+		return nil
+	})
+	if err != stop {
+		t.Fatalf("SolveEach returned %v, want the visit's error", err)
+	}
+	if len(visited) != 2 || visited[1] != 15 {
+		t.Fatalf("visited %v, want [10 15]", visited)
+	}
+	if now := s.Traffic.Now(); now > 15 {
+		t.Fatalf("traffic clock at %gs: the walk stepped past the failed visit", now)
 	}
 }
 

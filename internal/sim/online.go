@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"time"
@@ -9,8 +8,6 @@ import (
 	"sate/internal/obs"
 	"sate/internal/pktsim"
 	"sate/internal/solve"
-	"sate/internal/te"
-	"sate/internal/topology"
 )
 
 // OnlineConfig controls an online evaluation run.
@@ -77,16 +74,12 @@ func (s *Scenario) RunOnline(al Allocator, cfg OnlineConfig) (*OnlineResult, err
 	}
 	reg := cfg.Registry
 	var (
-		satGauge     = reg.Gauge("sate_online_satisfied_ratio")
-		recomputes   = reg.Counter("sate_online_recomputes_total")
-		churnTotal   = reg.Counter("sate_online_route_churn_total")
-		churnGauge   = reg.Gauge("sate_online_route_churn")
-		problemBuild = reg.SpanHistogram(obs.PhasePathPrecompute)
+		satGauge   = reg.Gauge("sate_online_satisfied_ratio")
+		recomputes = reg.Counter("sate_online_recomputes_total")
+		churnTotal = reg.Counter("sate_online_route_churn_total")
+		churnGauge = reg.Gauge("sate_online_route_churn")
+		sopts      = []solve.Option{solve.WithRegistry(reg)}
 	)
-	var sopts []solve.Option
-	if reg != nil {
-		sopts = []solve.Option{solve.WithRegistry(reg)}
-	}
 	res := &OnlineResult{Method: al.Name()}
 	var active *Cycle
 	nextCompute := cfg.StartSec
@@ -95,16 +88,15 @@ func (s *Scenario) RunOnline(al Allocator, cfg OnlineConfig) (*OnlineResult, err
 		// From the index, not t += StepSec: a fractional step drifts when
 		// accumulated, and a drifted t adds a step to the horizon.
 		t := cfg.StartSec + float64(i)*cfg.StepSec
-		var cur *te.Problem
-		var snap *topology.Snapshot
+		c, err := s.observe(t, reg)
+		if err != nil {
+			return nil, err
+		}
 		if t >= nextCompute {
-			// The signature carries no context: an evaluation run is not
-			// cancellable.
-			c, err := s.RunCycle(context.TODO(), al, t, sopts...)
-			if err != nil {
+			if err := c.Solve(al, sopts...); err != nil {
 				return nil, err
 			}
-			totalLatency += c.SolveLatency
+			totalLatency += c.Stages.Solve
 			res.Recomputations++
 			recomputes.Inc()
 			churn := routeChurn(active, c)
@@ -126,17 +118,8 @@ func (s *Scenario) RunOnline(al Allocator, cfg OnlineConfig) (*OnlineResult, err
 			}
 			active = c
 			nextCompute = t + max(cfg.IntervalSec, cfg.StepSec)
-			cur, snap = c.Problem, c.Snap
-		} else {
-			sp := obs.StartTimer(problemBuild)
-			var err error
-			cur, snap, _, err = s.ProblemAt(t)
-			sp.End()
-			if err != nil {
-				return nil, err
-			}
 		}
-		sat := active.Satisfied(cur, snap.LinkSet())
+		sat := active.Satisfied(c.Problem, c.Snap.LinkSet())
 		satGauge.Set(sat)
 		res.Satisfied = append(res.Satisfied, sat)
 	}
@@ -164,10 +147,11 @@ func stepCount(horizonSec int, stepSec float64) int {
 func (s *Scenario) RunOffline(al Allocator, startSec, strideSec float64, steps int) (*OnlineResult, error) {
 	res := &OnlineResult{Method: al.Name()}
 	var totalLatency time.Duration
-	err := s.SolveEach(al, Instants(startSec, strideSec, steps), func(c *Cycle) {
-		totalLatency += c.SolveLatency
+	err := s.SolveEach(al, Instants(startSec, strideSec, steps), func(c *Cycle) error {
+		totalLatency += c.Stages.Solve
 		res.Recomputations++
 		res.Satisfied = append(res.Satisfied, c.Problem.SatisfiedDemand(c.Alloc))
+		return nil
 	})
 	if err != nil {
 		return nil, err
