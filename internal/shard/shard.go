@@ -21,16 +21,16 @@
 // count).
 //
 // The solver is also the repo's incremental per-cycle pipeline: every
-// sub-problem — a regional band's or a boundary component's — keeps its
-// storage and a solve workspace (core.CycleState) across cycles, and the
-// sub-problem's topology fingerprint (te.Problem.TopoFingerprint over the
-// compacted links, the capacities in effect and the node count) says whether
-// its link index still applies. Unchanged sub-problems skip link-index
-// construction (te.Problem.RebindFlows instead of Finalize) and — for a SaTE
-// inner solver, which checks the same fingerprint itself — the R1 module; a
-// sub-problem whose flows are unchanged too (te.Problem.FlowFingerprint, also
-// checked by the inner model) skips the whole GNN forward and only decodes
-// and trims the retained output again. Under the paper's sparse churn (<2% of
+// sub-problem — a regional band's, or the boundary component with a given id
+// — keeps its storage and a solve workspace (core.CycleState) across cycles
+// until the partition is rebuilt, and the sub-problem's topology fingerprint
+// (te.Problem.TopoFingerprint over the compacted links, the capacities in
+// effect and the node count) says whether its link index still applies.
+// Unchanged sub-problems skip link-index construction (te.Problem.RebindFlows
+// instead of Finalize) and — for a SaTE inner solver, which checks the same
+// fingerprint itself — the R1 module; a sub-problem whose flows are unchanged
+// too (te.Problem.FlowFingerprint, also checked by the inner model) skips the
+// whole GNN forward and only decodes and trims the retained output again. Under the paper's sparse churn (<2% of
 // paths per second) most shards are unchanged most cycles, which is where the
 // latency win at mega-constellation scale comes from.
 package shard
@@ -65,7 +65,8 @@ type Stats struct {
 // Solver solves TE problems by regional decomposition with boundary
 // reconciliation. One Solver owns cross-cycle incremental state and must be
 // driven from a single replay loop (its Solve is not reentrant); the
-// per-shard sub-solves inside one call run concurrently on the par pool.
+// sub-solves inside one call run in sequence, each one's kernels on the par
+// pool.
 //
 // The zero value is not usable: Inner must be set. K is the shard count
 // (DefaultShards if 0); k = 1 delegates to Inner untouched
@@ -87,6 +88,10 @@ type Solver struct {
 	planK    int
 	bounds   []topology.NodeID
 	bands    []*sub
+	// Boundary components, indexed by component id (first-seen flow order,
+	// see solveBoundary), retained across cycles like the bands and dropped
+	// with them.
+	comps []*sub
 
 	// Inner-call options every sub-solve inherits, and what they were
 	// resolved from.
@@ -95,17 +100,8 @@ type Solver struct {
 	optReg *obs.Registry
 	optDt  solve.Dtype
 
-	// Boundary pass, retained across cycles. The boundary flows are split
-	// into node-disjoint components (union-find over candidate-path nodes);
-	// each is compacted into bnd in turn and solved through the pool
-	// workspace last used for its fingerprint, so components untouched by
-	// churn replay their R1 embeddings, or their whole forward when their
-	// flows held still too.
+	// Boundary component discovery scratch.
 	bflows   []int   // boundary flow order -> global flow index
-	bgroup   []int32 // boundary flow order -> component id
-	cflows   []int   // the current component's global flow indices
-	bnd      sub
-	pool     []*pooled
 	ufParent []int32 // union-find over global nodes, lazily reset via ufSeen
 	ufSeen   []int
 	ufStamp  int
@@ -141,17 +137,6 @@ type sub struct {
 	opts []solve.Option   // the Solver's opts plus WithWarm(warm)
 }
 
-// pooled is one boundary workspace, keyed by the topology fingerprint of the
-// component it last solved. An entry unused for more than two cycles is
-// re-keyed for the next unseen fingerprint — a churned component changes
-// fingerprint every cycle — so the pool stops growing at a few entries per
-// component, storage and R1 counters included.
-type pooled struct {
-	fp       uint64
-	lastUsed int
-	warm     core.CycleState
-}
-
 // capView is the capacity side a sub-problem is compacted against: the
 // problem's own capacities, or the residuals the other class left behind.
 type capView struct{ link, up, down []float64 }
@@ -173,12 +158,12 @@ func (s *Solver) Name() string {
 }
 
 // R1Stats sums the R1 cache statistics of every workspace the solver has
-// solved through — one per band plus the boundary pool, whose entries are
-// re-keyed but never dropped, so hits+misses is the number of sub-solves
-// performed since the partition plan was last rebuilt (a new node universe
-// or shard count starts the bands afresh). Meaningful when Inner is the SaTE
-// model (other solvers never touch the workspace); hits/(hits+misses) is
-// the fraction of sub-solves that replayed cached R1 embeddings.
+// solved through — one per band and one per boundary component id, all
+// dropped together when the partition plan is rebuilt (a new node universe
+// or shard count), so hits+misses is the number of sub-solves performed
+// since then. Meaningful when Inner is the SaTE model (other solvers never
+// touch the workspace); hits/(hits+misses) is the fraction of sub-solves
+// that replayed cached R1 embeddings.
 func (s *Solver) R1Stats() (hits, misses uint64) { return s.sumStats((*core.CycleState).R1Stats) }
 
 // ReplayStats sums the forward-replay statistics (core.CycleState.ReplayStats)
@@ -191,17 +176,14 @@ func (s *Solver) ReplayStats() (hits, misses uint64) {
 }
 
 // sumStats adds one per-workspace counter pair up over the bands and the
-// boundary pool.
+// boundary components.
 func (s *Solver) sumStats(stat func(*core.CycleState) (uint64, uint64)) (hits, misses uint64) {
-	for _, b := range s.bands {
-		h, m := stat(b.warm)
-		hits += h
-		misses += m
-	}
-	for _, e := range s.pool {
-		h, m := stat(&e.warm)
-		hits += h
-		misses += m
+	for _, subs := range [2][]*sub{s.bands, s.comps} {
+		for _, c := range subs {
+			h, m := stat(c.warm)
+			hits += h
+			misses += m
+		}
 	}
 	return hits, misses
 }
@@ -252,12 +234,12 @@ func (s *Solver) Solve(p *te.Problem, opts ...solve.Option) (*te.Allocation, err
 		sp.End()
 		if err == nil && internal > 0 {
 			sp = o.Registry.StartSpan(obs.PhaseShardSolve)
-			dirty, err = s.runShards(p, alloc, s.residuals(p, alloc))
+			dirty, err = s.solveSubs(p, alloc, s.bands, s.residuals(p, alloc), "shard")
 			sp.End()
 		}
 	} else {
 		sp = o.Registry.StartSpan(obs.PhaseShardSolve)
-		dirty, err = s.runShards(p, alloc, own)
+		dirty, err = s.solveSubs(p, alloc, s.bands, own, "shard")
 		sp.End()
 		if err == nil && boundary > 0 {
 			sp = o.Registry.StartSpan(obs.PhaseShardStitch)
@@ -298,6 +280,7 @@ func (s *Solver) plan(p *te.Problem, k int, o solve.Options) {
 		for i := range s.bands {
 			s.bands[i] = &sub{warm: &core.CycleState{}}
 		}
+		s.comps = nil
 		s.opts = nil
 	}
 	if s.opts == nil || s.optObj != o.Objective || s.optReg != o.Registry || s.optDt != o.Dtype {
@@ -310,8 +293,10 @@ func (s *Solver) plan(p *te.Problem, k int, o solve.Options) {
 			solve.WithRegistry(o.Registry),
 			solve.WithDtype(o.Dtype),
 		}
-		for _, b := range s.bands {
-			b.bind(s.opts)
+		for _, subs := range [2][]*sub{s.bands, s.comps} {
+			for _, c := range subs {
+				c.bind(s.opts)
+			}
 		}
 	}
 }
@@ -356,13 +341,14 @@ func (s *Solver) classify(p *te.Problem) (internal, boundary int, intDem, bndDem
 	return internal, boundary, intDem, bndDem
 }
 
-// compact rebuilds c as the sub-problem of the given flows under a capacity
-// view: only the nodes and links the flows' candidate paths traverse, remapped
+// compact rebuilds c as the sub-problem of its flows under a capacity view:
+// only the nodes and links the flows' candidate paths traverse, remapped
 // dense in first-seen (flow, path, hop) order — deterministic by
 // construction — into c's retained storage, which is pre-sized from a
 // counting pass so the fill never grows it. The rebuild is linear in the
 // flows' path data and cheap next to a sub-solve.
-func (s *Solver) compact(c *sub, p *te.Problem, flows []int, caps capView) {
+func (s *Solver) compact(c *sub, p *te.Problem, caps capView) {
+	flows := c.flows
 	nPaths, nHops := 0, 0
 	for _, fi := range flows {
 		for _, path := range p.Flows[fi].Paths {
@@ -370,7 +356,6 @@ func (s *Solver) compact(c *sub, p *te.Problem, flows []int, caps capView) {
 		}
 		nPaths += len(p.Flows[fi].Paths)
 	}
-	c.flows = flows
 	c.nodeArena = grow(c.nodeArena, nHops)
 	c.pathArena = grow(c.pathArena, nPaths)
 	c.prob.Flows = grow(c.prob.Flows, len(flows))
@@ -456,34 +441,33 @@ func (c *sub) scatter(alloc, sa *te.Allocation) {
 	}
 }
 
-// runShards performs the regional half of a cycle: it compacts each band's
-// internal flows against the capacity view (the problem's own capacities, or
-// the residuals a preceding boundary pass left behind), finalizes them, then
-// solves the bands in order and scatters each sub-allocation into the global
-// rows of its flows. The bands run one after another so that each
-// sub-solve's kernels get the par pool: a band fan-out would hold the pool
-// and run each band's kernels on one goroutine, which measured slower on
-// shard-regional-7936 (DESIGN.md §6). Returns the dirty-shard count.
-func (s *Solver) runShards(p *te.Problem, alloc *te.Allocation, caps capView) (dirty int, err error) {
-	for i, b := range s.bands {
-		s.compact(b, p, b.flows, caps)
-		d, err := b.finalize()
+// solveSubs solves one class of sub-problems — the bands, or the boundary
+// components — against a capacity view (the problem's own capacities, or
+// the residuals the other class left behind): each is compacted, finalized,
+// solved if it has flows, and its sub-allocation scattered into the global
+// rows of its flows. The sub-problems run one after another so that each
+// sub-solve's kernels get the par pool: a fan-out would hold the pool and
+// run each sub-solve's kernels on one goroutine, which measured slower on
+// shard-regional-7936 (DESIGN.md §6). Returns how many were dirty; what
+// names them in errors.
+func (s *Solver) solveSubs(p *te.Problem, alloc *te.Allocation, subs []*sub, caps capView, what string) (dirty int, err error) {
+	for i, c := range subs {
+		s.compact(c, p, caps)
+		d, err := c.finalize()
 		if err != nil {
-			return 0, fmt.Errorf("shard %d: %w", i, err)
+			return 0, fmt.Errorf("%s %d: %w", what, i, err)
 		}
 		if d {
 			dirty++
 		}
-	}
-	for i, b := range s.bands {
-		if len(b.flows) == 0 {
+		if len(c.flows) == 0 {
 			continue
 		}
-		sa, err := s.Inner.Solve(&b.prob, b.opts...)
+		sa, err := s.Inner.Solve(&c.prob, c.opts...)
 		if err != nil {
-			return dirty, fmt.Errorf("shard %d (%s): %w", i, s.Inner.Name(), err)
+			return 0, fmt.Errorf("%s %d (%s): %w", what, i, s.Inner.Name(), err)
 		}
-		b.scatter(alloc, sa)
+		c.scatter(alloc, sa)
 	}
 	return dirty, nil
 }
@@ -549,18 +533,19 @@ func (s *Solver) ufUnion(a, b topology.NodeID) {
 // the boundary class dominates and solves first. The flows are first split
 // into node-disjoint components (union-find over their candidate-path
 // nodes), so the per-component solves cannot compete for a link or access
-// node and the combined allocation stays feasible by construction. Each
-// component is then compacted, finalized and solved exactly like a band,
-// through the pool workspace keyed by its fingerprint: components whose
-// structure and capacities held still replay their R1 embeddings (and their
-// whole forward when their flows did too) and only churn-adjacent components
-// pay a recompute. Returns the component count.
+// node and the combined allocation stays feasible by construction. Component
+// ids are assigned in first-seen flow order, and component g is solved as
+// s.comps[g], a sub-problem retained across cycles exactly like a band:
+// a component whose structure and capacities held still replays its R1
+// embeddings (and its whole forward when its flows did too), and only
+// churn-adjacent components pay a recompute. Returns the component count.
 func (s *Solver) solveBoundary(p *te.Problem, alloc *te.Allocation, caps capView) (int, error) {
 	if len(s.bflows) == 0 {
 		return 0, nil
 	}
 	// Component discovery: union every candidate-path node of a flow with the
-	// flow's source, then label components in first-seen flow order.
+	// flow's source, then label components in first-seen flow order and hand
+	// each flow to its component.
 	s.ufParent = grow(s.ufParent, p.NumNodes)
 	s.ufSeen = grow(s.ufSeen, p.NumNodes)
 	s.ufStamp++
@@ -575,66 +560,25 @@ func (s *Solver) solveBoundary(p *te.Problem, alloc *te.Allocation, caps capView
 	s.gid = grow(s.gid, p.NumNodes)
 	s.gidSeen = grow(s.gidSeen, p.NumNodes)
 	s.gidStamp++
-	s.bgroup = s.bgroup[:0]
-	ncomp := int32(0)
+	ncomp := 0
 	for _, fi := range s.bflows {
 		r := s.ufFind(p.Flows[fi].Src)
 		if s.gidSeen[r] != s.gidStamp {
 			s.gidSeen[r] = s.gidStamp
-			s.gid[r] = ncomp
+			s.gid[r] = int32(ncomp)
+			if ncomp == len(s.comps) {
+				c := &sub{warm: &core.CycleState{}}
+				c.bind(s.opts)
+				s.comps = append(s.comps, c)
+			}
+			s.comps[ncomp].flows = s.comps[ncomp].flows[:0]
 			ncomp++
 		}
-		s.bgroup = append(s.bgroup, s.gid[r])
+		c := s.comps[s.gid[r]]
+		c.flows = append(c.flows, fi)
 	}
-
-	c := &s.bnd
-	for g := int32(0); g < ncomp; g++ {
-		s.cflows = s.cflows[:0]
-		for bi, fi := range s.bflows {
-			if s.bgroup[bi] == g {
-				s.cflows = append(s.cflows, fi)
-			}
-		}
-		s.compact(c, p, s.cflows, caps)
-		if _, err := c.finalize(); err != nil {
-			return 0, fmt.Errorf("shard boundary component %d: %w", g, err)
-		}
-		c.warm = s.poolGet(c.fp)
-		c.bind(s.opts)
-		sa, err := s.Inner.Solve(&c.prob, c.opts...)
-		if err != nil {
-			return 0, fmt.Errorf("shard boundary component %d (%s): %w", g, s.Inner.Name(), err)
-		}
-		c.scatter(alloc, sa)
-	}
-	return int(ncomp), nil
-}
-
-// poolGet returns the boundary workspace last used for a component
-// fingerprint, re-keying the first entry idle for more than two cycles — or
-// adding one — on first sight. Fingerprint equality means bit-identical
-// compacted structure and capacities, so sharing an entry, even across
-// symmetric components, replays exactly; the inner solver checks the same
-// fingerprint itself, so a re-keyed entry simply recomputes. The pool is
-// small (a few entries per component) and walked in slice order, which keeps
-// the choice deterministic.
-func (s *Solver) poolGet(fp uint64) *core.CycleState {
-	var e *pooled
-	for _, x := range s.pool {
-		if x.fp == fp {
-			e = x
-			break
-		}
-		if e == nil && s.Stats.Cycles-x.lastUsed > 2 {
-			e = x
-		}
-	}
-	if e == nil {
-		e = &pooled{}
-		s.pool = append(s.pool, e)
-	}
-	e.fp, e.lastUsed = fp, s.Stats.Cycles
-	return &e.warm
+	_, err := s.solveSubs(p, alloc, s.comps[:ncomp], caps, "shard boundary component")
+	return ncomp, err
 }
 
 // residualOf returns the capacity left after a load, clamped at zero;

@@ -411,16 +411,6 @@ func TestShardedWarmR1Reuse(t *testing.T) {
 	p := regionalProblem(t, 16, 12, 80)
 	m := core.NewModel(core.DefaultConfig())
 	s := shard.New(m, 4)
-	requireCold := func(what string, q *te.Problem, got *te.Allocation) {
-		t.Helper()
-		want, err := shard.New(m, 4).Solve(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !allocEqual(got, want) {
-			t.Fatalf("%s: warm solve is not bitwise a cold solver's", what)
-		}
-	}
 
 	a, err := s.Solve(p)
 	if err != nil {
@@ -447,24 +437,15 @@ func TestShardedWarmR1Reuse(t *testing.T) {
 	if !allocEqual(a, b) {
 		t.Fatal("warm replay is not bitwise identical")
 	}
-	requireCold("unchanged cycle", p, b)
+	requireCold(t, m, "unchanged cycle", p, b)
 
 	// Fail the first hop of every path of one internal flow: only its band's
 	// sub-problem moves.
 	bounds := topology.PartitionNodes(p.NumNodes, 4)
-	internal := func(f te.FlowDemand) int {
-		si := topology.ShardOfNode(bounds, f.Src)
-		for _, path := range f.Paths {
-			if !path.WithinRange(bounds[si], bounds[si+1]) {
-				return -1
-			}
-		}
-		return si
-	}
 	bands := map[int]bool{}
 	victim := -1
 	for fi, f := range p.Flows {
-		if si := internal(f); si >= 0 && len(f.Paths) > 0 {
+		if si := bandOf(bounds, f); si >= 0 && len(f.Paths) > 0 {
 			bands[si] = true
 			if victim < 0 {
 				victim = fi
@@ -502,7 +483,32 @@ func TestShardedWarmR1Reuse(t *testing.T) {
 		t.Fatalf("links failed in one band: %d dirty shards, %d forward replays, %d misses; want 1 dirty and >= %d replays",
 			s.Stats.DirtyShards, r1-r0, rm1-rm0, len(bands)-1)
 	}
-	requireCold("links failed in one band", q, c)
+	requireCold(t, m, "links failed in one band", q, c)
+}
+
+// requireCold fails the test unless got is bitwise the allocation a cold
+// four-shard solver around m computes for q.
+func requireCold(t *testing.T, m *core.Model, what string, q *te.Problem, got *te.Allocation) {
+	t.Helper()
+	want, err := shard.New(m, 4).Solve(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !allocEqual(got, want) {
+		t.Fatalf("%s: warm solve is not bitwise a cold solver's", what)
+	}
+}
+
+// bandOf returns the band a flow is internal to under a partition, or -1
+// for a boundary flow.
+func bandOf(bounds []topology.NodeID, f te.FlowDemand) int {
+	si := topology.ShardOfNode(bounds, f.Src)
+	for _, path := range f.Paths {
+		if !path.WithinRange(bounds[si], bounds[si+1]) {
+			return -1
+		}
+	}
+	return si
 }
 
 // countingInner counts the sub-solves a sharded solve hands its inner model.
@@ -540,5 +546,102 @@ func TestShardedR1StatsSurviveChurn(t *testing.T) {
 	// Three bands replay after their first solve; the component never does.
 	if hits != 3*4 || misses != 3+5 {
 		t.Fatalf("want 12 hits and 8 misses, got %d/%d", hits, misses)
+	}
+}
+
+// TestShardedR1StatsAfterPlanRebuild changes the shard count between two
+// solves: the rebuilt partition starts every workspace afresh, boundary
+// components included, so hits+misses counts only the sub-solves since.
+func TestShardedR1StatsAfterPlanRebuild(t *testing.T) {
+	p := handProblem()
+	inner := &countingInner{Model: core.NewModel(core.DefaultConfig())}
+	s := shard.New(inner, 4)
+	if _, err := s.Solve(p); err != nil {
+		t.Fatal(err)
+	}
+	if s.Stats.BoundaryComponents != 1 {
+		t.Fatalf("K=4: want one boundary component, got %+v", s.Stats)
+	}
+	inner.n.Store(0)
+	s.K = 2 // every flow is internal to one of two bands
+	if _, err := s.Solve(p); err != nil {
+		t.Fatal(err)
+	}
+	if s.Stats.Shards != 2 || s.Stats.BoundaryComponents != 0 {
+		t.Fatalf("K=2: want two shards and no boundary component, got %+v", s.Stats)
+	}
+	hits, misses := s.R1Stats()
+	if got, want := hits+misses, uint64(inner.n.Load()); got != want || want != 2 {
+		t.Fatalf("after the rebuild R1Stats accounts for %d sub-solves (%d hits, %d misses), inner solved %d, want 2", got, hits, misses, want)
+	}
+}
+
+// TestShardedComponentIdsShift prepends a cut-crossing flow that forms a
+// boundary component of its own, so every existing component's id — first
+// seen in flow order — moves up by one and each lands in the retained
+// sub-problem and workspace another component used last cycle. The
+// allocation must still be bitwise a cold solver's, and R1Stats must still
+// account for every sub-solve.
+func TestShardedComponentIdsShift(t *testing.T) {
+	p := regionalProblem(t, 16, 12, 80)
+	inner := &countingInner{Model: core.NewModel(core.DefaultConfig())}
+	s := shard.New(inner, 4)
+	for cycle := 0; cycle < 2; cycle++ {
+		if _, err := s.Solve(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ncomp := s.Stats.BoundaryComponents
+	if ncomp < 2 {
+		t.Fatalf("want at least two boundary components, got %+v", s.Stats)
+	}
+
+	// A cut link neither of whose endpoints any boundary path touches.
+	bounds := topology.PartitionNodes(p.NumNodes, 4)
+	touched := map[topology.NodeID]bool{}
+	for _, f := range p.Flows {
+		if bandOf(bounds, f) < 0 {
+			for _, path := range f.Paths {
+				for _, n := range path.Nodes {
+					touched[n] = true
+				}
+			}
+		}
+	}
+	cut := -1
+	for li, l := range p.Links {
+		if topology.ShardOfNode(bounds, l.A) != topology.ShardOfNode(bounds, l.B) && !touched[l.A] && !touched[l.B] {
+			cut = li
+			break
+		}
+	}
+	if cut < 0 {
+		t.Fatal("no cut link clear of the boundary flows")
+	}
+	l := p.Links[cut]
+	q := &te.Problem{NumNodes: p.NumNodes, Links: p.Links, LinkCap: p.LinkCap, UpCap: p.UpCap, DownCap: p.DownCap}
+	q.Flows = append(q.Flows, te.FlowDemand{
+		Src: l.A, Dst: l.B, DemandMbps: 20,
+		Paths: []paths.Path{{Nodes: []topology.NodeID{l.A, l.B}}},
+	})
+	for _, f := range p.Flows {
+		f.Paths = append(f.Paths[:0:0], f.Paths...) // Finalize filters in place
+		q.Flows = append(q.Flows, f)
+	}
+	if err := q.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+
+	a, err := s.Solve(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Stats.BoundaryComponents != ncomp+1 {
+		t.Fatalf("want the new flow as a component of its own: %d components, got %+v", ncomp+1, s.Stats)
+	}
+	requireCold(t, inner.Model, "component ids shifted", q, a)
+	hits, misses := s.R1Stats()
+	if got, want := hits+misses, uint64(inner.n.Load()); got != want {
+		t.Fatalf("R1Stats accounts for %d sub-solves (%d hits, %d misses), inner solved %d", got, hits, misses, want)
 	}
 }

@@ -56,7 +56,7 @@ func TestRunOnlinePacketReplay(t *testing.T) {
 // time on a fresh scenario and a fresh solver, and requires bit-identical
 // results. Go randomizes map iteration order on every range, so any place
 // where map order leaks into a float sum, an emitted order or a route choice
-// (traffic aggregation, path selection, the shard boundary pool, core's
+// (traffic aggregation, path selection, the shard boundary component ids, core's
 // workspace pool, the packet engine) surfaces as two different answers. The
 // config is TestRunOnlinePacketReplay's over a 20 s horizon: summing
 // traffic.BuildMatrix demands in map order instead of FlowID order fails this
