@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"sate/internal/sim"
-	"sate/internal/traffic"
 )
 
 // sate traffic generates the scenario's traffic and reports its matrices'
@@ -35,12 +34,12 @@ func trafficSetup(fs *flag.FlagSet) func(sim.Spec) error {
 		fmt.Printf("ground segment: %d users in %d clusters, %d gateways, %d relays\n",
 			seg.TotalUsers(), len(seg.UserClusters), len(seg.Gateways), len(seg.Relays))
 
-		// Users are mapped against the satellites' t = 0 positions.
-		scen.Loc.Update(scen.Cons.PositionsECEF(0, nil))
 		gen := scen.Traffic
 		for _, t := range []float64{*duration / 4, *duration / 2, *duration} {
+			// Users are mapped against the satellites' positions at t.
 			gen.AdvanceTo(t)
-			m := traffic.BuildMatrix(gen.ActiveFlows(), scen.Loc, scen.MinElevRad, scen.Cons.Size())
+			scen.Loc.Update(scen.Cons.PositionsECEF(t, nil))
+			m := gen.Matrix(scen.Loc, scen.MinElevRad, scen.Cons.Size())
 			classCount := map[int]int{}
 			for _, f := range gen.ActiveFlows() {
 				classCount[f.Class]++

@@ -52,7 +52,7 @@ func scenario(tb testing.TB, intensity float64, seed int64) *te.Problem {
 	loc.Update(snap.Pos[:snap.NumSats])
 	tg := traffic.NewGenerator(seg, traffic.DefaultConfig(intensity, seed))
 	tg.AdvanceTo(20)
-	m := traffic.BuildMatrix(tg.ActiveFlows(), loc, orbit.Deg(5), cons.Size())
+	m := tg.Matrix(loc, orbit.Deg(5), cons.Size())
 	if len(m.Entries) == 0 {
 		tb.Fatal("no demand generated")
 	}

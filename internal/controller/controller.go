@@ -68,6 +68,8 @@ type Server struct {
 	// heapAllocs is the runtime/metrics sample the per-cycle allocation
 	// gauge reads (reused every cycle; no stop-the-world).
 	heapAllocs [1]metrics.Sample
+	// pieces is publish's rule-piece table (wire.go), reused every cycle.
+	pieces pieces
 
 	// snap is the live published snapshot: single writer (under computeMu),
 	// lock-free readers. nil until the first successful cycle.
@@ -111,6 +113,7 @@ type srvObs struct {
 	rulesCount   *obs.Gauge
 	cycleAlloc   *obs.Gauge
 	spRules      *obs.Histogram
+	spPublish    *obs.Histogram
 
 	// Failure-mode metrics (DESIGN.md §10). degraded is 0/1; consecFails
 	// tracks the current failure streak; retriesTotal counts backoff
@@ -158,6 +161,7 @@ func newSrvObs(reg *obs.Registry) srvObs {
 		rulesCount:   reg.Gauge("sate_controld_rules"),
 		cycleAlloc:   reg.Gauge("sate_controld_cycle_alloc_bytes"),
 		spRules:      reg.SpanHistogram(obs.PhaseRuleCompile),
+		spPublish:    reg.SpanHistogram(obs.PhasePublish),
 
 		degraded:       reg.Gauge("sate_controld_degraded"),
 		consecFails:    reg.Gauge("sate_controld_consecutive_failures"),
@@ -302,7 +306,9 @@ func (s *Server) cycleLocked(ctx context.Context, tSec float64) (*sim.Cycle, err
 	// Publish (snapshot.go): copy-on-publish under the monotonic-time guard
 	// — a slower cycle that started earlier but computed an OLDER simulated
 	// time must not overwrite newer published state (or its gauges).
+	pub := obs.StartTimer(m.spPublish)
 	published := s.publish(c)
+	pub.End()
 	// The cycle histogram covers publish too: changelog append and JSON
 	// encoding are part of what a cycle costs.
 	cycle.End()
@@ -583,8 +589,8 @@ func (s *Server) handleDeltas(w http.ResponseWriter, r *http.Request) {
 	// already be a version ahead of the snapshot (publish appends, then
 	// swaps), so the cached object is used only when the catch-up is that
 	// one delta.
-	if sn := s.Current(); node < 0 && len(cu.Deltas) == 1 && cu.Deltas[0].Seq == sn.RulesVersion && sn.deltaJSON != nil {
-		s.writeBody(w, true, cachedDeltasHead(&cu), sn.deltaJSON, deltasTail)
+	if sn := s.Current(); node < 0 && len(cu.Deltas) == 1 && cu.Deltas[0].Seq == sn.RulesVersion && sn.cachedDeltas != nil {
+		s.writeBody(w, true, sn.cachedDeltas...)
 		return
 	}
 	body, ok := deltasBody(&cu, node)

@@ -98,6 +98,30 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestCycleSpans: every controller cycle records its scenario step, rule
+// compilation and publish once each, so with the solve spans they account
+// for sate_controld_cycle_seconds.
+func TestCycleSpans(t *testing.T) {
+	srv, _, reg := testServerWithRegistry(t)
+	const cycles = 3
+	for i := 0; i < cycles; i++ {
+		if err := srv.RecomputeContext(context.Background(), 100+5*float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := reg.Counter("sate_controld_cycles_total").Value(); got != cycles {
+		t.Fatalf("%v cycles counted, want %d", got, cycles)
+	}
+	for _, phase := range []string{obs.PhasePathPrecompute, obs.PhaseRuleCompile, obs.PhasePublish} {
+		if got := reg.SpanHistogram(phase).Count(); got != cycles {
+			t.Errorf("%s span recorded %d times in %d cycles", phase, got, cycles)
+		}
+	}
+	if pub, cycle := reg.SpanHistogram(obs.PhasePublish).Sum(), reg.Histogram("sate_controld_cycle_seconds", obs.DefLatencyBuckets).Sum(); pub <= 0 || pub >= cycle {
+		t.Errorf("publish spans sum to %vs of a %vs cycle total", pub, cycle)
+	}
+}
+
 func TestMetricsDeterministicOrdering(t *testing.T) {
 	srv, ts, _ := testServerWithRegistry(t)
 	if err := srv.RecomputeContext(context.Background(), 100); err != nil {

@@ -2,6 +2,7 @@ package controller
 
 import (
 	"encoding/json"
+	"slices"
 	"strconv"
 	"time"
 
@@ -34,12 +35,13 @@ type Snapshot struct {
 	statusJSON []byte
 	allocJSON  []byte
 	rulesJSON  []byte
-	// deltaJSON is the JSON object of the changelog delta RulesVersion-1 →
-	// RulesVersion, written from rulesJSON's bytes (encodeRules): the one
-	// delta of the catch-up every consumer that followed the last cycle asks
-	// for next. Nil when the rule set could not be encoded.
-	deltaJSON []byte
-	etag      string
+	// cachedDeltas is the GET /v1/deltas?since=RulesVersion-1 body, written
+	// at publish — the catch-up every consumer that followed the last cycle
+	// asks for next, whose one delta produced Rules — in the pieces it is
+	// written in: its upserts are spans of rulesJSON (writeRules). Nil when
+	// the rule set could not be encoded.
+	cachedDeltas [][]byte
+	etag         string
 }
 
 // Current returns the live published snapshot (nil before the first cycle).
@@ -114,21 +116,17 @@ func (sn *Snapshot) encodeStatus(method string) {
 }
 
 // encode pre-builds every cached body for a freshly computed snapshot; d is
-// the changelog delta that produced its rules.
-func (sn *Snapshot) encode(method string, d *ruledist.Delta) {
+// the changelog delta that produced its rules and pc the piece table to write
+// them with. The allocation body takes its rates' text from the rule payloads.
+func (sn *Snapshot) encode(method string, d *ruledist.Delta, pc *pieces) {
 	sn.encodeStatus(method)
-	out := make([]AllocationEntry, 0, len(sn.Problem.Flows))
-	for fi, f := range sn.Problem.Flows {
-		out = append(out, AllocationEntry{
-			Src:        int(f.Src),
-			Dst:        int(f.Dst),
-			DemandMbps: f.DemandMbps,
-			RateMbps:   sn.Alloc.FlowThroughput(fi),
-			PerPath:    append([]float64(nil), sn.Alloc.X[fi]...),
-		})
+	e := writeRules(sn.RulesVersion, sn.Rules, d, pc)
+	sn.allocJSON = allocationBody(sn.Problem, sn.Alloc, e)
+	var delta [][]byte
+	sn.rulesJSON, delta = e.bodies()
+	if delta != nil {
+		sn.cachedDeltas = slices.Concat([][]byte{deltasHead(sn.RulesVersion-1, sn.RulesVersion)}, delta, [][]byte{deltasTail})
 	}
-	sn.allocJSON = mustJSON(out)
-	sn.rulesJSON, sn.deltaJSON = encodeRules(sn.RulesVersion, sn.Rules, d)
 }
 
 // NodeRules is one satellite's flow table in the full /v1/rules payload.
@@ -163,7 +161,7 @@ func (s *Server) publish(c *sim.Cycle) bool {
 		next.Version = cur.Version + 1
 	}
 	cu := s.log.Since(version - 1)
-	next.encode(s.solver.Name(), &cu.Deltas[0])
+	next.encode(s.solver.Name(), &cu.Deltas[0], &s.pieces)
 	s.snap.Store(next)
 
 	m := &s.metrics

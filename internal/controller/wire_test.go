@@ -2,16 +2,22 @@ package controller
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"math"
+	"path/filepath"
 	"slices"
 	"sort"
 	"testing"
 
+	"sate/internal/constellation"
+	"sate/internal/core"
 	"sate/internal/par"
 	"sate/internal/ruledist"
 	"sate/internal/rules"
+	"sate/internal/sim"
+	"sate/internal/te"
 	"sate/internal/topology"
 )
 
@@ -84,6 +90,36 @@ func deltasResponse(cu *ruledist.CatchUp, node int) DeltasResponse {
 		resp.Deltas = cu.Deltas
 	}
 	return resp
+}
+
+// allocationResponse is the GET /v1/allocation payload the snapshot encoded
+// through reflection before wire.go wrote it: per_path_mbps is a copy of the
+// flow's rates, nil (null) for a flow without paths.
+func allocationResponse(p *te.Problem, a *te.Allocation) []AllocationEntry {
+	out := make([]AllocationEntry, 0, len(p.Flows))
+	for fi, f := range p.Flows {
+		out = append(out, AllocationEntry{
+			Src:        int(f.Src),
+			Dst:        int(f.Dst),
+			DemandMbps: f.DemandMbps,
+			RateMbps:   a.FlowThroughput(fi),
+			PerPath:    append([]float64(nil), a.X[fi]...),
+		})
+	}
+	return out
+}
+
+// checkAllocation compares allocationBody with encoding/json, written alone
+// and with rates taken from written rule payloads.
+func checkAllocation(t *testing.T, p *te.Problem, a *te.Allocation, payloads *rulePayloads) {
+	t.Helper()
+	want := mustJSON(allocationResponse(p, a))
+	if got := allocationBody(p, a, nil); !bytes.Equal(got, want) {
+		t.Fatalf("/v1/allocation body:\n got %s\nwant %s", got, want)
+	}
+	if got := allocationBody(p, a, payloads); !bytes.Equal(got, want) {
+		t.Fatalf("/v1/allocation body, rates from rule payloads:\n got %s\nwant %s", got, want)
+	}
 }
 
 // fuzzInput hands out values from a fuzz input; past its end, zeros.
@@ -161,6 +197,60 @@ func (in *fuzzInput) ruleSet() *rules.RuleSet {
 	return rs
 }
 
+// compiledRuleSet draws a rule set shaped like rules.Compile output: up to
+// four paths, each one (src, dst, label, rate) with a rule at every one of
+// its one to five hops, on nodes 0-7. At one hop of the first path the rate
+// is one ulp off; the second path's rate is 0 at its first hop and -0 at the
+// others. So writeRules' pieces are hit (the same key and rate at the next
+// table), and missed (the same key with other rate bits).
+func (in *fuzzInput) compiledRuleSet() *rules.RuleSet {
+	rs := &rules.RuleSet{Tables: make(map[topology.NodeID]*rules.Table)}
+	for path, n := 0, int(in.byte()%5); path < n; path++ {
+		key := rules.FlowKey{Src: topology.NodeID(in.int()), Dst: topology.NodeID(in.int())}
+		label, rate := in.int(), in.rate()
+		hops, first := 1+int(in.byte()%5), int(in.byte()%8)
+		off := int(in.byte()) % hops
+		for h := 0; h < hops; h++ {
+			node := topology.NodeID((first + h) % 8)
+			r := rules.Rule{Flow: key, Label: label, Next: topology.NodeID((first + h + 1) % 8), RateMbps: rate}
+			switch {
+			case path == 0 && h == off:
+				r.RateMbps = math.Nextafter(rate, math.Inf(1))
+			case path == 1 && h == 0:
+				r.RateMbps = 0
+			case path == 1:
+				r.RateMbps = math.Copysign(0, -1)
+			}
+			tbl := rs.Tables[node]
+			if tbl == nil {
+				tbl = &rules.Table{Node: node}
+				rs.Tables[node] = tbl
+			}
+			tbl.Rules = append(tbl.Rules, r)
+		}
+	}
+	for _, tbl := range rs.Tables {
+		slices.SortStableFunc(tbl.Rules, rules.CompareKey)
+		tbl.Rules = slices.CompactFunc(tbl.Rules, func(a, b rules.Rule) bool { return rules.CompareKey(a, b) == 0 })
+	}
+	return rs
+}
+
+// allocation draws up to four flows of up to three paths each: a flow
+// without paths, a rate from raw bits, NaN and infinities included.
+func (in *fuzzInput) allocation() (*te.Problem, *te.Allocation) {
+	p, a := &te.Problem{}, &te.Allocation{}
+	for n := int(in.byte() % 5); n > 0; n-- {
+		p.Flows = append(p.Flows, te.FlowDemand{Src: topology.NodeID(in.int()), Dst: topology.NodeID(in.int()), DemandMbps: in.rate()})
+		var x []float64
+		for m := int(in.byte() % 4); m > 0; m-- {
+			x = append(x, in.rate())
+		}
+		a.X = append(a.X, x)
+	}
+	return p, a
+}
+
 // delta draws a delta in no particular order: nodes, upserts and removes as
 // a client might send them rather than as ruledist.Diff writes them.
 func (in *fuzzInput) delta() ruledist.Delta {
@@ -183,18 +273,19 @@ func (in *fuzzInput) delta() ruledist.Delta {
 	return d
 }
 
-// checkPublish compares what encodeRules writes for (version, rs, d) with
-// encoding/json: the /v1/rules body, the cached delta object, and the
+// checkPublish compares what writeRules writes for (version, rs, d) with pc
+// with encoding/json: the /v1/rules body, the cached delta object, and the
 // /v1/deltas body built around it.
-func checkPublish(t *testing.T, version uint64, rs *rules.RuleSet, d *ruledist.Delta) {
+func checkPublish(t *testing.T, version uint64, rs *rules.RuleSet, d *ruledist.Delta, pc *pieces) {
 	t.Helper()
-	rulesJSON, deltaJSON := encodeRules(version, rs, d)
+	rulesJSON, delta := writeRules(version, rs, d, pc).bodies()
 	if want := mustJSON(rulesResponse(version, rs)); !bytes.Equal(rulesJSON, want) {
 		t.Fatalf("/v1/rules body:\n got %s\nwant %s", rulesJSON, want)
 	}
+	deltaJSON := bytes.Join(delta, nil)
 	want, err := json.Marshal(d)
 	switch {
-	case deltaJSON == nil:
+	case delta == nil:
 		if err == nil && !bytes.Equal(rulesJSON, encodeFailed) {
 			t.Fatalf("no cached delta for an encodable publish: %s", want)
 		}
@@ -205,7 +296,7 @@ func checkPublish(t *testing.T, version uint64, rs *rules.RuleSet, d *ruledist.D
 		t.Fatalf("cached delta:\n got %s\nwant %s", deltaJSON, want)
 	}
 	cu := ruledist.CatchUp{Since: version - 1, Latest: version, Deltas: []ruledist.Delta{*d}}
-	if got, want := slices.Concat(cachedDeltasHead(&cu), deltaJSON, deltasTail), mustJSON(deltasResponse(&cu, -1)); !bytes.Equal(got, want) {
+	if got, want := slices.Concat(deltasHead(cu.Since, cu.Latest), deltaJSON, deltasTail), mustJSON(deltasResponse(&cu, -1)); !bytes.Equal(got, want) {
 		t.Fatalf("cached /v1/deltas body:\n got %s\nwant %s", got, want)
 	}
 }
@@ -230,8 +321,12 @@ func checkDeltas(t *testing.T, cu *ruledist.CatchUp, nodes []int) {
 // through encoding/json, and every rule payload must come out byte for byte
 // the same — the /v1/rules body and its ?node= tables, the delta object
 // publish caches, and /v1/deltas bodies of deltas and full syncs, whole and
-// per node. Rates come from raw float bits as well as the formatting edges;
-// a NaN or infinity must give encoding/json's refusal, the encode-failed body.
+// per node — and so must the /v1/allocation body. Besides rule sets drawn
+// rule by rule, each input publishes one shaped like rules.Compile output,
+// where a key recurs at every hop (compiledRuleSet). Rates come from raw
+// float bits as well as the formatting edges; a NaN or infinity must give
+// encoding/json's refusal, the encode-failed body. All publishes of one
+// input share a piece table, as a server's do.
 func FuzzRuleWire(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzInput(data)
@@ -249,9 +344,10 @@ func FuzzRuleWire(f *testing.F) {
 
 		diff := ruledist.Diff(old, cur)
 		diff.Seq = version
-		checkPublish(t, version, cur, &diff)
+		var pc pieces
+		checkPublish(t, version, cur, &diff, &pc)
 		random := in.delta()
-		checkPublish(t, version, cur, &random)
+		checkPublish(t, version, cur, &random, &pc)
 
 		var nodes []int
 		for id := range cur.Tables {
@@ -264,12 +360,47 @@ func FuzzRuleWire(f *testing.F) {
 		checkDeltas(t, &ruledist.CatchUp{Since: version - 1, Latest: version + 1, Deltas: []ruledist.Delta{diff, random}}, nodes)
 		checkDeltas(t, &ruledist.CatchUp{Since: version + 7, Latest: version, FullSync: true, Full: cur}, nodes)
 		checkDeltas(t, &ruledist.CatchUp{Since: version, Latest: version}, nodes)
+
+		compiled := in.compiledRuleSet()
+		cdiff := ruledist.Diff(cur, compiled)
+		cdiff.Seq = version + 1
+		checkPublish(t, version+1, compiled, &cdiff, &pc)
+		p, a := in.allocation()
+		checkAllocation(t, p, a, writeRules(version+1, compiled, &cdiff, &pc))
 	})
+}
+
+// TestAllocationBody: the /v1/allocation body of a served cycle is
+// encoding/json's, a flow without paths gets per_path_mbps null, and a NaN
+// rate gives the encode-failed body.
+func TestAllocationBody(t *testing.T) {
+	srv, _ := testServer(t)
+	mustRecompute(t, srv, 100)
+	sn := srv.Current()
+	cu := srv.Changelog().Since(sn.RulesVersion - 1)
+	checkAllocation(t, sn.Problem, sn.Alloc, writeRules(sn.RulesVersion, sn.Rules, &cu.Deltas[0], new(pieces)))
+	if want := mustJSON(allocationResponse(sn.Problem, sn.Alloc)); !bytes.Equal(sn.AllocationBody(), want) {
+		t.Fatalf("served /v1/allocation body:\n got %s\nwant %s", sn.AllocationBody(), want)
+	}
+
+	p := &te.Problem{Flows: []te.FlowDemand{{Src: 1, Dst: 2, DemandMbps: 8}, {Src: 3, Dst: 4, DemandMbps: 1e-7}}}
+	a := &te.Allocation{X: [][]float64{{2.5, 0}, nil}}
+	checkAllocation(t, p, a, nil)
+	want := `[{"src":1,"dst":2,"demand_mbps":8,"rate_mbps":2.5,"per_path_mbps":[2.5,0]},` +
+		`{"src":3,"dst":4,"demand_mbps":1e-7,"rate_mbps":0,"per_path_mbps":null}]` + "\n"
+	if got := allocationBody(p, a, nil); string(got) != want {
+		t.Fatalf("got %s\nwant %s", got, want)
+	}
+	a.X[0][1] = math.NaN()
+	checkAllocation(t, p, a, nil)
+	if got := allocationBody(p, a, nil); !bytes.Equal(got, encodeFailed) {
+		t.Fatalf("a NaN rate gave %s", got)
+	}
 }
 
 // TestPublishRuleEncodingAllocs is publish's allocation contract (DESIGN.md
 // §8): writing one publish's rule payloads — every rule once, the cached
-// delta copied from those bytes — allocates a number of objects bounded by
+// delta spans of those bytes — allocates a number of objects bounded by
 // the table count, not the rule count.
 func TestPublishRuleEncodingAllocs(t *testing.T) {
 	defer par.SetWorkers(1)()
@@ -282,11 +413,43 @@ func TestPublishRuleEncodingAllocs(t *testing.T) {
 	if tables, n := len(sn.Rules.Tables), sn.Rules.NumRules(); n < 4*tables || len(d.Nodes) == 0 {
 		t.Fatalf("%d rules in %d tables, %d nodes in the delta: too few to tell per-rule from per-table", n, tables, len(d.Nodes))
 	}
-	checkPublish(t, sn.RulesVersion, sn.Rules, d)
+	var pc pieces
+	checkPublish(t, sn.RulesVersion, sn.Rules, d, &pc)
 	allocs := testing.AllocsPerRun(50, func() {
-		encodeRules(sn.RulesVersion, sn.Rules, d)
+		writeRules(sn.RulesVersion, sn.Rules, d, &pc).bodies()
 	})
 	if limit := float64(len(sn.Rules.Tables)); allocs > limit {
 		t.Fatalf("encoding one publish's rule payloads: %v allocations, want <= %v (one per table; %d rules)", allocs, limit, sn.Rules.NumRules())
 	}
+}
+
+// BenchmarkEncodeRules writes one publish's rule payloads for the rule set
+// of a real controld-drift-66 cycle: the Iridium scenario at intensity 60
+// (durations scaled by 0.05, 10° mask) solved by the benchmark's SaTE model,
+// the second of two cycles so the delta is a real one.
+func BenchmarkEncodeRules(b *testing.B) {
+	m, err := core.LoadFile(filepath.Join("..", "..", "benchmark", "model.gob"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	scen := sim.NewScenario(constellation.Iridium(), sim.ScenarioConfig{
+		Mode: topology.CrossShellLasers, Intensity: 60, Seed: 1, MinElevDeg: 10, FlowDurationScale: 0.05,
+	})
+	srv := New(scen, m)
+	for _, tSec := range []float64{400.025, 401.025} {
+		if err := srv.RecomputeContext(context.Background(), tSec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	sn := srv.Current()
+	cu := srv.Changelog().Since(sn.RulesVersion - 1)
+	d := &cu.Deltas[0]
+	var pc pieces // reused, as a server's is
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		writeRules(sn.RulesVersion, sn.Rules, d, &pc).bodies()
+	}
+	b.ReportMetric(float64(sn.Rules.NumRules()), "rules")
+	b.ReportMetric(float64(len(sn.Rules.Tables)), "tables")
 }

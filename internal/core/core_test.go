@@ -29,7 +29,7 @@ func buildScenario(tb testing.TB, tSec float64, intensity float64, seed int64) *
 	loc.Update(snap.Pos[:snap.NumSats])
 	tg := traffic.NewGenerator(seg, traffic.DefaultConfig(intensity, seed))
 	tg.AdvanceTo(15 + tSec/100)
-	m := traffic.BuildMatrix(tg.ActiveFlows(), loc, orbit.Deg(5), cons.Size())
+	m := tg.Matrix(loc, orbit.Deg(5), cons.Size())
 	if len(m.Entries) == 0 {
 		tb.Skip("no demand generated")
 	}

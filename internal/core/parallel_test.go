@@ -30,7 +30,7 @@ func buildScenario60(tb testing.TB) *te.Problem {
 	loc.Update(snap.Pos[:snap.NumSats])
 	tg := traffic.NewGenerator(seg, traffic.DefaultConfig(60, 3))
 	tg.AdvanceTo(15)
-	m := traffic.BuildMatrix(tg.ActiveFlows(), loc, orbit.Deg(5), cons.Size())
+	m := tg.Matrix(loc, orbit.Deg(5), cons.Size())
 	if len(m.Entries) == 0 {
 		tb.Skip("no demand generated")
 	}

@@ -13,6 +13,7 @@ const (
 	PhaseLPSolve        = "lp_solve"        // simplex / GK reference solve
 	PhaseDecode         = "decode"          // score/gate decoding + trim
 	PhaseRuleCompile    = "rule_compile"    // per-satellite rule compilation
+	PhasePublish        = "publish"         // changelog append + payload encoding + snapshot swap
 	PhaseShardPartition = "shard_partition" // shard link/flow classification + dirty diff
 	PhaseShardSolve     = "shard_solve"     // concurrent per-shard sub-solves
 	PhaseShardStitch    = "shard_stitch"    // boundary-flow residual reconciliation

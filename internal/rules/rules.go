@@ -46,7 +46,7 @@ type Rule struct {
 // under CompareKey — sorted by (Flow.Src, Flow.Dst, Label), one rule per key.
 // Compile and ruledist.Apply produce it that way; serialization is
 // deterministic because of it, ruledist.Diff merge-walks it, Verify's lookup
-// binary-searches it, and Verify reports a table that breaks it.
+// searches it, and Verify reports a table that breaks it.
 type Table struct {
 	Node  topology.NodeID
 	Rules []Rule
@@ -159,31 +159,75 @@ func Compile(p *te.Problem, a *te.Allocation) *RuleSet {
 	return rs
 }
 
-// lookup finds the rule for (flow, label) at a node by binary search, which
-// the Table order invariant licenses (Verify checks it first). The search is
-// spelled out over pointers into the table: slices.BinarySearchFunc passes
-// two 40-byte rules by value through a func value per probe and measured
-// slower than the linear scan it replaced at Iridium's ~20 rules per table.
-func (rs *RuleSet) lookup(node topology.NodeID, key FlowKey, label int) (Rule, bool) {
-	tbl := rs.Tables[node]
+// verifier finds Verify's rules. The tables of the problem's nodes are
+// indexed by node, and at[n] is where the rule found last at node n sits:
+// the walks of one chunk of flows in (src, dst) order — the order te.Build
+// keeps the traffic matrix's — reach each node's rules in table order, so
+// the next one is at or just past it. Nodes outside the problem are looked
+// up in the map.
+type verifier struct {
+	rs     *RuleSet
+	tables []*Table // by node, for nodes 0..NumNodes-1
+	at     []int    // by node: index of the rule found last
+}
+
+// lookup finds the rule for (flow, label) at a node.
+func (v *verifier) lookup(node topology.NodeID, key FlowKey, label int) (*Rule, bool) {
+	inside := node >= 0 && int(node) < len(v.tables)
+	var tbl *Table
+	from := 0
+	if inside {
+		tbl, from = v.tables[node], v.at[node]
+	} else {
+		tbl = v.rs.Tables[node]
+	}
 	if tbl == nil {
-		return Rule{}, false
+		return nil, false
 	}
 	r := tbl.Rules
-	lo, hi := 0, len(r)
+	i := search(r, from, key, label)
+	if i == len(r) || r[i].Flow != key || r[i].Label != label {
+		return nil, false
+	}
+	if inside {
+		v.at[node] = i
+	}
+	return &r[i], true
+}
+
+// search returns the index of the first rule of r whose key is not below
+// (key, label), which the Table order invariant licenses (Verify checks it
+// first). from is a guess: a key past r[from] is found by galloping forward
+// from it, any other lies at or before from and is bisected there. The
+// probes read the rules in place; a probe
+// through slices.BinarySearchFunc passes two 40-byte rules by value through a
+// func value and measured slower than a linear scan at ~20 rules per table.
+func search(r []Rule, from int, key FlowKey, label int) int {
+	below := func(i int) bool {
+		m := &r[i]
+		return m.Flow.Src < key.Src || m.Flow.Src == key.Src &&
+			(m.Flow.Dst < key.Dst || m.Flow.Dst == key.Dst && m.Label < label)
+	}
+	lo, hi := 0, min(from, len(r))
+	if from < len(r) && below(from) {
+		lo = from + 1
+		for step := 1; ; step *= 2 {
+			if i := lo + step - 1; i >= len(r) || !below(i) {
+				hi = min(i, len(r))
+				break
+			}
+			lo += step
+		}
+	}
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if m := &r[mid]; m.Flow.Src < key.Src || m.Flow.Src == key.Src &&
-			(m.Flow.Dst < key.Dst || m.Flow.Dst == key.Dst && m.Label < label) {
+		if below(mid) {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo == len(r) || r[lo].Flow != key || r[lo].Label != label {
-		return Rule{}, false
-	}
-	return r[lo], true
+	return lo
 }
 
 // checkOrder reports the lowest-numbered node whose table breaks the Table
@@ -218,9 +262,16 @@ func Verify(p *te.Problem, a *te.Allocation, rs *RuleSet) error {
 	if err := rs.checkOrder(); err != nil {
 		return err
 	}
+	tables := make([]*Table, max(p.NumNodes, 0))
+	for id, t := range rs.Tables {
+		if id >= 0 && int(id) < len(tables) {
+			tables[id] = t
+		}
+	}
 	return par.ForErr(len(p.Flows), par.Grain(len(p.Flows), 32), func(lo, hi int) error {
+		v := verifier{rs: rs, tables: tables, at: make([]int, len(tables))}
 		for fi := lo; fi < hi; fi++ {
-			if err := verifyFlow(p, a, rs, fi); err != nil {
+			if err := verifyFlow(p, a, &v, fi); err != nil {
 				return err
 			}
 		}
@@ -229,7 +280,7 @@ func Verify(p *te.Problem, a *te.Allocation, rs *RuleSet) error {
 }
 
 // verifyFlow is Verify's walk of flow fi's allocated labels.
-func verifyFlow(p *te.Problem, a *te.Allocation, rs *RuleSet, fi int) error {
+func verifyFlow(p *te.Problem, a *te.Allocation, v *verifier, fi int) error {
 	const tol = 1e-6
 	const maxHops = 1 << 16 // loop guard
 	f := &p.Flows[fi]
@@ -242,7 +293,7 @@ func verifyFlow(p *te.Problem, a *te.Allocation, rs *RuleSet, fi int) error {
 		node := f.Src
 		hops := 0
 		for node != f.Dst {
-			r, ok := rs.lookup(node, key, pi)
+			r, ok := v.lookup(node, key, pi)
 			if !ok {
 				return fmt.Errorf("rules: flow %d->%d label %d: no rule at node %d",
 					f.Src, f.Dst, pi, node)

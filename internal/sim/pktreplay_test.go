@@ -58,9 +58,9 @@ func TestRunOnlinePacketReplay(t *testing.T) {
 // where map order leaks into a float sum, an emitted order or a route choice
 // (traffic aggregation, path selection, the shard boundary component ids, core's
 // workspace pool, the packet engine) surfaces as two different answers. The
-// config is TestRunOnlinePacketReplay's over a 20 s horizon: summing
-// traffic.BuildMatrix demands in map order instead of FlowID order fails this
-// test in 20 runs of 20, while 15 s catches it only about half the time.
+// config is TestRunOnlinePacketReplay's over a 20 s horizon: summing a
+// traffic-matrix entry's demands in map order instead of FlowID order failed
+// this test in 20 runs of 20, while 15 s caught it only about half the time.
 func TestOnlineRunIsAFunctionOfSpec(t *testing.T) {
 	solvers := map[string]func() Allocator{
 		"ecmp-wf":  func() Allocator { return baselines.ECMPWF{} },

@@ -135,7 +135,7 @@ func (s *Scenario) SnapshotAt(tSec float64) *topology.Snapshot {
 func (s *Scenario) MatrixAt(tSec float64, snap *topology.Snapshot) *traffic.Matrix {
 	s.Traffic.AdvanceTo(tSec)
 	s.Loc.Update(snap.Pos[:snap.NumSats])
-	return traffic.BuildMatrix(s.Traffic.ActiveFlows(), s.Loc, s.MinElevRad, s.Cons.Size())
+	return s.Traffic.Matrix(s.Loc, s.MinElevRad, s.Cons.Size())
 }
 
 // InjectFailures makes every later step (ProblemAt, RunCycle, RunOnline)

@@ -221,3 +221,30 @@ func TestScenarioRelayMode(t *testing.T) {
 		t.Error("no flows in relay mode")
 	}
 }
+
+// BenchmarkMatrixAt times the traffic step of a cycle: advance the traffic
+// clock one second and aggregate the live flows into a matrix against a
+// snapshot's positions, in the stationary regime the controller workloads
+// replay (intensity 60, durations scaled by 0.05, 10° mask, t ≥ 400 s). The
+// flow count is the same at both sizes; the ground sites scale with the
+// constellation.
+func BenchmarkMatrixAt(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		cons func() *constellation.Constellation
+	}{{"iridium", constellation.Iridium}, {"starlink-phase1", constellation.StarlinkPhase1}} {
+		b.Run(c.name, func(b *testing.B) {
+			scen := NewScenario(c.cons(), ScenarioConfig{
+				Mode: topology.CrossShellLasers, Intensity: 60, Seed: 1, MinElevDeg: 10, FlowDurationScale: 0.05,
+			})
+			snap := scen.TopoGen.Snapshot(400)
+			scen.MatrixAt(400, snap)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				scen.MatrixAt(401+float64(i), snap)
+			}
+			b.ReportMetric(float64(scen.Traffic.ActiveCount()), "flows")
+		})
+	}
+}

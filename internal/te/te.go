@@ -8,6 +8,7 @@ package te
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"sate/internal/paths"
 	"sate/internal/topology"
@@ -79,12 +80,20 @@ func (p *Problem) RebindFlows() error {
 }
 
 // bindFlows filters each flow's paths against the link index and rebuilds
-// the flat incidence, walking each path's node pairs. The arrays are reused
-// at high-water capacity, so a warm rebind does not allocate.
+// the flat incidence, walking each path's node pairs. The arrays are sized
+// once for every path before the walk and reused at high-water capacity, so
+// a cold bind allocates each once and a warm rebind does not allocate.
 func (p *Problem) bindFlows() {
-	p.flowOff = append(p.flowOff[:0], 0)
-	p.varOff = append(p.varOff[:0], 0)
-	p.hopVars, p.hopLinks = p.hopVars[:0], p.hopLinks[:0]
+	vars, hops := 0, 0
+	for fi := range p.Flows {
+		for _, path := range p.Flows[fi].Paths {
+			vars++
+			hops += max(len(path.Nodes)-1, 0)
+		}
+	}
+	p.flowOff = append(slices.Grow(p.flowOff[:0], len(p.Flows)+1), 0)
+	p.varOff = append(slices.Grow(p.varOff[:0], vars+1), 0)
+	p.hopVars, p.hopLinks = slices.Grow(p.hopVars[:0], hops), slices.Grow(p.hopLinks[:0], hops)
 	for fi := range p.Flows {
 		f := &p.Flows[fi]
 		kept := f.Paths[:0]

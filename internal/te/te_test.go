@@ -202,7 +202,7 @@ func TestBuildFromScenario(t *testing.T) {
 	loc.Update(snap.Pos[:snap.NumSats])
 	tg := traffic.NewGenerator(seg, traffic.DefaultConfig(40, 11))
 	tg.AdvanceTo(20)
-	m := traffic.BuildMatrix(tg.ActiveFlows(), loc, orbit.Deg(5), cons.Size())
+	m := tg.Matrix(loc, orbit.Deg(5), cons.Size())
 	if len(m.Entries) == 0 {
 		t.Fatal("no demand")
 	}
@@ -254,7 +254,7 @@ func TestBuildRandomizedTrimAlwaysFeasible(t *testing.T) {
 	loc.Update(snap.Pos[:snap.NumSats])
 	tg := traffic.NewGenerator(seg, traffic.DefaultConfig(30, 13))
 	tg.AdvanceTo(15)
-	m := traffic.BuildMatrix(tg.ActiveFlows(), loc, orbit.Deg(5), cons.Size())
+	m := tg.Matrix(loc, orbit.Deg(5), cons.Size())
 	db := paths.NewDB(cons, snap, 3)
 	p, err := Build(snap, m, db, DefaultBuildConfig())
 	if err != nil {

@@ -5,10 +5,9 @@
 package traffic
 
 import (
-	"container/heap"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"sate/internal/constellation"
 	"sate/internal/groundnet"
@@ -48,6 +47,10 @@ type Flow struct {
 	StartSec   float64
 	EndSec     float64
 	Src, Dst   groundnet.Site
+
+	// srcSite and dstSite index Src and Dst in the generator's site table,
+	// so Matrix resolves each site once per call, not once per endpoint.
+	srcSite, dstSite int32
 }
 
 // Config controls flow generation.
@@ -70,18 +73,29 @@ func DefaultConfig(intensity float64, seed int64) Config {
 
 // Generator maintains the set of ongoing flows as simulated time advances.
 // Flows arrive as a Poisson process and expire after their sampled duration.
+// A Generator is single-writer state: AdvanceTo and Matrix must not run
+// concurrently.
 type Generator struct {
-	cfg     Config
-	seg     *groundnet.Segment
-	rng     *rand.Rand
-	nextID  FlowID
-	nowSec  float64
-	active  map[FlowID]*Flow
-	expires expiryHeap
-	cumW    []float64 // cumulative class weights
+	cfg    Config
+	seg    *groundnet.Segment
+	rng    *rand.Rand
+	nextID FlowID
+	nowSec float64
+	// active holds the ongoing flows in FlowID order: IDs only grow, so an
+	// arrival appends and AdvanceTo compacts the expired ones out.
+	active []Flow
+	cumW   []float64 // cumulative class weights
 	// site sampling: user clusters weighted by population
 	userCum []float64
 	maxDur  float64 // longest duration any class draws
+	// sites is every flow endpoint: the user clusters, then the gateways.
+	sites []groundnet.Site
+
+	// Matrix scratch, reused across calls.
+	siteSat []constellation.SatID // serving satellite per site; unresolved or -1
+	ends    []endpoints
+	sorted  []endpoints
+	counts  []int32
 }
 
 // farJump is how many of the longest flow lifetimes a step may span before
@@ -98,10 +112,9 @@ func NewGenerator(seg *groundnet.Segment, cfg Config) *Generator {
 		cfg.Classes = DefaultClasses()
 	}
 	g := &Generator{
-		cfg:    cfg,
-		seg:    seg,
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		active: make(map[FlowID]*Flow),
+		cfg: cfg,
+		seg: seg,
+		rng: rand.New(rand.NewSource(cfg.Seed)),
 	}
 	var w float64
 	for _, c := range cfg.Classes {
@@ -113,13 +126,16 @@ func NewGenerator(seg *groundnet.Segment, cfg Config) *Generator {
 	for _, c := range seg.UserClusters {
 		u += float64(c.Users)
 		g.userCum = append(g.userCum, u)
+		g.sites = append(g.sites, c.Site)
 	}
+	g.sites = append(g.sites, seg.Gateways...)
 	return g
 }
 
-// ActiveFlows returns the currently ongoing flows. The returned map is the
-// generator's own; callers must not modify it.
-func (g *Generator) ActiveFlows() map[FlowID]*Flow { return g.active }
+// ActiveFlows returns the currently ongoing flows in FlowID order. The
+// returned slice is the generator's own and valid until the next AdvanceTo;
+// callers must not modify it.
+func (g *Generator) ActiveFlows() []Flow { return g.active }
 
 // ActiveCount returns the number of ongoing flows.
 func (g *Generator) ActiveCount() int { return len(g.active) }
@@ -134,11 +150,6 @@ func (g *Generator) AdvanceTo(tSec float64) {
 	if tSec < g.nowSec {
 		return
 	}
-	// Expire flows that end within the interval.
-	for g.expires.Len() > 0 && g.expires[0].EndSec <= tSec {
-		f := heap.Pop(&g.expires).(*Flow)
-		delete(g.active, f.ID)
-	}
 	// Poisson arrivals: number in the interval ~ Poisson(lambda*dt); each
 	// arrival time uniform in the interval.
 	from, dt := g.nowSec, tSec-g.nowSec
@@ -151,37 +162,41 @@ func (g *Generator) AdvanceTo(tSec float64) {
 		g.spawn(at)
 	}
 	g.nowSec = tSec
-	// Arrivals may already have expired within the same interval.
-	for g.expires.Len() > 0 && g.expires[0].EndSec <= tSec {
-		f := heap.Pop(&g.expires).(*Flow)
-		delete(g.active, f.ID)
+	// Expire the flows that end within the interval, arrivals included,
+	// keeping the rest in FlowID order.
+	live := g.active[:0]
+	for _, f := range g.active {
+		if f.EndSec > tSec {
+			live = append(live, f)
+		}
 	}
+	g.active = live
 }
 
 func (g *Generator) spawn(atSec float64) {
 	ci := g.pickClass()
 	c := g.cfg.Classes[ci]
 	dur := c.MinDurationSec + g.rng.Float64()*(c.MaxDurationSec-c.MinDurationSec)
-	var src, dst groundnet.Site
+	var src, dst int
 	if c.GatewayToUser && len(g.seg.Gateways) > 0 {
-		src = g.seg.Gateways[g.rng.Intn(len(g.seg.Gateways))]
+		src = len(g.seg.UserClusters) + g.rng.Intn(len(g.seg.Gateways))
 		dst = g.pickUserSite()
 	} else {
 		src = g.pickUserSite()
 		dst = g.pickUserSite()
 	}
-	f := &Flow{
+	g.active = append(g.active, Flow{
 		ID:         g.nextID,
 		Class:      ci,
 		DemandMbps: c.DemandMbps,
 		StartSec:   atSec,
 		EndSec:     atSec + dur,
-		Src:        src,
-		Dst:        dst,
-	}
+		Src:        g.sites[src],
+		Dst:        g.sites[dst],
+		srcSite:    int32(src),
+		dstSite:    int32(dst),
+	})
 	g.nextID++
-	g.active[f.ID] = f
-	heap.Push(&g.expires, f)
 }
 
 func (g *Generator) pickClass() int {
@@ -194,7 +209,8 @@ func (g *Generator) pickClass() int {
 	return len(g.cumW) - 1
 }
 
-func (g *Generator) pickUserSite() groundnet.Site {
+// pickUserSite draws a user cluster by population: its index in g.sites.
+func (g *Generator) pickUserSite() int {
 	u := g.rng.Float64() * g.userCum[len(g.userCum)-1]
 	lo, hi := 0, len(g.userCum)-1
 	for lo < hi {
@@ -205,7 +221,7 @@ func (g *Generator) pickUserSite() groundnet.Site {
 			hi = mid
 		}
 	}
-	return g.seg.UserClusters[lo].Site
+	return lo
 }
 
 // poissonSample draws from Poisson(mean). For small means it uses Knuth's
@@ -231,22 +247,6 @@ func poissonSample(rng *rand.Rand, mean float64) int {
 		return 0
 	}
 	return int(n + 0.5)
-}
-
-// expiryHeap orders flows by end time.
-type expiryHeap []*Flow
-
-func (h expiryHeap) Len() int            { return len(h) }
-func (h expiryHeap) Less(i, j int) bool  { return h[i].EndSec < h[j].EndSec }
-func (h expiryHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *expiryHeap) Push(x interface{}) { *h = append(*h, x.(*Flow)) }
-func (h *expiryHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	f := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return f
 }
 
 // Demand is one entry of the (sparse) traffic matrix: the aggregated demand
@@ -286,54 +286,102 @@ func (m *Matrix) DensityFraction() float64 {
 	return float64(len(m.Entries)) / (n * n)
 }
 
-// BuildMatrix aggregates the active flows into a sparse traffic matrix by
-// mapping each flow endpoint to its serving satellite via the locator.
-// Flows whose endpoints resolve to the same satellite, or that have no
-// visible satellite, are skipped (they do not traverse the network).
-func BuildMatrix(flows map[FlowID]*Flow, loc *groundnet.SatLocator, minElevRad float64, numSats int) *Matrix {
-	// Aggregate in FlowID order: float summation order must not depend on
-	// map iteration, or the same scenario yields last-ulp-different demands
-	// across runs (breaking the bitwise determinism contract downstream).
-	ids := make([]FlowID, 0, len(flows))
-	for id := range flows {
-		ids = append(ids, id)
+// endpoints is one flow's serving-satellite pair: what Matrix sorts.
+type endpoints struct {
+	src, dst constellation.SatID
+	flow     int32 // index in the generator's active flows
+}
+
+// unresolved marks a site Matrix has not looked up yet in this call.
+const unresolved constellation.SatID = -2
+
+// Matrix aggregates the active flows into a sparse traffic matrix by mapping
+// each flow endpoint to its serving satellite via the locator. Flows whose
+// endpoints resolve to the same satellite, or that have no visible
+// satellite, are skipped (they do not traverse the network). Entries are in
+// (src, dst) order, and each entry's demand is summed from zero over its
+// flows in FlowID order, so the matrix is a function of the flows and the
+// satellite positions, to the last bit (DESIGN.md §7).
+//
+// Each site is resolved once per call, on first use: flows far outnumber
+// the sites they run between (on controld-drift-66, ~2,900 flows between 79
+// user clusters and gateways).
+func (g *Generator) Matrix(loc *groundnet.SatLocator, minElevRad float64, numSats int) *Matrix {
+	sat := slices.Grow(g.siteSat[:0], len(g.sites))[:len(g.sites)]
+	for i := range sat {
+		sat[i] = unresolved
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	type key struct{ s, d constellation.SatID }
-	agg := make(map[key]*Demand)
-	for _, id := range ids {
-		f := flows[id]
-		s, ok1 := loc.NearestVisible(f.Src, minElevRad)
-		d, ok2 := loc.NearestVisible(f.Dst, minElevRad)
-		if !ok1 || !ok2 || s == d {
+	g.siteSat = sat
+	resolve := func(site int32) constellation.SatID {
+		if s := sat[site]; s != unresolved {
+			return s
+		}
+		s, ok := loc.NearestVisible(g.sites[site], minElevRad)
+		if !ok {
+			s = -1
+		}
+		sat[site] = s
+		return s
+	}
+
+	ends := g.ends[:0]
+	var maxSat constellation.SatID
+	for i := range g.active {
+		f := &g.active[i]
+		s, d := resolve(f.srcSite), resolve(f.dstSite)
+		if s < 0 || d < 0 || s == d {
 			continue
 		}
-		k := key{s, d}
-		e := agg[k]
-		if e == nil {
-			e = &Demand{Src: s, Dst: d}
-			agg[k] = e
-		}
-		e.DemandMbps += f.DemandMbps
-		e.Flows = append(e.Flows, f.ID)
+		ends = append(ends, endpoints{src: s, dst: d, flow: int32(i)})
+		maxSat = max(maxSat, s, d)
 	}
+	g.ends = ends
+
+	// Order by (src, dst) with two stable counting passes, dst then src: a
+	// pair's flows stay in FlowID order.
+	sorted := slices.Grow(g.sorted[:0], len(ends))[:len(ends)]
+	g.counts = slices.Grow(g.counts[:0], int(maxSat)+2)[:maxSat+2]
+	countingSort(sorted, ends, g.counts, func(e endpoints) constellation.SatID { return e.dst })
+	countingSort(ends, sorted, g.counts, func(e endpoints) constellation.SatID { return e.src })
+	g.sorted = sorted
+
 	m := &Matrix{NumSats: numSats}
-	m.Entries = make([]Demand, 0, len(agg))
-	for _, e := range agg {
-		m.Entries = append(m.Entries, *e)
+	pairs := 0
+	for i := range ends {
+		if i == 0 || ends[i].src != ends[i-1].src || ends[i].dst != ends[i-1].dst {
+			pairs++
+		}
 	}
-	sortDemands(m.Entries)
+	m.Entries = make([]Demand, 0, pairs)
+	ids := make([]FlowID, len(ends))
+	for lo := 0; lo < len(ends); {
+		e := Demand{Src: ends[lo].src, Dst: ends[lo].dst}
+		hi := lo
+		for ; hi < len(ends) && ends[hi].src == e.Src && ends[hi].dst == e.Dst; hi++ {
+			f := &g.active[ends[hi].flow]
+			e.DemandMbps += f.DemandMbps
+			ids[hi] = f.ID
+		}
+		e.Flows = ids[lo:hi:hi]
+		m.Entries = append(m.Entries, e)
+		lo = hi
+	}
 	return m
 }
 
-func sortDemands(ds []Demand) {
-	// Deterministic order: by (src, dst).
-	sort.Slice(ds, func(i, j int) bool { return demandLess(ds[i], ds[j]) })
-}
-
-func demandLess(a, b Demand) bool {
-	if a.Src != b.Src {
-		return a.Src < b.Src
+// countingSort writes src to dst stably ordered by key, a satellite ID below
+// len(counts)-1; dst has src's length.
+func countingSort(dst, src []endpoints, counts []int32, key func(endpoints) constellation.SatID) {
+	clear(counts)
+	for _, e := range src {
+		counts[key(e)+1]++
 	}
-	return a.Dst < b.Dst
+	for i := 1; i < len(counts); i++ {
+		counts[i] += counts[i-1]
+	}
+	for _, e := range src {
+		k := key(e)
+		dst[counts[k]] = e
+		counts[k]++
+	}
 }

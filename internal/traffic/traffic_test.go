@@ -2,6 +2,8 @@ package traffic
 
 import (
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 
 	"sate/internal/constellation"
@@ -153,18 +155,13 @@ func TestDeterminism(t *testing.T) {
 	if a.ActiveCount() != b.ActiveCount() {
 		t.Fatalf("determinism violated: %d vs %d", a.ActiveCount(), b.ActiveCount())
 	}
-	for id, f := range a.ActiveFlows() {
-		g := b.ActiveFlows()[id]
-		if g == nil || *g != cloneNoSlice(*f) && *f != cloneNoSlice(*g) {
-			// compare field-wise (Flow has no slices, direct compare is fine)
-			if g == nil || *g != *f {
-				t.Fatalf("flow %d differs", id)
-			}
+	for i, f := range a.ActiveFlows() {
+		// Flow has no slices, direct compare is fine
+		if g := b.ActiveFlows()[i]; g != f {
+			t.Fatalf("flow %d differs", f.ID)
 		}
 	}
 }
-
-func cloneNoSlice(f Flow) Flow { return f }
 
 func TestBuildMatrixAggregates(t *testing.T) {
 	cons := constellation.StarlinkPhase1()
@@ -175,7 +172,7 @@ func TestBuildMatrixAggregates(t *testing.T) {
 	seg := testSegment()
 	g := NewGenerator(seg, DefaultConfig(100, 21))
 	g.AdvanceTo(30)
-	m := BuildMatrix(g.ActiveFlows(), loc, orbit.Deg(25), cons.Size())
+	m := g.Matrix(loc, orbit.Deg(25), cons.Size())
 	if m.NumSats != cons.Size() {
 		t.Fatalf("numSats = %d", m.NumSats)
 	}
@@ -219,8 +216,8 @@ func TestMatrixDeterministicOrder(t *testing.T) {
 	seg := testSegment()
 	g := NewGenerator(seg, DefaultConfig(80, 5))
 	g.AdvanceTo(20)
-	m1 := BuildMatrix(g.ActiveFlows(), loc, orbit.Deg(25), cons.Size())
-	m2 := BuildMatrix(g.ActiveFlows(), loc, orbit.Deg(25), cons.Size())
+	m1 := g.Matrix(loc, orbit.Deg(25), cons.Size())
+	m2 := g.Matrix(loc, orbit.Deg(25), cons.Size())
 	if len(m1.Entries) != len(m2.Entries) {
 		t.Fatal("nondeterministic entry count")
 	}
@@ -253,7 +250,8 @@ func TestMatrixConservationProperty(t *testing.T) {
 	seg := testSegment()
 	g := NewGenerator(seg, DefaultConfig(60, 29))
 	g.AdvanceTo(25)
-	m := BuildMatrix(g.ActiveFlows(), loc, orbit.Deg(10), cons.Size())
+	m := g.Matrix(loc, orbit.Deg(10), cons.Size())
+	active := flowMap(g.ActiveFlows())
 	counted := make(map[FlowID]bool)
 	var sum float64
 	for _, e := range m.Entries {
@@ -262,7 +260,7 @@ func TestMatrixConservationProperty(t *testing.T) {
 				t.Fatalf("flow %d aggregated twice", id)
 			}
 			counted[id] = true
-			f := g.ActiveFlows()[id]
+			f := active[id]
 			if f == nil {
 				t.Fatalf("matrix references unknown flow %d", id)
 			}
@@ -275,4 +273,141 @@ func TestMatrixConservationProperty(t *testing.T) {
 	if len(counted) > g.ActiveCount() {
 		t.Error("more aggregated flows than active")
 	}
+}
+
+// flowMap indexes flows by ID, the shape the active set had before it was a
+// slice in FlowID order.
+func flowMap(flows []Flow) map[FlowID]*Flow {
+	m := make(map[FlowID]*Flow, len(flows))
+	for i := range flows {
+		m[flows[i].ID] = &flows[i]
+	}
+	return m
+}
+
+// refBuildMatrix is the map-walking aggregation Generator.Matrix replaced,
+// kept verbatim as its oracle: one locator query per flow endpoint, IDs
+// collected from the map and sorted, pairs aggregated in a map.
+func refBuildMatrix(flows map[FlowID]*Flow, loc *groundnet.SatLocator, minElevRad float64, numSats int) *Matrix {
+	// Aggregate in FlowID order: float summation order must not depend on
+	// map iteration, or the same scenario yields last-ulp-different demands
+	// across runs (breaking the bitwise determinism contract downstream).
+	ids := make([]FlowID, 0, len(flows))
+	for id := range flows {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	type key struct{ s, d constellation.SatID }
+	agg := make(map[key]*Demand)
+	for _, id := range ids {
+		f := flows[id]
+		s, ok1 := loc.NearestVisible(f.Src, minElevRad)
+		d, ok2 := loc.NearestVisible(f.Dst, minElevRad)
+		if !ok1 || !ok2 || s == d {
+			continue
+		}
+		k := key{s, d}
+		e := agg[k]
+		if e == nil {
+			e = &Demand{Src: s, Dst: d}
+			agg[k] = e
+		}
+		e.DemandMbps += f.DemandMbps
+		e.Flows = append(e.Flows, f.ID)
+	}
+	m := &Matrix{NumSats: numSats}
+	m.Entries = make([]Demand, 0, len(agg))
+	for _, e := range agg {
+		m.Entries = append(m.Entries, *e)
+	}
+	sortDemands(m.Entries)
+	return m
+}
+
+func sortDemands(ds []Demand) {
+	// Deterministic order: by (src, dst).
+	sort.Slice(ds, func(i, j int) bool { return demandLess(ds[i], ds[j]) })
+}
+
+func demandLess(a, b Demand) bool {
+	if a.Src != b.Src {
+		return a.Src < b.Src
+	}
+	return a.Dst < b.Dst
+}
+
+// scenarioGenerator is the traffic of sim.NewScenario on cons: its default
+// ground segment, the Table-2 classes with durations scaled by durScale.
+func scenarioGenerator(cons *constellation.Constellation, intensity, durScale float64) *Generator {
+	n := cons.Size()
+	seg := groundnet.Build(groundnet.SyntheticPopulation(1), groundnet.Config{
+		Users: 700 * n, UserClusters: min(2000, 20+n/2), Gateways: min(1000, 10+n/4), Relays: min(222, 10+n/20),
+		Gamma: 0.05, Seed: 1,
+	})
+	cfg := DefaultConfig(intensity, 1)
+	for i := range cfg.Classes {
+		cfg.Classes[i].MinDurationSec *= durScale
+		cfg.Classes[i].MaxDurationSec *= durScale
+	}
+	return NewGenerator(seg, cfg)
+}
+
+// requireMatrixMatchesRef checks the generator's matrix at t against the old
+// spelling's: entry order, flow lists and demand bits (reflect.DeepEqual
+// compares floats by value, so the demands are also compared by their bits).
+func requireMatrixMatchesRef(t *testing.T, g *Generator, cons *constellation.Constellation, loc *groundnet.SatLocator, tSec, minElevRad float64) *Matrix {
+	t.Helper()
+	g.AdvanceTo(tSec)
+	loc.Update(cons.PositionsECEF(tSec, nil))
+	got := g.Matrix(loc, minElevRad, cons.Size())
+	want := refBuildMatrix(flowMap(g.ActiveFlows()), loc, minElevRad, cons.Size())
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("t=%v: matrix differs from the map-walking aggregation: %d entries, want %d", tSec, len(got.Entries), len(want.Entries))
+	}
+	for i := range got.Entries {
+		if math.Float64bits(got.Entries[i].DemandMbps) != math.Float64bits(want.Entries[i].DemandMbps) {
+			t.Fatalf("t=%v: entry %d demand %v, want %v", tSec, i, got.Entries[i].DemandMbps, want.Entries[i].DemandMbps)
+		}
+	}
+	return got
+}
+
+// TestMatrixMatchesMapWalk: Generator.Matrix is the old map-walking
+// aggregation to the bit, at every step of a 300-step Iridium run with a far
+// jump in the middle, at a few Starlink Phase 1 steps, and with an
+// elevation mask no site can meet.
+func TestMatrixMatchesMapWalk(t *testing.T) {
+	t.Run("iridium", func(t *testing.T) {
+		cons := constellation.Iridium()
+		g := scenarioGenerator(cons, 60, 0.05)
+		loc := groundnet.NewSatLocator(cons)
+		tSec, entries := 400.0, 0
+		for step := 0; step < 300; step++ {
+			if step == 150 {
+				tSec += farJump*g.maxDur + 1000 // AdvanceTo draws only the last lifetime
+			}
+			entries += len(requireMatrixMatchesRef(t, g, cons, loc, tSec, orbit.Deg(10)).Entries)
+			tSec++
+		}
+		if entries < 300*100 {
+			t.Fatalf("%d entries over 300 steps: too few to tell", entries)
+		}
+	})
+	t.Run("starlink", func(t *testing.T) {
+		cons := constellation.StarlinkPhase1()
+		g := scenarioGenerator(cons, 60, 0.05)
+		loc := groundnet.NewSatLocator(cons)
+		for _, tSec := range []float64{400, 401, 402.5, 460} {
+			requireMatrixMatchesRef(t, g, cons, loc, tSec, orbit.Deg(25))
+		}
+	})
+	t.Run("nothing-visible", func(t *testing.T) {
+		cons := constellation.Iridium()
+		g := scenarioGenerator(cons, 60, 0.05)
+		loc := groundnet.NewSatLocator(cons)
+		m := requireMatrixMatchesRef(t, g, cons, loc, 400, orbit.Deg(89.5))
+		if g.ActiveCount() == 0 || len(m.Entries) >= g.ActiveCount()/10 {
+			t.Fatalf("%d entries for %d flows at a 89.5° mask", len(m.Entries), g.ActiveCount())
+		}
+	})
 }
