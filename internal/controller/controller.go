@@ -502,7 +502,9 @@ func (s *Server) handleAllocation(w http.ResponseWriter, r *http.Request) {
 	s.serveCached(w, r, sn, sn.allocJSON)
 }
 
-// RuleEntry is one flow-table row in the /rules payload.
+// RuleEntry is one flow-table row in the /rules payload. RateMbps is the
+// ingress split rate: the label's rate at the flow's source, 0 at a transit
+// hop (rules.Rule).
 type RuleEntry struct {
 	Src      int     `json:"src"`
 	Dst      int     `json:"dst"`

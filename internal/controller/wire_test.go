@@ -198,11 +198,13 @@ func (in *fuzzInput) ruleSet() *rules.RuleSet {
 }
 
 // compiledRuleSet draws a rule set shaped like rules.Compile output: up to
-// four paths, each one (src, dst, label, rate) with a rule at every one of
-// its one to five hops, on nodes 0-7. At one hop of the first path the rate
-// is one ulp off; the second path's rate is 0 at its first hop and -0 at the
-// others. So writeRules' pieces are hit (the same key and rate at the next
-// table), and missed (the same key with other rate bits).
+// four paths, each one (src, dst, label) with a rule at every one of its one
+// to five hops, on nodes 0-7, the first hop with the path's rate and the
+// others with 0. At one hop of the first path the rate is one ulp above
+// that; the second path's rate is 0 at its first hop and -0 at the others;
+// the third and fourth carry their rate at every hop, as any RuleSet may.
+// So writeRules' pieces are hit (the same key and rate at a later table),
+// and missed (the same key with other rate bits).
 func (in *fuzzInput) compiledRuleSet() *rules.RuleSet {
 	rs := &rules.RuleSet{Tables: make(map[topology.NodeID]*rules.Table)}
 	for path, n := 0, int(in.byte()%5); path < n; path++ {
@@ -212,10 +214,13 @@ func (in *fuzzInput) compiledRuleSet() *rules.RuleSet {
 		off := int(in.byte()) % hops
 		for h := 0; h < hops; h++ {
 			node := topology.NodeID((first + h) % 8)
-			r := rules.Rule{Flow: key, Label: label, Next: topology.NodeID((first + h + 1) % 8), RateMbps: rate}
+			r := rules.Rule{Flow: key, Label: label, Next: topology.NodeID((first + h + 1) % 8)}
+			if h == 0 || path >= 2 {
+				r.RateMbps = rate
+			}
 			switch {
 			case path == 0 && h == off:
-				r.RateMbps = math.Nextafter(rate, math.Inf(1))
+				r.RateMbps = math.Nextafter(r.RateMbps, math.Inf(1))
 			case path == 1 && h == 0:
 				r.RateMbps = 0
 			case path == 1:
@@ -452,4 +457,12 @@ func BenchmarkEncodeRules(b *testing.B) {
 	}
 	b.ReportMetric(float64(sn.Rules.NumRules()), "rules")
 	b.ReportMetric(float64(len(sn.Rules.Tables)), "tables")
+	used := 0
+	for i := range pc.slots {
+		if pc.slots[i].key != 0 {
+			used++
+		}
+	}
+	b.ReportMetric(float64(used), "pieces")
+	b.ReportMetric(float64(len(pc.slots)), "slots")
 }

@@ -32,7 +32,8 @@ type RuleID struct {
 	Label int             `json:"label"`
 }
 
-// Upsert is one rule insertion or in-place update at a node.
+// Upsert is one rule insertion or in-place update at a node; RateMbps is
+// the rule's ingress split rate, 0 at a transit hop (rules.Rule).
 type Upsert struct {
 	Src      topology.NodeID `json:"src"`
 	Dst      topology.NodeID `json:"dst"`
@@ -110,21 +111,23 @@ func tableOf(rs *rules.RuleSet, id topology.NodeID) *rules.Table {
 // unionNodes returns the sorted union of node IDs present in either rule
 // set. Map iteration feeds a sort before anything order-dependent happens.
 func unionNodes(old, new *rules.RuleSet) []topology.NodeID {
-	seen := make(map[topology.NodeID]bool)
+	n := 0
+	for _, rs := range [2]*rules.RuleSet{old, new} {
+		if rs != nil {
+			n += len(rs.Tables)
+		}
+	}
+	ids := make([]topology.NodeID, 0, n)
 	for _, rs := range [2]*rules.RuleSet{old, new} {
 		if rs == nil {
 			continue
 		}
 		for id := range rs.Tables {
-			seen[id] = true
+			ids = append(ids, id)
 		}
 	}
-	ids := make([]topology.NodeID, 0, len(seen))
-	for id := range seen {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 // ruleID extracts a rule's identity.

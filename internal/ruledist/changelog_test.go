@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"sate/internal/par"
+	"sate/internal/paths"
 	"sate/internal/rules"
+	"sate/internal/te"
 	"sate/internal/topology"
 )
 
@@ -473,4 +475,143 @@ func TestDiffIndependentOfWorkers(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRateChangeTouchesOnlyIngress: only a flow's ingress rule carries a
+// rate, so two allocations of one problem that differ only in positive rates
+// differ by exactly the changed labels' ingress rules — no transit rule is
+// upserted and none removed — and a rerouted label upserts the hops its new
+// path adds or changes and removes the ones its old path leaves.
+func TestRateChangeTouchesOnlyIngress(t *testing.T) {
+	flows := []te.FlowDemand{
+		{Src: 0, Dst: 7, Paths: []paths.Path{paths.NewPath(0, 1, 2, 7), paths.NewPath(0, 3, 4, 7), paths.NewPath(0, 5, 6, 7)}},
+		{Src: 1, Dst: 6, Paths: []paths.Path{paths.NewPath(1, 2, 6), paths.NewPath(1, 5, 6)}},
+		{Src: 4, Dst: 2, Paths: []paths.Path{paths.NewPath(4, 3, 0, 1, 2), paths.NewPath(4, 7, 2)}},
+		{Src: 6, Dst: 0, Paths: []paths.Path{paths.NewPath(6, 5, 0)}},
+	}
+	p := &te.Problem{NumNodes: 8, Flows: flows}
+	a := &te.Allocation{X: [][]float64{{10, 4, 0}, {2.5, 7}, {1, 3}, {9}}}
+	b := &te.Allocation{X: [][]float64{{11, 4, 0}, {2.5, 6.75}, {1, 3}, {8.5}}}
+	changed := map[RuleID]bool{{0, 7, 0}: true, {1, 6, 1}: true, {6, 0, 0}: true}
+
+	old, new := rules.Compile(p, a), rules.Compile(p, b)
+	d := Diff(old, new)
+	got := map[RuleID]bool{}
+	for _, nd := range d.Nodes {
+		if len(nd.Removes) > 0 {
+			t.Errorf("node %d: a rate change removed %+v", nd.Node, nd.Removes)
+		}
+		for _, u := range nd.Upserts {
+			if u.Src != nd.Node {
+				t.Errorf("node %d: transit upsert %+v", nd.Node, u)
+			}
+			got[RuleID{u.Src, u.Dst, u.Label}] = true
+		}
+	}
+	if !reflect.DeepEqual(got, changed) {
+		t.Errorf("upserted labels %v, want the changed ones %v", got, changed)
+	}
+	requireSameRules(t, "apply(old, rate-only diff)", Apply(old, d), new)
+
+	// Reroute flow 0->7's label 1 from 0-3-4-7 to 0-5-4-7 at the same rate:
+	// the ingress at 0 gets a new next hop, 5 a new transit rule, 3 loses
+	// its rule, and 4, which still forwards to 7, is untouched.
+	rerouted := slices.Clone(flows)
+	rerouted[0].Paths = []paths.Path{flows[0].Paths[0], paths.NewPath(0, 5, 4, 7), flows[0].Paths[2]}
+	moved := rules.Compile(&te.Problem{NumNodes: 8, Flows: rerouted}, b)
+	d = Diff(new, moved)
+	id := RuleID{Src: 0, Dst: 7, Label: 1}
+	want := []NodeDelta{
+		{Node: 0, Upserts: []Upsert{{Src: 0, Dst: 7, Label: 1, Next: 5, RateMbps: 4}}},
+		{Node: 3, Removes: []RuleID{id}},
+		{Node: 5, Upserts: []Upsert{{Src: 0, Dst: 7, Label: 1, Next: 4, RateMbps: 0}}},
+	}
+	if !reflect.DeepEqual(d.Nodes, want) {
+		t.Errorf("reroute delta %+v, want %+v", d.Nodes, want)
+	}
+	requireSameRules(t, "apply(new, reroute diff)", Apply(new, d), moved)
+}
+
+// fuzzRules reads rule sets from raw bytes.
+type fuzzRules []byte
+
+func (in *fuzzRules) byte() byte {
+	if len(*in) == 0 {
+		return 0
+	}
+	c := (*in)[0]
+	*in = (*in)[1:]
+	return c
+}
+
+// rate is ±0, NaN, ±Inf or a float from eight raw bytes (any NaN payload
+// included).
+func (in *fuzzRules) rate() float64 {
+	switch c := in.byte(); c % 8 {
+	case 0:
+		return 0
+	case 1:
+		return math.Copysign(0, -1)
+	case 2:
+		return math.NaN()
+	case 3:
+		return math.Inf(1)
+	case 4:
+		return math.Inf(-1)
+	default:
+		var bits uint64
+		for range 8 {
+			bits = bits<<8 | uint64(in.byte())
+		}
+		return math.Float64frombits(bits)
+	}
+}
+
+// ruleSet reads up to six tables at nodes -1..6, each up to eight rules
+// over a key space small enough that two sets share keys, kept as
+// rules.Table requires: sorted, one rule per key, no empty table. A first
+// byte of 0 reads the empty version 0 (nil).
+func (in *fuzzRules) ruleSet() *rules.RuleSet {
+	if in.byte() == 0 {
+		return nil
+	}
+	rs := &rules.RuleSet{Tables: make(map[topology.NodeID]*rules.Table)}
+	for n := in.byte() % 7; n > 0; n-- {
+		node := topology.NodeID(int(in.byte()%8) - 1)
+		tbl := &rules.Table{Node: node}
+		for m := in.byte() % 9; m > 0; m-- {
+			k := in.byte()
+			tbl.Rules = append(tbl.Rules, rules.Rule{
+				Flow:  rules.FlowKey{Src: topology.NodeID(k % 4), Dst: topology.NodeID(k / 4 % 4)},
+				Label: int(k / 16 % 3), Next: topology.NodeID(in.byte() % 8), RateMbps: in.rate(),
+			})
+		}
+		slices.SortStableFunc(tbl.Rules, rules.CompareKey)
+		tbl.Rules = slices.CompactFunc(tbl.Rules, func(a, b rules.Rule) bool { return rules.CompareKey(a, b) == 0 })
+		if len(tbl.Rules) > 0 {
+			rs.Tables[node] = tbl
+		}
+	}
+	return rs
+}
+
+// FuzzDiffApply: for two rule sets read from raw bytes, rates from raw float
+// bits, Apply(old, Diff(old, new)) is new rule for rule with bitwise rates,
+// and Diff(new, new) is empty.
+func FuzzDiffApply(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 2, 3, 2, 17, 1, 0, 33, 2, 2, 1, 4, 2, 17, 1, 5, 1, 2, 3, 4, 5, 6, 7, 8, 33, 2, 1})
+	f.Add([]byte{0, 1, 3, 0, 3, 1, 1, 2, 5, 64, 0, 0, 0, 0, 0, 1, 9, 3, 2, 7, 1, 0, 4, 4, 7, 6, 6})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := fuzzRules(data)
+		old, new := in.ruleSet(), in.ruleSet()
+		want := new
+		if want == nil {
+			want = &rules.RuleSet{Tables: map[topology.NodeID]*rules.Table{}}
+		}
+		requireSameRules(t, "apply(old, diff(old, new))", Apply(old, Diff(old, new)), want)
+		if d := Diff(new, new); !d.Empty() {
+			t.Fatalf("diff(new, new) = %+v, want empty", d)
+		}
+	})
 }

@@ -9,9 +9,16 @@
 // correctness: two candidate paths of one flow may traverse the same link in
 // opposite directions, so destination-based merging at nodes would loop.
 //
+// Only a flow's ingress splits its traffic across labels, so only the rule
+// at a path's first hop carries a rate: the path's allocated rate. A transit
+// rule maps (flow, label) to the next hop and carries rate 0, so it changes
+// only when its path does, and a cycle whose rates drift rewrites only the
+// ingress rules.
+//
 // Verify walks the rule tables from every flow's source and checks that each
-// label delivers exactly its allocated rate — how a control center validates
-// compiled rules before distribution.
+// label is split off at its ingress at exactly its allocated rate and
+// forwarded along its path — how a control center validates compiled rules
+// before distribution.
 package rules
 
 import (
@@ -19,7 +26,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"sate/internal/par"
 	"sate/internal/te"
@@ -33,13 +39,15 @@ type FlowKey struct {
 }
 
 // Rule is one label-switched flow-table entry at one node: traffic of Flow
-// carrying Label (the candidate-path index) is forwarded to Next at
-// RateMbps.
+// carrying Label (the candidate-path index) is forwarded to Next. RateMbps
+// is the ingress split rate: at the flow's source (Flow.Src) the rate the
+// label gets of the flow's traffic, and 0 at every transit hop, which only
+// forwards what the ingress sent.
 type Rule struct {
 	Flow     FlowKey
 	Label    int // candidate-path index within the flow
 	Next     topology.NodeID
-	RateMbps float64
+	RateMbps float64 // the label's rate at the ingress, 0 at transit hops
 }
 
 // Table is a per-node flow table. Invariant: Rules is strictly increasing
@@ -80,7 +88,8 @@ func (rs *RuleSet) NumRules() int {
 }
 
 // Compile converts an allocation into per-node label-switched rules: every
-// hop of every path with non-zero allocation becomes one rule.
+// hop of every path with non-zero allocation becomes one rule. The path's
+// first hop carries its allocated rate and every later hop rate 0.
 //
 // Flows are visited in (Src, Dst) order and each flow's paths in label
 // order, so every table receives its rules already in CompareKey order and
@@ -142,6 +151,7 @@ func Compile(p *te.Problem, a *te.Allocation) *RuleSet {
 				node := path.Nodes[h]
 				all[end[node]] = Rule{Flow: key, Label: pi, Next: path.Nodes[h+1], RateMbps: rate}
 				end[node]++
+				rate = 0
 			}
 		}
 	}
@@ -232,17 +242,19 @@ func search(r []Rule, from int, key FlowKey, label int) int {
 
 // checkOrder reports the lowest-numbered node whose table breaks the Table
 // order invariant (lowest so the error does not depend on map order).
-func (rs *RuleSet) checkOrder() error {
+// tables holds the problem's nodes by index and outside the tables of nodes
+// outside it, which lie below or above all of them.
+func checkOrder(tables, outside []*Table) error {
 	var bad *Table
-	for _, tbl := range rs.Tables {
-		if bad != nil && bad.Node < tbl.Node {
-			continue
+	for _, tbl := range tables {
+		if tbl != nil && !strictlySorted(tbl.Rules) {
+			bad = tbl
+			break
 		}
-		for i := 1; i < len(tbl.Rules); i++ {
-			if CompareKey(tbl.Rules[i-1], tbl.Rules[i]) >= 0 {
-				bad = tbl
-				break
-			}
+	}
+	for _, tbl := range outside {
+		if (bad == nil || tbl.Node < bad.Node) && !strictlySorted(tbl.Rules) {
+			bad = tbl
 		}
 	}
 	if bad != nil {
@@ -251,22 +263,36 @@ func (rs *RuleSet) checkOrder() error {
 	return nil
 }
 
+// strictlySorted reports whether r is strictly increasing under CompareKey.
+func strictlySorted(r []Rule) bool {
+	for i := 1; i < len(r); i++ {
+		if CompareKey(r[i-1], r[i]) >= 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // Verify walks every allocated (flow, path) label from its source hop by hop
-// and checks that the rules forward it along the configured path at exactly
-// the allocated rate, terminating at the destination. It returns the first
+// and checks that the rules forward it along the configured path,
+// terminating at the destination, with exactly the allocated rate at the
+// ingress and rate 0 at every transit hop. It returns the first
 // inconsistency found; a table out of order is one (a lookup in it could miss
 // a rule that is there). Flows are walked in chunks on the par pool; the
 // lowest failing chunk holds the lowest failing flow, so the error is the
 // one a walk in flow order meets first, at every worker count.
 func Verify(p *te.Problem, a *te.Allocation, rs *RuleSet) error {
-	if err := rs.checkOrder(); err != nil {
-		return err
-	}
 	tables := make([]*Table, max(p.NumNodes, 0))
+	var outside []*Table
 	for id, t := range rs.Tables {
 		if id >= 0 && int(id) < len(tables) {
 			tables[id] = t
+		} else {
+			outside = append(outside, t)
 		}
+	}
+	if err := checkOrder(tables, outside); err != nil {
+		return err
 	}
 	return par.ForErr(len(p.Flows), par.Grain(len(p.Flows), 32), func(lo, hi int) error {
 		v := verifier{rs: rs, tables: tables, at: make([]int, len(tables))}
@@ -298,11 +324,16 @@ func verifyFlow(p *te.Problem, a *te.Allocation, v *verifier, fi int) error {
 				return fmt.Errorf("rules: flow %d->%d label %d: no rule at node %d",
 					f.Src, f.Dst, pi, node)
 			}
-			// Written so a NaN difference fails too: a NaN or infinite
-			// rate (Inf - Inf is NaN) is no rate a switch can install.
-			if diff := r.RateMbps - rate; !(math.Abs(diff) <= tol) {
-				return fmt.Errorf("rules: flow %d->%d label %d at node %d: rate %.6f, allocated %.6f",
-					f.Src, f.Dst, pi, node, r.RateMbps, rate)
+			if hops == 0 {
+				// Written so a NaN difference fails too: a NaN or infinite
+				// rate (Inf - Inf is NaN) is no rate a switch can install.
+				if diff := r.RateMbps - rate; !(math.Abs(diff) <= tol) {
+					return fmt.Errorf("rules: flow %d->%d label %d at node %d: rate %.6f, allocated %.6f",
+						f.Src, f.Dst, pi, node, r.RateMbps, rate)
+				}
+			} else if r.RateMbps != 0 {
+				return fmt.Errorf("rules: flow %d->%d label %d at transit node %d: rate %.6f, want 0",
+					f.Src, f.Dst, pi, node, r.RateMbps)
 			}
 			node = r.Next
 			if hops++; hops > maxHops {
@@ -318,8 +349,11 @@ func verifyFlow(p *te.Problem, a *te.Allocation, v *verifier, fi int) error {
 	return nil
 }
 
-// LinkLoadsFromRules recomputes per-link loads by summing rule rates over
-// links — an independent cross-check against te.Problem.LinkLoads.
+// LinkLoadsFromRules recomputes per-link loads from the rules alone — an
+// independent cross-check against te.Problem.LinkLoads. Each rule loads the
+// link to its next hop with its label's ingress rate: its own rate at the
+// flow's source, and at a transit hop the rate of the label's rule at the
+// source (none, if that rule is missing).
 func LinkLoadsFromRules(p *te.Problem, rs *RuleSet) map[uint64]float64 {
 	loads := make(map[uint64]float64)
 	// Visit tables in sorted node order: the per-link float sums must not
@@ -329,12 +363,21 @@ func LinkLoadsFromRules(p *te.Problem, rs *RuleSet) map[uint64]float64 {
 	for node := range rs.Tables {
 		nodes = append(nodes, node)
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+	slices.Sort(nodes)
 	for _, node := range nodes {
 		tbl := rs.Tables[node]
 		for _, r := range tbl.Rules {
+			rate := r.RateMbps
+			if r.Flow.Src != tbl.Node {
+				rate = 0
+				if src := rs.Tables[r.Flow.Src]; src != nil {
+					if i, ok := slices.BinarySearchFunc(src.Rules, r, CompareKey); ok {
+						rate = src.Rules[i].RateMbps
+					}
+				}
+			}
 			l := topology.MakeLink(tbl.Node, r.Next, topology.IntraOrbit)
-			loads[l.Key()] += r.RateMbps
+			loads[l.Key()] += rate
 		}
 	}
 	return loads

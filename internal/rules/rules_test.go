@@ -1,6 +1,7 @@
 package rules_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -109,10 +110,14 @@ func TestCompileLabelsStayDistinct(t *testing.T) {
 	if len(t0.Rules) != 2 {
 		t.Fatalf("node 0 should carry both labels: %+v", t0.Rules)
 	}
-	// Node 1 forwards label 0 to node 2 (rate 7) and label 1 to node 3 (3).
+	if t0.Rules[0].RateMbps != 7 || t0.Rules[1].RateMbps != 3 {
+		t.Fatalf("node 0 should split 7 and 3: %+v", t0.Rules)
+	}
+	// Node 1 forwards label 0 to node 2 and label 1 to node 3, as a transit
+	// hop: rate 0.
 	t1 := rs.Tables[1]
-	if len(t1.Rules) != 2 || t1.Rules[0].Next != 2 || t1.Rules[0].RateMbps != 7 ||
-		t1.Rules[1].Next != 3 || t1.Rules[1].RateMbps != 3 {
+	if len(t1.Rules) != 2 || t1.Rules[0].Next != 2 || t1.Rules[0].RateMbps != 0 ||
+		t1.Rules[1].Next != 3 || t1.Rules[1].RateMbps != 0 {
 		t.Fatalf("node 1 rules: %+v", t1.Rules)
 	}
 	if err := rules.Verify(p, a, rs); err != nil {
@@ -125,10 +130,16 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 	a := te.NewAllocation(p)
 	a.X[0][0] = 10
 	rs := rules.Compile(p, a)
-	// Corrupt: node 1 halves the rate of its rule.
-	rs.Tables[1].Rules[0].RateMbps = 5
+	// Corrupt: the ingress halves the rate of its rule.
+	rs.Tables[0].Rules[0].RateMbps = 5
 	if err := rules.Verify(p, a, rs); err == nil {
-		t.Error("corrupted rules passed verification")
+		t.Error("corrupted ingress rate passed verification")
+	}
+	// Corrupt: transit node 1 carries a rate; only the ingress splits.
+	rs = rules.Compile(p, a)
+	rs.Tables[1].Rules[0].RateMbps = 10
+	if err := rules.Verify(p, a, rs); err == nil || !strings.Contains(err.Error(), "transit node 1") {
+		t.Errorf("a rate at a transit hop: Verify = %v", err)
 	}
 }
 
@@ -167,6 +178,23 @@ func TestVerifyReportsShuffledTable(t *testing.T) {
 	err := rules.Verify(p, a, rs)
 	if err == nil || !strings.Contains(err.Error(), "table at node 0 is not strictly sorted") {
 		t.Errorf("shuffled table at node 0: Verify = %v, want the order inconsistency", err)
+	}
+	// With two bad tables Verify names the lower node, whichever side of the
+	// problem's nodes (0-3) the other one lies.
+	unsorted := func(node topology.NodeID) *rules.Table {
+		return &rules.Table{Node: node, Rules: []rules.Rule{
+			{Flow: rules.FlowKey{Src: 1, Dst: 2}, Next: 3}, {Flow: rules.FlowKey{Src: 0, Dst: 2}, Next: 3},
+		}}
+	}
+	for _, c := range []struct {
+		other, want topology.NodeID
+	}{{7, 0}, {-1, -1}} {
+		rs.Tables[c.other] = unsorted(c.other)
+		want := fmt.Sprintf("table at node %d is not strictly sorted", c.want)
+		if err := rules.Verify(p, a, rs); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("bad tables at nodes 0 and %d: Verify = %v, want %q", c.other, err, want)
+		}
+		delete(rs.Tables, c.other)
 	}
 	// A duplicated key breaks "strictly" too.
 	r[0] = r[1]
@@ -259,7 +287,8 @@ func TestCompileLinkLoadsMatchProperty(t *testing.T) {
 }
 
 // refCompile is the direct spelling of rules.Compile: a map probe per hop,
-// an append per rule and a sort per table. TestCompileMatchesReference holds
+// an append per rule and a sort per table; the rate at a path's first hop,
+// 0 at the others. TestCompileMatchesReference holds
 // Compile to it.
 func refCompile(p *te.Problem, a *te.Allocation) *rules.RuleSet {
 	rs := &rules.RuleSet{Tables: make(map[topology.NodeID]*rules.Table)}
@@ -267,12 +296,15 @@ func refCompile(p *te.Problem, a *te.Allocation) *rules.RuleSet {
 		f := &p.Flows[fi]
 		key := rules.FlowKey{Src: f.Src, Dst: f.Dst}
 		for pi, path := range f.Paths {
-			rate := a.X[fi][pi]
-			if rate <= 0 {
+			if a.X[fi][pi] <= 0 {
 				continue
 			}
 			for h := 0; h+1 < len(path.Nodes); h++ {
 				node, next := path.Nodes[h], path.Nodes[h+1]
+				rate := 0.0
+				if h == 0 {
+					rate = a.X[fi][pi]
+				}
 				tbl := rs.Tables[node]
 				if tbl == nil {
 					tbl = &rules.Table{Node: node}

@@ -7,7 +7,8 @@
 # fuzz runs of the packet engine's event queue, the GAT edge kernel, the
 # edge lanes' exp, the elementwise ops, the gemm vector tile, the two file
 # readers (topology
-# snapshots, model files), the rule payload encoder and the two serving
+# snapshots, model files), the rule payload encoder, the rule-delta round
+# trip (Diff then Apply) and the two serving
 # inputs (/v1/deltas queries, /v1/recompute bodies), two training runs whose
 # model files must come out byte for byte, a short load burst against the
 # serving surface, and a short run of the TE-cycle benchmark with its
@@ -30,7 +31,7 @@ GOARCH=arm64 go build ./...
 GOARCH=arm64 go vet ./internal/autodiff
 echo "== go test =="
 go test ./...
-echo "== fuzz (10 x 5s) =="
+echo "== fuzz (11 x 5s) =="
 # The packet engine's calendar queue against the reference binary heap:
 # random push/pop interleavings must pop identical (t, seq) sequences.
 go test -run='^$' -fuzz=FuzzCalendarOrder -fuzztime=5s ./internal/pktsim
@@ -62,6 +63,10 @@ go test -run='^$' -fuzz=FuzzLoad -fuzztime=5s ./internal/core
 # rates from raw float bits, must encode to the same bytes, and a NaN or
 # infinite rate to the same encode-failed body.
 go test -run='^$' -fuzz=FuzzRuleWire -fuzztime=5s ./internal/controller
+# The rule-delta round trip: for two rule sets from raw bytes, rates from raw
+# float bits (±0, NaN and ±Inf included), Apply(old, Diff(old, new)) must be
+# new bit for bit and Diff(new, new) empty.
+go test -run='^$' -fuzz=FuzzDiffApply -fuzztime=5s ./internal/ruledist
 # The serving inputs: any /v1/deltas query and any /v1/recompute body gets
 # 200, 400 or 429, never a 5xx or a panic, and a /v1/deltas 200 is what
 # encoding/json writes for the same catch-up.
