@@ -68,8 +68,6 @@ type Server struct {
 	// heapAllocs is the runtime/metrics sample the per-cycle allocation
 	// gauge reads (reused every cycle; no stop-the-world).
 	heapAllocs [1]metrics.Sample
-	// pieces is publish's rule-piece table (wire.go), reused every cycle.
-	pieces pieces
 
 	// snap is the live published snapshot: single writer (under computeMu),
 	// lock-free readers. nil until the first successful cycle.
@@ -428,23 +426,20 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, sn *Snapsho
 	}
 }
 
-// writeBody commits a 200 and writes a rule payload in pieces (wire.go). The
-// status line goes out first, so a failure cannot turn into an error status
-// after part of a body: an unencodable payload (ok false; the body is then the
+// writeBody commits a 200 and writes a rule payload (wire.go). The status
+// line goes out first, so a failure cannot turn into an error status after
+// part of a body: an unencodable payload (ok false; the body is then the
 // encode-failed fallback) and a short write are counted on
 // sate_controld_encode_errors_total, and a client detects the latter by
 // truncation.
-func (s *Server) writeBody(w http.ResponseWriter, ok bool, body ...[]byte) {
+func (s *Server) writeBody(w http.ResponseWriter, ok bool, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	if !ok {
 		s.metrics.encodeErrors.Inc()
 	}
-	for _, b := range body {
-		if _, err := w.Write(b); err != nil {
-			s.metrics.encodeErrors.Inc()
-			return
-		}
+	if _, err := w.Write(body); err != nil {
+		s.metrics.encodeErrors.Inc()
 	}
 }
 
@@ -589,10 +584,10 @@ func (s *Server) handleDeltas(w http.ResponseWriter, r *http.Request) {
 	// The catch-up of a consumer that followed the last cycle is exactly the
 	// live snapshot's own delta, encoded at publish. The changelog may
 	// already be a version ahead of the snapshot (publish appends, then
-	// swaps), so the cached object is used only when the catch-up is that
+	// swaps), so the cached body is used only when the catch-up is that
 	// one delta.
 	if sn := s.Current(); node < 0 && len(cu.Deltas) == 1 && cu.Deltas[0].Seq == sn.RulesVersion && sn.cachedDeltas != nil {
-		s.writeBody(w, true, sn.cachedDeltas...)
+		s.writeBody(w, true, sn.cachedDeltas)
 		return
 	}
 	body, ok := deltasBody(&cu, node)

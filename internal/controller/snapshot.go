@@ -2,7 +2,6 @@ package controller
 
 import (
 	"encoding/json"
-	"slices"
 	"strconv"
 	"time"
 
@@ -36,11 +35,10 @@ type Snapshot struct {
 	allocJSON  []byte
 	rulesJSON  []byte
 	// cachedDeltas is the GET /v1/deltas?since=RulesVersion-1 body, written
-	// at publish — the catch-up every consumer that followed the last cycle
-	// asks for next, whose one delta produced Rules — in the pieces it is
-	// written in: its upserts are spans of rulesJSON (writeRules). Nil when
-	// the rule set could not be encoded.
-	cachedDeltas [][]byte
+	// at publish alongside rulesJSON (writeRules): the catch-up every
+	// consumer that followed the last cycle asks for next, whose one delta
+	// produced Rules. Nil when either rule payload could not be encoded.
+	cachedDeltas []byte
 	etag         string
 }
 
@@ -116,17 +114,11 @@ func (sn *Snapshot) encodeStatus(method string) {
 }
 
 // encode pre-builds every cached body for a freshly computed snapshot; d is
-// the changelog delta that produced its rules and pc the piece table to write
-// them with. The allocation body takes its rates' text from the rule payloads.
-func (sn *Snapshot) encode(method string, d *ruledist.Delta, pc *pieces) {
+// the changelog delta that produced its rules.
+func (sn *Snapshot) encode(method string, d *ruledist.Delta) {
 	sn.encodeStatus(method)
-	e := writeRules(sn.RulesVersion, sn.Rules, d, pc)
-	sn.allocJSON = allocationBody(sn.Problem, sn.Alloc, e)
-	var delta [][]byte
-	sn.rulesJSON, delta = e.bodies()
-	if delta != nil {
-		sn.cachedDeltas = slices.Concat([][]byte{deltasHead(sn.RulesVersion-1, sn.RulesVersion)}, delta, [][]byte{deltasTail})
-	}
+	sn.rulesJSON, sn.cachedDeltas = writeRules(sn.RulesVersion, sn.Rules, d)
+	sn.allocJSON = allocationBody(sn.Problem, sn.Alloc)
 }
 
 // NodeRules is one satellite's flow table in the full /v1/rules payload.
@@ -161,7 +153,7 @@ func (s *Server) publish(c *sim.Cycle) bool {
 		next.Version = cur.Version + 1
 	}
 	cu := s.log.Since(version - 1)
-	next.encode(s.solver.Name(), &cu.Deltas[0], &s.pieces)
+	next.encode(s.solver.Name(), &cu.Deltas[0])
 	s.snap.Store(next)
 
 	m := &s.metrics

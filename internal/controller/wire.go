@@ -18,21 +18,39 @@ import (
 // trailing newline included, and encoding/json remains the oracle the tests
 // and FuzzRuleWire compare against. A RuleEntry and a ruledist.Upsert have
 // the same fields in the same order, so one rule has one text wherever it
-// appears; publish writes every rule of a new rule set once and serves the
-// cycle's upserts as spans of those bytes (writeRules).
+// appears: publish writes every rule of a new rule set once, and an upsert of
+// the cycle's delta that equals one of them is a copy of its bytes
+// (writeRules).
 
 // encodeFailed is the body served in place of a payload that cannot be
 // encoded (a NaN or infinite rate): what mustJSON serves for the same value.
 var encodeFailed = []byte(`{"error":"encode failed"}` + "\n")
 
-// ruleBytes, allocBytes and rateBytes are about the encoded size of one
-// rule, one allocation entry before its per-path rates, and one rate, for
-// sizing buffers.
+// ruleBytes, removeBytes, allocBytes and rateBytes are about the encoded
+// size of one rule, one remove, one allocation entry before its per-path
+// rates, and one rate, for sizing buffers.
 const (
-	ruleBytes  = 72
-	allocBytes = 96
-	rateBytes  = 20
+	ruleBytes   = 72
+	removeBytes = 40
+	allocBytes  = 96
+	rateBytes   = 20
 )
+
+// rulesBytes is about the encoded size of a []NodeRules array of n rules in
+// tables tables, with room for a body's opening and closing.
+func rulesBytes(tables, n int) int { return 64 + tables*32 + n*ruleBytes }
+
+// deltaBytes is about the encoded size of d's JSON object, or with node >= 0
+// of its part for that node.
+func deltaBytes(d *ruledist.Delta, node int) int {
+	size := 32
+	for i := range d.Nodes {
+		if nd := &d.Nodes[i]; node < 0 || int(nd.Node) == node {
+			size += 32 + len(nd.Upserts)*ruleBytes + len(nd.Removes)*removeBytes
+		}
+	}
+	return size
+}
 
 // wire appends rule payloads to b.
 type wire struct {
@@ -54,7 +72,11 @@ func (w *wire) int(v int) { w.b = strconv.AppendInt(w.b, int64(v), 10) }
 // decimal, in exponent form below 1e-6 and from 1e21 on, with a two-digit
 // negative exponent shortened to one (e-09 → e-9). encoding/json refuses
 // NaN and ±Inf; so does appendFloat, appending nothing and reporting false.
+// A transit rule's rate is 0, so 0 (but not -0) is written without strconv.
 func appendFloat(b []byte, f float64) ([]byte, bool) {
+	if math.Float64bits(f) == 0 {
+		return append(b, '0'), true
+	}
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		return b, false
 	}
@@ -72,15 +94,12 @@ func appendFloat(b []byte, f float64) ([]byte, bool) {
 	return b, true
 }
 
-// rateField opens a rule's rate.
-const rateField = `,"rate_mbps":`
-
 // appendRule appends one RuleEntry; false if its rate is unencodable.
 func appendRule(b []byte, src, dst topology.NodeID, label int, next topology.NodeID, rate float64) ([]byte, bool) {
 	b = appendKey(b, src, dst, label)
 	b = append(b, `,"next":`...)
 	b = strconv.AppendInt(b, int64(next), 10)
-	b = append(b, rateField...)
+	b = append(b, `,"rate_mbps":`...)
 	b, ok := appendFloat(b, rate)
 	return append(b, '}'), ok
 }
@@ -96,120 +115,18 @@ func appendKey(b []byte, src, dst topology.NodeID, label int) []byte {
 	return strconv.AppendInt(b, int64(label), 10)
 }
 
-// piece locates the text one rule shares with every rule of the same key and
-// rate, written earlier into the same buffer: b[lo:mid] is
-// `{"src":…,"dst":…,"label":…,"next":` and b[tail:end] is
-// `,"rate_mbps":…}`. key is the rule's pieceKey (0 marks an empty slot) and
-// bits its rate's bit pattern.
-type piece struct {
-	key, bits          uint64
-	lo, mid, tail, end int32
-}
-
-// pieces holds the pieces written so far, one per rule key and rate bits, in
-// an open-addressing table. A compiled rule set holds one rule per hop of
-// each path, the first with the path's rate and the others with rate 0, so
-// a key has two pieces: the ingress rule's, which the allocation body reads
-// its rate text from (rulePayloads.rateText), and the transit rules', which
-// every later transit hop copies. writeRules takes any RuleSet, in which one
-// key may carry any number of rates (0 and -0 included); each gets its own
-// piece. Once the table is three quarters full, further pieces are written
-// whole.
-type pieces struct {
-	slots []piece
-	shift uint8 // 64 - log2(len(slots))
-	free  int   // pieces it still takes
-}
-
-// reset empties the table and sizes it to at least n slots, keeping its
-// memory when that is enough. Callers pass half their rule count: a compiled
-// rule set has one rule per hop of a path, so its pieces, two a key, number
-// a few times fewer than its rules (4,711 for 12,858 rules on
-// controld-drift-66, 58 % of 8,192 slots), and all fit under the three
-// quarters cap.
-func (pc *pieces) reset(n int) {
-	shift := uint8(63)
-	for 1<<(64-shift) < n {
-		shift--
-	}
-	size := 1 << (64 - shift)
-	if cap(pc.slots) >= size {
-		pc.slots = pc.slots[:size]
-		clear(pc.slots)
-	} else {
-		pc.slots = make([]piece, size)
-	}
-	pc.shift, pc.free = shift, size*3/4
-}
-
-// pieceKey packs a rule's (src, dst, label) into one nonzero word, or
-// reports that it does not fit; such a rule is written without a piece.
-func pieceKey(src, dst topology.NodeID, label int) (uint64, bool) {
-	s, d, l := uint64(src), uint64(dst), uint64(label)
-	if s >= 1<<23 || d >= 1<<24 || l >= 1<<16 {
-		return 0, false // negative values wrap to large ones
-	}
-	return 1<<63 | s<<40 | d<<16 | l, true
-}
-
-// slot returns the slot of key and rate bits: its piece, or the empty slot
-// to write it to.
-func (pc *pieces) slot(key, bits uint64) *piece {
-	mask := uint64(len(pc.slots) - 1)
-	for i := ((key ^ bits) * 0x9e3779b97f4a7c15) >> pc.shift; ; i = (i + 1) & mask {
-		if p := &pc.slots[i]; p.key == key && p.bits == bits || p.key == 0 {
-			return p
-		}
-	}
-}
-
-// rule appends r to b from its piece when one is in b, and otherwise writes
-// it and keeps its piece; false if its rate is unencodable.
-func (pc *pieces) rule(b []byte, r *rules.Rule) ([]byte, bool) {
-	key, ok := pieceKey(r.Flow.Src, r.Flow.Dst, r.Label)
-	if !ok {
-		return appendRule(b, r.Flow.Src, r.Flow.Dst, r.Label, r.Next, r.RateMbps)
-	}
-	bits := math.Float64bits(r.RateMbps)
-	p := pc.slot(key, bits)
-	switch {
-	case p.key != 0:
-		b = append(b, b[p.lo:p.mid]...)
-		b = strconv.AppendInt(b, int64(r.Next), 10)
-		return append(b, b[p.tail:p.end]...), true
-	case pc.free == 0:
-		return appendRule(b, r.Flow.Src, r.Flow.Dst, r.Label, r.Next, r.RateMbps)
-	}
-	pc.free--
-	p.key, p.bits, p.lo = key, bits, int32(len(b))
-	b = appendKey(b, r.Flow.Src, r.Flow.Dst, r.Label)
-	b = append(b, `,"next":`...)
-	p.mid = int32(len(b))
-	b = strconv.AppendInt(b, int64(r.Next), 10)
-	p.tail = int32(len(b))
-	b = append(b, rateField...)
-	b, ok = appendFloat(b, r.RateMbps)
-	b = append(b, '}')
-	p.end = int32(len(b))
-	return b, ok
-}
-
 // table writes one node's flow table as a []RuleEntry array; ends, when not
-// nil, gets the end offset in b of every rule appended, in table order. With
-// pc, rules are written from and into its pieces.
-func (w *wire) table(tbl *rules.Table, pc *pieces, ends []int) []int {
+// nil, gets the end offset in b of every rule appended, in table order.
+func (w *wire) table(tbl *rules.Table, ends []int) []int {
 	b, ok := append(w.b, '['), true
 	if tbl != nil {
 		for i := range tbl.Rules {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			r, rok := &tbl.Rules[i], false
-			if pc != nil {
-				b, rok = pc.rule(b, r)
-			} else {
-				b, rok = appendRule(b, r.Flow.Src, r.Flow.Dst, r.Label, r.Next, r.RateMbps)
-			}
+			r := &tbl.Rules[i]
+			var rok bool
+			b, rok = appendRule(b, r.Flow.Src, r.Flow.Dst, r.Label, r.Next, r.RateMbps)
 			ok = ok && rok
 			if ends != nil {
 				ends = append(ends, len(b))
@@ -236,7 +153,7 @@ func (w *wire) tables(rs *rules.RuleSet, ids []topology.NodeID) {
 			w.b = append(w.b, ',')
 		}
 		w.nodeRulesOpen(id)
-		w.table(rs.Tables[id], nil, nil)
+		w.table(rs.Tables[id], nil)
 		w.b = append(w.b, '}')
 	}
 	w.b = append(w.b, ']')
@@ -279,15 +196,13 @@ func sameRule(u *ruledist.Upsert, r *rules.Rule) bool {
 		math.Float64bits(u.RateMbps) == math.Float64bits(r.RateMbps)
 }
 
-// nodeDelta writes one ruledist.NodeDelta. With e, w is e's delta bytes
-// and tbl, first and ends, when tbl is not nil, describe the node's table in
-// the new rule set as written to e.rw.b: rule i of tbl is
-// e.rw.b[first:ends[0]] for i = 0 and e.rw.b[ends[i-1]+1:ends[i]] after it
-// (one comma apart). An upsert that equals a rule of tbl is then a span of
-// those bytes, a run of consecutive ones one span, commas included; any
-// other upsert is written. Upserts in table order — what ruledist.Diff
-// emits — are found by one forward walk.
-func (w *wire) nodeDelta(nd *ruledist.NodeDelta, e *rulePayloads, tbl *rules.Table, first int, ends []int) {
+// nodeDelta writes one ruledist.NodeDelta. When tbl is not nil it is the
+// node's table in the new rule set as written to src: rule i of tbl is
+// src[first:ends[0]] for i = 0 and src[ends[i-1]+1:ends[i]] after it (one
+// comma apart). An upsert that equals a rule of tbl is then a copy of those
+// bytes; any other upsert is written. Upserts in table order — what
+// ruledist.Diff emits — are found by one forward walk.
+func (w *wire) nodeDelta(nd *ruledist.NodeDelta, tbl *rules.Table, src []byte, first int, ends []int) {
 	b, ok := append(w.b, `{"node":`...), true
 	b = strconv.AppendInt(b, int64(nd.Node), 10)
 	if len(nd.Upserts) > 0 {
@@ -296,37 +211,26 @@ func (w *wire) nodeDelta(nd *ruledist.NodeDelta, e *rulePayloads, tbl *rules.Tab
 		if tbl != nil {
 			rs = tbl.Rules
 		}
-		j, lo, hi := 0, 0, 0 // e.rw.b[lo:hi] is the run of table rules matched last
+		j := 0
 		for i := range nd.Upserts {
+			if i > 0 {
+				b = append(b, ',')
+			}
 			u := &nd.Upserts[i]
 			for j < len(rs) && upsertAfter(u, &rs[j]) {
 				j++
 			}
-			match := j < len(rs) && sameRule(u, &rs[j])
-			if match && hi > lo && j > 0 && ends[j-1] == hi {
-				hi = ends[j] // rule j follows the run: extend it
-				continue
-			}
-			if hi > lo {
-				e.span(len(b), lo, hi)
-				lo, hi = 0, 0
-			}
-			if i > 0 {
-				b = append(b, ',')
-			}
-			if match {
-				lo, hi = first, ends[j]
+			if j < len(rs) && sameRule(u, &rs[j]) {
+				lo := first
 				if j > 0 {
 					lo = ends[j-1] + 1
 				}
+				b = append(b, src[lo:ends[j]]...)
 				continue
 			}
 			var rok bool
 			b, rok = appendRule(b, u.Src, u.Dst, u.Label, u.Next, u.RateMbps)
 			ok = ok && rok
-		}
-		if hi > lo {
-			e.span(len(b), lo, hi)
 		}
 		b = append(b, ']')
 	}
@@ -392,19 +296,32 @@ func nodeRulesBody(tbl *rules.Table) (body []byte, ok bool) {
 	if tbl != nil {
 		w.b = make([]byte, 0, 4+len(tbl.Rules)*ruleBytes)
 	}
-	w.table(tbl, nil, nil)
+	w.table(tbl, nil)
 	return w.body(), !w.bad
 }
 
 // deltasBody is the GET /v1/deltas body of a catch-up, filtered to one
 // node's table when node >= 0: the DeltasResponse handleDeltas serves.
 func deltasBody(cu *ruledist.CatchUp, node int) (body []byte, ok bool) {
-	w := wire{}
+	size := 64
+	var ids []topology.NodeID
+	if cu.FullSync {
+		ids = sortedNodes(cu.Full, node)
+		n := 0
+		for _, id := range ids {
+			n += len(cu.Full.Tables[id].Rules)
+		}
+		size = rulesBytes(len(ids), n)
+	}
+	for i := range cu.Deltas {
+		size += deltaBytes(&cu.Deltas[i], node)
+	}
+	w := wire{b: make([]byte, 0, size)}
 	w.deltasOpen(cu.Since, cu.Latest)
 	switch {
 	case cu.FullSync:
 		w.raw(`,"full_sync":true`)
-		if ids := sortedNodes(cu.Full, node); len(ids) > 0 {
+		if len(ids) > 0 {
 			w.raw(`,"full":`)
 			w.tables(cu.Full, ids)
 		}
@@ -422,77 +339,52 @@ func deltasBody(cu *ruledist.CatchUp, node int) (body []byte, ok bool) {
 	return w.body(), !w.bad
 }
 
-// rulePayloads is one publish's rule payloads as written. Every rule of the
-// rule set is written once, tables in ascending node order, and each (src,
-// dst, label, rate) piece of rule text once (pieces): a rule is its piece
-// around its next hop. The delta object is not written out whole: an upsert
-// that equals a rule of the new table is a span of the rules body, a run of
-// consecutive ones one span, and only the rest — node headers, removes,
-// upserts of other rules — is written to the delta bytes.
-type rulePayloads struct {
-	rw    wire    // the /v1/rules body
-	dw    wire    // the delta object's bytes that are not spans of rw
-	pc    *pieces // the rule pieces in rw.b
-	spans []span  // the delta object, in order
-	lit   int     // how much of dw.b the spans cover
-}
-
-// span is a piece of the delta object: rw.b[lo:hi] when rules, dw.b[lo:hi]
-// otherwise.
-type span struct {
-	rules  bool
-	lo, hi int
-}
-
 // writeRules writes the rule payloads of one publish: the full /v1/rules
-// body of rs at version, and the JSON object of d, the delta that produced
-// rs, as pieces, which a GET /v1/deltas?since=version-1 serves between a
-// header and a footer (deltasHead). pc is the piece table to write them
-// with; it is emptied first, and the payloads read it until the next reset.
-func writeRules(version uint64, rs *rules.RuleSet, d *ruledist.Delta, pc *pieces) *rulePayloads {
+// body of rs at version, and the GET /v1/deltas?since=version-1 body whose
+// one delta is d, the delta that produced rs. Right after each table it
+// writes that node's part of d, where an upsert equal to a rule of the table
+// is a copy of that rule's bytes (nodeDelta), so only the removes and the
+// upserts of other rules are formatted a second time. deltasJSON is nil when
+// either payload is unencodable: a copy of a bad rule would be bad too, and
+// the handler then writes the catch-up on request, which refuses exactly
+// what encoding/json refuses.
+func writeRules(version uint64, rs *rules.RuleSet, d *ruledist.Delta) (rulesJSON, deltasJSON []byte) {
 	ids := sortedNodes(rs, -1)
 	n, longest := 0, 0
 	for _, t := range rs.Tables {
 		n += len(t.Rules)
 		longest = max(longest, len(t.Rules))
 	}
-	removes := 0
-	for i := range d.Nodes {
-		removes += len(d.Nodes[i].Removes)
-	}
-	// A node's delta is typically three spans: its header, the run of its
-	// upserts, and its removes.
-	pc.reset(n / 2)
-	e := &rulePayloads{pc: pc, spans: make([]span, 0, 1+3*len(d.Nodes))}
-	e.rw.b = make([]byte, 0, 64+len(ids)*32+n*ruleBytes)
-	e.dw.b = make([]byte, 0, 64+len(d.Nodes)*48+removes*40)
+	rw := wire{b: make([]byte, 0, rulesBytes(len(ids), n))}
+	dw := wire{b: make([]byte, 0, 64+deltaBytes(d, -1))}
 	ends := make([]int, 0, longest) // end offsets of the current table's rules in rw.b
 
-	e.rw.raw(`{"rules_version":`)
-	e.rw.uint(version)
-	e.rw.raw(`,"tables":[`)
-	e.dw.raw(`{"seq":`)
-	e.dw.uint(d.Seq)
+	rw.raw(`{"rules_version":`)
+	rw.uint(version)
+	rw.raw(`,"tables":[`)
+	dw.deltasOpen(version-1, version)
+	dw.raw(`,"deltas":[{"seq":`)
+	dw.uint(d.Seq)
 	if len(d.Nodes) > 0 {
-		e.dw.raw(`,"nodes":[`)
+		dw.raw(`,"nodes":[`)
 	}
 	k := 0 // next node of d to write
 	nodeDelta := func(tbl *rules.Table, first int) {
 		if k > 0 {
-			e.dw.b = append(e.dw.b, ',')
+			dw.b = append(dw.b, ',')
 		}
-		e.dw.nodeDelta(&d.Nodes[k], e, tbl, first, ends)
+		dw.nodeDelta(&d.Nodes[k], tbl, rw.b, first, ends)
 		k++
 	}
 	for i, id := range ids {
 		if i > 0 {
-			e.rw.b = append(e.rw.b, ',')
+			rw.b = append(rw.b, ',')
 		}
 		tbl := rs.Tables[id]
-		e.rw.nodeRulesOpen(id)
-		first := len(e.rw.b) + 1 // past the table's '['
-		ends = e.rw.table(tbl, e.pc, ends[:0])
-		e.rw.b = append(e.rw.b, '}')
+		rw.nodeRulesOpen(id)
+		first := len(rw.b) + 1 // past the table's '['
+		ends = rw.table(tbl, ends[:0])
+		rw.b = append(rw.b, '}')
 		for k < len(d.Nodes) && d.Nodes[k].Node < id {
 			nodeDelta(nil, 0) // a node whose table is gone: removes only
 		}
@@ -503,67 +395,20 @@ func writeRules(version uint64, rs *rules.RuleSet, d *ruledist.Delta, pc *pieces
 	for k < len(d.Nodes) {
 		nodeDelta(nil, 0)
 	}
-	e.rw.raw("]}")
+	rw.raw("]}")
 	if len(d.Nodes) > 0 {
-		e.dw.b = append(e.dw.b, ']')
+		dw.b = append(dw.b, ']')
 	}
-	e.dw.b = append(e.dw.b, '}')
-	e.span(len(e.dw.b), 0, 0)
-	return e
-}
-
-// span ends the delta object at dw.b[:n]: the delta bytes written since the
-// last span, then, when hi > lo, the rules bytes rw.b[lo:hi].
-func (e *rulePayloads) span(n, lo, hi int) {
-	if n > e.lit {
-		e.spans = append(e.spans, span{lo: e.lit, hi: n})
-		e.lit = n
+	dw.raw("}]}")
+	if rw.bad || dw.bad {
+		return rw.body(), nil
 	}
-	if hi > lo {
-		e.spans = append(e.spans, span{rules: true, lo: lo, hi: hi})
-	}
-}
-
-// rateText returns the text rate has in the rules body as the rate of the
-// rule (src, dst, label), when a piece of that key with rate's bits is kept.
-func (e *rulePayloads) rateText(src, dst topology.NodeID, label int, rate float64) ([]byte, bool) {
-	key, ok := pieceKey(src, dst, label)
-	if !ok || math.IsNaN(rate) || math.IsInf(rate, 0) {
-		return nil, false
-	}
-	if p := e.pc.slot(key, math.Float64bits(rate)); p.key != 0 {
-		return e.rw.b[p.tail+int32(len(rateField)) : p.end-1], true
-	}
-	return nil, false
-}
-
-// bodies closes the /v1/rules body and resolves the delta object's pieces,
-// nil when either payload is unencodable.
-func (e *rulePayloads) bodies() (rulesJSON []byte, delta [][]byte) {
-	if e.rw.bad || e.dw.bad {
-		// Upserts copied from a bad rules body would be bad too. Without a
-		// cached delta the handler writes the catch-up with the appender,
-		// which refuses exactly what encoding/json refuses.
-		return e.rw.body(), nil
-	}
-	rulesJSON = e.rw.body()
-	delta = make([][]byte, len(e.spans))
-	for i, sp := range e.spans {
-		if sp.rules {
-			delta[i] = rulesJSON[sp.lo:sp.hi]
-		} else {
-			delta[i] = e.dw.b[sp.lo:sp.hi]
-		}
-	}
-	return rulesJSON, delta
+	return rw.body(), dw.body()
 }
 
 // allocationBody is the GET /v1/allocation body: the []AllocationEntry of
-// a over p's flows, per_path_mbps null for a flow without paths. With
-// payloads, the written rule payloads of a's rule set, a path's positive
-// rate is copied from its rules' piece (rulePayloads.rateText) instead of
-// formatted again.
-func allocationBody(p *te.Problem, a *te.Allocation, payloads *rulePayloads) []byte {
+// a over p's flows, per_path_mbps null for a flow without paths.
+func allocationBody(p *te.Problem, a *te.Allocation) []byte {
 	rates := 0
 	for _, x := range a.X {
 		rates += len(x)
@@ -590,12 +435,6 @@ func allocationBody(p *te.Problem, a *te.Allocation, payloads *rulePayloads) []b
 				if i > 0 {
 					b = append(b, ',')
 				}
-				if v > 0 && payloads != nil {
-					if t, found := payloads.rateText(f.Src, f.Dst, i, v); found {
-						b = append(b, t...)
-						continue
-					}
-				}
 				b, ok = appendAnd(b, ok, v)
 			}
 			b = append(b, ']')
@@ -615,15 +454,3 @@ func appendAnd(b []byte, ok bool, f float64) ([]byte, bool) {
 	b, fok := appendFloat(b, f)
 	return b, ok && fok
 }
-
-// deltasHead opens the GET /v1/deltas body of the catch-up since → latest
-// whose one delta is a snapshot's: the body is this head, the pieces of the
-// delta object (writeRules) and deltasTail.
-func deltasHead(since, latest uint64) []byte {
-	w := wire{b: make([]byte, 0, 64)}
-	w.deltasOpen(since, latest)
-	w.raw(`,"deltas":[`)
-	return w.b
-}
-
-var deltasTail = []byte("]}\n")

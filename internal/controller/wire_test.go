@@ -109,16 +109,12 @@ func allocationResponse(p *te.Problem, a *te.Allocation) []AllocationEntry {
 	return out
 }
 
-// checkAllocation compares allocationBody with encoding/json, written alone
-// and with rates taken from written rule payloads.
-func checkAllocation(t *testing.T, p *te.Problem, a *te.Allocation, payloads *rulePayloads) {
+// checkAllocation compares allocationBody with encoding/json.
+func checkAllocation(t *testing.T, p *te.Problem, a *te.Allocation) {
 	t.Helper()
 	want := mustJSON(allocationResponse(p, a))
-	if got := allocationBody(p, a, nil); !bytes.Equal(got, want) {
+	if got := allocationBody(p, a); !bytes.Equal(got, want) {
 		t.Fatalf("/v1/allocation body:\n got %s\nwant %s", got, want)
-	}
-	if got := allocationBody(p, a, payloads); !bytes.Equal(got, want) {
-		t.Fatalf("/v1/allocation body, rates from rule payloads:\n got %s\nwant %s", got, want)
 	}
 }
 
@@ -203,8 +199,10 @@ func (in *fuzzInput) ruleSet() *rules.RuleSet {
 // others with 0. At one hop of the first path the rate is one ulp above
 // that; the second path's rate is 0 at its first hop and -0 at the others;
 // the third and fourth carry their rate at every hop, as any RuleSet may.
-// So writeRules' pieces are hit (the same key and rate at a later table),
-// and missed (the same key with other rate bits).
+// Diffed against another rule set, each shape gives upserts that writeRules
+// copies from the rule just written (the same key, next hop and rate bits)
+// next to ones it must write because only the rate bits differ: one ulp, or
+// 0 against -0, which print differently.
 func (in *fuzzInput) compiledRuleSet() *rules.RuleSet {
 	rs := &rules.RuleSet{Tables: make(map[topology.NodeID]*rules.Table)}
 	for path, n := 0, int(in.byte()%5); path < n; path++ {
@@ -278,31 +276,24 @@ func (in *fuzzInput) delta() ruledist.Delta {
 	return d
 }
 
-// checkPublish compares what writeRules writes for (version, rs, d) with pc
-// with encoding/json: the /v1/rules body, the cached delta object, and the
-// /v1/deltas body built around it.
-func checkPublish(t *testing.T, version uint64, rs *rules.RuleSet, d *ruledist.Delta, pc *pieces) {
+// checkPublish compares what writeRules writes for (version, rs, d) with
+// encoding/json: the /v1/rules body and the cached /v1/deltas body of the
+// catch-up whose one delta is d.
+func checkPublish(t *testing.T, version uint64, rs *rules.RuleSet, d *ruledist.Delta) {
 	t.Helper()
-	rulesJSON, delta := writeRules(version, rs, d, pc).bodies()
+	rulesJSON, deltasJSON := writeRules(version, rs, d)
 	if want := mustJSON(rulesResponse(version, rs)); !bytes.Equal(rulesJSON, want) {
 		t.Fatalf("/v1/rules body:\n got %s\nwant %s", rulesJSON, want)
 	}
-	deltaJSON := bytes.Join(delta, nil)
-	want, err := json.Marshal(d)
-	switch {
-	case delta == nil:
-		if err == nil && !bytes.Equal(rulesJSON, encodeFailed) {
-			t.Fatalf("no cached delta for an encodable publish: %s", want)
-		}
-		return
-	case err != nil:
-		t.Fatalf("cached delta %s for a delta encoding/json refuses (%v)", deltaJSON, err)
-	case !bytes.Equal(deltaJSON, want):
-		t.Fatalf("cached delta:\n got %s\nwant %s", deltaJSON, want)
-	}
 	cu := ruledist.CatchUp{Since: version - 1, Latest: version, Deltas: []ruledist.Delta{*d}}
-	if got, want := slices.Concat(deltasHead(cu.Since, cu.Latest), deltaJSON, deltasTail), mustJSON(deltasResponse(&cu, -1)); !bytes.Equal(got, want) {
-		t.Fatalf("cached /v1/deltas body:\n got %s\nwant %s", got, want)
+	want := mustJSON(deltasResponse(&cu, -1))
+	switch {
+	case deltasJSON == nil:
+		if !bytes.Equal(rulesJSON, encodeFailed) && !bytes.Equal(want, encodeFailed) {
+			t.Fatalf("no cached /v1/deltas body for an encodable publish: %s", want)
+		}
+	case !bytes.Equal(deltasJSON, want):
+		t.Fatalf("cached /v1/deltas body:\n got %s\nwant %s", deltasJSON, want)
 	}
 }
 
@@ -324,14 +315,14 @@ func checkDeltas(t *testing.T, cu *ruledist.CatchUp, nodes []int) {
 
 // FuzzRuleWire: random rule sets and deltas go through the appender and
 // through encoding/json, and every rule payload must come out byte for byte
-// the same — the /v1/rules body and its ?node= tables, the delta object
+// the same — the /v1/rules body and its ?node= tables, the /v1/deltas body
 // publish caches, and /v1/deltas bodies of deltas and full syncs, whole and
 // per node — and so must the /v1/allocation body. Besides rule sets drawn
 // rule by rule, each input publishes one shaped like rules.Compile output,
-// where a key recurs at every hop (compiledRuleSet). Rates come from raw
-// float bits as well as the formatting edges; a NaN or infinity must give
-// encoding/json's refusal, the encode-failed body. All publishes of one
-// input share a piece table, as a server's do.
+// where a key recurs at every hop (compiledRuleSet), so the cached body
+// mixes copied and written upserts. Rates come from raw float bits as well
+// as the formatting edges; a NaN or infinity must give encoding/json's
+// refusal, the encode-failed body.
 func FuzzRuleWire(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzInput(data)
@@ -349,10 +340,9 @@ func FuzzRuleWire(f *testing.F) {
 
 		diff := ruledist.Diff(old, cur)
 		diff.Seq = version
-		var pc pieces
-		checkPublish(t, version, cur, &diff, &pc)
+		checkPublish(t, version, cur, &diff)
 		random := in.delta()
-		checkPublish(t, version, cur, &random, &pc)
+		checkPublish(t, version, cur, &random)
 
 		var nodes []int
 		for id := range cur.Tables {
@@ -369,9 +359,9 @@ func FuzzRuleWire(f *testing.F) {
 		compiled := in.compiledRuleSet()
 		cdiff := ruledist.Diff(cur, compiled)
 		cdiff.Seq = version + 1
-		checkPublish(t, version+1, compiled, &cdiff, &pc)
+		checkPublish(t, version+1, compiled, &cdiff)
 		p, a := in.allocation()
-		checkAllocation(t, p, a, writeRules(version+1, compiled, &cdiff, &pc))
+		checkAllocation(t, p, a)
 	})
 }
 
@@ -382,31 +372,54 @@ func TestAllocationBody(t *testing.T) {
 	srv, _ := testServer(t)
 	mustRecompute(t, srv, 100)
 	sn := srv.Current()
-	cu := srv.Changelog().Since(sn.RulesVersion - 1)
-	checkAllocation(t, sn.Problem, sn.Alloc, writeRules(sn.RulesVersion, sn.Rules, &cu.Deltas[0], new(pieces)))
+	checkAllocation(t, sn.Problem, sn.Alloc)
 	if want := mustJSON(allocationResponse(sn.Problem, sn.Alloc)); !bytes.Equal(sn.AllocationBody(), want) {
 		t.Fatalf("served /v1/allocation body:\n got %s\nwant %s", sn.AllocationBody(), want)
 	}
 
 	p := &te.Problem{Flows: []te.FlowDemand{{Src: 1, Dst: 2, DemandMbps: 8}, {Src: 3, Dst: 4, DemandMbps: 1e-7}}}
 	a := &te.Allocation{X: [][]float64{{2.5, 0}, nil}}
-	checkAllocation(t, p, a, nil)
+	checkAllocation(t, p, a)
 	want := `[{"src":1,"dst":2,"demand_mbps":8,"rate_mbps":2.5,"per_path_mbps":[2.5,0]},` +
 		`{"src":3,"dst":4,"demand_mbps":1e-7,"rate_mbps":0,"per_path_mbps":null}]` + "\n"
-	if got := allocationBody(p, a, nil); string(got) != want {
+	if got := allocationBody(p, a); string(got) != want {
 		t.Fatalf("got %s\nwant %s", got, want)
 	}
 	a.X[0][1] = math.NaN()
-	checkAllocation(t, p, a, nil)
-	if got := allocationBody(p, a, nil); !bytes.Equal(got, encodeFailed) {
+	checkAllocation(t, p, a)
+	if got := allocationBody(p, a); !bytes.Equal(got, encodeFailed) {
 		t.Fatalf("a NaN rate gave %s", got)
+	}
+}
+
+// TestAppendFloatMatchesJSON: appendFloat writes what encoding/json writes
+// at the formatting edges — 0 without strconv but -0 with its sign, the
+// smallest subnormal, both sides of the switches to exponent form, the
+// largest float — and refuses NaN and ±Inf as encoding/json does.
+func TestAppendFloatMatchesJSON(t *testing.T) {
+	for _, f := range []float64{
+		0, math.Copysign(0, -1), 5e-324, 1e-7, 1e-6, 1e21, math.MaxFloat64,
+		math.NaN(), math.Inf(1), math.Inf(-1),
+	} {
+		got, ok := appendFloat([]byte("x"), f)
+		want, err := json.Marshal(f)
+		if err != nil {
+			if ok || string(got) != "x" {
+				t.Errorf("%v: appended %q, ok %v; encoding/json refuses it (%v)", f, got[1:], ok, err)
+			}
+			continue
+		}
+		if !ok || string(got[1:]) != string(want) {
+			t.Errorf("%v (bits %#x): appended %q, ok %v; want %q", f, math.Float64bits(f), got[1:], ok, want)
+		}
 	}
 }
 
 // TestPublishRuleEncodingAllocs is publish's allocation contract (DESIGN.md
 // §8): writing one publish's rule payloads — every rule once, the cached
-// delta spans of those bytes — allocates a number of objects bounded by
-// the table count, not the rule count.
+// /v1/deltas body beside them — takes a fixed number of allocations, however
+// many rules and tables there are: the node list, the two bodies and the
+// offset scratch. The allocation body takes one.
 func TestPublishRuleEncodingAllocs(t *testing.T) {
 	defer par.SetWorkers(1)()
 	srv, _ := testServer(t)
@@ -415,21 +428,21 @@ func TestPublishRuleEncodingAllocs(t *testing.T) {
 	sn := srv.Current()
 	cu := srv.Changelog().Since(sn.RulesVersion - 1)
 	d := &cu.Deltas[0]
-	if tables, n := len(sn.Rules.Tables), sn.Rules.NumRules(); n < 4*tables || len(d.Nodes) == 0 {
-		t.Fatalf("%d rules in %d tables, %d nodes in the delta: too few to tell per-rule from per-table", n, tables, len(d.Nodes))
+	if tables, n := len(sn.Rules.Tables), sn.Rules.NumRules(); n < 4*tables || tables < 8 || len(d.Nodes) == 0 {
+		t.Fatalf("%d rules in %d tables, %d nodes in the delta: too few to tell a fixed count from a per-table one", n, tables, len(d.Nodes))
 	}
-	var pc pieces
-	checkPublish(t, sn.RulesVersion, sn.Rules, d, &pc)
-	allocs := testing.AllocsPerRun(50, func() {
-		writeRules(sn.RulesVersion, sn.Rules, d, &pc).bodies()
-	})
-	if limit := float64(len(sn.Rules.Tables)); allocs > limit {
-		t.Fatalf("encoding one publish's rule payloads: %v allocations, want <= %v (one per table; %d rules)", allocs, limit, sn.Rules.NumRules())
+	checkPublish(t, sn.RulesVersion, sn.Rules, d)
+	if allocs := testing.AllocsPerRun(50, func() { writeRules(sn.RulesVersion, sn.Rules, d) }); allocs > 4 {
+		t.Fatalf("writing one publish's rule payloads: %v allocations, want <= 4 (%d rules in %d tables)", allocs, sn.Rules.NumRules(), len(sn.Rules.Tables))
+	}
+	if allocs := testing.AllocsPerRun(50, func() { allocationBody(sn.Problem, sn.Alloc) }); allocs > 1 {
+		t.Fatalf("writing the allocation body: %v allocations, want <= 1 (%d flows)", allocs, len(sn.Problem.Flows))
 	}
 }
 
-// BenchmarkEncodeRules writes one publish's rule payloads for the rule set
-// of a real controld-drift-66 cycle: the Iridium scenario at intensity 60
+// BenchmarkEncodeRules writes everything one publish encodes — the
+// /v1/rules body, the cached /v1/deltas body and the /v1/allocation body —
+// for a real controld-drift-66 cycle: the Iridium scenario at intensity 60
 // (durations scaled by 0.05, 10° mask) solved by the benchmark's SaTE model,
 // the second of two cycles so the delta is a real one.
 func BenchmarkEncodeRules(b *testing.B) {
@@ -449,20 +462,12 @@ func BenchmarkEncodeRules(b *testing.B) {
 	sn := srv.Current()
 	cu := srv.Changelog().Since(sn.RulesVersion - 1)
 	d := &cu.Deltas[0]
-	var pc pieces // reused, as a server's is
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		writeRules(sn.RulesVersion, sn.Rules, d, &pc).bodies()
+		writeRules(sn.RulesVersion, sn.Rules, d)
+		allocationBody(sn.Problem, sn.Alloc)
 	}
 	b.ReportMetric(float64(sn.Rules.NumRules()), "rules")
 	b.ReportMetric(float64(len(sn.Rules.Tables)), "tables")
-	used := 0
-	for i := range pc.slots {
-		if pc.slots[i].key != 0 {
-			used++
-		}
-	}
-	b.ReportMetric(float64(used), "pieces")
-	b.ReportMetric(float64(len(pc.slots)), "slots")
 }
