@@ -1,6 +1,9 @@
 package pktsim
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // Event kinds. An arrive event delivers a packet to a node (injection is an
 // arrival at the stream's source); a depart event completes one packet's
@@ -17,7 +20,7 @@ const nilPkt = int32(-1)
 // packets themselves (a packet has at most one pending event, so it carries
 // the event's t/seq/kind/where and the list link). Virtual bucket
 // vb(t) = int64(t·invW) is monotone in t, real bucket vb&mask holds every
-// lap's events of that residue as one list sorted by (t, seq), and pop
+// lap's events of that residue as one list sorted by (t, seq), and peek
 // serves virtual buckets in ascending order — so events leave in exactly
 // (t, seq) order, the order a binary heap under the same comparison yields.
 type calendar struct {
@@ -85,23 +88,42 @@ func (c *calendar) push(pk []packet, h int32) {
 	c.n++
 }
 
-// pop removes and returns the earliest pending event's packet; the queue
-// must not be empty. A bucket whose head belongs to a later lap holds
-// nothing for this one (the head is the bucket's earliest), so the scan
-// steps on; after a whole lap of such steps it jumps straight to the
-// earliest head instead of spinning through the laps in between.
-func (c *calendar) pop(pk []packet) int32 {
+// peek returns the earliest pending event's instant, +Inf when none is
+// pending, and moves the scan to that event's virtual bucket. A bucket whose
+// head belongs to a later lap holds nothing for this one (the head is the
+// bucket's earliest), so the scan steps on; after a whole lap of such steps
+// it jumps straight to the earliest head instead of spinning through the
+// laps in between.
+func (c *calendar) peek(pk []packet) float64 {
+	if c.n == 0 {
+		return math.Inf(1)
+	}
 	for lap := c.cur + c.mask; ; c.cur++ {
 		if c.cur > lap {
 			c.cur = c.earliestVB(pk)
 			lap = c.cur + c.mask
 		}
-		link := &c.heads[c.cur&c.mask]
-		if h := *link; h != nilPkt && c.vb(pk[h].t) == c.cur {
-			*link = pk[h].next
-			c.n--
-			return h
+		if h := c.heads[c.cur&c.mask]; h != nilPkt && c.vb(pk[h].t) == c.cur {
+			return pk[h].t
 		}
+	}
+}
+
+// take removes and returns the event peek just found.
+func (c *calendar) take(pk []packet) int32 {
+	link := &c.heads[c.cur&c.mask]
+	h := *link
+	*link = pk[h].next
+	c.n--
+	return h
+}
+
+// rewind moves the scan back to t's virtual bucket if it has passed it, so
+// events may be pushed at t or later again. Every pending event is still at
+// or after the scan, so the pop order does not change.
+func (c *calendar) rewind(t float64) {
+	if v := c.vb(t); c.cur > v {
+		c.cur = v
 	}
 }
 

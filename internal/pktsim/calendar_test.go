@@ -1,17 +1,19 @@
 package pktsim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"sate/internal/par"
 )
 
-// checkLinks walks every calendar bucket and every port FIFO and fails if a
-// packet is linked into two lists (or twice into one), a bucket is out of
-// (t, seq) order, or a list's length disagrees with its counter — the
-// invariant the intrusive layout rests on: one next link per packet suffices
-// because a packet is in at most one list at a time.
+// checkLinks walks every partition's calendar buckets and every port FIFO
+// and fails if a packet is linked into two lists (or twice into one), a
+// bucket is out of (t, seq) order, an arrival waits in another partition's
+// calendar, or a list's length disagrees with its counter — the invariant
+// the intrusive layout rests on: one next link per packet suffices because a
+// packet is in at most one list at a time.
 func checkLinks(t *testing.T, e *engine) {
 	t.Helper()
 	seen := make([]bool, len(e.packets))
@@ -21,21 +23,28 @@ func checkLinks(t *testing.T, e *engine) {
 		}
 		seen[h] = true
 	}
-	pending := 0
-	for b, h := range e.cal.heads {
-		for prev := nilPkt; h != nilPkt; prev, h = h, e.packets[h].next {
-			visit(h, "a calendar bucket")
-			if int(e.cal.vb(e.packets[h].t)&e.cal.mask) != b {
-				t.Fatalf("packet %d (t=%v) sits in bucket %d", h, e.packets[h].t, b)
+	for pi := range e.parts {
+		c := &e.parts[pi].cal
+		pending := 0
+		for b, h := range c.heads {
+			for prev := nilPkt; h != nilPkt; prev, h = h, e.packets[h].next {
+				visit(h, "a calendar bucket")
+				pk := &e.packets[h]
+				if int(c.vb(pk.t)&c.mask) != b {
+					t.Fatalf("packet %d (t=%v) sits in bucket %d", h, pk.t, b)
+				}
+				if prev != nilPkt && !pktLess(&e.packets[prev], pk) {
+					t.Fatalf("bucket %d out of order at packet %d", b, h)
+				}
+				if pk.kind == evArrive && int(e.partOf[pk.where]) != pi {
+					t.Fatalf("arrival of packet %d at node %d waits in partition %d", h, pk.where, pi)
+				}
+				pending++
 			}
-			if prev != nilPkt && !pktLess(&e.packets[prev], &e.packets[h]) {
-				t.Fatalf("bucket %d out of order at packet %d", b, h)
-			}
-			pending++
 		}
-	}
-	if pending != e.cal.n {
-		t.Fatalf("calendar lists hold %d events, counter says %d", pending, e.cal.n)
+		if pending != c.n {
+			t.Fatalf("partition %d's calendar lists hold %d events, counter says %d", pi, pending, c.n)
+		}
 	}
 	for pi := range e.ports {
 		pt := &e.ports[pi]
@@ -53,94 +62,146 @@ func checkLinks(t *testing.T, e *engine) {
 	}
 }
 
-// TestConservationAtEveryEvent steps a run with every feature on and checks,
-// after every single event, that each injected packet is delivered, dropped,
-// pending in the calendar or queued at a port — and, on a stride (the walk
-// is linear in the packet count), that the lists really hold them once each.
-func TestConservationAtEveryEvent(t *testing.T) {
-	spec, cfg := richSpec(t)
-	cfg.HorizonSec = 0.08
-	cfg.QueuePkts = 4
-	cfg.Burst = &Burst{StartSec: 0.02, DurSec: 0.04, Factor: 6}
-	spec.Update.AtSec = 0.03
-	for i := range spec.Problem.LinkCap {
-		spec.Problem.LinkCap[i] = 40 // under the burst's offered load
-	}
-	e, err := newEngine(spec, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkLinks(t, e)
-	for ev := 0; e.cal.n > 0; ev++ {
-		e.step()
-		queued := 0
-		for pi := range e.ports {
-			queued += int(e.ports[pi].qn)
-		}
-		r := e.res
-		if r.Delivered+r.Dropped()+e.cal.n+queued != r.Injected {
-			t.Fatalf("event %d: delivered %d + dropped %d + pending %d + queued %d != injected %d",
-				ev, r.Delivered, r.Dropped(), e.cal.n, queued, r.Injected)
-		}
-		if ev%101 == 0 {
-			checkLinks(t, e)
+// conserved fails unless each injected packet is delivered, dropped,
+// pending in a calendar, queued at a port, or departed in this window
+// (recorded, its arrival not yet scheduled), and the partitions' held counts,
+// which size their record shares, add up to the pending and queued packets.
+func conserved(t *testing.T, e *engine, ev int) {
+	t.Helper()
+	var r Result
+	pending, queued, departed, held := 0, 0, 0, 0
+	for i := range e.parts {
+		p := &e.parts[i]
+		r.Merge(&p.res)
+		pending += p.cal.n
+		held += p.held
+		for _, rc := range p.recs {
+			if rc.op >= 0 {
+				departed++
+			}
 		}
 	}
-	checkLinks(t, e)
-	accounting(t, e.res)
-	if e.res.DroppedQueue == 0 || e.res.DroppedNoRule == 0 || e.res.Delivered == 0 {
-		t.Fatalf("run exercised too little: delivered %d, queue drops %d, no-rule drops %d",
-			e.res.Delivered, e.res.DroppedQueue, e.res.DroppedNoRule)
+	for pi := range e.ports {
+		queued += int(e.ports[pi].qn)
+	}
+	if r.Delivered+r.Dropped()+pending+queued+departed != e.res.Injected {
+		t.Fatalf("event %d: delivered %d + dropped %d + pending %d + queued %d + departed %d != injected %d",
+			ev, r.Delivered, r.Dropped(), pending, queued, departed, e.res.Injected)
+	}
+	if held != pending+queued {
+		t.Fatalf("event %d: partitions hold %d packets, %d pending + %d queued", ev, held, pending, queued)
 	}
 }
 
-// TestEventLoopZeroAllocs pins the loop's allocation contract (DESIGN.md §8):
-// draining a loaded engine allocates nothing, and Run as a whole allocates a
-// number of objects that depends on streams and nodes, not on packets.
-func TestEventLoopZeroAllocs(t *testing.T) {
-	defer par.SetWorkers(1)()
-	spec, cfg := richSpec(t)
-	engines := make([]*engine, 3) // AllocsPerRun(2, f) calls f three times
-	for i := range engines {
-		var err error
-		if engines[i], err = newEngine(spec, cfg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	next := 0
-	if a := testing.AllocsPerRun(2, func() {
-		engines[next].run()
-		next++
-	}); a != 0 {
-		t.Fatalf("event loop allocated %v objects per run, want 0", a)
-	}
-	if engines[0].res.Delivered == 0 {
-		t.Fatal("the measured loop delivered nothing")
-	}
-
-	runAllocs := func(horizon float64) (float64, int) {
-		c := cfg
-		c.HorizonSec = horizon
-		c.Burst = nil
-		injected := 0
-		a := testing.AllocsPerRun(2, func() {
-			res, err := Run(spec, c)
+// TestConservationAtEveryEvent steps a run with every feature on, window by
+// window and partition by partition as the pool would run them, and checks
+// after every single event that each injected packet is delivered, dropped,
+// pending, queued or departed in the window — and, on a stride (the walk is
+// linear in the packet count), that the lists really hold them once each.
+func TestConservationAtEveryEvent(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers %d", workers), func(t *testing.T) {
+			defer par.SetWorkers(workers)()
+			spec, cfg := richSpec(t)
+			cfg.HorizonSec = 0.08
+			cfg.QueuePkts = 4
+			cfg.Burst = &Burst{StartSec: 0.02, DurSec: 0.04, Factor: 6}
+			spec.Update.AtSec = 0.03
+			for i := range spec.Problem.LinkCap {
+				spec.Problem.LinkCap[i] = 40 // under the burst's offered load
+			}
+			e, err := newEngine(spec, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			injected = res.Injected
+			if len(e.parts) != workers {
+				t.Fatalf("%d partitions at %d workers", len(e.parts), workers)
+			}
+			checkLinks(t, e)
+			ev, windows := 0, 0
+			for start := e.first(); start < math.Inf(1); start = e.merge() {
+				e.open(start)
+				for i := range e.parts {
+					e.admit(&e.parts[i], int32(i))
+				}
+				checkLinks(t, e)
+				for i := range e.parts {
+					for p := &e.parts[i]; e.stepBefore(p); ev++ {
+						conserved(t, e, ev)
+						if ev%101 == 0 {
+							checkLinks(t, e)
+						}
+					}
+				}
+				windows++
+			}
+			e.fold()
+			checkLinks(t, e)
+			accounting(t, e.res)
+			if e.res.DroppedQueue == 0 || e.res.DroppedNoRule == 0 || e.res.Delivered == 0 {
+				t.Fatalf("run exercised too little: delivered %d, queue drops %d, no-rule drops %d",
+					e.res.Delivered, e.res.DroppedQueue, e.res.DroppedNoRule)
+			}
+			if workers > 1 && windows < 4 {
+				t.Fatalf("only %d windows", windows)
+			}
 		})
-		return a, injected
 	}
-	short, nShort := runAllocs(0.3)
-	long, nLong := runAllocs(1.2)
-	if nLong < 3*nShort {
-		t.Fatalf("horizons inject %d and %d packets; the comparison needs them far apart", nShort, nLong)
-	}
-	t.Logf("Run allocs: %v for %d packets, %v for %d", short, nShort, long, nLong)
-	if d := long - short; d < -8 || d > 8 {
-		t.Fatalf("Run allocated %v objects for %d packets and %v for %d: allocation count scales with packets",
-			short, nShort, long, nLong)
+}
+
+// TestEventLoopZeroAllocs pins the loop's allocation contract (DESIGN.md §8)
+// at one and at two workers: draining a loaded engine allocates nothing —
+// window records and arrivals are presized — and Run as a whole allocates a
+// number of objects that depends on streams and nodes, not on packets.
+func TestEventLoopZeroAllocs(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers %d", workers), func(t *testing.T) {
+			defer par.SetWorkers(workers)()
+			spec, cfg := richSpec(t)
+			engines := make([]*engine, 3) // AllocsPerRun(2, f) calls f three times
+			for i := range engines {
+				var err error
+				if engines[i], err = newEngine(spec, cfg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			next := 0
+			if a := testing.AllocsPerRun(2, func() {
+				engines[next].run()
+				next++
+			}); a != 0 {
+				t.Fatalf("event loop allocated %v objects per run, want 0", a)
+			}
+			if engines[0].res.Delivered == 0 || len(engines[0].parts) != workers {
+				t.Fatalf("the measured loop delivered %d packets over %d partitions",
+					engines[0].res.Delivered, len(engines[0].parts))
+			}
+
+			runAllocs := func(horizon float64) (float64, int) {
+				c := cfg
+				c.HorizonSec = horizon
+				c.Burst = nil
+				injected := 0
+				a := testing.AllocsPerRun(2, func() {
+					res, err := Run(spec, c)
+					if err != nil {
+						t.Fatal(err)
+					}
+					injected = res.Injected
+				})
+				return a, injected
+			}
+			short, nShort := runAllocs(0.3)
+			long, nLong := runAllocs(1.2)
+			if nLong < 3*nShort {
+				t.Fatalf("horizons inject %d and %d packets; the comparison needs them far apart", nShort, nLong)
+			}
+			t.Logf("Run allocs: %v for %d packets, %v for %d", short, nShort, long, nLong)
+			if d := long - short; d < -8 || d > 8 {
+				t.Fatalf("Run allocated %v objects for %d packets and %v for %d: allocation count scales with packets",
+					short, nShort, long, nLong)
+			}
+		})
 	}
 }
 
@@ -165,7 +226,8 @@ func FuzzCalendarOrder(f *testing.F) {
 		now := 0.0
 		pop := func() {
 			want := ref.pop()
-			h := cal.pop(pk)
+			cal.peek(pk)
+			h := cal.take(pk)
 			if got := pk[h]; math.Float64bits(got.t) != math.Float64bits(want.t) || got.seq != want.seq {
 				t.Fatalf("calendar popped (t=%v, seq=%d), heap popped (t=%v, seq=%d)", got.t, got.seq, want.t, want.seq)
 			}

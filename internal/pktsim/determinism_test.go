@@ -14,7 +14,7 @@ import (
 // richSpec builds a toy-constellation run with every stochastic feature on:
 // many streams (so the par.For schedule build actually spans chunks), an
 // update window with per-node lags, burst, jitter, spikes, and handovers.
-func richSpec(t *testing.T) (*RunSpec, Config) {
+func richSpec(t testing.TB) (*RunSpec, Config) {
 	t.Helper()
 	gen := topology.NewGenerator(constellation.Toy(4, 6), topology.DefaultConfig(topology.CrossShellLasers))
 	snap := gen.Snapshot(0)

@@ -19,10 +19,14 @@
 //     where sequence numbers are assigned in a deterministic order, so
 //     equal-time events never tie-break on float identity or insertion
 //     racing, and the queue's bucket count and width cannot change the order.
-//   - Parallel setup, sequential execution. The injection schedule is counted
-//     and filled per-stream by par.For with per-stream seeded RNGs, each
-//     stream writing its own slots of the packet slab (worker count cannot
-//     reorder them); the event loop itself is sequential.
+//   - Parallel setup, serial order. The injection schedule is counted and
+//     filled per-stream by par.For with per-stream seeded RNGs, each stream
+//     writing its own slots of the packet slab (worker count cannot reorder
+//     them). The event loop runs one node partition per worker in windows
+//     one light time long, inside which no packet crosses between
+//     partitions; between windows a serial merge walks the partitions'
+//     records in the one-partition order, so the sequence numbers, the
+//     jitter draws and the delivery log are the ones a single loop produces.
 package pktsim
 
 import (

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"sate/internal/par"
 	"sate/internal/rules"
 	"sate/internal/te"
 )
@@ -402,18 +403,86 @@ func TestEngineMatchesReference(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			want := refRun(t, c.spec, c.cfg)
-			got, err := Run(c.spec, c.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
 			if want.Injected == 0 || want.Delivered == 0 {
 				t.Fatalf("degenerate reference run: %+v", want)
 			}
-			if !sameResult(want, got) {
-				t.Fatalf("engine diverged from the reference:\n  ref: inj=%d del=%d drops=%d/%d/%d/%d maxq=%d\n  got: inj=%d del=%d drops=%d/%d/%d/%d maxq=%d",
-					want.Injected, want.Delivered, want.DroppedQueue, want.DroppedNoRule, want.DroppedDown, want.DroppedLoop, want.MaxQueuePkts,
-					got.Injected, got.Delivered, got.DroppedQueue, got.DroppedNoRule, got.DroppedDown, got.DroppedLoop, got.MaxQueuePkts)
+			for _, workers := range []int{1, 2, 3, 8} {
+				matchReference(t, c.spec, c.cfg, want, workers)
 			}
 		})
 	}
+}
+
+// matchReference runs the engine at the given worker count — one node
+// partition per worker, windows one light time long — and fails unless its
+// Result is want, bit for bit.
+func matchReference(t *testing.T, spec *RunSpec, cfg Config, want *Result, workers int) {
+	t.Helper()
+	restore := par.SetWorkers(workers)
+	got, err := Run(spec, cfg)
+	restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameResult(want, got) {
+		t.Fatalf("engine at %d workers diverged from the reference:\n  ref: inj=%d del=%d drops=%d/%d/%d/%d maxq=%d\n  got: inj=%d del=%d drops=%d/%d/%d/%d maxq=%d",
+			workers,
+			want.Injected, want.Delivered, want.DroppedQueue, want.DroppedNoRule, want.DroppedDown, want.DroppedLoop, want.MaxQueuePkts,
+			got.Injected, got.Delivered, got.DroppedQueue, got.DroppedNoRule, got.DroppedDown, got.DroppedLoop, got.MaxQueuePkts)
+	}
+}
+
+// FuzzEngineWindows draws toy runs over richSpec's 24-satellite network —
+// link capacities, per-path rates of both generations, queue size, jitter
+// on or off, the update instant (or no update), burst, spikes and handovers
+// — and requires the engine at 2 and 3 workers, node partitions running
+// window by window, to return refRun's Result bit for bit. Each byte of the
+// input feeds one knob, cycling when the input is short. The seed corpus is
+// testdata/fuzz.
+func FuzzEngineWindows(f *testing.F) {
+	base, _ := richSpec(f)
+	delays := base.Update.DelaysSec
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		next := 0
+		b := func() byte {
+			v := data[next%len(data)]
+			next++
+			return v
+		}
+		p := base.Problem
+		for i := range p.LinkCap {
+			p.LinkCap[i] = 5 + float64(b()%64) // a 5–68 Mbps link serializes a packet in 0.18–2.4 ms
+		}
+		cur, prev := te.NewAllocation(p), te.NewAllocation(p)
+		for fi := range p.Flows {
+			for pi := range p.Flows[fi].Paths {
+				cur.X[fi][pi] = float64(b() % 24)
+				prev.X[fi][pi] = float64(b() % 24)
+			}
+		}
+		cfg := Config{
+			Seed:       int64(b()),
+			HorizonSec: 0.01 + float64(b()%32)*0.002,
+			QueuePkts:  1 + int(b()%8),
+			Spikes:     int(b() % 4),
+			Handovers:  int(b() % 3),
+		}
+		if v := b(); v&1 != 0 {
+			cfg.JitterFrac = 0.1 // off: equal-time ties are decided by numbers alone
+		}
+		if v := b(); v%4 == 0 {
+			cfg.Burst = &Burst{StartSec: 0, DurSec: cfg.HorizonSec / 2, Factor: 1 + float64(v%8)}
+		}
+		spec := &RunSpec{Snap: base.Snap, Problem: p, Alloc: cur}
+		if v := b(); v%4 != 0 {
+			spec.Update = &RuleUpdate{PrevProblem: p, PrevAlloc: prev, AtSec: cfg.HorizonSec * float64(v%4) / 4, DelaysSec: delays}
+		}
+		want := refRun(t, spec, cfg)
+		for _, workers := range []int{2, 3} {
+			matchReference(t, spec, cfg, want, workers)
+		}
+	})
 }

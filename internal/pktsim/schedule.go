@@ -6,6 +6,7 @@ import (
 
 	"sate/internal/par"
 	"sate/internal/te"
+	"sate/internal/topology"
 )
 
 // stream is one (flow, label) injection source: packets of Config.PacketBits
@@ -13,7 +14,8 @@ import (
 // endSec (its generation's share of the horizon).
 type stream struct {
 	src, dst int32
-	key      uint64 // fwdKey(src, dst, label)
+	key      uint64            // fwdKey(src, dst, label)
+	path     []topology.NodeID // the label's path, source to destination
 	rateMbps float64
 	startSec float64
 	endSec   float64
@@ -43,6 +45,7 @@ func buildStreams(spec *RunSpec, horizonSec float64) []stream {
 				out = append(out, stream{
 					src: int32(f.Src), dst: int32(f.Dst),
 					key:      fwdKey(f.Src, f.Dst, pi),
+					path:     f.Paths[pi].Nodes,
 					rateMbps: rate,
 					startSec: start, endSec: end,
 				})

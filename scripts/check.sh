@@ -4,7 +4,8 @@
 # without them), tests (which
 # include satelint, the project's determinism / concurrency invariant linter,
 # as internal/lint.TestSelfLint; see DESIGN.md "Static analysis"), 5 s native
-# fuzz runs of the packet engine's event queue, the GAT edge kernel, the
+# fuzz runs of the packet engine's event queue and its windowed event loop,
+# the GAT edge kernel, the
 # edge lanes' exp, the elementwise ops, the gemm vector tile, the two file
 # readers (topology
 # snapshots, model files), the rule payload encoder, the rule-delta round
@@ -31,10 +32,15 @@ GOARCH=arm64 go build ./...
 GOARCH=arm64 go vet ./internal/autodiff
 echo "== go test =="
 go test ./...
-echo "== fuzz (11 x 5s) =="
+echo "== fuzz (12 x 5s) =="
 # The packet engine's calendar queue against the reference binary heap:
 # random push/pop interleavings must pop identical (t, seq) sequences.
 go test -run='^$' -fuzz=FuzzCalendarOrder -fuzztime=5s ./internal/pktsim
+# The engine's node partitions against the reference heap engine: random
+# toy runs (rates, link capacities, queue size, jitter on or off, the update
+# instant, burst, spikes, handovers) must give refRun's whole Result, bit for
+# bit, at 2 and 3 workers, where the loop runs window by window.
+go test -run='^$' -fuzz=FuzzEngineWindows -fuzztime=5s ./internal/pktsim
 # The GAT edge kernel against the primitive-op graph it replaces: random small
 # relations and projections must produce identical bits in both dtypes, with
 # the vector lanes off and on — the output on inference tapes, the output and

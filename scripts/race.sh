@@ -2,7 +2,8 @@
 # Race-detector pass over par itself and the packages that fork through it
 # (autodiff kernels, path fan-out, shard sub-solves' kernels, the topology
 # snapshot series, the rule verifier's flow walk, the changelog's per-node
-# diff, the packet engine's schedule fill), plus te and the rule
+# diff, the packet engine's schedule fill and its event loop, which forks
+# one node partition per worker every window), plus te and the rule
 # distribution layer. obs, solve, controller (the concurrent serving layer:
 # snapshot publication, recompute coalescing under parallel HTTP clients,
 # the chaos gate) and sim are raced by check.sh; the experiment grids are
